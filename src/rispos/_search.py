@@ -1,16 +1,22 @@
-"""Shared 1-D maximization: uniform grid scan, golden-section, parabolic polish.
+"""Shared 1-D maximization: grid scan, batched zoom levels, parabolic polish.
 
 All refinement searches in the pipeline (AOD likelihood, delay rotation,
 per-path coordinate ascent) use the same scheme so their ascent
 guarantees are uniform: the incumbent point is always a candidate and is
-only abandoned for a strictly better one.
+only abandoned for a strictly better one. Every stage hands its
+candidates to the objective as one batch: the grid (with the incumbent),
+then each zoom level, then the single parabolic step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# interior candidates per zoom level; a level shrinks the bracket to at
+# most 2 / (_ZOOM_POINTS + 1) of its width. The level cap bounds a search
+# at ten batches: grid, levels, parabolic step.
+_ZOOM_POINTS = 20
+_MAX_ZOOM_LEVELS = 8
 
 
 def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
@@ -24,9 +30,10 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
     lo, hi : float
         Search bracket.
     n_grid : int
-        Uniform scan resolution before the golden-section contraction.
+        Uniform scan resolution before the zoom levels.
     tol : float
-        Final interval width relative to the bracket width.
+        Final interval width relative to the bracket width; reached within
+        ``_MAX_ZOOM_LEVELS`` levels for tol >= 1e-10 at 201 grid points.
     incumbent : float, optional
         A point guaranteed to be among the candidates; the result never
         has a smaller objective than the incumbent.
@@ -42,55 +49,39 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
         x = lo if incumbent is None else incumbent
         return x, float(f_batch(np.array([x]))[0])
 
-    xs = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, n_grid)
+    xs = grid if incumbent is None else np.append(grid, float(incumbent))
     vals = np.asarray(f_batch(xs), dtype=float)
-    best = int(np.argmax(vals))
-    x_best, f_best = float(xs[best]), float(vals[best])
+    top = int(np.argmax(vals))
+    x_best, f_best = float(xs[top]), float(vals[top])
 
-    # golden-section contraction inside the bracketing grid cells
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, n_grid - 1)]
-    abs_tol = tol * width
-
-    def f1(x: float) -> float:
-        return float(f_batch(np.array([x]))[0])
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f1(c), f1(d)
-    pts = [(c, fc), (d, fd)]
-    while (b - a) > abs_tol and len(pts) < 200:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f1(c)
-            pts.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f1(d)
-            pts.append((d, fd))
-    for x, v in pts:
-        if v > f_best:
-            x_best, f_best = float(x), float(v)
+    # zoom into the grid cells on either side of the best grid point; each
+    # level samples the bracket uniformly and keeps the cells around its best
+    px, pv = grid, vals[:n_grid]
+    j = int(np.argmax(pv))
+    for _ in range(_MAX_ZOOM_LEVELS):
+        ia, ib = max(j - 1, 0), min(j + 1, px.size - 1)
+        if px[ib] - px[ia] <= tol * width:
+            break
+        inner = np.linspace(px[ia], px[ib], _ZOOM_POINTS + 2)[1:-1]
+        px = np.concatenate((px[[ia]], inner, px[[ib]]))
+        pv = np.concatenate((pv[[ia]], f_batch(inner), pv[[ib]]))
+        j = int(np.argmax(pv))
+        if pv[j] > f_best:
+            x_best, f_best = float(px[j]), float(pv[j])
 
     # one parabolic interpolation step through the best local triple
-    tried = sorted(set([(float(x), float(v)) for x, v in pts]
-                       + [(x_best, f_best), (float(a), f1(a)), (float(b), f1(b))]))
-    idx = max(range(len(tried)), key=lambda i: tried[i][1])
-    if 0 < idx < len(tried) - 1:
-        (x1, v1), (x2, v2), (x3, v3) = tried[idx - 1], tried[idx], tried[idx + 1]
+    if 0 < j < px.size - 1:
+        (x1, x2, x3), (v1, v2, v3) = px[j - 1:j + 2], pv[j - 1:j + 2]
         denom = (x2 - x1) * (v2 - v3) - (x2 - x3) * (v2 - v1)
         if abs(denom) > 0.0:
             xv = x2 - 0.5 * ((x2 - x1) ** 2 * (v2 - v3)
                              - (x2 - x3) ** 2 * (v2 - v1)) / denom
             if lo <= xv <= hi and np.isfinite(xv):
-                fv = f1(xv)
+                fv = float(f_batch(np.array([xv]))[0])
                 if fv > f_best:
                     x_best, f_best = float(xv), fv
 
-    if incumbent is not None:
-        f_inc = f1(float(incumbent))
-        if f_inc >= f_best:
-            return float(incumbent), f_inc
+    if incumbent is not None and vals[-1] >= f_best:
+        return float(incumbent), float(vals[-1])
     return x_best, f_best

@@ -67,23 +67,27 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
             f"sparsity {sparsity} infeasible with {n_meas} measurement rows")
 
     support: list[int] = []
-    resid = y.copy()
-    norms = [float(np.linalg.norm(resid))]
+    norms = [float(np.linalg.norm(y))]
     coeffs = None
     col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
+    theta_h = theta.conj().T
+    proj_y = theta_h @ y                                 # (N, G, L)
+    psi = proj_y.copy()                                  # Theta^H resid
     for _ in range(sparsity):
-        psi = np.einsum("gm,nml->ngl", theta.conj().T, resid)
         # summed cross-subcarrier correlation, normalized per column so
-        # unequal column norms (random phase profiles) cannot bias the pick
-        corr = np.sum(np.abs(psi) ** 2, axis=(0, 2)) / col_power
+        # unequal column norms (random phase profiles) cannot bias the pick;
+        # psi is squared in place (real and imaginary parts), as it is
+        # overwritten below
+        power = np.square(psi.view(float), out=psi.view(float))
+        corr = np.sum(power, axis=(0, 2)) / col_power
         corr[support] = -np.inf          # residual is orthogonal to these
         support.append(int(np.argmax(corr)))
         sel = theta[:, support]
         gram = sel.conj().T @ sel
-        rhs = np.einsum("km,nml->nkl", sel.conj().T, y)
-        coeffs = _solve_gram(gram, rhs)
-        resid = y - np.einsum("mk,nkl->nml", sel, coeffs)
-        norms.append(float(np.linalg.norm(resid)))
+        coeffs = _solve_gram(gram, proj_y[:, support, :])
+        norms.append(float(np.linalg.norm(y - sel @ coeffs)))
+        np.matmul(theta_h @ sel, coeffs, out=psi)
+        np.subtract(proj_y, psi, out=psi)
     return SompResult(support=support, columns=theta[:, support],
                       coeffs=coeffs, residual_norms=np.asarray(norms))
 
@@ -108,17 +112,22 @@ def _concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
     """Concentrated log-likelihood of the AOD vector (constant dropped).
 
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
+    With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
+    tr(G^-1 A^H S A). A (Q+1,) vector gives a scalar; an (n, Q+1) stack of
+    candidate vectors gives (n,) from one batched solve.
     """
-    a = ms_steering(geom, theta_vec)
-    if a.ndim == 1:
-        a = a[:, None]
-    gram = a.conj().T @ c_mat @ a
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
+    theta = np.asarray(theta_vec, dtype=float)
+    a = np.moveaxis(ms_steering(geom, np.atleast_2d(theta)), 0, 1)
+    a_h = a.conj().transpose(0, 2, 1)                    # (n, Q+1, N_m)
+    gram = a_h @ c_mat @ a
+    if not np.all(np.isfinite(gram)):
         raise SingularConcentration("departure angles collide")
-    d_mat = a @ np.linalg.solve(gram, a.conj().T)
-    first = 2.0 * np.real(np.trace(d_mat @ s_mat))
-    second = np.real(np.trace(s_mat @ d_mat @ c_mat @ d_mat.conj().T))
-    return first - second
+    eig = np.linalg.eigvalsh(gram)
+    if not np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
+        raise SingularConcentration("departure angles collide")
+    vals = np.real(np.trace(np.linalg.solve(gram, a_h @ s_mat @ a),
+                            axis1=1, axis2=2))
+    return vals if theta.ndim == 2 else float(vals[0])
 
 
 def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
@@ -134,10 +143,9 @@ def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
     a_b = bs_steering(geom, theta_r0)
     x1 = pilots[:, :t1]
     c_mat = x1 @ x1.conj().T
-    s_mat = np.zeros((geom.n_ms, geom.n_ms), dtype=complex)
-    for n in range(cfg.n_subcarriers):
-        b_n = (rx.y[:, :t1, n] @ x1.conj().T).conj().T @ a_b   # B[n]^H a_B
-        s_mat += np.outer(b_n, b_n.conj()) / geom.n_bs
+    y1 = rx.y[:, :t1, :].reshape(geom.n_bs, -1).conj()
+    b_mat = x1 @ (a_b @ y1).reshape(t1, -1)           # column n: B[n]^H a_B
+    s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
     theta = np.asarray(theta_init, dtype=float).copy()
     cell = 2.0 / cfg.g_ms
@@ -153,12 +161,9 @@ def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
             hi = min(1.0, u0 + cell)
 
             def f_batch(us, q=q):
-                out = np.empty(us.size)
-                trial = theta.copy()
-                for i, u in enumerate(us):
-                    trial[q] = np.arcsin(np.clip(u, -1.0, 1.0))
-                    out[i] = objective(trial)
-                return out
+                trial = np.repeat(theta[None, :], us.size, axis=0)
+                trial[:, q] = np.arcsin(np.clip(us, -1.0, 1.0))
+                return objective(trial)
 
             u_best, _ = maximize_1d(f_batch, lo, hi, n_grid=n_grid, tol=tol,
                                     incumbent=u0)

@@ -194,9 +194,11 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
                 lam *= settings.damping_up
                 continue
             x_new = x + step
+            pos_new = PositionParams.from_vector(x_new)
             try:
-                eta_new, jac_new = _map_and_jacobian(
-                    PositionParams.from_vector(x_new), ris, bs)
+                if not 0.0 <= pos_new.alpha < np.pi:
+                    raise DegenerateGeometry("step left the rotation domain")
+                eta_new, jac_new = _map_and_jacobian(pos_new, ris, bs)
             except DegenerateGeometry:
                 lam *= settings.damping_up
                 continue

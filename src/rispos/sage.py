@@ -100,7 +100,8 @@ class SageProblem:
 
     def beamformed(self, y_q: np.ndarray) -> np.ndarray:
         """a_B^H applied to a per-path tensor; (T, N)."""
-        return np.einsum("b,btn->tn", self.a_b.conj(), y_q)
+        return (self.a_b.conj() @ y_q.reshape(self.a_b.size, -1)).reshape(
+            y_q.shape[1:])
 
     # concentrated single-path objective ---------------------------------
 

@@ -129,6 +129,41 @@ def _aod_mats(s, rx):
     return s_mat, c_mat
 
 
+def _aod_objective_long_way(theta, s_mat, c_mat, geom):
+    """Un-simplified concentrated AOD objective 2 tr(DS) - tr(S D C D^H)."""
+    a = ch.ms_steering(geom, theta)
+    d_mat = a @ np.linalg.solve(a.conj().T @ c_mat @ a, a.conj().T)
+    return (2.0 * np.real(np.trace(d_mat @ s_mat))
+            - np.real(np.trace(s_mat @ d_mat @ c_mat @ d_mat.conj().T)))
+
+
+def test_aod_objective_batched_matches_scalar(setup20):
+    """An (n, Q+1) stack gives the n scalar values, and the long form."""
+    s = setup20
+    mats = _aod_mats(s, s.rx_noisy)
+    rng = np.random.default_rng(4)
+    for n_paths in (1, 2, 3):
+        stack = rng.uniform(-1.4, 1.4, (17, n_paths))
+        batched = ce._concentrated_aod_objective(stack, *mats, s.geom)
+        assert batched.shape == (17,)
+        scalar = [ce._concentrated_aod_objective(row, *mats, s.geom)
+                  for row in stack]
+        assert all(isinstance(v, float) for v in scalar)
+        assert_allclose(batched, scalar, rtol=1e-12)
+        long_way = [_aod_objective_long_way(row, *mats, s.geom)
+                    for row in stack]
+        assert_allclose(batched, long_way, rtol=1e-12)
+
+
+def test_aod_objective_batched_rejects_colliding_row(setup20):
+    s = setup20
+    mats = _aod_mats(s, s.rx_noisy)
+    stack = np.array([[0.1, -0.4], [0.2, 0.5], [0.3, 0.3], [0.0, 0.7]])
+    ce._concentrated_aod_objective(stack[[0, 1, 3]], *mats, s.geom)
+    with pytest.raises(SingularConcentration):
+        ce._concentrated_aod_objective(stack, *mats, s.geom)
+
+
 def test_aod_objective_matches_raw_form(setup20):
     """Concentrated objective equals the raw projected-residual form."""
     s = setup20

@@ -174,6 +174,25 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
         diag.objective_history[-1], 1e-30)
 
 
+def test_lm_step_out_of_rotation_domain_rejected(default_geom):
+    """A step that pushes alpha past pi is rejected like a degenerate one."""
+    params = _true_params(default_geom)
+    pos0, _ = po.position_closed_form(params, default_geom.ris,
+                                      default_geom.bs)
+    pos0.alpha = np.pi - 1e-6
+    eta0, jac = po._map_and_jacobian(pos0, default_geom.ris, default_geom.bs)
+    # data whose Gauss-Newton step from pos0 raises alpha by 0.01
+    dx = np.zeros(jac.shape[1])
+    dx[2 * params.n_paths + 3] = 1e-2
+    eta_hat = eta0 + jac @ dx
+    pos, diag = po.refine_position_lm(eta_hat, np.eye(eta_hat.size), pos0,
+                                      default_geom.ris, default_geom.bs,
+                                      check_jacobian=False)
+    assert 0.0 <= pos.alpha < np.pi
+    assert diag.n_iter >= 1
+    assert diag.objective_history[-1] <= diag.objective_history[0]
+
+
 def test_lm_median_not_worse_than_closed_form(mini_mc):
     """Refinement purpose: LM median position error <= closed-form median."""
     recs = mini_mc.records[0]

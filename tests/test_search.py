@@ -1,0 +1,103 @@
+"""The shared 1-D search: incumbent rule, accuracy, edges, batch count."""
+
+import numpy as np
+import pytest
+
+from rispos._search import maximize_1d
+
+
+class Counted:
+    """Wraps an elementwise objective and records each batch's size."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        self.sizes.append(xs.size)
+        return self.f(xs)
+
+
+def _bumpy(seed):
+    rng = np.random.default_rng(seed)
+    amp, freq, phase = rng.uniform(0.1, 1.0, (3, 4))
+    freq *= 40.0
+    # a row-wise sum, so a candidate's value does not depend on its batch
+    return lambda x: np.sum(amp * np.sin(np.multiply.outer(x, freq) + phase),
+                            axis=-1)
+
+
+def test_incumbent_never_beaten_by_worse_result():
+    rng = np.random.default_rng(0)
+    for seed in range(50):
+        f = _bumpy(seed)
+        lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
+        inc = rng.uniform(lo, hi)
+        x, fx = maximize_1d(f, lo, hi, incumbent=inc)
+        assert lo <= x <= hi
+        assert fx >= f(np.array([inc]))[0]
+        assert fx == f(np.array([x]))[0]
+
+
+def test_off_grid_incumbent_kept_when_best():
+    """A spike narrower than the grid spacing, sitting on the incumbent."""
+    x0 = 0.123456789
+
+    def spike(xs):
+        return np.exp(-((xs - x0) / 1e-9) ** 2)
+
+    x, fx = maximize_1d(spike, 0.0, 1.0, incumbent=x0)
+    assert x == x0
+    assert fx == 1.0
+
+
+def test_tie_goes_to_incumbent():
+    x, fx = maximize_1d(lambda xs: np.ones_like(xs), -2.0, 3.0,
+                        incumbent=0.7)
+    assert (x, fx) == (0.7, 1.0)
+
+
+@pytest.mark.parametrize("peak", [-0.9317, -0.25, 0.0, 0.3141, 0.77777])
+def test_accuracy_within_tol_of_known_maximum(peak):
+    lo, hi, tol = -1.0, 1.0, 1e-7
+
+    def f(xs):
+        return -np.log(np.cosh(3.0 * (xs - peak))) + 0.3 * (xs - peak) ** 3
+
+    x, fx = maximize_1d(f, lo, hi, tol=tol)
+    assert abs(x - peak) <= tol * (hi - lo)
+    assert fx == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_peak_at_bracket_edge(sign):
+    x, fx = maximize_1d(lambda xs: sign * xs, 2.0, 5.0)
+    assert x == (5.0 if sign > 0 else 2.0)
+    assert fx == sign * x
+
+
+def test_reversed_bracket_is_swapped():
+    x, _ = maximize_1d(lambda xs: -(xs - 1.5) ** 2, 4.0, 0.0)
+    assert abs(x - 1.5) < 1e-7 * 4.0
+
+
+def test_zero_width_bracket():
+    f = Counted(lambda xs: -xs ** 2)
+    assert maximize_1d(f, 0.5, 0.5) == (0.5, -0.25)
+    assert maximize_1d(f, 0.5, 0.5, incumbent=0.25) == (0.25, -0.0625)
+    assert f.sizes == [1, 1]
+
+
+@pytest.mark.parametrize("n_grid,tol", [(201, 1e-7), (3, 1e-7), (51, 1e-9),
+                                        (201, 1e-12)])
+@pytest.mark.parametrize("with_incumbent", [False, True])
+def test_batch_count_bound(n_grid, tol, with_incumbent):
+    """At most 10 batches per search, and at most one single candidate."""
+    for seed in range(5):
+        f = Counted(_bumpy(seed))
+        maximize_1d(f, -0.4, 0.6, n_grid=n_grid, tol=tol,
+                    incumbent=0.1 if with_incumbent else None)
+        assert len(f.sizes) <= 10
+        assert sum(size == 1 for size in f.sizes) <= 1
+        assert f.sizes[0] == n_grid + with_incumbent
