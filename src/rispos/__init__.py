@@ -3,7 +3,7 @@
 Modules
 -------
 geometry     array steering, node geometry, parameter maps
-channel      system configuration, channel and pilot synthesis
+channel      system configuration, pilots, the forward model, synthesis
 coarse_est   sparse-recovery + DFT coarse channel estimation
 sage         coordinate-wise joint likelihood refinement
 positioning  closed-form pose recovery and weighted LM refinement

@@ -1,9 +1,10 @@
 """Fisher information, parameter-transformation Jacobian, and error bounds.
 
-The channel FIM uses the closed-form derivatives of the noiseless model
-with respect to each per-path parameter; the position-domain FIM follows
-by congruence with the geometric Jacobian. Known RIS-BS leg angles are
-constants, not information-bearing rows.
+The channel FIM uses the closed-form derivatives of the noiseless field
+``channel.model_field`` with respect to each per-path parameter, built
+from the same per-path factors (``channel.path_factors``); the
+position-domain FIM follows by congruence with the geometric Jacobian.
+Known RIS-BS leg angles are constants, not information-bearing rows.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (PhaseSchedule, SystemConfig, ms_steering,
-                      ris_diff_steering, subcarrier_ramp)
+from .channel import (PhaseSchedule, SystemConfig, ms_steering, path_factors,
+                      ris_diff_steering)
 from .errors import DegenerateGeometry
 from .geometry import SPEED_OF_LIGHT, ScenarioGeometry
 from .params import ChannelParams, PositionParams
@@ -21,73 +22,44 @@ from .params import ChannelParams, PositionParams
 _COND_LIMIT = 1e12
 
 
-def model_field(params: ChannelParams, pilots: np.ndarray,
-                schedule: PhaseSchedule, geom: ScenarioGeometry,
-                cfg: SystemConfig) -> np.ndarray:
-    """Noiseless per-slot/per-subcarrier scalar field (T, N).
-
-    The full noiseless tensor is the BS steering vector times this field;
-    all parameter derivatives share that rank-1 structure.
-    """
-    a_m = ms_steering(geom, params.theta_t)
-    a_r = ris_diff_steering(geom, params.phi_in, params.psi_in,
-                            params.phi_out0, params.psi_out0)
-    sigma = schedule.slot_phases @ a_r                    # (T, Q+1)
-    proj = pilots.T @ a_m.conj()                          # (T, Q+1) a_M^H x_t
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
-    return np.einsum("q,tq,nq->tn", params.gains, sigma * proj, ramp)
-
-
 def model_field_derivs(params: ChannelParams, pilots: np.ndarray,
                        schedule: PhaseSchedule, geom: ScenarioGeometry,
                        cfg: SystemConfig) -> np.ndarray:
-    """Analytic derivatives of the scalar field, shape (6(Q+1), T, N).
+    """Analytic derivatives of ``channel.model_field``, shape (6(Q+1), T, N).
 
     Parameter order per path: [tau, delta_re, delta_im, theta_t, phi_in,
-    psi_in]. Elevation/azimuth derivatives act on the RIS steering
-    vector through diagonal index weightings; the departure-angle
-    derivative weights the MS array index ramp.
+    psi_in]. Each derivative keeps the path's product form: a slot factor
+    times a subcarrier factor. Elevation/azimuth derivatives act on the
+    RIS steering vector through diagonal index weightings; the
+    departure-angle derivative weights the MS array index ramp.
     """
     lam = geom.wavelength
-    n_q = params.n_paths
-    a_m = ms_steering(geom, params.theta_t)
-    a_r = ris_diff_steering(geom, params.phi_in, params.psi_in,
-                            params.phi_out0, params.psi_out0)
-    sigma = schedule.slot_phases @ a_r
-    proj = pilots.T @ a_m.conj()
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    gains, theta, phi, psi = (params.gains, params.theta_t, params.phi_in,
+                              params.psi_in)
+    sigma, proj, ramp = path_factors(params, pilots, schedule, geom, cfg)
+    a_m = ms_steering(geom, theta)
+    a_r = ris_diff_steering(geom, phi, psi, params.phi_out0, params.psi_out0)
+    k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
+    k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)[:, None]
+    n_sub = np.arange(cfg.n_subcarriers)[:, None]
 
-    k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)
-    k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)
-    idx_ms = np.arange(geom.n_ms)
-    freq_slope = 2j * np.pi * cfg.bandwidth / cfg.n_subcarriers
-
-    out = np.zeros((6 * n_q, cfg.t_total, cfg.n_subcarriers), dtype=complex)
-    for q in range(n_q):
-        dq = params.gains[q]
-        base_tn = np.outer(sigma[:, q] * proj[:, q], ramp[:, q])
-        # tau
-        out[6 * q + 0] = -freq_slope * dq * base_tn * np.arange(cfg.n_subcarriers)
-        # gain real / imaginary parts
-        out[6 * q + 1] = base_tn
-        out[6 * q + 2] = 1j * base_tn
-        # departure angle: d(a_M^H x)/d(theta) via the index ramp
-        dproj = 2j * np.pi * geom.d_ms / lam * np.cos(params.theta_t[q]) * (
-            pilots.T @ (idx_ms * a_m[:, q].conj()))
-        out[6 * q + 3] = dq * np.outer(sigma[:, q] * dproj, ramp[:, q])
-        # elevation arrival angle
-        d_phi = 2j * np.pi * (
-            geom.d_ris_el / lam * np.sin(params.phi_in[q]) * k_el
-            - geom.d_ris_az / lam * np.sin(params.psi_in[q])
-            * np.cos(params.phi_in[q]) * k_az)
-        dsig = schedule.slot_phases @ (d_phi * a_r[:, q])
-        out[6 * q + 4] = dq * np.outer(dsig * proj[:, q], ramp[:, q])
-        # azimuth arrival angle
-        d_psi = -2j * np.pi * geom.d_ris_az / lam * np.cos(params.psi_in[q]) \
-            * np.sin(params.phi_in[q]) * k_az
-        dsig = schedule.slot_phases @ (d_psi * a_r[:, q])
-        out[6 * q + 5] = dq * np.outer(dsig * proj[:, q], ramp[:, q])
-    return out
+    # d(a_M^H x)/d(theta) via the index ramp; d(sigma)/d(phi), d(sigma)/d(psi)
+    dproj = 2j * np.pi * geom.d_ms / lam * np.cos(theta) * (
+        pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
+    d_phi = 2j * np.pi * (geom.d_ris_el / lam * np.sin(phi) * k_el
+                          - geom.d_ris_az / lam * np.sin(psi) * np.cos(phi)
+                          * k_az)
+    d_psi = -2j * np.pi * geom.d_ris_az / lam * np.cos(psi) * np.sin(phi) * k_az
+    u = sigma * proj
+    slots = np.stack([
+        -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u,
+        u, 1j * u, gains * sigma * dproj,
+        gains * (schedule.slot_phases @ (d_phi * a_r)) * proj,
+        gains * (schedule.slot_phases @ (d_psi * a_r)) * proj])   # (6, T, Q+1)
+    subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
+    out = (np.moveaxis(slots, 2, 0)[:, :, :, None]
+           * np.moveaxis(subs, 2, 0)[:, :, None, :])               # (Q+1, 6, T, N)
+    return out.reshape(-1, cfg.t_total, cfg.n_subcarriers)
 
 
 def fim_channel(params: ChannelParams, pilots: np.ndarray,

@@ -1,8 +1,11 @@
-"""Channel construction and pilot-signal synthesis.
+"""System configuration, pilots, schedule, and the one forward model.
 
-Builds the cascaded MS-RIS-BS channel, the RIS phase-shift schedule,
-random binary pilots, angular dictionaries, and the received OFDM
-pilot tensor with circularly-symmetric Gaussian noise.
+Draws the RIS phase-shift schedule, random binary pilots, path gains and
+angular dictionaries. ``model_field`` is the only implementation of the
+noiseless received field: synthesis, the SAGE E-step, the likelihood and
+the Fisher information all build on it or on its per-path factors
+(``ris_slot_scalars``, ``pilot_projection``, ``subcarrier_ramp``).
+``synthesize_rx`` adds circularly-symmetric Gaussian noise to it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from .params import ChannelParams
 
 def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(p_w: float) -> float:
-    return 10.0 * np.log10(p_w) + 30.0
 
 
 @dataclass
@@ -252,61 +251,6 @@ def subcarrier_ramp(tau, bandwidth: float, n_subcarriers: int) -> np.ndarray:
                   * bandwidth / n_subcarriers)
 
 
-def build_channel(cfg: SystemConfig, geom: ScenarioGeometry,
-                  params: ChannelParams, g_t: np.ndarray, n: int) -> np.ndarray:
-    """Channel matrix H_t[n] (N_b x N_m) for one slot's phase vector.
-
-    Uses the scalar-reflection form: each path contributes
-    delta_q * ramp_q[n] * (g_t^T a_R(dw_q)) * a_B a_M(theta_q)^H.
-    """
-    g_t = np.asarray(g_t)
-    if g_t.shape != (geom.n_ris,):
-        raise DimensionMismatch("phase vector length must equal N_r")
-    if not (1 <= n <= cfg.n_subcarriers):
-        raise DimensionMismatch("subcarrier index out of range")
-    a_b = bs_steering(geom, params.theta_r0)
-    a_m = ms_steering(geom, params.theta_t)          # (N_m, Q+1)
-    a_r = ris_diff_steering(geom, params.phi_in, params.psi_in,
-                            params.phi_out0, params.psi_out0)  # (N_r, Q+1)
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth,
-                           cfg.n_subcarriers)[n - 1]  # (Q+1,)
-    scal = params.gains * ramp * (g_t @ a_r)
-    return np.outer(a_b, (a_m.conj() * scal).sum(axis=1))
-
-
-def build_channel_cascade(cfg: SystemConfig, geom: ScenarioGeometry,
-                          params: ChannelParams, g_t: np.ndarray,
-                          n: int) -> np.ndarray:
-    """H_t[n] built the long way: H_RB[n] diag(g_t) H_MR[n].
-
-    The composite gain/delay are split with a unit-gain RIS-BS leg of
-    delay ||r-b||/c; only the combined values affect the product.
-    """
-    g_t = np.asarray(g_t)
-    if g_t.shape != (geom.n_ris,):
-        raise DimensionMismatch("phase vector length must equal N_r")
-    lam = geom.wavelength
-    tau_rb = np.linalg.norm(geom.ris - geom.bs) / geometry.SPEED_OF_LIGHT
-    a_b = bs_steering(geom, params.theta_r0)
-    w_out_az = geom.d_ris_az / lam * np.sin(params.psi_out0) * np.sin(params.phi_out0)
-    w_out_el = geom.d_ris_el / lam * np.cos(params.phi_out0)
-    a_r_out = steer_upa(w_out_az, w_out_el, geom.n_ris_az, geom.n_ris_el)
-    ramp_rb = np.exp(-2j * np.pi * tau_rb * (n - 1) * cfg.bandwidth
-                     / cfg.n_subcarriers)
-    h_rb = ramp_rb * np.outer(a_b, a_r_out.conj())
-
-    h_mr = np.zeros((geom.n_ris, geom.n_ms), dtype=complex)
-    for q in range(params.n_paths):
-        w_in_az = geom.d_ris_az / lam * np.sin(params.psi_in[q]) * np.sin(params.phi_in[q])
-        w_in_el = geom.d_ris_el / lam * np.cos(params.phi_in[q])
-        a_r_in = steer_upa(w_in_az, w_in_el, geom.n_ris_az, geom.n_ris_el)
-        a_m = ms_steering(geom, params.theta_t[q])
-        ramp_mr = np.exp(-2j * np.pi * (params.tau[q] - tau_rb) * (n - 1)
-                         * cfg.bandwidth / cfg.n_subcarriers)
-        h_mr += params.gains[q] * ramp_mr * np.outer(a_r_in, a_m.conj())
-    return h_rb @ np.diag(g_t) @ h_mr
-
-
 @dataclass
 class RxSignal:
     """Received pilot tensor y (N_b, T, N) and the pilots that produced it."""
@@ -323,30 +267,69 @@ class RxSignal:
         return pilot_tensor(self.pilots, self.n_subcarriers)
 
 
+def ris_slot_scalars(geom: ScenarioGeometry, slot_phases: np.ndarray,
+                     phi_in, psi_in, phi_out0: float,
+                     psi_out0: float) -> np.ndarray:
+    """sigma_t = g_t^T a_R(dw) per slot; (T,) or (T, n) for array angles."""
+    return slot_phases @ ris_diff_steering(geom, phi_in, psi_in,
+                                           phi_out0, psi_out0)
+
+
+def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
+                     theta_t) -> np.ndarray:
+    """p_t = a_M(theta)^H x_t per slot; (T,) or (T, n) for array angles."""
+    return pilots.T @ ms_steering(geom, theta_t).conj()
+
+
+def path_factors(params: ChannelParams, pilots: np.ndarray,
+                 schedule: PhaseSchedule, geom: ScenarioGeometry,
+                 cfg: SystemConfig):
+    """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
+
+    Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
+    subcarrier n of the field.
+    """
+    sigma = ris_slot_scalars(geom, schedule.slot_phases, params.phi_in,
+                             params.psi_in, params.phi_out0, params.psi_out0)
+    proj = pilot_projection(geom, pilots, params.theta_t)
+    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    return sigma, proj, ramp
+
+
+def model_field(params: ChannelParams, pilots: np.ndarray,
+                schedule: PhaseSchedule, geom: ScenarioGeometry,
+                cfg: SystemConfig) -> np.ndarray:
+    """Noiseless per-slot/per-subcarrier scalar field (T, N) of all paths.
+
+    The noiseless received tensor is a_B (x) this field: every path
+    arrives at the BS along the known RIS-BS direction, so the field and
+    all its parameter derivatives share that rank-1 structure.
+    """
+    sigma, proj, ramp = path_factors(params, pilots, schedule, geom, cfg)
+    return np.einsum("q,tq,nq->tn", params.gains, sigma * proj, ramp)
+
+
+def beamform(a_b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a_B^H applied along the antenna axis of y (N_b, ...); shape y.shape[1:]."""
+    return (a_b.conj() @ y.reshape(a_b.size, -1)).reshape(y.shape[1:])
+
+
 def synthesize_rx(cfg: SystemConfig, geom: ScenarioGeometry,
                   params: ChannelParams, schedule: PhaseSchedule,
                   pilots: np.ndarray,
                   noise_seed: int | np.random.Generator | None = 0,
                   noiseless: bool = False) -> RxSignal:
-    """Simulate the received uplink pilot tensor y = Hx + z.
+    """Simulate the received uplink pilot tensor y = a_B (x) field + z.
 
-    Steering vectors are evaluated once per path and reused across all
-    subcarriers (narrow-band model). Noise entries are CN(0, sigma^2)
-    with the per-subcarrier noise power of ``cfg``; passing the same
-    seed reproduces the tensor exactly.
+    Noise entries are CN(0, sigma^2) with the per-subcarrier noise power
+    of ``cfg``; passing the same seed reproduces the tensor exactly.
     """
     if pilots.shape != (geom.n_ms, cfg.t_total):
         raise DimensionMismatch("pilot matrix must be (N_m, T)")
     if schedule.n_slots != cfg.t_total:
         raise DimensionMismatch("schedule slot count must equal T")
     a_b = bs_steering(geom, params.theta_r0)
-    a_m = ms_steering(geom, params.theta_t)              # (N_m, Q+1)
-    a_r = ris_diff_steering(geom, params.phi_in, params.psi_in,
-                            params.phi_out0, params.psi_out0)
-    sigma_slots = schedule.slot_phases @ a_r             # (T, Q+1)
-    proj = pilots.T @ a_m.conj()                         # (T, Q+1): a_M^H x_t
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
-    field = np.einsum("q,tq,nq->tn", params.gains, sigma_slots * proj, ramp)
+    field = model_field(params, pilots, schedule, geom, cfg)
     y = a_b[:, None, None] * field[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)

@@ -12,60 +12,55 @@ from . import harness
 from .errors import RisposError
 
 
+# command-line option -> the ExperimentConfig field it overrides
+_OVERRIDES = (("trials", "n_trials"), ("powers", "powers_dbm"),
+              ("workers", "workers"), ("out", "out_dir"), ("seed", "master_seed"))
+
+
 def _load_config(args) -> harness.ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         exp = harness.ExperimentConfig.from_file(args.config)
     else:
         exp = harness.ExperimentConfig()
-    if getattr(args, "trials", None) is not None:
-        exp.n_trials = args.trials
-    if getattr(args, "powers", None):
-        exp.powers_dbm = [float(p) for p in args.powers]
-    if getattr(args, "workers", None) is not None:
-        exp.workers = args.workers
-    if getattr(args, "out", None):
-        exp.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        exp.master_seed = args.seed
+    for option, name in _OVERRIDES:
+        if getattr(args, option, None) is not None:
+            setattr(exp, name, getattr(args, option))
     return exp
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``sweep`` writes the summary CSV; ``simulate`` adds the figure files."""
     exp = _load_config(args)
     report = harness.run_sweep(exp)
-    summary = harness.write_summary_csv(report, f"{exp.out_dir}/sweep_summary.csv")
-    paths = harness.emit_plot_data(report, exp.out_dir)
-    print(f"wrote {summary}")
+    paths = [harness.write_summary_csv(report,
+                                       f"{exp.out_dir}/sweep_summary.csv")]
+    if args.command == "simulate":
+        paths += harness.emit_plot_data(report, exp.out_dir)
     for p in paths:
         print(f"wrote {p}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    exp = _load_config(args)
-    report = harness.run_sweep(exp)
-    summary = harness.write_summary_csv(report, f"{exp.out_dir}/sweep_summary.csv")
-    print(f"wrote {summary}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
     exp = _load_config(args)
     rows = ["power_dbm," + ",".join(
-        f"bound_{c}" for c in list(harness.CHANNEL_CLASSES)
-        + ["position", "orientation"])]
+        f"bound_{c}" for c in harness.REPORT_CLASSES)]
     for p in exp.powers_dbm:
         ref = harness.reference_bounds(exp, p)
         rows.append(",".join([f"{p:.12e}"] + [
-            f"{ref[c]:.12e}" for c in list(harness.CHANNEL_CLASSES)
-            + ["position", "orientation"]]))
+            f"{ref[c]:.12e}" for c in harness.REPORT_CLASSES]))
     print("\n".join(rows))
     return 0
 
 
 def _cmd_trial(args) -> int:
     exp = _load_config(args)
-    rec = harness.run_trial(exp, args.power, 0, args.trial)
+    if args.power not in exp.powers_dbm:
+        raise ValueError(f"--power {args.power:g} is not a configured power; "
+                         f"powers_dbm is {exp.powers_dbm}")
+    # the sweep seeds a trial by the power's index, so use the same index
+    p_idx = exp.powers_dbm.index(args.power)
+    rec = harness.run_trial(exp, exp.powers_dbm[p_idx], p_idx, args.trial)
     out = {
         "power_dbm": rec.power_dbm,
         "seed_entropy": list(rec.seed_entropy),
@@ -93,25 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="YAML config file (defaults baked in)")
     common.add_argument("--seed", type=int, help="override master seed")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="full sweep: summary CSV plus per-figure files")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--powers", nargs="+")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="Monte Carlo sweep, aggregate CSV only")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--powers", nargs="+")
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=_cmd_sweep)
+    for name, help_text in (
+            ("simulate", "full sweep: summary CSV plus per-figure files"),
+            ("sweep", "Monte Carlo sweep, aggregate CSV only")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--powers", nargs="+", type=float)
+        p.add_argument("--workers", type=int)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="print bound curves for the configured sweep")
-    p.add_argument("--powers", nargs="+")
+    p.add_argument("--powers", nargs="+", type=float)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("trial", parents=[common],

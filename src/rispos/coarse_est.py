@@ -15,7 +15,8 @@ from scipy.optimize import linear_sum_assignment
 
 from ._search import maximize_1d
 from .channel import (Dictionary, PhaseSchedule, RisDictionary, SystemConfig,
-                      bs_steering, ms_steering, ris_index_split)
+                      beamform, bs_steering, ms_steering, pilot_projection,
+                      ris_index_split)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
 from .geometry import ScenarioGeometry, clamped_arcsin
@@ -143,8 +144,7 @@ def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
     a_b = bs_steering(geom, theta_r0)
     x1 = pilots[:, :t1]
     c_mat = x1 @ x1.conj().T
-    y1 = rx.y[:, :t1, :].reshape(geom.n_bs, -1).conj()
-    b_mat = x1 @ (a_b @ y1).reshape(t1, -1)           # column n: B[n]^H a_B
+    b_mat = x1 @ beamform(a_b, rx.y[:, :t1, :]).conj()  # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
     theta = np.asarray(theta_init, dtype=float).copy()
@@ -208,17 +208,15 @@ def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
     theta_r0, phi_out0, psi_out0 = known_angles
     n_paths = theta_hat.size
     a_b = bs_steering(geom, theta_r0)
-    ycheck = np.einsum("b,btn->tn", a_b.conj(), rx.y) / geom.n_bs   # (T, N)
-    a_bar_m = ms_steering(geom, theta_hat)
-    if a_bar_m.ndim == 1:
-        a_bar_m = a_bar_m[:, None]
+    ycheck = beamform(a_b, rx.y) / geom.n_bs                        # (T, N)
+    proj = pilot_projection(geom, pilots, np.atleast_1d(theta_hat)).T  # (Q+1, T)
 
     blocks = []
     for i in range(schedule.n_blocks):
         slots = schedule.block_slots(i)
         if slots.size < n_paths:
             raise RankDeficient("phase block shorter than the path count")
-        b_i = a_bar_m.conj().T @ pilots[:, slots]       # (Q+1, V_i)
+        b_i = proj[:, slots]                            # (Q+1, V_i)
         pinv = _right_inverse(b_i)                      # (V_i, Q+1)
         blocks.append(ycheck[slots, :].T @ pinv)        # (N, Q+1)
     stacked = np.stack(blocks, axis=1)                  # (N, blocks, Q+1)

@@ -29,10 +29,6 @@ class SingularConcentration(RisposError):
     """Concentrated likelihood is undefined (colliding departure angles)."""
 
 
-class BranchAmbiguity(RisposError):
-    """No arcsin branch lands inside the admissible azimuth range."""
-
-
 class OutOfRange(RisposError):
     """A normalized delay left the identifiable interval (0, 1)."""
 

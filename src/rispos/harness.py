@@ -3,7 +3,8 @@
 Runs the synthesize -> coarse -> SAGE -> closed-form -> LM pipeline over
 a transmit-power sweep, aggregates per-parameter RMSE curves next to the
 corresponding bounds, and writes plot-ready CSV files (one per figure
-panel analogue).
+panel analogue). What the trials at one power share is built once per
+power point by ``power_setup``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,18 @@ _TAG_TRIAL = 3
 
 STAGES = ("coarse", "aod_mle", "sage", "lm")
 
-CHANNEL_CLASSES = ("delta_re", "delta_im", "tau", "theta_t", "phi_in", "psi_in")
-
-# reporting units per class: ns for delays, degrees for angles
-_CLASS_SCALE = {"delta_re": 1.0, "delta_im": 1.0, "tau": 1e9,
-                "theta_t": 180.0 / np.pi, "phi_in": 180.0 / np.pi,
-                "psi_in": 180.0 / np.pi}
+# report class -> (column in each path's 6-entry block of the channel
+# parameter vector, or None for the pose classes; report scale: ns for
+# delays, degrees for angles, meters for the position)
+_CLASSES = {
+    "delta_re": (1, 1.0), "delta_im": (2, 1.0), "tau": (0, 1e9),
+    "theta_t": (3, 180.0 / np.pi), "phi_in": (4, 180.0 / np.pi),
+    "psi_in": (5, 180.0 / np.pi),
+    "position": (None, 1.0), "orientation": (None, 180.0 / np.pi),
+}
+REPORT_CLASSES = tuple(_CLASSES)
+CHANNEL_CLASSES = tuple(c for c, (col, _) in _CLASSES.items()
+                        if col is not None)
 
 
 @dataclass
@@ -125,14 +132,8 @@ class ExperimentConfig:
 def channel_sq_errors(est: ChannelParams, true: ChannelParams) -> dict:
     """Per-class squared errors (per path) after association."""
     perm = associate_paths(est.theta_t, true.theta_t)
-    return {
-        "delta_re": (est.gains.real[perm] - true.gains.real) ** 2,
-        "delta_im": (est.gains.imag[perm] - true.gains.imag) ** 2,
-        "tau": (est.tau[perm] - true.tau) ** 2,
-        "theta_t": (est.theta_t[perm] - true.theta_t) ** 2,
-        "phi_in": (est.phi_in[perm] - true.phi_in) ** 2,
-        "psi_in": (est.psi_in[perm] - true.psi_in) ** 2,
-    }
+    diff = est.to_vector().reshape(-1, 6)[perm] - true.to_vector().reshape(-1, 6)
+    return {cls: diff[:, _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES}
 
 
 def position_sq_errors(est: PositionParams, true_geom: ScenarioGeometry) -> dict:
@@ -171,27 +172,59 @@ def _support_matches(est: ChannelParams, true: ChannelParams,
     return bool(np.all(gap <= 1.5 * 2.0 / g_ms))
 
 
-def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
-              trial_idx: int) -> TrialRecord:
-    """One seeded trial through the configured pipeline stages.
+@dataclass
+class PowerSetup:
+    """What every trial at one transmit power shares.
 
-    Stage failures are captured in the record rather than aborting the
-    sweep; every random draw derives from (master seed, power index,
-    trial index) so scheduling cannot perturb results.
+    All of it is seeded by the master seed alone, so a sweep builds it
+    once per power point and hands it to each trial and to the
+    reference bounds.
     """
-    entropy = (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
-    rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
-                      seed_entropy=entropy)
+
+    geom: ScenarioGeometry
+    cfg: ch.SystemConfig
+    pilots: np.ndarray
+    sched: ch.PhaseSchedule
+    a_m_dict: ch.Dictionary
+    ris_dict: ch.RisDictionary
+    t_true: np.ndarray          # parameter Jacobian at the true pose
+
+
+def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
+    """Geometry, system, pilots, schedule, dictionaries and the Jacobian
+    at the true pose (it does not depend on the gains)."""
     geom = exp.geometry()
     cfg = exp.system(power_dbm)
-    n_paths = geom.n_scatterers + 1
-    cfg.validate(n_paths)
-
+    cfg.validate(geom.n_scatterers + 1)
     pilots = ch.make_pilots(cfg, geom.n_ms,
                             np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
     sched = ch.make_phase_schedule(cfg, geom.n_ris,
                                    np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
     a_m_dict, ris_dict = ch.build_dictionaries(cfg, geom)
+    t_true = bnd.transformation_matrix(
+        PositionParams(gains=np.zeros(geom.n_scatterers + 1, complex),
+                       ms=geom.ms, alpha=geom.alpha,
+                       scatterers=geom.scatterers), geom.ris, geom.bs)
+    return PowerSetup(geom, cfg, pilots, sched, a_m_dict, ris_dict, t_true)
+
+
+def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
+              trial_idx: int, setup: PowerSetup | None = None) -> TrialRecord:
+    """One seeded trial through the configured pipeline stages.
+
+    Stage failures are captured in the record rather than aborting the
+    sweep; every random draw derives from (master seed, power index,
+    trial index) so scheduling cannot perturb results. ``setup`` is
+    ``power_setup(exp, power_dbm)``, built here when not given.
+    """
+    entropy = (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
+    rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
+                      seed_entropy=entropy)
+    if setup is None:
+        setup = power_setup(exp, power_dbm)
+    geom, cfg = setup.geom, setup.cfg
+    pilots, sched = setup.pilots, setup.sched
+    n_paths = geom.n_scatterers + 1
 
     ss = np.random.SeedSequence(entropy)
     gain_seed, noise_seed = ss.spawn(2)
@@ -205,10 +238,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
 
     # per-trial bounds at the true parameters
     j_true = bnd.fim_channel(true, pilots, sched, geom, cfg)
-    t_true = bnd.transformation_matrix(
-        PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
-                       scatterers=geom.scatterers), geom.ris, geom.bs)
-    rep = bnd.position_bounds(j_true, t_true)
+    rep = bnd.position_bounds(j_true, setup.t_true)
     rec.crlb, rec.peb, rec.oeb = rep.crlb_channel, rep.peb, rep.oeb
 
     rx = ch.synthesize_rx(cfg, geom, true, sched, pilots,
@@ -216,7 +246,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
                           noiseless=exp.noiseless)
     try:
         coarse = ce.run_coarse(rx, pilots, sched, geom, cfg, n_paths, known,
-                               a_m_dict, ris_dict,
+                               setup.a_m_dict, setup.ris_dict,
                                refine_aod=exp.stage != "coarse")
         rec.stages["coarse"] = coarse.params.to_vector()
         rec.sq_errors["coarse"] = channel_sq_errors(coarse.params, true)
@@ -240,7 +270,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         if exp.stage == "lm":
             j_est = bnd.fim_channel(est, pilots, sched, geom, cfg)
             pos_ref, diag = pos_mod.refine_position_lm(
-                est, j_est, pos0, geom.ris, geom.bs, check_jacobian=False)
+                est, j_est, pos0, geom.ris, geom.bs)
             rec.stages["lm"] = pos_ref.to_vector()
             rec.sq_errors["lm"] = position_sq_errors(pos_ref, geom)
             rec.flags["lm_stalled"] = diag.stalled
@@ -268,47 +298,41 @@ class SweepReport:
     records: list               # list of lists of TrialRecord
 
 
-def reference_bounds(exp: ExperimentConfig, power_dbm: float) -> dict:
-    """Bound values at the nominal zero-shadowing gains (RNG-free)."""
-    geom = exp.geometry()
-    cfg = exp.system(power_dbm)
-    pilots = ch.make_pilots(cfg, geom.n_ms,
-                            np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-    sched = ch.make_phase_schedule(cfg, geom.n_ris,
-                                   np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
+def _report_bounds(crlb: np.ndarray, peb: float, oeb: float) -> dict:
+    """Bounds in report units from per-path CRLB variances ``crlb`` (..., 6),
+    averaged over all leading axes, and the given PEB and OEB."""
+    rms = {"position": peb, "orientation": oeb}
+    for cls, (col, _) in _CLASSES.items():
+        if col is not None:
+            rms[cls] = float(np.sqrt(np.mean(crlb[..., col])))
+    return {cls: rms[cls] * scale for cls, (_, scale) in _CLASSES.items()}
+
+
+def reference_bounds(exp: ExperimentConfig, power_dbm: float,
+                     setup: PowerSetup | None = None) -> dict:
+    """Bound values at the nominal zero-shadowing gains (RNG-free).
+
+    ``setup`` is ``power_setup(exp, power_dbm)``, built here when not given.
+    """
+    if setup is None:
+        setup = power_setup(exp, power_dbm)
+    geom, cfg = setup.geom, setup.cfg
     gains = ch.nominal_gain_amplitudes(cfg, geom).astype(complex)
     true = true_channel_params(geom, gains)
-    j_eta = bnd.fim_channel(true, pilots, sched, geom, cfg)
-    t_mat = bnd.transformation_matrix(
-        PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
-                       scatterers=geom.scatterers), geom.ris, geom.bs)
-    rep = bnd.position_bounds(j_eta, t_mat)
-    crlb = rep.crlb_channel.reshape(-1, 6)
-    order = {"tau": 0, "delta_re": 1, "delta_im": 2, "theta_t": 3,
-             "phi_in": 4, "psi_in": 5}
-    out = {cls: float(np.sqrt(np.mean(crlb[:, col]))) * _CLASS_SCALE[cls]
-           for cls, col in order.items()}
-    out["position"] = rep.peb
-    out["orientation"] = np.rad2deg(rep.oeb)
-    return out
+    j_eta = bnd.fim_channel(true, setup.pilots, setup.sched, geom, cfg)
+    rep = bnd.position_bounds(j_eta, setup.t_true)
+    return _report_bounds(rep.crlb_channel.reshape(-1, 6), rep.peb, rep.oeb)
 
 
 def _aggregate_trial_bounds(records: list) -> dict:
     """Root-mean bounds at the trials' true parameters (one power point)."""
     recs = [r for r in records if r.error is None]
-    out = {}
     if not recs:
-        return {c: np.nan for c in list(CHANNEL_CLASSES)
-                + ["position", "orientation"]}
+        return {c: np.nan for c in REPORT_CLASSES}
     crlb = np.stack([r.crlb for r in recs]).reshape(len(recs), -1, 6)
-    order = {"tau": 0, "delta_re": 1, "delta_im": 2, "theta_t": 3,
-             "phi_in": 4, "psi_in": 5}
-    for cls, col in order.items():
-        out[cls] = float(np.sqrt(np.mean(crlb[:, :, col]))) * _CLASS_SCALE[cls]
-    out["position"] = float(np.sqrt(np.mean([r.peb ** 2 for r in recs])))
-    out["orientation"] = float(np.rad2deg(
-        np.sqrt(np.mean([r.oeb ** 2 for r in recs]))))
-    return out
+    return _report_bounds(crlb,
+                          float(np.sqrt(np.mean([r.peb ** 2 for r in recs]))),
+                          float(np.sqrt(np.mean([r.oeb ** 2 for r in recs]))))
 
 
 def _aggregate_rmse(records: list, stage: str, cls: str,
@@ -322,10 +346,7 @@ def _aggregate_rmse(records: list, stage: str, cls: str,
         sq.append(np.atleast_1d(rec.sq_errors[stage][cls]))
     if not sq:
         return np.nan
-    scale = _CLASS_SCALE.get(cls, 180.0 / np.pi if cls == "orientation" else 1.0)
-    if cls == "position":
-        scale = 1.0
-    return float(np.sqrt(np.mean(np.concatenate(sq)))) * scale
+    return float(np.sqrt(np.mean(np.concatenate(sq)))) * _CLASSES[cls][1]
 
 
 def run_sweep(exp: ExperimentConfig) -> SweepReport:
@@ -337,9 +358,10 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     if exp.stage == "lm":
         stage_list.append("lm")
 
-    all_records = []
+    all_records, ref = [], []
     for p_idx, power in enumerate(exp.powers_dbm):
-        tasks = [(exp, power, p_idx, t) for t in range(exp.n_trials)]
+        setup = power_setup(exp, power)
+        tasks = [(exp, power, p_idx, t, setup) for t in range(exp.n_trials)]
         if exp.workers > 1:
             with concurrent.futures.ProcessPoolExecutor(exp.workers) as pool:
                 recs = list(pool.map(_trial_star, tasks, chunksize=4))
@@ -347,6 +369,7 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
             recs = [run_trial(*t) for t in tasks]
         recs.sort(key=lambda r: r.trial_index)
         all_records.append(recs)
+        ref.append(reference_bounds(exp, power, setup))
 
     rmse = {}
     rmse_filtered = {}
@@ -360,12 +383,10 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
             _aggregate_rmse(recs, stage, c, True) for recs in all_records])
             for c in classes}
 
-    ref = [reference_bounds(exp, p) for p in exp.powers_dbm]
-    bounds_ref = {c: np.array([r[c] for r in ref])
-                  for c in list(CHANNEL_CLASSES) + ["position", "orientation"]}
+    bounds_ref = {c: np.array([r[c] for r in ref]) for c in REPORT_CLASSES}
     per_trial = [_aggregate_trial_bounds(recs) for recs in all_records]
     bounds_trial = {c: np.array([b[c] for b in per_trial])
-                    for c in list(CHANNEL_CLASSES) + ["position", "orientation"]}
+                    for c in REPORT_CLASSES}
     n_failed = np.array([sum(r.error is not None for r in recs)
                          for recs in all_records])
     n_support_fail = np.array([sum((r.error is None) and (not r.support_ok)
@@ -405,6 +426,10 @@ def write_summary_csv(report: SweepReport, path: str | Path) -> Path:
             row.append(_fmt(report.bounds_ref[cls][i]))
             row.append(_fmt(report.bounds_trial[cls][i]))
         lines.append(",".join(row))
+    return _write_lines(path, lines)
+
+
+def _write_lines(path: Path, lines: list) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -425,10 +450,6 @@ def emit_plot_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
     """Per-figure CSVs (power, coarse RMSE, refined RMSE, bound) plus a
     gnuplot script that renders them without edits."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     paths = []
     for cls, name in _FIG_FILES.items():
         if cls in ("position", "orientation"):
@@ -442,9 +463,7 @@ def emit_plot_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
             bound = report.bounds_ref[cls][i]
             lines.append(",".join([_fmt(p), _fmt(coarse), _fmt(refined),
                                    _fmt(bound)]))
-        p_out = out / name
-        p_out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(p_out)
+        paths.append(_write_lines(out / name, lines))
     script = [
         "set datafile separator ','",
         "set key autotitle columnhead",
@@ -458,7 +477,5 @@ def emit_plot_data(report: SweepReport, out_dir: str | Path) -> list[Path]:
             f"'{name}' using 1:3 with linespoints, "
             f"'{name}' using 1:4 with lines")
         script.append("pause -1")
-    gp = out / "plots.gp"
-    gp.write_text("\n".join(script) + "\n", encoding="utf-8")
-    paths.append(gp)
+    paths.append(_write_lines(out / "plots.gp", script))
     return paths

@@ -113,7 +113,6 @@ class LmDiagnostics:
     converged: bool = False
     stalled: bool = False
     grad_norm: float = np.inf
-    jacobian_fd_error: float = np.nan
 
 
 def _weight_matrix(j_eta: np.ndarray) -> np.ndarray:
@@ -130,28 +129,10 @@ def _map_and_jacobian(pos: PositionParams, ris, bs):
     return eta, jac
 
 
-def _fd_jacobian_check(pos: PositionParams, ris, bs,
-                       jac: np.ndarray) -> float:
-    """Max relative error of the analytic Jacobian vs central differences."""
-    x0 = pos.to_vector()
-    steps = 1e-6 * np.maximum(np.abs(x0), 1.0)
-    num = np.zeros_like(jac)
-    for i, h in enumerate(steps):
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = forward_map_G(PositionParams.from_vector(xp), ris, bs).to_vector()
-        fm = forward_map_G(PositionParams.from_vector(xm), ris, bs).to_vector()
-        num[:, i] = (fp - fm) / (2.0 * h)
-    scale = max(float(np.max(np.abs(num))), 1e-30)
-    return float(np.max(np.abs(jac - num)) / scale)
-
-
 def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
                        j_eta: np.ndarray, pos_init: PositionParams,
                        ris: np.ndarray, bs: np.ndarray,
-                       settings: LmSettings | None = None,
-                       check_jacobian: bool = True
+                       settings: LmSettings | None = None
                        ) -> tuple[PositionParams, LmDiagnostics]:
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
 
@@ -168,8 +149,6 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
     x = pos_init.to_vector()
     diag = LmDiagnostics()
     eta, jac = _map_and_jacobian(pos_init, ris, bs)
-    if check_jacobian:
-        diag.jacobian_fd_error = _fd_jacobian_check(pos_init, ris, bs, jac)
     r = eta_hat - eta
     obj = float(r @ weight @ r)
     diag.objective_history.append(obj)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_ongrid_scenario
+from oracles import build_channel, gain_closed_form, single_path_objective
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -67,9 +68,9 @@ def test_criterion_2_derivative_oracle(setup20):
         vp, vm = vec0.copy(), vec0.copy()
         vp[u] += h
         vm[u] -= h
-        fp = bnd.model_field(ChannelParams.from_vector(
+        fp = ch.model_field(ChannelParams.from_vector(
             vp, *s.known), s.pilots, s.sched, s.geom, s.cfg)
-        fm = bnd.model_field(ChannelParams.from_vector(
+        fm = ch.model_field(ChannelParams.from_vector(
             vm, *s.known), s.pilots, s.sched, s.geom, s.cfg)
         fd = (fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic[u] - fd) / np.linalg.norm(analytic[u])
@@ -148,8 +149,8 @@ def test_criterion_3_dual_formula_oracles(setup20):
         for n in range(1, s.cfg.n_subcarriers + 1):
             y_n = y[:, :, n - 1]
             mu = np.column_stack([
-                ch.build_channel(s.cfg, s.geom, params,
-                                 s.sched.slot_phases[t], n) @ s.pilots[:, t]
+                build_channel(s.cfg, s.geom, params,
+                              s.sched.slot_phases[t], n) @ s.pilots[:, t]
                 for t in range(s.cfg.t_total)])
             ref += np.linalg.norm(y_n) ** 2 - np.linalg.norm(y_n - mu) ** 2
         worst["global"] = max(worst["global"], abs(lam - ref) / abs(ref))
@@ -159,7 +160,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
         args = (params.tau[q], params.theta_t[q], params.phi_in[q],
                 params.psi_in[q], rx, s.pilots, s.sched, s.geom, s.cfg,
                 s.known)
-        d_vec = sg.gain_closed_form(y, *args)
+        d_vec = gain_closed_form(y, *args)
         a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
                                    s.known[1], s.known[2])
         sigma = s.sched.slot_phases @ a_r
@@ -175,7 +176,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
         worst["gain"] = max(worst["gain"], abs(d_vec - num / den) / abs(d_vec))
 
         # concentrated F vs likelihood at the substituted gain
-        f_val = sg.single_path_objective(y, *args)
+        f_val = single_path_objective(y, *args)
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([d_vec]),
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],

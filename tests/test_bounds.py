@@ -27,8 +27,8 @@ def _fd_field_derivs(params, pilots, sched, geom, cfg):
                                        params.psi_out0)
         pm = ChannelParams.from_vector(vm, params.theta_r0, params.phi_out0,
                                        params.psi_out0)
-        fp = bnd.model_field(pp, pilots, sched, geom, cfg)
-        fm = bnd.model_field(pm, pilots, sched, geom, cfg)
+        fp = ch.model_field(pp, pilots, sched, geom, cfg)
+        fm = ch.model_field(pm, pilots, sched, geom, cfg)
         out.append((fp - fm) / (2 * h))
     return np.stack(out)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import build_channel, build_channel_cascade
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.errors import DimensionMismatch, ScheduleInfeasible
@@ -33,7 +34,7 @@ def test_build_channel_all_ones(small_geom):
     """Single path with zero spatial frequencies: N_r-scaled all-ones."""
     cfg = ch.SystemConfig()
     params = _flat_params(1.0, 0.0, 0.0)
-    h = ch.build_channel(cfg, small_geom, params, np.ones(small_geom.n_ris), 1)
+    h = build_channel(cfg, small_geom, params, np.ones(small_geom.n_ris), 1)
     assert_allclose(h, np.full((6, 4), small_geom.n_ris), atol=1e-12)
 
 
@@ -42,8 +43,8 @@ def test_build_channel_dual_route(setup20):
     rng = np.random.default_rng(5)
     g_t = np.exp(1j * rng.uniform(0, 2 * np.pi, s.geom.n_ris))
     for n in (1, 7, 20):
-        h_fast = ch.build_channel(s.cfg, s.geom, s.true, g_t, n)
-        h_casc = ch.build_channel_cascade(s.cfg, s.geom, s.true, g_t, n)
+        h_fast = build_channel(s.cfg, s.geom, s.true, g_t, n)
+        h_casc = build_channel_cascade(s.cfg, s.geom, s.true, g_t, n)
         assert np.linalg.norm(h_fast - h_casc) < 1e-10 * np.linalg.norm(h_fast)
 
 
@@ -56,8 +57,8 @@ def test_build_channel_subcarrier_phase(setup20):
         psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
         phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
     g_t = s.sched.slot_phases[0]
-    h1 = ch.build_channel(s.cfg, s.geom, single, g_t, 4)
-    h2 = ch.build_channel(s.cfg, s.geom, single, g_t, 5)
+    h1 = build_channel(s.cfg, s.geom, single, g_t, 4)
+    h2 = build_channel(s.cfg, s.geom, single, g_t, 5)
     ramp = np.exp(-2j * np.pi * single.tau[0] * s.cfg.bandwidth
                   / s.cfg.n_subcarriers)
     assert np.max(np.abs(h2 - h1 * ramp)) < 1e-12 * np.max(np.abs(h1))
@@ -66,10 +67,10 @@ def test_build_channel_subcarrier_phase(setup20):
 def test_build_channel_dimension_checks(setup20):
     s = setup20
     with pytest.raises(DimensionMismatch):
-        ch.build_channel(s.cfg, s.geom, s.true, np.ones(3), 1)
+        build_channel(s.cfg, s.geom, s.true, np.ones(3), 1)
     with pytest.raises(DimensionMismatch):
-        ch.build_channel(s.cfg, s.geom, s.true,
-                         s.sched.slot_phases[0], s.cfg.n_subcarriers + 1)
+        build_channel(s.cfg, s.geom, s.true,
+                      s.sched.slot_phases[0], s.cfg.n_subcarriers + 1)
 
 
 def test_synthesize_zero_gain_zero_noise(setup20):
@@ -104,6 +105,16 @@ def test_synthesize_deterministic(setup20):
     assert np.array_equal(rx1.y, rx2.y)
 
 
+def test_synthesize_is_bs_steering_times_model_field(setup20):
+    """The noiseless tensor is exactly a_B (x) the one forward model."""
+    s = setup20
+    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
+                          noiseless=True)
+    field = ch.model_field(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    a_b = ch.bs_steering(s.geom, s.true.theta_r0)
+    assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx.y)
+
+
 def test_energy_bookkeeping(setup20):
     """||y||^2 from the tensor equals ||H x||^2 slot by slot (unit gains)."""
     s = setup20
@@ -113,8 +124,8 @@ def test_energy_bookkeeping(setup20):
                           noiseless=True)
     for t in (0, 16, 36):
         for n in (1, 10, 20):
-            h = ch.build_channel(s.cfg, s.geom, params,
-                                 s.sched.slot_phases[t], n)
+            h = build_channel(s.cfg, s.geom, params,
+                              s.sched.slot_phases[t], n)
             ref = h @ s.pilots[:, t]
             got = rx.y[:, t, n - 1]
             assert abs(np.linalg.norm(got) ** 2 - np.linalg.norm(ref) ** 2) \
@@ -149,8 +160,8 @@ def test_channel_bilinearity(setup20):
     scaled = s.true.copy()
     scaled.gains = scaled.gains * scale
     g_t = s.sched.slot_phases[2]
-    h1 = ch.build_channel(s.cfg, s.geom, s.true, g_t, 3)
-    h2 = ch.build_channel(s.cfg, s.geom, scaled, g_t, 3)
+    h1 = build_channel(s.cfg, s.geom, s.true, g_t, 3)
+    h2 = build_channel(s.cfg, s.geom, scaled, g_t, 3)
     assert np.max(np.abs(h2 - scale * h1)) < 1e-15 * np.max(np.abs(h1))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from rispos import cli
 from rispos import harness as hn
+from rispos.errors import IoError
 from rispos.params import PositionParams
 
 MICRO = dict(n_trials=3, powers_dbm=[0.0, 20.0])
@@ -32,6 +33,20 @@ def test_run_trial_noiseless_ongrid(ongrid):
     pos = PositionParams.from_vector(rec.stages["lm"])
     assert np.linalg.norm(pos.ms - ongrid.geom.ms) < 1e-6
     assert abs(pos.alpha - ongrid.geom.alpha) < 1e-6
+
+
+def test_run_trial_prebuilt_setup_is_a_cache():
+    """A trial given the sweep's per-power setup equals one that builds it."""
+    exp = hn.ExperimentConfig(**MICRO)
+    setup = hn.power_setup(exp, 20.0)
+    built = hn.run_trial(exp, 20.0, 1, 2)
+    given = hn.run_trial(exp, 20.0, 1, 2, setup)
+    assert built.error == given.error
+    assert list(built.stages) == list(given.stages)
+    for stage in built.stages:
+        assert np.array_equal(built.stages[stage], given.stages[stage])
+    assert np.array_equal(built.crlb, given.crlb)
+    assert built.peb == given.peb
 
 
 @pytest.mark.parametrize("stage,present,absent", [
@@ -103,6 +118,13 @@ def test_emit_plot_data(micro_sweep, tmp_path):
             assert (tmp_path / token).exists()
 
 
+def test_emit_plot_data_write_failure_is_io_error(micro_sweep, tmp_path):
+    _, rep = micro_sweep
+    (tmp_path / "fig_tau_ns.csv").mkdir()
+    with pytest.raises(IoError):
+        hn.emit_plot_data(rep, tmp_path)
+
+
 def test_bound_columns_rng_free(micro_sweep, tmp_path):
     """Bound columns depend only on the config, not on trial RNG."""
     exp, rep = micro_sweep
@@ -155,6 +177,24 @@ def test_cli_bounds_and_trial(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] is None
     assert "lm" in payload["stages"]
+
+
+def test_cli_trial_matches_sweep_trial(capsys):
+    """``trial --power 20 --trial 1`` is trial 1 of the sweep at 20 dBm."""
+    exp = hn.ExperimentConfig(n_trials=2)
+    assert exp.powers_dbm[3] == 20.0
+    rec = hn.run_sweep(exp).records[3][1]
+    assert cli.main(["trial", "--power", "20", "--trial", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["stages"]) == list(rec.stages)
+    for stage, vec in rec.stages.items():
+        assert np.array_equal(np.asarray(payload["stages"][stage]), vec)
+
+
+def test_cli_trial_unknown_power(capsys):
+    assert cli.main(["trial", "--power", "15"]) == 2
+    err = capsys.readouterr().err
+    assert "15" in err and "[-10.0, 0.0, 10.0, 20.0]" in err
 
 
 def test_cli_sweep_and_config_error(tmp_path, capsys):

@@ -135,7 +135,6 @@ def test_lm_noiseless_fixed_point(default_geom):
                                       default_geom.bs)
     assert diag.converged and diag.n_iter <= 2
     assert np.linalg.norm(pos.ms - pos0.ms) < 1e-8
-    assert diag.jacobian_fd_error < 1e-4
 
 
 def test_lm_descent_contract(default_geom, setup20):
@@ -186,8 +185,7 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     dx[2 * params.n_paths + 3] = 1e-2
     eta_hat = eta0 + jac @ dx
     pos, diag = po.refine_position_lm(eta_hat, np.eye(eta_hat.size), pos0,
-                                      default_geom.ris, default_geom.bs,
-                                      check_jacobian=False)
+                                      default_geom.ris, default_geom.bs)
     assert 0.0 <= pos.alpha < np.pi
     assert diag.n_iter >= 1
     assert diag.objective_history[-1] <= diag.objective_history[0]

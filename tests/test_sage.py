@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import (build_channel, gain_closed_form,
+                     reconstruct_complete_data, single_path_objective)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -17,7 +19,7 @@ def _loglik_reference(params, rx, pilots, sched, geom, cfg):
     for n in range(1, cfg.n_subcarriers + 1):
         y_n = rx.y[:, :, n - 1]
         mu = np.column_stack([
-            ch.build_channel(cfg, geom, params, sched.slot_phases[t], n)
+            build_channel(cfg, geom, params, sched.slot_phases[t], n)
             @ pilots[:, t] for t in range(cfg.t_total)])
         total += np.linalg.norm(y_n) ** 2 - np.linalg.norm(y_n - mu) ** 2
     return total
@@ -86,8 +88,8 @@ def test_reconstruct_single_path_identity(setup20):
         phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
     rx = ch.synthesize_rx(s.cfg, s.geom, single, s.sched, s.pilots,
                           noise_seed=5)
-    y_0 = sg.reconstruct_complete_data(rx, single, 0, s.pilots, s.sched,
-                                       s.geom, s.cfg)
+    y_0 = reconstruct_complete_data(rx, single, 0, s.pilots, s.sched,
+                                    s.geom, s.cfg)
     assert np.array_equal(y_0, rx.y)
 
 
@@ -99,8 +101,8 @@ def test_reconstruct_recovers_planted_path(setup20):
         only_q.gains[1 - q] = 0.0
         planted = ch.synthesize_rx(s.cfg, s.geom, only_q, s.sched, s.pilots,
                                    noiseless=True)
-        y_q = sg.reconstruct_complete_data(s.rx_clean, s.true, q, s.pilots,
-                                           s.sched, s.geom, s.cfg)
+        y_q = reconstruct_complete_data(s.rx_clean, s.true, q, s.pilots,
+                                        s.sched, s.geom, s.cfg)
         scale = np.max(np.abs(planted.y))
         assert np.max(np.abs(y_q - planted.y)) < 1e-10 * scale
 
@@ -110,7 +112,10 @@ def test_reconstruct_sum_identity(setup20):
     prob = sg.SageProblem(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
                           s.known)
     y_0 = prob.complete_data(s.true, 0)
-    interference = prob.model_tensor(s.true, skip=0)
+    others = s.true.copy()
+    others.gains[0] = 0.0
+    interference = prob.a_b[:, None, None] * ch.model_field(
+        others, s.pilots, s.sched, s.geom, s.cfg)
     scale = np.max(np.abs(s.rx_noisy.y))
     assert np.max(np.abs(y_0 + interference - s.rx_noisy.y)) < 1e-15 * scale
 
@@ -127,9 +132,9 @@ def _planted_single(s, seed=None):
 def test_gain_closed_form_recovers_planted(setup20):
     s = setup20
     only, rx = _planted_single(s)
-    d_hat = sg.gain_closed_form(rx.y, only.tau[0], only.theta_t[0],
-                                only.phi_in[0], only.psi_in[0], rx, s.pilots,
-                                s.sched, s.geom, s.cfg, s.known)
+    d_hat = gain_closed_form(rx.y, only.tau[0], only.theta_t[0],
+                             only.phi_in[0], only.psi_in[0], rx, s.pilots,
+                             s.sched, s.geom, s.cfg, s.known)
     assert abs(d_hat - only.gains[0]) < 1e-10 * abs(only.gains[0])
 
 
@@ -138,9 +143,9 @@ def test_gain_closed_form_linearity(setup20):
     only, rx = _planted_single(s)
     args = (only.tau[0], only.theta_t[0], only.phi_in[0], only.psi_in[0],
             rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    d1 = sg.gain_closed_form(rx.y, *args)
+    d1 = gain_closed_form(rx.y, *args)
     c = 0.7 - 2.3j
-    d2 = sg.gain_closed_form(c * rx.y, *args)
+    d2 = gain_closed_form(c * rx.y, *args)
     assert abs(d2 - c * d1) < 1e-14 * abs(d1)
 
 
@@ -153,9 +158,9 @@ def test_gain_trace_form_identity(setup20):
     params = _random_params(s, rng)
     q = 0
     rx = ch.RxSignal(y=y_q, pilots=s.pilots)
-    d_vec = sg.gain_closed_form(y_q, params.tau[q], params.theta_t[q],
-                                params.phi_in[q], params.psi_in[q], rx,
-                                s.pilots, s.sched, s.geom, s.cfg, s.known)
+    d_vec = gain_closed_form(y_q, params.tau[q], params.theta_t[q],
+                             params.phi_in[q], params.psi_in[q], rx,
+                             s.pilots, s.sched, s.geom, s.cfg, s.known)
 
     a_b = ch.bs_steering(s.geom, s.known[0])
     a_m = ch.ms_steering(s.geom, params.theta_t[q])
@@ -178,16 +183,16 @@ def test_objective_dominance_at_truth(setup20):
     s = setup20
     only, rx = _planted_single(s)
     args_ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    f_true = sg.single_path_objective(rx.y, only.tau[0], only.theta_t[0],
-                                      only.phi_in[0], only.psi_in[0],
-                                      *args_ctx)
+    f_true = single_path_objective(rx.y, only.tau[0], only.theta_t[0],
+                                   only.phi_in[0], only.psi_in[0],
+                                   *args_ctx)
     rng = np.random.default_rng(3)
     for _ in range(100):
         tau = rng.uniform(0.05, 0.9) * s.cfg.n_subcarriers / s.cfg.bandwidth
         th = rng.uniform(-1.2, 1.2)
         ph = rng.uniform(0.3, 2.8)
         ps = rng.uniform(np.pi / 2, 1.5 * np.pi)
-        f = sg.single_path_objective(rx.y, tau, th, ph, ps, *args_ctx)
+        f = single_path_objective(rx.y, tau, th, ph, ps, *args_ctx)
         assert f <= f_true * (1 + 1e-12)
 
 
@@ -195,11 +200,11 @@ def test_objective_phase_invariance(setup20):
     s = setup20
     only, rx = _planted_single(s)
     args_ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    f1 = sg.single_path_objective(rx.y, only.tau[0], only.theta_t[0],
-                                  only.phi_in[0], only.psi_in[0], *args_ctx)
-    f2 = sg.single_path_objective(np.exp(1.1j) * rx.y, only.tau[0],
-                                  only.theta_t[0], only.phi_in[0],
-                                  only.psi_in[0], *args_ctx)
+    f1 = single_path_objective(rx.y, only.tau[0], only.theta_t[0],
+                               only.phi_in[0], only.psi_in[0], *args_ctx)
+    f2 = single_path_objective(np.exp(1.1j) * rx.y, only.tau[0],
+                               only.theta_t[0], only.phi_in[0],
+                               only.psi_in[0], *args_ctx)
     assert abs(f1 - f2) < 1e-12 * abs(f1)
 
 
@@ -216,8 +221,8 @@ def test_concentrated_equals_substituted_likelihood(setup20):
         args = (params.tau[0], params.theta_t[0], params.phi_in[0],
                 params.psi_in[0], rx, s.pilots, s.sched, s.geom, s.cfg,
                 s.known)
-        f_val = sg.single_path_objective(y_q, *args)
-        delta = sg.gain_closed_form(y_q, *args)
+        f_val = single_path_objective(y_q, *args)
+        delta = gain_closed_form(y_q, *args)
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([delta]),
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
@@ -237,24 +242,77 @@ def test_gain_stationarity(setup20):
     params = _random_params(s, rng)
     rx = ch.RxSignal(y=y_q, pilots=s.pilots)
     prob = sg.SageProblem(rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    pa = prob.beamformed(y_q)
-    proj = prob.ms_proj(params.theta_t[0])
-    sigma = prob.ris_slot_scalars(params.phi_in[0], params.psi_in[0])
-    num = prob._numerator(pa, params.tau[0], proj, sigma)
-    den = prob._denominator(proj, sigma)
+    r = prob.derotated(ch.beamform(prob.a_b, y_q), params.tau[0])
+    u = (prob.slot_sigma(params.phi_in[0], params.psi_in[0])
+         * prob.slot_proj(params.theta_t[0]))
+    num, den = prob.path_terms(r, u)
     delta = num / den
     # derivative of L w.r.t. conj(delta) is numerator - delta * denominator
     assert abs(num - delta * den) < 1e-6
+
+
+def test_batched_objective_matches_scalar_oracle(setup20):
+    """A delay batch and each angle batch equal the scalar oracle row by row."""
+    s = setup20
+    rng = np.random.default_rng(7)
+    shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
+    y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    rx = ch.RxSignal(y=y_q, pilots=s.pilots)
+    params = _random_params(s, rng)
+    tau, th, ph, ps = (params.tau[0], params.theta_t[0], params.phi_in[0],
+                       params.psi_in[0])
+    prob = sg.SageProblem(rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
+    pa = ch.beamform(prob.a_b, y_q)
+    r = prob.derotated(pa, tau)
+    sigma, proj = prob.slot_sigma(ph, ps), prob.slot_proj(th)
+    n = 9
+    taus = tau + np.linspace(-2e-8, 2e-8, n)
+    ths = th + np.linspace(-0.05, 0.05, n)
+    phs = ph + np.linspace(-0.05, 0.05, n)
+    pss = ps + np.linspace(-0.05, 0.05, n)
+    batches = {
+        "tau": (prob.objective(prob.derotated(pa, taus), sigma * proj),
+                [(t, th, ph, ps) for t in taus]),
+        "theta_t": (prob.objective(r, sigma * prob.slot_proj(ths)),
+                    [(tau, t, ph, ps) for t in ths]),
+        "phi_in": (prob.objective(r, prob.slot_sigma(phs, np.full(n, ps))
+                                  * proj),
+                   [(tau, th, p, ps) for p in phs]),
+        "psi_in": (prob.objective(r, prob.slot_sigma(np.full(n, ph), pss)
+                                  * proj),
+                   [(tau, th, ph, p) for p in pss]),
+    }
+    ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
+    for name, (batch, points) in batches.items():
+        assert batch.shape == (n,), name
+        ref = np.array([single_path_objective(y_q, *pt, *ctx)
+                        for pt in points])
+        assert np.max(np.abs(batch - ref) / ref) < 1e-12, name
+
+
+def test_batched_objective_zero_denominator_never_wins(setup20):
+    """A candidate whose slot factor vanishes scores 0 instead of raising."""
+    s = setup20
+    prob = sg.SageProblem(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
+                          s.known)
+    r = prob.derotated(ch.beamform(prob.a_b, s.rx_noisy.y), s.true.tau[0])
+    u = np.stack([prob.slot_sigma(s.true.phi_in[0], s.true.psi_in[0])
+                  * prob.slot_proj(s.true.theta_t[0]),
+                  np.zeros(s.cfg.t_total)])
+    vals = prob.objective(r, u)
+    assert vals[0] > 0.0 and vals[1] == 0.0
+    with pytest.raises(sg.ZeroDenominator):
+        prob.fit(r, u[1])
 
 
 def test_objective_zero_denominator(setup20):
     s = setup20
     rx = ch.RxSignal(y=s.rx_noisy.y, pilots=np.zeros_like(s.pilots))
     with pytest.raises(sg.ZeroDenominator):
-        sg.single_path_objective(rx.y, s.true.tau[0], s.true.theta_t[0],
-                                 s.true.phi_in[0], s.true.psi_in[0], rx,
-                                 np.zeros_like(s.pilots), s.sched, s.geom,
-                                 s.cfg, s.known)
+        single_path_objective(rx.y, s.true.tau[0], s.true.theta_t[0],
+                              s.true.phi_in[0], s.true.psi_in[0], rx,
+                              np.zeros_like(s.pilots), s.sched, s.geom,
+                              s.cfg, s.known)
 
 
 def test_coordinate_cycle_fixed_point(setup20):
