@@ -5,6 +5,8 @@ The channel FIM uses the closed-form derivatives of the noiseless field
 from the same per-path factors (``channel.path_factors``); the
 position-domain FIM follows by congruence with the geometric Jacobian.
 Known RIS-BS leg angles are constants, not information-bearing rows.
+The channel FIM takes the parameters and the per-power ``channel.Setup``
+(pilots, schedule, geometry and the noise power of its system).
 """
 
 from __future__ import annotations
@@ -13,18 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (PhaseSchedule, SystemConfig, ms_steering, path_factors,
-                      ris_diff_steering)
+from .channel import Setup, ms_steering, path_factors, ris_diff_steering
 from .errors import DegenerateGeometry
-from .geometry import SPEED_OF_LIGHT, ScenarioGeometry
+from .geometry import SPEED_OF_LIGHT
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
 
 
-def model_field_derivs(params: ChannelParams, pilots: np.ndarray,
-                       schedule: PhaseSchedule, geom: ScenarioGeometry,
-                       cfg: SystemConfig) -> np.ndarray:
+def model_field_derivs(params: ChannelParams, setup: Setup) -> np.ndarray:
     """Analytic derivatives of ``channel.model_field``, shape (6(Q+1), T, N).
 
     Parameter order per path: [tau, delta_re, delta_im, theta_t, phi_in,
@@ -33,10 +32,11 @@ def model_field_derivs(params: ChannelParams, pilots: np.ndarray,
     RIS steering vector through diagonal index weightings; the
     departure-angle derivative weights the MS array index ramp.
     """
+    geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
     lam = geom.wavelength
     gains, theta, phi, psi = (params.gains, params.theta_t, params.phi_in,
                               params.psi_in)
-    sigma, proj, ramp = path_factors(params, pilots, schedule, geom, cfg)
+    sigma, proj, ramp = path_factors(params, setup)
     a_m = ms_steering(geom, theta)
     a_r = ris_diff_steering(geom, phi, psi, params.phi_out0, params.psi_out0)
     k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
@@ -45,7 +45,7 @@ def model_field_derivs(params: ChannelParams, pilots: np.ndarray,
 
     # d(a_M^H x)/d(theta) via the index ramp; d(sigma)/d(phi), d(sigma)/d(psi)
     dproj = 2j * np.pi * geom.d_ms / lam * np.cos(theta) * (
-        pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
+        setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
     d_phi = 2j * np.pi * (geom.d_ris_el / lam * np.sin(phi) * k_el
                           - geom.d_ris_az / lam * np.sin(psi) * np.cos(phi)
                           * k_az)
@@ -54,27 +54,24 @@ def model_field_derivs(params: ChannelParams, pilots: np.ndarray,
     slots = np.stack([
         -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u,
         u, 1j * u, gains * sigma * dproj,
-        gains * (schedule.slot_phases @ (d_phi * a_r)) * proj,
-        gains * (schedule.slot_phases @ (d_psi * a_r)) * proj])   # (6, T, Q+1)
+        gains * (phases @ (d_phi * a_r)) * proj,
+        gains * (phases @ (d_psi * a_r)) * proj])                  # (6, T, Q+1)
     subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
     out = (np.moveaxis(slots, 2, 0)[:, :, :, None]
            * np.moveaxis(subs, 2, 0)[:, :, None, :])               # (Q+1, 6, T, N)
     return out.reshape(-1, cfg.t_total, cfg.n_subcarriers)
 
 
-def fim_channel(params: ChannelParams, pilots: np.ndarray,
-                schedule: PhaseSchedule, geom: ScenarioGeometry,
-                cfg: SystemConfig, sigma2: float | None = None) -> np.ndarray:
+def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
     """FIM of the channel parameters, shape (6(Q+1), 6(Q+1)).
 
-    Entry (u, v) is (2/sigma^2) sum_n Re{d_u mu[n]^H d_v mu[n]}; the
-    shared BS steering factor contributes the antenna count.
+    Entry (u, v) is (2/sigma^2) sum_n Re{d_u mu[n]^H d_v mu[n]}, sigma^2
+    the per-subcarrier noise power; the shared BS steering factor
+    contributes the antenna count.
     """
-    if sigma2 is None:
-        sigma2 = cfg.noise_power
-    derivs = model_field_derivs(params, pilots, schedule, geom, cfg)
+    derivs = model_field_derivs(params, setup)
     inner = np.einsum("utn,vtn->uv", derivs.conj(), derivs)
-    return 2.0 * geom.n_bs / sigma2 * np.real(inner)
+    return 2.0 * setup.geom.n_bs / setup.cfg.noise_power * np.real(inner)
 
 
 def _unit_diff(a: np.ndarray, b: np.ndarray, what: str):

@@ -1,7 +1,10 @@
-"""System configuration, pilots, schedule, and the one forward model.
+"""System configuration, pilots, schedule, the setup and the forward model.
 
 Draws the RIS phase-shift schedule, random binary pilots, path gains and
-angular dictionaries. ``model_field`` is the only implementation of the
+angular dictionaries. ``Setup`` is the per-power measurement setup every
+stage runs against: geometry, system, pilots and schedule, with the
+dictionaries, the known RIS-BS angles, a_B and the path count derived
+from them once. ``model_field`` is the only implementation of the
 noiseless received field: synthesis, the SAGE E-step, the likelihood and
 the Fisher information all build on it or on its per-path factors
 (``ris_slot_scalars``, ``pilot_projection``, ``subcarrier_ramp``).
@@ -10,7 +13,7 @@ the Fisher information all build on it or on its per-path factors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,12 +123,6 @@ def make_pilots(cfg: SystemConfig, n_ms: int,
     return signs * np.sqrt(cfg.p_tx / n_ms)
 
 
-def pilot_tensor(pilots: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Broadcast view of the pilots over subcarriers, (N_m, T, N)."""
-    return np.broadcast_to(pilots[:, :, None],
-                           (*pilots.shape, n_subcarriers))
-
-
 def path_loss_db(cfg: SystemConfig, geom: ScenarioGeometry,
                  shadowing_db: float = 0.0) -> np.ndarray:
     """Large-scale loss of each cascaded path (dB), NLoS = VLoS + 3 dB.
@@ -163,17 +160,11 @@ class Dictionary:
     """Steering vectors over a uniform grid of trigonometric values.
 
     Column g (1-based) corresponds to grid value -1 + 2(g-1)/G, mapped to
-    a spatial frequency through spacing/wavelength.
+    a spatial frequency through the array's spacing/wavelength.
     """
 
     matrix: np.ndarray      # (n_ant, G)
     grid: np.ndarray        # (G,) values in [-1, 1)
-    spacing: float
-    wavelength: float
-
-    @property
-    def size(self) -> int:
-        return self.grid.size
 
 
 @dataclass
@@ -198,14 +189,11 @@ def build_dictionaries(cfg: SystemConfig,
     """AOD dictionary at the MS and the Kronecker RIS dictionary."""
     lam = geom.wavelength
     gm = grid_values(cfg.g_ms)
-    a_m = Dictionary(steer_ula(gm * geom.d_ms / lam, geom.n_ms), gm,
-                     geom.d_ms, lam)
+    a_m = Dictionary(steer_ula(gm * geom.d_ms / lam, geom.n_ms), gm)
     ga = grid_values(cfg.g_ris_az)
     ge = grid_values(cfg.g_ris_el)
-    az = Dictionary(steer_ula(ga * geom.d_ris_az / lam, geom.n_ris_az), ga,
-                    geom.d_ris_az, lam)
-    el = Dictionary(steer_ula(ge * geom.d_ris_el / lam, geom.n_ris_el), ge,
-                    geom.d_ris_el, lam)
+    az = Dictionary(steer_ula(ga * geom.d_ris_az / lam, geom.n_ris_az), ga)
+    el = Dictionary(steer_ula(ge * geom.d_ris_el / lam, geom.n_ris_el), ge)
     return a_m, RisDictionary(np.kron(el.matrix, az.matrix), az, el)
 
 
@@ -214,10 +202,6 @@ def ris_index_split(k: int, g_az: int) -> tuple[int, int]:
     k_el = int(np.ceil(k / g_az))
     k_az = k - (k_el - 1) * g_az
     return k_el, k_az
-
-
-def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:
-    return (k_el - 1) * g_az + k_az
 
 
 # per-path response factors used throughout estimation
@@ -252,19 +236,34 @@ def subcarrier_ramp(tau, bandwidth: float, n_subcarriers: int) -> np.ndarray:
 
 
 @dataclass
-class RxSignal:
-    """Received pilot tensor y (N_b, T, N) and the pilots that produced it."""
+class Setup:
+    """The measurement setup shared by every stage at one transmit power.
 
-    y: np.ndarray
-    pilots: np.ndarray       # (N_m, T)
+    Built from the geometry, the system, the pilots (N_m, T) and the
+    phase schedule; the dictionaries, the known RIS-BS angles
+    (theta_r0, phi_out0, psi_out0), the BS steering vector a_B and the
+    path count Q+1 follow from them once.
+    """
 
-    @property
-    def n_subcarriers(self) -> int:
-        return self.y.shape[2]
+    geom: ScenarioGeometry
+    cfg: SystemConfig
+    pilots: np.ndarray
+    sched: PhaseSchedule
+    a_m_dict: Dictionary = field(init=False)
+    ris_dict: RisDictionary = field(init=False)
+    known_angles: tuple = field(init=False)
+    a_b: np.ndarray = field(init=False)
+    n_paths: int = field(init=False)
 
-    @property
-    def pilot_cube(self) -> np.ndarray:
-        return pilot_tensor(self.pilots, self.n_subcarriers)
+    def __post_init__(self):
+        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
+            raise DimensionMismatch("pilot matrix must be (N_m, T)")
+        if self.sched.n_slots != self.cfg.t_total:
+            raise DimensionMismatch("schedule slot count must equal T")
+        self.a_m_dict, self.ris_dict = build_dictionaries(self.cfg, self.geom)
+        self.known_angles = geometry.ris_bs_angles(self.geom.ris, self.geom.bs)
+        self.a_b = bs_steering(self.geom, self.known_angles[0])
+        self.n_paths = self.geom.n_scatterers + 1
 
 
 def ris_slot_scalars(geom: ScenarioGeometry, slot_phases: np.ndarray,
@@ -281,31 +280,28 @@ def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
     return pilots.T @ ms_steering(geom, theta_t).conj()
 
 
-def path_factors(params: ChannelParams, pilots: np.ndarray,
-                 schedule: PhaseSchedule, geom: ScenarioGeometry,
-                 cfg: SystemConfig):
+def path_factors(params: ChannelParams, setup: Setup):
     """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
 
     Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
     subcarrier n of the field.
     """
-    sigma = ris_slot_scalars(geom, schedule.slot_phases, params.phi_in,
+    geom, cfg = setup.geom, setup.cfg
+    sigma = ris_slot_scalars(geom, setup.sched.slot_phases, params.phi_in,
                              params.psi_in, params.phi_out0, params.psi_out0)
-    proj = pilot_projection(geom, pilots, params.theta_t)
+    proj = pilot_projection(geom, setup.pilots, params.theta_t)
     ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
     return sigma, proj, ramp
 
 
-def model_field(params: ChannelParams, pilots: np.ndarray,
-                schedule: PhaseSchedule, geom: ScenarioGeometry,
-                cfg: SystemConfig) -> np.ndarray:
+def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
     """Noiseless per-slot/per-subcarrier scalar field (T, N) of all paths.
 
     The noiseless received tensor is a_B (x) this field: every path
     arrives at the BS along the known RIS-BS direction, so the field and
     all its parameter derivatives share that rank-1 structure.
     """
-    sigma, proj, ramp = path_factors(params, pilots, schedule, geom, cfg)
+    sigma, proj, ramp = path_factors(params, setup)
     return np.einsum("q,tq,nq->tn", params.gains, sigma * proj, ramp)
 
 
@@ -314,27 +310,20 @@ def beamform(a_b: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (a_b.conj() @ y.reshape(a_b.size, -1)).reshape(y.shape[1:])
 
 
-def synthesize_rx(cfg: SystemConfig, geom: ScenarioGeometry,
-                  params: ChannelParams, schedule: PhaseSchedule,
-                  pilots: np.ndarray,
+def synthesize_rx(setup: Setup, params: ChannelParams,
                   noise_seed: int | np.random.Generator | None = 0,
-                  noiseless: bool = False) -> RxSignal:
-    """Simulate the received uplink pilot tensor y = a_B (x) field + z.
+                  noiseless: bool = False) -> np.ndarray:
+    """Simulate the received uplink pilot tensor y = a_B (x) field + z,
+    shape (N_b, T, N).
 
     Noise entries are CN(0, sigma^2) with the per-subcarrier noise power
-    of ``cfg``; passing the same seed reproduces the tensor exactly.
+    of the setup's system; passing the same seed reproduces the tensor
+    exactly.
     """
-    if pilots.shape != (geom.n_ms, cfg.t_total):
-        raise DimensionMismatch("pilot matrix must be (N_m, T)")
-    if schedule.n_slots != cfg.t_total:
-        raise DimensionMismatch("schedule slot count must equal T")
-    a_b = bs_steering(geom, params.theta_r0)
-    field = model_field(params, pilots, schedule, geom, cfg)
-    y = a_b[:, None, None] * field[None, :, :]
+    y = setup.a_b[:, None, None] * model_field(params, setup)[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
-        scale = np.sqrt(cfg.noise_power / 2.0)
-        shape = y.shape
-        y = y + scale * (rng.standard_normal(shape)
-                         + 1j * rng.standard_normal(shape))
-    return RxSignal(y=y, pilots=pilots)
+        scale = np.sqrt(setup.cfg.noise_power / 2.0)
+        y = y + scale * (rng.standard_normal(y.shape)
+                         + 1j * rng.standard_normal(y.shape))
+    return y

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,14 +19,15 @@ _OVERRIDES = (("trials", "n_trials"), ("powers", "powers_dbm"),
 
 
 def _load_config(args) -> harness.ExperimentConfig:
+    """The config file (or the defaults) with the command-line overrides,
+    validated like any ``ExperimentConfig``."""
     if args.config:
         exp = harness.ExperimentConfig.from_file(args.config)
     else:
         exp = harness.ExperimentConfig()
-    for option, name in _OVERRIDES:
-        if getattr(args, option, None) is not None:
-            setattr(exp, name, getattr(args, option))
-    return exp
+    return dataclasses.replace(exp, **{
+        name: getattr(args, option) for option, name in _OVERRIDES
+        if getattr(args, option, None) is not None})
 
 
 def _cmd_sweep(args) -> int:

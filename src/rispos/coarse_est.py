@@ -3,7 +3,9 @@
 Three sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure angles, likelihood refinement of those angles,
 per-path sparse recovery of the RIS arrival angles, and DFT-plus-rotation
-delay/gain estimation.
+delay/gain estimation. Each stage takes the received tensor y
+(N_b, T, N) and the per-power ``channel.Setup``: the pilots, schedule,
+dictionaries, known RIS-BS angles, a_B and path count come from there.
 """
 
 from __future__ import annotations
@@ -14,23 +16,22 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._search import maximize_1d
-from .channel import (Dictionary, PhaseSchedule, RisDictionary, SystemConfig,
-                      beamform, bs_steering, ms_steering, pilot_projection,
-                      ris_index_split)
+from .channel import (Setup, SystemConfig, beamform, ms_steering,
+                      pilot_projection, ris_index_split)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
 from .geometry import ScenarioGeometry, clamped_arcsin
 from .params import ChannelParams
 
 _COND_LIMIT = 1e12
+_AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
 
 
 @dataclass
 class SompResult:
-    """Support, selected columns, and per-subcarrier projection coefficients."""
+    """Support, per-subcarrier projection coefficients, residual norms."""
 
     support: list[int]            # 0-based dictionary column indices
-    columns: np.ndarray           # (M, K)
     coeffs: np.ndarray            # (N, K, L)
     residual_norms: np.ndarray    # (K+1,) Frobenius norms, initial first
 
@@ -89,21 +90,21 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
         norms.append(float(np.linalg.norm(y - sel @ coeffs)))
         np.matmul(theta_h @ sel, coeffs, out=psi)
         np.subtract(proj_y, psi, out=psi)
-    return SompResult(support=support, columns=theta[:, support],
-                      coeffs=coeffs, residual_norms=np.asarray(norms))
+    return SompResult(support=support, coeffs=coeffs,
+                      residual_norms=np.asarray(norms))
 
 
-def estimate_aod_coarse(rx, pilots: np.ndarray, a_m_dict: Dictionary,
-                        cfg: SystemConfig, n_paths: int):
+def estimate_aod_coarse(y: np.ndarray, setup: Setup):
     """Grid AOD estimates from the first T1 slots via DCS-SOMP.
 
     Returns (theta_hat, somp_result); theta_hat[i] = arcsin of the grid
     value of the i-th selected column.
     """
-    t1 = cfg.t1
-    y1h = rx.y[:, :t1, :].conj().transpose(2, 1, 0)   # (N, T1, N_b)
-    theta_m = pilots[:, :t1].conj().T @ a_m_dict.matrix
-    res = dcs_somp(y1h, theta_m, n_paths)
+    t1 = setup.cfg.t1
+    a_m_dict = setup.a_m_dict
+    y1h = y[:, :t1, :].conj().transpose(2, 1, 0)      # (N, T1, N_b)
+    theta_m = setup.pilots[:, :t1].conj().T @ a_m_dict.matrix
+    res = dcs_somp(y1h, theta_m, setup.n_paths)
     theta_hat = np.array([clamped_arcsin(a_m_dict.grid[k]) for k in res.support])
     return theta_hat, res
 
@@ -131,20 +132,17 @@ def _concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
     return vals if theta.ndim == 2 else float(vals[0])
 
 
-def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
-                   cfg: SystemConfig, theta_r0: float,
-                   theta_init: np.ndarray, n_grid: int = 201,
-                   tol: float = 1e-7, max_passes: int = 5):
+def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
     """Cyclic 1-D refinement of the AODs over the first T1 slots.
 
     Each coordinate is searched in sin-space over one coarse grid cell
     around its current value; the concentrated objective never decreases.
     """
+    geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
-    a_b = bs_steering(geom, theta_r0)
-    x1 = pilots[:, :t1]
+    x1 = setup.pilots[:, :t1]
     c_mat = x1 @ x1.conj().T
-    b_mat = x1 @ beamform(a_b, rx.y[:, :t1, :]).conj()  # column n: B[n]^H a_B
+    b_mat = x1 @ beamform(setup.a_b, y[:, :t1]).conj()  # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
     theta = np.asarray(theta_init, dtype=float).copy()
@@ -153,7 +151,7 @@ def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
     def objective(th_vec):
         return _concentrated_aod_objective(th_vec, s_mat, c_mat, geom)
 
-    for _ in range(max_passes):
+    for _ in range(_AOD_MAX_PASSES):
         moved = 0.0
         for q in range(theta.size):
             u0 = float(np.sin(theta[q]))
@@ -165,8 +163,7 @@ def refine_aod_mle(rx, pilots: np.ndarray, geom: ScenarioGeometry,
                 trial[:, q] = np.arcsin(np.clip(us, -1.0, 1.0))
                 return objective(trial)
 
-            u_best, _ = maximize_1d(f_batch, lo, hi, n_grid=n_grid, tol=tol,
-                                    incumbent=u0)
+            u_best, _ = maximize_1d(f_batch, lo, hi, incumbent=u0)
             new = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
             moved = max(moved, abs(np.sin(new) - u0))
             theta[q] = new
@@ -183,7 +180,6 @@ class AoaEstimate:
     psi_in: np.ndarray          # (Q+1,)
     cos_diff: np.ndarray        # grid value cos(phi_in) - cos(phi_out0)
     sinsin_diff: np.ndarray     # grid value of the azimuth product difference
-    k_columns: np.ndarray       # selected Kronecker dictionary columns (1-based)
     delta_tilde: np.ndarray     # (Q+1, N) per-subcarrier hybrid gains
     flags: list = field(default_factory=list)
 
@@ -195,21 +191,20 @@ def _right_inverse(mat: np.ndarray) -> np.ndarray:
     return mat.conj().T @ np.linalg.inv(gram)
 
 
-def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
-                     geom: ScenarioGeometry, cfg: SystemConfig,
-                     theta_hat: np.ndarray, known_angles: tuple[float, float, float],
-                     ris_dict: RisDictionary) -> AoaEstimate:
+def estimate_ris_aoa(y: np.ndarray, setup: Setup,
+                     theta_hat: np.ndarray) -> AoaEstimate:
     """Recover per-path RIS arrival angles and hybrid gains.
 
     Beamforms onto the known BS steering vector, de-mixes each phase
     block with the right inverse of its pilot projection, then solves a
     1-sparse recovery per path over the phase-profile dictionary.
     """
-    theta_r0, phi_out0, psi_out0 = known_angles
+    geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
+    _, phi_out0, psi_out0 = setup.known_angles
     n_paths = theta_hat.size
-    a_b = bs_steering(geom, theta_r0)
-    ycheck = beamform(a_b, rx.y) / geom.n_bs                        # (T, N)
-    proj = pilot_projection(geom, pilots, np.atleast_1d(theta_hat)).T  # (Q+1, T)
+    ycheck = beamform(setup.a_b, y) / geom.n_bs                     # (T, N)
+    proj = pilot_projection(geom, setup.pilots,
+                            np.atleast_1d(theta_hat)).T             # (Q+1, T)
 
     blocks = []
     for i in range(schedule.n_blocks):
@@ -221,6 +216,7 @@ def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
         blocks.append(ycheck[slots, :].T @ pinv)        # (N, Q+1)
     stacked = np.stack(blocks, axis=1)                  # (N, blocks, Q+1)
 
+    ris_dict = setup.ris_dict
     dict_eff = schedule.block_phases @ ris_dict.matrix  # (blocks, G_r)
     sin_out = np.sin(psi_out0) * np.sin(phi_out0)
     cos_out = np.cos(phi_out0)
@@ -229,7 +225,6 @@ def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
     psi = np.empty(n_paths)
     cos_diff = np.empty(n_paths)
     sinsin_diff = np.empty(n_paths)
-    k_cols = np.empty(n_paths, dtype=int)
     delta_tilde = np.empty((n_paths, cfg.n_subcarriers), dtype=complex)
     flags = []
     for q in range(n_paths):
@@ -238,7 +233,6 @@ def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
         k_el, k_az = ris_index_split(k, cfg.g_ris_az)
         cos_diff[q] = ris_dict.elevation.grid[k_el - 1]
         sinsin_diff[q] = ris_dict.azimuth.grid[k_az - 1]
-        k_cols[q] = k
         delta_tilde[q] = res.coeffs[:, 0, 0]
 
         path_flags = []
@@ -265,12 +259,11 @@ def estimate_ris_aoa(rx, pilots: np.ndarray, schedule: PhaseSchedule,
         psi[q] = in_range[0]
         flags.append(path_flags)
     return AoaEstimate(phi_in=phi, psi_in=psi, cos_diff=cos_diff,
-                       sinsin_diff=sinsin_diff, k_columns=k_cols,
+                       sinsin_diff=sinsin_diff,
                        delta_tilde=delta_tilde, flags=flags)
 
 
-def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig,
-                 n_grid: int = 201, tol: float = 1e-7):
+def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
     """Delay and gain of one path from its hybrid per-subcarrier gains.
 
     DFT peak for the coarse bin, then a rotation search over half a bin
@@ -293,8 +286,7 @@ def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig,
         return np.abs(rot @ base) / np.sqrt(n)
 
     half = 1.0 / (2.0 * bw)
-    dtau, _ = maximize_1d(peak_mag, -half, half, n_grid=n_grid, tol=tol,
-                          incumbent=0.0)
+    dtau, _ = maximize_1d(peak_mag, -half, half, incumbent=0.0)
     tau_hat = m0 / bw - dtau
     upsilon = tau_hat * bw / n
     if not 0.0 < upsilon < 1.0:
@@ -309,10 +301,6 @@ class CoarseEstimate:
     """Full coarse-stage output in canonical path order (VLoS first)."""
 
     params: ChannelParams
-    delta_tilde: np.ndarray           # (Q+1, N)
-    theta_grid: np.ndarray            # AODs before likelihood refinement
-    aod_support: list[int]
-    peak_bins: np.ndarray
     flags: dict
 
 
@@ -336,35 +324,22 @@ def _canonical_order(psi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool
     return np.asarray(order), ambiguous
 
 
-def run_coarse(rx, pilots: np.ndarray, schedule: PhaseSchedule,
-               geom: ScenarioGeometry, cfg: SystemConfig, n_paths: int,
-               known_angles: tuple[float, float, float],
-               a_m_dict: Dictionary, ris_dict: RisDictionary,
+def run_coarse(y: np.ndarray, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
     """Run the three coarse sub-steps and order paths canonically."""
-    theta_r0, phi_out0, psi_out0 = known_angles
-    theta_grid, somp = estimate_aod_coarse(rx, pilots, a_m_dict, cfg, n_paths)
+    theta_hat, _ = estimate_aod_coarse(y, setup)
     if refine_aod:
-        theta_hat, _ = refine_aod_mle(rx, pilots, geom, cfg, theta_r0,
-                                      theta_grid)
-    else:
-        theta_hat = theta_grid.copy()
-    aoa = estimate_ris_aoa(rx, pilots, schedule, geom, cfg, theta_hat,
-                           known_angles, ris_dict)
-    tau = np.empty(n_paths)
-    gains = np.empty(n_paths, dtype=complex)
-    bins = np.empty(n_paths, dtype=int)
-    for q in range(n_paths):
-        tau[q], gains[q], bins[q], _ = estimate_toa(aoa.delta_tilde[q], cfg)
+        theta_hat, _ = refine_aod_mle(y, setup, theta_hat)
+    aoa = estimate_ris_aoa(y, setup, theta_hat)
+    tau = np.empty(setup.n_paths)
+    gains = np.empty(setup.n_paths, dtype=complex)
+    for q in range(setup.n_paths):
+        tau[q], gains[q], _, _ = estimate_toa(aoa.delta_tilde[q], setup.cfg)
 
     order, ambiguous = _canonical_order(aoa.psi_in, tau)
     flags = {"class_ambiguous": ambiguous,
              "aoa_flags": [aoa.flags[q] for q in order]}
-    params = ChannelParams(
-        tau=tau[order], gains=gains[order], theta_t=theta_hat[order],
-        phi_in=aoa.phi_in[order], psi_in=aoa.psi_in[order],
-        theta_r0=theta_r0, phi_out0=phi_out0, psi_out0=psi_out0)
-    return CoarseEstimate(
-        params=params, delta_tilde=aoa.delta_tilde[order],
-        theta_grid=theta_grid[order], aod_support=[somp.support[i] for i in order],
-        peak_bins=bins[order], flags=flags)
+    params = ChannelParams(tau[order], gains[order], theta_hat[order],
+                           aoa.phi_in[order], aoa.psi_in[order],
+                           *setup.known_angles)
+    return CoarseEstimate(params=params, flags=flags)

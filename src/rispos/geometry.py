@@ -93,19 +93,13 @@ class ScenarioGeometry:
         self.ms = np.asarray(self.ms, dtype=float).reshape(3)
         self.scatterers = np.asarray(self.scatterers, dtype=float).reshape(-1, 3)
         self.alpha = float(self.alpha)
-        if self.d_bs is None:
-            self.d_bs = self.wavelength / 2
-        if self.d_ms is None:
-            self.d_ms = self.wavelength / 2
-        if self.d_ris_az is None:
-            self.d_ris_az = self.wavelength / 3
-        if self.d_ris_el is None:
-            self.d_ris_el = self.wavelength / 3
         if not (0.0 <= self.alpha < np.pi):
             raise ValueError("alpha must lie in [0, pi)")
-        for name, d in [("d_bs", self.d_bs), ("d_ms", self.d_ms),
-                        ("d_ris_az", self.d_ris_az), ("d_ris_el", self.d_ris_el)]:
-            if d > self.wavelength / 2 + 1e-12:
+        for name, div in (("d_bs", 2), ("d_ms", 2), ("d_ris_az", 3),
+                          ("d_ris_el", 3)):
+            if getattr(self, name) is None:
+                setattr(self, name, self.wavelength / div)
+            if getattr(self, name) > self.wavelength / 2 + 1e-12:
                 raise ValueError(f"{name} must not exceed lambda/2")
 
     @property
@@ -235,11 +229,6 @@ def aod_spatial_freq(theta: float | np.ndarray, spacing: float,
                      wavelength: float) -> float | np.ndarray:
     """(d/lambda) sin(theta) for a ULA."""
     return spacing / wavelength * np.sin(theta)
-
-
-def angle_from_spatial_freq(u: float, spacing: float, wavelength: float) -> float:
-    """Inverse of :func:`aod_spatial_freq`."""
-    return clamped_arcsin(u * wavelength / spacing)
 
 
 def ris_delta_freqs(geom: ScenarioGeometry, phi_in, psi_in,

@@ -4,7 +4,8 @@ Runs the synthesize -> coarse -> SAGE -> closed-form -> LM pipeline over
 a transmit-power sweep, aggregates per-parameter RMSE curves next to the
 corresponding bounds, and writes plot-ready CSV files (one per figure
 panel analogue). What the trials at one power share is built once per
-power point by ``power_setup``.
+power point by ``power_setup``: a ``channel.Setup`` that every stage
+takes, plus the parameter Jacobian at the true pose for the bounds.
 """
 
 from __future__ import annotations
@@ -173,26 +174,29 @@ def _support_matches(est: ChannelParams, true: ChannelParams,
 
 
 @dataclass
-class PowerSetup:
-    """What every trial at one transmit power shares.
+class PowerSetup(ch.Setup):
+    """What every trial at one transmit power shares: the channel setup
+    and the parameter Jacobian at the true pose (it does not depend on
+    the gains).
 
     All of it is seeded by the master seed alone, so a sweep builds it
     once per power point and hands it to each trial and to the
     reference bounds.
     """
 
-    geom: ScenarioGeometry
-    cfg: ch.SystemConfig
-    pilots: np.ndarray
-    sched: ch.PhaseSchedule
-    a_m_dict: ch.Dictionary
-    ris_dict: ch.RisDictionary
-    t_true: np.ndarray          # parameter Jacobian at the true pose
+    t_true: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        geom = self.geom
+        self.t_true = bnd.transformation_matrix(
+            PositionParams(gains=np.zeros(self.n_paths, complex), ms=geom.ms,
+                           alpha=geom.alpha, scatterers=geom.scatterers),
+            geom.ris, geom.bs)
 
 
 def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
-    """Geometry, system, pilots, schedule, dictionaries and the Jacobian
-    at the true pose (it does not depend on the gains)."""
+    """The validated setup of one power point of ``exp``."""
     geom = exp.geometry()
     cfg = exp.system(power_dbm)
     cfg.validate(geom.n_scatterers + 1)
@@ -200,12 +204,7 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
                             np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
     sched = ch.make_phase_schedule(cfg, geom.n_ris,
                                    np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
-    a_m_dict, ris_dict = ch.build_dictionaries(cfg, geom)
-    t_true = bnd.transformation_matrix(
-        PositionParams(gains=np.zeros(geom.n_scatterers + 1, complex),
-                       ms=geom.ms, alpha=geom.alpha,
-                       scatterers=geom.scatterers), geom.ris, geom.bs)
-    return PowerSetup(geom, cfg, pilots, sched, a_m_dict, ris_dict, t_true)
+    return PowerSetup(geom, cfg, pilots, sched)
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
@@ -223,8 +222,6 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     if setup is None:
         setup = power_setup(exp, power_dbm)
     geom, cfg = setup.geom, setup.cfg
-    pilots, sched = setup.pilots, setup.sched
-    n_paths = geom.n_scatterers + 1
 
     ss = np.random.SeedSequence(entropy)
     gain_seed, noise_seed = ss.spawn(2)
@@ -234,20 +231,17 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     rec.eta_true = true.to_vector()
     rec.pos_true = PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
                                   scatterers=geom.scatterers).to_vector()
-    known = (true.theta_r0, true.phi_out0, true.psi_out0)
 
     # per-trial bounds at the true parameters
-    j_true = bnd.fim_channel(true, pilots, sched, geom, cfg)
+    j_true = bnd.fim_channel(true, setup)
     rep = bnd.position_bounds(j_true, setup.t_true)
     rec.crlb, rec.peb, rec.oeb = rep.crlb_channel, rep.peb, rep.oeb
 
-    rx = ch.synthesize_rx(cfg, geom, true, sched, pilots,
-                          noise_seed=np.random.default_rng(noise_seed),
-                          noiseless=exp.noiseless)
+    y = ch.synthesize_rx(setup, true,
+                         noise_seed=np.random.default_rng(noise_seed),
+                         noiseless=exp.noiseless)
     try:
-        coarse = ce.run_coarse(rx, pilots, sched, geom, cfg, n_paths, known,
-                               setup.a_m_dict, setup.ris_dict,
-                               refine_aod=exp.stage != "coarse")
+        coarse = ce.run_coarse(y, setup, refine_aod=exp.stage != "coarse")
         rec.stages["coarse"] = coarse.params.to_vector()
         rec.sq_errors["coarse"] = channel_sq_errors(coarse.params, true)
         rec.support_ok = _support_matches(coarse.params, true, cfg.g_ms)
@@ -255,7 +249,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         est = coarse.params
 
         if exp.stage in ("sage", "lm"):
-            refined, info = sg.run_sage(rx, pilots, sched, geom, cfg, est)
+            refined, info = sg.run_sage(y, setup, est)
             rec.stages["sage"] = refined.to_vector()
             rec.sq_errors["sage"] = channel_sq_errors(refined, true)
             rec.flags["sage_converged"] = info.converged
@@ -268,7 +262,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         rec.flags.update(pflags)
 
         if exp.stage == "lm":
-            j_est = bnd.fim_channel(est, pilots, sched, geom, cfg)
+            j_est = bnd.fim_channel(est, setup)
             pos_ref, diag = pos_mod.refine_position_lm(
                 est, j_est, pos0, geom.ris, geom.bs)
             rec.stages["lm"] = pos_ref.to_vector()
@@ -316,10 +310,9 @@ def reference_bounds(exp: ExperimentConfig, power_dbm: float,
     """
     if setup is None:
         setup = power_setup(exp, power_dbm)
-    geom, cfg = setup.geom, setup.cfg
-    gains = ch.nominal_gain_amplitudes(cfg, geom).astype(complex)
-    true = true_channel_params(geom, gains)
-    j_eta = bnd.fim_channel(true, setup.pilots, setup.sched, geom, cfg)
+    gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
+    true = true_channel_params(setup.geom, gains)
+    j_eta = bnd.fim_channel(true, setup)
     rep = bnd.position_bounds(j_eta, setup.t_true)
     return _report_bounds(rep.crlb_channel.reshape(-1, 6), rep.peb, rep.oeb)
 

@@ -19,6 +19,15 @@ from .params import ChannelParams, PositionParams
 
 ARCCOS_CLAMP_TOL = 1e-9
 
+# Levenberg-Marquardt damping and termination
+_LM_DAMPING = 1e-3            # initial damping
+_LM_DAMPING_UP = 10.0         # factor after a rejected step
+_LM_DAMPING_DOWN = 0.1        # factor after an accepted step
+_LM_DAMPING_LIMIT = 1e12      # stall once the damping passes this
+_LM_MAX_ITER = 100
+_LM_GRAD_TOL = 1e-10          # max |gradient| that counts as converged
+_LM_STEP_TOL = 1e-12          # relative step that counts as converged
+
 
 def closed_form_ms(params: ChannelParams, ris: np.ndarray,
                    bs: np.ndarray) -> tuple[np.ndarray, float, dict]:
@@ -92,19 +101,6 @@ def position_closed_form(params: ChannelParams, ris: np.ndarray,
 
 
 @dataclass
-class LmSettings:
-    """Levenberg-Marquardt damping and termination controls."""
-
-    damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    max_iter: int = 100
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    damping_limit: float = 1e12
-
-
-@dataclass
 class LmDiagnostics:
     """Outcome of one weighted nonlinear least-squares refinement."""
 
@@ -131,8 +127,7 @@ def _map_and_jacobian(pos: PositionParams, ris, bs):
 
 def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
                        j_eta: np.ndarray, pos_init: PositionParams,
-                       ris: np.ndarray, bs: np.ndarray,
-                       settings: LmSettings | None = None
+                       ris: np.ndarray, bs: np.ndarray
                        ) -> tuple[PositionParams, LmDiagnostics]:
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
 
@@ -140,7 +135,6 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
     of the position parameters; accepted steps never increase the
     objective and the damping never accepts an increasing one.
     """
-    settings = settings or LmSettings()
     if isinstance(eta_hat, ChannelParams):
         eta_hat = eta_hat.to_vector()
     eta_hat = np.asarray(eta_hat, dtype=float)
@@ -153,24 +147,24 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
     obj = float(r @ weight @ r)
     diag.objective_history.append(obj)
 
-    lam = settings.damping
+    lam = _LM_DAMPING
     best_x, best_obj = x.copy(), obj
-    for it in range(settings.max_iter):
+    for it in range(_LM_MAX_ITER):
         diag.n_iter = it + 1
         jw = jac.T @ weight
         grad = 2.0 * jw @ r
         diag.grad_norm = float(np.max(np.abs(grad)))
-        if diag.grad_norm <= settings.grad_tol:
+        if diag.grad_norm <= _LM_GRAD_TOL:
             diag.converged = True
             break
         hess = jw @ jac
         scale = np.maximum(np.diag(hess), 1e-300)
         accepted = False
-        while lam <= settings.damping_limit:
+        while lam <= _LM_DAMPING_LIMIT:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(scale), jw @ r)
             except np.linalg.LinAlgError:
-                lam *= settings.damping_up
+                lam *= _LM_DAMPING_UP
                 continue
             x_new = x + step
             pos_new = PositionParams.from_vector(x_new)
@@ -179,14 +173,14 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
                     raise DegenerateGeometry("step left the rotation domain")
                 eta_new, jac_new = _map_and_jacobian(pos_new, ris, bs)
             except DegenerateGeometry:
-                lam *= settings.damping_up
+                lam *= _LM_DAMPING_UP
                 continue
             r_new = eta_hat - eta_new
             obj_new = float(r_new @ weight @ r_new)
             if obj_new <= obj:
                 accepted = True
                 break
-            lam *= settings.damping_up
+            lam *= _LM_DAMPING_UP
         if not accepted:
             diag.stalled = True
             break
@@ -194,8 +188,9 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
         diag.objective_history.append(obj)
         if obj < best_obj:
             best_x, best_obj = x.copy(), obj
-        lam = max(lam * settings.damping_down, 1e-15)
-        if float(np.linalg.norm(step)) <= settings.step_tol * (1.0 + float(np.linalg.norm(x))):
+        lam = max(lam * _LM_DAMPING_DOWN, 1e-15)
+        if float(np.linalg.norm(step)) <= _LM_STEP_TOL * (
+                1.0 + float(np.linalg.norm(x))):
             diag.converged = True
             break
     out = PositionParams.from_vector(best_x)

@@ -12,7 +12,8 @@ and the closed-form gain is numerator / denominator.
 ``SageProblem.path_terms`` is the one implementation of that numerator
 and denominator: the delay update evaluates it on a batch of r, the
 three angle updates on batches of u. The global log-likelihood over all
-slots and subcarriers is the convergence monitor.
+slots and subcarriers is the convergence monitor. Every function takes
+the received tensor y (N_b, T, N) and the per-power ``channel.Setup``.
 """
 
 from __future__ import annotations
@@ -22,26 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (PhaseSchedule, SystemConfig, beamform, bs_steering,
-                      model_field, path_factors, pilot_projection,
-                      ris_slot_scalars, subcarrier_ramp)
+from .channel import (Setup, beamform, model_field, path_factors,
+                      pilot_projection, ris_slot_scalars, subcarrier_ramp)
 from .errors import ZeroDenominator
-from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
 UPDATE_ORDER = ("tau", "theta_t", "phi_in", "psi_in", "delta")
-
-
-@dataclass
-class SageOptions:
-    """Search brackets, stopping thresholds, and cycle limit."""
-
-    eps_params: np.ndarray | None = None   # elementwise |change| thresholds
-    eps_loglik_rel: float = 1e-8           # relative log-likelihood change
-    max_cycles: int = 50
-    n_grid: int = 201
-    search_tol: float = 1e-7
-    angle_cells: int = 2                   # coarse grid cells per angle bracket
+_EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
+_ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
 
 
 @dataclass
@@ -61,41 +50,35 @@ class SageProblem:
     (n, T) for a batch of n.
     """
 
-    def __init__(self, rx, pilots: np.ndarray, schedule: PhaseSchedule,
-                 geom: ScenarioGeometry, cfg: SystemConfig,
-                 known_angles: tuple[float, float, float]):
-        self.y = rx.y                                  # (N_b, T, N)
-        self.pilots = pilots
-        self.schedule = schedule
-        self.geom = geom
-        self.cfg = cfg
-        self.theta_r0, self.phi_out0, self.psi_out0 = known_angles
-        self.a_b = bs_steering(geom, self.theta_r0)
-        self.slot_phases = schedule.slot_phases        # (T, N_r)
-        self._den_scale = geom.n_bs * cfg.n_subcarriers
+    def __init__(self, y: np.ndarray, setup: Setup):
+        self.y = y                                     # (N_b, T, N)
+        self.setup = setup
+        self.a_b = setup.a_b
+        self.slot_phases = setup.sched.slot_phases     # (T, N_r)
+        self._den_scale = setup.geom.n_bs * setup.cfg.n_subcarriers
 
     def complete_data(self, params: ChannelParams, q: int) -> np.ndarray:
         """Estimated per-path signal: observation minus the other paths."""
         others = params.copy()
         others.gains[q] = 0.0
-        field = model_field(others, self.pilots, self.schedule, self.geom,
-                            self.cfg)
+        field = model_field(others, self.setup)
         return self.y - self.a_b[:, None, None] * field[None, :, :]
 
     def derotated(self, pa: np.ndarray, tau) -> np.ndarray:
         """r_t = sum_n pa[t, n] conj(ramp_n(tau)) for beamformed data pa (T, N)."""
-        ramp = subcarrier_ramp(np.negative(tau), self.cfg.bandwidth,
-                               self.cfg.n_subcarriers)
+        ramp = subcarrier_ramp(np.negative(tau), self.setup.cfg.bandwidth,
+                               self.setup.cfg.n_subcarriers)
         return ramp.T @ pa.T
 
     def slot_sigma(self, phi_in, psi_in) -> np.ndarray:
         """sigma_t = g_t^T a_R(dw) at the given arrival angles."""
-        return ris_slot_scalars(self.geom, self.slot_phases, phi_in, psi_in,
-                                self.phi_out0, self.psi_out0).T
+        _, phi_out0, psi_out0 = self.setup.known_angles
+        return ris_slot_scalars(self.setup.geom, self.slot_phases, phi_in,
+                                psi_in, phi_out0, psi_out0).T
 
     def slot_proj(self, theta_t) -> np.ndarray:
         """p_t = a_M(theta)^H x_t at the given departure angle."""
-        return pilot_projection(self.geom, self.pilots, theta_t).T
+        return pilot_projection(self.setup.geom, self.setup.pilots, theta_t).T
 
     def path_terms(self, r: np.ndarray, u: np.ndarray):
         """Numerator sum_t r_t conj(u_t) and denominator N_B N sum_t |u_t|^2.
@@ -120,41 +103,40 @@ class SageProblem:
         return float(abs(num) ** 2 / den), complex(num / den)
 
 
-def global_log_likelihood(params: ChannelParams, rx, pilots: np.ndarray,
-                          schedule: PhaseSchedule, geom: ScenarioGeometry,
-                          cfg: SystemConfig) -> float:
+def global_log_likelihood(params: ChannelParams, y: np.ndarray,
+                          setup: Setup) -> float:
     """Constant-free log-likelihood of the full parameter vector.
 
     Two terms: twice the real part of the per-path data correlation and
     the BS-gain-weighted cross-path Gram correction. Equals
     sum_n ||Y[n]||_F^2 - sum_n ||Y[n] - model||_F^2 exactly.
     """
-    sigma, proj, ramp = path_factors(params, pilots, schedule, geom, cfg)
+    sigma, proj, ramp = path_factors(params, setup)
     w_mat = sigma * proj                                          # (T, Q+1)
-    pa0 = beamform(bs_steering(geom, params.theta_r0), rx.y)      # (T, N)
+    pa0 = beamform(setup.a_b, y)                                  # (T, N)
     k_mat = pa0.conj() @ ramp                                     # (T, Q+1)
     term1 = 2.0 * np.real(np.sum(params.gains * np.sum(w_mat * k_mat, axis=0)))
     rho = ramp.conj().T @ ramp                                    # (Q+1, Q+1)
     gram = w_mat.conj().T @ w_mat
-    term2 = geom.n_bs * np.real(
+    term2 = setup.geom.n_bs * np.real(
         params.gains.conj() @ ((rho * gram) @ params.gains))
     return float(term1 - term2)
 
 
-def coordinate_update_cycle(prob: SageProblem, params: ChannelParams, q: int,
-                            opts: SageOptions) -> dict:
+def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
+                            q: int) -> dict:
     """Update path q in place: tau, theta_t, phi_in, psi_in, then the gain.
 
     Each 1-D step maximizes the concentrated likelihood over a local
     bracket with the incumbent always a candidate, so F never decreases.
     Returns the objective trace of the steps.
     """
-    cfg = prob.cfg
+    cfg = prob.setup.cfg
     pa = beamform(prob.a_b, prob.complete_data(params, q))
 
     def search(f, x0, half, lim=np.inf):
         return maximize_1d(f, max(-lim, x0 - half), min(lim, x0 + half),
-                           opts.n_grid, opts.search_tol, incumbent=x0)
+                           incumbent=x0)
 
     tau = float(params.tau[q])
     theta = float(params.theta_t[q])
@@ -169,23 +151,23 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams, q: int,
         tau, 1.0 / (2.0 * cfg.bandwidth))
     r = prob.derotated(pa, tau)
 
-    # departure angle: +-angle_cells coarse cells in sin space
+    # departure angle: +-_ANGLE_CELLS coarse cells in sin space
     u_best, trace["theta_t"] = search(
         lambda us: prob.objective(
             r, sigma * prob.slot_proj(np.arcsin(np.clip(us, -1, 1)))),
-        np.sin(theta), opts.angle_cells * (2.0 / cfg.g_ms), 1.0)
+        np.sin(theta), _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
     theta = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
     proj = prob.slot_proj(theta)
 
-    # elevation arrival angle: +-angle_cells cells in cos space
+    # elevation arrival angle: +-_ANGLE_CELLS cells in cos space
     c_best, trace["phi_in"] = search(
         lambda cs: prob.objective(
             r, prob.slot_sigma(np.arccos(np.clip(cs, -1, 1)),
                                np.full(np.size(cs), psi)) * proj),
-        np.cos(phi), opts.angle_cells * (2.0 / cfg.g_ris_el), 1.0)
+        np.cos(phi), _ANGLE_CELLS * (2.0 / cfg.g_ris_el), 1.0)
     phi = float(np.arccos(np.clip(c_best, -1.0, 1.0)))
 
-    # azimuth arrival angle: +-angle_cells cells in the sin-product space
+    # azimuth arrival angle: +-_ANGLE_CELLS cells in the sin-product space
     sin_phi = max(np.sin(phi), 1e-12)
 
     def psi_of(s):
@@ -194,7 +176,7 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams, q: int,
     s_best, trace["psi_in"] = search(
         lambda ss: prob.objective(
             r, prob.slot_sigma(np.full(np.size(ss), phi), psi_of(ss)) * proj),
-        np.sin(psi) * sin_phi, opts.angle_cells * (2.0 / cfg.g_ris_az), sin_phi)
+        np.sin(psi) * sin_phi, _ANGLE_CELLS * (2.0 / cfg.g_ris_az), sin_phi)
     psi = float(psi_of(s_best))
 
     gain = prob.fit(r, prob.slot_sigma(phi, psi) * proj)[1]
@@ -207,24 +189,8 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams, q: int,
     return trace
 
 
-def default_eps_params(init: ChannelParams, cfg: SystemConfig) -> np.ndarray:
-    """Per-parameter stopping thresholds: 1e-6 in each natural unit.
-
-    Delays are measured in units of 1/B, angles in radians, and gains
-    relative to the initial per-path magnitude.
-    """
-    eps = np.empty(6 * init.n_paths)
-    for q in range(init.n_paths):
-        scale_gain = max(abs(init.gains[q]), 1e-30)
-        eps[6 * q:6 * q + 6] = [1e-6 / cfg.bandwidth, 1e-6 * scale_gain,
-                                1e-6 * scale_gain, 1e-6, 1e-6, 1e-6]
-    return eps
-
-
-def run_sage(rx, pilots: np.ndarray, schedule: PhaseSchedule,
-             geom: ScenarioGeometry, cfg: SystemConfig,
-             init: ChannelParams,
-             opts: SageOptions | None = None) -> tuple[ChannelParams, SageInfo]:
+def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
+             max_cycles: int = 50) -> tuple[ChannelParams, SageInfo]:
     """Refine all channel parameters from the coarse initialization.
 
     Paths are visited cyclically; termination is checked after each full
@@ -232,30 +198,31 @@ def run_sage(rx, pilots: np.ndarray, schedule: PhaseSchedule,
     log-likelihood change. Hitting the cycle limit leaves ``converged``
     False but still returns the current estimate.
     """
-    opts = opts or SageOptions()
     params = init.copy()
-    known = (params.theta_r0, params.phi_out0, params.psi_out0)
-    prob = SageProblem(rx, pilots, schedule, geom, cfg, known)
-    eps = (opts.eps_params if opts.eps_params is not None
-           else default_eps_params(init, cfg))
+    prob = SageProblem(y, setup)
+    # elementwise stopping thresholds, 1e-6 in each natural unit: 1/B for
+    # delays, the initial per-path magnitude for gains, radians for angles
+    eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
+                  init.n_paths)
+    for q, gain in enumerate(init.gains):
+        eps[6 * q + 1:6 * q + 3] = 1e-6 * max(abs(gain), 1e-30)
 
     info = SageInfo()
-    lamb = global_log_likelihood(params, rx, pilots, schedule, geom, cfg)
+    lamb = global_log_likelihood(params, y, setup)
     info.loglik_history.append(lamb)
-    for cycle in range(opts.max_cycles):
+    for cycle in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            coordinate_update_cycle(prob, params, q, opts)
+            coordinate_update_cycle(prob, params, q)
         info.n_cycles = cycle + 1
-        new_lamb = global_log_likelihood(params, rx, pilots, schedule, geom, cfg)
+        new_lamb = global_log_likelihood(params, y, setup)
         info.loglik_history.append(new_lamb)
-        if new_lamb < lamb - opts.eps_loglik_rel * abs(lamb):
+        if new_lamb < lamb - _EPS_LOGLIK_REL * abs(lamb):
             info.monotone_ok = False
         delta_vec = np.abs(params.to_vector() - prev_vec)
         if np.all(delta_vec <= eps) or \
-                abs(new_lamb - lamb) <= opts.eps_loglik_rel * abs(lamb):
+                abs(new_lamb - lamb) <= _EPS_LOGLIK_REL * abs(lamb):
             info.converged = True
-            lamb = new_lamb
             break
         lamb = new_lamb
     return params, info

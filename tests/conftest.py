@@ -32,12 +32,13 @@ def setup20(default_exp, default_geom):
     known = (true.theta_r0, true.phi_out0, true.psi_out0)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
-    a_m_dict, ris_dict = ch.build_dictionaries(cfg, geom)
-    rx_clean = ch.synthesize_rx(cfg, geom, true, sched, pilots, noiseless=True)
-    rx_noisy = ch.synthesize_rx(cfg, geom, true, sched, pilots, noise_seed=3)
+    setup = ch.Setup(geom, cfg, pilots, sched)
+    rx_clean = ch.synthesize_rx(setup, true, noiseless=True)
+    rx_noisy = ch.synthesize_rx(setup, true, noise_seed=3)
     return SimpleNamespace(geom=geom, cfg=cfg, gains=gains, true=true,
                            known=known, sched=sched, pilots=pilots,
-                           a_m_dict=a_m_dict, ris_dict=ris_dict,
+                           setup=setup, a_m_dict=setup.a_m_dict,
+                           ris_dict=setup.ris_dict,
                            rx_clean=rx_clean, rx_noisy=rx_noisy)
 
 

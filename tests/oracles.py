@@ -1,6 +1,6 @@
-"""Test oracles: the long-way channel builders and the per-call SAGE
-wrappers. The package keeps only the fast forms; these reference
-implementations check them."""
+"""Test oracles: the long-way channel builders, the per-call SAGE
+wrappers and the inverse index and angle maps. The package keeps only
+the fast forms; these reference implementations check them."""
 
 import numpy as np
 
@@ -67,34 +67,37 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     return h_rb @ np.diag(g_t) @ h_mr
 
 
-def reconstruct_complete_data(rx, params: ChannelParams, q: int,
-                              pilots: np.ndarray, schedule: ch.PhaseSchedule,
-                              geom: ScenarioGeometry,
-                              cfg: ch.SystemConfig) -> np.ndarray:
+def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,
+                              setup: ch.Setup) -> np.ndarray:
     """Per-path hidden signal estimate (N_b, T, N) for path ``q``."""
-    prob = sg.SageProblem(rx, pilots, schedule, geom, cfg,
-                          (params.theta_r0, params.phi_out0, params.psi_out0))
-    return prob.complete_data(params, q)
+    return sg.SageProblem(y, setup).complete_data(params, q)
 
 
-def _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, rx, pilots,
-                     schedule, geom, cfg, known_angles):
-    prob = sg.SageProblem(rx, pilots, schedule, geom, cfg, known_angles)
+def _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, setup):
+    prob = sg.SageProblem(y_q, setup)
     r = prob.derotated(ch.beamform(prob.a_b, y_q), tau)
     return prob.fit(r, prob.slot_sigma(phi_in, psi_in) * prob.slot_proj(theta_t))
 
 
 def gain_closed_form(y_q: np.ndarray, tau: float, theta_t: float,
-                     phi_in: float, psi_in: float, rx, pilots, schedule,
-                     geom, cfg, known_angles) -> complex:
+                     phi_in: float, psi_in: float, setup: ch.Setup) -> complex:
     """Closed-form ML gain of one path from its complete-data tensor."""
-    return _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, rx, pilots,
-                            schedule, geom, cfg, known_angles)[1]
+    return _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, setup)[1]
 
 
 def single_path_objective(y_q: np.ndarray, tau: float, theta_t: float,
-                          phi_in: float, psi_in: float, rx, pilots, schedule,
-                          geom, cfg, known_angles) -> float:
+                          phi_in: float, psi_in: float,
+                          setup: ch.Setup) -> float:
     """Concentrated per-path likelihood F (gain eliminated)."""
-    return _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, rx, pilots,
-                            schedule, geom, cfg, known_angles)[0]
+    return _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, setup)[0]
+
+
+def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:
+    """(elevation, azimuth) indices -> 1-based Kronecker column index;
+    the inverse of ``channel.ris_index_split``."""
+    return (k_el - 1) * g_az + k_az
+
+
+def angle_from_spatial_freq(u: float, spacing: float, wavelength: float) -> float:
+    """Inverse of ``geometry.aod_spatial_freq``."""
+    return gm.clamped_arcsin(u * wavelength / spacing)

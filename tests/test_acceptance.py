@@ -57,8 +57,7 @@ def test_criterion_2_derivative_oracle(setup20):
     """All channel derivatives and transformation entries match central FD."""
     t0 = time.time()
     s = setup20
-    analytic = bnd.model_field_derivs(s.true, s.pilots, s.sched, s.geom,
-                                      s.cfg)
+    analytic = bnd.model_field_derivs(s.true, s.setup)
     vec0 = s.true.to_vector()
     steps = np.tile([1e-6 / s.cfg.bandwidth, 0, 0, 1e-6, 1e-6, 1e-6], 2)
     steps[1::6] = 1e-6 * np.maximum(np.abs(vec0[1::6]), 1e-9)
@@ -68,10 +67,8 @@ def test_criterion_2_derivative_oracle(setup20):
         vp, vm = vec0.copy(), vec0.copy()
         vp[u] += h
         vm[u] -= h
-        fp = ch.model_field(ChannelParams.from_vector(
-            vp, *s.known), s.pilots, s.sched, s.geom, s.cfg)
-        fm = ch.model_field(ChannelParams.from_vector(
-            vm, *s.known), s.pilots, s.sched, s.geom, s.cfg)
+        fp = ch.model_field(ChannelParams.from_vector(vp, *s.known), s.setup)
+        fm = ch.model_field(ChannelParams.from_vector(vm, *s.known), s.setup)
         fd = (fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic[u] - fd) / np.linalg.norm(analytic[u])
         worst_h = max(worst_h, rel)
@@ -107,7 +104,6 @@ def test_criterion_3_dual_formula_oracles(setup20):
     worst = {"aod": 0.0, "global": 0.0, "gain": 0.0, "concentrated": 0.0}
     for i in range(50):
         y = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        rx = ch.RxSignal(y=y, pilots=s.pilots)
         params = ChannelParams(
             tau=rng.uniform(0.05, 0.9, 2) * s.cfg.n_subcarriers / s.cfg.bandwidth,
             gains=1e-6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
@@ -143,8 +139,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
                            abs((const - raw) - simp) / abs(simp))
 
         # global likelihood vs norm form
-        lam = sg.global_log_likelihood(params, rx, s.pilots, s.sched,
-                                       s.geom, s.cfg)
+        lam = sg.global_log_likelihood(params, y, s.setup)
         ref = 0.0
         for n in range(1, s.cfg.n_subcarriers + 1):
             y_n = y[:, :, n - 1]
@@ -158,8 +153,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
         # closed-form gain: trace form vs beamformed form
         q = 0
         args = (params.tau[q], params.theta_t[q], params.phi_in[q],
-                params.psi_in[q], rx, s.pilots, s.sched, s.geom, s.cfg,
-                s.known)
+                params.psi_in[q], s.setup)
         d_vec = gain_closed_form(y, *args)
         a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
                                    s.known[1], s.known[2])
@@ -182,8 +176,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
             psi_in=params.psi_in[:1], theta_r0=s.known[0],
             phi_out0=s.known[1], psi_out0=s.known[2])
-        l_val = sg.global_log_likelihood(single, rx, s.pilots, s.sched,
-                                         s.geom, s.cfg)
+        l_val = sg.global_log_likelihood(single, y, s.setup)
         worst["concentrated"] = max(worst["concentrated"],
                                     abs(l_val - f_val) / abs(f_val))
     ok = all(v < 1e-8 for v in worst.values())
@@ -200,18 +193,13 @@ def test_criterion_4_sage_monotonicity(default_exp):
         cfg = default_exp.system(power)
         sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
         pilots = ch.make_pilots(cfg, geom.n_ms, 8)
-        dicts = ch.build_dictionaries(cfg, geom)
+        setup = ch.Setup(geom, cfg, pilots, sched)
         for i in range(17):
             gains = ch.draw_gains(cfg, geom, 1000 + i)
             true = gm.true_channel_params(geom, gains)
-            known = (true.theta_r0, true.phi_out0, true.psi_out0)
-            rx = ch.synthesize_rx(cfg, geom, true, sched, pilots,
-                                  noise_seed=2000 + i)
-            coarse = ce.run_coarse(rx, pilots, sched, geom, cfg, 2, known,
-                                   *dicts)
-            _, info = sg.run_sage(rx, pilots, sched, geom, cfg,
-                                  coarse.params,
-                                  sg.SageOptions(max_cycles=8))
+            rx = ch.synthesize_rx(setup, true, noise_seed=2000 + i)
+            coarse = ce.run_coarse(rx, setup)
+            _, info = sg.run_sage(rx, setup, coarse.params, max_cycles=8)
             hist = np.asarray(info.loglik_history)
             ok = bool(np.all(np.diff(hist) >= -1e-8 * np.abs(hist[:-1])))
             all_ok = all_ok and ok and info.monotone_ok
@@ -268,8 +256,8 @@ def test_criterion_7_scaling_laws(setup20, default_exp):
     s = setup20
     cfg10 = default_exp.system(10.0)
     pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, pil10, s.sched, s.geom, cfg10)
-    j20 = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    j20 = bnd.fim_channel(s.true, s.setup)
     fim_gap = np.max(np.abs(j20 - 10.0 * j10)) / np.max(np.abs(j20))
     t_mat = bnd.transformation_matrix(
         PositionParams(gains=s.gains, ms=s.geom.ms, alpha=s.geom.alpha,
@@ -325,9 +313,9 @@ def test_criterion_8_dcs_somp_support(default_exp):
             if abs(20 * np.log10(eff[1] / eff[0])) <= 12.0:
                 break
         params.gains = np.asarray(gains, dtype=complex)
-        rx = ch.synthesize_rx(cfg, geom, params, sched, pilots,
-                              noiseless=True)
-        _, somp = ce.estimate_aod_coarse(rx, pilots, a_m_dict, cfg, 2)
+        setup = ch.Setup(geom, cfg, pilots, sched)
+        rx = ch.synthesize_rx(setup, params, noiseless=True)
+        _, somp = ce.estimate_aod_coarse(rx, setup)
         hits += sorted(somp.support) == support_true
         monotone = monotone and bool(
             np.all(np.diff(somp.residual_norms) <= 1e-12))

@@ -11,8 +11,9 @@ from rispos.params import ChannelParams, PositionParams
 FD_TOL = 1e-5
 
 
-def _fd_field_derivs(params, pilots, sched, geom, cfg):
+def _fd_field_derivs(params, setup):
     """Central finite differences of the model field in every direction."""
+    cfg = setup.cfg
     vec0 = params.to_vector()
     steps = np.tile([1e-6 / cfg.bandwidth, 0, 0, 1e-6, 1e-6, 1e-6],
                     params.n_paths)
@@ -27,8 +28,8 @@ def _fd_field_derivs(params, pilots, sched, geom, cfg):
                                        params.psi_out0)
         pm = ChannelParams.from_vector(vm, params.theta_r0, params.phi_out0,
                                        params.psi_out0)
-        fp = ch.model_field(pp, pilots, sched, geom, cfg)
-        fm = ch.model_field(pm, pilots, sched, geom, cfg)
+        fp = ch.model_field(pp, setup)
+        fm = ch.model_field(pm, setup)
         out.append((fp - fm) / (2 * h))
     return np.stack(out)
 
@@ -36,9 +37,8 @@ def _fd_field_derivs(params, pilots, sched, geom, cfg):
 def test_model_derivatives_match_finite_differences(setup20):
     """Every analytic channel derivative agrees with central differences."""
     s = setup20
-    analytic = bnd.model_field_derivs(s.true, s.pilots, s.sched, s.geom,
-                                      s.cfg)
-    numeric = _fd_field_derivs(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    analytic = bnd.model_field_derivs(s.true, s.setup)
+    numeric = _fd_field_derivs(s.true, s.setup)
     for u in range(analytic.shape[0]):
         scale = np.linalg.norm(analytic[u])
         assert np.linalg.norm(analytic[u] - numeric[u]) < FD_TOL * scale, \
@@ -47,7 +47,7 @@ def test_model_derivatives_match_finite_differences(setup20):
 
 def test_fim_symmetric_psd(setup20):
     s = setup20
-    j = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    j = bnd.fim_channel(s.true, s.setup)
     assert np.max(np.abs(j - j.T)) < 1e-10 * np.max(np.abs(j))
     d = np.sqrt(np.diag(j))
     eigs = np.linalg.eigvalsh(j / np.outer(d, d))
@@ -58,8 +58,8 @@ def test_fim_power_linearity(setup20, default_exp):
     s = setup20
     cfg10 = default_exp.system(10.0)
     pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, pil10, s.sched, s.geom, cfg10)
-    j20 = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    j20 = bnd.fim_channel(s.true, s.setup)
     assert np.max(np.abs(j20 - 10 * j10)) < 1e-9 * np.max(np.abs(j20))
 
 
@@ -107,7 +107,7 @@ def test_transformation_matches_finite_differences(setup20):
 
 def test_position_bounds_finite_and_positive(setup20):
     s = setup20
-    j = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    j = bnd.fim_channel(s.true, s.setup)
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
     rep = bnd.position_bounds(j, t_mat)
@@ -123,8 +123,8 @@ def test_peb_power_scaling(setup20, default_exp):
                                       s.geom.bs)
     cfg10 = default_exp.system(10.0)
     pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, pil10, s.sched, s.geom, cfg10)
-    j20 = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    j20 = bnd.fim_channel(s.true, s.setup)
     r10 = bnd.position_bounds(j10, t_mat)
     r20 = bnd.position_bounds(j20, t_mat)
     assert abs(r10.peb / r20.peb - np.sqrt(10.0)) < 1e-8 * np.sqrt(10.0)
@@ -146,7 +146,7 @@ def test_scatterer_permutation_invariance(default_exp):
     reps = []
     for geom, gorder in ((g1, gains), (g2, gains[[0, 2, 1]])):
         true = gm.true_channel_params(geom, gorder)
-        j = bnd.fim_channel(true, pilots, sched, geom, cfg)
+        j = bnd.fim_channel(true, ch.Setup(geom, cfg, pilots, sched))
         t_mat = bnd.transformation_matrix(_true_pos(geom, gorder), geom.ris,
                                           geom.bs)
         reps.append(bnd.position_bounds(j, t_mat))
@@ -163,8 +163,8 @@ def test_information_monotone_in_slots(setup20):
     import dataclasses
     cfg2 = dataclasses.replace(s.cfg, t_total=2 * s.cfg.t_total)
     pilots2 = np.concatenate([s.pilots, s.pilots], axis=1)
-    j1 = bnd.fim_channel(s.true, s.pilots, s.sched, s.geom, s.cfg)
-    j2 = bnd.fim_channel(s.true, pilots2, sched2, s.geom, cfg2)
+    j1 = bnd.fim_channel(s.true, s.setup)
+    j2 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg2, pilots2, sched2))
     assert np.max(np.abs(j2 - 2 * j1)) < 1e-9 * np.max(np.abs(j2))
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)

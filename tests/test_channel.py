@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import build_channel, build_channel_cascade
+from oracles import build_channel, build_channel_cascade, ris_index_join
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.errors import DimensionMismatch, ScheduleInfeasible
@@ -77,9 +77,8 @@ def test_synthesize_zero_gain_zero_noise(setup20):
     s = setup20
     silent = s.true.copy()
     silent.gains[:] = 0.0
-    rx = ch.synthesize_rx(s.cfg, s.geom, silent, s.sched, s.pilots,
-                          noiseless=True)
-    assert np.all(rx.y == 0.0)
+    rx = ch.synthesize_rx(s.setup, silent, noiseless=True)
+    assert np.all(rx == 0.0)
 
 
 def test_noise_only_variance(setup20):
@@ -89,9 +88,8 @@ def test_noise_only_variance(setup20):
     silent.gains[:] = 0.0
     samples = []
     for seed in range(4):
-        rx = ch.synthesize_rx(s.cfg, s.geom, silent, s.sched, s.pilots,
-                              noise_seed=seed)
-        samples.append(rx.y.ravel())
+        rx = ch.synthesize_rx(s.setup, silent, noise_seed=seed)
+        samples.append(rx.ravel())
     z = np.concatenate(samples)
     assert z.size >= 1e5
     var = np.mean(np.abs(z) ** 2)
@@ -100,19 +98,18 @@ def test_noise_only_variance(setup20):
 
 def test_synthesize_deterministic(setup20):
     s = setup20
-    rx1 = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots, 11)
-    rx2 = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots, 11)
-    assert np.array_equal(rx1.y, rx2.y)
+    rx1 = ch.synthesize_rx(s.setup, s.true, 11)
+    rx2 = ch.synthesize_rx(s.setup, s.true, 11)
+    assert np.array_equal(rx1, rx2)
 
 
 def test_synthesize_is_bs_steering_times_model_field(setup20):
     """The noiseless tensor is exactly a_B (x) the one forward model."""
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
-                          noiseless=True)
-    field = ch.model_field(s.true, s.pilots, s.sched, s.geom, s.cfg)
+    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    field = ch.model_field(s.true, s.setup)
     a_b = ch.bs_steering(s.geom, s.true.theta_r0)
-    assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx.y)
+    assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
 
 
 def test_energy_bookkeeping(setup20):
@@ -120,14 +117,13 @@ def test_energy_bookkeeping(setup20):
     s = setup20
     params = s.true.copy()
     params.gains[:] = 1.0
-    rx = ch.synthesize_rx(s.cfg, s.geom, params, s.sched, s.pilots,
-                          noiseless=True)
+    rx = ch.synthesize_rx(s.setup, params, noiseless=True)
     for t in (0, 16, 36):
         for n in (1, 10, 20):
             h = build_channel(s.cfg, s.geom, params,
                               s.sched.slot_phases[t], n)
             ref = h @ s.pilots[:, t]
-            got = rx.y[:, t, n - 1]
+            got = rx[:, t, n - 1]
             assert abs(np.linalg.norm(got) ** 2 - np.linalg.norm(ref) ** 2) \
                 < 1e-10 * np.linalg.norm(ref) ** 2
 
@@ -147,9 +143,9 @@ def test_narrowband_single_steering_eval(setup20, monkeypatch):
     counts = []
     for n_sub in (10, 40):
         cfg = ch.SystemConfig(n_subcarriers=n_sub)
+        setup = ch.Setup(s.geom, cfg, s.pilots, s.sched)
         calls["n"] = 0
-        ch.synthesize_rx(cfg, s.geom, s.true, s.sched, s.pilots,
-                         noiseless=True)
+        ch.synthesize_rx(setup, s.true, noiseless=True)
         counts.append(calls["n"])
     assert counts[0] == counts[1]
 
@@ -258,18 +254,14 @@ def test_dictionary_grids(setup20):
     # 1-based Kronecker index round trip
     for k in range(1, ris.size + 1):
         k_el, k_az = ch.ris_index_split(k, s.cfg.g_ris_az)
-        assert ch.ris_index_join(k_el, k_az, s.cfg.g_ris_az) == k
+        assert ris_index_join(k_el, k_az, s.cfg.g_ris_az) == k
     lam = s.geom.wavelength
     col1 = gm.steer_upa(-s.geom.d_ris_az / lam, -s.geom.d_ris_el / lam,
                         s.geom.n_ris_az, s.geom.n_ris_el)
     assert np.max(np.abs(ris.matrix[:, 0] - col1)) < 1e-12
 
 
-def test_rx_pilot_cube(setup20):
+def test_setup_rejects_pilot_shape(setup20):
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots, 0)
-    cube = rx.pilot_cube
-    assert cube.shape == (s.geom.n_ms, s.cfg.t_total, s.cfg.n_subcarriers)
-    assert np.array_equal(cube[:, :, 0], s.pilots)
     with pytest.raises(DimensionMismatch):
-        ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots[:, :5], 0)
+        ch.Setup(s.geom, s.cfg, s.pilots[:, :5], s.sched)

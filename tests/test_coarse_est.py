@@ -59,18 +59,17 @@ def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
     cfg = ch.SystemConfig(**{**cfg.__dict__, "p_tx": ch.dbm_to_watt(p_dbm)})
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
-    known = (true.theta_r0, true.phi_out0, true.psi_out0)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
-    dicts = ch.build_dictionaries(cfg, geom)
-    rx = ch.synthesize_rx(cfg, geom, true, sched, pilots, noise_seed=seed,
-                          noiseless=noiseless)
-    return geom, cfg, true, known, sched, pilots, dicts, rx
+    setup = ch.Setup(geom, cfg, pilots, sched)
+    rx = ch.synthesize_rx(setup, true, noise_seed=seed, noiseless=noiseless)
+    return true, setup, rx
 
 
 def test_aod_coarse_ongrid_exact(ongrid):
-    geom, cfg, true, known, sched, pilots, (a_m, _), rx = _ongrid_setup(ongrid)
-    theta_hat, somp = ce.estimate_aod_coarse(rx, pilots, a_m, cfg, 2)
+    true, setup, rx = _ongrid_setup(ongrid)
+    a_m = setup.a_m_dict
+    theta_hat, somp = ce.estimate_aod_coarse(rx, setup)
     expect = {int(np.argmin(np.abs(a_m.grid - np.sin(t))))
               for t in true.theta_t}
     assert set(somp.support) == expect
@@ -81,9 +80,8 @@ def test_aod_coarse_ongrid_exact(ongrid):
 def test_aod_coarse_offgrid_half_cell(setup20):
     """Off-grid truth recovered to within half a grid cell in sin space."""
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
-                          noiseless=True)
-    theta_hat, _ = ce.estimate_aod_coarse(rx, s.pilots, s.a_m_dict, s.cfg, 2)
+    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    theta_hat, _ = ce.estimate_aod_coarse(rx, s.setup)
     from rispos.harness import associate_paths
     perm = associate_paths(theta_hat, s.true.theta_t)
     gap = np.abs(np.sin(theta_hat[perm]) - np.sin(s.true.theta_t))
@@ -92,11 +90,9 @@ def test_aod_coarse_offgrid_half_cell(setup20):
 
 def test_refine_aod_mle_improves(setup20):
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
-                          noiseless=True)
-    theta_grid, _ = ce.estimate_aod_coarse(rx, s.pilots, s.a_m_dict, s.cfg, 2)
-    refined, _ = ce.refine_aod_mle(rx, s.pilots, s.geom, s.cfg,
-                                   s.true.theta_r0, theta_grid)
+    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    theta_grid, _ = ce.estimate_aod_coarse(rx, s.setup)
+    refined, _ = ce.refine_aod_mle(rx, s.setup, theta_grid)
     from rispos.harness import associate_paths
     perm_c = associate_paths(theta_grid, s.true.theta_t)
     perm_r = associate_paths(refined, s.true.theta_t)
@@ -107,10 +103,8 @@ def test_refine_aod_mle_improves(setup20):
 
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
-                          noiseless=True)
-    refined, obj = ce.refine_aod_mle(rx, s.pilots, s.geom, s.cfg,
-                                     s.true.theta_r0, s.true.theta_t.copy())
+    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    refined, obj = ce.refine_aod_mle(rx, s.setup, s.true.theta_t.copy())
     assert np.max(np.abs(np.sin(refined) - np.sin(s.true.theta_t))) < 1e-9
     # objective change from the truth is negligible
     t1 = ce._concentrated_aod_objective(s.true.theta_t, *_aod_mats(s, rx),
@@ -124,7 +118,7 @@ def _aod_mats(s, rx):
     c_mat = x1 @ x1.conj().T
     s_mat = np.zeros((s.geom.n_ms, s.geom.n_ms), dtype=complex)
     for n in range(s.cfg.n_subcarriers):
-        b_n = (rx.y[:, :s.cfg.t1, n] @ x1.conj().T).conj().T @ a_b
+        b_n = (rx[:, :s.cfg.t1, n] @ x1.conj().T).conj().T @ a_b
         s_mat += np.outer(b_n, b_n.conj()) / s.geom.n_bs
     return s_mat, c_mat
 
@@ -170,9 +164,9 @@ def test_aod_objective_matches_raw_form(setup20):
     rng = np.random.default_rng(9)
     y = rng.standard_normal((s.geom.n_bs, s.cfg.t1, s.cfg.n_subcarriers)) \
         + 1j * rng.standard_normal((s.geom.n_bs, s.cfg.t1, s.cfg.n_subcarriers))
-    rx = ch.RxSignal(y=np.concatenate(
+    rx = np.concatenate(
         [y, np.zeros((s.geom.n_bs, s.cfg.t_total - s.cfg.t1,
-                      s.cfg.n_subcarriers))], axis=1), pilots=s.pilots)
+                      s.cfg.n_subcarriers))], axis=1)
     theta = np.array([0.2, -0.45])
     s_mat, c_mat = _aod_mats(s, rx)
     simplified = ce._concentrated_aod_objective(theta, s_mat, c_mat, s.geom)
@@ -199,10 +193,9 @@ def test_aod_objective_matches_raw_form(setup20):
 
 
 def test_ris_aoa_ongrid_exact(ongrid):
-    geom, cfg, true, known, sched, pilots, (a_m, ris_dict), rx = \
-        _ongrid_setup(ongrid)
-    aoa = ce.estimate_ris_aoa(rx, pilots, sched, geom, cfg, true.theta_t,
-                              known, ris_dict)
+    true, setup, rx = _ongrid_setup(ongrid)
+    cfg = setup.cfg
+    aoa = ce.estimate_ris_aoa(rx, setup, true.theta_t)
     assert_allclose(np.sort(aoa.phi_in), np.sort(true.phi_in), atol=1e-12)
     assert_allclose(np.sort(aoa.psi_in), np.sort(true.psi_in), atol=1e-12)
     # hybrid gains match the planted delay ramp
@@ -225,10 +218,8 @@ def test_ris_aoa_zero_difference(setup20):
         theta_t=s.true.theta_t[:1], phi_in=[phi_in], psi_in=[psi_in],
         theta_r0=s.true.theta_r0, phi_out0=s.true.phi_out0,
         psi_out0=s.true.psi_out0)
-    rx = ch.synthesize_rx(s.cfg, s.geom, params, s.sched, s.pilots,
-                          noiseless=True)
-    aoa = ce.estimate_ris_aoa(rx, s.pilots, s.sched, s.geom, s.cfg,
-                              params.theta_t, s.known, s.ris_dict)
+    rx = ch.synthesize_rx(s.setup, params, noiseless=True)
+    aoa = ce.estimate_ris_aoa(rx, s.setup, params.theta_t)
     assert aoa.cos_diff[0] == pytest.approx(0.0, abs=1e-15)
     assert aoa.sinsin_diff[0] == pytest.approx(0.0, abs=1e-15)
     assert aoa.phi_in[0] == pytest.approx(phi_in, abs=1e-12)
@@ -292,11 +283,9 @@ def test_estimate_toa_out_of_range():
 def test_refine_aod_colliding_angles_rejected(setup20):
     """Duplicate departure angles make the concentration singular."""
     s = setup20
-    rx = ch.synthesize_rx(s.cfg, s.geom, s.true, s.sched, s.pilots,
-                          noiseless=True)
+    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
     with pytest.raises(SingularConcentration):
-        ce.refine_aod_mle(rx, s.pilots, s.geom, s.cfg, s.true.theta_r0,
-                          np.array([0.3, 0.3]))
+        ce.refine_aod_mle(rx, s.setup, np.array([0.3, 0.3]))
 
 
 def test_ris_aoa_block_too_short(setup20):
@@ -305,10 +294,10 @@ def test_ris_aoa_block_too_short(setup20):
     import dataclasses
     cfg = dataclasses.replace(s.cfg, t1=34, n_blocks=3, v_slots=1)
     sched = ch.make_phase_schedule(cfg, s.geom.n_ris, 7)
-    rx = ch.synthesize_rx(cfg, s.geom, s.true, sched, s.pilots, 0)
+    setup = ch.Setup(s.geom, cfg, s.pilots, sched)
+    rx = ch.synthesize_rx(setup, s.true, 0)
     with pytest.raises(RankDeficient):
-        ce.estimate_ris_aoa(rx, s.pilots, sched, s.geom, cfg,
-                            s.true.theta_t, s.known, s.ris_dict)
+        ce.estimate_ris_aoa(rx, setup, s.true.theta_t)
 
 
 def test_associate_paths_convention():
@@ -320,9 +309,8 @@ def test_associate_paths_convention():
 
 def test_run_coarse_ongrid_end_to_end(ongrid):
     """Noiseless on-grid scenario: every parameter at grid resolution."""
-    geom, cfg, true, known, sched, pilots, (a_m, ris_dict), rx = \
-        _ongrid_setup(ongrid)
-    out = ce.run_coarse(rx, pilots, sched, geom, cfg, 2, known, a_m, ris_dict)
+    true, setup, rx = _ongrid_setup(ongrid)
+    out = ce.run_coarse(rx, setup)
     assert not out.flags["class_ambiguous"]
     est = out.params
     assert_allclose(est.theta_t, true.theta_t, atol=1e-9)

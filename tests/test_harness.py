@@ -218,3 +218,12 @@ def test_cli_simulate(tmp_path):
     assert (out / "sweep_summary.csv").exists()
     assert (out / "plots.gp").exists()
     assert len(list(out.glob("fig_*.csv"))) == 8
+
+
+def test_cli_override_is_validated(tmp_path, capsys):
+    """A command-line override goes through the same checks as a config."""
+    out = tmp_path / "zero"
+    assert cli.main(["sweep", "--trials", "0", "--powers", "20",
+                     "--out", str(out)]) == 2
+    assert "n_trials" in capsys.readouterr().err
+    assert not out.exists()

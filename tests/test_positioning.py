@@ -141,7 +141,7 @@ def test_lm_descent_contract(default_geom, setup20):
     s = setup20
     rng = np.random.default_rng(9)
     params = _true_params(default_geom, s.gains)
-    j_eta = bnd.fim_channel(params, s.pilots, s.sched, default_geom, s.cfg)
+    j_eta = bnd.fim_channel(params, s.setup)
     noisy_vec = params.to_vector() + np.tile(
         [1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2) * rng.standard_normal(12)
     eta_hat = ChannelParams.from_vector(noisy_vec, params.theta_r0,

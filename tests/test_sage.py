@@ -17,7 +17,7 @@ def _loglik_reference(params, rx, pilots, sched, geom, cfg):
     """||Y||^2 - ||Y - model||^2 with the model built channel-by-channel."""
     total = 0.0
     for n in range(1, cfg.n_subcarriers + 1):
-        y_n = rx.y[:, :, n - 1]
+        y_n = rx[:, :, n - 1]
         mu = np.column_stack([
             build_channel(cfg, geom, params, sched.slot_phases[t], n)
             @ pilots[:, t] for t in range(cfg.t_total)])
@@ -47,10 +47,8 @@ def test_loglik_matches_residual_form(setup20):
     for _ in range(5):
         params = _random_params(s, rng)
         y = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        rx = ch.RxSignal(y=y, pilots=s.pilots)
-        lam = sg.global_log_likelihood(params, rx, s.pilots, s.sched,
-                                       s.geom, s.cfg)
-        ref = _loglik_reference(params, rx, s.pilots, s.sched, s.geom, s.cfg)
+        lam = sg.global_log_likelihood(params, y, s.setup)
+        ref = _loglik_reference(params, y, s.pilots, s.sched, s.geom, s.cfg)
         assert abs(lam - ref) < 1e-8 * max(abs(ref), 1e-30)
 
 
@@ -58,15 +56,13 @@ def test_loglik_zero_gain(setup20):
     s = setup20
     silent = s.true.copy()
     silent.gains[:] = 0.0
-    lam = sg.global_log_likelihood(silent, s.rx_noisy, s.pilots, s.sched,
-                                   s.geom, s.cfg)
+    lam = sg.global_log_likelihood(silent, s.rx_noisy, s.setup)
     assert lam == 0.0
 
 
 def test_loglik_local_optimality_at_truth(setup20):
     s = setup20
-    lam0 = sg.global_log_likelihood(s.true, s.rx_clean, s.pilots, s.sched,
-                                    s.geom, s.cfg)
+    lam0 = sg.global_log_likelihood(s.true, s.rx_clean, s.setup)
     rng = np.random.default_rng(1)
     vec0 = s.true.to_vector()
     scales = np.tile([1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2)
@@ -74,8 +70,7 @@ def test_loglik_local_optimality_at_truth(setup20):
         vec = vec0 + scales * rng.standard_normal(vec0.size)
         pert = ChannelParams.from_vector(vec, s.true.theta_r0,
                                          s.true.phi_out0, s.true.psi_out0)
-        lam = sg.global_log_likelihood(pert, s.rx_clean, s.pilots, s.sched,
-                                       s.geom, s.cfg)
+        lam = sg.global_log_likelihood(pert, s.rx_clean, s.setup)
         assert lam <= lam0 + 1e-10 * abs(lam0)
 
 
@@ -86,11 +81,9 @@ def test_reconstruct_single_path_identity(setup20):
         theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
         psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
         phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
-    rx = ch.synthesize_rx(s.cfg, s.geom, single, s.sched, s.pilots,
-                          noise_seed=5)
-    y_0 = reconstruct_complete_data(rx, single, 0, s.pilots, s.sched,
-                                    s.geom, s.cfg)
-    assert np.array_equal(y_0, rx.y)
+    rx = ch.synthesize_rx(s.setup, single, noise_seed=5)
+    y_0 = reconstruct_complete_data(rx, single, 0, s.setup)
+    assert np.array_equal(y_0, rx)
 
 
 def test_reconstruct_recovers_planted_path(setup20):
@@ -99,42 +92,36 @@ def test_reconstruct_recovers_planted_path(setup20):
         only_q = s.true.copy()
         only_q.gains = s.true.gains.copy()
         only_q.gains[1 - q] = 0.0
-        planted = ch.synthesize_rx(s.cfg, s.geom, only_q, s.sched, s.pilots,
-                                   noiseless=True)
-        y_q = reconstruct_complete_data(s.rx_clean, s.true, q, s.pilots,
-                                        s.sched, s.geom, s.cfg)
-        scale = np.max(np.abs(planted.y))
-        assert np.max(np.abs(y_q - planted.y)) < 1e-10 * scale
+        planted = ch.synthesize_rx(s.setup, only_q, noiseless=True)
+        y_q = reconstruct_complete_data(s.rx_clean, s.true, q, s.setup)
+        scale = np.max(np.abs(planted))
+        assert np.max(np.abs(y_q - planted)) < 1e-10 * scale
 
 
 def test_reconstruct_sum_identity(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
-                          s.known)
+    prob = sg.SageProblem(s.rx_noisy, s.setup)
     y_0 = prob.complete_data(s.true, 0)
     others = s.true.copy()
     others.gains[0] = 0.0
-    interference = prob.a_b[:, None, None] * ch.model_field(
-        others, s.pilots, s.sched, s.geom, s.cfg)
-    scale = np.max(np.abs(s.rx_noisy.y))
-    assert np.max(np.abs(y_0 + interference - s.rx_noisy.y)) < 1e-15 * scale
+    interference = prob.a_b[:, None, None] * ch.model_field(others, s.setup)
+    scale = np.max(np.abs(s.rx_noisy))
+    assert np.max(np.abs(y_0 + interference - s.rx_noisy)) < 1e-15 * scale
 
 
 def _planted_single(s, seed=None):
     only = s.true.copy()
     only.gains = s.true.gains.copy()
     only.gains[1] = 0.0
-    rx = ch.synthesize_rx(s.cfg, s.geom, only, s.sched, s.pilots,
-                          noiseless=True)
+    rx = ch.synthesize_rx(s.setup, only, noiseless=True)
     return only, rx
 
 
 def test_gain_closed_form_recovers_planted(setup20):
     s = setup20
     only, rx = _planted_single(s)
-    d_hat = gain_closed_form(rx.y, only.tau[0], only.theta_t[0],
-                             only.phi_in[0], only.psi_in[0], rx, s.pilots,
-                             s.sched, s.geom, s.cfg, s.known)
+    d_hat = gain_closed_form(rx, only.tau[0], only.theta_t[0],
+                             only.phi_in[0], only.psi_in[0], s.setup)
     assert abs(d_hat - only.gains[0]) < 1e-10 * abs(only.gains[0])
 
 
@@ -142,10 +129,10 @@ def test_gain_closed_form_linearity(setup20):
     s = setup20
     only, rx = _planted_single(s)
     args = (only.tau[0], only.theta_t[0], only.phi_in[0], only.psi_in[0],
-            rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    d1 = gain_closed_form(rx.y, *args)
+            s.setup)
+    d1 = gain_closed_form(rx, *args)
     c = 0.7 - 2.3j
-    d2 = gain_closed_form(c * rx.y, *args)
+    d2 = gain_closed_form(c * rx, *args)
     assert abs(d2 - c * d1) < 1e-14 * abs(d1)
 
 
@@ -157,10 +144,8 @@ def test_gain_trace_form_identity(setup20):
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     params = _random_params(s, rng)
     q = 0
-    rx = ch.RxSignal(y=y_q, pilots=s.pilots)
     d_vec = gain_closed_form(y_q, params.tau[q], params.theta_t[q],
-                             params.phi_in[q], params.psi_in[q], rx,
-                             s.pilots, s.sched, s.geom, s.cfg, s.known)
+                             params.phi_in[q], params.psi_in[q], s.setup)
 
     a_b = ch.bs_steering(s.geom, s.known[0])
     a_m = ch.ms_steering(s.geom, params.theta_t[q])
@@ -182,29 +167,26 @@ def test_gain_trace_form_identity(setup20):
 def test_objective_dominance_at_truth(setup20):
     s = setup20
     only, rx = _planted_single(s)
-    args_ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    f_true = single_path_objective(rx.y, only.tau[0], only.theta_t[0],
-                                   only.phi_in[0], only.psi_in[0],
-                                   *args_ctx)
+    f_true = single_path_objective(rx, only.tau[0], only.theta_t[0],
+                                   only.phi_in[0], only.psi_in[0], s.setup)
     rng = np.random.default_rng(3)
     for _ in range(100):
         tau = rng.uniform(0.05, 0.9) * s.cfg.n_subcarriers / s.cfg.bandwidth
         th = rng.uniform(-1.2, 1.2)
         ph = rng.uniform(0.3, 2.8)
         ps = rng.uniform(np.pi / 2, 1.5 * np.pi)
-        f = single_path_objective(rx.y, tau, th, ph, ps, *args_ctx)
+        f = single_path_objective(rx, tau, th, ph, ps, s.setup)
         assert f <= f_true * (1 + 1e-12)
 
 
 def test_objective_phase_invariance(setup20):
     s = setup20
     only, rx = _planted_single(s)
-    args_ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
-    f1 = single_path_objective(rx.y, only.tau[0], only.theta_t[0],
-                               only.phi_in[0], only.psi_in[0], *args_ctx)
-    f2 = single_path_objective(np.exp(1.1j) * rx.y, only.tau[0],
+    f1 = single_path_objective(rx, only.tau[0], only.theta_t[0],
+                               only.phi_in[0], only.psi_in[0], s.setup)
+    f2 = single_path_objective(np.exp(1.1j) * rx, only.tau[0],
                                only.theta_t[0], only.phi_in[0],
-                               only.psi_in[0], *args_ctx)
+                               only.psi_in[0], s.setup)
     assert abs(f1 - f2) < 1e-12 * abs(f1)
 
 
@@ -217,10 +199,8 @@ def test_concentrated_equals_substituted_likelihood(setup20):
         y_q = 1e-5 * (rng.standard_normal(shape)
                       + 1j * rng.standard_normal(shape))
         params = _random_params(s, rng)
-        rx = ch.RxSignal(y=y_q, pilots=s.pilots)
         args = (params.tau[0], params.theta_t[0], params.phi_in[0],
-                params.psi_in[0], rx, s.pilots, s.sched, s.geom, s.cfg,
-                s.known)
+                params.psi_in[0], s.setup)
         f_val = single_path_objective(y_q, *args)
         delta = gain_closed_form(y_q, *args)
         single = ChannelParams(
@@ -228,8 +208,7 @@ def test_concentrated_equals_substituted_likelihood(setup20):
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
             psi_in=params.psi_in[:1], theta_r0=s.known[0],
             phi_out0=s.known[1], psi_out0=s.known[2])
-        l_val = sg.global_log_likelihood(single, rx, s.pilots, s.sched,
-                                         s.geom, s.cfg)
+        l_val = sg.global_log_likelihood(single, y_q, s.setup)
         assert abs(l_val - f_val) < 1e-8 * max(abs(f_val), 1e-30)
 
 
@@ -240,8 +219,7 @@ def test_gain_stationarity(setup20):
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     params = _random_params(s, rng)
-    rx = ch.RxSignal(y=y_q, pilots=s.pilots)
-    prob = sg.SageProblem(rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
+    prob = sg.SageProblem(y_q, s.setup)
     r = prob.derotated(ch.beamform(prob.a_b, y_q), params.tau[0])
     u = (prob.slot_sigma(params.phi_in[0], params.psi_in[0])
          * prob.slot_proj(params.theta_t[0]))
@@ -257,11 +235,10 @@ def test_batched_objective_matches_scalar_oracle(setup20):
     rng = np.random.default_rng(7)
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    rx = ch.RxSignal(y=y_q, pilots=s.pilots)
     params = _random_params(s, rng)
     tau, th, ph, ps = (params.tau[0], params.theta_t[0], params.phi_in[0],
                        params.psi_in[0])
-    prob = sg.SageProblem(rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
+    prob = sg.SageProblem(y_q, s.setup)
     pa = ch.beamform(prob.a_b, y_q)
     r = prob.derotated(pa, tau)
     sigma, proj = prob.slot_sigma(ph, ps), prob.slot_proj(th)
@@ -282,10 +259,9 @@ def test_batched_objective_matches_scalar_oracle(setup20):
                                   * proj),
                    [(tau, th, ph, p) for p in pss]),
     }
-    ctx = (rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
     for name, (batch, points) in batches.items():
         assert batch.shape == (n,), name
-        ref = np.array([single_path_objective(y_q, *pt, *ctx)
+        ref = np.array([single_path_objective(y_q, *pt, s.setup)
                         for pt in points])
         assert np.max(np.abs(batch - ref) / ref) < 1e-12, name
 
@@ -293,9 +269,8 @@ def test_batched_objective_matches_scalar_oracle(setup20):
 def test_batched_objective_zero_denominator_never_wins(setup20):
     """A candidate whose slot factor vanishes scores 0 instead of raising."""
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
-                          s.known)
-    r = prob.derotated(ch.beamform(prob.a_b, s.rx_noisy.y), s.true.tau[0])
+    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    r = prob.derotated(ch.beamform(prob.a_b, s.rx_noisy), s.true.tau[0])
     u = np.stack([prob.slot_sigma(s.true.phi_in[0], s.true.psi_in[0])
                   * prob.slot_proj(s.true.theta_t[0]),
                   np.zeros(s.cfg.t_total)])
@@ -307,21 +282,17 @@ def test_batched_objective_zero_denominator_never_wins(setup20):
 
 def test_objective_zero_denominator(setup20):
     s = setup20
-    rx = ch.RxSignal(y=s.rx_noisy.y, pilots=np.zeros_like(s.pilots))
+    silent = ch.Setup(s.geom, s.cfg, np.zeros_like(s.pilots), s.sched)
     with pytest.raises(sg.ZeroDenominator):
-        single_path_objective(rx.y, s.true.tau[0], s.true.theta_t[0],
-                              s.true.phi_in[0], s.true.psi_in[0], rx,
-                              np.zeros_like(s.pilots), s.sched, s.geom,
-                              s.cfg, s.known)
+        single_path_objective(s.rx_noisy, s.true.tau[0], s.true.theta_t[0],
+                              s.true.phi_in[0], s.true.psi_in[0], silent)
 
 
 def test_coordinate_cycle_fixed_point(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_clean, s.pilots, s.sched, s.geom, s.cfg,
-                          s.known)
+    prob = sg.SageProblem(s.rx_clean, s.setup)
     params = s.true.copy()
-    opts = sg.SageOptions()
-    trace = sg.coordinate_update_cycle(prob, params, 0, opts)
+    trace = sg.coordinate_update_cycle(prob, params, 0)
     assert abs(params.tau[0] - s.true.tau[0]) \
         < 1e-6 / s.cfg.bandwidth
     assert abs(params.theta_t[0] - s.true.theta_t[0]) < 1e-6
@@ -334,11 +305,10 @@ def test_coordinate_cycle_fixed_point(setup20):
 
 def test_coordinate_cycle_ascent_any_input(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
-                          s.known)
+    prob = sg.SageProblem(s.rx_noisy, s.setup)
     rng = np.random.default_rng(6)
     params = _random_params(s, rng)
-    trace = sg.coordinate_update_cycle(prob, params, 1, sg.SageOptions())
+    trace = sg.coordinate_update_cycle(prob, params, 1)
     vals = list(trace.values())
     assert np.all(np.diff(vals) >= -1e-9 * max(abs(vals[0]), 1e-30))
     assert sg.UPDATE_ORDER == ("tau", "theta_t", "phi_in", "psi_in", "delta")
@@ -349,14 +319,12 @@ def test_run_sage_noiseless_ongrid(ongrid):
     geom, cfg = ongrid.geom, ongrid.cfg
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
-    known = (true.theta_r0, true.phi_out0, true.psi_out0)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
-    a_m, ris_dict = ch.build_dictionaries(cfg, geom)
-    rx = ch.synthesize_rx(cfg, geom, true, sched, pilots, noiseless=True)
-    coarse = ce.run_coarse(rx, pilots, sched, geom, cfg, 2, known, a_m,
-                           ris_dict)
-    refined, info = sg.run_sage(rx, pilots, sched, geom, cfg, coarse.params)
+    setup = ch.Setup(geom, cfg, pilots, sched)
+    rx = ch.synthesize_rx(setup, true, noiseless=True)
+    coarse = ce.run_coarse(rx, setup)
+    refined, info = sg.run_sage(rx, setup, coarse.params)
     assert info.monotone_ok
     assert np.max(np.abs(refined.theta_t - true.theta_t)) < 1e-6
     assert np.max(np.abs(refined.phi_in - true.phi_in)) < 1e-6
@@ -368,11 +336,8 @@ def test_run_sage_noiseless_ongrid(ongrid):
 
 def test_run_sage_monotone_noisy(setup20):
     s = setup20
-    a_m, ris_dict = s.a_m_dict, s.ris_dict
-    coarse = ce.run_coarse(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg, 2,
-                           s.known, a_m, ris_dict)
-    refined, info = sg.run_sage(s.rx_noisy, s.pilots, s.sched, s.geom, s.cfg,
-                                coarse.params)
+    coarse = ce.run_coarse(s.rx_noisy, s.setup)
+    refined, info = sg.run_sage(s.rx_noisy, s.setup, coarse.params)
     assert info.monotone_ok
     hist = np.asarray(info.loglik_history)
     assert np.all(np.diff(hist) >= -1e-8 * np.abs(hist[:-1]))
@@ -386,17 +351,14 @@ def test_run_sage_single_path_reduction(setup20):
         theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
         psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
         phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
-    rx = ch.synthesize_rx(s.cfg, s.geom, single, s.sched, s.pilots,
-                          noise_seed=9)
+    rx = ch.synthesize_rx(s.setup, single, noise_seed=9)
     init = single.copy()
     init.tau[0] += 3e-9
     init.theta_t[0] += 0.01
-    opts = sg.SageOptions(max_cycles=1)
-    refined, _ = sg.run_sage(rx, s.pilots, s.sched, s.geom, s.cfg, init,
-                             opts)
-    prob = sg.SageProblem(rx, s.pilots, s.sched, s.geom, s.cfg, s.known)
+    refined, _ = sg.run_sage(rx, s.setup, init, max_cycles=1)
+    prob = sg.SageProblem(rx, s.setup)
     manual = init.copy()
-    sg.coordinate_update_cycle(prob, manual, 0, sg.SageOptions())
+    sg.coordinate_update_cycle(prob, manual, 0)
     assert_allclose(refined.to_vector(), manual.to_vector(), rtol=0,
                     atol=1e-30)
 

@@ -1,0 +1,31 @@
+"""The benchmark's per-layer view: every traced span and counter is reached.
+
+``perfbench/spans.py`` wraps the package's functions by module attribute.
+A renamed function, or a caller that bypasses the module attribute,
+leaves its span or counter at zero without any error; this test fails
+instead.
+"""
+
+import importlib
+from pathlib import Path
+
+from rispos import harness as hn
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_sweep_reaches_every_span_and_counter(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = hn.run_sweep(hn.ExperimentConfig(n_trials=1,
+                                                  powers_dbm=[20.0]))
+    finally:
+        tracer.close()
+    assert report.records[0][0].error is None
+    assert tracer.missing == []
+    traced = {span[0] for span in tracer.spans}
+    assert [n for n in spans.SELF_TIME_SPANS if n not in traced] == []
+    assert [n for n in spans.PER_TRIAL_COUNTS if tracer.counts[n] <= 0] == []
