@@ -4,9 +4,10 @@ The channel FIM uses the closed-form derivatives of the noiseless field
 ``channel.model_field`` with respect to each per-path parameter, built
 from the same per-path factors (``channel.path_factors``); the
 position-domain FIM follows by congruence with the geometric Jacobian.
-Known RIS-BS leg angles are constants, not information-bearing rows.
-The channel FIM takes the parameters and the per-power ``channel.Setup``
-(pilots, schedule, geometry and the noise power of its system).
+Known RIS-BS leg angles are constants, not information-bearing rows;
+they come from ``setup.known_angles``. The channel FIM takes the
+parameters and the per-power ``channel.Setup`` (pilots, schedule,
+geometry, the RIS-BS leg and the noise power of its system).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def model_field_derivs(params: ChannelParams, setup: Setup) -> np.ndarray:
                               params.psi_in)
     sigma, proj, ramp = path_factors(params, setup)
     a_m = ms_steering(geom, theta)
-    a_r = ris_diff_steering(geom, phi, psi, params.phi_out0, params.psi_out0)
+    a_r = ris_diff_steering(geom, phi, psi, *setup.known_angles[1:])
     k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
     k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)[:, None]
     n_sub = np.arange(cfg.n_subcarriers)[:, None]
@@ -135,9 +136,6 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
     m_off = 2 * n_paths           # row offset of the MS coordinates
     a_off = m_off + 3             # row of alpha
 
-    def s_off(qq: int) -> int:    # row offset of scatterer q (1-based)
-        return a_off + 1 + 3 * (qq - 1)
-
     c = SPEED_OF_LIGHT
     for q in range(n_paths):
         col = 6 * q
@@ -145,27 +143,23 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
         t_mat[2 * q, col + 1] = 1.0
         t_mat[2 * q + 1, col + 2] = 1.0
 
-        if q == 0:
-            u, h = _unit_diff(pos.ms, ris, "MS-RIS")
-            t_mat[m_off:m_off + 3, col + 0] = u / (c * h)
-            d_t, d_m, d_a = _dtheta_dpoint(ris, pos.ms, pos.alpha)
-            t_mat[m_off:m_off + 3, col + 3] = d_m
-            t_mat[a_off, col + 3] = d_a
-            t_mat[m_off:m_off + 3, col + 4] = _dphi_dpoint(ris, pos.ms)
-            t_mat[m_off:m_off + 3, col + 5] = _dpsi_dpoint(ris, pos.ms)
-        else:
-            s = pos.scatterers[q - 1]
-            u_ms, h_ms = _unit_diff(pos.ms, s, "MS-scatterer")
-            u_sr, h_sr = _unit_diff(s, ris, "scatterer-RIS")
-            t_mat[m_off:m_off + 3, col + 0] = u_ms / (c * h_ms)
-            t_mat[s_off(q):s_off(q) + 3, col + 0] = \
-                u_sr / (c * h_sr) - u_ms / (c * h_ms)
-            d_t, d_m, d_a = _dtheta_dpoint(s, pos.ms, pos.alpha)
-            t_mat[m_off:m_off + 3, col + 3] = d_m
-            t_mat[s_off(q):s_off(q) + 3, col + 3] = d_t
-            t_mat[a_off, col + 3] = d_a
-            t_mat[s_off(q):s_off(q) + 3, col + 4] = _dphi_dpoint(ris, s)
-            t_mat[s_off(q):s_off(q) + 3, col + 5] = _dpsi_dpoint(ris, s)
+        # path 0 departs toward the RIS and arrives from the MS; path q > 0
+        # does both through scatterer q, whose coordinate rows start at s0
+        target = ris if q == 0 else pos.scatterers[q - 1]
+        source = pos.ms if q == 0 else target
+        s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
+        u_ms, h_ms = _unit_diff(pos.ms, target,
+                                "MS-RIS" if q == 0 else "MS-scatterer")
+        t_mat[m_off:m_off + 3, col + 0] = u_ms / (c * h_ms)
+        d_t, d_m, d_a = _dtheta_dpoint(target, pos.ms, pos.alpha)
+        t_mat[m_off:m_off + 3, col + 3] = d_m
+        t_mat[a_off, col + 3] = d_a
+        if q > 0:
+            u_sr, h_sr = _unit_diff(target, ris, "scatterer-RIS")
+            t_mat[s0:s0 + 3, col + 0] = u_sr / (c * h_sr) - u_ms / (c * h_ms)
+            t_mat[s0:s0 + 3, col + 3] = d_t
+        t_mat[s0:s0 + 3, col + 4] = _dphi_dpoint(ris, source)
+        t_mat[s0:s0 + 3, col + 5] = _dpsi_dpoint(ris, source)
     return t_mat
 
 
@@ -176,14 +170,11 @@ class BoundReport:
     crlb_channel: np.ndarray       # (6(Q+1),) variances in natural units
     peb: float                     # meters
     oeb: float                     # radians
-    fim_position: np.ndarray
-    cond_channel: float
-    cond_position: float
     singular: bool
 
 
-def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Eigendecomposition-based inverse with condition reporting.
+def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Eigendecomposition-based inverse and a singularity flag.
 
     The matrix mixes parameters of wildly different units (seconds,
     radians, raw gains), so it is diagonally preconditioned to a
@@ -196,26 +187,23 @@ def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, float, bool]:
     vals, vecs = np.linalg.eigh(scaled)
     top = float(np.max(np.abs(vals)))
     if top <= 0.0:
-        return np.full_like(sym, np.inf), np.inf, True
+        return np.full_like(sym, np.inf), True
     cond = top / max(float(np.min(np.abs(vals))), np.finfo(float).tiny)
-    singular = cond > _COND_LIMIT
     floor = top / _COND_LIMIT
     inv_vals = np.where(np.abs(vals) > floor, 1.0 / vals, 0.0)
     inv_scaled = (vecs * inv_vals) @ vecs.T
-    inv = inv_scaled / np.outer(d, d)
-    return inv, cond, singular
+    return inv_scaled / np.outer(d, d), cond > _COND_LIMIT
 
 
 def position_bounds(j_eta: np.ndarray, t_mat: np.ndarray) -> BoundReport:
     """CRLBs of the channel parameters and PEB/OEB of the position ones."""
-    inv_eta, cond_eta, sing_eta = _inv_psd(j_eta)
+    inv_eta, sing_eta = _inv_psd(j_eta)
     n_paths = j_eta.shape[0] // 6
     j_pos = t_mat @ j_eta @ t_mat.T
-    inv_pos, cond_pos, sing_pos = _inv_psd(j_pos)
+    inv_pos, sing_pos = _inv_psd(j_pos)
     m_off = 2 * n_paths
     peb = float(np.sqrt(np.trace(inv_pos[m_off:m_off + 3, m_off:m_off + 3])))
     oeb = float(np.sqrt(inv_pos[m_off + 3, m_off + 3]))
     return BoundReport(
         crlb_channel=np.diag(inv_eta).copy(), peb=peb, oeb=oeb,
-        fim_position=j_pos, cond_channel=cond_eta, cond_position=cond_pos,
         singular=bool(sing_eta or sing_pos))

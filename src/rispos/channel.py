@@ -4,9 +4,11 @@ Draws the RIS phase-shift schedule, random binary pilots, path gains and
 angular dictionaries. ``Setup`` is the per-power measurement setup every
 stage runs against: geometry, system, pilots and schedule, with the
 dictionaries, the known RIS-BS angles, a_B and the path count derived
-from them once. ``model_field`` is the only implementation of the
-noiseless received field: synthesis, the SAGE E-step, the likelihood and
-the Fisher information all build on it or on its per-path factors
+from them once. The setup is the only holder of the RIS-BS leg; a
+``ChannelParams`` carries the estimated per-path vector alone.
+``model_field`` is the only implementation of the noiseless received
+field: synthesis, the SAGE E-step, the likelihood and the Fisher
+information all build on it or on its per-path factors
 (``ris_slot_scalars``, ``pilot_projection``, ``subcarrier_ramp``).
 ``synthesize_rx`` adds circularly-symmetric Gaussian noise to it.
 """
@@ -288,7 +290,7 @@ def path_factors(params: ChannelParams, setup: Setup):
     """
     geom, cfg = setup.geom, setup.cfg
     sigma = ris_slot_scalars(geom, setup.sched.slot_phases, params.phi_in,
-                             params.psi_in, params.phi_out0, params.psi_out0)
+                             params.psi_in, *setup.known_angles[1:])
     proj = pilot_projection(geom, setup.pilots, params.theta_t)
     ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
     return sigma, proj, ramp

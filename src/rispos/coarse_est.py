@@ -137,6 +137,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
 
     Each coordinate is searched in sin-space over one coarse grid cell
     around its current value; the concentrated objective never decreases.
+    Returns the refined AOD vector.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -169,7 +170,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
             theta[q] = new
         if moved < 1e-9:
             break
-    return theta, objective(theta)
+    return theta
 
 
 @dataclass
@@ -329,7 +330,7 @@ def run_coarse(y: np.ndarray, setup: Setup,
     """Run the three coarse sub-steps and order paths canonically."""
     theta_hat, _ = estimate_aod_coarse(y, setup)
     if refine_aod:
-        theta_hat, _ = refine_aod_mle(y, setup, theta_hat)
+        theta_hat = refine_aod_mle(y, setup, theta_hat)
     aoa = estimate_ris_aoa(y, setup, theta_hat)
     tau = np.empty(setup.n_paths)
     gains = np.empty(setup.n_paths, dtype=complex)
@@ -340,6 +341,5 @@ def run_coarse(y: np.ndarray, setup: Setup,
     flags = {"class_ambiguous": ambiguous,
              "aoa_flags": [aoa.flags[q] for q in order]}
     params = ChannelParams(tau[order], gains[order], theta_hat[order],
-                           aoa.phi_in[order], aoa.psi_in[order],
-                           *setup.known_angles)
+                           aoa.phi_in[order], aoa.psi_in[order])
     return CoarseEstimate(params=params, flags=flags)

@@ -3,7 +3,9 @@
 Conventions: the BS hosts a ULA parallel to the x axis, the RIS a UPA
 parallel to the y-o-z plane, the MS a ULA on a plane parallel to x-o-y
 rotated by ``alpha`` about z. All angles are kept in radians internally;
-degrees only appear at I/O boundaries.
+degrees only appear at I/O boundaries. The forward map yields only the
+estimated per-path angles; the known RIS-BS leg (``ris_bs_angles``) is
+derived once per setup (``channel.Setup.known_angles``).
 """
 
 from __future__ import annotations
@@ -111,18 +113,6 @@ class ScenarioGeometry:
         return self.scatterers.shape[0]
 
 
-@dataclass
-class PathAngles:
-    """Physical angles of one MS-(scatterer-)RIS-BS path."""
-
-    theta_t: float     # AOD at the MS
-    phi_in: float      # elevation AOA at the RIS
-    psi_in: float      # azimuth AOA at the RIS
-    theta_r0: float    # AOA at the BS (RIS-BS leg, shared)
-    phi_out0: float    # elevation AOD at the RIS (shared)
-    psi_out0: float    # azimuth AOD at the RIS (shared)
-
-
 def _checked_norm(v: np.ndarray, what: str) -> float:
     n = float(np.linalg.norm(v))
     if n <= 0.0:
@@ -167,19 +157,12 @@ def _incoming_angles(dep_target: Vec3, ris_source: Vec3, ris: Vec3,
     return theta_t, phi_in, psi_in
 
 
-def angles_from_geometry(geom: ScenarioGeometry) -> list[PathAngles]:
-    """All path angles for q = 0..Q (q = 0 is the VLoS path)."""
-    theta_r0, phi_out0, psi_out0 = ris_bs_angles(geom.ris, geom.bs)
-    out = []
-    theta_t, phi_in, psi_in = _incoming_angles(geom.ris, geom.ms, geom.ris,
-                                               geom.alpha, geom.ms)
-    out.append(PathAngles(theta_t, phi_in, psi_in, theta_r0, phi_out0, psi_out0))
+def angles_from_geometry(geom: ScenarioGeometry) -> tuple[np.ndarray, ...]:
+    """(theta_t, phi_in, psi_in), each of shape (Q+1,); q = 0 is the VLoS path."""
+    paths = [_incoming_angles(geom.ris, geom.ms, geom.ris, geom.alpha, geom.ms)]
     for s in geom.scatterers:
-        theta_t, phi_in, psi_in = _incoming_angles(s, s, geom.ris,
-                                                   geom.alpha, geom.ms)
-        out.append(PathAngles(theta_t, phi_in, psi_in, theta_r0, phi_out0,
-                              psi_out0))
-    return out
+        paths.append(_incoming_angles(s, s, geom.ris, geom.alpha, geom.ms))
+    return tuple(np.array(a) for a in zip(*paths))
 
 
 def toas_from_geometry(geom: ScenarioGeometry) -> np.ndarray:
@@ -200,19 +183,11 @@ def forward_map_G(pos: PositionParams, ris: Vec3, bs: Vec3) -> ChannelParams:
     node geometry. The inverse (in the noiseless case) is provided by
     the closed forms in :mod:`rispos.positioning`.
     """
-    theta_r0, phi_out0, psi_out0 = ris_bs_angles(ris, bs)
     geom_like = ScenarioGeometry(
         bs=bs, ris=ris, ms=pos.ms, alpha=pos.alpha, scatterers=pos.scatterers)
-    angles = angles_from_geometry(geom_like)
-    taus = toas_from_geometry(geom_like)
-    return ChannelParams(
-        tau=taus,
-        gains=pos.gains.copy(),
-        theta_t=np.array([a.theta_t for a in angles]),
-        phi_in=np.array([a.phi_in for a in angles]),
-        psi_in=np.array([a.psi_in for a in angles]),
-        theta_r0=theta_r0, phi_out0=phi_out0, psi_out0=psi_out0,
-    )
+    theta_t, phi_in, psi_in = angles_from_geometry(geom_like)
+    return ChannelParams(toas_from_geometry(geom_like), pos.gains.copy(),
+                         theta_t, phi_in, psi_in)
 
 
 def true_channel_params(geom: ScenarioGeometry, gains: np.ndarray) -> ChannelParams:

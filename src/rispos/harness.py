@@ -152,9 +152,7 @@ class TrialRecord:
     power_dbm: float
     trial_index: int
     seed_entropy: tuple
-    gains_true: np.ndarray = None
     eta_true: np.ndarray = None
-    pos_true: np.ndarray = None
     stages: dict = field(default_factory=dict)       # stage -> parameter vector
     sq_errors: dict = field(default_factory=dict)    # stage -> class -> errors
     crlb: np.ndarray = None
@@ -226,11 +224,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     ss = np.random.SeedSequence(entropy)
     gain_seed, noise_seed = ss.spawn(2)
     gains = ch.draw_gains(cfg, geom, np.random.default_rng(gain_seed))
-    rec.gains_true = gains
     true = true_channel_params(geom, gains)
     rec.eta_true = true.to_vector()
-    rec.pos_true = PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
-                                  scatterers=geom.scatterers).to_vector()
 
     # per-trial bounds at the true parameters
     j_true = bnd.fim_channel(true, setup)
@@ -264,7 +259,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         if exp.stage == "lm":
             j_est = bnd.fim_channel(est, setup)
             pos_ref, diag = pos_mod.refine_position_lm(
-                est, j_est, pos0, geom.ris, geom.bs)
+                est.to_vector(), j_est, pos0, geom.ris, geom.bs)
             rec.stages["lm"] = pos_ref.to_vector()
             rec.sq_errors["lm"] = position_sq_errors(pos_ref, geom)
             rec.flags["lm_stalled"] = diag.stalled

@@ -3,7 +3,9 @@
 Two vectors drive the pipeline: the per-path channel parameters
 (delay, complex gain, departure angle at the MS, elevation/azimuth
 arrival angles at the RIS) and the position-level parameters (gains,
-MS coordinates, rotation angle, scatterer coordinates).
+MS coordinates, rotation angle, scatterer coordinates). Both hold only
+what is estimated: the RIS-BS leg is known and lives in the per-power
+``channel.Setup`` (``setup.known_angles``).
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import numpy as np
 
 @dataclass
 class ChannelParams:
-    """Per-path channel parameters plus the fixed RIS-BS leg angles.
+    """The estimated channel vector: six real parameters per path.
 
     The flattened real vector stacks ``[tau, delta_re, delta_im,
     theta_t, phi_in, psi_in]`` path by path, path 0 being the VLoS
-    (scatterer-free) path. The RIS-BS angles are known constants and
-    are not part of the vector.
+    (scatterer-free) path, so it has length 6(Q+1).
     """
 
     tau: np.ndarray              # (Q+1,) seconds
@@ -28,9 +29,6 @@ class ChannelParams:
     theta_t: np.ndarray          # (Q+1,) radians, AOD at the MS
     phi_in: np.ndarray           # (Q+1,) radians, elevation AOA at the RIS
     psi_in: np.ndarray           # (Q+1,) radians, azimuth AOA at the RIS
-    theta_r0: float              # radians, AOA at the BS (known)
-    phi_out0: float              # radians, elevation AOD at the RIS (known)
-    psi_out0: float              # radians, azimuth AOD at the RIS (known)
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
@@ -51,27 +49,10 @@ class ChannelParams:
         ])
         return cols.ravel()
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, theta_r0: float, phi_out0: float,
-                    psi_out0: float) -> "ChannelParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size % 6 != 0:
-            raise ValueError("channel parameter vector length must be a multiple of 6")
-        cols = vec.reshape(-1, 6)
-        return cls(
-            tau=cols[:, 0].copy(),
-            gains=cols[:, 1] + 1j * cols[:, 2],
-            theta_t=cols[:, 3].copy(),
-            phi_in=cols[:, 4].copy(),
-            psi_in=cols[:, 5].copy(),
-            theta_r0=theta_r0, phi_out0=phi_out0, psi_out0=psi_out0,
-        )
-
     def copy(self) -> "ChannelParams":
         return ChannelParams(
             self.tau.copy(), self.gains.copy(), self.theta_t.copy(),
             self.phi_in.copy(), self.psi_in.copy(),
-            self.theta_r0, self.phi_out0, self.psi_out0,
         )
 
 

@@ -125,8 +125,8 @@ def _map_and_jacobian(pos: PositionParams, ris, bs):
     return eta, jac
 
 
-def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
-                       j_eta: np.ndarray, pos_init: PositionParams,
+def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
+                       pos_init: PositionParams,
                        ris: np.ndarray, bs: np.ndarray
                        ) -> tuple[PositionParams, LmDiagnostics]:
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
@@ -135,8 +135,6 @@ def refine_position_lm(eta_hat: np.ndarray | ChannelParams,
     of the position parameters; accepted steps never increase the
     objective and the damping never accepts an increasing one.
     """
-    if isinstance(eta_hat, ChannelParams):
-        eta_hat = eta_hat.to_vector()
     eta_hat = np.asarray(eta_hat, dtype=float)
     weight = _weight_matrix(j_eta)
 

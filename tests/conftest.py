@@ -29,14 +29,13 @@ def setup20(default_exp, default_geom):
     cfg = default_exp.system(20.0)
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
-    known = (true.theta_r0, true.phi_out0, true.psi_out0)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
     rx_clean = ch.synthesize_rx(setup, true, noiseless=True)
     rx_noisy = ch.synthesize_rx(setup, true, noise_seed=3)
     return SimpleNamespace(geom=geom, cfg=cfg, gains=gains, true=true,
-                           known=known, sched=sched, pilots=pilots,
+                           sched=sched, pilots=pilots,
                            setup=setup, a_m_dict=setup.a_m_dict,
                            ris_dict=setup.ris_dict,
                            rx_clean=rx_clean, rx_noisy=rx_noisy)
@@ -66,15 +65,15 @@ def build_ongrid_scenario(exp: hn.ExperimentConfig | None = None):
     sin_out = np.sin(psi_out0) * np.sin(phi_out0)
     cos_out = np.cos(phi_out0)
 
-    angles0 = gm.angles_from_geometry(geom0)
+    _, phi_in, psi_in = gm.angles_from_geometry(geom0)
 
     def ray_direction(phi, psi):
         return np.array([-np.sin(phi) * np.cos(psi),
                          -np.sin(phi) * np.sin(psi), -np.cos(phi)])
 
     # VLoS arrival angles on-grid, MS on the implied ray at the same range
-    ce0 = _nearest_grid(np.cos(angles0[0].phi_in) - cos_out, grid_e)
-    sa0 = _nearest_grid(np.sin(angles0[0].psi_in) * np.sin(angles0[0].phi_in)
+    ce0 = _nearest_grid(np.cos(phi_in[0]) - cos_out, grid_e)
+    sa0 = _nearest_grid(np.sin(psi_in[0]) * np.sin(phi_in[0])
                         - sin_out, grid_a)
     phi0 = np.arccos(cos_out + ce0)
     psi0 = np.pi - np.arcsin((sin_out + sa0) / np.sin(phi0))
@@ -94,8 +93,8 @@ def build_ongrid_scenario(exp: hn.ExperimentConfig | None = None):
     alpha = min(cands, key=lambda c: abs(c - geom0.alpha))
 
     # scatterer arrival angles on-grid; its range solves the departure sine
-    ce1 = _nearest_grid(np.cos(angles0[1].phi_in) - cos_out, grid_e)
-    sa1 = _nearest_grid(np.sin(angles0[1].psi_in) * np.sin(angles0[1].phi_in)
+    ce1 = _nearest_grid(np.cos(phi_in[1]) - cos_out, grid_e)
+    sa1 = _nearest_grid(np.sin(psi_in[1]) * np.sin(phi_in[1])
                         - sin_out, grid_a)
     phi1 = np.arccos(cos_out + ce1)
     psi1 = np.pi - np.arcsin((sin_out + sa1) / np.sin(phi1))

@@ -1,6 +1,8 @@
 """Test oracles: the long-way channel builders, the per-call SAGE
-wrappers and the inverse index and angle maps. The package keeps only
-the fast forms; these reference implementations check them."""
+wrappers, the inverse index and angle maps and the vector-to-params
+map. The package keeps only the fast forms; these reference
+implementations check them. The channel builders take the known RIS-BS
+leg from the geometry, as ``channel.Setup`` does."""
 
 import numpy as np
 
@@ -19,15 +21,16 @@ def build_channel(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     Uses the scalar-reflection form: each path contributes
     delta_q * ramp_q[n] * (g_t^T a_R(dw_q)) * a_B a_M(theta_q)^H.
     """
+    theta_r0, phi_out0, psi_out0 = gm.ris_bs_angles(geom.ris, geom.bs)
     g_t = np.asarray(g_t)
     if g_t.shape != (geom.n_ris,):
         raise DimensionMismatch("phase vector length must equal N_r")
     if not (1 <= n <= cfg.n_subcarriers):
         raise DimensionMismatch("subcarrier index out of range")
-    a_b = ch.bs_steering(geom, params.theta_r0)
+    a_b = ch.bs_steering(geom, theta_r0)
     a_m = ch.ms_steering(geom, params.theta_t)          # (N_m, Q+1)
     a_r = ch.ris_diff_steering(geom, params.phi_in, params.psi_in,
-                               params.phi_out0, params.psi_out0)  # (N_r, Q+1)
+                               phi_out0, psi_out0)      # (N_r, Q+1)
     ramp = ch.subcarrier_ramp(params.tau, cfg.bandwidth,
                               cfg.n_subcarriers)[n - 1]  # (Q+1,)
     scal = params.gains * ramp * (g_t @ a_r)
@@ -46,10 +49,11 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     if g_t.shape != (geom.n_ris,):
         raise DimensionMismatch("phase vector length must equal N_r")
     lam = geom.wavelength
+    theta_r0, phi_out0, psi_out0 = gm.ris_bs_angles(geom.ris, geom.bs)
     tau_rb = np.linalg.norm(geom.ris - geom.bs) / gm.SPEED_OF_LIGHT
-    a_b = ch.bs_steering(geom, params.theta_r0)
-    w_out_az = geom.d_ris_az / lam * np.sin(params.psi_out0) * np.sin(params.phi_out0)
-    w_out_el = geom.d_ris_el / lam * np.cos(params.phi_out0)
+    a_b = ch.bs_steering(geom, theta_r0)
+    w_out_az = geom.d_ris_az / lam * np.sin(psi_out0) * np.sin(phi_out0)
+    w_out_el = geom.d_ris_el / lam * np.cos(phi_out0)
     a_r_out = gm.steer_upa(w_out_az, w_out_el, geom.n_ris_az, geom.n_ris_el)
     ramp_rb = np.exp(-2j * np.pi * tau_rb * (n - 1) * cfg.bandwidth
                      / cfg.n_subcarriers)
@@ -101,3 +105,18 @@ def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:
 def angle_from_spatial_freq(u: float, spacing: float, wavelength: float) -> float:
     """Inverse of ``geometry.aod_spatial_freq``."""
     return gm.clamped_arcsin(u * wavelength / spacing)
+
+
+def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:
+    """Inverse of ``ChannelParams.to_vector``: the length-6(Q+1) vector."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.size % 6 != 0:
+        raise ValueError("channel parameter vector length must be a multiple of 6")
+    cols = vec.reshape(-1, 6)
+    return ChannelParams(
+        tau=cols[:, 0].copy(),
+        gains=cols[:, 1] + 1j * cols[:, 2],
+        theta_t=cols[:, 3].copy(),
+        phi_in=cols[:, 4].copy(),
+        psi_in=cols[:, 5].copy(),
+    )

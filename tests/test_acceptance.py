@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import build_ongrid_scenario
-from oracles import build_channel, gain_closed_form, single_path_objective
+from oracles import (build_channel, channel_params_from_vector,
+                     gain_closed_form, single_path_objective)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -67,8 +68,8 @@ def test_criterion_2_derivative_oracle(setup20):
         vp, vm = vec0.copy(), vec0.copy()
         vp[u] += h
         vm[u] -= h
-        fp = ch.model_field(ChannelParams.from_vector(vp, *s.known), s.setup)
-        fm = ch.model_field(ChannelParams.from_vector(vm, *s.known), s.setup)
+        fp = ch.model_field(channel_params_from_vector(vp), s.setup)
+        fm = ch.model_field(channel_params_from_vector(vm), s.setup)
         fd = (fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic[u] - fd) / np.linalg.norm(analytic[u])
         worst_h = max(worst_h, rel)
@@ -109,11 +110,10 @@ def test_criterion_3_dual_formula_oracles(setup20):
             gains=1e-6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
             theta_t=rng.uniform(-1.2, 1.2, 2),
             phi_in=rng.uniform(0.3, 2.8, 2),
-            psi_in=rng.uniform(np.pi / 2, 1.5 * np.pi, 2),
-            theta_r0=s.known[0], phi_out0=s.known[1], psi_out0=s.known[2])
+            psi_in=rng.uniform(np.pi / 2, 1.5 * np.pi, 2))
 
         # concentrated AOD objective vs raw projected-residual form
-        a_b = ch.bs_steering(s.geom, s.known[0])
+        a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
         a_m = ch.ms_steering(s.geom, params.theta_t)
         x1 = s.pilots[:, :s.cfg.t1]
         c_mat = x1 @ x1.conj().T
@@ -156,7 +156,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
                 params.psi_in[q], s.setup)
         d_vec = gain_closed_form(y, *args)
         a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
-                                   s.known[1], s.known[2])
+                                   *s.setup.known_angles[1:])
         sigma = s.sched.slot_phases @ a_r
         h_q = np.outer(a_b, ch.ms_steering(s.geom, params.theta_t[q]).conj())
         num = 0.0
@@ -174,8 +174,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([d_vec]),
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
-            psi_in=params.psi_in[:1], theta_r0=s.known[0],
-            phi_out0=s.known[1], psi_out0=s.known[2])
+            psi_in=params.psi_in[:1])
         l_val = sg.global_log_likelihood(single, y, s.setup)
         worst["concentrated"] = max(worst["concentrated"],
                                     abs(l_val - f_val) / abs(f_val))
@@ -301,10 +300,10 @@ def test_criterion_8_dcs_somp_support(default_exp):
         params = ChannelParams(
             tau=np.array([150e-9, 230e-9]), gains=np.ones(2, complex),
             theta_t=theta, phi_in=np.array([1.1, 0.6]),
-            psi_in=np.array([3.9, 2.9]), theta_r0=0.4876, phi_out0=0.8961,
-            psi_out0=-0.9273)
+            psi_in=np.array([3.9, 2.9]))
+        setup = ch.Setup(geom, cfg, pilots, sched)
         a_r = ch.ris_diff_steering(geom, params.phi_in, params.psi_in,
-                                   params.phi_out0, params.psi_out0)
+                                   *setup.known_angles[1:])
         sig = np.abs(sched.slot_phases[0] @ a_r)
         while True:
             gains = 1e-6 * (rng.standard_normal(2)
@@ -313,7 +312,6 @@ def test_criterion_8_dcs_somp_support(default_exp):
             if abs(20 * np.log10(eff[1] / eff[0])) <= 12.0:
                 break
         params.gains = np.asarray(gains, dtype=complex)
-        setup = ch.Setup(geom, cfg, pilots, sched)
         rx = ch.synthesize_rx(setup, params, noiseless=True)
         _, somp = ce.estimate_aod_coarse(rx, setup)
         hits += sorted(somp.support) == support_true

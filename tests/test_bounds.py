@@ -2,11 +2,12 @@
 
 import numpy as np
 
+from oracles import channel_params_from_vector
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.geometry import ScenarioGeometry
-from rispos.params import ChannelParams, PositionParams
+from rispos.params import PositionParams
 
 FD_TOL = 1e-5
 
@@ -24,10 +25,8 @@ def _fd_field_derivs(params, setup):
         vp, vm = vec0.copy(), vec0.copy()
         vp[u] += h
         vm[u] -= h
-        pp = ChannelParams.from_vector(vp, params.theta_r0, params.phi_out0,
-                                       params.psi_out0)
-        pm = ChannelParams.from_vector(vm, params.theta_r0, params.phi_out0,
-                                       params.psi_out0)
+        pp = channel_params_from_vector(vp)
+        pm = channel_params_from_vector(vm)
         fp = ch.model_field(pp, setup)
         fm = ch.model_field(pm, setup)
         out.append((fp - fm) / (2 * h))

@@ -18,14 +18,14 @@ def _flat_params(gains, tau, theta_t):
     return ChannelParams(
         tau=np.atleast_1d(tau), gains=np.atleast_1d(gains),
         theta_t=np.full(n, theta_t), phi_in=np.full(n, np.pi / 2),
-        psi_in=np.full(n, np.pi / 2), theta_r0=0.0, phi_out0=np.pi / 2,
-        psi_out0=np.pi / 2)
+        psi_in=np.full(n, np.pi / 2))
 
 
 @pytest.fixture(scope="module")
 def small_geom():
+    # BS at RIS + (0, 10, 0): the RIS-BS leg is exactly (0, pi/2, pi/2)
     lam = 3e8 / 4.9e9
-    return ScenarioGeometry(bs=[0, 0, 28], ris=[-6, 8, 20], ms=[22, 35, 1.5],
+    return ScenarioGeometry(bs=[-6, 18, 20], ris=[-6, 8, 20], ms=[22, 35, 1.5],
                             alpha=0.3, scatterers=[], n_bs=6, n_ms=4,
                             n_ris_az=3, n_ris_el=2, wavelength=lam)
 
@@ -54,8 +54,7 @@ def test_build_channel_subcarrier_phase(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
-        phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
+        psi_in=s.true.psi_in[:1])
     g_t = s.sched.slot_phases[0]
     h1 = build_channel(s.cfg, s.geom, single, g_t, 4)
     h2 = build_channel(s.cfg, s.geom, single, g_t, 5)
@@ -108,8 +107,31 @@ def test_synthesize_is_bs_steering_times_model_field(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
     field = ch.model_field(s.true, s.setup)
-    a_b = ch.bs_steering(s.geom, s.true.theta_r0)
+    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
     assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
+
+
+def test_synthesize_matches_cascade_off_reference_leg(default_exp):
+    """Synthesis takes the RIS-BS leg from the setup's geometry, also when
+    the BS (and, in the last case, the RIS) sit off the reference layout."""
+    ref = default_exp.geometry()
+    cfg = default_exp.system(20.0)
+    n_sub = cfg.n_subcarriers
+    for bs, ris in (([4.0, -3.0, 25.0], ref.ris), ([-10.0, 2.0, 30.0], ref.ris),
+                    ([0.0, 20.0, 15.0], [-4.0, 10.0, 18.0])):
+        geom = ScenarioGeometry(bs=bs, ris=ris, ms=ref.ms, alpha=ref.alpha,
+                                scatterers=ref.scatterers,
+                                wavelength=ref.wavelength)
+        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8),
+                         ch.make_phase_schedule(cfg, geom.n_ris, 7))
+        params = gm.true_channel_params(geom, ch.draw_gains(cfg, geom, 42))
+        rx = ch.synthesize_rx(setup, params, noiseless=True)
+        for t in (0, cfg.t1, cfg.t_total - 1):
+            for n in (1, n_sub // 2, n_sub):
+                h = build_channel_cascade(cfg, geom, params,
+                                          setup.sched.slot_phases[t], n)
+                assert_allclose(rx[:, t, n - 1], h @ setup.pilots[:, t],
+                                rtol=1e-10, atol=0)
 
 
 def test_energy_bookkeeping(setup20):

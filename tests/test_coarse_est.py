@@ -92,7 +92,7 @@ def test_refine_aod_mle_improves(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
     theta_grid, _ = ce.estimate_aod_coarse(rx, s.setup)
-    refined, _ = ce.refine_aod_mle(rx, s.setup, theta_grid)
+    refined = ce.refine_aod_mle(rx, s.setup, theta_grid)
     from rispos.harness import associate_paths
     perm_c = associate_paths(theta_grid, s.true.theta_t)
     perm_r = associate_paths(refined, s.true.theta_t)
@@ -104,16 +104,17 @@ def test_refine_aod_mle_improves(setup20):
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    refined, obj = ce.refine_aod_mle(rx, s.setup, s.true.theta_t.copy())
+    refined = ce.refine_aod_mle(rx, s.setup, s.true.theta_t.copy())
     assert np.max(np.abs(np.sin(refined) - np.sin(s.true.theta_t))) < 1e-9
     # objective change from the truth is negligible
-    t1 = ce._concentrated_aod_objective(s.true.theta_t, *_aod_mats(s, rx),
-                                        s.geom)
+    mats = _aod_mats(s, rx)
+    obj = ce._concentrated_aod_objective(refined, *mats, s.geom)
+    t1 = ce._concentrated_aod_objective(s.true.theta_t, *mats, s.geom)
     assert abs(obj - t1) <= 1e-8 * abs(t1)
 
 
 def _aod_mats(s, rx):
-    a_b = ch.bs_steering(s.geom, s.true.theta_r0)
+    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
     x1 = s.pilots[:, :s.cfg.t1]
     c_mat = x1 @ x1.conj().T
     s_mat = np.zeros((s.geom.n_ms, s.geom.n_ms), dtype=complex)
@@ -172,7 +173,7 @@ def test_aod_objective_matches_raw_form(setup20):
     simplified = ce._concentrated_aod_objective(theta, s_mat, c_mat, s.geom)
 
     # raw form: residual after per-subcarrier LS gain fitting
-    a_b = ch.bs_steering(s.geom, s.true.theta_r0)
+    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
     a_m = ch.ms_steering(s.geom, theta)
     x1 = s.pilots[:, :s.cfg.t1]
     total = 0.0
@@ -210,21 +211,20 @@ def test_ris_aoa_ongrid_exact(ongrid):
 def test_ris_aoa_zero_difference(setup20):
     """Matching in/out legs produce the zero spatial-frequency column."""
     s = setup20
-    phi_in = s.true.phi_out0
-    sin_psi = np.sin(s.true.psi_out0) * np.sin(s.true.phi_out0) / np.sin(phi_in)
+    _, phi_out0, psi_out0 = s.setup.known_angles
+    phi_in = phi_out0
+    sin_psi = np.sin(psi_out0) * np.sin(phi_out0) / np.sin(phi_in)
     psi_in = np.pi - np.arcsin(sin_psi)
     params = ChannelParams(
         tau=s.true.tau[:1], gains=np.array([1e-6 + 0j]),
-        theta_t=s.true.theta_t[:1], phi_in=[phi_in], psi_in=[psi_in],
-        theta_r0=s.true.theta_r0, phi_out0=s.true.phi_out0,
-        psi_out0=s.true.psi_out0)
+        theta_t=s.true.theta_t[:1], phi_in=[phi_in], psi_in=[psi_in])
     rx = ch.synthesize_rx(s.setup, params, noiseless=True)
     aoa = ce.estimate_ris_aoa(rx, s.setup, params.theta_t)
     assert aoa.cos_diff[0] == pytest.approx(0.0, abs=1e-15)
     assert aoa.sinsin_diff[0] == pytest.approx(0.0, abs=1e-15)
     assert aoa.phi_in[0] == pytest.approx(phi_in, abs=1e-12)
     assert np.sin(aoa.psi_in[0]) * np.sin(aoa.phi_in[0]) == pytest.approx(
-        np.sin(s.true.psi_out0) * np.sin(s.true.phi_out0), abs=1e-12)
+        np.sin(psi_out0) * np.sin(phi_out0), abs=1e-12)
 
 
 def test_estimate_toa_on_bin():

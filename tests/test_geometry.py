@@ -53,23 +53,23 @@ def test_steer_upa_composition_oracle():
 
 def test_default_scenario_angles(default_geom):
     """Angle values against a direct formula evaluation."""
-    angles = gm.angles_from_geometry(default_geom)
-    a0 = angles[0]
-    assert abs(a0.theta_r0 - np.arcsin(6.0 / np.sqrt(164.0))) < 1e-14
-    assert abs(np.rad2deg(a0.theta_r0) - 27.938353) < 1e-4
-    assert abs(a0.psi_in - (np.pi - np.arcsin(-27.0 / np.sqrt(1513.0)))) < 1e-14
-    assert abs(np.rad2deg(a0.psi_in) - 223.958373) < 1e-4
-    assert abs(a0.phi_in - np.arccos(18.5 / np.sqrt(1855.25))) < 1e-14
-    assert abs(np.rad2deg(a0.phi_in) - 64.563706) < 1e-4
+    theta_t, phi_in, psi_in = gm.angles_from_geometry(default_geom)
+    theta_r0, _, psi_out0 = gm.ris_bs_angles(default_geom.ris, default_geom.bs)
+    assert abs(theta_r0 - np.arcsin(6.0 / np.sqrt(164.0))) < 1e-14
+    assert abs(np.rad2deg(theta_r0) - 27.938353) < 1e-4
+    assert abs(psi_in[0] - (np.pi - np.arcsin(-27.0 / np.sqrt(1513.0)))) < 1e-14
+    assert abs(np.rad2deg(psi_in[0]) - 223.958373) < 1e-4
+    assert abs(phi_in[0] - np.arccos(18.5 / np.sqrt(1855.25))) < 1e-14
+    assert abs(np.rad2deg(phi_in[0]) - 64.563706) < 1e-4
     expected_t0 = np.arcsin((-28 * np.cos(default_geom.alpha)
                              + 27 * np.sin(default_geom.alpha))
                             / np.sqrt(1855.25))
-    assert abs(a0.theta_t - expected_t0) < 1e-14
-    assert abs(np.rad2deg(a0.theta_t) - 25.927907) < 1e-4
+    assert abs(theta_t[0] - expected_t0) < 1e-14
+    assert abs(np.rad2deg(theta_t[0]) - 25.927907) < 1e-4
     # azimuth ranges of both path classes
-    assert np.pi <= a0.psi_in <= 1.5 * np.pi
-    assert np.pi / 2 <= angles[1].psi_in <= np.pi
-    assert -np.pi / 2 <= a0.psi_out0 <= 0.0
+    assert np.pi <= psi_in[0] <= 1.5 * np.pi
+    assert np.pi / 2 <= psi_in[1] <= np.pi
+    assert -np.pi / 2 <= psi_out0 <= 0.0
 
 
 def test_default_scenario_toas(default_geom):
@@ -104,10 +104,10 @@ def test_angle_ranges_over_layout():
     rng = np.random.default_rng(3)
     for _ in range(100):
         geom = sample_layout(rng)
-        angles = gm.angles_from_geometry(geom)
-        assert np.pi <= angles[0].psi_in <= 1.5 * np.pi
-        assert np.pi / 2 <= angles[1].psi_in <= np.pi
-        assert 0.0 <= angles[0].phi_in <= np.pi
+        _, phi_in, psi_in = gm.angles_from_geometry(geom)
+        assert np.pi <= psi_in[0] <= 1.5 * np.pi
+        assert np.pi / 2 <= psi_in[1] <= np.pi
+        assert 0.0 <= phi_in[0] <= np.pi
 
 
 def test_forward_map_composition(default_geom):
@@ -116,13 +116,13 @@ def test_forward_map_composition(default_geom):
                          alpha=default_geom.alpha,
                          scatterers=default_geom.scatterers)
     params = gm.forward_map_G(pos, default_geom.ris, default_geom.bs)
-    angles = gm.angles_from_geometry(default_geom)
+    theta_t, phi_in, psi_in = gm.angles_from_geometry(default_geom)
     taus = gm.toas_from_geometry(default_geom)
     assert_allclose(params.gains, gains)          # identity block
     assert_allclose(params.tau, taus)
-    assert_allclose(params.theta_t, [a.theta_t for a in angles])
-    assert_allclose(params.phi_in, [a.phi_in for a in angles])
-    assert_allclose(params.psi_in, [a.psi_in for a in angles])
+    assert_allclose(params.theta_t, theta_t)
+    assert_allclose(params.phi_in, phi_in)
+    assert_allclose(params.psi_in, psi_in)
 
 
 def test_spatial_frequency_round_trip():

@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sample_layout
+from oracles import channel_params_from_vector
 from rispos import bounds as bnd
 from rispos import geometry as gm
 from rispos import positioning as po
 from rispos.errors import InfeasibleGeometry, SingularDenominator
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
-from rispos.params import ChannelParams
 
 
 def _true_params(geom, gains=None):
@@ -131,8 +131,8 @@ def test_lm_noiseless_fixed_point(default_geom):
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
     j_eta = np.eye(params.to_vector().size)
-    pos, diag = po.refine_position_lm(params, j_eta, pos0, default_geom.ris,
-                                      default_geom.bs)
+    pos, diag = po.refine_position_lm(params.to_vector(), j_eta, pos0,
+                                      default_geom.ris, default_geom.bs)
     assert diag.converged and diag.n_iter <= 2
     assert np.linalg.norm(pos.ms - pos0.ms) < 1e-8
 
@@ -144,11 +144,10 @@ def test_lm_descent_contract(default_geom, setup20):
     j_eta = bnd.fim_channel(params, s.setup)
     noisy_vec = params.to_vector() + np.tile(
         [1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2) * rng.standard_normal(12)
-    eta_hat = ChannelParams.from_vector(noisy_vec, params.theta_r0,
-                                        params.phi_out0, params.psi_out0)
+    eta_hat = channel_params_from_vector(noisy_vec)
     pos0, _ = po.position_closed_form(eta_hat, default_geom.ris,
                                       default_geom.bs)
-    pos, diag = po.refine_position_lm(eta_hat, j_eta, pos0, default_geom.ris,
+    pos, diag = po.refine_position_lm(noisy_vec, j_eta, pos0, default_geom.ris,
                                       default_geom.bs)
     hist = np.asarray(diag.objective_history)
     assert np.all(np.diff(hist) <= 0.0)
@@ -160,11 +159,9 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
     params = _true_params(default_geom)
     vec = params.to_vector()
     vec[3] += 1e-4                       # perturb one departure angle
-    eta_hat = ChannelParams.from_vector(vec, params.theta_r0,
-                                        params.phi_out0, params.psi_out0)
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
-    pos, diag = po.refine_position_lm(eta_hat, np.eye(vec.size), pos0,
+    pos, diag = po.refine_position_lm(vec, np.eye(vec.size), pos0,
                                       default_geom.ris, default_geom.bs)
     eta_fit = gm.forward_map_G(pos, default_geom.ris,
                                default_geom.bs).to_vector()

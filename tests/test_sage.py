@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (build_channel, gain_closed_form,
-                     reconstruct_complete_data, single_path_objective)
+from oracles import (build_channel, channel_params_from_vector,
+                     gain_closed_form, reconstruct_complete_data,
+                     single_path_objective)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -34,9 +35,7 @@ def _random_params(s, rng):
                       + 1j * rng.standard_normal(n_paths)),
         theta_t=rng.uniform(-1.2, 1.2, n_paths),
         phi_in=rng.uniform(0.3, 2.8, n_paths),
-        psi_in=rng.uniform(np.pi / 2, 1.5 * np.pi, n_paths),
-        theta_r0=s.true.theta_r0, phi_out0=s.true.phi_out0,
-        psi_out0=s.true.psi_out0)
+        psi_in=rng.uniform(np.pi / 2, 1.5 * np.pi, n_paths))
 
 
 def test_loglik_matches_residual_form(setup20):
@@ -68,8 +67,7 @@ def test_loglik_local_optimality_at_truth(setup20):
     scales = np.tile([1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2)
     for _ in range(100):
         vec = vec0 + scales * rng.standard_normal(vec0.size)
-        pert = ChannelParams.from_vector(vec, s.true.theta_r0,
-                                         s.true.phi_out0, s.true.psi_out0)
+        pert = channel_params_from_vector(vec)
         lam = sg.global_log_likelihood(pert, s.rx_clean, s.setup)
         assert lam <= lam0 + 1e-10 * abs(lam0)
 
@@ -79,8 +77,7 @@ def test_reconstruct_single_path_identity(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
-        phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
+        psi_in=s.true.psi_in[:1])
     rx = ch.synthesize_rx(s.setup, single, noise_seed=5)
     y_0 = reconstruct_complete_data(rx, single, 0, s.setup)
     assert np.array_equal(y_0, rx)
@@ -147,10 +144,10 @@ def test_gain_trace_form_identity(setup20):
     d_vec = gain_closed_form(y_q, params.tau[q], params.theta_t[q],
                              params.phi_in[q], params.psi_in[q], s.setup)
 
-    a_b = ch.bs_steering(s.geom, s.known[0])
+    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
     a_m = ch.ms_steering(s.geom, params.theta_t[q])
     a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
-                               s.known[1], s.known[2])
+                               *s.setup.known_angles[1:])
     sigma = s.sched.slot_phases @ a_r
     h_q = np.outer(a_b, a_m.conj())
     num = 0.0
@@ -206,8 +203,7 @@ def test_concentrated_equals_substituted_likelihood(setup20):
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([delta]),
             theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
-            psi_in=params.psi_in[:1], theta_r0=s.known[0],
-            phi_out0=s.known[1], psi_out0=s.known[2])
+            psi_in=params.psi_in[:1])
         l_val = sg.global_log_likelihood(single, y_q, s.setup)
         assert abs(l_val - f_val) < 1e-8 * max(abs(f_val), 1e-30)
 
@@ -349,8 +345,7 @@ def test_run_sage_single_path_reduction(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1], theta_r0=s.true.theta_r0,
-        phi_out0=s.true.phi_out0, psi_out0=s.true.psi_out0)
+        psi_in=s.true.psi_in[:1])
     rx = ch.synthesize_rx(s.setup, single, noise_seed=9)
     init = single.copy()
     init.tau[0] += 3e-9
