@@ -49,10 +49,6 @@ class SystemConfig:
     shadow_std_db: float = 4.0
 
     @property
-    def wavelength(self) -> float:
-        return geometry.SPEED_OF_LIGHT / self.fc
-
-    @property
     def noise_power(self) -> float:
         """Per-subcarrier noise power: density times subcarrier bandwidth."""
         return self.noise_density * self.bandwidth / self.n_subcarriers

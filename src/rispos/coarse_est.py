@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._search import maximize_1d
 from .channel import (Setup, SystemConfig, beamform, ms_steering,
@@ -250,14 +249,7 @@ def estimate_ris_aoa(y: np.ndarray, setup: Setup,
         if abs(sin_psi) > 1.0:
             path_flags.append("sin_clamped")
             sin_psi = float(np.clip(sin_psi, -1.0, 1.0))
-        base = np.arcsin(sin_psi)
-        candidates = [np.pi - base, 2.0 * np.pi + base]
-        in_range = [c for c in candidates
-                    if np.pi / 2 - 1e-12 <= c <= 3 * np.pi / 2 + 1e-12]
-        if not in_range:
-            path_flags.append("branch_ambiguous")
-            in_range = [np.pi - base]
-        psi[q] = in_range[0]
+        psi[q] = np.pi - np.arcsin(sin_psi)          # in [pi/2, 3pi/2]
         flags.append(path_flags)
     return AoaEstimate(phi_in=phi, psi_in=psi, cos_diff=cos_diff,
                        sinsin_diff=sinsin_diff,
@@ -303,18 +295,6 @@ class CoarseEstimate:
 
     params: ChannelParams
     flags: dict
-
-
-def associate_paths(theta_est: np.ndarray, theta_true: np.ndarray) -> np.ndarray:
-    """Match estimated to true paths by minimal total |sin AOD| distance.
-
-    The estimator's path order is arbitrary; all error scoring uses this
-    assignment. Returns ``perm`` such that estimate ``perm[i]`` scores
-    against true path ``i``.
-    """
-    cost = np.abs(np.subtract.outer(np.sin(theta_true), np.sin(theta_est)))
-    _, perm = linear_sum_assignment(cost)
-    return perm
 
 
 def _canonical_order(psi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool]:

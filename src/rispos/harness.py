@@ -23,9 +23,8 @@ from . import channel as ch
 from . import coarse_est as ce
 from . import positioning as pos_mod
 from . import sage as sg
-from .coarse_est import associate_paths
 from .errors import IoError, RisposError
-from .geometry import ScenarioGeometry, true_channel_params
+from .geometry import SPEED_OF_LIGHT, ScenarioGeometry, true_channel_params
 from .params import ChannelParams, PositionParams
 
 _TAG_PILOTS = 1
@@ -100,15 +99,23 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: not valid YAML: {exc}") from exc
+        if raw is None:                   # an empty file keeps the defaults
+            raw = {}
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: top level must be a mapping of "
+                             f"config keys, not {type(raw).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(map(str, unknown))}")
         return cls(**raw)
 
     def geometry(self) -> ScenarioGeometry:
-        lam = ch.SystemConfig(fc=self.fc_hz).wavelength
+        lam = SPEED_OF_LIGHT / self.fc_hz
         return ScenarioGeometry(
             bs=self.bs, ris=self.ris, ms=self.ms,
             alpha=np.deg2rad(self.alpha_deg), scatterers=self.scatterers,
@@ -128,6 +135,21 @@ class ExperimentConfig:
             g_ms=self.g_ms, g_ris_az=self.g_ris_az, g_ris_el=self.g_ris_el,
             path_loss_exponent=self.path_loss_exponent,
             shadow_std_db=self.shadow_std_db)
+
+
+def associate_paths(theta_est: np.ndarray, theta_true: np.ndarray) -> np.ndarray:
+    """Match estimated to true paths by minimal total |sin AOD| distance.
+
+    The estimator's path order is arbitrary; all error scoring uses this
+    assignment. Returns ``perm`` such that estimate ``perm[i]`` scores
+    against true path ``i``. For a convex cost of the difference of two
+    points on a line, pairing both lists in sorted order is an optimal
+    assignment (the cost matrix of sorted lists is Monge).
+    """
+    perm = np.empty(np.size(theta_true), dtype=int)
+    perm[np.argsort(np.sin(theta_true), kind="stable")] = np.argsort(
+        np.sin(theta_est), kind="stable")
+    return perm
 
 
 def channel_sq_errors(est: ChannelParams, true: ChannelParams) -> dict:

@@ -1,8 +1,10 @@
 """Test oracles: the long-way channel builders, the per-call SAGE
-wrappers, the inverse index and angle maps and the vector-to-params
-map. The package keeps only the fast forms; these reference
-implementations check them. The channel builders take the known RIS-BS
-leg from the geometry, as ``channel.Setup`` does."""
+wrappers, the inverse index and angle maps, the vector-to-params map
+and the exhaustive path association. The package keeps only the fast
+forms; these reference implementations check them. The channel builders
+take the known RIS-BS leg from the geometry, as ``channel.Setup`` does."""
+
+import itertools
 
 import numpy as np
 
@@ -120,3 +122,11 @@ def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:
         phi_in=cols[:, 4].copy(),
         psi_in=cols[:, 5].copy(),
     )
+
+
+def min_association_cost(theta_est: np.ndarray, theta_true: np.ndarray) -> float:
+    """Least total |sin AOD| distance over every pairing of estimated with
+    true paths, by exhaustive search over the permutations."""
+    s_est, s_true = np.sin(theta_est), np.sin(theta_true)
+    return min(float(np.sum(np.abs(s_est[list(perm)] - s_true)))
+               for perm in itertools.permutations(range(s_true.size)))

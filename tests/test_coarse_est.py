@@ -301,9 +301,10 @@ def test_ris_aoa_block_too_short(setup20):
 
 
 def test_associate_paths_convention():
+    from rispos.harness import associate_paths
     est = np.array([0.8, 0.1])
     true = np.array([0.12, 0.79])
-    perm = ce.associate_paths(est, true)
+    perm = associate_paths(est, true)
     assert list(perm) == [1, 0]
 
 

@@ -1,10 +1,15 @@
 """Experiment engine: trials, sweeps, aggregation, CSV emission, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import min_association_cost
 from rispos import cli
 from rispos import harness as hn
 from rispos.errors import IoError
@@ -165,6 +170,55 @@ def test_config_file_round_trip(tmp_path):
     bad.write_text("not_a_field: 1\n")
     with pytest.raises(ValueError):
         hn.ExperimentConfig.from_file(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["ms: [1, 2\n", "5\n", "- 1\n- 2\n", "1: 2\nbogus: 3\n"],
+    ids=["syntax_error", "scalar", "list", "non_string_key"])
+def test_config_file_malformed_is_value_error(tmp_path, capsys, text):
+    """A config that is not YAML, not a mapping at the top level, or has
+    keys that are not config fields, is a ValueError, which the CLI
+    reports as an error with exit code 2."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        hn.ExperimentConfig.from_file(bad)
+    assert cli.main(["bounds", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("n_paths", range(1, 7))
+def test_associate_paths_attains_min_cost(n_paths):
+    """The association is a permutation whose summed |sin AOD| distance is
+    the exhaustive minimum, also with tied and repeated sines."""
+    rng = np.random.default_rng(n_paths)
+    levels = np.arcsin([-0.5, 0.1, 0.6])
+    for draw in range(30):
+        if draw % 3 == 0:
+            est = rng.uniform(-np.pi / 2, np.pi / 2, n_paths)
+            true = rng.uniform(-np.pi / 2, np.pi / 2, n_paths)
+        elif draw % 3 == 1:               # ties within and across the lists
+            est = rng.choice(levels, n_paths)
+            true = rng.choice(levels, n_paths)
+        else:                             # the truth, reordered
+            true = rng.choice(levels, n_paths)
+            est = rng.permutation(true)
+        perm = hn.associate_paths(est, true)
+        assert sorted(perm) == list(range(n_paths))
+        cost = np.sum(np.abs(np.sin(est[perm]) - np.sin(true)))
+        assert abs(cost - min_association_cost(est, true)) <= 1e-12
+
+
+def test_import_is_scipy_free():
+    """The package and its command line import with NumPy and PyYAML alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, rispos, rispos.harness, rispos.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_bounds_and_trial(capsys):
