@@ -17,6 +17,7 @@ import numpy as np
 # at ten batches: grid, levels, parabolic step.
 _ZOOM_POINTS = 20
 _MAX_ZOOM_LEVELS = 8
+_ZOOM_STEPS = np.arange(1.0, _ZOOM_POINTS + 1)
 
 
 def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
@@ -33,7 +34,8 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
         Uniform scan resolution before the zoom levels.
     tol : float
         Final interval width relative to the bracket width; reached within
-        ``_MAX_ZOOM_LEVELS`` levels for tol >= 1e-10 at 201 grid points.
+        ``_MAX_ZOOM_LEVELS`` levels for tol >= 1e-10 at 201 grid points and
+        for tol >= 1e-9 at 41.
     incumbent : float, optional
         A point guaranteed to be among the candidates; the result never
         has a smaller objective than the incumbent.
@@ -58,15 +60,20 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
     # zoom into the grid cells on either side of the best grid point; each
     # level samples the bracket uniformly and keeps the cells around its best
     px, pv = grid, vals[:n_grid]
-    j = int(np.argmax(pv))
+    j = int(pv.argmax())
     for _ in range(_MAX_ZOOM_LEVELS):
         ia, ib = max(j - 1, 0), min(j + 1, px.size - 1)
-        if px[ib] - px[ia] <= tol * width:
+        xa, xb = px[ia], px[ib]
+        if xb - xa <= tol * width:
             break
-        inner = np.linspace(px[ia], px[ib], _ZOOM_POINTS + 2)[1:-1]
-        px = np.concatenate((px[[ia]], inner, px[[ib]]))
-        pv = np.concatenate((pv[[ia]], f_batch(inner), pv[[ib]]))
-        j = int(np.argmax(pv))
+        # the interior of linspace(xa, xb, _ZOOM_POINTS + 2), bit for bit
+        inner = _ZOOM_STEPS * ((xb - xa) / (_ZOOM_POINTS + 1)) + xa
+        level_x = np.empty(_ZOOM_POINTS + 2)
+        level_v = np.empty(_ZOOM_POINTS + 2)
+        level_x[0], level_x[1:-1], level_x[-1] = xa, inner, xb
+        level_v[0], level_v[1:-1], level_v[-1] = pv[ia], f_batch(inner), pv[ib]
+        px, pv = level_x, level_v
+        j = int(pv.argmax())
         if pv[j] > f_best:
             x_best, f_best = float(px[j]), float(pv[j])
 

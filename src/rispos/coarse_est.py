@@ -24,6 +24,9 @@ from .params import ChannelParams
 
 _COND_LIMIT = 1e12
 _AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
+# grid points of each coordinate search: a bracket spans at most about 1.3
+# main lobes, and the zoom levels refine the grid's best cell to ``tol``
+_N_GRID = 41
 
 
 @dataclass
@@ -108,27 +111,49 @@ def estimate_aod_coarse(y: np.ndarray, setup: Setup):
     return theta_hat, res
 
 
-def _concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
-                                c_mat: np.ndarray, geom: ScenarioGeometry):
-    """Concentrated log-likelihood of the AOD vector (constant dropped).
+def _bordered(block: np.ndarray, cross: np.ndarray,
+              corner: np.ndarray) -> np.ndarray:
+    """Stack of Hermitian [[block, cross_i], [cross_i^H, corner_i]] (n, k+1, k+1)."""
+    k, n = cross.shape
+    out = np.empty((n, k + 1, k + 1), dtype=complex)
+    out[:, :k, :k] = block
+    out[:, :k, k] = cross.T
+    out[:, k, :k] = cross.conj().T
+    out[:, k, k] = corner
+    return out
+
+
+def _aod_column_objective(theta: np.ndarray, q: int, s_mat: np.ndarray,
+                          c_mat: np.ndarray, geom: ScenarioGeometry):
+    """Concentrated AOD log-likelihood as a function of AOD q alone.
 
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
     With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
-    tr(G^-1 A^H S A). A (Q+1,) vector gives a scalar; an (n, Q+1) stack of
-    candidate vectors gives (n,) from one batched solve.
+    tr(G^-1 A^H S A) (constant dropped). The trace does not depend on the
+    column order, so the candidate column goes last: C and S act on the
+    other columns once, and a candidate a fills only the border of G and
+    of A^H S A. Returns a map from (n,) candidate angles to (n,) values;
+    it raises ``SingularConcentration`` when any candidate leaves G
+    singular or ill-conditioned.
     """
-    theta = np.asarray(theta_vec, dtype=float)
-    a = np.moveaxis(ms_steering(geom, np.atleast_2d(theta)), 0, 1)
-    a_h = a.conj().transpose(0, 2, 1)                    # (n, Q+1, N_m)
-    gram = a_h @ c_mat @ a
-    if not np.all(np.isfinite(gram)):
-        raise SingularConcentration("departure angles collide")
-    eig = np.linalg.eigvalsh(gram)
-    if not np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
-        raise SingularConcentration("departure angles collide")
-    vals = np.real(np.trace(np.linalg.solve(gram, a_h @ s_mat @ a),
-                            axis1=1, axis2=2))
-    return vals if theta.ndim == 2 else float(vals[0])
+    fixed = ms_steering(geom, np.delete(theta, q))       # (N_m, Q)
+    c_fix, s_fix = c_mat @ fixed, s_mat @ fixed
+    g_fix, h_fix = fixed.conj().T @ c_fix, fixed.conj().T @ s_fix
+
+    def objective(theta_q: np.ndarray) -> np.ndarray:
+        a = ms_steering(geom, theta_q)                   # (N_m, n)
+        gram = _bordered(g_fix, c_fix.conj().T @ a,
+                         np.einsum("mn,mn->n", a.conj(), c_mat @ a))
+        if not np.all(np.isfinite(gram)):
+            raise SingularConcentration("departure angles collide")
+        eig = np.linalg.eigvalsh(gram)
+        if not np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
+            raise SingularConcentration("departure angles collide")
+        h_mat = _bordered(h_fix, s_fix.conj().T @ a,
+                          np.einsum("mn,mn->n", a.conj(), s_mat @ a))
+        return np.real(np.trace(np.linalg.solve(gram, h_mat),
+                                axis1=1, axis2=2))
+    return objective
 
 
 def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
@@ -148,22 +173,16 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
     theta = np.asarray(theta_init, dtype=float).copy()
     cell = 2.0 / cfg.g_ms
 
-    def objective(th_vec):
-        return _concentrated_aod_objective(th_vec, s_mat, c_mat, geom)
-
     for _ in range(_AOD_MAX_PASSES):
         moved = 0.0
         for q in range(theta.size):
             u0 = float(np.sin(theta[q]))
             lo = max(-1.0, u0 - cell)
             hi = min(1.0, u0 + cell)
-
-            def f_batch(us, q=q):
-                trial = np.repeat(theta[None, :], us.size, axis=0)
-                trial[:, q] = np.arcsin(np.clip(us, -1.0, 1.0))
-                return objective(trial)
-
-            u_best, _ = maximize_1d(f_batch, lo, hi, incumbent=u0)
+            column = _aod_column_objective(theta, q, s_mat, c_mat, geom)
+            u_best, _ = maximize_1d(
+                lambda us: column(np.arcsin(np.clip(us, -1.0, 1.0))),
+                lo, hi, n_grid=_N_GRID, incumbent=u0)
             new = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
             moved = max(moved, abs(np.sin(new) - u0))
             theta[q] = new

@@ -11,6 +11,7 @@ takes, plus the parameter Jacobian at the true pose for the bounds.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -369,17 +370,21 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
         stage_list.append("lm")
 
     all_records, ref = [], []
-    for p_idx, power in enumerate(exp.powers_dbm):
-        setup = power_setup(exp, power)
-        tasks = [(exp, power, p_idx, t, setup) for t in range(exp.n_trials)]
-        if exp.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(exp.workers) as pool:
+    # one pool serves every power point; setups are still built one at a time
+    pool = (concurrent.futures.ProcessPoolExecutor(exp.workers)
+            if exp.workers > 1 else None)
+    with pool or contextlib.nullcontext():
+        for p_idx, power in enumerate(exp.powers_dbm):
+            setup = power_setup(exp, power)
+            tasks = [(exp, power, p_idx, t, setup)
+                     for t in range(exp.n_trials)]
+            if pool is not None:
                 recs = list(pool.map(_trial_star, tasks, chunksize=4))
-        else:
-            recs = [run_trial(*t) for t in tasks]
-        recs.sort(key=lambda r: r.trial_index)
-        all_records.append(recs)
-        ref.append(reference_bounds(exp, power, setup))
+            else:
+                recs = [run_trial(*t) for t in tasks]
+            recs.sort(key=lambda r: r.trial_index)
+            all_records.append(recs)
+            ref.append(reference_bounds(exp, power, setup))
 
     rmse = {}
     rmse_filtered = {}

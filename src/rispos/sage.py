@@ -2,18 +2,35 @@
 
 Each path's hidden per-path signal (its complete data) is the
 observation minus the other paths' share of ``channel.model_field`` at
-their freshest estimates. Beamformed onto a_B and de-rotated by the
-path's delay it gives r_t; the path's model slot factor is
-u_t = sigma_t p_t. With the gain eliminated, the per-path likelihood is
+their freshest estimates. Beamformed onto a_B it is a_B^H y minus
+(a_B^H a_B) times the other paths' field, a (T, N) record pa. De-rotated
+by the path's delay it gives r_t; the path's model slot factor is
+u_t = sigma_t p_t, with sigma_t = g_t^T a_R and p_t = a_M^H x_t. With the
+gain eliminated, the per-path likelihood is
 
-    F = |sum_t r_t conj(u_t)|^2 / (N_B N sum_t |u_t|^2)
+    F = |num|^2 / den,  num = sum_t r_t conj(u_t),
+                        den = N_B N sum_t |u_t|^2,
 
-and the closed-form gain is numerator / denominator.
-``SageProblem.path_terms`` is the one implementation of that numerator
-and denominator: the delay update evaluates it on a batch of r, the
-three angle updates on batches of u. The global log-likelihood over all
-slots and subcarriers is the convergence monitor. Every function takes
-the received tensor y (N_b, T, N) and the per-power ``channel.Setup``.
+and the closed-form gain is num / den. Each 1-D search first contracts
+the factors it holds fixed into small per-search statistics, so a
+candidate costs only its own steering vector:
+
+- delay: c = pa^T conj(u), an (N,) vector; num = ramp(-tau)^T c and den
+  does not change over the search;
+- departure angle: w = conj(X) (r . conj(sigma)) over the pilots X;
+  num = a_M^T w and den = N_B N |sigma|^T |X^T conj(a_M)|^2;
+- elevation and azimuth: per phase block b, c_b = sum_{t in b} r_t
+  conj(p_t) and d_b = sum_{t in b} |p_t|^2; num = c^T conj(sigma_b) and
+  den = N_B N d^T |sigma_b|^2 with sigma_b = block_phases @ a_R, one row
+  per block instead of one per slot. a_R is the elevation factor (x) the
+  azimuth factor, so the azimuth search folds the fixed elevation factor
+  into the block phases once.
+
+``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
+into F and the gain; they are the only scoring path of a coordinate
+cycle. The global log-likelihood over all slots and subcarriers is the
+convergence monitor. Every function takes the received tensor y
+(N_b, T, N) and the per-power ``channel.Setup``.
 """
 
 from __future__ import annotations
@@ -23,14 +40,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Setup, beamform, model_field, path_factors,
-                      pilot_projection, ris_slot_scalars, subcarrier_ramp)
+from .channel import (Setup, beamform, model_field, ms_steering,
+                      path_factors, pilot_projection, ris_slot_scalars,
+                      subcarrier_ramp)
 from .errors import ZeroDenominator
+from .geometry import ris_delta_freqs, steer_ula
 from .params import ChannelParams
 
 UPDATE_ORDER = ("tau", "theta_t", "phi_in", "psi_in", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
+# grid points of each coordinate search: a bracket spans at most about 1.3
+# main lobes, and the zoom levels refine the grid's best cell to ``tol``
+_N_GRID = 41
 
 
 @dataclass
@@ -46,61 +68,119 @@ class SageInfo:
 class SageProblem:
     """Observation context shared by all SAGE updates.
 
-    Slot-indexed arrays put the slot axis last: (T,) for one candidate,
-    (n, T) for a batch of n.
+    Holds the beamformed observation a_B^H y (T, N) and the slot
+    structure the per-search statistics contract over. Each ``*_terms``
+    method forms one search's statistics once and returns a function
+    from candidate values, scalar or (n,), to the matching (num, den).
     """
 
     def __init__(self, y: np.ndarray, setup: Setup):
-        self.y = y                                     # (N_b, T, N)
         self.setup = setup
-        self.a_b = setup.a_b
-        self.slot_phases = setup.sched.slot_phases     # (T, N_r)
+        self.pa0 = beamform(setup.a_b, y)                # (T, N)
+        self._ab_sq = float(np.real(np.vdot(setup.a_b, setup.a_b)))
+        sched = setup.sched
+        self.slot_block = sched.slot_block               # (T,)
+        # (blocks, T) indicator: row b sums the slots of phase block b
+        self._block_sum = (sched.slot_block
+                           == np.arange(sched.n_blocks)[:, None]).astype(float)
         self._den_scale = setup.geom.n_bs * setup.cfg.n_subcarriers
 
     def complete_data(self, params: ChannelParams, q: int) -> np.ndarray:
-        """Estimated per-path signal: observation minus the other paths."""
+        """Beamformed per-path signal (T, N): observation minus the other paths."""
         others = params.copy()
         others.gains[q] = 0.0
-        field = model_field(others, self.setup)
-        return self.y - self.a_b[:, None, None] * field[None, :, :]
+        return self.pa0 - self._ab_sq * model_field(others, self.setup)
 
-    def derotated(self, pa: np.ndarray, tau) -> np.ndarray:
-        """r_t = sum_n pa[t, n] conj(ramp_n(tau)) for beamformed data pa (T, N)."""
-        ramp = subcarrier_ramp(np.negative(tau), self.setup.cfg.bandwidth,
-                               self.setup.cfg.n_subcarriers)
-        return ramp.T @ pa.T
+    def derotated(self, pa: np.ndarray, tau: float) -> np.ndarray:
+        """r_t = sum_n pa[t, n] conj(ramp_n(tau)) for a (T, N) record pa."""
+        cfg = self.setup.cfg
+        return pa @ subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers)
 
-    def slot_sigma(self, phi_in, psi_in) -> np.ndarray:
-        """sigma_t = g_t^T a_R(dw) at the given arrival angles."""
+    def block_sigma(self, phi_in, psi_in) -> np.ndarray:
+        """sigma_b = block_phases[b] @ a_R(dw) per phase block; (B,) or (B, n)."""
         _, phi_out0, psi_out0 = self.setup.known_angles
-        return ris_slot_scalars(self.setup.geom, self.slot_phases, phi_in,
-                                psi_in, phi_out0, psi_out0).T
+        return ris_slot_scalars(self.setup.geom, self.setup.sched.block_phases,
+                                phi_in, psi_in, phi_out0, psi_out0)
 
     def slot_proj(self, theta_t) -> np.ndarray:
-        """p_t = a_M(theta)^H x_t at the given departure angle."""
-        return pilot_projection(self.setup.geom, self.setup.pilots, theta_t).T
+        """p_t = a_M(theta)^H x_t per slot; (T,) or (T, n)."""
+        return pilot_projection(self.setup.geom, self.setup.pilots, theta_t)
 
-    def path_terms(self, r: np.ndarray, u: np.ndarray):
-        """Numerator sum_t r_t conj(u_t) and denominator N_B N sum_t |u_t|^2.
+    def delay_terms(self, pa: np.ndarray, u: np.ndarray):
+        """Delay search at slot factors u (T,): num = ramp(-tau)^T pa^T conj(u)."""
+        cfg = self.setup.cfg
+        c = pa.T @ u.conj()                              # (N,)
+        den = self._den_scale * float(np.vdot(u, u).real)
 
-        ``r`` and ``u`` broadcast against each other over their leading
-        axes, so one call scores a whole candidate batch.
+        def terms(tau):
+            ramp = subcarrier_ramp(np.negative(tau), cfg.bandwidth,
+                                   cfg.n_subcarriers)
+            return ramp.T @ c, den
+        return terms
+
+    def departure_terms(self, r: np.ndarray, sigma: np.ndarray):
+        """Departure-angle search at de-rotated r (T,) and RIS factors sigma (T,)."""
+        geom, pilots = self.setup.geom, self.setup.pilots
+        w = pilots.conj() @ (r * sigma.conj())           # (N_m,)
+        sigma_sq = self._den_scale * np.abs(sigma) ** 2
+
+        def terms(theta_t):
+            a_m = ms_steering(geom, theta_t)
+            return a_m.T @ w, sigma_sq @ np.abs(pilots.T @ a_m.conj()) ** 2
+        return terms
+
+    def _block_stats(self, r: np.ndarray, p: np.ndarray):
+        """c_b = sum_{t in b} r_t conj(p_t) and N_B N sum_{t in b} |p_t|^2."""
+        return (self._block_sum @ (r * p.conj()),
+                self._den_scale * (self._block_sum @ np.abs(p) ** 2))
+
+    def elevation_terms(self, r: np.ndarray, p: np.ndarray, psi_in: float):
+        """Elevation search at de-rotated r (T,), projections p (T,) and a
+        fixed azimuth."""
+        c, d = self._block_stats(r, p)
+
+        def terms(phi_in):
+            sigma_b = self.block_sigma(phi_in,
+                                       np.full(np.shape(phi_in), psi_in))
+            return c @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
+        return terms
+
+    def azimuth_terms(self, r: np.ndarray, p: np.ndarray, phi_in: float):
+        """Azimuth search at de-rotated r (T,), projections p (T,) and a
+        fixed elevation.
+
+        a_R is the elevation factor (x) the azimuth factor, and the
+        elevation factor is fixed here, so it folds into the block phases
+        once: a candidate costs one azimuth steering vector.
         """
-        num = np.einsum("...t,...t->...", r, u.conj())
-        den = self._den_scale * np.einsum("...t,...t->...", u, u.conj()).real
-        return num, den
+        geom = self.setup.geom
+        _, phi_out0, psi_out0 = self.setup.known_angles
+        c, d = self._block_stats(r, p)
+        # the elevation frequency does not depend on the azimuth angle
+        _, dw_el = ris_delta_freqs(geom, phi_in, 0.0, phi_out0, psi_out0)
+        phases = self.setup.sched.block_phases.reshape(
+            -1, geom.n_ris_el, geom.n_ris_az)
+        phases_az = np.einsum("bea,e->ba", phases,
+                              steer_ula(dw_el, geom.n_ris_el))
 
-    def objective(self, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F of each candidate; one with a vanishing denominator scores 0."""
-        num, den = self.path_terms(r, u)
-        return np.abs(num) ** 2 / np.where(den > 0.0, den, np.inf)
+        def terms(psi_in):
+            dw_az, _ = ris_delta_freqs(geom, phi_in, psi_in, phi_out0,
+                                       psi_out0)
+            sigma_b = phases_az @ steer_ula(dw_az, geom.n_ris_az)
+            return c @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
+        return terms
 
-    def fit(self, r: np.ndarray, u: np.ndarray) -> tuple[float, complex]:
-        """F and the closed-form gain of one candidate."""
-        num, den = self.path_terms(r, u)
-        if not den > 0.0:
-            raise ZeroDenominator("single-path objective denominator vanished")
-        return float(abs(num) ** 2 / den), complex(num / den)
+
+def path_objective(num, den) -> np.ndarray:
+    """F of each candidate; one with a vanishing denominator scores 0."""
+    return np.abs(num) ** 2 / np.where(den > 0.0, den, np.inf)
+
+
+def path_fit(num, den) -> tuple[float, complex]:
+    """F and the closed-form gain of one candidate."""
+    if not den > 0.0:
+        raise ZeroDenominator("single-path objective denominator vanished")
+    return float(abs(num) ** 2 / den), complex(num / den)
 
 
 def global_log_likelihood(params: ChannelParams, y: np.ndarray,
@@ -132,38 +212,37 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     Returns the objective trace of the steps.
     """
     cfg = prob.setup.cfg
-    pa = beamform(prob.a_b, prob.complete_data(params, q))
+    pa = prob.complete_data(params, q)
 
-    def search(f, x0, half, lim=np.inf):
-        return maximize_1d(f, max(-lim, x0 - half), min(lim, x0 + half),
-                           incumbent=x0)
+    def search(terms, x0, half, lim=np.inf):
+        return maximize_1d(lambda xs: path_objective(*terms(xs)),
+                           max(-lim, x0 - half), min(lim, x0 + half),
+                           n_grid=_N_GRID, incumbent=x0)
 
     tau = float(params.tau[q])
     theta = float(params.theta_t[q])
     phi = float(params.phi_in[q])
     psi = float(params.psi_in[q])
-    sigma, proj = prob.slot_sigma(phi, psi), prob.slot_proj(theta)
-    trace = {"start": prob.fit(prob.derotated(pa, tau), sigma * proj)[0]}
+    sigma = prob.block_sigma(phi, psi)[prob.slot_block]
+    delay = prob.delay_terms(pa, sigma * prob.slot_proj(theta))
+    trace = {"start": path_fit(*delay(tau))[0]}
 
     # delay: half a DFT bin on either side
-    tau, trace["tau"] = search(
-        lambda ts: prob.objective(prob.derotated(pa, ts), sigma * proj),
-        tau, 1.0 / (2.0 * cfg.bandwidth))
+    tau, trace["tau"] = search(delay, tau, 1.0 / (2.0 * cfg.bandwidth))
     r = prob.derotated(pa, tau)
 
     # departure angle: +-_ANGLE_CELLS coarse cells in sin space
+    departure = prob.departure_terms(r, sigma)
     u_best, trace["theta_t"] = search(
-        lambda us: prob.objective(
-            r, sigma * prob.slot_proj(np.arcsin(np.clip(us, -1, 1)))),
+        lambda us: departure(np.arcsin(np.clip(us, -1.0, 1.0))),
         np.sin(theta), _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
     theta = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
-    proj = prob.slot_proj(theta)
+    p = prob.slot_proj(theta)
 
     # elevation arrival angle: +-_ANGLE_CELLS cells in cos space
+    elevation = prob.elevation_terms(r, p, psi)
     c_best, trace["phi_in"] = search(
-        lambda cs: prob.objective(
-            r, prob.slot_sigma(np.arccos(np.clip(cs, -1, 1)),
-                               np.full(np.size(cs), psi)) * proj),
+        lambda cs: elevation(np.arccos(np.clip(cs, -1.0, 1.0))),
         np.cos(phi), _ANGLE_CELLS * (2.0 / cfg.g_ris_el), 1.0)
     phi = float(np.arccos(np.clip(c_best, -1.0, 1.0)))
 
@@ -173,13 +252,13 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     def psi_of(s):
         return np.pi - np.arcsin(np.clip(np.asarray(s) / sin_phi, -1.0, 1.0))
 
+    azimuth = prob.azimuth_terms(r, p, phi)
     s_best, trace["psi_in"] = search(
-        lambda ss: prob.objective(
-            r, prob.slot_sigma(np.full(np.size(ss), phi), psi_of(ss)) * proj),
+        lambda ss: azimuth(psi_of(ss)),
         np.sin(psi) * sin_phi, _ANGLE_CELLS * (2.0 / cfg.g_ris_az), sin_phi)
     psi = float(psi_of(s_best))
 
-    gain = prob.fit(r, prob.slot_sigma(phi, psi) * proj)[1]
+    gain = path_fit(*azimuth(psi))[1]
 
     params.tau[q] = tau
     params.theta_t[q] = theta

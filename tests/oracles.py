@@ -1,8 +1,9 @@
-"""Test oracles: the long-way channel builders, the per-call SAGE
-wrappers, the inverse index and angle maps, the vector-to-params map
-and the exhaustive path association. The package keeps only the fast
-forms; these reference implementations check them. The channel builders
-take the known RIS-BS leg from the geometry, as ``channel.Setup`` does."""
+"""Test oracles: the long-way channel builders, the full-tensor SAGE
+path objective, the full-stack concentrated AOD objective, the inverse
+index and angle maps, the vector-to-params map and the exhaustive path
+association. The package keeps only the fast forms; these reference
+implementations check them. The channel builders take the known RIS-BS
+leg from the geometry, as ``channel.Setup`` does."""
 
 import itertools
 
@@ -10,8 +11,9 @@ import numpy as np
 
 from rispos import channel as ch
 from rispos import geometry as gm
-from rispos import sage as sg
-from rispos.errors import DimensionMismatch
+from rispos import coarse_est as ce
+from rispos.errors import (DimensionMismatch, SingularConcentration,
+                           ZeroDenominator)
 from rispos.geometry import ScenarioGeometry
 from rispos.params import ChannelParams
 
@@ -75,14 +77,33 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
 
 def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,
                               setup: ch.Setup) -> np.ndarray:
-    """Per-path hidden signal estimate (N_b, T, N) for path ``q``."""
-    return sg.SageProblem(y, setup).complete_data(params, q)
+    """Per-path hidden signal estimate (N_b, T, N) for path ``q``: the
+    observation minus a_B (x) the other paths' field."""
+    others = params.copy()
+    others.gains[q] = 0.0
+    return y - setup.a_b[:, None, None] * ch.model_field(others, setup)[None]
+
+
+def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,
+               psi_in: float, setup: ch.Setup) -> tuple[complex, float]:
+    """Numerator sum_t r_t conj(u_t) and denominator N_B N sum_t |u_t|^2 of
+    the per-path likelihood, built over all T slots from the full tensor."""
+    cfg, geom = setup.cfg, setup.geom
+    pa = ch.beamform(setup.a_b, y_q)                       # (T, N)
+    r = ch.subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers) @ pa.T
+    u = (ch.ris_slot_scalars(geom, setup.sched.slot_phases, phi_in, psi_in,
+                             *setup.known_angles[1:])
+         * ch.pilot_projection(geom, setup.pilots, theta_t))
+    num = np.sum(r * u.conj())
+    den = geom.n_bs * cfg.n_subcarriers * np.sum(np.abs(u) ** 2)
+    return num, den
 
 
 def _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, setup):
-    prob = sg.SageProblem(y_q, setup)
-    r = prob.derotated(ch.beamform(prob.a_b, y_q), tau)
-    return prob.fit(r, prob.slot_sigma(phi_in, psi_in) * prob.slot_proj(theta_t))
+    num, den = path_terms(y_q, tau, theta_t, phi_in, psi_in, setup)
+    if not den > 0.0:
+        raise ZeroDenominator("single-path objective denominator vanished")
+    return float(abs(num) ** 2 / den), complex(num / den)
 
 
 def gain_closed_form(y_q: np.ndarray, tau: float, theta_t: float,
@@ -96,6 +117,25 @@ def single_path_objective(y_q: np.ndarray, tau: float, theta_t: float,
                           setup: ch.Setup) -> float:
     """Concentrated per-path likelihood F (gain eliminated)."""
     return _single_path_fit(y_q, tau, theta_t, phi_in, psi_in, setup)[0]
+
+
+def concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
+                               c_mat: np.ndarray, geom: ScenarioGeometry):
+    """Concentrated AOD log-likelihood tr(G^-1 A^H S A), G = A^H C A, from
+    the full triple products. A (Q+1,) vector gives a scalar; an (n, Q+1)
+    stack of candidate vectors gives (n,) from one batched solve."""
+    theta = np.asarray(theta_vec, dtype=float)
+    a = np.moveaxis(ch.ms_steering(geom, np.atleast_2d(theta)), 0, 1)
+    a_h = a.conj().transpose(0, 2, 1)                    # (n, Q+1, N_m)
+    gram = a_h @ c_mat @ a
+    if not np.all(np.isfinite(gram)):
+        raise SingularConcentration("departure angles collide")
+    eig = np.linalg.eigvalsh(gram)
+    if not np.all(eig[:, 0] > eig[:, -1] / ce._COND_LIMIT):
+        raise SingularConcentration("departure angles collide")
+    vals = np.real(np.trace(np.linalg.solve(gram, a_h @ s_mat @ a),
+                            axis1=1, axis2=2))
+    return vals if theta.ndim == 2 else float(vals[0])
 
 
 def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:

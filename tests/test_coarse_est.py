@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import concentrated_aod_objective
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -108,8 +109,8 @@ def test_refine_aod_mle_fixed_point(setup20):
     assert np.max(np.abs(np.sin(refined) - np.sin(s.true.theta_t))) < 1e-9
     # objective change from the truth is negligible
     mats = _aod_mats(s, rx)
-    obj = ce._concentrated_aod_objective(refined, *mats, s.geom)
-    t1 = ce._concentrated_aod_objective(s.true.theta_t, *mats, s.geom)
+    obj = concentrated_aod_objective(refined, *mats, s.geom)
+    t1 = concentrated_aod_objective(s.true.theta_t, *mats, s.geom)
     assert abs(obj - t1) <= 1e-8 * abs(t1)
 
 
@@ -139,9 +140,9 @@ def test_aod_objective_batched_matches_scalar(setup20):
     rng = np.random.default_rng(4)
     for n_paths in (1, 2, 3):
         stack = rng.uniform(-1.4, 1.4, (17, n_paths))
-        batched = ce._concentrated_aod_objective(stack, *mats, s.geom)
+        batched = concentrated_aod_objective(stack, *mats, s.geom)
         assert batched.shape == (17,)
-        scalar = [ce._concentrated_aod_objective(row, *mats, s.geom)
+        scalar = [concentrated_aod_objective(row, *mats, s.geom)
                   for row in stack]
         assert all(isinstance(v, float) for v in scalar)
         assert_allclose(batched, scalar, rtol=1e-12)
@@ -154,9 +155,39 @@ def test_aod_objective_batched_rejects_colliding_row(setup20):
     s = setup20
     mats = _aod_mats(s, s.rx_noisy)
     stack = np.array([[0.1, -0.4], [0.2, 0.5], [0.3, 0.3], [0.0, 0.7]])
-    ce._concentrated_aod_objective(stack[[0, 1, 3]], *mats, s.geom)
+    concentrated_aod_objective(stack[[0, 1, 3]], *mats, s.geom)
     with pytest.raises(SingularConcentration):
-        ce._concentrated_aod_objective(stack, *mats, s.geom)
+        concentrated_aod_objective(stack, *mats, s.geom)
+
+
+def test_aod_column_batch_matches_full_stacks(setup20):
+    """Scoring one column against fixed others equals the full-stack
+    objective on stacks that differ in that column only."""
+    s = setup20
+    mats = _aod_mats(s, s.rx_noisy)
+    rng = np.random.default_rng(11)
+    for n_paths in (1, 2, 3):
+        theta = rng.uniform(-1.2, 1.2, n_paths)
+        for q in range(n_paths):
+            cands = rng.uniform(-1.4, 1.4, 17)
+            column = ce._aod_column_objective(theta, q, *mats, s.geom)
+            stack = np.repeat(theta[None, :], cands.size, axis=0)
+            stack[:, q] = cands
+            batch = column(cands)
+            assert batch.shape == (17,)
+            assert_allclose(batch,
+                            concentrated_aod_objective(stack, *mats, s.geom),
+                            rtol=1e-12)
+
+
+def test_aod_column_batch_rejects_colliding_column(setup20):
+    s = setup20
+    mats = _aod_mats(s, s.rx_noisy)
+    column = ce._aod_column_objective(np.array([0.3, -0.4]), 0, *mats, s.geom)
+    cands = np.array([0.1, 0.2, -0.4, 0.5])
+    column(cands[[0, 1, 3]])
+    with pytest.raises(SingularConcentration):
+        column(cands)
 
 
 def test_aod_objective_matches_raw_form(setup20):
@@ -170,7 +201,8 @@ def test_aod_objective_matches_raw_form(setup20):
                       s.cfg.n_subcarriers))], axis=1)
     theta = np.array([0.2, -0.45])
     s_mat, c_mat = _aod_mats(s, rx)
-    simplified = ce._concentrated_aod_objective(theta, s_mat, c_mat, s.geom)
+    simplified = ce._aod_column_objective(theta, 1, s_mat, c_mat,
+                                          s.geom)(theta[1:])[0]
 
     # raw form: residual after per-subcarrier LS gain fitting
     a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])

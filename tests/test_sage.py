@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (build_channel, channel_params_from_vector,
-                     gain_closed_form, reconstruct_complete_data,
+                     gain_closed_form, path_terms, reconstruct_complete_data,
                      single_path_objective)
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -97,13 +97,25 @@ def test_reconstruct_recovers_planted_path(setup20):
 
 def test_reconstruct_sum_identity(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.setup)
-    y_0 = prob.complete_data(s.true, 0)
+    y_0 = reconstruct_complete_data(s.rx_noisy, s.true, 0, s.setup)
     others = s.true.copy()
     others.gains[0] = 0.0
-    interference = prob.a_b[:, None, None] * ch.model_field(others, s.setup)
+    interference = (s.setup.a_b[:, None, None]
+                    * ch.model_field(others, s.setup))
     scale = np.max(np.abs(s.rx_noisy))
     assert np.max(np.abs(y_0 + interference - s.rx_noisy)) < 1e-15 * scale
+
+
+def test_complete_data_beamforms_the_full_tensor(setup20):
+    """a_B^H y - (a_B^H a_B) field equals a_B^H applied to the per-path tensor."""
+    s = setup20
+    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    for q in range(2):
+        full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
+        ref = ch.beamform(s.setup.a_b, full)
+        got = prob.complete_data(s.true, q)
+        assert got.shape == (s.cfg.t_total, s.cfg.n_subcarriers)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def _planted_single(s, seed=None):
@@ -215,65 +227,88 @@ def test_gain_stationarity(setup20):
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     params = _random_params(s, rng)
-    prob = sg.SageProblem(y_q, s.setup)
-    r = prob.derotated(ch.beamform(prob.a_b, y_q), params.tau[0])
-    u = (prob.slot_sigma(params.phi_in[0], params.psi_in[0])
-         * prob.slot_proj(params.theta_t[0]))
-    num, den = prob.path_terms(r, u)
+    num, den = path_terms(y_q, params.tau[0], params.theta_t[0],
+                          params.phi_in[0], params.psi_in[0], s.setup)
     delta = num / den
     # derivative of L w.r.t. conj(delta) is numerator - delta * denominator
     assert abs(num - delta * den) < 1e-6
 
 
+def _search_stats(s, y_q, params):
+    """A problem on y_q and the per-search statistics at path 0 of params."""
+    prob = sg.SageProblem(y_q, s.setup)
+    tau, th, ph, ps = (params.tau[0], params.theta_t[0], params.phi_in[0],
+                       params.psi_in[0])
+    sigma = prob.block_sigma(ph, ps)[prob.slot_block]
+    p = prob.slot_proj(th)
+    r = prob.derotated(prob.pa0, tau)
+    return (prob.delay_terms(prob.pa0, sigma * p),
+            prob.departure_terms(r, sigma), prob.elevation_terms(r, p, ps),
+            prob.azimuth_terms(r, p, ph))
+
+
 def test_batched_objective_matches_scalar_oracle(setup20):
-    """A delay batch and each angle batch equal the scalar oracle row by row."""
+    """Each reduced delay and angle batch equals the long-form oracle row
+    by row."""
     s = setup20
     rng = np.random.default_rng(7)
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
-    y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    params = _random_params(s, rng)
-    tau, th, ph, ps = (params.tau[0], params.theta_t[0], params.phi_in[0],
-                       params.psi_in[0])
-    prob = sg.SageProblem(y_q, s.setup)
-    pa = ch.beamform(prob.a_b, y_q)
-    r = prob.derotated(pa, tau)
-    sigma, proj = prob.slot_sigma(ph, ps), prob.slot_proj(th)
-    n = 9
-    taus = tau + np.linspace(-2e-8, 2e-8, n)
-    ths = th + np.linspace(-0.05, 0.05, n)
-    phs = ph + np.linspace(-0.05, 0.05, n)
-    pss = ps + np.linspace(-0.05, 0.05, n)
-    batches = {
-        "tau": (prob.objective(prob.derotated(pa, taus), sigma * proj),
-                [(t, th, ph, ps) for t in taus]),
-        "theta_t": (prob.objective(r, sigma * prob.slot_proj(ths)),
-                    [(tau, t, ph, ps) for t in ths]),
-        "phi_in": (prob.objective(r, prob.slot_sigma(phs, np.full(n, ps))
-                                  * proj),
-                   [(tau, th, p, ps) for p in phs]),
-        "psi_in": (prob.objective(r, prob.slot_sigma(np.full(n, ph), pss)
-                                  * proj),
-                   [(tau, th, ph, p) for p in pss]),
-    }
-    for name, (batch, points) in batches.items():
-        assert batch.shape == (n,), name
-        ref = np.array([single_path_objective(y_q, *pt, s.setup)
-                        for pt in points])
-        assert np.max(np.abs(batch - ref) / ref) < 1e-12, name
+    for _ in range(3):
+        y_q = 1e-5 * (rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape))
+        params = _random_params(s, rng)
+        tau, th, ph, ps = (params.tau[0], params.theta_t[0],
+                           params.phi_in[0], params.psi_in[0])
+        delay, departure, elevation, azimuth = _search_stats(s, y_q, params)
+        n = 9
+        taus = tau + np.linspace(-2e-8, 2e-8, n)
+        ths = th + np.linspace(-0.05, 0.05, n)
+        phs = ph + np.linspace(-0.05, 0.05, n)
+        pss = ps + np.linspace(-0.05, 0.05, n)
+        batches = {
+            "tau": (delay(taus), [(t, th, ph, ps) for t in taus]),
+            "theta_t": (departure(ths), [(tau, t, ph, ps) for t in ths]),
+            "phi_in": (elevation(phs), [(tau, th, p, ps) for p in phs]),
+            "psi_in": (azimuth(pss), [(tau, th, ph, p) for p in pss]),
+        }
+        for name, (terms, points) in batches.items():
+            batch = sg.path_objective(*terms)
+            assert batch.shape == (n,), name
+            ref = np.array([single_path_objective(y_q, *pt, s.setup)
+                            for pt in points])
+            assert np.max(np.abs(batch - ref) / ref) < 1e-12, name
+            gains = terms[0] / terms[1]
+            ref_gains = [gain_closed_form(y_q, *pt, s.setup) for pt in points]
+            assert np.max(np.abs(gains - ref_gains)
+                          / np.abs(ref_gains)) < 1e-12, name
 
 
 def test_batched_objective_zero_denominator_never_wins(setup20):
-    """A candidate whose slot factor vanishes scores 0 instead of raising."""
+    """A candidate whose slot factors vanish scores 0 instead of raising."""
     s = setup20
     prob = sg.SageProblem(s.rx_noisy, s.setup)
-    r = prob.derotated(ch.beamform(prob.a_b, s.rx_noisy), s.true.tau[0])
-    u = np.stack([prob.slot_sigma(s.true.phi_in[0], s.true.psi_in[0])
-                  * prob.slot_proj(s.true.theta_t[0]),
-                  np.zeros(s.cfg.t_total)])
-    vals = prob.objective(r, u)
-    assert vals[0] > 0.0 and vals[1] == 0.0
-    with pytest.raises(sg.ZeroDenominator):
-        prob.fit(r, u[1])
+    tau, th, ph, ps = (s.true.tau[0], s.true.theta_t[0], s.true.phi_in[0],
+                       s.true.psi_in[0])
+    sigma = prob.block_sigma(ph, ps)[prob.slot_block]
+    p = prob.slot_proj(th)
+    r = prob.derotated(prob.pa0, tau)
+    zero = np.zeros(s.cfg.t_total)
+    step = np.linspace(-0.01, 0.01, 5)
+    live_dead = {
+        "tau": (prob.delay_terms(prob.pa0, sigma * p),
+                prob.delay_terms(prob.pa0, zero), tau + 1e-7 * step),
+        "theta_t": (prob.departure_terms(r, sigma),
+                    prob.departure_terms(r, zero), th + step),
+        "phi_in": (prob.elevation_terms(r, p, ps),
+                   prob.elevation_terms(r, zero, ps), ph + step),
+        "psi_in": (prob.azimuth_terms(r, p, ph),
+                   prob.azimuth_terms(r, zero, ph), ps + step),
+    }
+    for name, (live, dead, cands) in live_dead.items():
+        assert np.all(sg.path_objective(*live(cands)) > 0.0), name
+        assert np.all(sg.path_objective(*dead(cands)) == 0.0), name
+        with pytest.raises(sg.ZeroDenominator):
+            sg.path_fit(*dead(cands[0]))
 
 
 def test_objective_zero_denominator(setup20):

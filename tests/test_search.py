@@ -101,3 +101,31 @@ def test_batch_count_bound(n_grid, tol, with_incumbent):
         assert len(f.sizes) <= 10
         assert sum(size == 1 for size in f.sizes) <= 1
         assert f.sizes[0] == n_grid + with_incumbent
+
+
+@pytest.mark.parametrize("n_grid", [41, 201])
+@pytest.mark.parametrize("with_incumbent", [False, True])
+def test_zoom_candidates_are_linspace_interiors(n_grid, with_incumbent):
+    """Each zoom batch equals np.linspace(...)[1:-1] over the bracket kept
+    from the level before it, bit for bit."""
+    rng = np.random.default_rng(3)
+    for seed in range(10):
+        f = _bumpy(seed)
+        batches = []
+
+        def record(xs, f=f):
+            batches.append(np.array(xs, dtype=float))
+            return f(batches[-1])
+
+        lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
+        maximize_1d(record, lo, hi, n_grid=n_grid,
+                    incumbent=0.5 * (lo + hi) if with_incumbent else None)
+        px = np.linspace(lo, hi, n_grid)
+        zooms = [b for b in batches[1:] if b.size > 1]
+        assert zooms
+        for batch in zooms:
+            j = int(np.argmax(f(px)))
+            xa, xb = px[max(j - 1, 0)], px[min(j + 1, px.size - 1)]
+            expected = np.linspace(xa, xb, batch.size + 2)[1:-1]
+            assert np.array_equal(batch, expected)
+            px = np.concatenate(([xa], expected, [xb]))
