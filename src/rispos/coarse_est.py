@@ -25,7 +25,8 @@ from .params import ChannelParams
 _COND_LIMIT = 1e12
 _AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
 # grid points of each coordinate search: a bracket spans at most about 1.3
-# main lobes, and the zoom levels refine the grid's best cell to ``tol``
+# main lobes; at the default ``tol`` three zoom levels and the parabolic
+# step refine the grid's best cell, at most five batches per search
 _N_GRID = 41
 
 

@@ -51,7 +51,8 @@ UPDATE_ORDER = ("tau", "theta_t", "phi_in", "psi_in", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
 # grid points of each coordinate search: a bracket spans at most about 1.3
-# main lobes, and the zoom levels refine the grid's best cell to ``tol``
+# main lobes; at the default ``tol`` three zoom levels and the parabolic
+# step refine the grid's best cell, at most five batches per search
 _N_GRID = 41
 
 

@@ -1,5 +1,7 @@
 """Global likelihood, complete-data reconstruction, and coordinate ascent."""
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,10 +9,13 @@ from numpy.testing import assert_allclose
 from oracles import (build_channel, channel_params_from_vector,
                      gain_closed_form, path_terms, reconstruct_complete_data,
                      single_path_objective)
+from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
+from rispos import harness as hn
 from rispos import sage as sg
+from rispos._search import maximize_1d
 from rispos.params import ChannelParams
 
 
@@ -400,3 +405,36 @@ def test_sage_beats_coarse_at_20dbm(mini_mc):
         coarse = rep.rmse["coarse"][cls][0]
         sage = rep.rmse["sage"][cls][0]
         assert sage < coarse, f"{cls}: sage {sage} vs coarse {coarse}"
+
+
+def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
+    """The default search tolerance moves no SAGE estimate by more than
+    1 % of its CRLB standard deviation against searches run to 1e-9."""
+    exp = default_exp
+    geom = exp.geometry()
+    worst = 0.0
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        for trial in range(2):
+            gain_seed, noise_seed = np.random.SeedSequence(
+                (p_idx, trial)).spawn(2)
+            true = gm.true_channel_params(
+                geom, ch.draw_gains(setup.cfg, geom,
+                                    np.random.default_rng(gain_seed)))
+            sd = np.sqrt(np.diag(np.linalg.inv(bnd.fim_channel(true, setup))))
+            y = ch.synthesize_rx(setup, true,
+                                 noise_seed=np.random.default_rng(noise_seed))
+
+            rows = []
+            for tight in (False, True):
+                with monkeypatch.context() as m:
+                    if tight:
+                        tight_search = functools.partial(maximize_1d, tol=1e-9)
+                        m.setattr(sg, "maximize_1d", tight_search)
+                        m.setattr(ce, "maximize_1d", tight_search)
+                    coarse = ce.run_coarse(y, setup)
+                    refined, _ = sg.run_sage(y, setup, coarse.params)
+                perm = hn.associate_paths(refined.theta_t, true.theta_t)
+                rows.append(refined.to_vector().reshape(-1, 6)[perm].ravel())
+            worst = max(worst, float(np.max(np.abs(rows[0] - rows[1]) / sd)))
+    assert worst <= 1e-2, worst

@@ -58,16 +58,41 @@ def test_tie_goes_to_incumbent():
     assert (x, fx) == (0.7, 1.0)
 
 
-@pytest.mark.parametrize("peak", [-0.9317, -0.25, 0.0, 0.3141, 0.77777])
+_PEAKS = (-0.9317, -0.25, 0.0, 0.3141, 0.77777)
+
+
+def _peaked(peak):
+    """Smooth, asymmetric, with its maximum 0 at ``peak``."""
+    return lambda xs: (-np.log(np.cosh(3.0 * (xs - peak)))
+                       + 0.3 * (xs - peak) ** 3)
+
+
+@pytest.mark.parametrize("peak", _PEAKS)
 def test_accuracy_within_tol_of_known_maximum(peak):
     lo, hi, tol = -1.0, 1.0, 1e-7
-
-    def f(xs):
-        return -np.log(np.cosh(3.0 * (xs - peak))) + 0.3 * (xs - peak) ** 3
-
-    x, fx = maximize_1d(f, lo, hi, tol=tol)
+    x, fx = maximize_1d(_peaked(peak), lo, hi, tol=tol)
     assert abs(x - peak) <= tol * (hi - lo)
     assert fx == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_grid,max_batches", [(41, 5), (201, 4)])
+@pytest.mark.parametrize("with_incumbent", [False, True])
+def test_default_depth_and_accuracy(n_grid, max_batches, with_incumbent):
+    """The default tol stops the zoom early (grid, 3 levels at 41 points or
+    2 at 201, parabolic step), and the parabolic step still lands far
+    inside the last bracket."""
+    rng = np.random.default_rng(0)
+    for seed in range(50):
+        f = Counted(_bumpy(seed))
+        lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
+        inc = rng.uniform(lo, hi)
+        maximize_1d(f, lo, hi, n_grid=n_grid,
+                    incumbent=inc if with_incumbent else None)
+        assert len(f.sizes) <= max_batches
+
+    for peak in _PEAKS:
+        x, _ = maximize_1d(_peaked(peak), -1.0, 1.0, n_grid=n_grid)
+        assert abs(x - peak) <= 1e-9 * 2.0
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
