@@ -1,11 +1,13 @@
 """Stage-one channel-parameter estimation.
 
-Three sub-steps run on the block-structured pilot record: joint-sparse
+Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure angles, likelihood refinement of those angles,
 per-path sparse recovery of the RIS arrival angles, and DFT-plus-rotation
-delay/gain estimation. Each stage takes the received tensor y
-(N_b, T, N) and the per-power ``channel.Setup``: the pilots, schedule,
-dictionaries, known RIS-BS angles, a_B and path count come from there.
+delay/gain estimation. Both recoveries are DCS-SOMP: each pick maximizes
+theta_g^H R theta_g / ||theta_g||^2, R the M x M residual covariance.
+Each stage takes the received tensor y (N_b, T, N) and the per-power
+``channel.Setup``: the pilots, schedule, dictionaries, known RIS-BS
+angles, a_B and path count come from there.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
              sparsity: int) -> SompResult:
     """Simultaneous OMP with one support shared across subcarriers.
 
+    That is plain SOMP on the flattened (M, N L) record Y: each pick
+    maximizes sum_{n,l} |theta_g^H r_{n,l}|^2 / ||theta_g||^2, the form
+    theta_g^H R theta_g / ||theta_g||^2 of the residual covariance R = r r^H.
+
     Parameters
     ----------
     measurements : (N, M, L) complex
@@ -63,7 +69,7 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
     y = np.asarray(measurements, dtype=complex)
     if y.ndim == 2:
         y = y[:, :, None]
-    n_sub, n_meas, _ = y.shape
+    n_sub, n_meas, n_col = y.shape
     theta = np.asarray(dictionary, dtype=complex)
     if theta.shape[0] != n_meas:
         raise SparsityInfeasible("dictionary rows must match measurement rows")
@@ -71,29 +77,23 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
         raise SparsityInfeasible(
             f"sparsity {sparsity} infeasible with {n_meas} measurement rows")
 
-    support: list[int] = []
-    norms = [float(np.linalg.norm(y))]
-    coeffs = None
+    y_flat = y.transpose(1, 0, 2).reshape(n_meas, n_sub * n_col)
+    # unequal column norms (random phase profiles) must not bias the pick
     col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
-    theta_h = theta.conj().T
-    proj_y = theta_h @ y                                 # (N, G, L)
-    psi = proj_y.copy()                                  # Theta^H resid
+    support: list[int] = []
+    resid = y_flat
+    norms = [float(np.linalg.norm(resid))]
     for _ in range(sparsity):
-        # summed cross-subcarrier correlation, normalized per column so
-        # unequal column norms (random phase profiles) cannot bias the pick;
-        # psi is squared in place (real and imaginary parts), as it is
-        # overwritten below
-        power = np.square(psi.view(float), out=psi.view(float))
-        corr = np.sum(power, axis=(0, 2)) / col_power
+        cov = resid @ resid.conj().T     # from the residual: nothing cancels
+        corr = np.einsum("mg,mg->g", theta.conj(), cov @ theta).real / col_power
         corr[support] = -np.inf          # residual is orthogonal to these
         support.append(int(np.argmax(corr)))
         sel = theta[:, support]
-        gram = sel.conj().T @ sel
-        coeffs = _solve_gram(gram, proj_y[:, support, :])
-        norms.append(float(np.linalg.norm(y - sel @ coeffs)))
-        np.matmul(theta_h @ sel, coeffs, out=psi)
-        np.subtract(proj_y, psi, out=psi)
-    return SompResult(support=support, coeffs=coeffs,
+        coef = _solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
+        resid = y_flat - sel @ coef
+        norms.append(float(np.linalg.norm(resid)))
+    return SompResult(support=support,
+                      coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
                       residual_norms=np.asarray(norms))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +47,11 @@ _CLASSES = {
 REPORT_CLASSES = tuple(_CLASSES)
 CHANNEL_CLASSES = tuple(c for c, (col, _) in _CLASSES.items()
                         if col is not None)
+
+
+def _is_number(value, kind) -> bool:
+    """``value`` is an instance of the ``numbers`` ABC ``kind``, not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -92,10 +98,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not self.powers_dbm:
-            raise ValueError("powers_dbm must be non-empty")
+        for name in ("n_trials", "workers"):
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
+                or not all(_is_number(p, numbers.Real) for p in self.powers_dbm)):
+            raise ValueError("powers_dbm must be a non-empty list of real "
+                             f"numbers, not {self.powers_dbm!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

@@ -1,9 +1,10 @@
 """Test oracles: the long-way channel builders, the full-tensor SAGE
-path objective, the full-stack concentrated AOD objective, the inverse
-index and angle maps, the vector-to-params map and the exhaustive path
-association. The package keeps only the fast forms; these reference
-implementations check them. The channel builders take the known RIS-BS
-leg from the geometry, as ``channel.Setup`` does."""
+path objective, the full-stack concentrated AOD objective, the
+correlation-tensor DCS-SOMP, the inverse index and angle maps, the
+vector-to-params map and the exhaustive path association. The package
+keeps only the fast forms; these reference implementations check them.
+The channel builders take the known RIS-BS leg from the geometry, as
+``channel.Setup`` does."""
 
 import itertools
 
@@ -13,7 +14,7 @@ from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import coarse_est as ce
 from rispos.errors import (DimensionMismatch, SingularConcentration,
-                           ZeroDenominator)
+                           SparsityInfeasible, ZeroDenominator)
 from rispos.geometry import ScenarioGeometry
 from rispos.params import ChannelParams
 
@@ -136,6 +137,42 @@ def concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
     vals = np.real(np.trace(np.linalg.solve(gram, a_h @ s_mat @ a),
                             axis1=1, axis2=2))
     return vals if theta.ndim == 2 else float(vals[0])
+
+
+def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
+                    sparsity: int) -> ce.SompResult:
+    """DCS-SOMP from the (N, G, L) correlation tensor Theta^H r[n]: column
+    g scores sum_{n,l} |theta_g^H r_{n,l}|^2 / ||theta_g||^2, and the
+    correlations are updated by subtracting the projection of Theta^H Y
+    rather than recomputed from the residual."""
+    y = np.asarray(measurements, dtype=complex)
+    if y.ndim == 2:
+        y = y[:, :, None]
+    n_meas = y.shape[1]
+    theta = np.asarray(dictionary, dtype=complex)
+    if theta.shape[0] != n_meas or not 1 <= sparsity <= n_meas:
+        raise SparsityInfeasible("infeasible sparsity or dictionary rows")
+
+    support: list[int] = []
+    norms = [float(np.linalg.norm(y))]
+    coeffs = None
+    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
+    theta_h = theta.conj().T
+    proj_y = theta_h @ y                                 # (N, G, L)
+    psi = proj_y.copy()                                  # Theta^H resid
+    for _ in range(sparsity):
+        power = np.square(psi.view(float), out=psi.view(float))
+        corr = np.sum(power, axis=(0, 2)) / col_power
+        corr[support] = -np.inf
+        support.append(int(np.argmax(corr)))
+        sel = theta[:, support]
+        gram = sel.conj().T @ sel
+        coeffs = ce._solve_gram(gram, proj_y[:, support, :])
+        norms.append(float(np.linalg.norm(y - sel @ coeffs)))
+        np.matmul(theta_h @ sel, coeffs, out=psi)
+        np.subtract(proj_y, psi, out=psi)
+    return ce.SompResult(support=support, coeffs=coeffs,
+                         residual_norms=np.asarray(norms))
 
 
 def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:

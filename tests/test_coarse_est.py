@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import concentrated_aod_objective
+from oracles import concentrated_aod_objective, dcs_somp_tensor
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
+from rispos import harness as hn
 from rispos.errors import (OutOfRange, RankDeficient, SingularConcentration,
                            SparsityInfeasible)
 from rispos.params import ChannelParams
@@ -53,6 +54,62 @@ def test_dcs_somp_sparsity_infeasible():
     y = np.zeros((1, 4, 1), dtype=complex)
     with pytest.raises(SparsityInfeasible):
         ce.dcs_somp(y, theta, 5)
+
+
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("n_sub,n_meas,n_col,n_dict,sparsity", [
+    (20, 16, 40, 128, 1), (20, 16, 40, 128, 2), (20, 16, 40, 128, 3),
+    (20, 8, 1, 100, 1)], ids=["aod_k1", "aod_k2", "aod_k3", "ris_aoa"])
+def test_dcs_somp_matches_tensor_oracle(n_sub, n_meas, n_col, n_dict,
+                                        sparsity, noisy):
+    """The covariance form picks the support of the correlation-tensor
+    oracle and returns its coefficients and residual norms, at the shapes
+    of the AOD and the per-path RIS arrival-angle calls. Residual norms
+    left at rounding level by an exact fit are compared against ||Y||."""
+    rng = np.random.default_rng([n_meas, n_dict, sparsity, int(noisy)])
+    theta = _complex_normal(rng, n_meas, n_dict)
+    cols = rng.choice(n_dict, sparsity, replace=False)
+    y = np.einsum("mk,nkl->nml", theta[:, cols],
+                  _complex_normal(rng, n_sub, sparsity, n_col))
+    if noisy:
+        y += 0.3 * _complex_normal(rng, n_sub, n_meas, n_col)
+    res = ce.dcs_somp(y, theta, sparsity)
+    ref = dcs_somp_tensor(y, theta, sparsity)
+    assert res.support == ref.support
+    assert sorted(res.support) == sorted(cols)
+    assert res.coeffs.shape == (n_sub, sparsity, n_col)
+    assert_allclose(res.coeffs, ref.coeffs, rtol=1e-12)
+    assert_allclose(res.residual_norms, ref.residual_norms, rtol=1e-12,
+                    atol=1e-12 * ref.residual_norms[0])
+
+
+def test_coarse_stages_pick_the_oracle_columns(monkeypatch):
+    """Over 10 reference trials per power, ``estimate_aod_coarse`` and
+    ``estimate_ris_aoa`` select the same dictionary columns as a run with
+    the correlation-tensor oracle patched in for ``dcs_somp``."""
+    exp = hn.ExperimentConfig(n_trials=10, stage="aod_mle")
+    setups = [hn.power_setup(exp, p) for p in exp.powers_dbm]
+
+    def picks(somp):
+        calls = []
+
+        def recorded(*args):
+            res = somp(*args)
+            calls.append(res.support)
+            return res
+        monkeypatch.setattr(ce, "dcs_somp", recorded)
+        for p_idx, (power, setup) in enumerate(zip(exp.powers_dbm, setups)):
+            for trial in range(exp.n_trials):
+                hn.run_trial(exp, power, p_idx, trial, setup)
+        return calls
+
+    fast = picks(ce.dcs_somp)
+    assert len(fast) == 4 * 10 * (1 + setups[0].n_paths)
+    assert fast == picks(dcs_somp_tensor)
 
 
 def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):

@@ -187,6 +187,47 @@ def test_config_file_malformed_is_value_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    "powers_dbm: 20\n", "powers_dbm: []\n", "powers_dbm: [20, x]\n",
+    "powers_dbm: [true]\n", "n_trials: 2.5\n", "n_trials: 0\n",
+    "n_trials: true\n", "workers: 2.0\n", "workers: 0\n", "workers: -1\n"],
+    ids=["powers_scalar", "powers_empty", "powers_string", "powers_bool",
+         "trials_float", "trials_zero", "trials_bool", "workers_float",
+         "workers_zero", "workers_negative"])
+def test_config_bad_types_are_value_errors(tmp_path, capsys, text):
+    """A config whose powers are not a non-empty list of reals, or whose
+    trial or worker count is not an integer >= 1, is a ValueError naming
+    the field, which the CLI reports with exit code 2."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    field_name = text.split(":")[0]
+    with pytest.raises(ValueError, match=field_name):
+        hn.ExperimentConfig.from_file(bad)
+    assert cli.main(["sweep", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field_name}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_workers_below_one_rejected(tmp_path, capsys, workers):
+    out = tmp_path / "w"
+    assert cli.main(["sweep", "--trials", "1", "--powers", "20",
+                     "--workers", workers, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: workers")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"powers_dbm": [-10.0, 0.0, 10.0, 20.0], "n_trials": 4, "workers": 2},
+    {"powers_dbm": [20], "n_trials": 1, "workers": 1},
+    {"powers_dbm": [np.float64(3.5)], "n_trials": np.int64(3),
+     "workers": np.int32(1)}], ids=["floats", "int_power", "numpy_scalars"])
+def test_config_accepts_real_powers_and_integer_counts(kwargs):
+    exp = hn.ExperimentConfig(**kwargs)
+    assert exp.n_trials == kwargs["n_trials"]
+
+
 @pytest.mark.parametrize("n_paths", range(1, 7))
 def test_associate_paths_attains_min_cost(n_paths):
     """The association is a permutation whose summed |sin AOD| distance is
