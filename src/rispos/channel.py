@@ -211,8 +211,13 @@ def bs_steering(geom: ScenarioGeometry, theta_r0: float) -> np.ndarray:
 
 def ms_steering(geom: ScenarioGeometry, theta_t) -> np.ndarray:
     """MS steering vectors, shape (N_m,) or (N_m, n) for array input."""
-    return steer_ula(geometry.aod_spatial_freq(theta_t, geom.d_ms,
-                                               geom.wavelength), geom.n_ms)
+    return ms_sine_steering(geom, np.sin(theta_t))
+
+
+def ms_sine_steering(geom: ScenarioGeometry, u) -> np.ndarray:
+    """MS steering vectors at departure sines u = sin(theta_t); (N_m,) or
+    (N_m, n)."""
+    return steer_ula(geom.d_ms / geom.wavelength * u, geom.n_ms)
 
 
 def ris_diff_steering(geom: ScenarioGeometry, phi_in, psi_in,
@@ -316,12 +321,15 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
 
     Noise entries are CN(0, sigma^2) with the per-subcarrier noise power
     of the setup's system; passing the same seed reproduces the tensor
-    exactly.
+    exactly. One draw holds the real halves, then the imaginary ones; it
+    is scaled in place and added into y's parts, with no complex
+    temporaries.
     """
     y = setup.a_b[:, None, None] * model_field(params, setup)[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
-        scale = np.sqrt(setup.cfg.noise_power / 2.0)
-        y = y + scale * (rng.standard_normal(y.shape)
-                         + 1j * rng.standard_normal(y.shape))
+        noise = rng.standard_normal((2,) + y.shape)
+        noise *= np.sqrt(setup.cfg.noise_power / 2.0)
+        y.real += noise[0]
+        y.imag += noise[1]
     return y

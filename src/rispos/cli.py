@@ -57,6 +57,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_trial(args) -> int:
     exp = _load_config(args)
+    if args.trial < 0:
+        raise ValueError(f"--trial must be an integer >= 0, not {args.trial}")
     if args.power not in exp.powers_dbm:
         raise ValueError(f"--power {args.power:g} is not a configured power; "
                          f"powers_dbm is {exp.powers_dbm}")

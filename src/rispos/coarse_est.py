@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Setup, SystemConfig, beamform, ms_steering,
+from .channel import (Setup, SystemConfig, beamform, ms_sine_steering,
                       pilot_projection, ris_index_split)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
@@ -124,25 +124,26 @@ def _bordered(block: np.ndarray, cross: np.ndarray,
     return out
 
 
-def _aod_column_objective(theta: np.ndarray, q: int, s_mat: np.ndarray,
+def _aod_column_objective(sines: np.ndarray, q: int, s_mat: np.ndarray,
                           c_mat: np.ndarray, geom: ScenarioGeometry):
     """Concentrated AOD log-likelihood as a function of AOD q alone.
 
+    ``sines`` holds the departure sines sin(theta_t) of all paths,
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
     With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
     tr(G^-1 A^H S A) (constant dropped). The trace does not depend on the
     column order, so the candidate column goes last: C and S act on the
     other columns once, and a candidate a fills only the border of G and
-    of A^H S A. Returns a map from (n,) candidate angles to (n,) values;
+    of A^H S A. Returns a map from (n,) candidate sines to (n,) values;
     it raises ``SingularConcentration`` when any candidate leaves G
     singular or ill-conditioned.
     """
-    fixed = ms_steering(geom, np.delete(theta, q))       # (N_m, Q)
+    fixed = ms_sine_steering(geom, np.delete(sines, q))  # (N_m, Q)
     c_fix, s_fix = c_mat @ fixed, s_mat @ fixed
     g_fix, h_fix = fixed.conj().T @ c_fix, fixed.conj().T @ s_fix
 
-    def objective(theta_q: np.ndarray) -> np.ndarray:
-        a = ms_steering(geom, theta_q)                   # (N_m, n)
+    def objective(u_q: np.ndarray) -> np.ndarray:
+        a = ms_sine_steering(geom, u_q)                  # (N_m, n)
         gram = _bordered(g_fix, c_fix.conj().T @ a,
                          np.einsum("mn,mn->n", a.conj(), c_mat @ a))
         if not np.all(np.isfinite(gram)):
@@ -162,7 +163,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
 
     Each coordinate is searched in sin-space over one coarse grid cell
     around its current value; the concentrated objective never decreases.
-    Returns the refined AOD vector.
+    Returns the refined AOD vector, converted from the sines once.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -171,25 +172,22 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
     b_mat = x1 @ beamform(setup.a_b, y[:, :t1]).conj()  # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
-    theta = np.asarray(theta_init, dtype=float).copy()
+    sines = np.sin(np.asarray(theta_init, dtype=float))
     cell = 2.0 / cfg.g_ms
 
     for _ in range(_AOD_MAX_PASSES):
         moved = 0.0
-        for q in range(theta.size):
-            u0 = float(np.sin(theta[q]))
-            lo = max(-1.0, u0 - cell)
-            hi = min(1.0, u0 + cell)
-            column = _aod_column_objective(theta, q, s_mat, c_mat, geom)
-            u_best, _ = maximize_1d(
-                lambda us: column(np.arcsin(np.clip(us, -1.0, 1.0))),
-                lo, hi, n_grid=_N_GRID, incumbent=u0)
-            new = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
-            moved = max(moved, abs(np.sin(new) - u0))
-            theta[q] = new
+        for q in range(sines.size):
+            u0 = float(sines[q])
+            column = _aod_column_objective(sines, q, s_mat, c_mat, geom)
+            u_best, _ = maximize_1d(column, max(-1.0, u0 - cell),
+                                    min(1.0, u0 + cell), n_grid=_N_GRID,
+                                    incumbent=u0)
+            moved = max(moved, abs(u_best - u0))
+            sines[q] = u_best
         if moved < 1e-9:
             break
-    return theta
+    return np.arcsin(sines)
 
 
 @dataclass
@@ -327,7 +325,7 @@ def _canonical_order(psi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool
 
 def run_coarse(y: np.ndarray, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
-    """Run the three coarse sub-steps and order paths canonically."""
+    """Run the four coarse sub-steps and order paths canonically."""
     theta_hat, _ = estimate_aod_coarse(y, setup)
     if refine_aod:
         theta_hat = refine_aod_mle(y, setup, theta_hat)

@@ -98,10 +98,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
-        for name in ("n_trials", "workers"):
+        for name, least in (("n_trials", 1), ("workers", 1),
+                            ("master_seed", 0)):
             value = getattr(self, name)
-            if not _is_number(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            if not _is_number(value, numbers.Integral) or value < least:
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, not {value!r}")
         if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
                 or not all(_is_number(p, numbers.Real) for p in self.powers_dbm)):
             raise ValueError("powers_dbm must be a non-empty list of real "

@@ -5,26 +5,42 @@ observation minus the other paths' share of ``channel.model_field`` at
 their freshest estimates. Beamformed onto a_B it is a_B^H y minus
 (a_B^H a_B) times the other paths' field, a (T, N) record pa. De-rotated
 by the path's delay it gives r_t; the path's model slot factor is
-u_t = sigma_t p_t, with sigma_t = g_t^T a_R and p_t = a_M^H x_t. With the
+v_t = sigma_t p_t, with sigma_t = g_t^T a_R and p_t = a_M^H x_t. With the
 gain eliminated, the per-path likelihood is
 
-    F = |num|^2 / den,  num = sum_t r_t conj(u_t),
-                        den = N_B N sum_t |u_t|^2,
+    F = |num|^2 / den,  num = sum_t r_t conj(v_t),
+                        den = N_B N sum_t |v_t|^2,
 
-and the closed-form gain is num / den. Each 1-D search first contracts
-the factors it holds fixed into small per-search statistics, so a
-candidate costs only its own steering vector:
+and the closed-form gain is num / den.
 
-- delay: c = pa^T conj(u), an (N,) vector; num = ramp(-tau)^T c and den
+A path update searches the arrays' own spatial-frequency coordinates:
+the delay tau, the departure sine u = sin theta_t, the elevation cosine
+c = cos phi_in and the azimuth product s = sin psi_in sin phi_in. a_M
+depends on u alone, and a_R is a_el(c) (x) a_az(s), so each coordinate
+enters one factor. The path converts back to angles once, at the end of
+its update: theta_t = arcsin u, phi_in = arccos c and
+psi_in = pi - arcsin(s / sin phi_in), the branch of the coarse stage.
+
+Each 1-D search first contracts the factors it holds fixed into small
+per-search statistics, so a candidate costs only its own steering
+vector:
+
+- delay: k = pa^T conj(v), an (N,) vector; num = ramp(-tau)^T k and den
   does not change over the search;
-- departure angle: w = conj(X) (r . conj(sigma)) over the pilots X;
-  num = a_M^T w and den = N_B N |sigma|^T |X^T conj(a_M)|^2;
-- elevation and azimuth: per phase block b, c_b = sum_{t in b} r_t
-  conj(p_t) and d_b = sum_{t in b} |p_t|^2; num = c^T conj(sigma_b) and
-  den = N_B N d^T |sigma_b|^2 with sigma_b = block_phases @ a_R, one row
-  per block instead of one per slot. a_R is the elevation factor (x) the
-  azimuth factor, so the azimuth search folds the fixed elevation factor
-  into the block phases once.
+- departure sine: w = conj(X) (r . conj(sigma)) over the pilots X;
+  num = a_M(u)^T w and den = N_B N |sigma|^T |X^T conj(a_M(u))|^2;
+- elevation and azimuth: per phase block b, k_b = sum_{t in b} r_t
+  conj(p_t) and d_b = sum_{t in b} |p_t|^2; num = k^T conj(sigma_b) and
+  den = N_B N d^T |sigma_b|^2, one sigma_b per block instead of one per
+  slot. The block phases (B, N_el, N_az) are contracted once with the
+  fixed factor, a_az(s) for the elevation search and a_el(c) for the
+  azimuth search, so a candidate costs one 10-element ULA vector and a
+  (B x 10) product.
+
+Brackets span +-``_ANGLE_CELLS`` coarse grid cells around the incumbent
+and are clipped to the physical set c^2 + s^2 <= 1: |c| <= sqrt(1 - s^2)
+in the elevation search, |s| <= sin phi_in = sqrt(1 - c^2) in the
+azimuth search.
 
 ``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
 into F and the gain; they are the only scoring path of a coordinate
@@ -40,11 +56,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Setup, beamform, model_field, ms_steering,
-                      path_factors, pilot_projection, ris_slot_scalars,
-                      subcarrier_ramp)
+from .channel import (Setup, beamform, model_field, ms_sine_steering,
+                      path_factors, subcarrier_ramp)
 from .errors import ZeroDenominator
-from .geometry import ris_delta_freqs, steer_ula
+from .geometry import steer_ula
 from .params import ChannelParams
 
 UPDATE_ORDER = ("tau", "theta_t", "phi_in", "psi_in", "delta")
@@ -72,19 +87,28 @@ class SageProblem:
     Holds the beamformed observation a_B^H y (T, N) and the slot
     structure the per-search statistics contract over. Each ``*_terms``
     method forms one search's statistics once and returns a function
-    from candidate values, scalar or (n,), to the matching (num, den).
+    from candidate coordinates, scalar or (n,), to the matching
+    (num, den).
     """
 
     def __init__(self, y: np.ndarray, setup: Setup):
         self.setup = setup
+        geom, sched = setup.geom, setup.sched
         self.pa0 = beamform(setup.a_b, y)                # (T, N)
         self._ab_sq = float(np.real(np.vdot(setup.a_b, setup.a_b)))
-        sched = setup.sched
         self.slot_block = sched.slot_block               # (T,)
         # (blocks, T) indicator: row b sums the slots of phase block b
         self._block_sum = (sched.slot_block
                            == np.arange(sched.n_blocks)[:, None]).astype(float)
-        self._den_scale = setup.geom.n_bs * setup.cfg.n_subcarriers
+        self._den_scale = geom.n_bs * setup.cfg.n_subcarriers
+        # block phases as (B, N_el, N_az) and (B, N_az, N_el)
+        self._phases = sched.block_phases.reshape(-1, geom.n_ris_el,
+                                                  geom.n_ris_az)
+        self._phases_t = self._phases.transpose(0, 2, 1)
+        # the differential RIS frequencies offset c and s by the known leg
+        _, phi_out0, psi_out0 = setup.known_angles
+        self._c_out = np.cos(phi_out0)
+        self._s_out = np.sin(psi_out0) * np.sin(phi_out0)
 
     def complete_data(self, params: ChannelParams, q: int) -> np.ndarray:
         """Beamformed per-path signal (T, N): observation minus the other paths."""
@@ -97,79 +121,74 @@ class SageProblem:
         cfg = self.setup.cfg
         return pa @ subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers)
 
-    def block_sigma(self, phi_in, psi_in) -> np.ndarray:
-        """sigma_b = block_phases[b] @ a_R(dw) per phase block; (B,) or (B, n)."""
-        _, phi_out0, psi_out0 = self.setup.known_angles
-        return ris_slot_scalars(self.setup.geom, self.setup.sched.block_phases,
-                                phi_in, psi_in, phi_out0, psi_out0)
+    def _steer_el(self, c) -> np.ndarray:
+        """Elevation factor a_el of a_R at elevation cosines c; (N_el,) or
+        (N_el, n)."""
+        geom = self.setup.geom
+        return steer_ula(geom.d_ris_el / geom.wavelength * (c - self._c_out),
+                         geom.n_ris_el)
 
-    def slot_proj(self, theta_t) -> np.ndarray:
-        """p_t = a_M(theta)^H x_t per slot; (T,) or (T, n)."""
-        return pilot_projection(self.setup.geom, self.setup.pilots, theta_t)
+    def _steer_az(self, s) -> np.ndarray:
+        """Azimuth factor a_az of a_R at azimuth products s; (N_az,) or
+        (N_az, n)."""
+        geom = self.setup.geom
+        return steer_ula(geom.d_ris_az / geom.wavelength * (s - self._s_out),
+                         geom.n_ris_az)
 
-    def delay_terms(self, pa: np.ndarray, u: np.ndarray):
-        """Delay search at slot factors u (T,): num = ramp(-tau)^T pa^T conj(u)."""
+    def block_sigma(self, c: float, s: float) -> np.ndarray:
+        """sigma_b = block_phases[b] @ a_R per phase block, (B,), at the
+        elevation cosine c and azimuth product s."""
+        return (self._phases @ self._steer_az(s)) @ self._steer_el(c)
+
+    def slot_proj(self, u: float) -> np.ndarray:
+        """p_t = a_M^H x_t per slot, (T,), at the departure sine u."""
+        return self.setup.pilots.T @ ms_sine_steering(self.setup.geom, u).conj()
+
+    def delay_terms(self, pa: np.ndarray, v: np.ndarray):
+        """Delay search at slot factors v (T,): num = ramp(-tau)^T pa^T conj(v)."""
         cfg = self.setup.cfg
-        c = pa.T @ u.conj()                              # (N,)
-        den = self._den_scale * float(np.vdot(u, u).real)
+        k = pa.T @ v.conj()                              # (N,)
+        den = self._den_scale * float(np.vdot(v, v).real)
 
         def terms(tau):
             ramp = subcarrier_ramp(np.negative(tau), cfg.bandwidth,
                                    cfg.n_subcarriers)
-            return ramp.T @ c, den
+            return ramp.T @ k, den
         return terms
 
     def departure_terms(self, r: np.ndarray, sigma: np.ndarray):
-        """Departure-angle search at de-rotated r (T,) and RIS factors sigma (T,)."""
+        """Departure-sine search at de-rotated r (T,) and RIS factors sigma (T,)."""
         geom, pilots = self.setup.geom, self.setup.pilots
         w = pilots.conj() @ (r * sigma.conj())           # (N_m,)
         sigma_sq = self._den_scale * np.abs(sigma) ** 2
 
-        def terms(theta_t):
-            a_m = ms_steering(geom, theta_t)
+        def terms(u):
+            a_m = ms_sine_steering(geom, u)
             return a_m.T @ w, sigma_sq @ np.abs(pilots.T @ a_m.conj()) ** 2
         return terms
 
-    def _block_stats(self, r: np.ndarray, p: np.ndarray):
-        """c_b = sum_{t in b} r_t conj(p_t) and N_B N sum_{t in b} |p_t|^2."""
-        return (self._block_sum @ (r * p.conj()),
-                self._den_scale * (self._block_sum @ np.abs(p) ** 2))
+    def _ris_terms(self, r: np.ndarray, p: np.ndarray, folded: np.ndarray,
+                   steer):
+        """RIS search at de-rotated r (T,) and projections p (T,): the
+        block phases with the fixed factor folded in, (B, n_steer), times
+        ``steer`` of each candidate."""
+        k = self._block_sum @ (r * p.conj())
+        d = self._den_scale * (self._block_sum @ np.abs(p) ** 2)
 
-    def elevation_terms(self, r: np.ndarray, p: np.ndarray, psi_in: float):
-        """Elevation search at de-rotated r (T,), projections p (T,) and a
-        fixed azimuth."""
-        c, d = self._block_stats(r, p)
-
-        def terms(phi_in):
-            sigma_b = self.block_sigma(phi_in,
-                                       np.full(np.shape(phi_in), psi_in))
-            return c @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
+        def terms(x):
+            sigma_b = folded @ steer(x)
+            return k @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
         return terms
 
-    def azimuth_terms(self, r: np.ndarray, p: np.ndarray, phi_in: float):
-        """Azimuth search at de-rotated r (T,), projections p (T,) and a
-        fixed elevation.
+    def elevation_terms(self, r: np.ndarray, p: np.ndarray, s: float):
+        """Elevation-cosine search at a fixed azimuth product s."""
+        return self._ris_terms(r, p, self._phases @ self._steer_az(s),
+                               self._steer_el)
 
-        a_R is the elevation factor (x) the azimuth factor, and the
-        elevation factor is fixed here, so it folds into the block phases
-        once: a candidate costs one azimuth steering vector.
-        """
-        geom = self.setup.geom
-        _, phi_out0, psi_out0 = self.setup.known_angles
-        c, d = self._block_stats(r, p)
-        # the elevation frequency does not depend on the azimuth angle
-        _, dw_el = ris_delta_freqs(geom, phi_in, 0.0, phi_out0, psi_out0)
-        phases = self.setup.sched.block_phases.reshape(
-            -1, geom.n_ris_el, geom.n_ris_az)
-        phases_az = np.einsum("bea,e->ba", phases,
-                              steer_ula(dw_el, geom.n_ris_el))
-
-        def terms(psi_in):
-            dw_az, _ = ris_delta_freqs(geom, phi_in, psi_in, phi_out0,
-                                       psi_out0)
-            sigma_b = phases_az @ steer_ula(dw_az, geom.n_ris_az)
-            return c @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
-        return terms
+    def azimuth_terms(self, r: np.ndarray, p: np.ndarray, c: float):
+        """Azimuth-product search at a fixed elevation cosine c."""
+        return self._ris_terms(r, p, self._phases_t @ self._steer_el(c),
+                               self._steer_az)
 
 
 def path_objective(num, den) -> np.ndarray:
@@ -208,8 +227,10 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
                             q: int) -> dict:
     """Update path q in place: tau, theta_t, phi_in, psi_in, then the gain.
 
-    Each 1-D step maximizes the concentrated likelihood over a local
-    bracket with the incumbent always a candidate, so F never decreases.
+    The angles are searched as u = sin theta_t, c = cos phi_in and
+    s = sin psi_in sin phi_in, and converted back once at the end. Each
+    1-D step maximizes the concentrated likelihood over a local bracket
+    with the incumbent always a candidate, so F never decreases.
     Returns the objective trace of the steps.
     """
     cfg = prob.setup.cfg
@@ -221,50 +242,40 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
                            n_grid=_N_GRID, incumbent=x0)
 
     tau = float(params.tau[q])
-    theta = float(params.theta_t[q])
-    phi = float(params.phi_in[q])
-    psi = float(params.psi_in[q])
-    sigma = prob.block_sigma(phi, psi)[prob.slot_block]
-    delay = prob.delay_terms(pa, sigma * prob.slot_proj(theta))
+    u = float(np.sin(params.theta_t[q]))
+    c = float(np.cos(params.phi_in[q]))
+    s = float(np.sin(params.psi_in[q]) * np.sin(params.phi_in[q]))
+    sigma = prob.block_sigma(c, s)[prob.slot_block]
+    delay = prob.delay_terms(pa, sigma * prob.slot_proj(u))
     trace = {"start": path_fit(*delay(tau))[0]}
 
     # delay: half a DFT bin on either side
     tau, trace["tau"] = search(delay, tau, 1.0 / (2.0 * cfg.bandwidth))
     r = prob.derotated(pa, tau)
 
-    # departure angle: +-_ANGLE_CELLS coarse cells in sin space
-    departure = prob.departure_terms(r, sigma)
-    u_best, trace["theta_t"] = search(
-        lambda us: departure(np.arcsin(np.clip(us, -1.0, 1.0))),
-        np.sin(theta), _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
-    theta = float(np.arcsin(np.clip(u_best, -1.0, 1.0)))
-    p = prob.slot_proj(theta)
+    # departure sine: +-_ANGLE_CELLS coarse cells
+    u, trace["theta_t"] = search(prob.departure_terms(r, sigma), u,
+                                 _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
+    p = prob.slot_proj(u)
 
-    # elevation arrival angle: +-_ANGLE_CELLS cells in cos space
-    elevation = prob.elevation_terms(r, p, psi)
-    c_best, trace["phi_in"] = search(
-        lambda cs: elevation(np.arccos(np.clip(cs, -1.0, 1.0))),
-        np.cos(phi), _ANGLE_CELLS * (2.0 / cfg.g_ris_el), 1.0)
-    phi = float(np.arccos(np.clip(c_best, -1.0, 1.0)))
+    # elevation cosine at the fixed azimuth product: |c| <= sqrt(1 - s^2)
+    c, trace["phi_in"] = search(prob.elevation_terms(r, p, s), c,
+                                _ANGLE_CELLS * (2.0 / cfg.g_ris_el),
+                                np.sqrt(max(1.0 - s * s, 0.0)))
 
-    # azimuth arrival angle: +-_ANGLE_CELLS cells in the sin-product space
-    sin_phi = max(np.sin(phi), 1e-12)
+    # azimuth product at the fixed elevation cosine: |s| <= sin phi_in
+    sin_phi = np.sqrt(max(1.0 - c * c, 0.0))
+    azimuth = prob.azimuth_terms(r, p, c)
+    s, trace["psi_in"] = search(azimuth, s,
+                                _ANGLE_CELLS * (2.0 / cfg.g_ris_az), sin_phi)
 
-    def psi_of(s):
-        return np.pi - np.arcsin(np.clip(np.asarray(s) / sin_phi, -1.0, 1.0))
-
-    azimuth = prob.azimuth_terms(r, p, phi)
-    s_best, trace["psi_in"] = search(
-        lambda ss: azimuth(psi_of(ss)),
-        np.sin(psi) * sin_phi, _ANGLE_CELLS * (2.0 / cfg.g_ris_az), sin_phi)
-    psi = float(psi_of(s_best))
-
-    gain = path_fit(*azimuth(psi))[1]
+    gain = path_fit(*azimuth(s))[1]
 
     params.tau[q] = tau
-    params.theta_t[q] = theta
-    params.phi_in[q] = phi
-    params.psi_in[q] = psi
+    params.theta_t[q] = np.arcsin(u)
+    params.phi_in[q] = np.arccos(c)
+    params.psi_in[q] = np.pi - np.arcsin(
+        np.clip(s / max(sin_phi, 1e-12), -1.0, 1.0))
     params.gains[q] = gain
     return trace
 

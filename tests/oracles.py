@@ -1,8 +1,9 @@
-"""Test oracles: the long-way channel builders, the full-tensor SAGE
-path objective, the full-stack concentrated AOD objective, the
-correlation-tensor DCS-SOMP, the inverse index and angle maps, the
-vector-to-params map and the exhaustive path association. The package
-keeps only the fast forms; these reference implementations check them.
+"""Test oracles: the long-way channel builders, the out-of-place noisy
+synthesis, the full-tensor SAGE path objective, the full-stack
+concentrated AOD objective, the correlation-tensor DCS-SOMP, the inverse
+index and angle maps, the vector-to-params map and the exhaustive path
+association. The package keeps only the fast forms; these reference
+implementations check them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
@@ -74,6 +75,18 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
                          * cfg.bandwidth / cfg.n_subcarriers)
         h_mr += params.gains[q] * ramp_mr * np.outer(a_r_in, a_m.conj())
     return h_rb @ np.diag(g_t) @ h_mr
+
+
+def synthesize_rx_sum(setup: ch.Setup, params: ChannelParams,
+                      noise_seed=0) -> np.ndarray:
+    """The received tensor as the out-of-place sum a_B (x) field +
+    sqrt(sigma^2 / 2) (z_re + 1j z_im), the two halves drawn one after
+    the other."""
+    y = setup.a_b[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    rng = np.random.default_rng(noise_seed)
+    scale = np.sqrt(setup.cfg.noise_power / 2.0)
+    return y + scale * (rng.standard_normal(y.shape)
+                        + 1j * rng.standard_normal(y.shape))
 
 
 def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,

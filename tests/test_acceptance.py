@@ -133,8 +133,9 @@ def test_criterion_3_dual_formula_oracles(setup20):
             for t in range(s.cfg.t1):
                 raw += np.linalg.norm(y[:, t, n] - blocks[t] @ dvec) ** 2
                 const += np.linalg.norm(y[:, t, n]) ** 2
-        simp = ce._aod_column_objective(params.theta_t, 1, s_mat, c_mat,
-                                        s.geom)(params.theta_t[1:])[0]
+        simp = ce._aod_column_objective(np.sin(params.theta_t), 1, s_mat,
+                                        c_mat, s.geom)(
+            np.sin(params.theta_t[1:]))[0]
         worst["aod"] = max(worst["aod"],
                            abs((const - raw) - simp) / abs(simp))
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import build_channel, build_channel_cascade, ris_index_join
+from oracles import (build_channel, build_channel_cascade, ris_index_join,
+                     synthesize_rx_sum)
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.errors import DimensionMismatch, ScheduleInfeasible
@@ -100,6 +101,18 @@ def test_synthesize_deterministic(setup20):
     rx1 = ch.synthesize_rx(s.setup, s.true, 11)
     rx2 = ch.synthesize_rx(s.setup, s.true, 11)
     assert np.array_equal(rx1, rx2)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**40 + 5])
+def test_synthesize_matches_out_of_place_sum(setup20, seed):
+    """Noise added in place into the real and imaginary parts gives the
+    out-of-place formula bit for bit, from the same noise stream."""
+    s = setup20
+    assert np.array_equal(ch.synthesize_rx(s.setup, s.true, seed),
+                          synthesize_rx_sum(s.setup, s.true, seed))
+    assert np.array_equal(
+        ch.synthesize_rx(s.setup, s.true, np.random.default_rng(seed)),
+        synthesize_rx_sum(s.setup, s.true, np.random.default_rng(seed)))
 
 
 def test_synthesize_is_bs_steering_times_model_field(setup20):

@@ -227,10 +227,10 @@ def test_aod_column_batch_matches_full_stacks(setup20):
         theta = rng.uniform(-1.2, 1.2, n_paths)
         for q in range(n_paths):
             cands = rng.uniform(-1.4, 1.4, 17)
-            column = ce._aod_column_objective(theta, q, *mats, s.geom)
+            column = ce._aod_column_objective(np.sin(theta), q, *mats, s.geom)
             stack = np.repeat(theta[None, :], cands.size, axis=0)
             stack[:, q] = cands
-            batch = column(cands)
+            batch = column(np.sin(cands))
             assert batch.shape == (17,)
             assert_allclose(batch,
                             concentrated_aod_objective(stack, *mats, s.geom),
@@ -258,8 +258,8 @@ def test_aod_objective_matches_raw_form(setup20):
                       s.cfg.n_subcarriers))], axis=1)
     theta = np.array([0.2, -0.45])
     s_mat, c_mat = _aod_mats(s, rx)
-    simplified = ce._aod_column_objective(theta, 1, s_mat, c_mat,
-                                          s.geom)(theta[1:])[0]
+    simplified = ce._aod_column_objective(np.sin(theta), 1, s_mat, c_mat,
+                                          s.geom)(np.sin(theta[1:]))[0]
 
     # raw form: residual after per-subcarrier LS gain fitting
     a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])

@@ -218,6 +218,44 @@ def test_cli_workers_below_one_rejected(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "master_seed: 1.5\n", "master_seed: true\n", "master_seed: -1\n",
+    "master_seed: '7'\n"],
+    ids=["float", "bool", "negative", "string"])
+def test_config_master_seed_must_be_a_nonnegative_integer(tmp_path, capsys,
+                                                         text):
+    """A master seed that is not an integer >= 0 is a ValueError naming
+    the field (a float was a TypeError traceback, a bool ran as seed 1),
+    which the CLI reports with exit code 2."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match="master_seed"):
+        hn.ExperimentConfig.from_file(bad)
+    assert cli.main(["bounds", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: master_seed")
+
+
+@pytest.mark.parametrize("argv, field_name", [
+    (["sweep", "--seed", "-5", "--trials", "1", "--powers", "20"],
+     "master_seed"),
+    (["trial", "--power", "20", "--trial", "-1"], "--trial"),
+    (["trial", "--power", "20", "--seed", "-1"], "master_seed")],
+    ids=["sweep_seed", "trial_index", "trial_seed"])
+def test_cli_negative_seed_or_trial_rejected(tmp_path, capsys, argv,
+                                             field_name):
+    """A negative --seed or --trial exits 2 with an error naming it, not
+    NumPy's bare seeding message, and writes nothing."""
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert cli.main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field_name}")
+    assert not out.exists()
+
+
+def test_config_accepts_numpy_integer_seed():
+    assert hn.ExperimentConfig(master_seed=np.int64(0)).master_seed == 0
+
+
 @pytest.mark.parametrize("kwargs", [
     {"powers_dbm": [-10.0, 0.0, 10.0, 20.0], "n_trials": 4, "workers": 2},
     {"powers_dbm": [20], "n_trials": 1, "workers": 1},

@@ -239,22 +239,35 @@ def test_gain_stationarity(setup20):
     assert abs(num - delta * den) < 1e-6
 
 
+def _coords(params, q=0):
+    """The search coordinates of path q: tau, u = sin theta_t,
+    c = cos phi_in and s = sin psi_in sin phi_in."""
+    return (params.tau[q], np.sin(params.theta_t[q]), np.cos(params.phi_in[q]),
+            np.sin(params.psi_in[q]) * np.sin(params.phi_in[q]))
+
+
+def _angles(u, c, s):
+    """(theta_t, phi_in, psi_in) of the coordinates (u, c, s)."""
+    sin_phi = np.sqrt(1.0 - c * c)
+    return (np.arcsin(u), np.arccos(c),
+            np.pi - np.arcsin(np.clip(s / sin_phi, -1.0, 1.0)))
+
+
 def _search_stats(s, y_q, params):
     """A problem on y_q and the per-search statistics at path 0 of params."""
     prob = sg.SageProblem(y_q, s.setup)
-    tau, th, ph, ps = (params.tau[0], params.theta_t[0], params.phi_in[0],
-                       params.psi_in[0])
-    sigma = prob.block_sigma(ph, ps)[prob.slot_block]
-    p = prob.slot_proj(th)
+    tau, u, c, sa = _coords(params)
+    sigma = prob.block_sigma(c, sa)[prob.slot_block]
+    p = prob.slot_proj(u)
     r = prob.derotated(prob.pa0, tau)
     return (prob.delay_terms(prob.pa0, sigma * p),
-            prob.departure_terms(r, sigma), prob.elevation_terms(r, p, ps),
-            prob.azimuth_terms(r, p, ph))
+            prob.departure_terms(r, sigma), prob.elevation_terms(r, p, sa),
+            prob.azimuth_terms(r, p, c))
 
 
 def test_batched_objective_matches_scalar_oracle(setup20):
-    """Each reduced delay and angle batch equals the long-form oracle row
-    by row."""
+    """Each reduced delay and coordinate batch equals the long-form oracle
+    at the mapped angles, row by row."""
     s = setup20
     rng = np.random.default_rng(7)
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
@@ -262,19 +275,23 @@ def test_batched_objective_matches_scalar_oracle(setup20):
         y_q = 1e-5 * (rng.standard_normal(shape)
                       + 1j * rng.standard_normal(shape))
         params = _random_params(s, rng)
-        tau, th, ph, ps = (params.tau[0], params.theta_t[0],
-                           params.phi_in[0], params.psi_in[0])
+        tau, u, c, sa = _coords(params)
+        th, ph, ps = _angles(u, c, sa)
         delay, departure, elevation, azimuth = _search_stats(s, y_q, params)
         n = 9
+        # physical brackets: c^2 + s^2 <= 1 along both RIS coordinates
+        lim_c, lim_s = np.sqrt(1.0 - sa * sa), np.sqrt(1.0 - c * c)
         taus = tau + np.linspace(-2e-8, 2e-8, n)
-        ths = th + np.linspace(-0.05, 0.05, n)
-        phs = ph + np.linspace(-0.05, 0.05, n)
-        pss = ps + np.linspace(-0.05, 0.05, n)
+        us = u + np.linspace(-0.05, 0.05, n)
+        cs = np.linspace(max(-lim_c, c - 0.05), min(lim_c, c + 0.05), n)
+        ss = np.linspace(max(-lim_s, sa - 0.05), min(lim_s, sa + 0.05), n)
         batches = {
             "tau": (delay(taus), [(t, th, ph, ps) for t in taus]),
-            "theta_t": (departure(ths), [(tau, t, ph, ps) for t in ths]),
-            "phi_in": (elevation(phs), [(tau, th, p, ps) for p in phs]),
-            "psi_in": (azimuth(pss), [(tau, th, ph, p) for p in pss]),
+            "theta_t": (departure(us),
+                        [(tau,) + _angles(x, c, sa) for x in us]),
+            "phi_in": (elevation(cs),
+                       [(tau,) + _angles(u, x, sa) for x in cs]),
+            "psi_in": (azimuth(ss), [(tau,) + _angles(u, c, x) for x in ss]),
         }
         for name, (terms, points) in batches.items():
             batch = sg.path_objective(*terms)
@@ -292,10 +309,9 @@ def test_batched_objective_zero_denominator_never_wins(setup20):
     """A candidate whose slot factors vanish scores 0 instead of raising."""
     s = setup20
     prob = sg.SageProblem(s.rx_noisy, s.setup)
-    tau, th, ph, ps = (s.true.tau[0], s.true.theta_t[0], s.true.phi_in[0],
-                       s.true.psi_in[0])
-    sigma = prob.block_sigma(ph, ps)[prob.slot_block]
-    p = prob.slot_proj(th)
+    tau, u, c, sa = _coords(s.true)
+    sigma = prob.block_sigma(c, sa)[prob.slot_block]
+    p = prob.slot_proj(u)
     r = prob.derotated(prob.pa0, tau)
     zero = np.zeros(s.cfg.t_total)
     step = np.linspace(-0.01, 0.01, 5)
@@ -303,17 +319,63 @@ def test_batched_objective_zero_denominator_never_wins(setup20):
         "tau": (prob.delay_terms(prob.pa0, sigma * p),
                 prob.delay_terms(prob.pa0, zero), tau + 1e-7 * step),
         "theta_t": (prob.departure_terms(r, sigma),
-                    prob.departure_terms(r, zero), th + step),
-        "phi_in": (prob.elevation_terms(r, p, ps),
-                   prob.elevation_terms(r, zero, ps), ph + step),
-        "psi_in": (prob.azimuth_terms(r, p, ph),
-                   prob.azimuth_terms(r, zero, ph), ps + step),
+                    prob.departure_terms(r, zero), u + step),
+        "phi_in": (prob.elevation_terms(r, p, sa),
+                   prob.elevation_terms(r, zero, sa), c + step),
+        "psi_in": (prob.azimuth_terms(r, p, c),
+                   prob.azimuth_terms(r, zero, c), sa + step),
     }
     for name, (live, dead, cands) in live_dead.items():
         assert np.all(sg.path_objective(*live(cands)) > 0.0), name
         assert np.all(sg.path_objective(*dead(cands)) == 0.0), name
         with pytest.raises(sg.ZeroDenominator):
             sg.path_fit(*dead(cands[0]))
+
+
+def test_ris_candidates_are_physical(setup20, monkeypatch):
+    """Every elevation and azimuth candidate handed to the objective has
+    |s| <= sqrt(1 - c^2): each one is a real (phi_in, psi_in)."""
+    s = setup20
+    pairs = []
+    elevation_terms = sg.SageProblem.elevation_terms
+    azimuth_terms = sg.SageProblem.azimuth_terms
+
+    def elevation(self, r, p, sa):
+        terms = elevation_terms(self, r, p, sa)
+
+        def recorded(cs):
+            pairs.append((np.asarray(cs), np.full(np.shape(cs), sa)))
+            return terms(cs)
+        return recorded
+
+    def azimuth(self, r, p, c):
+        terms = azimuth_terms(self, r, p, c)
+
+        def recorded(ss):
+            pairs.append((np.full(np.shape(ss), c), np.asarray(ss)))
+            return terms(ss)
+        return recorded
+
+    monkeypatch.setattr(sg.SageProblem, "elevation_terms", elevation)
+    monkeypatch.setattr(sg.SageProblem, "azimuth_terms", azimuth)
+    coarse = ce.run_coarse(s.rx_noisy, s.setup)
+    sg.run_sage(s.rx_noisy, s.setup, coarse.params, max_cycles=3)
+    # starts on the rim c^2 + s^2 = 1 (psi_in at pi/2 or 3pi/2), where an
+    # unclipped bracket would leave the physical set at once
+    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    for psi in (0.5 * np.pi, 1.5 * np.pi):
+        for phi in (0.2, 1.0, 2.0, 2.9):
+            params = s.true.copy()
+            params.phi_in[:] = phi
+            params.psi_in[:] = psi
+            for q in range(params.n_paths):
+                sg.coordinate_update_cycle(prob, params, q)
+    cs = np.concatenate([np.ravel(c) for c, _ in pairs])
+    ss = np.concatenate([np.ravel(sa) for _, sa in pairs])
+    assert cs.size > 1000
+    # the bracket ends are +-sqrt(1 - x^2) itself, exact to rounding
+    assert np.all(np.abs(ss) <= np.sqrt(np.maximum(1.0 - cs ** 2, 0.0))
+                  + 1e-12)
 
 
 def test_objective_zero_denominator(setup20):
@@ -437,4 +499,66 @@ def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
                 perm = hn.associate_paths(refined.theta_t, true.theta_t)
                 rows.append(refined.to_vector().reshape(-1, 6)[perm].ravel())
             worst = max(worst, float(np.max(np.abs(rows[0] - rows[1]) / sd)))
+    assert worst <= 1e-2, worst
+
+
+def _sage_cases(setup20, exp):
+    """SAGE inputs: the setup20 scenario and one reference trial at each
+    configured power, seeded as the sweep seeds trial 0."""
+    geom = exp.geometry()
+    yield setup20.setup, setup20.rx_noisy, setup20.true
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        gain_seed, noise_seed = np.random.SeedSequence((p_idx, 0)).spawn(2)
+        true = gm.true_channel_params(
+            geom, ch.draw_gains(setup.cfg, geom,
+                                np.random.default_rng(gain_seed)))
+        y = ch.synthesize_rx(setup, true,
+                             noise_seed=np.random.default_rng(noise_seed))
+        yield setup, y, true
+
+
+def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
+    """SAGE searches (c, s) = (cos phi_in, sin psi_in sin phi_in), yet its
+    fixed point maximizes the oracle's F along phi_in at fixed psi_in and
+    along psi_in at fixed phi_in, to 1 % of the CRLB standard deviation:
+    it is the same ML point in either coordinate system.
+
+    The run_sage result is carried on by whole cycles until no coordinate
+    moves by 1e-4 sd: the 1e-8 log-likelihood stop rule alone can end a
+    run a few hundredths of an sd short of the fixed point.
+    """
+    worst = 0.0
+    for setup, y, true in _sage_cases(setup20, default_exp):
+        coarse = ce.run_coarse(y, setup)
+        refined, _ = sg.run_sage(y, setup, coarse.params)
+        perm = hn.associate_paths(refined.theta_t, true.theta_t)
+        sd = np.sqrt(np.diag(np.linalg.inv(bnd.fim_channel(true, setup))))
+        sd = sd.reshape(-1, 6)[np.argsort(perm)]
+        prob = sg.SageProblem(y, setup)
+        for _ in range(20):
+            prev = refined.to_vector().reshape(-1, 6)
+            for q in range(refined.n_paths):
+                sg.coordinate_update_cycle(prob, refined, q)
+            moved = np.abs(refined.to_vector().reshape(-1, 6) - prev) / sd
+            if np.max(moved[:, [0, 3, 4, 5]]) < 1e-4:
+                break
+        else:
+            pytest.fail("SAGE cycles did not settle in 20 more cycles")
+        for q in range(refined.n_paths):
+            y_q = reconstruct_complete_data(y, refined, q, setup)
+            tau, th, ph, ps = (refined.tau[q], refined.theta_t[q],
+                               refined.phi_in[q], refined.psi_in[q])
+            lines = {
+                4: (ph, lambda x: single_path_objective(y_q, tau, th, x, ps,
+                                                        setup)),
+                5: (ps, lambda x: single_path_objective(y_q, tau, th, ph, x,
+                                                        setup)),
+            }
+            for col, (x0, f) in lines.items():
+                half = 3.0 * sd[q, col]
+                x_best, _ = maximize_1d(
+                    lambda xs: np.array([f(x) for x in xs]),
+                    x0 - half, x0 + half, n_grid=41, tol=1e-9, incumbent=x0)
+                worst = max(worst, abs(x_best - x0) / sd[q, col])
     assert worst <= 1e-2, worst
