@@ -163,6 +163,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
 
     Each coordinate is searched in sin-space over one coarse grid cell
     around its current value; the concentrated objective never decreases.
+    Passes after the first start each search with the local path.
     Returns the refined AOD vector, converted from the sines once.
     """
     geom, cfg = setup.geom, setup.cfg
@@ -175,14 +176,14 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
     sines = np.sin(np.asarray(theta_init, dtype=float))
     cell = 2.0 / cfg.g_ms
 
-    for _ in range(_AOD_MAX_PASSES):
+    for n_pass in range(_AOD_MAX_PASSES):
         moved = 0.0
         for q in range(sines.size):
             u0 = float(sines[q])
             column = _aod_column_objective(sines, q, s_mat, c_mat, geom)
             u_best, _ = maximize_1d(column, max(-1.0, u0 - cell),
                                     min(1.0, u0 + cell), n_grid=_N_GRID,
-                                    incumbent=u0)
+                                    incumbent=u0, local=n_pass > 0)
             moved = max(moved, abs(u_best - u0))
             sines[q] = u_best
         if moved < 1e-9:

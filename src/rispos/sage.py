@@ -42,6 +42,11 @@ and are clipped to the physical set c^2 + s^2 <= 1: |c| <= sqrt(1 - s^2)
 in the elevation search, |s| <= sin phi_in = sqrt(1 - c^2) in the
 azimuth search.
 
+The first cycle runs every search in full. Later cycles start within a
+small fraction of a cell of each maximum and take ``maximize_1d``'s
+local path: SAGE is a generalized EM, so an M-step need only not lower
+its objective, which the incumbent rule guarantees.
+
 ``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
 into F and the gain; they are the only scoring path of a coordinate
 cycle. The global log-likelihood over all slots and subcarriers is the
@@ -224,13 +229,14 @@ def global_log_likelihood(params: ChannelParams, y: np.ndarray,
 
 
 def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
-                            q: int) -> dict:
+                            q: int, local: bool = False) -> dict:
     """Update path q in place: tau, theta_t, phi_in, psi_in, then the gain.
 
     The angles are searched as u = sin theta_t, c = cos phi_in and
     s = sin psi_in sin phi_in, and converted back once at the end. Each
     1-D step maximizes the concentrated likelihood over a local bracket
     with the incumbent always a candidate, so F never decreases.
+    ``local`` starts each search with ``maximize_1d``'s local path.
     Returns the objective trace of the steps.
     """
     cfg = prob.setup.cfg
@@ -239,7 +245,7 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     def search(terms, x0, half, lim=np.inf):
         return maximize_1d(lambda xs: path_objective(*terms(xs)),
                            max(-lim, x0 - half), min(lim, x0 + half),
-                           n_grid=_N_GRID, incumbent=x0)
+                           n_grid=_N_GRID, incumbent=x0, local=local)
 
     tau = float(params.tau[q])
     u = float(np.sin(params.theta_t[q]))
@@ -304,7 +310,7 @@ def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
     for cycle in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            coordinate_update_cycle(prob, params, q)
+            coordinate_update_cycle(prob, params, q, local=cycle > 0)
         info.n_cycles = cycle + 1
         new_lamb = global_log_likelihood(params, y, setup)
         info.loglik_history.append(new_lamb)

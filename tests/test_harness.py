@@ -12,6 +12,7 @@ import pytest
 from oracles import min_association_cost
 from rispos import cli
 from rispos import harness as hn
+from rispos import errors
 from rispos.errors import IoError
 from rispos.params import PositionParams
 
@@ -360,3 +361,19 @@ def test_cli_override_is_validated(tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert "n_trials" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,unit,power", [(62, 13, -10.0), (1005, 21, 0.0)])
+def test_pole_arrival_trials_end_in_estimate_or_typed_error(seed, unit, power):
+    """Benchmark ref_lm trials whose coarse RIS arrival is the pole of the
+    (c, s) disk: run_trial raises nothing and reports either an estimate
+    or a RisposError by its class name."""
+    master = int(np.random.SeedSequence((seed, unit)).generate_state(1)[0])
+    exp = hn.ExperimentConfig(master_seed=master, n_trials=1, stage="lm")
+    rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), 0)
+    if rec.error is None:
+        assert np.all(np.isfinite(rec.stages["lm"]))
+    else:
+        name = rec.error.split(":")[0]
+        assert issubclass(getattr(errors, name, type(None)),
+                          errors.RisposError), rec.error

@@ -526,7 +526,9 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
 
     The run_sage result is carried on by whole cycles until no coordinate
     moves by 1e-4 sd: the 1e-8 log-likelihood stop rule alone can end a
-    run a few hundredths of an sd short of the fixed point.
+    run a few hundredths of an sd short of the fixed point. The extra
+    cycles search locally, as run_sage's cycles after the first do, so the
+    point checked is the one those cycles deliver.
     """
     worst = 0.0
     for setup, y, true in _sage_cases(setup20, default_exp):
@@ -539,7 +541,7 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
         for _ in range(20):
             prev = refined.to_vector().reshape(-1, 6)
             for q in range(refined.n_paths):
-                sg.coordinate_update_cycle(prob, refined, q)
+                sg.coordinate_update_cycle(prob, refined, q, local=True)
             moved = np.abs(refined.to_vector().reshape(-1, 6) - prev) / sd
             if np.max(moved[:, [0, 3, 4, 5]]) < 1e-4:
                 break
@@ -562,3 +564,33 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
                     x0 - half, x0 + half, n_grid=41, tol=1e-9, incumbent=x0)
                 worst = max(worst, abs(x_best - x0) / sd[q, col])
     assert worst <= 1e-2, worst
+
+
+def _full_search(*args, local=False, **kwargs):
+    """``maximize_1d`` with the local path switched off."""
+    return maximize_1d(*args, **kwargs)
+
+
+@pytest.mark.parametrize("power,trial", [(0.0, 8), (0.0, 16), (10.0, 26)])
+def test_local_sage_stays_on_the_full_search_maximum(power, trial,
+                                                     monkeypatch):
+    """Trials on which local steps of up to 12.5 % of a bracket walked to
+    another local maximum (a VLoS theta_t moved 0.609 -> 0.729 rad): with
+    the 1 % step limit, SAGE ends within 0.1 CRLB sd of a run whose
+    searches are all full."""
+    exp = hn.ExperimentConfig(master_seed=5, stage="sage", n_trials=30)
+    p_idx = exp.powers_dbm.index(power)
+    setup = hn.power_setup(exp, power)
+    rec = hn.run_trial(exp, power, p_idx, trial, setup)
+    with monkeypatch.context() as m:
+        m.setattr(sg, "maximize_1d", _full_search)
+        m.setattr(ce, "maximize_1d", _full_search)
+        ref = hn.run_trial(exp, power, p_idx, trial, setup)
+    assert rec.error is None and ref.error is None
+    theta_true = rec.eta_true.reshape(-1, 6)[:, 3]
+    rows = []
+    for r in (rec, ref):
+        est = r.stages["sage"].reshape(-1, 6)
+        rows.append(est[hn.associate_paths(est[:, 3], theta_true)])
+    sd = np.sqrt(rec.crlb).reshape(-1, 6)
+    assert np.max(np.abs(rows[0] - rows[1]) / sd) <= 0.1
