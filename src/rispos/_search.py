@@ -3,7 +3,8 @@
 All refinement searches in the pipeline (AOD likelihood, delay rotation,
 per-path coordinate ascent) use the same scheme so their ascent
 guarantees are uniform: the incumbent point is always a candidate and is
-only abandoned for a strictly better one. Every stage hands its
+only abandoned for a strictly better one. A NaN objective value scores
+as -inf, so it never wins. Every stage hands its
 candidates to the objective as one batch: the grid (with the incumbent),
 then each zoom level, then the single parabolic step.
 
@@ -33,6 +34,12 @@ _LOCAL_H = 1e-5
 _LOCAL_STOP = 1e-7
 _LOCAL_MAX_STEP = 1e-2
 _LOCAL_STENCILS = 4
+
+
+def _scores(vals) -> np.ndarray:
+    """Objective values as floats, NaN read as -inf."""
+    vals = np.asarray(vals, dtype=float)
+    return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def _local_ascent(f_batch, lo: float, hi: float, x: float):
@@ -105,7 +112,7 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
 
     grid = np.linspace(lo, hi, n_grid)
     xs = grid if incumbent is None else np.append(grid, float(incumbent))
-    vals = np.asarray(f_batch(xs), dtype=float)
+    vals = _scores(f_batch(xs))
     top = int(np.argmax(vals))
     x_best, f_best = float(xs[top]), float(vals[top])
 
@@ -123,7 +130,8 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
         level_x = np.empty(_ZOOM_POINTS + 2)
         level_v = np.empty(_ZOOM_POINTS + 2)
         level_x[0], level_x[1:-1], level_x[-1] = xa, inner, xb
-        level_v[0], level_v[1:-1], level_v[-1] = pv[ia], f_batch(inner), pv[ib]
+        level_v[0], level_v[1:-1], level_v[-1] = (pv[ia], _scores(f_batch(inner)),
+                                                  pv[ib])
         px, pv = level_x, level_v
         j = int(pv.argmax())
         if pv[j] > f_best:
@@ -137,7 +145,7 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 201,
             xv = x2 - 0.5 * ((x2 - x1) ** 2 * (v2 - v3)
                              - (x2 - x3) ** 2 * (v2 - v1)) / denom
             if lo <= xv <= hi and np.isfinite(xv):
-                fv = float(f_batch(np.array([xv]))[0])
+                fv = float(_scores(f_batch(np.array([xv])))[0])
                 if fv > f_best:
                     x_best, f_best = float(xv), fv
 

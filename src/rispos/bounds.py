@@ -1,13 +1,17 @@
 """Fisher information, parameter-transformation Jacobian, and error bounds.
 
-The channel FIM uses the closed-form derivatives of the noiseless field
-``channel.model_field`` with respect to each per-path parameter, built
-from the same per-path factors (``channel.path_factors``); the
-position-domain FIM follows by congruence with the geometric Jacobian.
-Known RIS-BS leg angles are constants, not information-bearing rows;
-they come from ``setup.known_angles``. The channel FIM takes the
-parameters and the per-power ``channel.Setup`` (pilots, schedule,
-geometry, the RIS-BS leg and the noise power of its system).
+Both work in the coordinates a ``ChannelParams`` holds: delay, gain,
+the departure sine u and the RIS arrival's c and s. The channel FIM
+uses the closed-form derivatives of the noiseless field
+``channel.model_field``, built from the same per-path factors
+(``channel.path_factors``): a spatial frequency enters one steering
+vector linearly, so its derivative weights that vector by its plain
+index ramp. The position-domain FIM follows by congruence with the
+geometric Jacobian, whose direction columns all come from the gradient
+(I - w w^T) / |w| of a unit vector. The known RIS-BS leg is a constant,
+not an information-bearing row; it comes from ``setup.leg``. PEB and
+OEB do not depend on how the channel vector is parameterized; angle-unit
+channel CRLBs are formed at the report edge (``harness``).
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Setup, ms_steering, path_factors, ris_diff_steering
-from .errors import DegenerateGeometry
-from .geometry import SPEED_OF_LIGHT
+from .channel import Setup, ms_sine_steering, path_factors, ris_factors
+from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, unit_vector
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
@@ -27,36 +30,31 @@ _COND_LIMIT = 1e12
 def model_field_derivs(params: ChannelParams, setup: Setup) -> np.ndarray:
     """Analytic derivatives of ``channel.model_field``, shape (6(Q+1), T, N).
 
-    Parameter order per path: [tau, delta_re, delta_im, theta_t, phi_in,
-    psi_in]. Each derivative keeps the path's product form: a slot factor
-    times a subcarrier factor. Elevation/azimuth derivatives act on the
-    RIS steering vector through diagonal index weightings; the
-    departure-angle derivative weights the MS array index ramp.
+    Parameter order per path: [tau, delta_re, delta_im, u, c, s]. Each
+    derivative keeps the path's product form: a slot factor times a
+    subcarrier factor. The u, c and s derivatives weight the MS steering
+    vector and the RIS response by the MS, RIS elevation and RIS azimuth
+    index ramps.
     """
     geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
     lam = geom.wavelength
-    gains, theta, phi, psi = (params.gains, params.theta_t, params.phi_in,
-                              params.psi_in)
+    gains = params.gains
     sigma, proj, ramp = path_factors(params, setup)
-    a_m = ms_steering(geom, theta)
-    a_r = ris_diff_steering(geom, phi, psi, *setup.known_angles[1:])
+    a_m = ms_sine_steering(geom, params.u)
+    a_r = kron_columns(*ris_factors(setup, params.c, params.s))
     k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
     k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)[:, None]
     n_sub = np.arange(cfg.n_subcarriers)[:, None]
 
-    # d(a_M^H x)/d(theta) via the index ramp; d(sigma)/d(phi), d(sigma)/d(psi)
-    dproj = 2j * np.pi * geom.d_ms / lam * np.cos(theta) * (
+    dproj = 2j * np.pi * geom.d_ms / lam * (
         setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
-    d_phi = 2j * np.pi * (geom.d_ris_el / lam * np.sin(phi) * k_el
-                          - geom.d_ris_az / lam * np.sin(psi) * np.cos(phi)
-                          * k_az)
-    d_psi = -2j * np.pi * geom.d_ris_az / lam * np.cos(psi) * np.sin(phi) * k_az
+    d_c = -2j * np.pi * geom.d_ris_el / lam * (phases @ (k_el * a_r))
+    d_s = -2j * np.pi * geom.d_ris_az / lam * (phases @ (k_az * a_r))
     u = sigma * proj
     slots = np.stack([
         -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u,
-        u, 1j * u, gains * sigma * dproj,
-        gains * (phases @ (d_phi * a_r)) * proj,
-        gains * (phases @ (d_psi * a_r)) * proj])                  # (6, T, Q+1)
+        u, 1j * u, gains * sigma * dproj, gains * d_c * proj,
+        gains * d_s * proj])                                       # (6, T, Q+1)
     subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
     out = (np.moveaxis(slots, 2, 0)[:, :, :, None]
            * np.moveaxis(subs, 2, 0)[:, :, None, :])               # (Q+1, 6, T, N)
@@ -76,49 +74,11 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
     return 2.0 * setup.geom.n_bs / setup.cfg.noise_power * (flat @ flat.T)
 
 
-def _unit_diff(a: np.ndarray, b: np.ndarray, what: str):
-    diff = a - b
-    dist = float(np.linalg.norm(diff))
-    if dist <= 0.0:
-        raise DegenerateGeometry(f"zero distance: {what}")
-    return diff, dist
-
-
-def _dtheta_dpoint(target: np.ndarray, ms: np.ndarray, alpha: float):
-    """Gradients of the departure angle w.r.t. the far point and the MS."""
-    a = np.array([np.cos(alpha), -np.sin(alpha), 0.0])
-    u, h = _unit_diff(target, ms, "AOD leg")
-    g = float(a @ u)
-    root = h * h - g * g
-    if root <= 0.0:
-        raise DegenerateGeometry("departure angle at +-pi/2")
-    root = np.sqrt(root)
-    d_target = (a * h * h - g * u) / (h * h * root)
-    d_ms = -d_target
-    a_dot = np.array([-np.sin(alpha), -np.cos(alpha), 0.0])
-    d_alpha = float(a_dot @ u) / root
-    return d_target, d_ms, d_alpha
-
-
-def _dphi_dpoint(ris: np.ndarray, point: np.ndarray):
-    """Gradient of the elevation arrival angle w.r.t. the source point."""
-    u, h = _unit_diff(ris, point, "elevation leg")
-    w = u[2]
-    root = h * h - w * w
-    if root <= 0.0:
-        raise DegenerateGeometry("elevation angle gradient undefined")
-    root = np.sqrt(root)
-    return np.array([-u[0] * w, -u[1] * w, h * h - w * w]) / (h * h * root)
-
-
-def _dpsi_dpoint(ris: np.ndarray, point: np.ndarray):
-    """Gradient of the azimuth arrival angle w.r.t. the source point."""
-    u = np.asarray(ris, float) - np.asarray(point, float)
-    rho2 = u[0] ** 2 + u[1] ** 2
-    ax = abs(u[0])
-    if rho2 <= 0.0 or ax <= 0.0:
-        raise DegenerateGeometry("azimuth angle gradient undefined")
-    return np.array([-u[0] * u[1], u[0] ** 2, 0.0]) / (rho2 * ax)
+def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
+    """w = (a - b) / |a - b| and dw/da = (I - w w^T) / |a - b| (symmetric;
+    dw/db = -dw/da)."""
+    w, dist = unit_vector(a, b, what)
+    return w, (np.eye(3) - np.outer(w, w)) / dist
 
 
 def transformation_matrix(pos: PositionParams, ris: np.ndarray,
@@ -127,15 +87,18 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
 
     Rows follow the position-parameter vector (gains, MS position,
     rotation, scatterers); columns follow the channel-parameter vector.
+    A delay leg |a - b| has gradient w, u = a . w_dep has gradient
+    (I - w w^T) a / |w|, and c and s are the z and y rows of the
+    arrival's (I - w w^T) / |w|.
     """
     ris = np.asarray(ris, float)
     q_n = pos.n_scatterers
     n_paths = q_n + 1
-    rows = 5 * q_n + 6
-    cols = 6 * n_paths
-    t_mat = np.zeros((rows, cols))
+    t_mat = np.zeros((5 * q_n + 6, 6 * n_paths))
     m_off = 2 * n_paths           # row offset of the MS coordinates
     a_off = m_off + 3             # row of alpha
+    axis = ms_axis(pos.alpha)
+    axis_dot = np.array([-np.sin(pos.alpha), -np.cos(pos.alpha), 0.0])
 
     c = SPEED_OF_LIGHT
     for q in range(n_paths):
@@ -146,29 +109,29 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
 
         # path 0 departs toward the RIS and arrives from the MS; path q > 0
         # does both through scatterer q, whose coordinate rows start at s0
-        target = ris if q == 0 else pos.scatterers[q - 1]
-        source = pos.ms if q == 0 else target
+        hop = ris if q == 0 else pos.scatterers[q - 1]
         s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
-        u_ms, h_ms = _unit_diff(pos.ms, target,
-                                "MS-RIS" if q == 0 else "MS-scatterer")
-        t_mat[m_off:m_off + 3, col + 0] = u_ms / (c * h_ms)
-        d_t, d_m, d_a = _dtheta_dpoint(target, pos.ms, pos.alpha)
-        t_mat[m_off:m_off + 3, col + 3] = d_m
-        t_mat[a_off, col + 3] = d_a
+        w_dep, g_dep = _unit_grad(hop, pos.ms,
+                                  "MS-RIS" if q == 0 else "MS-scatterer")
+        w_arr, g_arr = _unit_grad(ris, pos.ms if q == 0 else hop,
+                                  "MS-RIS" if q == 0 else "scatterer-RIS")
+        du = g_dep @ axis             # d u / d hop
+        t_mat[m_off:m_off + 3, col + 0] = -w_dep / c
+        t_mat[m_off:m_off + 3, col + 3] = -du
+        t_mat[a_off, col + 3] = axis_dot @ w_dep
         if q > 0:
-            u_sr, h_sr = _unit_diff(target, ris, "scatterer-RIS")
-            t_mat[s0:s0 + 3, col + 0] = u_sr / (c * h_sr) - u_ms / (c * h_ms)
-            t_mat[s0:s0 + 3, col + 3] = d_t
-        t_mat[s0:s0 + 3, col + 4] = _dphi_dpoint(ris, source)
-        t_mat[s0:s0 + 3, col + 5] = _dpsi_dpoint(ris, source)
+            t_mat[s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
+            t_mat[s0:s0 + 3, col + 3] = du
+        t_mat[s0:s0 + 3, col + 4] = -g_arr[2]
+        t_mat[s0:s0 + 3, col + 5] = -g_arr[1]
     return t_mat
 
 
 @dataclass
 class BoundReport:
-    """Per-parameter CRLBs plus position/orientation error bounds."""
+    """Channel-parameter covariance bound plus position/orientation bounds."""
 
-    crlb_channel: np.ndarray       # (6(Q+1),) variances in natural units
+    cov_channel: np.ndarray        # (6(Q+1), 6(Q+1)) inverse channel FIM
     peb: float                     # meters
     oeb: float                     # radians
     singular: bool
@@ -178,7 +141,7 @@ def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, bool]:
     """Eigendecomposition-based inverse and a singularity flag.
 
     The matrix mixes parameters of wildly different units (seconds,
-    radians, raw gains), so it is diagonally preconditioned to a
+    sines, raw gains), so it is diagonally preconditioned to a
     correlation-like form first; the condition number and pseudo-inverse
     cutoff apply to that scaled matrix.
     """
@@ -197,7 +160,7 @@ def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def position_bounds(j_eta: np.ndarray, t_mat: np.ndarray) -> BoundReport:
-    """CRLBs of the channel parameters and PEB/OEB of the position ones."""
+    """Inverse FIM of the channel parameters and PEB/OEB of the position ones."""
     inv_eta, sing_eta = _inv_psd(j_eta)
     n_paths = j_eta.shape[0] // 6
     j_pos = t_mat @ j_eta @ t_mat.T
@@ -206,5 +169,5 @@ def position_bounds(j_eta: np.ndarray, t_mat: np.ndarray) -> BoundReport:
     peb = float(np.sqrt(np.trace(inv_pos[m_off:m_off + 3, m_off:m_off + 3])))
     oeb = float(np.sqrt(inv_pos[m_off + 3, m_off + 3]))
     return BoundReport(
-        crlb_channel=np.diag(inv_eta).copy(), peb=peb, oeb=oeb,
+        cov_channel=inv_eta, peb=peb, oeb=oeb,
         singular=bool(sing_eta or sing_pos))

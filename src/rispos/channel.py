@@ -1,11 +1,18 @@
 """System configuration, pilots, schedule, the setup and the forward model.
 
 Draws the RIS phase-shift schedule, random binary pilots, path gains and
-angular dictionaries. ``Setup`` is the per-power measurement setup every
-stage runs against: geometry, system, pilots and schedule, with the
-dictionaries, the known RIS-BS angles, a_B and the path count derived
-from them once. The setup is the only holder of the RIS-BS leg; a
-``ChannelParams`` carries the estimated per-path vector alone.
+the spatial-frequency dictionaries. ``Setup`` is the per-power
+measurement setup every stage runs against: geometry, system, pilots and
+schedule, with the dictionaries, the known RIS-BS leg (the unit vector
+of bs - ris), a_B and the path count derived from them once. The setup
+is the only holder of the RIS-BS leg; a ``ChannelParams`` carries the
+estimated per-path (tau, gain, u, c, s) alone.
+
+Each array has one steering function, taking the coordinates a
+``ChannelParams`` holds: ``bs_steering`` and ``ms_sine_steering`` take a
+sine, ``ris_factors`` the elevation cosine c and azimuth product s. The
+RIS response runs at the differential frequencies c - c_out and
+s - s_out of the known leg, which folds the RIS-BS steering into it.
 ``model_field`` is the only implementation of the noiseless received
 field: synthesis, the SAGE E-step, the likelihood and the Fisher
 information all build on it or on its per-path factors
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionMismatch, ScheduleInfeasible
-from .geometry import ScenarioGeometry, steer_ula, steer_upa
+from .geometry import ScenarioGeometry, kron_columns, steer_ula
 from .params import ChannelParams
 
 
@@ -204,31 +211,15 @@ def ris_index_split(k: int, g_az: int) -> tuple[int, int]:
 
 # per-path response factors used throughout estimation
 
-def bs_steering(geom: ScenarioGeometry, theta_r0: float) -> np.ndarray:
-    return steer_ula(geometry.aod_spatial_freq(theta_r0, geom.d_bs,
-                                               geom.wavelength), geom.n_bs)
-
-
-def ms_steering(geom: ScenarioGeometry, theta_t) -> np.ndarray:
-    """MS steering vectors, shape (N_m,) or (N_m, n) for array input."""
-    return ms_sine_steering(geom, np.sin(theta_t))
+def bs_steering(geom: ScenarioGeometry, u: float) -> np.ndarray:
+    """BS steering vector at the arrival sine u = sin(theta_r0); (N_b,)."""
+    return steer_ula(geom.d_bs / geom.wavelength * u, geom.n_bs)
 
 
 def ms_sine_steering(geom: ScenarioGeometry, u) -> np.ndarray:
     """MS steering vectors at departure sines u = sin(theta_t); (N_m,) or
     (N_m, n)."""
     return steer_ula(geom.d_ms / geom.wavelength * u, geom.n_ms)
-
-
-def ris_diff_steering(geom: ScenarioGeometry, phi_in, psi_in,
-                      phi_out0: float, psi_out0: float) -> np.ndarray:
-    """RIS steering at the differential spatial frequencies.
-
-    Equals a_R(in) Hadamard a_R(out)^*; shape (N_r,) or (N_r, n).
-    """
-    dw_az, dw_el = geometry.ris_delta_freqs(geom, phi_in, psi_in,
-                                            phi_out0, psi_out0)
-    return steer_upa(dw_az, dw_el, geom.n_ris_az, geom.n_ris_el)
 
 
 def subcarrier_ramp(tau, bandwidth: float, n_subcarriers: int) -> np.ndarray:
@@ -243,9 +234,10 @@ class Setup:
     """The measurement setup shared by every stage at one transmit power.
 
     Built from the geometry, the system, the pilots (N_m, T) and the
-    phase schedule; the dictionaries, the known RIS-BS angles
-    (theta_r0, phi_out0, psi_out0), the BS steering vector a_B and the
-    path count Q+1 follow from them once.
+    phase schedule; the dictionaries, the known RIS-BS leg ``leg`` (the
+    unit vector of bs - ris: its x component is sin theta_r0, its z and y
+    components the c and s of the outgoing leg), the BS steering vector
+    a_B and the path count Q+1 follow from them once.
     """
 
     geom: ScenarioGeometry
@@ -254,7 +246,7 @@ class Setup:
     sched: PhaseSchedule
     a_m_dict: Dictionary = field(init=False)
     ris_dict: RisDictionary = field(init=False)
-    known_angles: tuple = field(init=False)
+    leg: np.ndarray = field(init=False)
     a_b: np.ndarray = field(init=False)
     n_paths: int = field(init=False)
 
@@ -264,23 +256,34 @@ class Setup:
         if self.sched.n_slots != self.cfg.t_total:
             raise DimensionMismatch("schedule slot count must equal T")
         self.a_m_dict, self.ris_dict = build_dictionaries(self.cfg, self.geom)
-        self.known_angles = geometry.ris_bs_angles(self.geom.ris, self.geom.bs)
-        self.a_b = bs_steering(self.geom, self.known_angles[0])
+        self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
+        self.a_b = bs_steering(self.geom, self.leg[0])
         self.n_paths = self.geom.n_scatterers + 1
 
 
-def ris_slot_scalars(geom: ScenarioGeometry, slot_phases: np.ndarray,
-                     phi_in, psi_in, phi_out0: float,
-                     psi_out0: float) -> np.ndarray:
-    """sigma_t = g_t^T a_R(dw) per slot; (T,) or (T, n) for array angles."""
-    return slot_phases @ ris_diff_steering(geom, phi_in, psi_in,
-                                           phi_out0, psi_out0)
+def ris_factors(setup: Setup, c, s) -> tuple:
+    """Elevation and azimuth factors of the RIS response, a_R = a_el (x)
+    a_az, at elevation cosines c and azimuth products s; each (N,) or
+    (N, n), None for a coordinate given as None. Both run at the
+    differential frequencies of the known leg."""
+    geom, leg = setup.geom, setup.leg
+    lam = geom.wavelength
+    a_el = None if c is None else steer_ula(
+        geom.d_ris_el / lam * (np.asarray(c) - leg[2]), geom.n_ris_el)
+    a_az = None if s is None else steer_ula(
+        geom.d_ris_az / lam * (np.asarray(s) - leg[1]), geom.n_ris_az)
+    return a_el, a_az
+
+
+def ris_slot_scalars(setup: Setup, c, s) -> np.ndarray:
+    """sigma_t = g_t^T a_R(c, s) per slot; (T,) or (T, n) for arrays."""
+    return setup.sched.slot_phases @ kron_columns(*ris_factors(setup, c, s))
 
 
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
-                     theta_t) -> np.ndarray:
-    """p_t = a_M(theta)^H x_t per slot; (T,) or (T, n) for array angles."""
-    return pilots.T @ ms_steering(geom, theta_t).conj()
+                     u) -> np.ndarray:
+    """p_t = a_M(u)^H x_t per slot; (T,) or (T, n) for array sines."""
+    return pilots.T @ ms_sine_steering(geom, u).conj()
 
 
 def path_factors(params: ChannelParams, setup: Setup):
@@ -289,10 +292,9 @@ def path_factors(params: ChannelParams, setup: Setup):
     Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
     subcarrier n of the field.
     """
-    geom, cfg = setup.geom, setup.cfg
-    sigma = ris_slot_scalars(geom, setup.sched.slot_phases, params.phi_in,
-                             params.psi_in, *setup.known_angles[1:])
-    proj = pilot_projection(geom, setup.pilots, params.theta_t)
+    cfg = setup.cfg
+    sigma = ris_slot_scalars(setup, params.c, params.s)
+    proj = pilot_projection(setup.geom, setup.pilots, params.u)
     ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
     return sigma, proj, ramp
 

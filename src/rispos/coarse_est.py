@@ -1,18 +1,20 @@
 """Stage-one channel-parameter estimation.
 
 Four sub-steps run on the block-structured pilot record: joint-sparse
-recovery of the departure angles, likelihood refinement of those angles,
-per-path sparse recovery of the RIS arrival angles, and DFT-plus-rotation
-delay/gain estimation. Both recoveries are DCS-SOMP: each pick maximizes
-theta_g^H R theta_g / ||theta_g||^2, R the M x M residual covariance.
-Each stage takes the received tensor y (N_b, T, N) and the per-power
-``channel.Setup``: the pilots, schedule, dictionaries, known RIS-BS
-angles, a_B and path count come from there.
+recovery of the departure sines u = sin theta_t, likelihood refinement
+of those sines, per-path sparse recovery of the RIS arrival's c and s,
+and DFT-plus-rotation delay/gain estimation. Both recoveries are
+DCS-SOMP: each pick maximizes theta_g^H R theta_g / ||theta_g||^2, R the
+M x M residual covariance. The dictionaries are grids of these
+coordinates (the RIS grids differential, offset by the known leg), so
+no stage converts to angles. Each stage takes the received tensor y
+(N_b, T, N) and the per-power ``channel.Setup``: the pilots, schedule,
+dictionaries, known RIS-BS leg, a_B and path count come from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .channel import (Setup, SystemConfig, beamform, ms_sine_steering,
                       pilot_projection, ris_index_split)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
-from .geometry import ScenarioGeometry, clamped_arcsin
+from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
 _COND_LIMIT = 1e12
@@ -98,18 +100,17 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
 
 
 def estimate_aod_coarse(y: np.ndarray, setup: Setup):
-    """Grid AOD estimates from the first T1 slots via DCS-SOMP.
+    """Grid departure sines from the first T1 slots via DCS-SOMP.
 
-    Returns (theta_hat, somp_result); theta_hat[i] = arcsin of the grid
-    value of the i-th selected column.
+    Returns (u_hat, somp_result); u_hat[i] is the grid value of the i-th
+    selected column.
     """
     t1 = setup.cfg.t1
     a_m_dict = setup.a_m_dict
     y1h = y[:, :t1, :].conj().transpose(2, 1, 0)      # (N, T1, N_b)
     theta_m = setup.pilots[:, :t1].conj().T @ a_m_dict.matrix
     res = dcs_somp(y1h, theta_m, setup.n_paths)
-    theta_hat = np.array([clamped_arcsin(a_m_dict.grid[k]) for k in res.support])
-    return theta_hat, res
+    return a_m_dict.grid[res.support], res
 
 
 def _bordered(block: np.ndarray, cross: np.ndarray,
@@ -158,13 +159,13 @@ def _aod_column_objective(sines: np.ndarray, q: int, s_mat: np.ndarray,
     return objective
 
 
-def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
-    """Cyclic 1-D refinement of the AODs over the first T1 slots.
+def refine_aod_mle(y: np.ndarray, setup: Setup, u_init: np.ndarray):
+    """Cyclic 1-D refinement of the departure sines over the first T1 slots.
 
-    Each coordinate is searched in sin-space over one coarse grid cell
-    around its current value; the concentrated objective never decreases.
-    Passes after the first start each search with the local path.
-    Returns the refined AOD vector, converted from the sines once.
+    Each sine is searched over one coarse grid cell around its current
+    value; the concentrated objective never decreases. Passes after the
+    first start each search with the local path. Returns the refined
+    sines.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -173,7 +174,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
     b_mat = x1 @ beamform(setup.a_b, y[:, :t1]).conj()  # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
-    sines = np.sin(np.asarray(theta_init, dtype=float))
+    sines = np.array(u_init, dtype=float)
     cell = 2.0 / cfg.g_ms
 
     for n_pass in range(_AOD_MAX_PASSES):
@@ -188,19 +189,17 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, theta_init: np.ndarray):
             sines[q] = u_best
         if moved < 1e-9:
             break
-    return np.arcsin(sines)
+    return sines
 
 
 @dataclass
 class AoaEstimate:
-    """Per-path RIS arrival-angle recovery output."""
+    """Per-path RIS arrival recovery output."""
 
-    phi_in: np.ndarray          # (Q+1,)
-    psi_in: np.ndarray          # (Q+1,)
-    cos_diff: np.ndarray        # grid value cos(phi_in) - cos(phi_out0)
-    sinsin_diff: np.ndarray     # grid value of the azimuth product difference
+    c: np.ndarray               # (Q+1,) elevation cosines
+    s: np.ndarray               # (Q+1,) azimuth products
     delta_tilde: np.ndarray     # (Q+1, N) per-subcarrier hybrid gains
-    flags: list = field(default_factory=list)
+    clamped: np.ndarray         # (Q+1,) grid point projected onto the disk
 
 
 def _right_inverse(mat: np.ndarray) -> np.ndarray:
@@ -211,19 +210,22 @@ def _right_inverse(mat: np.ndarray) -> np.ndarray:
 
 
 def estimate_ris_aoa(y: np.ndarray, setup: Setup,
-                     theta_hat: np.ndarray) -> AoaEstimate:
-    """Recover per-path RIS arrival angles and hybrid gains.
+                     u_hat: np.ndarray) -> AoaEstimate:
+    """Recover per-path RIS arrival coordinates (c, s) and hybrid gains.
 
     Beamforms onto the known BS steering vector, de-mixes each phase
     block with the right inverse of its pilot projection, then solves a
-    1-sparse recovery per path over the phase-profile dictionary.
+    1-sparse recovery per path over the phase-profile dictionary. The
+    grid point is offset by the known leg, c = c_out + grid and
+    s = s_out + grid, and projected onto the disk c^2 + s^2 <= 1: c onto
+    [-1, 1], then s onto |s| <= sqrt(1 - c^2); ``clamped`` marks a path
+    whose point moved.
     """
     geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
-    _, phi_out0, psi_out0 = setup.known_angles
-    n_paths = theta_hat.size
+    n_paths = u_hat.size
     ycheck = beamform(setup.a_b, y) / geom.n_bs                     # (T, N)
     proj = pilot_projection(geom, setup.pilots,
-                            np.atleast_1d(theta_hat)).T             # (Q+1, T)
+                            np.atleast_1d(u_hat)).T                 # (Q+1, T)
 
     blocks = []
     for i in range(schedule.n_blocks):
@@ -237,42 +239,21 @@ def estimate_ris_aoa(y: np.ndarray, setup: Setup,
 
     ris_dict = setup.ris_dict
     dict_eff = schedule.block_phases @ ris_dict.matrix  # (blocks, G_r)
-    sin_out = np.sin(psi_out0) * np.sin(phi_out0)
-    cos_out = np.cos(phi_out0)
 
-    phi = np.empty(n_paths)
-    psi = np.empty(n_paths)
-    cos_diff = np.empty(n_paths)
-    sinsin_diff = np.empty(n_paths)
+    c_grid = np.empty(n_paths)
+    s_grid = np.empty(n_paths)
     delta_tilde = np.empty((n_paths, cfg.n_subcarriers), dtype=complex)
-    flags = []
     for q in range(n_paths):
         res = dcs_somp(stacked[:, :, q][:, :, None], dict_eff, 1)
-        k = res.support[0] + 1                          # 1-based
-        k_el, k_az = ris_index_split(k, cfg.g_ris_az)
-        cos_diff[q] = ris_dict.elevation.grid[k_el - 1]
-        sinsin_diff[q] = ris_dict.azimuth.grid[k_az - 1]
+        k_el, k_az = ris_index_split(res.support[0] + 1, cfg.g_ris_az)
+        c_grid[q] = setup.leg[2] + ris_dict.elevation.grid[k_el - 1]
+        s_grid[q] = setup.leg[1] + ris_dict.azimuth.grid[k_az - 1]
         delta_tilde[q] = res.coeffs[:, 0, 0]
-
-        path_flags = []
-        cos_phi = cos_out + cos_diff[q]
-        if abs(cos_phi) > 1.0:
-            path_flags.append("cos_clamped")
-            cos_phi = float(np.clip(cos_phi, -1.0, 1.0))
-        phi[q] = np.arccos(cos_phi)
-        sin_phi = np.sin(phi[q])
-        if sin_phi < 1e-12:
-            path_flags.append("horizon_elevation")
-            sin_phi = 1e-12
-        sin_psi = (sin_out + sinsin_diff[q]) / sin_phi
-        if abs(sin_psi) > 1.0:
-            path_flags.append("sin_clamped")
-            sin_psi = float(np.clip(sin_psi, -1.0, 1.0))
-        psi[q] = np.pi - np.arcsin(sin_psi)          # in [pi/2, 3pi/2]
-        flags.append(path_flags)
-    return AoaEstimate(phi_in=phi, psi_in=psi, cos_diff=cos_diff,
-                       sinsin_diff=sinsin_diff,
-                       delta_tilde=delta_tilde, flags=flags)
+    c = np.clip(c_grid, -1.0, 1.0)
+    rim = np.sqrt(1.0 - c * c)
+    s = np.clip(s_grid, -rim, rim)
+    return AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
+                       clamped=(c != c_grid) | (s != s_grid))
 
 
 def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
@@ -316,29 +297,30 @@ class CoarseEstimate:
     flags: dict
 
 
-def _canonical_order(psi: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool]:
-    """VLoS-class path (azimuth in [pi, 3pi/2]) first, then by delay."""
-    is_vlos = (psi >= np.pi) & (psi <= 1.5 * np.pi)
+def _canonical_order(s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool]:
+    """VLoS-class path (azimuth product s <= 0, i.e. psi_in in [pi, 3pi/2])
+    first, then by delay."""
+    is_vlos = s <= 0.0
     ambiguous = int(np.sum(is_vlos)) != 1
-    order = sorted(range(psi.size), key=lambda q: (not is_vlos[q], tau[q]))
+    order = sorted(range(s.size), key=lambda q: (not is_vlos[q], tau[q]))
     return np.asarray(order), ambiguous
 
 
 def run_coarse(y: np.ndarray, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
     """Run the four coarse sub-steps and order paths canonically."""
-    theta_hat, _ = estimate_aod_coarse(y, setup)
+    u_hat, _ = estimate_aod_coarse(y, setup)
     if refine_aod:
-        theta_hat = refine_aod_mle(y, setup, theta_hat)
-    aoa = estimate_ris_aoa(y, setup, theta_hat)
+        u_hat = refine_aod_mle(y, setup, u_hat)
+    aoa = estimate_ris_aoa(y, setup, u_hat)
     tau = np.empty(setup.n_paths)
     gains = np.empty(setup.n_paths, dtype=complex)
     for q in range(setup.n_paths):
         tau[q], gains[q], _, _ = estimate_toa(aoa.delta_tilde[q], setup.cfg)
 
-    order, ambiguous = _canonical_order(aoa.psi_in, tau)
+    order, ambiguous = _canonical_order(aoa.s, tau)
     flags = {"class_ambiguous": ambiguous,
-             "aoa_flags": [aoa.flags[q] for q in order]}
-    params = ChannelParams(tau[order], gains[order], theta_hat[order],
-                           aoa.phi_in[order], aoa.psi_in[order])
+             "aoa_clamped": aoa.clamped[order].tolist()}
+    params = ChannelParams(tau[order], gains[order], u_hat[order],
+                           aoa.c[order], aoa.s[order])
     return CoarseEstimate(params=params, flags=flags)

@@ -1,11 +1,14 @@
-"""Array steering, node geometry, and the channel/position parameter map.
+"""Array steering, node geometry, and the position-to-channel parameter map.
 
 Conventions: the BS hosts a ULA parallel to the x axis, the RIS a UPA
 parallel to the y-o-z plane, the MS a ULA on a plane parallel to x-o-y
-rotated by ``alpha`` about z. All angles are kept in radians internally;
-degrees only appear at I/O boundaries. The forward map yields only the
-estimated per-path angles; the known RIS-BS leg (``ris_bs_angles``) is
-derived once per setup (``channel.Setup.known_angles``).
+rotated by ``alpha`` about z, along a = (cos alpha, -sin alpha, 0).
+The forward map gives each path's channel parameters in the arrays'
+spatial frequencies: the departure sine u = a . w_dep, w_dep the unit
+vector from the MS toward the path's first hop, and the arrival's c and
+s, the z and y components of the unit vector w from the path's last
+source to the RIS. The known RIS-BS leg is the unit vector of bs - ris,
+derived once per setup (``channel.Setup.leg``).
 """
 
 from __future__ import annotations
@@ -19,28 +22,7 @@ from .params import ChannelParams, PositionParams
 
 SPEED_OF_LIGHT = 3e8  # m/s
 
-# Tolerance for inverse-trig arguments that drift past +-1 in floating point.
-TRIG_CLAMP_TOL = 1e-9
-
 Vec3 = np.ndarray  # shape (3,), meters
-
-
-def clamped_arcsin(x: float, tol: float = TRIG_CLAMP_TOL) -> float:
-    """arcsin with a small out-of-domain guard.
-
-    Arguments within ``tol`` of [-1, 1] are clamped; anything further out
-    indicates a genuine geometry bug and raises.
-    """
-    if abs(x) > 1.0 + tol:
-        raise DegenerateGeometry(f"arcsin argument {x} outside [-1, 1]")
-    return float(np.arcsin(np.clip(x, -1.0, 1.0)))
-
-
-def clamped_arccos(x: float, tol: float = TRIG_CLAMP_TOL) -> float:
-    """arccos with the same guard as :func:`clamped_arcsin`."""
-    if abs(x) > 1.0 + tol:
-        raise DegenerateGeometry(f"arccos argument {x} outside [-1, 1]")
-    return float(np.arccos(np.clip(x, -1.0, 1.0)))
 
 
 def steer_ula(u: float | np.ndarray, n_ant: int) -> np.ndarray:
@@ -55,6 +37,15 @@ def steer_ula(u: float | np.ndarray, n_ant: int) -> np.ndarray:
     return np.exp(phase)
 
 
+def kron_columns(fe: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product fe (x) fa of UPA factors, (n_e*n_a,)
+    or (n_e*n_a, n) for (n_e, n) and (n_a, n) factors."""
+    if fa.ndim == 1:
+        return np.kron(fe, fa)
+    return (fe[:, None, :] * fa[None, :, :]).reshape(fe.shape[0] * fa.shape[0],
+                                                     -1)
+
+
 def steer_upa(u_az: float | np.ndarray, u_el: float | np.ndarray,
               n_a: int, n_e: int) -> np.ndarray:
     """UPA steering vector: elevation factor Kronecker azimuth factor.
@@ -62,12 +53,7 @@ def steer_upa(u_az: float | np.ndarray, u_el: float | np.ndarray,
     Supports broadcast arrays of candidate frequencies, returning shape
     ``(n_a*n_e, n_cand)``.
     """
-    fa = steer_ula(u_az, n_a)
-    fe = steer_ula(u_el, n_e)
-    if fa.ndim == 1:
-        return np.kron(fe, fa)
-    # batched Kronecker over the trailing candidate axis
-    return (fe[:, None, :] * fa[None, :, :]).reshape(n_a * n_e, -1)
+    return kron_columns(steer_ula(u_el, n_e), steer_ula(u_az, n_a))
 
 
 @dataclass
@@ -113,81 +99,44 @@ class ScenarioGeometry:
         return self.scatterers.shape[0]
 
 
-def _checked_norm(v: np.ndarray, what: str) -> float:
-    n = float(np.linalg.norm(v))
-    if n <= 0.0:
+def unit_vector(a: Vec3, b: Vec3, what: str) -> tuple[np.ndarray, float]:
+    """(a - b) / |a - b| and |a - b|; a zero distance raises
+    ``DegenerateGeometry`` naming the leg ``what``."""
+    diff = np.asarray(a, float) - np.asarray(b, float)
+    dist = float(np.linalg.norm(diff))
+    if dist <= 0.0:
         raise DegenerateGeometry(f"zero distance: {what}")
-    return n
+    return diff / dist, dist
 
 
-def ris_bs_angles(ris: Vec3, bs: Vec3) -> tuple[float, float, float]:
-    """(theta_r0, phi_out0, psi_out0) of the fixed RIS-BS leg."""
-    diff = np.asarray(bs, float) - np.asarray(ris, float)
-    dist = _checked_norm(diff, "RIS-BS")
-    rho = float(np.hypot(diff[0], diff[1]))
-    if rho <= 0.0:
-        raise DegenerateGeometry("BS directly above RIS: azimuth undefined")
-    theta_r0 = clamped_arcsin(diff[0] / dist)
-    psi_out0 = clamped_arcsin(diff[1] / rho)
-    phi_out0 = clamped_arccos(diff[2] / dist)
-    return theta_r0, phi_out0, psi_out0
-
-
-def _incoming_angles(dep_target: Vec3, ris_source: Vec3, ris: Vec3,
-                     alpha: float, ms: Vec3) -> tuple[float, float, float]:
-    """Angles of one MS-(scatterer-)RIS leg pair.
-
-    The departure angle is measured at the MS toward ``dep_target`` (the
-    RIS for the VLoS path, the scatterer otherwise); the arrival angles
-    are measured at the RIS looking back at ``ris_source`` (the MS for
-    the VLoS path, the scatterer otherwise).
-    """
-    dep = np.asarray(dep_target, float) - np.asarray(ms, float)
-    dep_dist = _checked_norm(dep, "MS leg")
-    a = np.array([np.cos(alpha), -np.sin(alpha), 0.0])
-    theta_t = clamped_arcsin(float(a @ dep) / dep_dist)
-
-    arr = np.asarray(ris, float) - np.asarray(ris_source, float)
-    arr_dist = _checked_norm(arr, "RIS leg")
-    rho = float(np.hypot(arr[0], arr[1]))
-    if rho <= 0.0:
-        raise DegenerateGeometry("source directly below RIS: azimuth undefined")
-    psi_in = np.pi - clamped_arcsin(arr[1] / rho)
-    phi_in = clamped_arccos(arr[2] / arr_dist)
-    return theta_t, phi_in, psi_in
-
-
-def angles_from_geometry(geom: ScenarioGeometry) -> tuple[np.ndarray, ...]:
-    """(theta_t, phi_in, psi_in), each of shape (Q+1,); q = 0 is the VLoS path."""
-    paths = [_incoming_angles(geom.ris, geom.ms, geom.ris, geom.alpha, geom.ms)]
-    for s in geom.scatterers:
-        paths.append(_incoming_angles(s, s, geom.ris, geom.alpha, geom.ms))
-    return tuple(np.array(a) for a in zip(*paths))
-
-
-def toas_from_geometry(geom: ScenarioGeometry) -> np.ndarray:
-    """Times of arrival tau_q (seconds), q = 0..Q."""
-    d_rb = _checked_norm(geom.ris - geom.bs, "RIS-BS")
-    taus = [(d_rb + _checked_norm(geom.ms - geom.ris, "MS-RIS")) / SPEED_OF_LIGHT]
-    for s in geom.scatterers:
-        d_sr = _checked_norm(s - geom.ris, "scatterer-RIS")
-        d_ms = _checked_norm(geom.ms - s, "MS-scatterer")
-        taus.append((d_rb + d_sr + d_ms) / SPEED_OF_LIGHT)
-    return np.asarray(taus)
+def ms_axis(alpha: float) -> np.ndarray:
+    """Direction a of the MS array axis at rotation ``alpha``."""
+    return np.array([np.cos(alpha), -np.sin(alpha), 0.0])
 
 
 def forward_map_G(pos: PositionParams, ris: Vec3, bs: Vec3) -> ChannelParams:
     """Map position-level parameters to channel parameters.
 
-    Gains pass through unchanged; delays and angles follow from the
-    node geometry. The inverse (in the noiseless case) is provided by
-    the closed forms in :mod:`rispos.positioning`.
+    Gains pass through unchanged; delays and the spatial frequencies
+    (u, c, s) follow from the node geometry. The inverse (in the
+    noiseless case) is provided by the closed forms in
+    :mod:`rispos.positioning`.
     """
-    geom_like = ScenarioGeometry(
-        bs=bs, ris=ris, ms=pos.ms, alpha=pos.alpha, scatterers=pos.scatterers)
-    theta_t, phi_in, psi_in = angles_from_geometry(geom_like)
-    return ChannelParams(toas_from_geometry(geom_like), pos.gains.copy(),
-                         theta_t, phi_in, psi_in)
+    a = ms_axis(pos.alpha)
+    d_rb = unit_vector(ris, bs, "RIS-BS")[1]
+    n_paths = pos.n_scatterers + 1
+    tau, u, c, s = (np.empty(n_paths) for _ in range(4))
+    for q in range(n_paths):
+        # path 0 departs toward the RIS and arrives from the MS; path q > 0
+        # does both through scatterer q
+        hop = ris if q == 0 else pos.scatterers[q - 1]
+        w_dep, h_dep = unit_vector(hop, pos.ms,
+                                   "MS-RIS" if q == 0 else "MS-scatterer")
+        w_arr, h_arr = unit_vector(ris, pos.ms if q == 0 else hop,
+                                   "MS-RIS" if q == 0 else "scatterer-RIS")
+        tau[q] = (d_rb + h_arr + (h_dep if q > 0 else 0.0)) / SPEED_OF_LIGHT
+        u[q], c[q], s[q] = a @ w_dep, w_arr[2], w_arr[1]
+    return ChannelParams(tau, pos.gains.copy(), u, c, s)
 
 
 def true_channel_params(geom: ScenarioGeometry, gains: np.ndarray) -> ChannelParams:
@@ -198,32 +147,9 @@ def true_channel_params(geom: ScenarioGeometry, gains: np.ndarray) -> ChannelPar
         geom.ris, geom.bs)
 
 
-# spatial-frequency helpers (one-to-one for spacing <= lambda/2)
-
-def aod_spatial_freq(theta: float | np.ndarray, spacing: float,
-                     wavelength: float) -> float | np.ndarray:
-    """(d/lambda) sin(theta) for a ULA."""
-    return spacing / wavelength * np.sin(theta)
-
-
-def ris_delta_freqs(geom: ScenarioGeometry, phi_in, psi_in,
-                    phi_out0: float, psi_out0: float):
-    """Differential RIS spatial frequencies (azimuth, elevation).
-
-    These drive the effective RIS response g_t^T a_R once the known
-    outgoing leg is folded into the arrival steering vector.
-    """
-    dw_az = geom.d_ris_az / geom.wavelength * (
-        np.sin(psi_in) * np.sin(phi_in) - np.sin(psi_out0) * np.sin(phi_out0))
-    dw_el = geom.d_ris_el / geom.wavelength * (
-        np.cos(phi_in) - np.cos(phi_out0))
-    return dw_az, dw_el
-
-
 def ms_ris_range(tau0: float, ris: Vec3, bs: Vec3) -> float:
     """MS-RIS distance implied by the VLoS delay; negative is infeasible."""
-    d_rb = _checked_norm(np.asarray(ris, float) - np.asarray(bs, float), "RIS-BS")
-    rng = tau0 * SPEED_OF_LIGHT - d_rb
+    rng = tau0 * SPEED_OF_LIGHT - unit_vector(ris, bs, "RIS-BS")[1]
     if rng < 0.0:
         raise InfeasibleGeometry("VLoS delay shorter than the RIS-BS leg")
     return rng

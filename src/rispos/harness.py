@@ -6,6 +6,11 @@ corresponding bounds, and writes plot-ready CSV files (one per figure
 panel analogue). What the trials at one power share is built once per
 power point by ``power_setup``: a ``channel.Setup`` that every stage
 takes, plus the parameter Jacobian at the true pose for the bounds.
+
+This is the report edge of the channel coordinates: trial records keep
+the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
+the reported channel errors and CRLBs are in angles (``channel_angles``,
+``angle_crlb``), so the CSV columns and units are those of the paper.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from . import positioning as pos_mod
 from . import sage as sg
 from .errors import IoError, RisposError
 from .geometry import SPEED_OF_LIGHT, ScenarioGeometry, true_channel_params
-from .params import ChannelParams, PositionParams
+from .params import ChannelParams, PositionParams, arrival_azimuth
 
 _TAG_PILOTS = 1
 _TAG_SCHEDULE = 2
@@ -35,9 +40,9 @@ _TAG_TRIAL = 3
 
 STAGES = ("coarse", "aod_mle", "sage", "lm")
 
-# report class -> (column in each path's 6-entry block of the channel
-# parameter vector, or None for the pose classes; report scale: ns for
-# delays, degrees for angles, meters for the position)
+# report class -> (column in each path's 6-entry row of ``channel_angles``,
+# or None for the pose classes; report scale: ns for delays, degrees for
+# angles, meters for the position)
 _CLASSES = {
     "delta_re": (1, 1.0), "delta_im": (2, 1.0), "tau": (0, 1e9),
     "theta_t": (3, 180.0 / np.pi), "phi_in": (4, 180.0 / np.pi),
@@ -52,6 +57,15 @@ CHANNEL_CLASSES = tuple(c for c, (col, _) in _CLASSES.items()
 def _is_number(value, kind) -> bool:
     """``value`` is an instance of the ``numbers`` ABC ``kind``, not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# config fields that must be integers >= 1, and those that must be reals
+_COUNT_FIELDS = ("n_trials", "workers", "n_bs", "n_ms", "n_ris_az", "n_ris_el",
+                 "n_subcarriers", "t_total", "t1", "n_blocks", "v_slots",
+                 "g_ms", "g_ris_az", "g_ris_el")
+_REAL_FIELDS = ("alpha_deg", "bs_spacing_wl", "ms_spacing_wl",
+                "ris_spacing_wl", "fc_hz", "bandwidth_hz",
+                "noise_density_dbm_hz", "path_loss_exponent", "shadow_std_db")
 
 
 @dataclass
@@ -98,12 +112,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
-        for name, least in (("n_trials", 1), ("workers", 1),
-                            ("master_seed", 0)):
+        for name, least in ([(n, 1) for n in _COUNT_FIELDS]
+                            + [("master_seed", 0)]):
             value = getattr(self, name)
             if not _is_number(value, numbers.Integral) or value < least:
                 raise ValueError(
                     f"{name} must be an integer >= {least}, not {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_number(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+        for name in ("fc_hz", "bandwidth_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be > 0, not {getattr(self, name)!r}")
         if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
                 or not all(_is_number(p, numbers.Real) for p in self.powers_dbm)):
             raise ValueError("powers_dbm must be a non-empty list of real "
@@ -150,8 +172,10 @@ class ExperimentConfig:
             shadow_std_db=self.shadow_std_db)
 
 
-def associate_paths(theta_est: np.ndarray, theta_true: np.ndarray) -> np.ndarray:
-    """Match estimated to true paths by minimal total |sin AOD| distance.
+def associate_paths(u_est: np.ndarray, u_true: np.ndarray) -> np.ndarray:
+    """Match estimated to true paths by minimal total |u| distance, u the
+    departure sine (an increasing function of the departure angle, so
+    angles give the same match).
 
     The estimator's path order is arbitrary; all error scoring uses this
     assignment. Returns ``perm`` such that estimate ``perm[i]`` scores
@@ -159,16 +183,44 @@ def associate_paths(theta_est: np.ndarray, theta_true: np.ndarray) -> np.ndarray
     points on a line, pairing both lists in sorted order is an optimal
     assignment (the cost matrix of sorted lists is Monge).
     """
-    perm = np.empty(np.size(theta_true), dtype=int)
-    perm[np.argsort(np.sin(theta_true), kind="stable")] = np.argsort(
-        np.sin(theta_est), kind="stable")
+    perm = np.empty(np.size(u_true), dtype=int)
+    perm[np.argsort(u_true, kind="stable")] = np.argsort(u_est, kind="stable")
     return perm
 
 
+def channel_angles(params: ChannelParams) -> np.ndarray:
+    """Rows [tau, delta_re, delta_im, theta_t, phi_in, psi_in] per path,
+    (Q+1, 6): the angles of the report."""
+    return np.column_stack([
+        params.tau, params.gains.real, params.gains.imag, np.arcsin(params.u),
+        np.arccos(params.c), arrival_azimuth(params.c, params.s)])
+
+
+def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """CRLB variances of the ``channel_angles`` entries, (6(Q+1),), from
+    the covariance bound ``cov`` of (tau, gain, u, c, s): the diagonal of
+    D C D^T, with D the per-path Jacobian of the angles:
+    d theta/du = 1/sqrt(1 - u^2), d phi/dc = -1/sqrt(1 - c^2),
+    d psi/dc = -s c / (r (1 - c^2)) and d psi/ds = -1/r,
+    r = sqrt(1 - c^2 - s^2)."""
+    u, c, s = params.u, params.c, params.s
+    n = params.n_paths
+    r = np.sqrt(1.0 - c * c - s * s)
+    jac = np.zeros((n, 6, 6))
+    jac[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    jac[:, 3, 3] = 1.0 / np.sqrt(1.0 - u * u)
+    jac[:, 4, 4] = -1.0 / np.sqrt(1.0 - c * c)
+    jac[:, 5, 4] = -s * c / (r * (1.0 - c * c))
+    jac[:, 5, 5] = -1.0 / r
+    idx = np.arange(n)
+    blocks = cov.reshape(n, 6, n, 6)[idx, :, idx, :]       # (Q+1, 6, 6)
+    return np.einsum("qij,qjk,qik->qi", jac, blocks, jac).ravel()
+
+
 def channel_sq_errors(est: ChannelParams, true: ChannelParams) -> dict:
-    """Per-class squared errors (per path) after association."""
-    perm = associate_paths(est.theta_t, true.theta_t)
-    diff = est.to_vector().reshape(-1, 6)[perm] - true.to_vector().reshape(-1, 6)
+    """Per-class squared errors (per path) after association, in angles."""
+    perm = associate_paths(est.u, true.u)
+    diff = channel_angles(est)[perm] - channel_angles(true)
     return {cls: diff[:, _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES}
 
 
@@ -187,10 +239,10 @@ class TrialRecord:
     power_dbm: float
     trial_index: int
     seed_entropy: tuple
-    eta_true: np.ndarray = None
+    eta_true: np.ndarray = None                      # (tau, gain, u, c, s) per path
     stages: dict = field(default_factory=dict)       # stage -> parameter vector
     sq_errors: dict = field(default_factory=dict)    # stage -> class -> errors
-    crlb: np.ndarray = None
+    crlb: np.ndarray = None                          # angle-unit, per path
     peb: float = np.nan
     oeb: float = np.nan
     support_ok: bool = False
@@ -200,10 +252,9 @@ class TrialRecord:
 
 def _support_matches(est: ChannelParams, true: ChannelParams,
                      g_ms: int) -> bool:
-    """Coarse support within 1.5 grid cells of every true AOD."""
-    perm = associate_paths(est.theta_t, true.theta_t)
-    gap = np.abs(np.sin(est.theta_t[perm]) - np.sin(true.theta_t))
-    return bool(np.all(gap <= 1.5 * 2.0 / g_ms))
+    """Coarse support within 1.5 grid cells of every true departure sine."""
+    perm = associate_paths(est.u, true.u)
+    return bool(np.all(np.abs(est.u[perm] - true.u) <= 1.5 * 2.0 / g_ms))
 
 
 @dataclass
@@ -265,7 +316,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     # per-trial bounds at the true parameters
     j_true = bnd.fim_channel(true, setup)
     rep = bnd.position_bounds(j_true, setup.t_true)
-    rec.crlb, rec.peb, rec.oeb = rep.crlb_channel, rep.peb, rep.oeb
+    rec.crlb = angle_crlb(rep.cov_channel, true)
+    rec.peb, rec.oeb = rep.peb, rep.oeb
 
     y = ch.synthesize_rx(setup, true,
                          noise_seed=np.random.default_rng(noise_seed),
@@ -323,8 +375,9 @@ class SweepReport:
 
 
 def _report_bounds(crlb: np.ndarray, peb: float, oeb: float) -> dict:
-    """Bounds in report units from per-path CRLB variances ``crlb`` (..., 6),
-    averaged over all leading axes, and the given PEB and OEB."""
+    """Bounds in report units from per-path angle-unit CRLB variances
+    ``crlb`` (..., 6), averaged over all leading axes, and the given PEB
+    and OEB."""
     rms = {"position": peb, "orientation": oeb}
     for cls, (col, _) in _CLASSES.items():
         if col is not None:
@@ -344,7 +397,8 @@ def reference_bounds(exp: ExperimentConfig, power_dbm: float,
     true = true_channel_params(setup.geom, gains)
     j_eta = bnd.fim_channel(true, setup)
     rep = bnd.position_bounds(j_eta, setup.t_true)
-    return _report_bounds(rep.crlb_channel.reshape(-1, 6), rep.peb, rep.oeb)
+    return _report_bounds(angle_crlb(rep.cov_channel, true).reshape(-1, 6),
+                          rep.peb, rep.oeb)
 
 
 def _aggregate_trial_bounds(records: list) -> dict:

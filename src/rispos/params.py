@@ -1,11 +1,21 @@
 """Parameter containers shared by the channel and positioning stages.
 
-Two vectors drive the pipeline: the per-path channel parameters
-(delay, complex gain, departure angle at the MS, elevation/azimuth
-arrival angles at the RIS) and the position-level parameters (gains,
-MS coordinates, rotation angle, scatterer coordinates). Both hold only
-what is estimated: the RIS-BS leg is known and lives in the per-power
-``channel.Setup`` (``setup.known_angles``).
+Two vectors drive the pipeline: the per-path channel parameters and the
+position-level parameters (gains, MS coordinates, rotation angle,
+scatterer coordinates). Both hold only what is estimated: the RIS-BS
+leg is known and lives in the per-power ``channel.Setup``
+(``setup.leg``, the unit vector from the RIS toward the BS).
+
+Channel parameters are kept in the arrays' spatial frequencies, the
+coordinates every estimator searches and every steering vector takes:
+the delay, the complex gain, the departure sine u = sin theta_t at the
+MS, and the RIS arrival's elevation cosine c = cos phi_in and azimuth
+product s = sin psi_in sin phi_in. c and s are the z and y components
+of the unit vector from the path's last source to the RIS, so every
+arrival direction, the vertical one included, is a regular point of the
+disk c^2 + s^2 <= 1. Angles appear only at the edges: the closed-form
+pose and the reported errors and bounds, which take the azimuth from
+``arrival_azimuth``.
 """
 
 from __future__ import annotations
@@ -15,27 +25,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def arrival_azimuth(c, s):
+    """psi_in = pi - atan2(s, sqrt(max(1 - c^2 - s^2, 0))) in [pi/2, 3pi/2].
+
+    Equals pi - asin(s / sin phi_in), the branch of an arrival from the
+    far side of the RIS, and is still defined at the pole c = +-1 (pi).
+    """
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    return np.pi - np.arctan2(s, np.sqrt(np.maximum(1.0 - c * c - s * s, 0.0)))
+
+
 @dataclass
 class ChannelParams:
     """The estimated channel vector: six real parameters per path.
 
-    The flattened real vector stacks ``[tau, delta_re, delta_im,
-    theta_t, phi_in, psi_in]`` path by path, path 0 being the VLoS
-    (scatterer-free) path, so it has length 6(Q+1).
+    The flattened real vector stacks ``[tau, delta_re, delta_im, u, c,
+    s]`` path by path, path 0 being the VLoS (scatterer-free) path, so it
+    has length 6(Q+1).
     """
 
     tau: np.ndarray              # (Q+1,) seconds
     gains: np.ndarray            # (Q+1,) complex
-    theta_t: np.ndarray          # (Q+1,) radians, AOD at the MS
-    phi_in: np.ndarray           # (Q+1,) radians, elevation AOA at the RIS
-    psi_in: np.ndarray           # (Q+1,) radians, azimuth AOA at the RIS
+    u: np.ndarray                # (Q+1,) sin theta_t, departure sine at the MS
+    c: np.ndarray                # (Q+1,) cos phi_in, RIS elevation cosine
+    s: np.ndarray                # (Q+1,) sin psi_in sin phi_in, RIS azimuth product
 
     def __post_init__(self):
         self.tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
         self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        self.theta_t = np.atleast_1d(np.asarray(self.theta_t, dtype=float))
-        self.phi_in = np.atleast_1d(np.asarray(self.phi_in, dtype=float))
-        self.psi_in = np.atleast_1d(np.asarray(self.psi_in, dtype=float))
+        self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
 
     @property
     def n_paths(self) -> int:
@@ -44,16 +64,13 @@ class ChannelParams:
     def to_vector(self) -> np.ndarray:
         """Flatten to the length-6(Q+1) real parameter vector."""
         cols = np.column_stack([
-            self.tau, self.gains.real, self.gains.imag,
-            self.theta_t, self.phi_in, self.psi_in,
+            self.tau, self.gains.real, self.gains.imag, self.u, self.c, self.s,
         ])
         return cols.ravel()
 
     def copy(self) -> "ChannelParams":
-        return ChannelParams(
-            self.tau.copy(), self.gains.copy(), self.theta_t.copy(),
-            self.phi_in.copy(), self.psi_in.copy(),
-        )
+        return ChannelParams(self.tau.copy(), self.gains.copy(), self.u.copy(),
+                             self.c.copy(), self.s.copy())
 
 
 @dataclass

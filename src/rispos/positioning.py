@@ -3,7 +3,11 @@
 Closed forms invert the geometric relations exactly in the noiseless
 case; a weighted Gauss-Newton/Levenberg-Marquardt refinement then fits
 all channel parameters jointly with the estimated Fisher information as
-the weight.
+the weight. Both read the channel parameters as they are held: an
+arrival (c, s) is the ray direction [sqrt(1 - c^2 - s^2), -s, -c] from
+the RIS, a departure sine u enters the scatterer projection as it is,
+and only the rotation angle goes through angles, with psi_in from
+``params.arrival_azimuth``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .bounds import transformation_matrix
 from .errors import ArccosDomain, DegenerateGeometry, SingularDenominator
 from .geometry import SPEED_OF_LIGHT, forward_map_G, ms_ris_range
-from .params import ChannelParams, PositionParams
+from .params import ChannelParams, PositionParams, arrival_azimuth
 
 ARCCOS_CLAMP_TOL = 1e-9
 
@@ -35,51 +39,52 @@ def closed_form_ms(params: ChannelParams, ris: np.ndarray,
 
     The MS sits on the ray leaving the RIS along the arrival direction
     at the range implied by the VLoS delay; the rotation angle follows
-    from the departure/arrival angle pair.
+    from the departure sine and the arrival angles,
+    alpha = (2 pi - psi_in) - arccos(sin theta_t / sin phi_in).
     """
     flags = {"zero_range": False, "alpha_wrapped": False}
     rng = ms_ris_range(float(params.tau[0]), ris, bs)
     if rng <= 0.0:
         flags["zero_range"] = True
-    phi, psi = float(params.phi_in[0]), float(params.psi_in[0])
-    direction = np.array([-np.sin(phi) * np.cos(psi),
-                          -np.sin(phi) * np.sin(psi),
-                          -np.cos(phi)])
-    ms = np.asarray(ris, float) + rng * direction
+    c, s = float(params.c[0]), float(params.s[0])
+    ms = np.asarray(ris, float) + rng * _ray(c, s)
 
-    sin_phi = np.sin(phi)
-    if abs(sin_phi) < 1e-12:
+    sin_phi = np.sqrt(max(1.0 - c * c, 0.0))
+    if sin_phi < 1e-12:
         raise DegenerateGeometry("vertical arrival leaves rotation unobservable")
-    ratio = np.sin(params.theta_t[0]) / sin_phi
+    ratio = float(params.u[0]) / sin_phi
     if abs(ratio) > 1.0 + ARCCOS_CLAMP_TOL:
         raise ArccosDomain(f"rotation arccos argument {ratio} out of range")
-    alpha_raw = (2.0 * np.pi - psi) - np.arccos(np.clip(ratio, -1.0, 1.0))
+    alpha_raw = ((2.0 * np.pi - float(arrival_azimuth(c, s)))
+                 - np.arccos(np.clip(ratio, -1.0, 1.0)))
     alpha = float(np.mod(alpha_raw, np.pi))
     if abs(alpha - alpha_raw) > 1e-12:
         flags["alpha_wrapped"] = True
     return ms, alpha, flags
 
 
-def closed_form_scatterer(tau_q: float, theta_q: float, phi_q: float,
-                          psi_q: float, ms: np.ndarray, alpha: float,
+def _ray(c: float, s: float) -> np.ndarray:
+    """Unit direction from the RIS toward the source of an arrival (c, s)."""
+    return np.array([np.sqrt(max(1.0 - c * c - s * s, 0.0)), -s, -c])
+
+
+def closed_form_scatterer(tau_q: float, u_q: float, c_q: float, s_q: float,
+                          ms: np.ndarray, alpha: float,
                           ris: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """Scatterer coordinates from one NLoS path and the recovered MS pose.
 
     Solves the three-equation system (RIS ray direction, delay split,
-    departure-angle projection), parametrized by the scatterer-RIS range
+    departure-sine projection), parametrized by the scatterer-RIS range
     so only the shared projection denominator is ever divided by.
     """
     ris = np.asarray(ris, float)
-    direction = np.array([-np.sin(phi_q) * np.cos(psi_q),
-                          -np.sin(phi_q) * np.sin(psi_q),
-                          -np.cos(phi_q)])
+    direction = _ray(c_q, s_q)
     a_coef, b_coef = direction[0], direction[1]
     d_total = tau_q * SPEED_OF_LIGHT - np.linalg.norm(ris - np.asarray(bs, float))
-    sin_t = np.sin(theta_q)
-    denom = sin_t + a_coef * np.cos(alpha) - b_coef * np.sin(alpha)
+    denom = u_q + a_coef * np.cos(alpha) - b_coef * np.sin(alpha)
     if abs(denom) < 1e-12:
         raise SingularDenominator("scatterer projection denominator vanished")
-    d_sr = (d_total * sin_t
+    d_sr = (d_total * u_q
             - (ris[0] - ms[0]) * np.cos(alpha)
             + (ris[1] - ms[1]) * np.sin(alpha)) / denom
     return ris + d_sr * direction
@@ -92,9 +97,8 @@ def position_closed_form(params: ChannelParams, ris: np.ndarray,
     scatterers = np.empty((params.n_paths - 1, 3))
     for q in range(1, params.n_paths):
         scatterers[q - 1] = closed_form_scatterer(
-            float(params.tau[q]), float(params.theta_t[q]),
-            float(params.phi_in[q]), float(params.psi_in[q]),
-            ms, alpha, ris, bs)
+            float(params.tau[q]), float(params.u[q]), float(params.c[q]),
+            float(params.s[q]), ms, alpha, ris, bs)
     pos = PositionParams(gains=params.gains.copy(), ms=ms, alpha=alpha,
                          scatterers=scatterers)
     return pos, flags

@@ -13,13 +13,12 @@ gain eliminated, the per-path likelihood is
 
 and the closed-form gain is num / den.
 
-A path update searches the arrays' own spatial-frequency coordinates:
-the delay tau, the departure sine u = sin theta_t, the elevation cosine
-c = cos phi_in and the azimuth product s = sin psi_in sin phi_in. a_M
-depends on u alone, and a_R is a_el(c) (x) a_az(s), so each coordinate
-enters one factor. The path converts back to angles once, at the end of
-its update: theta_t = arcsin u, phi_in = arccos c and
-psi_in = pi - arcsin(s / sin phi_in), the branch of the coarse stage.
+A path update searches the coordinates a ``ChannelParams`` holds, the
+arrays' own spatial frequencies: the delay tau, the departure sine
+u = sin theta_t, the elevation cosine c = cos phi_in and the azimuth
+product s = sin psi_in sin phi_in. a_M depends on u alone, and a_R is
+a_el(c) (x) a_az(s) (``channel.ris_factors``), so each coordinate enters
+one factor, and the update writes its result back as it is.
 
 Each 1-D search first contracts the factors it holds fixed into small
 per-search statistics, so a candidate costs only its own steering
@@ -39,8 +38,9 @@ vector:
 
 Brackets span +-``_ANGLE_CELLS`` coarse grid cells around the incumbent
 and are clipped to the physical set c^2 + s^2 <= 1: |c| <= sqrt(1 - s^2)
-in the elevation search, |s| <= sin phi_in = sqrt(1 - c^2) in the
-azimuth search.
+in the elevation search, |s| <= sqrt(1 - c^2) in the azimuth search.
+The pole c = +-1 is a regular point of that disk, which a search can
+leave along c.
 
 The first cycle runs every search in full. Later cycles start within a
 small fraction of a cell of each maximum and take ``maximize_1d``'s
@@ -62,12 +62,11 @@ import numpy as np
 
 from ._search import maximize_1d
 from .channel import (Setup, beamform, model_field, ms_sine_steering,
-                      path_factors, subcarrier_ramp)
+                      path_factors, ris_factors, subcarrier_ramp)
 from .errors import ZeroDenominator
-from .geometry import steer_ula
 from .params import ChannelParams
 
-UPDATE_ORDER = ("tau", "theta_t", "phi_in", "psi_in", "delta")
+UPDATE_ORDER = ("tau", "u", "c", "s", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
 # grid points of each coordinate search: a bracket spans at most about 1.3
@@ -110,10 +109,6 @@ class SageProblem:
         self._phases = sched.block_phases.reshape(-1, geom.n_ris_el,
                                                   geom.n_ris_az)
         self._phases_t = self._phases.transpose(0, 2, 1)
-        # the differential RIS frequencies offset c and s by the known leg
-        _, phi_out0, psi_out0 = setup.known_angles
-        self._c_out = np.cos(phi_out0)
-        self._s_out = np.sin(psi_out0) * np.sin(phi_out0)
 
     def complete_data(self, params: ChannelParams, q: int) -> np.ndarray:
         """Beamformed per-path signal (T, N): observation minus the other paths."""
@@ -126,24 +121,11 @@ class SageProblem:
         cfg = self.setup.cfg
         return pa @ subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers)
 
-    def _steer_el(self, c) -> np.ndarray:
-        """Elevation factor a_el of a_R at elevation cosines c; (N_el,) or
-        (N_el, n)."""
-        geom = self.setup.geom
-        return steer_ula(geom.d_ris_el / geom.wavelength * (c - self._c_out),
-                         geom.n_ris_el)
-
-    def _steer_az(self, s) -> np.ndarray:
-        """Azimuth factor a_az of a_R at azimuth products s; (N_az,) or
-        (N_az, n)."""
-        geom = self.setup.geom
-        return steer_ula(geom.d_ris_az / geom.wavelength * (s - self._s_out),
-                         geom.n_ris_az)
-
     def block_sigma(self, c: float, s: float) -> np.ndarray:
         """sigma_b = block_phases[b] @ a_R per phase block, (B,), at the
         elevation cosine c and azimuth product s."""
-        return (self._phases @ self._steer_az(s)) @ self._steer_el(c)
+        a_el, a_az = ris_factors(self.setup, c, s)
+        return (self._phases @ a_az) @ a_el
 
     def slot_proj(self, u: float) -> np.ndarray:
         """p_t = a_M^H x_t per slot, (T,), at the departure sine u."""
@@ -187,13 +169,17 @@ class SageProblem:
 
     def elevation_terms(self, r: np.ndarray, p: np.ndarray, s: float):
         """Elevation-cosine search at a fixed azimuth product s."""
-        return self._ris_terms(r, p, self._phases @ self._steer_az(s),
-                               self._steer_el)
+        setup = self.setup
+        folded = self._phases @ ris_factors(setup, None, s)[1]
+        return self._ris_terms(r, p, folded,
+                               lambda c: ris_factors(setup, c, None)[0])
 
     def azimuth_terms(self, r: np.ndarray, p: np.ndarray, c: float):
         """Azimuth-product search at a fixed elevation cosine c."""
-        return self._ris_terms(r, p, self._phases_t @ self._steer_el(c),
-                               self._steer_az)
+        setup = self.setup
+        folded = self._phases_t @ ris_factors(setup, c, None)[0]
+        return self._ris_terms(r, p, folded,
+                               lambda s: ris_factors(setup, None, s)[1])
 
 
 def path_objective(num, den) -> np.ndarray:
@@ -230,12 +216,10 @@ def global_log_likelihood(params: ChannelParams, y: np.ndarray,
 
 def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
                             q: int, local: bool = False) -> dict:
-    """Update path q in place: tau, theta_t, phi_in, psi_in, then the gain.
+    """Update path q in place: tau, u, c, s, then the gain.
 
-    The angles are searched as u = sin theta_t, c = cos phi_in and
-    s = sin psi_in sin phi_in, and converted back once at the end. Each
-    1-D step maximizes the concentrated likelihood over a local bracket
-    with the incumbent always a candidate, so F never decreases.
+    Each 1-D step maximizes the concentrated likelihood over a local
+    bracket with the incumbent always a candidate, so F never decreases.
     ``local`` starts each search with ``maximize_1d``'s local path.
     Returns the objective trace of the steps.
     """
@@ -247,10 +231,8 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
                            max(-lim, x0 - half), min(lim, x0 + half),
                            n_grid=_N_GRID, incumbent=x0, local=local)
 
-    tau = float(params.tau[q])
-    u = float(np.sin(params.theta_t[q]))
-    c = float(np.cos(params.phi_in[q]))
-    s = float(np.sin(params.psi_in[q]) * np.sin(params.phi_in[q]))
+    tau, u, c, s = (float(x[q]) for x in (params.tau, params.u, params.c,
+                                           params.s))
     sigma = prob.block_sigma(c, s)[prob.slot_block]
     delay = prob.delay_terms(pa, sigma * prob.slot_proj(u))
     trace = {"start": path_fit(*delay(tau))[0]}
@@ -260,29 +242,22 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     r = prob.derotated(pa, tau)
 
     # departure sine: +-_ANGLE_CELLS coarse cells
-    u, trace["theta_t"] = search(prob.departure_terms(r, sigma), u,
+    u, trace["u"] = search(prob.departure_terms(r, sigma), u,
                                  _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
     p = prob.slot_proj(u)
 
     # elevation cosine at the fixed azimuth product: |c| <= sqrt(1 - s^2)
-    c, trace["phi_in"] = search(prob.elevation_terms(r, p, s), c,
+    c, trace["c"] = search(prob.elevation_terms(r, p, s), c,
                                 _ANGLE_CELLS * (2.0 / cfg.g_ris_el),
                                 np.sqrt(max(1.0 - s * s, 0.0)))
 
-    # azimuth product at the fixed elevation cosine: |s| <= sin phi_in
-    sin_phi = np.sqrt(max(1.0 - c * c, 0.0))
+    # azimuth product at the fixed elevation cosine: |s| <= sqrt(1 - c^2)
     azimuth = prob.azimuth_terms(r, p, c)
-    s, trace["psi_in"] = search(azimuth, s,
-                                _ANGLE_CELLS * (2.0 / cfg.g_ris_az), sin_phi)
+    s, trace["s"] = search(azimuth, s, _ANGLE_CELLS * (2.0 / cfg.g_ris_az),
+                           np.sqrt(max(1.0 - c * c, 0.0)))
 
-    gain = path_fit(*azimuth(s))[1]
-
-    params.tau[q] = tau
-    params.theta_t[q] = np.arcsin(u)
-    params.phi_in[q] = np.arccos(c)
-    params.psi_in[q] = np.pi - np.arcsin(
-        np.clip(s / max(sin_phi, 1e-12), -1.0, 1.0))
-    params.gains[q] = gain
+    params.tau[q], params.u[q], params.c[q], params.s[q] = tau, u, c, s
+    params.gains[q] = path_fit(*azimuth(s))[1]
     return trace
 
 
@@ -298,7 +273,7 @@ def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
     params = init.copy()
     prob = SageProblem(y, setup)
     # elementwise stopping thresholds, 1e-6 in each natural unit: 1/B for
-    # delays, the initial per-path magnitude for gains, radians for angles
+    # delays, the initial per-path magnitude for gains, the unit of u, c, s
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
                   init.n_paths)
     for q, gain in enumerate(init.gains):

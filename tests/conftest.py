@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import angles_from_geometry, ris_bs_angles
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import harness as hn
@@ -58,14 +59,14 @@ def build_ongrid_scenario(exp: hn.ExperimentConfig | None = None):
     geom0 = exp.geometry()
     cfg = exp.system(20.0)
     r, b = geom0.ris, geom0.bs
-    theta_r0, phi_out0, psi_out0 = gm.ris_bs_angles(r, b)
+    theta_r0, phi_out0, psi_out0 = ris_bs_angles(r, b)
     grid_e = ch.grid_values(cfg.g_ris_el)
     grid_a = ch.grid_values(cfg.g_ris_az)
     grid_m = ch.grid_values(cfg.g_ms)
     sin_out = np.sin(psi_out0) * np.sin(phi_out0)
     cos_out = np.cos(phi_out0)
 
-    _, phi_in, psi_in = gm.angles_from_geometry(geom0)
+    _, phi_in, psi_in = angles_from_geometry(geom0)
 
     def ray_direction(phi, psi):
         return np.array([-np.sin(phi) * np.cos(psi),

@@ -1,23 +1,168 @@
-"""Test oracles: the long-way channel builders, the out-of-place noisy
-synthesis, the full-tensor SAGE path objective, the full-stack
-concentrated AOD objective, the correlation-tensor DCS-SOMP, the inverse
-index and angle maps, the vector-to-params map and the exhaustive path
-association. The package keeps only the fast forms; these reference
-implementations check them.
+"""Test oracles: the node angles and the angle-domain channel model, the
+long-way channel builders, the out-of-place noisy synthesis, the
+full-tensor SAGE path objective, the full-stack concentrated AOD
+objective, the correlation-tensor DCS-SOMP, the inverse index map, the
+vector-to-params map, the angle-domain Fisher information and Jacobian,
+and the exhaustive path association. The package keeps only the fast
+forms, in the arrays' spatial frequencies (u, c, s); these reference
+implementations, most of them in angles, check them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import coarse_est as ce
-from rispos.errors import (DimensionMismatch, SingularConcentration,
-                           SparsityInfeasible, ZeroDenominator)
-from rispos.geometry import ScenarioGeometry
-from rispos.params import ChannelParams
+from rispos.errors import (DegenerateGeometry, DimensionMismatch,
+                           SingularConcentration, SparsityInfeasible,
+                           ZeroDenominator)
+from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
+from rispos.params import ChannelParams, PositionParams
+
+# Tolerance for inverse-trig arguments that drift past +-1 in floating point.
+TRIG_CLAMP_TOL = 1e-9
+
+
+def clamped_arcsin(x: float, tol: float = TRIG_CLAMP_TOL) -> float:
+    """arcsin with a small out-of-domain guard: arguments within ``tol``
+    of [-1, 1] are clamped, anything further out raises."""
+    if abs(x) > 1.0 + tol:
+        raise DegenerateGeometry(f"arcsin argument {x} outside [-1, 1]")
+    return float(np.arcsin(np.clip(x, -1.0, 1.0)))
+
+
+def clamped_arccos(x: float, tol: float = TRIG_CLAMP_TOL) -> float:
+    """arccos with the same guard as :func:`clamped_arcsin`."""
+    if abs(x) > 1.0 + tol:
+        raise DegenerateGeometry(f"arccos argument {x} outside [-1, 1]")
+    return float(np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def _checked_norm(v: np.ndarray, what: str) -> float:
+    n = float(np.linalg.norm(v))
+    if n <= 0.0:
+        raise DegenerateGeometry(f"zero distance: {what}")
+    return n
+
+
+def ris_bs_angles(ris, bs) -> tuple[float, float, float]:
+    """(theta_r0, phi_out0, psi_out0) of the fixed RIS-BS leg."""
+    diff = np.asarray(bs, float) - np.asarray(ris, float)
+    dist = _checked_norm(diff, "RIS-BS")
+    rho = float(np.hypot(diff[0], diff[1]))
+    if rho <= 0.0:
+        raise DegenerateGeometry("BS directly above RIS: azimuth undefined")
+    return (clamped_arcsin(diff[0] / dist), clamped_arccos(diff[2] / dist),
+            clamped_arcsin(diff[1] / rho))
+
+
+def _incoming_angles(dep_target, ris_source, ris, alpha, ms):
+    """(theta_t, phi_in, psi_in) of one MS-(scatterer-)RIS leg pair: the
+    departure at the MS toward ``dep_target``, the arrival at the RIS from
+    ``ris_source``."""
+    dep = np.asarray(dep_target, float) - np.asarray(ms, float)
+    a = np.array([np.cos(alpha), -np.sin(alpha), 0.0])
+    theta_t = clamped_arcsin(float(a @ dep) / _checked_norm(dep, "MS leg"))
+    arr = np.asarray(ris, float) - np.asarray(ris_source, float)
+    arr_dist = _checked_norm(arr, "RIS leg")
+    rho = float(np.hypot(arr[0], arr[1]))
+    if rho <= 0.0:
+        raise DegenerateGeometry("source directly below RIS: azimuth undefined")
+    return (theta_t, clamped_arccos(arr[2] / arr_dist),
+            np.pi - clamped_arcsin(arr[1] / rho))
+
+
+def angles_from_geometry(geom: ScenarioGeometry) -> tuple[np.ndarray, ...]:
+    """(theta_t, phi_in, psi_in), each of shape (Q+1,); q = 0 is the VLoS path."""
+    paths = [_incoming_angles(geom.ris, geom.ms, geom.ris, geom.alpha, geom.ms)]
+    for s in geom.scatterers:
+        paths.append(_incoming_angles(s, s, geom.ris, geom.alpha, geom.ms))
+    return tuple(np.array(a) for a in zip(*paths))
+
+
+def toas_from_geometry(geom: ScenarioGeometry) -> np.ndarray:
+    """Times of arrival tau_q (seconds), q = 0..Q, leg by leg."""
+    d_rb = _checked_norm(geom.ris - geom.bs, "RIS-BS")
+    taus = [(d_rb + _checked_norm(geom.ms - geom.ris, "MS-RIS")) / SPEED_OF_LIGHT]
+    for s in geom.scatterers:
+        taus.append((d_rb + _checked_norm(s - geom.ris, "scatterer-RIS")
+                     + _checked_norm(geom.ms - s, "MS-scatterer"))
+                    / SPEED_OF_LIGHT)
+    return np.asarray(taus)
+
+
+@dataclass
+class AngleParams:
+    """The channel vector in angles: [tau, delta_re, delta_im, theta_t,
+    phi_in, psi_in] per path."""
+
+    tau: np.ndarray
+    gains: np.ndarray
+    theta_t: np.ndarray
+    phi_in: np.ndarray
+    psi_in: np.ndarray
+
+    def __post_init__(self):
+        for name in ("tau", "theta_t", "phi_in", "psi_in"):
+            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name),
+                                                         dtype=float)))
+        self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
+
+    @property
+    def n_paths(self) -> int:
+        return self.tau.size
+
+    def to_vector(self) -> np.ndarray:
+        return np.column_stack([self.tau, self.gains.real, self.gains.imag,
+                                self.theta_t, self.phi_in,
+                                self.psi_in]).ravel()
+
+
+def to_angles(params: ChannelParams) -> AngleParams:
+    """theta_t = arcsin u, phi_in = arccos c, psi_in = pi - arcsin(s /
+    sin phi_in), the azimuth branch of the far side of the RIS."""
+    phi = np.arccos(params.c)
+    return AngleParams(params.tau.copy(), params.gains.copy(),
+                       np.arcsin(params.u), phi,
+                       np.pi - np.arcsin(np.clip(params.s / np.sin(phi),
+                                                 -1.0, 1.0)))
+
+
+def from_angles(tau, gains, theta_t, phi_in, psi_in) -> ChannelParams:
+    """ChannelParams at u = sin theta_t, c = cos phi_in and
+    s = sin psi_in sin phi_in."""
+    phi_in = np.asarray(phi_in, dtype=float)
+    return ChannelParams(tau, gains, np.sin(theta_t), np.cos(phi_in),
+                         np.sin(psi_in) * np.sin(phi_in))
+
+
+def ms_steering(geom: ScenarioGeometry, theta_t) -> np.ndarray:
+    """MS steering vectors at departure angles; (N_m,) or (N_m, n)."""
+    return gm.steer_ula(geom.d_ms / geom.wavelength * np.sin(theta_t),
+                        geom.n_ms)
+
+
+def ris_diff_steering(geom: ScenarioGeometry, phi_in, psi_in) -> np.ndarray:
+    """a_R(in) Hadamard a_R(out)^*, the RIS response at the differential
+    frequencies of the arrival angles and the geometry's RIS-BS leg."""
+    _, phi_out0, psi_out0 = ris_bs_angles(geom.ris, geom.bs)
+    lam = geom.wavelength
+    dw_az = geom.d_ris_az / lam * (np.sin(psi_in) * np.sin(phi_in)
+                                   - np.sin(psi_out0) * np.sin(phi_out0))
+    dw_el = geom.d_ris_el / lam * (np.cos(phi_in) - np.cos(phi_out0))
+    return gm.steer_upa(dw_az, dw_el, geom.n_ris_az, geom.n_ris_el)
+
+
+def bs_steering(geom: ScenarioGeometry) -> np.ndarray:
+    """a_B at the RIS-BS leg's arrival angle."""
+    theta_r0 = ris_bs_angles(geom.ris, geom.bs)[0]
+    return gm.steer_ula(geom.d_bs / geom.wavelength * np.sin(theta_r0),
+                        geom.n_bs)
 
 
 def build_channel(cfg: ch.SystemConfig, geom: ScenarioGeometry,
@@ -27,16 +172,15 @@ def build_channel(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     Uses the scalar-reflection form: each path contributes
     delta_q * ramp_q[n] * (g_t^T a_R(dw_q)) * a_B a_M(theta_q)^H.
     """
-    theta_r0, phi_out0, psi_out0 = gm.ris_bs_angles(geom.ris, geom.bs)
     g_t = np.asarray(g_t)
     if g_t.shape != (geom.n_ris,):
         raise DimensionMismatch("phase vector length must equal N_r")
     if not (1 <= n <= cfg.n_subcarriers):
         raise DimensionMismatch("subcarrier index out of range")
-    a_b = ch.bs_steering(geom, theta_r0)
-    a_m = ch.ms_steering(geom, params.theta_t)          # (N_m, Q+1)
-    a_r = ch.ris_diff_steering(geom, params.phi_in, params.psi_in,
-                               phi_out0, psi_out0)      # (N_r, Q+1)
+    ang = to_angles(params)
+    a_b = bs_steering(geom)
+    a_m = ms_steering(geom, ang.theta_t)                # (N_m, Q+1)
+    a_r = ris_diff_steering(geom, ang.phi_in, ang.psi_in)  # (N_r, Q+1)
     ramp = ch.subcarrier_ramp(params.tau, cfg.bandwidth,
                               cfg.n_subcarriers)[n - 1]  # (Q+1,)
     scal = params.gains * ramp * (g_t @ a_r)
@@ -55,9 +199,10 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     if g_t.shape != (geom.n_ris,):
         raise DimensionMismatch("phase vector length must equal N_r")
     lam = geom.wavelength
-    theta_r0, phi_out0, psi_out0 = gm.ris_bs_angles(geom.ris, geom.bs)
+    _, phi_out0, psi_out0 = ris_bs_angles(geom.ris, geom.bs)
     tau_rb = np.linalg.norm(geom.ris - geom.bs) / gm.SPEED_OF_LIGHT
-    a_b = ch.bs_steering(geom, theta_r0)
+    a_b = bs_steering(geom)
+    params = to_angles(params)
     w_out_az = geom.d_ris_az / lam * np.sin(psi_out0) * np.sin(phi_out0)
     w_out_el = geom.d_ris_el / lam * np.cos(phi_out0)
     a_r_out = gm.steer_upa(w_out_az, w_out_el, geom.n_ris_az, geom.n_ris_el)
@@ -70,7 +215,7 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
         w_in_az = geom.d_ris_az / lam * np.sin(params.psi_in[q]) * np.sin(params.phi_in[q])
         w_in_el = geom.d_ris_el / lam * np.cos(params.phi_in[q])
         a_r_in = gm.steer_upa(w_in_az, w_in_el, geom.n_ris_az, geom.n_ris_el)
-        a_m = ch.ms_steering(geom, params.theta_t[q])
+        a_m = ms_steering(geom, params.theta_t[q])
         ramp_mr = np.exp(-2j * np.pi * (params.tau[q] - tau_rb) * (n - 1)
                          * cfg.bandwidth / cfg.n_subcarriers)
         h_mr += params.gains[q] * ramp_mr * np.outer(a_r_in, a_m.conj())
@@ -101,13 +246,13 @@ def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,
 def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,
                psi_in: float, setup: ch.Setup) -> tuple[complex, float]:
     """Numerator sum_t r_t conj(u_t) and denominator N_B N sum_t |u_t|^2 of
-    the per-path likelihood, built over all T slots from the full tensor."""
+    the per-path likelihood at the path's angles, built over all T slots
+    from the full tensor."""
     cfg, geom = setup.cfg, setup.geom
-    pa = ch.beamform(setup.a_b, y_q)                       # (T, N)
+    pa = ch.beamform(bs_steering(geom), y_q)               # (T, N)
     r = ch.subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers) @ pa.T
-    u = (ch.ris_slot_scalars(geom, setup.sched.slot_phases, phi_in, psi_in,
-                             *setup.known_angles[1:])
-         * ch.pilot_projection(geom, setup.pilots, theta_t))
+    u = ((setup.sched.slot_phases @ ris_diff_steering(geom, phi_in, psi_in))
+         * (setup.pilots.T @ ms_steering(geom, theta_t).conj()))
     num = np.sum(r * u.conj())
     den = geom.n_bs * cfg.n_subcarriers * np.sum(np.abs(u) ** 2)
     return num, den
@@ -139,7 +284,7 @@ def concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
     the full triple products. A (Q+1,) vector gives a scalar; an (n, Q+1)
     stack of candidate vectors gives (n,) from one batched solve."""
     theta = np.asarray(theta_vec, dtype=float)
-    a = np.moveaxis(ch.ms_steering(geom, np.atleast_2d(theta)), 0, 1)
+    a = np.moveaxis(ms_steering(geom, np.atleast_2d(theta)), 0, 1)
     a_h = a.conj().transpose(0, 2, 1)                    # (n, Q+1, N_m)
     gram = a_h @ c_mat @ a
     if not np.all(np.isfinite(gram)):
@@ -194,11 +339,6 @@ def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:
     return (k_el - 1) * g_az + k_az
 
 
-def angle_from_spatial_freq(u: float, spacing: float, wavelength: float) -> float:
-    """Inverse of ``geometry.aod_spatial_freq``."""
-    return gm.clamped_arcsin(u * wavelength / spacing)
-
-
 def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:
     """Inverse of ``ChannelParams.to_vector``: the length-6(Q+1) vector."""
     vec = np.asarray(vec, dtype=float)
@@ -208,9 +348,9 @@ def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:
     return ChannelParams(
         tau=cols[:, 0].copy(),
         gains=cols[:, 1] + 1j * cols[:, 2],
-        theta_t=cols[:, 3].copy(),
-        phi_in=cols[:, 4].copy(),
-        psi_in=cols[:, 5].copy(),
+        u=cols[:, 3].copy(),
+        c=cols[:, 4].copy(),
+        s=cols[:, 5].copy(),
     )
 
 
@@ -220,3 +360,119 @@ def min_association_cost(theta_est: np.ndarray, theta_true: np.ndarray) -> float
     s_est, s_true = np.sin(theta_est), np.sin(theta_true)
     return min(float(np.sum(np.abs(s_est[list(perm)] - s_true)))
                for perm in itertools.permutations(range(s_true.size)))
+
+
+def model_field_derivs_angles(params: AngleParams,
+                              setup: ch.Setup) -> np.ndarray:
+    """Derivatives of the noiseless field in angles, (6(Q+1), T, N), order
+    [tau, delta_re, delta_im, theta_t, phi_in, psi_in] per path, by the
+    chain rule through the angles' sines and cosines."""
+    geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
+    lam = geom.wavelength
+    gains, theta, phi, psi = (params.gains, params.theta_t, params.phi_in,
+                              params.psi_in)
+    a_m = ms_steering(geom, theta)
+    a_r = ris_diff_steering(geom, phi, psi)
+    sigma = phases @ a_r
+    proj = setup.pilots.T @ a_m.conj()
+    ramp = ch.subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
+    k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)[:, None]
+    n_sub = np.arange(cfg.n_subcarriers)[:, None]
+    dproj = 2j * np.pi * geom.d_ms / lam * np.cos(theta) * (
+        setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
+    d_phi = 2j * np.pi * (geom.d_ris_el / lam * np.sin(phi) * k_el
+                          - geom.d_ris_az / lam * np.sin(psi) * np.cos(phi)
+                          * k_az)
+    d_psi = -2j * np.pi * geom.d_ris_az / lam * np.cos(psi) * np.sin(phi) * k_az
+    u = sigma * proj
+    slots = np.stack([
+        -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u,
+        u, 1j * u, gains * sigma * dproj,
+        gains * (phases @ (d_phi * a_r)) * proj,
+        gains * (phases @ (d_psi * a_r)) * proj])
+    subs = np.stack([n_sub * ramp] + [ramp] * 5)
+    out = (np.moveaxis(slots, 2, 0)[:, :, :, None]
+           * np.moveaxis(subs, 2, 0)[:, :, None, :])
+    return out.reshape(-1, cfg.t_total, cfg.n_subcarriers)
+
+
+def _unit_diff(a, b, what):
+    diff = a - b
+    dist = float(np.linalg.norm(diff))
+    if dist <= 0.0:
+        raise DegenerateGeometry(f"zero distance: {what}")
+    return diff, dist
+
+
+def _dtheta_dpoint(target, ms, alpha):
+    """Gradients of the departure angle w.r.t. the far point, the MS and
+    the rotation."""
+    a = np.array([np.cos(alpha), -np.sin(alpha), 0.0])
+    u, h = _unit_diff(target, ms, "AOD leg")
+    g = float(a @ u)
+    root = np.sqrt(h * h - g * g)
+    d_target = (a * h * h - g * u) / (h * h * root)
+    a_dot = np.array([-np.sin(alpha), -np.cos(alpha), 0.0])
+    return d_target, -d_target, float(a_dot @ u) / root
+
+
+def _dphi_dpoint(ris, point):
+    """Gradient of the elevation arrival angle w.r.t. the source point."""
+    u, h = _unit_diff(ris, point, "elevation leg")
+    w = u[2]
+    root = np.sqrt(h * h - w * w)
+    return np.array([-u[0] * w, -u[1] * w, h * h - w * w]) / (h * h * root)
+
+
+def _dpsi_dpoint(ris, point):
+    """Gradient of the azimuth arrival angle w.r.t. the source point."""
+    u = np.asarray(ris, float) - np.asarray(point, float)
+    rho2 = u[0] ** 2 + u[1] ** 2
+    return np.array([-u[0] * u[1], u[0] ** 2, 0.0]) / (rho2 * abs(u[0]))
+
+
+def transformation_matrix_angles(pos: PositionParams, ris, bs) -> np.ndarray:
+    """Jacobian d(angle-domain eta)^T / d(eta~), (5Q+6, 6(Q+1)), from the
+    angle gradients leg by leg."""
+    ris = np.asarray(ris, float)
+    n_paths = pos.n_scatterers + 1
+    t_mat = np.zeros((5 * pos.n_scatterers + 6, 6 * n_paths))
+    m_off = 2 * n_paths
+    a_off = m_off + 3
+    c = SPEED_OF_LIGHT
+    for q in range(n_paths):
+        col = 6 * q
+        t_mat[2 * q, col + 1] = 1.0
+        t_mat[2 * q + 1, col + 2] = 1.0
+        target = ris if q == 0 else pos.scatterers[q - 1]
+        source = pos.ms if q == 0 else target
+        s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
+        u_ms, h_ms = _unit_diff(pos.ms, target, "MS leg")
+        t_mat[m_off:m_off + 3, col + 0] = u_ms / (c * h_ms)
+        d_t, d_m, d_a = _dtheta_dpoint(target, pos.ms, pos.alpha)
+        t_mat[m_off:m_off + 3, col + 3] = d_m
+        t_mat[a_off, col + 3] = d_a
+        if q > 0:
+            u_sr, h_sr = _unit_diff(target, ris, "scatterer-RIS")
+            t_mat[s0:s0 + 3, col + 0] = u_sr / (c * h_sr) - u_ms / (c * h_ms)
+            t_mat[s0:s0 + 3, col + 3] = d_t
+        t_mat[s0:s0 + 3, col + 4] = _dphi_dpoint(ris, source)
+        t_mat[s0:s0 + 3, col + 5] = _dpsi_dpoint(ris, source)
+    return t_mat
+
+
+def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
+                 setup: ch.Setup) -> bnd.BoundReport:
+    """CRLBs, PEB and OEB from the Fisher information of the angle-domain
+    channel vector at the true pose, mapped by the angle Jacobian."""
+    ang = AngleParams(toas_from_geometry(geom), gains,
+                      *angles_from_geometry(geom))
+    derivs = model_field_derivs_angles(ang, setup)
+    flat = derivs.reshape(derivs.shape[0], -1)
+    j_eta = (2.0 * geom.n_bs / setup.cfg.noise_power
+             * np.real(flat.conj() @ flat.T))
+    pos = PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
+                         scatterers=geom.scatterers)
+    return bnd.position_bounds(
+        j_eta, transformation_matrix_angles(pos, geom.ris, geom.bs))

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import build_ongrid_scenario
-from oracles import (build_channel, channel_params_from_vector,
-                     gain_closed_form, single_path_objective)
+from oracles import (bs_steering, build_channel, channel_params_from_vector,
+                     from_angles, gain_closed_form, ms_steering,
+                     ris_diff_steering, single_path_objective, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -105,16 +106,17 @@ def test_criterion_3_dual_formula_oracles(setup20):
     worst = {"aod": 0.0, "global": 0.0, "gain": 0.0, "concentrated": 0.0}
     for i in range(50):
         y = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        params = ChannelParams(
+        params = from_angles(
             tau=rng.uniform(0.05, 0.9, 2) * s.cfg.n_subcarriers / s.cfg.bandwidth,
             gains=1e-6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)),
             theta_t=rng.uniform(-1.2, 1.2, 2),
             phi_in=rng.uniform(0.3, 2.8, 2),
             psi_in=rng.uniform(np.pi / 2, 1.5 * np.pi, 2))
+        ang = to_angles(params)
 
         # concentrated AOD objective vs raw projected-residual form
-        a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
-        a_m = ch.ms_steering(s.geom, params.theta_t)
+        a_b = bs_steering(s.geom)
+        a_m = ms_steering(s.geom, ang.theta_t)
         x1 = s.pilots[:, :s.cfg.t1]
         c_mat = x1 @ x1.conj().T
         s_mat = np.zeros((s.geom.n_ms, s.geom.n_ms), dtype=complex)
@@ -133,9 +135,8 @@ def test_criterion_3_dual_formula_oracles(setup20):
             for t in range(s.cfg.t1):
                 raw += np.linalg.norm(y[:, t, n] - blocks[t] @ dvec) ** 2
                 const += np.linalg.norm(y[:, t, n]) ** 2
-        simp = ce._aod_column_objective(np.sin(params.theta_t), 1, s_mat,
-                                        c_mat, s.geom)(
-            np.sin(params.theta_t[1:]))[0]
+        simp = ce._aod_column_objective(params.u, 1, s_mat, c_mat, s.geom)(
+            params.u[1:])[0]
         worst["aod"] = max(worst["aod"],
                            abs((const - raw) - simp) / abs(simp))
 
@@ -153,13 +154,12 @@ def test_criterion_3_dual_formula_oracles(setup20):
 
         # closed-form gain: trace form vs beamformed form
         q = 0
-        args = (params.tau[q], params.theta_t[q], params.phi_in[q],
-                params.psi_in[q], s.setup)
+        args = (ang.tau[q], ang.theta_t[q], ang.phi_in[q], ang.psi_in[q],
+                s.setup)
         d_vec = gain_closed_form(y, *args)
-        a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
-                                   *s.setup.known_angles[1:])
+        a_r = ris_diff_steering(s.geom, ang.phi_in[q], ang.psi_in[q])
         sigma = s.sched.slot_phases @ a_r
-        h_q = np.outer(a_b, ch.ms_steering(s.geom, params.theta_t[q]).conj())
+        h_q = np.outer(a_b, ms_steering(s.geom, ang.theta_t[q]).conj())
         num = 0.0
         den = 0.0
         for n in range(s.cfg.n_subcarriers):
@@ -174,8 +174,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
         f_val = single_path_objective(y, *args)
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([d_vec]),
-            theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
-            psi_in=params.psi_in[:1])
+            u=params.u[:1], c=params.c[:1], s=params.s[:1])
         l_val = sg.global_log_likelihood(single, y, s.setup)
         worst["concentrated"] = max(worst["concentrated"],
                                     abs(l_val - f_val) / abs(f_val))
@@ -298,13 +297,13 @@ def test_criterion_8_dcs_somp_support(default_exp):
             if min(sep, cfg.g_ms - sep) >= 2:
                 break
         theta = np.arcsin(a_m_dict.grid[list(support_true)])
-        params = ChannelParams(
+        params = from_angles(
             tau=np.array([150e-9, 230e-9]), gains=np.ones(2, complex),
             theta_t=theta, phi_in=np.array([1.1, 0.6]),
             psi_in=np.array([3.9, 2.9]))
         setup = ch.Setup(geom, cfg, pilots, sched)
-        a_r = ch.ris_diff_steering(geom, params.phi_in, params.psi_in,
-                                   *setup.known_angles[1:])
+        a_r = ris_diff_steering(geom, np.array([1.1, 0.6]),
+                                np.array([3.9, 2.9]))
         sig = np.abs(sched.slot_phases[0] @ a_r)
         while True:
             gains = 1e-6 * (rng.standard_normal(2)

@@ -1,11 +1,16 @@
 """Fisher information, transformation Jacobian, and error bounds."""
 
 import numpy as np
+import pytest
+from numpy.testing import assert_allclose
 
-from oracles import channel_params_from_vector
+from conftest import sample_layout
+from oracles import (angle_bounds, angles_from_geometry,
+                     channel_params_from_vector)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
+from rispos import harness as hn
 from rispos.geometry import ScenarioGeometry
 from rispos.params import PositionParams
 
@@ -83,25 +88,83 @@ def test_transformation_gain_blocks(setup20):
     assert np.all(t_mat[8:11, 0] == 0.0)
 
 
-def test_transformation_matches_finite_differences(setup20):
-    s = setup20
-    pos = _true_pos(s.geom, s.gains)
-    t_mat = bnd.transformation_matrix(pos, s.geom.ris, s.geom.bs)
+def _fd_transformation(pos, ris, bs):
+    """Central finite differences of the forward map, (5Q+6, 6(Q+1))."""
     x0 = pos.to_vector()
     steps = 1e-6 * np.maximum(np.abs(x0), 1.0)
     steps[:4] = 1e-6 * np.maximum(np.abs(x0[:4]), 1e-9)
-    numeric = np.zeros_like(t_mat)
+    rows = []
     for i, h in enumerate(steps):
         xp, xm = x0.copy(), x0.copy()
         xp[i] += h
         xm[i] -= h
-        fp = gm.forward_map_G(PositionParams.from_vector(xp), s.geom.ris,
-                              s.geom.bs).to_vector()
-        fm = gm.forward_map_G(PositionParams.from_vector(xm), s.geom.ris,
-                              s.geom.bs).to_vector()
-        numeric[i] = (fp - fm) / (2 * h)
+        fp = gm.forward_map_G(PositionParams.from_vector(xp), ris,
+                              bs).to_vector()
+        fm = gm.forward_map_G(PositionParams.from_vector(xm), ris,
+                              bs).to_vector()
+        rows.append((fp - fm) / (2 * h))
+    return np.array(rows)
+
+
+def test_transformation_matches_finite_differences(setup20):
+    s = setup20
+    pos = _true_pos(s.geom, s.gains)
+    t_mat = bnd.transformation_matrix(pos, s.geom.ris, s.geom.bs)
+    numeric = _fd_transformation(pos, s.geom.ris, s.geom.bs)
     scale = np.max(np.abs(numeric))
     assert np.max(np.abs(t_mat - numeric)) < FD_TOL * scale
+
+
+def test_transformation_matches_finite_differences_over_layouts():
+    """The unit-vector Jacobian agrees with central differences of the
+    forward map on 50 layouts."""
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        geom = sample_layout(rng)
+        pos = _true_pos(geom, np.array([1e-6, 2e-6j]))
+        t_mat = bnd.transformation_matrix(pos, geom.ris, geom.bs)
+        numeric = _fd_transformation(pos, geom.ris, geom.bs)
+        scale = np.max(np.abs(numeric))
+        assert np.max(np.abs(t_mat - numeric)) < FD_TOL * scale
+
+
+def test_transformation_at_the_pole():
+    """A scatterer straight below the RIS has finite derivatives that
+    match central differences (the angle Jacobian is singular there)."""
+    geom = ScenarioGeometry(bs=[0, 0, 28], ris=[-6, 8, 20], ms=[22, 35, 1.5],
+                            alpha=1.3, scatterers=[[-6.0, 8.0, 3.0]],
+                            wavelength=3e8 / 4.9e9)
+    pos = _true_pos(geom, np.array([1e-6, 2e-6j]))
+    t_mat = bnd.transformation_matrix(pos, geom.ris, geom.bs)
+    numeric = _fd_transformation(pos, geom.ris, geom.bs)
+    assert np.all(np.isfinite(t_mat))
+    assert np.max(np.abs(t_mat - numeric)) < FD_TOL * np.max(np.abs(numeric))
+
+
+@pytest.mark.parametrize("power", [-10.0, 20.0])
+def test_bounds_equal_the_angle_fim_oracle_over_layouts(power):
+    """Over 50 layouts, PEB, OEB and the angle-unit channel CRLBs from the
+    (u, c, s) FIM equal those of the oracle's angle-domain FIM to 1e-9
+    relative, the CRLBs through D C D^T at the report edge; the reported
+    angles are the oracle's angles."""
+    rng = np.random.default_rng(31)
+    for i in range(50):
+        geom = sample_layout(rng)
+        exp = hn.ExperimentConfig(
+            ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+            scatterers=geom.scatterers.tolist(), master_seed=i)
+        setup = hn.power_setup(exp, power)
+        gains = ch.nominal_gain_amplitudes(setup.cfg, geom).astype(complex)
+        true = gm.true_channel_params(geom, gains)
+        rep = bnd.position_bounds(bnd.fim_channel(true, setup), setup.t_true)
+        ref = angle_bounds(geom, gains, setup)
+        assert abs(rep.peb - ref.peb) <= 1e-9 * ref.peb
+        assert abs(rep.oeb - ref.oeb) <= 1e-9 * ref.oeb
+        assert_allclose(hn.angle_crlb(rep.cov_channel, true),
+                        np.diag(ref.cov_channel), rtol=1e-9, atol=0)
+        angles = hn.channel_angles(true)
+        assert_allclose(angles[:, 3:].T, angles_from_geometry(geom),
+                        rtol=1e-12, atol=0)
 
 
 def test_position_bounds_finite_and_positive(setup20):
@@ -110,7 +173,7 @@ def test_position_bounds_finite_and_positive(setup20):
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
     rep = bnd.position_bounds(j, t_mat)
-    assert np.all(rep.crlb_channel > 0.0)
+    assert np.all(np.diag(rep.cov_channel) > 0.0)
     assert 0.0 < rep.peb < 1.0
     assert 0.0 < rep.oeb < 1.0
     assert not rep.singular
@@ -167,8 +230,8 @@ def test_information_monotone_in_slots(setup20):
     assert np.max(np.abs(j2 - 2 * j1)) < 1e-9 * np.max(np.abs(j2))
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
-    crlb1 = bnd.position_bounds(j1, t_mat).crlb_channel
-    crlb2 = bnd.position_bounds(j2, t_mat).crlb_channel
+    crlb1 = np.diag(bnd.position_bounds(j1, t_mat).cov_channel)
+    crlb2 = np.diag(bnd.position_bounds(j2, t_mat).cov_channel)
     assert np.all(crlb2 <= crlb1 * (1 + 1e-9))
 
 

@@ -18,8 +18,8 @@ def _flat_params(gains, tau, theta_t):
     n = np.size(tau)
     return ChannelParams(
         tau=np.atleast_1d(tau), gains=np.atleast_1d(gains),
-        theta_t=np.full(n, theta_t), phi_in=np.full(n, np.pi / 2),
-        psi_in=np.full(n, np.pi / 2))
+        u=np.full(n, np.sin(theta_t)), c=np.full(n, np.cos(np.pi / 2)),
+        s=np.ones(n))
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,7 @@ def test_build_channel_subcarrier_phase(setup20):
     s = setup20
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
-        theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1])
+        u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
     g_t = s.sched.slot_phases[0]
     h1 = build_channel(s.cfg, s.geom, single, g_t, 4)
     h2 = build_channel(s.cfg, s.geom, single, g_t, 5)
@@ -120,7 +119,7 @@ def test_synthesize_is_bs_steering_times_model_field(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
     field = ch.model_field(s.true, s.setup)
-    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
+    a_b = ch.bs_steering(s.geom, s.setup.leg[0])
     assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
 
 
@@ -239,8 +238,7 @@ def test_projected_dictionary_coherence(setup20):
     s = setup20
     theta = s.a_m_dict
     proj = s.pilots[:, :s.cfg.t1].conj().T @ theta.matrix
-    idx = [int(np.argmin(np.abs(theta.grid - np.sin(t))))
-           for t in s.true.theta_t]
+    idx = [int(np.argmin(np.abs(theta.grid - u))) for u in s.true.u]
     gram = proj.conj().T @ proj
     coh = abs(gram[idx[0], idx[1]]) / np.sqrt(
         gram[idx[0], idx[0]].real * gram[idx[1], idx[1]].real)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import concentrated_aod_objective, dcs_somp_tensor
+from oracles import (bs_steering, concentrated_aod_objective, dcs_somp_tensor,
+                     ms_steering, to_angles)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -127,52 +128,50 @@ def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
 def test_aod_coarse_ongrid_exact(ongrid):
     true, setup, rx = _ongrid_setup(ongrid)
     a_m = setup.a_m_dict
-    theta_hat, somp = ce.estimate_aod_coarse(rx, setup)
-    expect = {int(np.argmin(np.abs(a_m.grid - np.sin(t))))
-              for t in true.theta_t}
+    u_hat, somp = ce.estimate_aod_coarse(rx, setup)
+    expect = {int(np.argmin(np.abs(a_m.grid - u))) for u in true.u}
     assert set(somp.support) == expect
-    got = np.sort(np.sin(theta_hat))
-    assert_allclose(got, np.sort(np.sin(true.theta_t)), atol=1e-12)
+    assert_allclose(np.sort(u_hat), np.sort(true.u), atol=1e-12)
 
 
 def test_aod_coarse_offgrid_half_cell(setup20):
     """Off-grid truth recovered to within half a grid cell in sin space."""
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    theta_hat, _ = ce.estimate_aod_coarse(rx, s.setup)
+    u_hat, _ = ce.estimate_aod_coarse(rx, s.setup)
     from rispos.harness import associate_paths
-    perm = associate_paths(theta_hat, s.true.theta_t)
-    gap = np.abs(np.sin(theta_hat[perm]) - np.sin(s.true.theta_t))
+    perm = associate_paths(u_hat, s.true.u)
+    gap = np.abs(u_hat[perm] - s.true.u)
     assert np.all(gap <= 1.0 / s.cfg.g_ms + 1e-12)
 
 
 def test_refine_aod_mle_improves(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    theta_grid, _ = ce.estimate_aod_coarse(rx, s.setup)
-    refined = ce.refine_aod_mle(rx, s.setup, theta_grid)
+    u_grid, _ = ce.estimate_aod_coarse(rx, s.setup)
+    refined = ce.refine_aod_mle(rx, s.setup, u_grid)
     from rispos.harness import associate_paths
-    perm_c = associate_paths(theta_grid, s.true.theta_t)
-    perm_r = associate_paths(refined, s.true.theta_t)
-    err_c = np.abs(np.sin(theta_grid[perm_c]) - np.sin(s.true.theta_t))
-    err_r = np.abs(np.sin(refined[perm_r]) - np.sin(s.true.theta_t))
+    perm_c = associate_paths(u_grid, s.true.u)
+    perm_r = associate_paths(refined, s.true.u)
+    err_c = np.abs(u_grid[perm_c] - s.true.u)
+    err_r = np.abs(refined[perm_r] - s.true.u)
     assert np.all(err_r < 0.1 * np.maximum(err_c, 1e-12))
 
 
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
     rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    refined = ce.refine_aod_mle(rx, s.setup, s.true.theta_t.copy())
-    assert np.max(np.abs(np.sin(refined) - np.sin(s.true.theta_t))) < 1e-9
+    refined = ce.refine_aod_mle(rx, s.setup, s.true.u.copy())
+    assert np.max(np.abs(refined - s.true.u)) < 1e-9
     # objective change from the truth is negligible
     mats = _aod_mats(s, rx)
-    obj = concentrated_aod_objective(refined, *mats, s.geom)
-    t1 = concentrated_aod_objective(s.true.theta_t, *mats, s.geom)
+    obj = concentrated_aod_objective(np.arcsin(refined), *mats, s.geom)
+    t1 = concentrated_aod_objective(np.arcsin(s.true.u), *mats, s.geom)
     assert abs(obj - t1) <= 1e-8 * abs(t1)
 
 
 def _aod_mats(s, rx):
-    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
+    a_b = bs_steering(s.geom)
     x1 = s.pilots[:, :s.cfg.t1]
     c_mat = x1 @ x1.conj().T
     s_mat = np.zeros((s.geom.n_ms, s.geom.n_ms), dtype=complex)
@@ -184,7 +183,7 @@ def _aod_mats(s, rx):
 
 def _aod_objective_long_way(theta, s_mat, c_mat, geom):
     """Un-simplified concentrated AOD objective 2 tr(DS) - tr(S D C D^H)."""
-    a = ch.ms_steering(geom, theta)
+    a = ms_steering(geom, theta)
     d_mat = a @ np.linalg.solve(a.conj().T @ c_mat @ a, a.conj().T)
     return (2.0 * np.real(np.trace(d_mat @ s_mat))
             - np.real(np.trace(s_mat @ d_mat @ c_mat @ d_mat.conj().T)))
@@ -262,8 +261,8 @@ def test_aod_objective_matches_raw_form(setup20):
                                           s.geom)(np.sin(theta[1:]))[0]
 
     # raw form: residual after per-subcarrier LS gain fitting
-    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
-    a_m = ch.ms_steering(s.geom, theta)
+    a_b = bs_steering(s.geom)
+    a_m = ms_steering(s.geom, theta)
     x1 = s.pilots[:, :s.cfg.t1]
     total = 0.0
     const = 0.0
@@ -285,9 +284,13 @@ def test_aod_objective_matches_raw_form(setup20):
 def test_ris_aoa_ongrid_exact(ongrid):
     true, setup, rx = _ongrid_setup(ongrid)
     cfg = setup.cfg
-    aoa = ce.estimate_ris_aoa(rx, setup, true.theta_t)
-    assert_allclose(np.sort(aoa.phi_in), np.sort(true.phi_in), atol=1e-12)
-    assert_allclose(np.sort(aoa.psi_in), np.sort(true.psi_in), atol=1e-12)
+    aoa = ce.estimate_ris_aoa(rx, setup, true.u)
+    est = to_angles(ChannelParams(np.zeros(2), np.zeros(2), np.zeros(2),
+                                  aoa.c, aoa.s))
+    ref = to_angles(true)
+    assert_allclose(np.sort(est.phi_in), np.sort(ref.phi_in), atol=1e-12)
+    assert_allclose(np.sort(est.psi_in), np.sort(ref.psi_in), atol=1e-12)
+    assert not np.any(aoa.clamped)
     # hybrid gains match the planted delay ramp
     ramp = ch.subcarrier_ramp(true.tau, cfg.bandwidth, cfg.n_subcarriers)
     for q in range(2):
@@ -300,20 +303,15 @@ def test_ris_aoa_ongrid_exact(ongrid):
 def test_ris_aoa_zero_difference(setup20):
     """Matching in/out legs produce the zero spatial-frequency column."""
     s = setup20
-    _, phi_out0, psi_out0 = s.setup.known_angles
-    phi_in = phi_out0
-    sin_psi = np.sin(psi_out0) * np.sin(phi_out0) / np.sin(phi_in)
-    psi_in = np.pi - np.arcsin(sin_psi)
+    c_out, s_out = s.setup.leg[2], s.setup.leg[1]
     params = ChannelParams(
         tau=s.true.tau[:1], gains=np.array([1e-6 + 0j]),
-        theta_t=s.true.theta_t[:1], phi_in=[phi_in], psi_in=[psi_in])
+        u=s.true.u[:1], c=[c_out], s=[s_out])
     rx = ch.synthesize_rx(s.setup, params, noiseless=True)
-    aoa = ce.estimate_ris_aoa(rx, s.setup, params.theta_t)
-    assert aoa.cos_diff[0] == pytest.approx(0.0, abs=1e-15)
-    assert aoa.sinsin_diff[0] == pytest.approx(0.0, abs=1e-15)
-    assert aoa.phi_in[0] == pytest.approx(phi_in, abs=1e-12)
-    assert np.sin(aoa.psi_in[0]) * np.sin(aoa.phi_in[0]) == pytest.approx(
-        np.sin(psi_out0) * np.sin(phi_out0), abs=1e-12)
+    aoa = ce.estimate_ris_aoa(rx, s.setup, params.u)
+    assert aoa.c[0] == pytest.approx(c_out, abs=1e-15)
+    assert aoa.s[0] == pytest.approx(s_out, abs=1e-15)
+    assert not aoa.clamped[0]
 
 
 def test_estimate_toa_on_bin():
@@ -386,7 +384,7 @@ def test_ris_aoa_block_too_short(setup20):
     setup = ch.Setup(s.geom, cfg, s.pilots, sched)
     rx = ch.synthesize_rx(setup, s.true, 0)
     with pytest.raises(RankDeficient):
-        ce.estimate_ris_aoa(rx, setup, s.true.theta_t)
+        ce.estimate_ris_aoa(rx, setup, s.true.u)
 
 
 def test_associate_paths_convention():
@@ -403,12 +401,12 @@ def test_run_coarse_ongrid_end_to_end(ongrid):
     out = ce.run_coarse(rx, setup)
     assert not out.flags["class_ambiguous"]
     est = out.params
-    assert_allclose(est.theta_t, true.theta_t, atol=1e-9)
-    assert_allclose(est.phi_in, true.phi_in, atol=1e-12)
-    assert_allclose(est.psi_in, true.psi_in, atol=1e-12)
+    assert_allclose(est.u, true.u, atol=1e-9)
+    assert_allclose(to_angles(est).phi_in, to_angles(true).phi_in, atol=1e-12)
+    assert_allclose(to_angles(est).psi_in, to_angles(true).psi_in, atol=1e-12)
     assert np.max(np.abs(est.tau - true.tau)) < 1e-13
     assert np.max(np.abs(est.gains - true.gains)) < 1e-7 * np.max(
         np.abs(true.gains))
     # canonical order puts the VLoS-class azimuth first
-    assert np.pi <= est.psi_in[0] <= 1.5 * np.pi
+    assert np.pi <= to_angles(est).psi_in[0] <= 1.5 * np.pi
     assert est.tau[0] < est.tau[1]

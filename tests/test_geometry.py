@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sample_layout
-from oracles import angle_from_spatial_freq
+from oracles import angles_from_geometry, ris_bs_angles, toas_from_geometry
 from rispos import geometry as gm
 from rispos.errors import DegenerateGeometry
 from rispos.geometry import ScenarioGeometry
@@ -53,8 +53,8 @@ def test_steer_upa_composition_oracle():
 
 def test_default_scenario_angles(default_geom):
     """Angle values against a direct formula evaluation."""
-    theta_t, phi_in, psi_in = gm.angles_from_geometry(default_geom)
-    theta_r0, _, psi_out0 = gm.ris_bs_angles(default_geom.ris, default_geom.bs)
+    theta_t, phi_in, psi_in = angles_from_geometry(default_geom)
+    theta_r0, _, psi_out0 = ris_bs_angles(default_geom.ris, default_geom.bs)
     assert abs(theta_r0 - np.arcsin(6.0 / np.sqrt(164.0))) < 1e-14
     assert abs(np.rad2deg(theta_r0) - 27.938353) < 1e-4
     assert abs(psi_in[0] - (np.pi - np.arcsin(-27.0 / np.sqrt(1513.0)))) < 1e-14
@@ -73,7 +73,7 @@ def test_default_scenario_angles(default_geom):
 
 
 def test_default_scenario_toas(default_geom):
-    taus = gm.toas_from_geometry(default_geom)
+    taus = gm.true_channel_params(default_geom, np.zeros(2)).tau
     expected0 = (np.sqrt(164.0) + np.sqrt(1855.25)) / 3e8
     assert abs(taus[0] - expected0) < 1e-22
     assert abs(taus[0] * 1e9 - 186.262872) < 1e-5
@@ -86,16 +86,14 @@ def test_collocated_nodes_rejected(default_geom):
                            ms=default_geom.ris, alpha=0.5, scatterers=[],
                            wavelength=default_geom.wavelength)
     with pytest.raises(DegenerateGeometry):
-        gm.toas_from_geometry(bad)
-    with pytest.raises(DegenerateGeometry):
-        gm.angles_from_geometry(bad)
+        gm.true_channel_params(bad, np.zeros(1))
 
 
 def test_scatterer_delay_exceeds_vlos():
     rng = np.random.default_rng(2)
     for _ in range(50):
         geom = sample_layout(rng)
-        taus = gm.toas_from_geometry(geom)
+        taus = gm.true_channel_params(geom, np.zeros(2)).tau
         assert taus[1] > taus[0]
 
 
@@ -104,7 +102,7 @@ def test_angle_ranges_over_layout():
     rng = np.random.default_rng(3)
     for _ in range(100):
         geom = sample_layout(rng)
-        _, phi_in, psi_in = gm.angles_from_geometry(geom)
+        _, phi_in, psi_in = angles_from_geometry(geom)
         assert np.pi <= psi_in[0] <= 1.5 * np.pi
         assert np.pi / 2 <= psi_in[1] <= np.pi
         assert 0.0 <= phi_in[0] <= np.pi
@@ -116,31 +114,45 @@ def test_forward_map_composition(default_geom):
                          alpha=default_geom.alpha,
                          scatterers=default_geom.scatterers)
     params = gm.forward_map_G(pos, default_geom.ris, default_geom.bs)
-    theta_t, phi_in, psi_in = gm.angles_from_geometry(default_geom)
-    taus = gm.toas_from_geometry(default_geom)
+    theta_t, phi_in, psi_in = angles_from_geometry(default_geom)
+    taus = toas_from_geometry(default_geom)
     assert_allclose(params.gains, gains)          # identity block
     assert_allclose(params.tau, taus)
-    assert_allclose(params.theta_t, theta_t)
-    assert_allclose(params.phi_in, phi_in)
-    assert_allclose(params.psi_in, psi_in)
+    assert_allclose(params.u, np.sin(theta_t))
+    assert_allclose(params.c, np.cos(phi_in))
+    assert_allclose(params.s, np.sin(psi_in) * np.sin(phi_in))
 
 
-def test_spatial_frequency_round_trip():
+def test_forward_map_is_the_sines_of_the_oracle_angles():
+    """Over 50 layouts, (u, c, s) are sin theta_t, cos phi_in and
+    sin psi_in sin phi_in of the oracle angles, and the delays are the
+    oracle's leg sums, to 1e-12."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        geom = sample_layout(rng)
+        params = gm.true_channel_params(geom, np.zeros(2))
+        theta_t, phi_in, psi_in = angles_from_geometry(geom)
+        assert_allclose(params.u, np.sin(theta_t), rtol=0, atol=1e-12)
+        assert_allclose(params.c, np.cos(phi_in), rtol=0, atol=1e-12)
+        assert_allclose(params.s, np.sin(psi_in) * np.sin(phi_in), rtol=0,
+                        atol=1e-12)
+        assert_allclose(params.tau, toas_from_geometry(geom), rtol=1e-12)
+
+
+def test_forward_map_at_the_pole():
+    """A scatterer straight below the RIS maps to c = 1, s = 0 (its
+    azimuth is undefined, but not its spatial frequencies)."""
     lam = 3e8 / 4.9e9
-    rng = np.random.default_rng(4)
-    for d in (lam / 2, lam / 3):
-        for theta in rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01, 30):
-            u = gm.aod_spatial_freq(theta, d, lam)
-            back = angle_from_spatial_freq(u, d, lam)
-            assert abs(back - theta) < 1e-12
-
-
-def test_clamp_guard():
-    assert gm.clamped_arcsin(1.0 + 5e-10) == pytest.approx(np.pi / 2)
+    pos = PositionParams(gains=np.ones(2), ms=[22, 35, 1.5], alpha=1.3,
+                         scatterers=[[-6.0, 8.0, 3.0]])
+    params = gm.forward_map_G(pos, [-6.0, 8.0, 20.0], [0.0, 0.0, 28.0])
+    assert params.c[1] == 1.0 and params.s[1] == 0.0
+    assert np.all(np.isfinite(params.to_vector()))
+    geom = ScenarioGeometry(bs=[0, 0, 28], ris=[-6, 8, 20], ms=pos.ms,
+                            alpha=pos.alpha, scatterers=pos.scatterers,
+                            wavelength=lam)
     with pytest.raises(DegenerateGeometry):
-        gm.clamped_arcsin(1.0 + 1e-8)
-    with pytest.raises(DegenerateGeometry):
-        gm.clamped_arccos(-1.0 - 1e-8)
+        angles_from_geometry(geom)
 
 
 def test_geometry_validation():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sample_layout
-from oracles import channel_params_from_vector
+from oracles import channel_params_from_vector, to_angles
 from rispos import bounds as bnd
 from rispos import geometry as gm
 from rispos import positioning as po
@@ -31,10 +31,11 @@ def test_closed_form_ms_exact(default_geom):
 def test_closed_form_ms_right_angle(default_geom):
     """phi = 90 deg, theta = 0: the arccos argument is exactly zero."""
     params = _true_params(default_geom)
-    params.phi_in[0] = np.pi / 2
-    params.theta_t[0] = 0.0
+    psi = to_angles(params).psi_in[0]
+    params.c[0], params.s[0] = 0.0, np.sin(psi)
+    params.u[0] = 0.0
     _, alpha, _ = po.closed_form_ms(params, default_geom.ris, default_geom.bs)
-    expect = np.mod(2 * np.pi - params.psi_in[0] - np.pi / 2, np.pi)
+    expect = np.mod(2 * np.pi - psi - np.pi / 2, np.pi)
     assert abs(alpha - expect) < 1e-12
 
 
@@ -53,7 +54,7 @@ def test_closed_form_ms_zero_range(default_geom):
 def test_closed_form_scatterer_exact(default_geom):
     params = _true_params(default_geom)
     s_hat = po.closed_form_scatterer(
-        params.tau[1], params.theta_t[1], params.phi_in[1], params.psi_in[1],
+        params.tau[1], params.u[1], params.c[1], params.s[1],
         default_geom.ms, default_geom.alpha, default_geom.ris,
         default_geom.bs)
     assert np.max(np.abs(s_hat - [6.0, 5.0, 3.0])) < 1e-8
@@ -78,12 +79,13 @@ def test_closed_form_scatterer_residual_oracle():
     for _ in range(50):
         geom = sample_layout(rng)
         params = _true_params(geom)
+        ang = to_angles(params)
         s_hat = po.closed_form_scatterer(
-            params.tau[1], params.theta_t[1], params.phi_in[1],
-            params.psi_in[1], geom.ms, geom.alpha, geom.ris, geom.bs)
+            params.tau[1], params.u[1], params.c[1], params.s[1], geom.ms,
+            geom.alpha, geom.ris, geom.bs)
         res = _scatterer_residuals(
-            s_hat, params.tau[1], params.theta_t[1], params.phi_in[1],
-            params.psi_in[1], geom.ms, geom.alpha, geom.ris, geom.bs)
+            s_hat, params.tau[1], ang.theta_t[1], ang.phi_in[1],
+            ang.psi_in[1], geom.ms, geom.alpha, geom.ris, geom.bs)
         assert max(res) < 1e-9
 
 
@@ -94,17 +96,18 @@ def test_closed_form_scatterer_zero_x_component(default_geom):
         alpha=default_geom.alpha, scatterers=[[-6.0, 2.0, 3.0]],
         wavelength=default_geom.wavelength)
     params = _true_params(geom)
-    assert abs(np.cos(params.psi_in[1])) < 1e-12     # A = 0 case
+    assert abs(np.cos(to_angles(params).psi_in[1])) < 1e-12     # A = 0 case
     s_hat = po.closed_form_scatterer(
-        params.tau[1], params.theta_t[1], params.phi_in[1], params.psi_in[1],
+        params.tau[1], params.u[1], params.c[1], params.s[1],
         geom.ms, geom.alpha, geom.ris, geom.bs)
     assert np.max(np.abs(s_hat - [-6.0, 2.0, 3.0])) < 1e-8
 
 
 def test_closed_form_scatterer_singular_denominator(default_geom):
     with pytest.raises(SingularDenominator):
-        # theta = 0 and a ray orthogonal to the rotated axis
-        po.closed_form_scatterer(2e-7, 0.0, np.pi / 2, np.pi,
+        # theta = 0 and a ray orthogonal to the rotated axis: phi = pi/2,
+        # psi = pi
+        po.closed_form_scatterer(2e-7, 0.0, 0.0, 0.0,
                                  default_geom.ms, np.pi / 2,
                                  default_geom.ris, default_geom.bs)
 
@@ -158,7 +161,7 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
     """With J = I the minimized objective is the unweighted residual norm."""
     params = _true_params(default_geom)
     vec = params.to_vector()
-    vec[3] += 1e-4                       # perturb one departure angle
+    vec[3] += 1e-4                       # perturb one departure sine
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
     pos, diag = po.refine_position_lm(vec, np.eye(vec.size), pos0,

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (build_channel, channel_params_from_vector,
-                     gain_closed_form, path_terms, reconstruct_complete_data,
-                     single_path_objective)
+from oracles import (bs_steering, build_channel, channel_params_from_vector,
+                     from_angles, gain_closed_form, ms_steering, path_terms,
+                     reconstruct_complete_data, ris_diff_steering,
+                     single_path_objective, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -33,7 +34,7 @@ def _loglik_reference(params, rx, pilots, sched, geom, cfg):
 
 def _random_params(s, rng):
     n_paths = 2
-    return ChannelParams(
+    return from_angles(
         tau=rng.uniform(0.05, 0.9, n_paths) * s.cfg.n_subcarriers
         / s.cfg.bandwidth,
         gains=1e-6 * (rng.standard_normal(n_paths)
@@ -81,8 +82,7 @@ def test_reconstruct_single_path_identity(setup20):
     s = setup20
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
-        theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1])
+        u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
     rx = ch.synthesize_rx(s.setup, single, noise_seed=5)
     y_0 = reconstruct_complete_data(rx, single, 0, s.setup)
     assert np.array_equal(y_0, rx)
@@ -124,11 +124,12 @@ def test_complete_data_beamforms_the_full_tensor(setup20):
 
 
 def _planted_single(s, seed=None):
+    """Path 1 silenced: its params in angles, and the received tensor."""
     only = s.true.copy()
     only.gains = s.true.gains.copy()
     only.gains[1] = 0.0
     rx = ch.synthesize_rx(s.setup, only, noiseless=True)
-    return only, rx
+    return to_angles(only), rx
 
 
 def test_gain_closed_form_recovers_planted(setup20):
@@ -158,13 +159,13 @@ def test_gain_trace_form_identity(setup20):
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     params = _random_params(s, rng)
     q = 0
+    params = to_angles(params)
     d_vec = gain_closed_form(y_q, params.tau[q], params.theta_t[q],
                              params.phi_in[q], params.psi_in[q], s.setup)
 
-    a_b = ch.bs_steering(s.geom, s.setup.known_angles[0])
-    a_m = ch.ms_steering(s.geom, params.theta_t[q])
-    a_r = ch.ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q],
-                               *s.setup.known_angles[1:])
+    a_b = bs_steering(s.geom)
+    a_m = ms_steering(s.geom, params.theta_t[q])
+    a_r = ris_diff_steering(s.geom, params.phi_in[q], params.psi_in[q])
     sigma = s.sched.slot_phases @ a_r
     h_q = np.outer(a_b, a_m.conj())
     num = 0.0
@@ -213,14 +214,14 @@ def test_concentrated_equals_substituted_likelihood(setup20):
         y_q = 1e-5 * (rng.standard_normal(shape)
                       + 1j * rng.standard_normal(shape))
         params = _random_params(s, rng)
-        args = (params.tau[0], params.theta_t[0], params.phi_in[0],
-                params.psi_in[0], s.setup)
+        ang = to_angles(params)
+        args = (ang.tau[0], ang.theta_t[0], ang.phi_in[0], ang.psi_in[0],
+                s.setup)
         f_val = single_path_objective(y_q, *args)
         delta = gain_closed_form(y_q, *args)
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([delta]),
-            theta_t=params.theta_t[:1], phi_in=params.phi_in[:1],
-            psi_in=params.psi_in[:1])
+            u=params.u[:1], c=params.c[:1], s=params.s[:1])
         l_val = sg.global_log_likelihood(single, y_q, s.setup)
         assert abs(l_val - f_val) < 1e-8 * max(abs(f_val), 1e-30)
 
@@ -231,7 +232,7 @@ def test_gain_stationarity(setup20):
     rng = np.random.default_rng(5)
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
     y_q = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    params = _random_params(s, rng)
+    params = to_angles(_random_params(s, rng))
     num, den = path_terms(y_q, params.tau[0], params.theta_t[0],
                           params.phi_in[0], params.psi_in[0], s.setup)
     delta = num / den
@@ -242,8 +243,7 @@ def test_gain_stationarity(setup20):
 def _coords(params, q=0):
     """The search coordinates of path q: tau, u = sin theta_t,
     c = cos phi_in and s = sin psi_in sin phi_in."""
-    return (params.tau[q], np.sin(params.theta_t[q]), np.cos(params.phi_in[q]),
-            np.sin(params.psi_in[q]) * np.sin(params.phi_in[q]))
+    return params.tau[q], params.u[q], params.c[q], params.s[q]
 
 
 def _angles(u, c, s):
@@ -366,8 +366,8 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
     for psi in (0.5 * np.pi, 1.5 * np.pi):
         for phi in (0.2, 1.0, 2.0, 2.9):
             params = s.true.copy()
-            params.phi_in[:] = phi
-            params.psi_in[:] = psi
+            params.c[:] = np.cos(phi)
+            params.s[:] = np.sin(psi) * np.sin(phi)
             for q in range(params.n_paths):
                 sg.coordinate_update_cycle(prob, params, q)
     cs = np.concatenate([np.ravel(c) for c, _ in pairs])
@@ -381,9 +381,10 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
 def test_objective_zero_denominator(setup20):
     s = setup20
     silent = ch.Setup(s.geom, s.cfg, np.zeros_like(s.pilots), s.sched)
+    true = to_angles(s.true)
     with pytest.raises(sg.ZeroDenominator):
-        single_path_objective(s.rx_noisy, s.true.tau[0], s.true.theta_t[0],
-                              s.true.phi_in[0], s.true.psi_in[0], silent)
+        single_path_objective(s.rx_noisy, true.tau[0], true.theta_t[0],
+                              true.phi_in[0], true.psi_in[0], silent)
 
 
 def test_coordinate_cycle_fixed_point(setup20):
@@ -391,12 +392,13 @@ def test_coordinate_cycle_fixed_point(setup20):
     prob = sg.SageProblem(s.rx_clean, s.setup)
     params = s.true.copy()
     trace = sg.coordinate_update_cycle(prob, params, 0)
+    est, true = to_angles(params), to_angles(s.true)
     assert abs(params.tau[0] - s.true.tau[0]) \
         < 1e-6 / s.cfg.bandwidth
-    assert abs(params.theta_t[0] - s.true.theta_t[0]) < 1e-6
-    assert abs(params.phi_in[0] - s.true.phi_in[0]) < 1e-6
-    assert abs(params.psi_in[0] - s.true.psi_in[0]) < 1e-6
-    assert list(trace) == ["start", "tau", "theta_t", "phi_in", "psi_in"]
+    assert abs(est.theta_t[0] - true.theta_t[0]) < 1e-6
+    assert abs(est.phi_in[0] - true.phi_in[0]) < 1e-6
+    assert abs(est.psi_in[0] - true.psi_in[0]) < 1e-6
+    assert list(trace) == ["start", "tau", "u", "c", "s"]
     vals = list(trace.values())
     assert np.all(np.diff(vals) >= -1e-9 * np.abs(vals[0]))
 
@@ -409,7 +411,7 @@ def test_coordinate_cycle_ascent_any_input(setup20):
     trace = sg.coordinate_update_cycle(prob, params, 1)
     vals = list(trace.values())
     assert np.all(np.diff(vals) >= -1e-9 * max(abs(vals[0]), 1e-30))
-    assert sg.UPDATE_ORDER == ("tau", "theta_t", "phi_in", "psi_in", "delta")
+    assert sg.UPDATE_ORDER == ("tau", "u", "c", "s", "delta")
 
 
 def test_run_sage_noiseless_ongrid(ongrid):
@@ -424,9 +426,10 @@ def test_run_sage_noiseless_ongrid(ongrid):
     coarse = ce.run_coarse(rx, setup)
     refined, info = sg.run_sage(rx, setup, coarse.params)
     assert info.monotone_ok
-    assert np.max(np.abs(refined.theta_t - true.theta_t)) < 1e-6
-    assert np.max(np.abs(refined.phi_in - true.phi_in)) < 1e-6
-    assert np.max(np.abs(refined.psi_in - true.psi_in)) < 1e-6
+    est, ref = to_angles(refined), to_angles(true)
+    assert np.max(np.abs(est.theta_t - ref.theta_t)) < 1e-6
+    assert np.max(np.abs(est.phi_in - ref.phi_in)) < 1e-6
+    assert np.max(np.abs(est.psi_in - ref.psi_in)) < 1e-6
     assert np.max(np.abs(refined.tau - true.tau)) * cfg.bandwidth < 1e-6
     assert np.max(np.abs(refined.gains - true.gains)) \
         < 1e-6 * np.max(np.abs(true.gains))
@@ -446,12 +449,11 @@ def test_run_sage_single_path_reduction(setup20):
     s = setup20
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
-        theta_t=s.true.theta_t[:1], phi_in=s.true.phi_in[:1],
-        psi_in=s.true.psi_in[:1])
+        u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
     rx = ch.synthesize_rx(s.setup, single, noise_seed=9)
     init = single.copy()
     init.tau[0] += 3e-9
-    init.theta_t[0] += 0.01
+    init.u[0] = np.sin(np.arcsin(init.u[0]) + 0.01)
     refined, _ = sg.run_sage(rx, s.setup, init, max_cycles=1)
     prob = sg.SageProblem(rx, s.setup)
     manual = init.copy()
@@ -496,7 +498,7 @@ def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
                         m.setattr(ce, "maximize_1d", tight_search)
                     coarse = ce.run_coarse(y, setup)
                     refined, _ = sg.run_sage(y, setup, coarse.params)
-                perm = hn.associate_paths(refined.theta_t, true.theta_t)
+                perm = hn.associate_paths(refined.u, true.u)
                 rows.append(refined.to_vector().reshape(-1, 6)[perm].ravel())
             worst = max(worst, float(np.max(np.abs(rows[0] - rows[1]) / sd)))
     assert worst <= 1e-2, worst
@@ -534,9 +536,11 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
     for setup, y, true in _sage_cases(setup20, default_exp):
         coarse = ce.run_coarse(y, setup)
         refined, _ = sg.run_sage(y, setup, coarse.params)
-        perm = hn.associate_paths(refined.theta_t, true.theta_t)
-        sd = np.sqrt(np.diag(np.linalg.inv(bnd.fim_channel(true, setup))))
-        sd = sd.reshape(-1, 6)[np.argsort(perm)]
+        perm = hn.associate_paths(refined.u, true.u)
+        cov = np.linalg.inv(bnd.fim_channel(true, setup))
+        sd = np.sqrt(np.diag(cov)).reshape(-1, 6)[np.argsort(perm)]
+        sd_angle = np.sqrt(hn.angle_crlb(cov, true)).reshape(
+            -1, 6)[np.argsort(perm)]
         prob = sg.SageProblem(y, setup)
         for _ in range(20):
             prev = refined.to_vector().reshape(-1, 6)
@@ -547,10 +551,11 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
                 break
         else:
             pytest.fail("SAGE cycles did not settle in 20 more cycles")
+        ang = to_angles(refined)
         for q in range(refined.n_paths):
             y_q = reconstruct_complete_data(y, refined, q, setup)
-            tau, th, ph, ps = (refined.tau[q], refined.theta_t[q],
-                               refined.phi_in[q], refined.psi_in[q])
+            tau, th, ph, ps = (ang.tau[q], ang.theta_t[q], ang.phi_in[q],
+                               ang.psi_in[q])
             lines = {
                 4: (ph, lambda x: single_path_objective(y_q, tau, th, x, ps,
                                                         setup)),
@@ -558,11 +563,11 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
                                                         setup)),
             }
             for col, (x0, f) in lines.items():
-                half = 3.0 * sd[q, col]
+                half = 3.0 * sd_angle[q, col]
                 x_best, _ = maximize_1d(
                     lambda xs: np.array([f(x) for x in xs]),
                     x0 - half, x0 + half, n_grid=41, tol=1e-9, incumbent=x0)
-                worst = max(worst, abs(x_best - x0) / sd[q, col])
+                worst = max(worst, abs(x_best - x0) / sd_angle[q, col])
     assert worst <= 1e-2, worst
 
 
@@ -587,10 +592,10 @@ def test_local_sage_stays_on_the_full_search_maximum(power, trial,
         m.setattr(ce, "maximize_1d", _full_search)
         ref = hn.run_trial(exp, power, p_idx, trial, setup)
     assert rec.error is None and ref.error is None
-    theta_true = rec.eta_true.reshape(-1, 6)[:, 3]
+    u_true = rec.eta_true.reshape(-1, 6)[:, 3]
     rows = []
     for r in (rec, ref):
-        est = r.stages["sage"].reshape(-1, 6)
-        rows.append(est[hn.associate_paths(est[:, 3], theta_true)])
+        est = channel_params_from_vector(r.stages["sage"])
+        rows.append(hn.channel_angles(est)[hn.associate_paths(est.u, u_true)])
     sd = np.sqrt(rec.crlb).reshape(-1, 6)
     assert np.max(np.abs(rows[0] - rows[1]) / sd) <= 0.1

@@ -210,6 +210,17 @@ def test_local_falls_back_to_full_search(case):
             == maximize_1d(f, -1.0, 1.0))
 
 
+def test_nan_hole_never_beats_the_incumbent():
+    """A NaN hole right of the incumbent: the full search returns a finite
+    value no worse than the incumbent's (it returned the NaN point)."""
+    f = _nan_beside(0.3141, 0.32)
+    for local in (False, True):
+        x, fx = maximize_1d(f, -1.0, 1.0, incumbent=0.32, local=local)
+        assert np.isfinite(fx) and fx == f(np.array([x]))[0]
+        assert fx >= f(np.array([0.32]))[0]
+        assert abs(x - 0.3141) < 1e-6
+
+
 def test_local_zero_width_bracket():
     f = Counted(lambda xs: -xs ** 2)
     assert maximize_1d(f, 0.5, 0.5, local=True) == (0.5, -0.25)
