@@ -1,18 +1,21 @@
 """System configuration, pilots, schedule, the setup and the forward model.
 
 Draws the RIS phase-shift schedule, random binary pilots, path gains and
-the spatial-frequency dictionaries. ``Setup`` is the per-power
-measurement setup every stage runs against: geometry, system, pilots and
-schedule, with the dictionaries, the known RIS-BS leg (the unit vector
-of bs - ris), a_B and the path count derived from them once. The setup
-is the only holder of the RIS-BS leg; a ``ChannelParams`` carries the
-estimated per-path (tau, gain, u, c, s) alone.
+the dictionaries. ``Setup`` is the per-power measurement setup every
+stage runs against: geometry, system, pilots and schedule, with the
+known RIS-BS leg (the unit vector of bs - ris), the dictionaries, a_B
+and the path count derived from them once. The setup is the only holder
+of the RIS-BS leg; a ``ChannelParams`` carries the estimated per-path
+(tau, gain, u, c, s) alone.
 
 Each array has one steering function, taking the coordinates a
 ``ChannelParams`` holds: ``bs_steering`` and ``ms_sine_steering`` take a
 sine, ``ris_factors`` the elevation cosine c and azimuth product s. The
 RIS response runs at the differential frequencies c - c_out and
 s - s_out of the known leg, which folds the RIS-BS steering into it.
+The dictionaries are built with these functions on grids of the same
+absolute coordinates: u, c and s each take G values of step 2/G in
+[-1, 1), the RIS grids placed to contain the leg's own c_out and s_out.
 ``model_field`` is the only implementation of the noiseless received
 field: synthesis, the SAGE E-step, the likelihood and the Fisher
 information all build on it or on its per-path factors
@@ -162,10 +165,9 @@ def nominal_gain_amplitudes(cfg: SystemConfig, geom: ScenarioGeometry) -> np.nda
 
 @dataclass
 class Dictionary:
-    """Steering vectors over a uniform grid of trigonometric values.
-
-    Column g (1-based) corresponds to grid value -1 + 2(g-1)/G, mapped to
-    a spatial frequency through the array's spacing/wavelength.
+    """Steering vectors over a uniform grid of one coordinate (a sine, or
+    the RIS arrival's c or s): column g is the array's steering vector at
+    ``grid[g]``.
     """
 
     matrix: np.ndarray      # (n_ant, G)
@@ -187,26 +189,6 @@ class RisDictionary:
 
 def grid_values(g: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(g) / g
-
-
-def build_dictionaries(cfg: SystemConfig,
-                       geom: ScenarioGeometry) -> tuple[Dictionary, RisDictionary]:
-    """AOD dictionary at the MS and the Kronecker RIS dictionary."""
-    lam = geom.wavelength
-    gm = grid_values(cfg.g_ms)
-    a_m = Dictionary(steer_ula(gm * geom.d_ms / lam, geom.n_ms), gm)
-    ga = grid_values(cfg.g_ris_az)
-    ge = grid_values(cfg.g_ris_el)
-    az = Dictionary(steer_ula(ga * geom.d_ris_az / lam, geom.n_ris_az), ga)
-    el = Dictionary(steer_ula(ge * geom.d_ris_el / lam, geom.n_ris_el), ge)
-    return a_m, RisDictionary(np.kron(el.matrix, az.matrix), az, el)
-
-
-def ris_index_split(k: int, g_az: int) -> tuple[int, int]:
-    """1-based Kronecker column index -> (elevation, azimuth) indices."""
-    k_el = int(np.ceil(k / g_az))
-    k_az = k - (k_el - 1) * g_az
-    return k_el, k_az
 
 
 # per-path response factors used throughout estimation
@@ -234,10 +216,10 @@ class Setup:
     """The measurement setup shared by every stage at one transmit power.
 
     Built from the geometry, the system, the pilots (N_m, T) and the
-    phase schedule; the dictionaries, the known RIS-BS leg ``leg`` (the
-    unit vector of bs - ris: its x component is sin theta_r0, its z and y
-    components the c and s of the outgoing leg), the BS steering vector
-    a_B and the path count Q+1 follow from them once.
+    phase schedule; the known RIS-BS leg ``leg`` (the unit vector of
+    bs - ris: its x component is sin theta_r0, its z and y components the
+    c and s of the outgoing leg), the dictionaries, the BS steering
+    vector a_B and the path count Q+1 follow from them once.
     """
 
     geom: ScenarioGeometry
@@ -255,8 +237,8 @@ class Setup:
             raise DimensionMismatch("pilot matrix must be (N_m, T)")
         if self.sched.n_slots != self.cfg.t_total:
             raise DimensionMismatch("schedule slot count must equal T")
-        self.a_m_dict, self.ris_dict = build_dictionaries(self.cfg, self.geom)
         self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
+        self.a_m_dict, self.ris_dict = build_dictionaries(self)
         self.a_b = bs_steering(self.geom, self.leg[0])
         self.n_paths = self.geom.n_scatterers + 1
 
@@ -273,6 +255,23 @@ def ris_factors(setup: Setup, c, s) -> tuple:
     a_az = None if s is None else steer_ula(
         geom.d_ris_az / lam * (np.asarray(s) - leg[1]), geom.n_ris_az)
     return a_el, a_az
+
+
+def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
+    """AOD dictionary at the MS and the Kronecker RIS dictionary.
+
+    Column e * G_az + a of the RIS dictionary is a_el(c_e) (x) a_az(s_a).
+    Each RIS grid is shifted within one step so that it contains the
+    leg's own value, c_out for the elevation and s_out for the azimuth.
+    """
+    cfg, leg = setup.cfg, setup.leg
+    gm = grid_values(cfg.g_ms)
+    ge = grid_values(cfg.g_ris_el) + np.mod(leg[2] + 1.0, 2.0 / cfg.g_ris_el)
+    ga = grid_values(cfg.g_ris_az) + np.mod(leg[1] + 1.0, 2.0 / cfg.g_ris_az)
+    a_el, a_az = ris_factors(setup, ge, ga)
+    return (Dictionary(ms_sine_steering(setup.geom, gm), gm),
+            RisDictionary(np.kron(a_el, a_az), Dictionary(a_az, ga),
+                          Dictionary(a_el, ge)))
 
 
 def ris_slot_scalars(setup: Setup, c, s) -> np.ndarray:

@@ -5,9 +5,10 @@ recovery of the departure sines u = sin theta_t, likelihood refinement
 of those sines, per-path sparse recovery of the RIS arrival's c and s,
 and DFT-plus-rotation delay/gain estimation. Both recoveries are
 DCS-SOMP: each pick maximizes theta_g^H R theta_g / ||theta_g||^2, R the
-M x M residual covariance. The dictionaries are grids of these
-coordinates (the RIS grids differential, offset by the known leg), so
-no stage converts to angles. Each stage takes the received tensor y
+M x M residual covariance. The dictionaries are grids of these absolute
+coordinates, so an estimate is read straight off its grid and no stage
+converts to angles. Paths leave in delay order: the VLoS path, the
+shortest, comes first. Each stage takes the received tensor y
 (N_b, T, N) and the per-power ``channel.Setup``: the pilots, schedule,
 dictionaries, known RIS-BS leg, a_B and path count come from there.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._search import maximize_1d
 from .channel import (Setup, SystemConfig, beamform, ms_sine_steering,
-                      pilot_projection, ris_index_split)
+                      pilot_projection)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
 from .geometry import ScenarioGeometry
@@ -216,10 +217,9 @@ def estimate_ris_aoa(y: np.ndarray, setup: Setup,
     Beamforms onto the known BS steering vector, de-mixes each phase
     block with the right inverse of its pilot projection, then solves a
     1-sparse recovery per path over the phase-profile dictionary. The
-    grid point is offset by the known leg, c = c_out + grid and
-    s = s_out + grid, and projected onto the disk c^2 + s^2 <= 1: c onto
-    [-1, 1], then s onto |s| <= sqrt(1 - c^2); ``clamped`` marks a path
-    whose point moved.
+    grids hold c and s in [-1, 1), so the picked point needs only its s
+    projected onto the disk, |s| <= sqrt(1 - c^2); ``clamped`` marks a
+    path whose s moved.
     """
     geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
     n_paths = u_hat.size
@@ -240,20 +240,19 @@ def estimate_ris_aoa(y: np.ndarray, setup: Setup,
     ris_dict = setup.ris_dict
     dict_eff = schedule.block_phases @ ris_dict.matrix  # (blocks, G_r)
 
-    c_grid = np.empty(n_paths)
-    s_grid = np.empty(n_paths)
+    support = np.empty(n_paths, dtype=int)
     delta_tilde = np.empty((n_paths, cfg.n_subcarriers), dtype=complex)
     for q in range(n_paths):
         res = dcs_somp(stacked[:, :, q][:, :, None], dict_eff, 1)
-        k_el, k_az = ris_index_split(res.support[0] + 1, cfg.g_ris_az)
-        c_grid[q] = setup.leg[2] + ris_dict.elevation.grid[k_el - 1]
-        s_grid[q] = setup.leg[1] + ris_dict.azimuth.grid[k_az - 1]
+        support[q] = res.support[0]
         delta_tilde[q] = res.coeffs[:, 0, 0]
-    c = np.clip(c_grid, -1.0, 1.0)
+    k_el, k_az = divmod(support, cfg.g_ris_az)
+    c = ris_dict.elevation.grid[k_el]
+    s_grid = ris_dict.azimuth.grid[k_az]
     rim = np.sqrt(1.0 - c * c)
     s = np.clip(s_grid, -rim, rim)
     return AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
-                       clamped=(c != c_grid) | (s != s_grid))
+                       clamped=s != s_grid)
 
 
 def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
@@ -291,24 +290,15 @@ def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
 
 @dataclass
 class CoarseEstimate:
-    """Full coarse-stage output in canonical path order (VLoS first)."""
+    """Full coarse-stage output in delay order (the VLoS path first)."""
 
     params: ChannelParams
     flags: dict
 
 
-def _canonical_order(s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, bool]:
-    """VLoS-class path (azimuth product s <= 0, i.e. psi_in in [pi, 3pi/2])
-    first, then by delay."""
-    is_vlos = s <= 0.0
-    ambiguous = int(np.sum(is_vlos)) != 1
-    order = sorted(range(s.size), key=lambda q: (not is_vlos[q], tau[q]))
-    return np.asarray(order), ambiguous
-
-
 def run_coarse(y: np.ndarray, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
-    """Run the four coarse sub-steps and order paths canonically."""
+    """Run the four coarse sub-steps and order the paths by delay."""
     u_hat, _ = estimate_aod_coarse(y, setup)
     if refine_aod:
         u_hat = refine_aod_mle(y, setup, u_hat)
@@ -318,9 +308,8 @@ def run_coarse(y: np.ndarray, setup: Setup,
     for q in range(setup.n_paths):
         tau[q], gains[q], _, _ = estimate_toa(aoa.delta_tilde[q], setup.cfg)
 
-    order, ambiguous = _canonical_order(aoa.s, tau)
-    flags = {"class_ambiguous": ambiguous,
-             "aoa_clamped": aoa.clamped[order].tolist()}
+    order = np.argsort(tau, kind="stable")
     params = ChannelParams(tau[order], gains[order], u_hat[order],
                            aoa.c[order], aoa.s[order])
-    return CoarseEstimate(params=params, flags=flags)
+    return CoarseEstimate(params=params,
+                          flags={"aoa_clamped": aoa.clamped[order].tolist()})

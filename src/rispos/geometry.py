@@ -46,16 +46,6 @@ def kron_columns(fe: np.ndarray, fa: np.ndarray) -> np.ndarray:
                                                      -1)
 
 
-def steer_upa(u_az: float | np.ndarray, u_el: float | np.ndarray,
-              n_a: int, n_e: int) -> np.ndarray:
-    """UPA steering vector: elevation factor Kronecker azimuth factor.
-
-    Supports broadcast arrays of candidate frequencies, returning shape
-    ``(n_a*n_e, n_cand)``.
-    """
-    return kron_columns(steer_ula(u_el, n_e), steer_ula(u_az, n_a))
-
-
 @dataclass
 class ScenarioGeometry:
     """Node placement, MS rotation, and array constants (ground truth)."""

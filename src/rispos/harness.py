@@ -126,6 +126,13 @@ class ExperimentConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"{name} must be > 0, not {getattr(self, name)!r}")
+        for name in ("bs_spacing_wl", "ms_spacing_wl", "ris_spacing_wl"):
+            if not 0 < getattr(self, name) <= 0.5:
+                raise ValueError(f"{name} must lie in (0, 0.5] wavelengths, "
+                                 f"not {getattr(self, name)!r}")
+        if not self.shadow_std_db >= 0:
+            raise ValueError(
+                f"shadow_std_db must be >= 0, not {self.shadow_std_db!r}")
         if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
                 or not all(_is_number(p, numbers.Real) for p in self.powers_dbm)):
             raise ValueError("powers_dbm must be a non-empty list of real "

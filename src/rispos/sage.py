@@ -63,16 +63,13 @@ import numpy as np
 from ._search import maximize_1d
 from .channel import (Setup, beamform, model_field, ms_sine_steering,
                       path_factors, ris_factors, subcarrier_ramp)
+from .coarse_est import _N_GRID
 from .errors import ZeroDenominator
 from .params import ChannelParams
 
 UPDATE_ORDER = ("tau", "u", "c", "s", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
-# grid points of each coordinate search: a bracket spans at most about 1.3
-# main lobes; at the default ``tol`` three zoom levels and the parabolic
-# step refine the grid's best cell, at most five batches per search
-_N_GRID = 41
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Test oracles: the node angles and the angle-domain channel model, the
 long-way channel builders, the out-of-place noisy synthesis, the
 full-tensor SAGE path objective, the full-stack concentrated AOD
-objective, the correlation-tensor DCS-SOMP, the inverse index map, the
+objective, the correlation-tensor DCS-SOMP, the UPA steering vector, the
 vector-to-params map, the angle-domain Fisher information and Jacobian,
 and the exhaustive path association. The package keeps only the fast
 forms, in the arrays' spatial frequencies (u, c, s); these reference
@@ -147,6 +147,16 @@ def ms_steering(geom: ScenarioGeometry, theta_t) -> np.ndarray:
                         geom.n_ms)
 
 
+def steer_upa(u_az: float | np.ndarray, u_el: float | np.ndarray,
+              n_a: int, n_e: int) -> np.ndarray:
+    """UPA steering vector: elevation factor Kronecker azimuth factor.
+
+    Supports broadcast arrays of candidate frequencies, returning shape
+    ``(n_a*n_e, n_cand)``.
+    """
+    return gm.kron_columns(gm.steer_ula(u_el, n_e), gm.steer_ula(u_az, n_a))
+
+
 def ris_diff_steering(geom: ScenarioGeometry, phi_in, psi_in) -> np.ndarray:
     """a_R(in) Hadamard a_R(out)^*, the RIS response at the differential
     frequencies of the arrival angles and the geometry's RIS-BS leg."""
@@ -155,7 +165,7 @@ def ris_diff_steering(geom: ScenarioGeometry, phi_in, psi_in) -> np.ndarray:
     dw_az = geom.d_ris_az / lam * (np.sin(psi_in) * np.sin(phi_in)
                                    - np.sin(psi_out0) * np.sin(phi_out0))
     dw_el = geom.d_ris_el / lam * (np.cos(phi_in) - np.cos(phi_out0))
-    return gm.steer_upa(dw_az, dw_el, geom.n_ris_az, geom.n_ris_el)
+    return steer_upa(dw_az, dw_el, geom.n_ris_az, geom.n_ris_el)
 
 
 def bs_steering(geom: ScenarioGeometry) -> np.ndarray:
@@ -205,7 +215,7 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     params = to_angles(params)
     w_out_az = geom.d_ris_az / lam * np.sin(psi_out0) * np.sin(phi_out0)
     w_out_el = geom.d_ris_el / lam * np.cos(phi_out0)
-    a_r_out = gm.steer_upa(w_out_az, w_out_el, geom.n_ris_az, geom.n_ris_el)
+    a_r_out = steer_upa(w_out_az, w_out_el, geom.n_ris_az, geom.n_ris_el)
     ramp_rb = np.exp(-2j * np.pi * tau_rb * (n - 1) * cfg.bandwidth
                      / cfg.n_subcarriers)
     h_rb = ramp_rb * np.outer(a_b, a_r_out.conj())
@@ -214,7 +224,7 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     for q in range(params.n_paths):
         w_in_az = geom.d_ris_az / lam * np.sin(params.psi_in[q]) * np.sin(params.phi_in[q])
         w_in_el = geom.d_ris_el / lam * np.cos(params.phi_in[q])
-        a_r_in = gm.steer_upa(w_in_az, w_in_el, geom.n_ris_az, geom.n_ris_el)
+        a_r_in = steer_upa(w_in_az, w_in_el, geom.n_ris_az, geom.n_ris_el)
         a_m = ms_steering(geom, params.theta_t[q])
         ramp_mr = np.exp(-2j * np.pi * (params.tau[q] - tau_rb) * (n - 1)
                          * cfg.bandwidth / cfg.n_subcarriers)
@@ -331,12 +341,6 @@ def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
         np.subtract(proj_y, psi, out=psi)
     return ce.SompResult(support=support, coeffs=coeffs,
                          residual_norms=np.asarray(norms))
-
-
-def ris_index_join(k_el: int, k_az: int, g_az: int) -> int:
-    """(elevation, azimuth) indices -> 1-based Kronecker column index;
-    the inverse of ``channel.ris_index_split``."""
-    return (k_el - 1) * g_az + k_az
 
 
 def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:

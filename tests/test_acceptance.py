@@ -285,7 +285,8 @@ def test_criterion_8_dcs_somp_support(default_exp):
     cfg = default_exp.system(20.0)
     cfg.g_ms = 32
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-    a_m_dict, _ = ch.build_dictionaries(cfg, geom)
+    a_m_dict, _ = ch.build_dictionaries(
+        ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 3000), sched))
     rng = np.random.default_rng(88)
     hits = 0
     monotone = True

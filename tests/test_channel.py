@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (build_channel, build_channel_cascade, ris_index_join,
-                     synthesize_rx_sum)
+from oracles import build_channel, build_channel_cascade, synthesize_rx_sum
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.errors import DimensionMismatch, ScheduleInfeasible
@@ -280,18 +279,33 @@ def test_gain_statistics(setup20):
 
 
 def test_dictionary_grids(setup20):
+    """The MS grid is -1 + 2g/G in the departure sine; the RIS grids hold
+    absolute c and s, G points of step 2/G in [-1, 1) that contain the
+    leg's own values, and each RIS column is the response at its point."""
     s = setup20
+    setup, cfg = s.setup, s.cfg
     a_m, ris = s.a_m_dict, s.ris_dict
-    mid = s.cfg.g_ms // 2          # grid value 0 for even G
+    assert_allclose(a_m.grid, -1.0 + 2.0 * np.arange(cfg.g_ms) / cfg.g_ms,
+                    rtol=0, atol=1e-15)
+    assert_allclose(a_m.matrix, gm.steer_ula(a_m.grid * s.geom.d_ms
+                                             / s.geom.wavelength, s.geom.n_ms),
+                    rtol=0, atol=1e-12)
+    mid = cfg.g_ms // 2            # grid value 0 for even G
     assert_allclose(a_m.matrix[:, mid], np.ones(s.geom.n_ms), atol=1e-14)
-    # 1-based Kronecker index round trip
-    for k in range(1, ris.size + 1):
-        k_el, k_az = ch.ris_index_split(k, s.cfg.g_ris_az)
-        assert ris_index_join(k_el, k_az, s.cfg.g_ris_az) == k
-    lam = s.geom.wavelength
-    col1 = gm.steer_upa(-s.geom.d_ris_az / lam, -s.geom.d_ris_el / lam,
-                        s.geom.n_ris_az, s.geom.n_ris_el)
-    assert np.max(np.abs(ris.matrix[:, 0] - col1)) < 1e-12
+    for grid, g, own in ((ris.elevation.grid, cfg.g_ris_el, setup.leg[2]),
+                         (ris.azimuth.grid, cfg.g_ris_az, setup.leg[1])):
+        assert grid.size == g
+        assert -1.0 <= grid[0] and grid[-1] < 1.0
+        assert_allclose(np.diff(grid), 2.0 / g, rtol=1e-12)
+        assert np.min(np.abs(grid - own)) < 1e-15
+    assert ris.matrix.shape == (s.geom.n_ris, cfg.g_ris_el * cfg.g_ris_az)
+    rng = np.random.default_rng(5)
+    for k in rng.choice(ris.size, 12, replace=False):
+        c_k = ris.elevation.grid[k // cfg.g_ris_az]
+        s_k = ris.azimuth.grid[k % cfg.g_ris_az]
+        assert_allclose(ris.matrix[:, k],
+                        np.kron(*ch.ris_factors(setup, c_k, s_k)),
+                        rtol=0, atol=1e-12)
 
 
 def test_setup_rejects_pilot_shape(setup20):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sample_layout
 from oracles import min_association_cost
 from rispos import cli
 from rispos import harness as hn
@@ -258,18 +259,23 @@ def test_cli_negative_seed_or_trial_rejected(tmp_path, capsys, argv,
     "n_subcarriers: 0\n", "t_total: 37.0\n", "t1: -16\n", "n_blocks: 0\n",
     "v_slots: 1.5\n", "g_ms: 0\n", "g_ris_az: 2.5\n", "g_ris_el: -1\n",
     "fc_hz: 0\n", "bandwidth_hz: -2.0e7\n", "fc_hz: x\n",
-    "alpha_deg: x\n", "ris_spacing_wl: [1]\n"],
+    "alpha_deg: x\n", "ris_spacing_wl: [1]\n", "shadow_std_db: -1\n",
+    "bs_spacing_wl: 0.6\n", "ms_spacing_wl: -0.5\n", "ris_spacing_wl: 0\n"],
     ids=["n_bs_float", "n_ms_zero", "n_ris_az_string", "n_ris_el_bool",
          "n_subcarriers_zero", "t_total_float", "t1_negative",
          "n_blocks_zero", "v_slots_float", "g_ms_zero", "g_ris_az_float",
          "g_ris_el_negative", "fc_zero", "bandwidth_negative", "fc_string",
-         "alpha_string", "spacing_list"])
+         "alpha_string", "spacing_list", "shadow_negative", "bs_spacing_wide",
+         "ms_spacing_negative", "ris_spacing_zero"])
 def test_config_bad_counts_and_reals_are_value_errors(tmp_path, capsys, text):
     """An array, subcarrier, slot or grid count that is not an integer
-    >= 1, a carrier or bandwidth that is not a real > 0, or another real
-    setting that is not a real number, is a ValueError naming the field,
-    which the CLI reports with exit code 2 (n_bs: 2.5 ran as 3 antennas,
-    zeros divided by zero, strings were TypeError tracebacks)."""
+    >= 1, a carrier or bandwidth that is not a real > 0, an element
+    spacing outside (0, 0.5] wavelengths, a negative shadowing spread, or
+    another real setting that is not a real number, is a ValueError
+    naming the field, which the CLI reports with exit code 2 (n_bs: 2.5
+    ran as 3 antennas, zeros divided by zero, strings were TypeError
+    tracebacks, a zero RIS spacing ran a sweep of meaningless bounds, a
+    negative shadowing spread failed in NumPy's sampler)."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     field_name = text.split(":")[0]
@@ -417,3 +423,33 @@ def test_pole_arrival_trials_end_in_estimate(seed, unit, power):
     assert rec.error is None
     assert np.all(np.isfinite(rec.stages["closed_form"]))
     assert np.all(np.isfinite(rec.stages["lm"]))
+
+
+def _err_over_peb(rec: hn.TrialRecord) -> float:
+    assert rec.error is None
+    return np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb
+
+
+@pytest.mark.parametrize("draw", [9, 16, 29, 35])
+def test_scatterer_arrival_off_the_differential_grid_ends_near_peb(draw):
+    """``sample_layout`` draws (default_rng(2026), 20 dBm) whose scatterer
+    arrival lay off the RIS grid when that grid was differential, offset
+    by the leg: the coarse pick was clamped and the trial ended at
+    890-5,040x its PEB. The absolute grid spans every arrival."""
+    rng = np.random.default_rng(2026)
+    for _ in range(draw + 1):
+        geom = sample_layout(rng)
+    exp = hn.ExperimentConfig(
+        ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+        scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1)
+    assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 10.0
+
+
+def test_two_scatterer_noiseless_trial_ends_near_peb():
+    """Q = 2 with a feasible schedule (T1 >= 8(Q+1) - 2), noiseless, at
+    20 dBm: every path's RIS arrival lies on the absolute grid's span,
+    so the LM fit ends within 10x the PEB."""
+    exp = hn.ExperimentConfig(scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]],
+                              t1=22, t_total=43, powers_dbm=[20.0],
+                              n_trials=1, noiseless=True)
+    assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 10.0
