@@ -27,14 +27,15 @@ from .params import ChannelParams, PositionParams
 _COND_LIMIT = 1e12
 
 
-def model_field_derivs(params: ChannelParams, setup: Setup) -> np.ndarray:
-    """Analytic derivatives of ``channel.model_field``, shape (6(Q+1), T, N).
+def derivative_factors(params: ChannelParams, setup: Setup):
+    """Slot and subcarrier factors of the derivatives of
+    ``channel.model_field``: A (T, 6(Q+1)) and B (N, 6(Q+1)), derivative
+    k the (T, N) outer product of A[:, k] and B[:, k].
 
     Parameter order per path: [tau, delta_re, delta_im, u, c, s]. Each
-    derivative keeps the path's product form: a slot factor times a
-    subcarrier factor. The u, c and s derivatives weight the MS steering
-    vector and the RIS response by the MS, RIS elevation and RIS azimuth
-    index ramps.
+    derivative keeps the path's product form. The u, c and s derivatives
+    weight the MS steering vector and the RIS response by the MS, RIS
+    elevation and RIS azimuth index ramps.
     """
     geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
     lam = geom.wavelength
@@ -56,9 +57,8 @@ def model_field_derivs(params: ChannelParams, setup: Setup) -> np.ndarray:
         u, 1j * u, gains * sigma * dproj, gains * d_c * proj,
         gains * d_s * proj])                                       # (6, T, Q+1)
     subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
-    out = (np.moveaxis(slots, 2, 0)[:, :, :, None]
-           * np.moveaxis(subs, 2, 0)[:, :, None, :])               # (Q+1, 6, T, N)
-    return out.reshape(-1, cfg.t_total, cfg.n_subcarriers)
+    return (slots.transpose(1, 2, 0).reshape(cfg.t_total, -1),
+            subs.transpose(1, 2, 0).reshape(cfg.n_subcarriers, -1))
 
 
 def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
@@ -66,12 +66,12 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
 
     Entry (u, v) is (2/sigma^2) sum_n Re{d_u mu[n]^H d_v mu[n]}, sigma^2
     the per-subcarrier noise power; the shared BS steering factor
-    contributes the antenna count.
+    contributes the antenna count. With each derivative the outer product
+    of its factors, the sum is Re{(A^H A) o (B^H B)}, o entrywise.
     """
-    derivs = model_field_derivs(params, setup)
-    # Re{a^H b} is the dot product of the interleaved real views: one GEMM
-    flat = derivs.reshape(derivs.shape[0], -1).view(float)
-    return 2.0 * setup.geom.n_bs / setup.cfg.noise_power * (flat @ flat.T)
+    a, b = derivative_factors(params, setup)
+    return (2.0 * setup.geom.n_bs / setup.cfg.noise_power
+            * np.real((a.conj().T @ a) * (b.conj().T @ b)))
 
 
 def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):

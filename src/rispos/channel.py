@@ -20,7 +20,8 @@ absolute coordinates: u, c and s each take G values of step 2/G in
 field: synthesis, the SAGE E-step, the likelihood and the Fisher
 information all build on it or on its per-path factors
 (``ris_slot_scalars``, ``pilot_projection``, ``subcarrier_ramp``).
-``synthesize_rx`` adds circularly-symmetric Gaussian noise to it.
+``synthesize_rx`` draws the received tensor y = a_B (x) field + z only
+through the two statistics the estimators read, as an ``Observation``.
 """
 
 from __future__ import annotations
@@ -275,8 +276,11 @@ def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
 
 
 def ris_slot_scalars(setup: Setup, c, s) -> np.ndarray:
-    """sigma_t = g_t^T a_R(c, s) per slot; (T,) or (T, n) for arrays."""
-    return setup.sched.slot_phases @ kron_columns(*ris_factors(setup, c, s))
+    """sigma_t = g_t^T a_R(c, s) per slot; (T,) or (T, n) for arrays. The
+    block phases are contracted once and read off per slot."""
+    sched = setup.sched
+    return (sched.block_phases
+            @ kron_columns(*ris_factors(setup, c, s)))[sched.slot_block]
 
 
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
@@ -306,31 +310,50 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
     all its parameter derivatives share that rank-1 structure.
     """
     sigma, proj, ramp = path_factors(params, setup)
-    return np.einsum("q,tq,nq->tn", params.gains, sigma * proj, ramp)
+    return (sigma * proj * params.gains) @ ramp.T
 
 
-def beamform(a_b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """a_B^H applied along the antenna axis of y (N_b, ...); shape y.shape[1:]."""
-    return (a_b.conj() @ y.reshape(a_b.size, -1)).reshape(y.shape[1:])
+@dataclass
+class Observation:
+    """What the estimators read of the received tensor y (N_b, T, N): the
+    beamformed record pa = a_B^H y and the first-T1-slot covariance
+    cov1[t, t'] = sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
+
+    pa: np.ndarray       # (T, N)
+    cov1: np.ndarray     # (T1, T1) Hermitian
 
 
 def synthesize_rx(setup: Setup, params: ChannelParams,
                   noise_seed: int | np.random.Generator | None = 0,
-                  noiseless: bool = False) -> np.ndarray:
-    """Simulate the received uplink pilot tensor y = a_B (x) field + z,
-    shape (N_b, T, N).
+                  noiseless: bool = False) -> Observation:
+    """Draw the observation of y = a_B (x) field + z, z iid CN(0, sigma^2),
+    exactly in distribution and without forming y.
 
-    Noise entries are CN(0, sigma^2) with the per-subcarrier noise power
-    of the setup's system; passing the same seed reproduces the tensor
-    exactly. One draw holds the real halves, then the imaginary ones; it
-    is scaled in place and added into y's parts, with no complex
-    temporaries.
+    With e = a_B / |a_B|, ypar = e^H y = |a_B| field + z_par, z_par iid
+    CN(0, sigma^2), and pa = |a_B| ypar. The noise orthogonal to e enters
+    only cov1, as conj(W): W = sigma^2 L L^H is complex Wishart with
+    m = (N_b - 1) N degrees of freedom, L lower triangular by Bartlett's
+    decomposition (|L_ii|^2 ~ Gamma(m - i), CN(0, 1) below the diagonal),
+    or its m columns when m < T1. The draws come in a fixed order, z_par,
+    the gammas, the off-diagonal normals, so one seed gives one
+    observation.
     """
-    y = setup.a_b[:, None, None] * model_field(params, setup)[None, :, :]
+    cfg, t1 = setup.cfg, setup.cfg.t1
+    norm_b = np.sqrt(np.vdot(setup.a_b, setup.a_b).real)
+    ypar = norm_b * model_field(params, setup)
+    low = np.zeros((t1, 0))
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
-        noise = rng.standard_normal((2,) + y.shape)
-        noise *= np.sqrt(setup.cfg.noise_power / 2.0)
-        y.real += noise[0]
-        y.imag += noise[1]
-    return y
+        noise = rng.standard_normal((2,) + ypar.shape)
+        ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
+        m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
+        if m >= t1:
+            low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
+            low[np.tril_indices(t1, -1)] = rng.standard_normal(
+                (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
+        else:
+            low = rng.standard_normal((t1, m, 2)).view(complex)[..., 0]
+            low *= np.sqrt(0.5)
+    y1 = ypar[:t1]
+    return Observation(norm_b * ypar, y1.conj() @ y1.T
+                       + cfg.noise_power * (low.conj() @ low.T))

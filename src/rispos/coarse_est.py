@@ -4,12 +4,13 @@ Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
 of those sines, per-path sparse recovery of the RIS arrival's c and s,
 and DFT-plus-rotation delay/gain estimation. Both recoveries are
-DCS-SOMP: each pick maximizes theta_g^H R theta_g / ||theta_g||^2, R the
-M x M residual covariance. The dictionaries are grids of these absolute
+DCS-SOMP, every pick made by ``pick_columns`` from an M x M covariance
+C: the departure step passes the observation's cov1, ``dcs_somp`` forms
+C from its record. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
-shortest, comes first. Each stage takes the received tensor y
-(N_b, T, N) and the per-power ``channel.Setup``: the pilots, schedule,
+shortest, comes first. Each stage takes the ``channel.Observation``
+and the per-power ``channel.Setup``: the pilots, schedule,
 dictionaries, known RIS-BS leg, a_B and path count come from there.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Setup, SystemConfig, beamform, ms_sine_steering,
+from .channel import (Observation, Setup, SystemConfig, ms_sine_steering,
                       pilot_projection)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
@@ -40,26 +41,64 @@ class SompResult:
     """Support, per-subcarrier projection coefficients, residual norms."""
 
     support: list[int]            # 0-based dictionary column indices
-    coeffs: np.ndarray            # (N, K, L)
+    coeffs: np.ndarray | None     # (N, K, L); None from a covariance alone
     residual_norms: np.ndarray    # (K+1,) Frobenius norms, initial first
 
 
+def _check_gram(gram: np.ndarray, what: str) -> None:
+    """``RankDeficient`` unless the Hermitian Gram's condition is <= 1e12."""
+    if np.all(np.isfinite(gram)):
+        eig = np.linalg.eigvalsh(gram)
+        if eig[0] > 0.0 and eig[-1] <= _COND_LIMIT * eig[0]:
+            return
+    raise RankDeficient(what)
+
+
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
-        raise RankDeficient("selected dictionary columns are linearly dependent")
+    _check_gram(gram, "selected dictionary columns are linearly dependent")
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(str(exc)) from exc
 
 
+def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
+                 sparsity: int) -> SompResult:
+    """DCS-SOMP's greedy picks from the covariance C = Y Y^H (M, M) of a
+    record Y: after picks S the residual (I - P_S) Y has covariance
+    R = (I - P_S) C (I - P_S), and the next pick maximizes
+    Re(theta_g^H R theta_g) / ||theta_g||^2. Returns the support and the
+    residual norms sqrt(tr R), initial first, without coefficients.
+    """
+    theta = np.asarray(dictionary, dtype=complex)
+    n_meas = theta.shape[0]
+    if cov.shape != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
+        raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
+                                 f"covariance and {n_meas} dictionary rows")
+    # unequal column norms (random phase profiles) must not bias the pick
+    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
+    support: list[int] = []
+    resid = cov
+    norms = [np.sqrt(max(np.trace(cov).real, 0.0))]
+    for _ in range(sparsity):
+        corr = np.einsum("mg,mg->g", theta.conj(), resid @ theta).real / col_power
+        corr[support] = -np.inf          # residual is orthogonal to these
+        support.append(int(np.argmax(corr)))
+        sel = theta[:, support]
+        comp = np.eye(n_meas) - sel @ _solve_gram(sel.conj().T @ sel,
+                                                  sel.conj().T)
+        resid = comp @ cov @ comp
+        norms.append(np.sqrt(max(np.trace(resid).real, 0.0)))
+    return SompResult(support, None, np.asarray(norms))
+
+
 def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
              sparsity: int) -> SompResult:
     """Simultaneous OMP with one support shared across subcarriers.
 
-    That is plain SOMP on the flattened (M, N L) record Y: each pick
-    maximizes sum_{n,l} |theta_g^H r_{n,l}|^2 / ||theta_g||^2, the form
-    theta_g^H R theta_g / ||theta_g||^2 of the residual covariance R = r r^H.
+    That is plain SOMP on the flattened (M, N L) record Y, its picks made
+    by ``pick_columns`` from C = Y Y^H; the coefficients and residual
+    norms are then computed from Y itself, so both are exact.
 
     Parameters
     ----------
@@ -74,56 +113,30 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
         y = y[:, :, None]
     n_sub, n_meas, n_col = y.shape
     theta = np.asarray(dictionary, dtype=complex)
-    if theta.shape[0] != n_meas:
-        raise SparsityInfeasible("dictionary rows must match measurement rows")
-    if not 1 <= sparsity <= n_meas:
-        raise SparsityInfeasible(
-            f"sparsity {sparsity} infeasible with {n_meas} measurement rows")
-
     y_flat = y.transpose(1, 0, 2).reshape(n_meas, n_sub * n_col)
-    # unequal column norms (random phase profiles) must not bias the pick
-    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
-    support: list[int] = []
+    support = pick_columns(y_flat @ y_flat.conj().T, theta, sparsity).support
     resid = y_flat
-    norms = [float(np.linalg.norm(resid))]
-    for _ in range(sparsity):
-        cov = resid @ resid.conj().T     # from the residual: nothing cancels
-        corr = np.einsum("mg,mg->g", theta.conj(), cov @ theta).real / col_power
-        corr[support] = -np.inf          # residual is orthogonal to these
-        support.append(int(np.argmax(corr)))
-        sel = theta[:, support]
+    norms = [np.sqrt(np.vdot(resid, resid).real)]
+    for k in range(1, sparsity + 1):
+        sel = theta[:, support[:k]]
         coef = _solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
         resid = y_flat - sel @ coef
-        norms.append(float(np.linalg.norm(resid)))
+        norms.append(np.sqrt(np.vdot(resid, resid).real))
     return SompResult(support=support,
                       coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
                       residual_norms=np.asarray(norms))
 
 
-def estimate_aod_coarse(y: np.ndarray, setup: Setup):
-    """Grid departure sines from the first T1 slots via DCS-SOMP.
+def estimate_aod_coarse(obs: Observation, setup: Setup):
+    """Grid departure sines from the first T1 slots: DCS-SOMP's picks from
+    the observation's ``cov1`` over the projected dictionary X1^H A_M.
 
-    Returns (u_hat, somp_result); u_hat[i] is the grid value of the i-th
-    selected column.
+    Returns (u_hat, picks); u_hat[i] is the grid value of the i-th
+    selected column, ``picks`` the support and residual norms.
     """
-    t1 = setup.cfg.t1
-    a_m_dict = setup.a_m_dict
-    y1h = y[:, :t1, :].conj().transpose(2, 1, 0)      # (N, T1, N_b)
-    theta_m = setup.pilots[:, :t1].conj().T @ a_m_dict.matrix
-    res = dcs_somp(y1h, theta_m, setup.n_paths)
-    return a_m_dict.grid[res.support], res
-
-
-def _bordered(block: np.ndarray, cross: np.ndarray,
-              corner: np.ndarray) -> np.ndarray:
-    """Stack of Hermitian [[block, cross_i], [cross_i^H, corner_i]] (n, k+1, k+1)."""
-    k, n = cross.shape
-    out = np.empty((n, k + 1, k + 1), dtype=complex)
-    out[:, :k, :k] = block
-    out[:, :k, k] = cross.T
-    out[:, k, :k] = cross.conj().T
-    out[:, k, k] = corner
-    return out
+    theta_m = setup.pilots[:, :setup.cfg.t1].conj().T @ setup.a_m_dict.matrix
+    res = pick_columns(obs.cov1, theta_m, setup.n_paths)
+    return setup.a_m_dict.grid[res.support], res
 
 
 def _aod_column_objective(sines: np.ndarray, q: int, s_mat: np.ndarray,
@@ -133,34 +146,39 @@ def _aod_column_objective(sines: np.ndarray, q: int, s_mat: np.ndarray,
     ``sines`` holds the departure sines sin(theta_t) of all paths,
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
     With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
-    tr(G^-1 A^H S A) (constant dropped). The trace does not depend on the
-    column order, so the candidate column goes last: C and S act on the
-    other columns once, and a candidate a fills only the border of G and
-    of A^H S A. Returns a map from (n,) candidate sines to (n,) values;
-    it raises ``SingularConcentration`` when any candidate leaves G
-    singular or ill-conditioned.
+    tr(G^-1 A^H S A) (constant dropped). With the candidate column a last,
+    G = [[G0, b], [b^H, d]] and A^H S A = [[H0, h], [h^H, e]], G0 and H0
+    formed once; by the Schur complement s = d - Re(b^H w), w = G0^-1 b,
+    the trace is tr(G0^-1 H0) + (w^H H0 w - 2 Re(w^H h) + e) / s. Returns
+    a map from (n,) candidate sines to (n,) values; it raises
+    ``SingularConcentration`` when G0 is ill-conditioned or a candidate
+    has a non-finite s or s <= max(lambda_max(G0), d) / 1e12.
     """
     fixed = ms_sine_steering(geom, np.delete(sines, q))  # (N_m, Q)
     c_fix, s_fix = c_mat @ fixed, s_mat @ fixed
-    g_fix, h_fix = fixed.conj().T @ c_fix, fixed.conj().T @ s_fix
+    g0, h0 = fixed.conj().T @ c_fix, fixed.conj().T @ s_fix
+    eig = np.linalg.eigvalsh(g0)         # empty for Q = 0, NaN if not finite
+    top = eig[-1] if eig.size else 0.0
+    if eig.size and not eig[0] > top / _COND_LIMIT:
+        raise SingularConcentration("departure angles collide")
+    base = np.trace(np.linalg.solve(g0, h0)).real
 
     def objective(u_q: np.ndarray) -> np.ndarray:
         a = ms_sine_steering(geom, u_q)                  # (N_m, n)
-        gram = _bordered(g_fix, c_fix.conj().T @ a,
-                         np.einsum("mn,mn->n", a.conj(), c_mat @ a))
-        if not np.all(np.isfinite(gram)):
+        b, h = c_fix.conj().T @ a, s_fix.conj().T @ a    # (Q, n)
+        d = np.einsum("mn,mn->n", a.conj(), c_mat @ a).real
+        w = np.linalg.solve(g0, b)
+        schur = d - np.einsum("qn,qn->n", b.conj(), w).real
+        if not np.all(np.isfinite(schur) & (
+                schur > np.maximum(top, d) / _COND_LIMIT)):
             raise SingularConcentration("departure angles collide")
-        eig = np.linalg.eigvalsh(gram)
-        if not np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
-            raise SingularConcentration("departure angles collide")
-        h_mat = _bordered(h_fix, s_fix.conj().T @ a,
-                          np.einsum("mn,mn->n", a.conj(), s_mat @ a))
-        return np.real(np.trace(np.linalg.solve(gram, h_mat),
-                                axis1=1, axis2=2))
+        num = (np.einsum("qn,qn->n", w.conj(), h0 @ w - 2.0 * h).real
+               + np.einsum("mn,mn->n", a.conj(), s_mat @ a).real)
+        return base + num / schur
     return objective
 
 
-def refine_aod_mle(y: np.ndarray, setup: Setup, u_init: np.ndarray):
+def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     """Cyclic 1-D refinement of the departure sines over the first T1 slots.
 
     Each sine is searched over one coarse grid cell around its current
@@ -172,7 +190,7 @@ def refine_aod_mle(y: np.ndarray, setup: Setup, u_init: np.ndarray):
     t1 = cfg.t1
     x1 = setup.pilots[:, :t1]
     c_mat = x1 @ x1.conj().T
-    b_mat = x1 @ beamform(setup.a_b, y[:, :t1]).conj()  # column n: B[n]^H a_B
+    b_mat = x1 @ obs.pa[:t1].conj()                     # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
 
     sines = np.array(u_init, dtype=float)
@@ -205,16 +223,15 @@ class AoaEstimate:
 
 def _right_inverse(mat: np.ndarray) -> np.ndarray:
     gram = mat @ mat.conj().T
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > _COND_LIMIT:
-        raise RankDeficient("block mixing matrix has no right inverse")
+    _check_gram(gram, "block mixing matrix has no right inverse")
     return mat.conj().T @ np.linalg.inv(gram)
 
 
-def estimate_ris_aoa(y: np.ndarray, setup: Setup,
+def estimate_ris_aoa(obs: Observation, setup: Setup,
                      u_hat: np.ndarray) -> AoaEstimate:
     """Recover per-path RIS arrival coordinates (c, s) and hybrid gains.
 
-    Beamforms onto the known BS steering vector, de-mixes each phase
+    Scales the beamformed record pa by 1/N_B, de-mixes each phase
     block with the right inverse of its pilot projection, then solves a
     1-sparse recovery per path over the phase-profile dictionary. The
     grids hold c and s in [-1, 1), so the picked point needs only its s
@@ -223,7 +240,7 @@ def estimate_ris_aoa(y: np.ndarray, setup: Setup,
     """
     geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
     n_paths = u_hat.size
-    ycheck = beamform(setup.a_b, y) / geom.n_bs                     # (T, N)
+    ycheck = obs.pa / geom.n_bs                                     # (T, N)
     proj = pilot_projection(geom, setup.pilots,
                             np.atleast_1d(u_hat)).T                 # (Q+1, T)
 
@@ -296,13 +313,13 @@ class CoarseEstimate:
     flags: dict
 
 
-def run_coarse(y: np.ndarray, setup: Setup,
+def run_coarse(obs: Observation, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
     """Run the four coarse sub-steps and order the paths by delay."""
-    u_hat, _ = estimate_aod_coarse(y, setup)
+    u_hat, _ = estimate_aod_coarse(obs, setup)
     if refine_aod:
-        u_hat = refine_aod_mle(y, setup, u_hat)
-    aoa = estimate_ris_aoa(y, setup, u_hat)
+        u_hat = refine_aod_mle(obs, setup, u_hat)
+    aoa = estimate_ris_aoa(obs, setup, u_hat)
     tau = np.empty(setup.n_paths)
     gains = np.empty(setup.n_paths, dtype=complex)
     for q in range(setup.n_paths):

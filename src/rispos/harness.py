@@ -326,11 +326,11 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     rec.crlb = angle_crlb(rep.cov_channel, true)
     rec.peb, rec.oeb = rep.peb, rep.oeb
 
-    y = ch.synthesize_rx(setup, true,
-                         noise_seed=np.random.default_rng(noise_seed),
-                         noiseless=exp.noiseless)
+    obs = ch.synthesize_rx(setup, true,
+                           noise_seed=np.random.default_rng(noise_seed),
+                           noiseless=exp.noiseless)
     try:
-        coarse = ce.run_coarse(y, setup, refine_aod=exp.stage != "coarse")
+        coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
         rec.stages["coarse"] = coarse.params.to_vector()
         rec.sq_errors["coarse"] = channel_sq_errors(coarse.params, true)
         rec.support_ok = _support_matches(coarse.params, true, cfg.g_ms)
@@ -338,7 +338,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         est = coarse.params
 
         if exp.stage in ("sage", "lm"):
-            refined, info = sg.run_sage(y, setup, est)
+            refined, info = sg.run_sage(obs, setup, est)
             rec.stages["sage"] = refined.to_vector()
             rec.sq_errors["sage"] = channel_sq_errors(refined, true)
             rec.flags["sage_converged"] = info.converged

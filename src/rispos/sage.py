@@ -2,8 +2,9 @@
 
 Each path's hidden per-path signal (its complete data) is the
 observation minus the other paths' share of ``channel.model_field`` at
-their freshest estimates. Beamformed onto a_B it is a_B^H y minus
-(a_B^H a_B) times the other paths' field, a (T, N) record pa. De-rotated
+their freshest estimates. Beamformed onto a_B it is the observation's
+record a_B^H y minus (a_B^H a_B) times the other paths' field, a (T, N)
+record pa; nothing else of the received tensor enters SAGE. De-rotated
 by the path's delay it gives r_t; the path's model slot factor is
 v_t = sigma_t p_t, with sigma_t = g_t^T a_R and p_t = a_M^H x_t. With the
 gain eliminated, the per-path likelihood is
@@ -50,8 +51,8 @@ its objective, which the incumbent rule guarantees.
 ``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
 into F and the gain; they are the only scoring path of a coordinate
 cycle. The global log-likelihood over all slots and subcarriers is the
-convergence monitor. Every function takes the received tensor y
-(N_b, T, N) and the per-power ``channel.Setup``.
+convergence monitor. Every function takes the ``channel.Observation``
+and the per-power ``channel.Setup``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Setup, beamform, model_field, ms_sine_steering,
+from .channel import (Observation, Setup, model_field, ms_sine_steering,
                       path_factors, ris_factors, subcarrier_ramp)
 from .coarse_est import _N_GRID
 from .errors import ZeroDenominator
@@ -92,10 +93,10 @@ class SageProblem:
     (num, den).
     """
 
-    def __init__(self, y: np.ndarray, setup: Setup):
+    def __init__(self, obs: Observation, setup: Setup):
         self.setup = setup
         geom, sched = setup.geom, setup.sched
-        self.pa0 = beamform(setup.a_b, y)                # (T, N)
+        self.pa0 = obs.pa                                # (T, N)
         self._ab_sq = float(np.real(np.vdot(setup.a_b, setup.a_b)))
         self.slot_block = sched.slot_block               # (T,)
         # (blocks, T) indicator: row b sums the slots of phase block b
@@ -191,7 +192,7 @@ def path_fit(num, den) -> tuple[float, complex]:
     return float(abs(num) ** 2 / den), complex(num / den)
 
 
-def global_log_likelihood(params: ChannelParams, y: np.ndarray,
+def global_log_likelihood(params: ChannelParams, obs: Observation,
                           setup: Setup) -> float:
     """Constant-free log-likelihood of the full parameter vector.
 
@@ -201,8 +202,7 @@ def global_log_likelihood(params: ChannelParams, y: np.ndarray,
     """
     sigma, proj, ramp = path_factors(params, setup)
     w_mat = sigma * proj                                          # (T, Q+1)
-    pa0 = beamform(setup.a_b, y)                                  # (T, N)
-    k_mat = pa0.conj() @ ramp                                     # (T, Q+1)
+    k_mat = obs.pa.conj() @ ramp                                  # (T, Q+1)
     term1 = 2.0 * np.real(np.sum(params.gains * np.sum(w_mat * k_mat, axis=0)))
     rho = ramp.conj().T @ ramp                                    # (Q+1, Q+1)
     gram = w_mat.conj().T @ w_mat
@@ -258,7 +258,7 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     return trace
 
 
-def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
+def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
              max_cycles: int = 50) -> tuple[ChannelParams, SageInfo]:
     """Refine all channel parameters from the coarse initialization.
 
@@ -268,7 +268,7 @@ def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
     False but still returns the current estimate.
     """
     params = init.copy()
-    prob = SageProblem(y, setup)
+    prob = SageProblem(obs, setup)
     # elementwise stopping thresholds, 1e-6 in each natural unit: 1/B for
     # delays, the initial per-path magnitude for gains, the unit of u, c, s
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
@@ -277,14 +277,14 @@ def run_sage(y: np.ndarray, setup: Setup, init: ChannelParams,
         eps[6 * q + 1:6 * q + 3] = 1e-6 * max(abs(gain), 1e-30)
 
     info = SageInfo()
-    lamb = global_log_likelihood(params, y, setup)
+    lamb = global_log_likelihood(params, obs, setup)
     info.loglik_history.append(lamb)
     for cycle in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
             coordinate_update_cycle(prob, params, q, local=cycle > 0)
         info.n_cycles = cycle + 1
-        new_lamb = global_log_likelihood(params, y, setup)
+        new_lamb = global_log_likelihood(params, obs, setup)
         info.loglik_history.append(new_lamb)
         if new_lamb < lamb - _EPS_LOGLIK_REL * abs(lamb):
             info.monotone_ok = False

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import angles_from_geometry, ris_bs_angles
+from oracles import (angles_from_geometry, observe, ris_bs_angles,
+                     synthesize_tensor)
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import harness as hn
@@ -25,7 +26,8 @@ def default_geom(default_exp):
 
 @pytest.fixture(scope="session")
 def setup20(default_exp, default_geom):
-    """Reference scenario at 20 dBm with fixed draws, noiseless + noisy."""
+    """Reference scenario at 20 dBm with fixed draws, noiseless + noisy:
+    the received tensors and their observations."""
     geom = default_geom
     cfg = default_exp.system(20.0)
     gains = ch.draw_gains(cfg, geom, 42)
@@ -33,13 +35,15 @@ def setup20(default_exp, default_geom):
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
-    rx_clean = ch.synthesize_rx(setup, true, noiseless=True)
-    rx_noisy = ch.synthesize_rx(setup, true, noise_seed=3)
+    rx_clean = synthesize_tensor(setup, true, noiseless=True)
+    rx_noisy = synthesize_tensor(setup, true, noise_seed=3)
     return SimpleNamespace(geom=geom, cfg=cfg, gains=gains, true=true,
                            sched=sched, pilots=pilots,
                            setup=setup, a_m_dict=setup.a_m_dict,
                            ris_dict=setup.ris_dict,
-                           rx_clean=rx_clean, rx_noisy=rx_noisy)
+                           rx_clean=rx_clean, rx_noisy=rx_noisy,
+                           obs_clean=observe(rx_clean, setup),
+                           obs_noisy=observe(rx_noisy, setup))
 
 
 def _nearest_grid(value: float, grid: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Test oracles: the node angles and the angle-domain channel model, the
-long-way channel builders, the out-of-place noisy synthesis, the
-full-tensor SAGE path objective, the full-stack concentrated AOD
-objective, the correlation-tensor DCS-SOMP, the UPA steering vector, the
-vector-to-params map, the angle-domain Fisher information and Jacobian,
-and the exhaustive path association. The package keeps only the fast
-forms, in the arrays' spatial frequencies (u, c, s); these reference
-implementations, most of them in angles, check them.
+long-way channel builders, the received tensor and its two statistics,
+the out-of-place noisy synthesis, the full-tensor SAGE path objective,
+the full-stack concentrated AOD objective, the correlation-tensor
+DCS-SOMP, the UPA steering vector, the vector-to-params map, the field
+derivatives as a tensor, the angle-domain Fisher information and
+Jacobian, and the exhaustive path association. The package keeps only
+the fast forms, in the arrays' spatial frequencies (u, c, s), and never
+forms the (N_b, T, N) received tensor; these reference implementations,
+most of them in angles, check them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
@@ -17,6 +19,7 @@ import numpy as np
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
+from rispos import harness as hn
 from rispos import coarse_est as ce
 from rispos.errors import (DegenerateGeometry, DimensionMismatch,
                            SingularConcentration, SparsityInfeasible,
@@ -232,6 +235,79 @@ def build_channel_cascade(cfg: ch.SystemConfig, geom: ScenarioGeometry,
     return h_rb @ np.diag(g_t) @ h_mr
 
 
+def beamform(a_b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a_B^H applied along the antenna axis of y (N_b, ...); shape y.shape[1:]."""
+    return (a_b.conj() @ y.reshape(a_b.size, -1)).reshape(y.shape[1:])
+
+
+def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
+                      noise_seed: int | np.random.Generator | None = 0,
+                      noiseless: bool = False) -> np.ndarray:
+    """Simulate the received uplink pilot tensor y = a_B (x) field + z,
+    shape (N_b, T, N).
+
+    Noise entries are CN(0, sigma^2) with the per-subcarrier noise power
+    of the setup's system; passing the same seed reproduces the tensor
+    exactly. One draw holds the real halves, then the imaginary ones; it
+    is scaled in place and added into y's parts, with no complex
+    temporaries.
+    """
+    y = setup.a_b[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    if not noiseless:
+        rng = np.random.default_rng(noise_seed)
+        noise = rng.standard_normal((2,) + y.shape)
+        noise *= np.sqrt(setup.cfg.noise_power / 2.0)
+        y.real += noise[0]
+        y.imag += noise[1]
+    return y
+
+
+def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
+    """The two statistics of a received tensor y (N_b, T, N): the
+    beamformed record a_B^H y and the first-T1-slot covariance
+    sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
+    y1 = y[:, :setup.cfg.t1, :]
+    return ch.Observation(beamform(setup.a_b, y),
+                          np.einsum("btn,bsn->ts", y1.conj(), y1))
+
+
+def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
+                          noise_seed=0, noiseless: bool = False):
+    """``channel.synthesize_rx`` by way of the received tensor: the
+    observation of ``synthesize_tensor``'s draw."""
+    return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
+                   setup)
+
+
+def trial_tensor(exp, setup: ch.Setup, power_idx: int, trial_idx: int):
+    """The true parameters and the received tensor of one sweep trial,
+    drawn from the seeds ``harness.run_trial`` uses."""
+    gain_seed, noise_seed = np.random.SeedSequence(
+        (exp.master_seed, hn._TAG_TRIAL, power_idx, trial_idx)).spawn(2)
+    true = gm.true_channel_params(setup.geom, ch.draw_gains(
+        setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
+    return true, synthesize_tensor(setup, true,
+                                   np.random.default_rng(noise_seed),
+                                   exp.noiseless)
+
+
+def model_field_derivs(params: ChannelParams, setup: ch.Setup) -> np.ndarray:
+    """Derivatives of ``channel.model_field``, (6(Q+1), T, N): the outer
+    products of the slot and subcarrier factors of
+    ``bounds.derivative_factors``."""
+    a, b = bnd.derivative_factors(params, setup)
+    return a.T[:, :, None] * b.T[:, None, :]
+
+
+def fim_channel_tensor(params: ChannelParams, setup: ch.Setup) -> np.ndarray:
+    """Channel FIM (2 N_b / sigma^2) Re{d_u^H d_v} from the derivative
+    tensor."""
+    derivs = model_field_derivs(params, setup)
+    flat = derivs.reshape(derivs.shape[0], -1)
+    return (2.0 * setup.geom.n_bs / setup.cfg.noise_power
+            * np.real(flat.conj() @ flat.T))
+
+
 def synthesize_rx_sum(setup: ch.Setup, params: ChannelParams,
                       noise_seed=0) -> np.ndarray:
     """The received tensor as the out-of-place sum a_B (x) field +
@@ -259,7 +335,7 @@ def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,
     the per-path likelihood at the path's angles, built over all T slots
     from the full tensor."""
     cfg, geom = setup.cfg, setup.geom
-    pa = ch.beamform(bs_steering(geom), y_q)               # (T, N)
+    pa = beamform(bs_steering(geom), y_q)                  # (T, N)
     r = ch.subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers) @ pa.T
     u = ((setup.sched.slot_phases @ ris_diff_steering(geom, phi_in, psi_in))
          * (setup.pilots.T @ ms_steering(geom, theta_t).conj()))

@@ -11,8 +11,9 @@ import pytest
 
 from conftest import build_ongrid_scenario
 from oracles import (bs_steering, build_channel, channel_params_from_vector,
-                     from_angles, gain_closed_form, ms_steering,
-                     ris_diff_steering, single_path_objective, to_angles)
+                     from_angles, gain_closed_form, model_field_derivs,
+                     ms_steering, observe, ris_diff_steering,
+                     single_path_objective, synthesize_tensor, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -59,7 +60,7 @@ def test_criterion_2_derivative_oracle(setup20):
     """All channel derivatives and transformation entries match central FD."""
     t0 = time.time()
     s = setup20
-    analytic = bnd.model_field_derivs(s.true, s.setup)
+    analytic = model_field_derivs(s.true, s.setup)
     vec0 = s.true.to_vector()
     steps = np.tile([1e-6 / s.cfg.bandwidth, 0, 0, 1e-6, 1e-6, 1e-6], 2)
     steps[1::6] = 1e-6 * np.maximum(np.abs(vec0[1::6]), 1e-9)
@@ -141,7 +142,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
                            abs((const - raw) - simp) / abs(simp))
 
         # global likelihood vs norm form
-        lam = sg.global_log_likelihood(params, y, s.setup)
+        lam = sg.global_log_likelihood(params, observe(y, s.setup), s.setup)
         ref = 0.0
         for n in range(1, s.cfg.n_subcarriers + 1):
             y_n = y[:, :, n - 1]
@@ -175,7 +176,8 @@ def test_criterion_3_dual_formula_oracles(setup20):
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([d_vec]),
             u=params.u[:1], c=params.c[:1], s=params.s[:1])
-        l_val = sg.global_log_likelihood(single, y, s.setup)
+        l_val = sg.global_log_likelihood(single, observe(y, s.setup),
+                                         s.setup)
         worst["concentrated"] = max(worst["concentrated"],
                                     abs(l_val - f_val) / abs(f_val))
     ok = all(v < 1e-8 for v in worst.values())
@@ -196,7 +198,8 @@ def test_criterion_4_sage_monotonicity(default_exp):
         for i in range(17):
             gains = ch.draw_gains(cfg, geom, 1000 + i)
             true = gm.true_channel_params(geom, gains)
-            rx = ch.synthesize_rx(setup, true, noise_seed=2000 + i)
+            rx = observe(synthesize_tensor(setup, true, noise_seed=2000 + i),
+                         setup)
             coarse = ce.run_coarse(rx, setup)
             _, info = sg.run_sage(rx, setup, coarse.params, max_cycles=8)
             hist = np.asarray(info.loglik_history)
@@ -313,8 +316,8 @@ def test_criterion_8_dcs_somp_support(default_exp):
             if abs(20 * np.log10(eff[1] / eff[0])) <= 12.0:
                 break
         params.gains = np.asarray(gains, dtype=complex)
-        rx = ch.synthesize_rx(setup, params, noiseless=True)
-        _, somp = ce.estimate_aod_coarse(rx, setup)
+        rx = synthesize_tensor(setup, params, noiseless=True)
+        _, somp = ce.estimate_aod_coarse(observe(rx, setup), setup)
         hits += sorted(somp.support) == support_true
         monotone = monotone and bool(
             np.all(np.diff(somp.residual_norms) <= 1e-12))

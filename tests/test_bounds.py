@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import sample_layout
 from oracles import (angle_bounds, angles_from_geometry,
-                     channel_params_from_vector)
+                     channel_params_from_vector, fim_channel_tensor,
+                     model_field_derivs)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -41,7 +42,7 @@ def _fd_field_derivs(params, setup):
 def test_model_derivatives_match_finite_differences(setup20):
     """Every analytic channel derivative agrees with central differences."""
     s = setup20
-    analytic = bnd.model_field_derivs(s.true, s.setup)
+    analytic = model_field_derivs(s.true, s.setup)
     numeric = _fd_field_derivs(s.true, s.setup)
     for u in range(analytic.shape[0]):
         scale = np.linalg.norm(analytic[u])
@@ -165,6 +166,27 @@ def test_bounds_equal_the_angle_fim_oracle_over_layouts(power):
         angles = hn.channel_angles(true)
         assert_allclose(angles[:, 3:].T, angles_from_geometry(geom),
                         rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("power", [-10.0, 20.0])
+def test_fim_equals_the_tensor_form(power):
+    """The FIM from the slot and subcarrier derivative factors,
+    Re{(A^H A) o (B^H B)}, equals the one from the (6(Q+1), T, N)
+    derivative tensor to 1e-12, entries scaled by sqrt(J_uu J_vv), at the
+    reference layout and 20 layouts."""
+    rng = np.random.default_rng(41)
+    layouts = [hn.ExperimentConfig().geometry()]
+    layouts += [sample_layout(rng) for _ in range(20)]
+    for i, geom in enumerate(layouts):
+        exp = hn.ExperimentConfig(
+            ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+            scatterers=geom.scatterers.tolist(), master_seed=i)
+        setup = hn.power_setup(exp, power)
+        true = gm.true_channel_params(geom, ch.draw_gains(setup.cfg, geom, i))
+        ref = fim_channel_tensor(true, setup)
+        d = np.sqrt(np.diag(ref))
+        gap = np.abs(bnd.fim_channel(true, setup) - ref) / np.outer(d, d)
+        assert np.max(gap) <= 1e-12, (i, np.max(gap))
 
 
 def test_position_bounds_finite_and_positive(setup20):

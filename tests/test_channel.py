@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import build_channel, build_channel_cascade, synthesize_rx_sum
+from oracles import (build_channel, build_channel_cascade, observe,
+                     synthesize_rx_sum, synthesize_tensor)
+from rispos import harness as hn
 from rispos import channel as ch
 from rispos import geometry as gm
 from rispos.errors import DimensionMismatch, ScheduleInfeasible
@@ -75,8 +77,8 @@ def test_synthesize_zero_gain_zero_noise(setup20):
     s = setup20
     silent = s.true.copy()
     silent.gains[:] = 0.0
-    rx = ch.synthesize_rx(s.setup, silent, noiseless=True)
-    assert np.all(rx == 0.0)
+    obs = ch.synthesize_rx(s.setup, silent, noiseless=True)
+    assert np.all(obs.pa == 0.0) and np.all(obs.cov1 == 0.0)
 
 
 def test_noise_only_variance(setup20):
@@ -86,7 +88,7 @@ def test_noise_only_variance(setup20):
     silent.gains[:] = 0.0
     samples = []
     for seed in range(4):
-        rx = ch.synthesize_rx(s.setup, silent, noise_seed=seed)
+        rx = synthesize_tensor(s.setup, silent, noise_seed=seed)
         samples.append(rx.ravel())
     z = np.concatenate(samples)
     assert z.size >= 1e5
@@ -96,8 +98,8 @@ def test_noise_only_variance(setup20):
 
 def test_synthesize_deterministic(setup20):
     s = setup20
-    rx1 = ch.synthesize_rx(s.setup, s.true, 11)
-    rx2 = ch.synthesize_rx(s.setup, s.true, 11)
+    rx1 = synthesize_tensor(s.setup, s.true, 11)
+    rx2 = synthesize_tensor(s.setup, s.true, 11)
     assert np.array_equal(rx1, rx2)
 
 
@@ -106,20 +108,98 @@ def test_synthesize_matches_out_of_place_sum(setup20, seed):
     """Noise added in place into the real and imaginary parts gives the
     out-of-place formula bit for bit, from the same noise stream."""
     s = setup20
-    assert np.array_equal(ch.synthesize_rx(s.setup, s.true, seed),
+    assert np.array_equal(synthesize_tensor(s.setup, s.true, seed),
                           synthesize_rx_sum(s.setup, s.true, seed))
     assert np.array_equal(
-        ch.synthesize_rx(s.setup, s.true, np.random.default_rng(seed)),
+        synthesize_tensor(s.setup, s.true, np.random.default_rng(seed)),
         synthesize_rx_sum(s.setup, s.true, np.random.default_rng(seed)))
 
 
 def test_synthesize_is_bs_steering_times_model_field(setup20):
     """The noiseless tensor is exactly a_B (x) the one forward model."""
     s = setup20
-    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    rx = synthesize_tensor(s.setup, s.true, noiseless=True)
     field = ch.model_field(s.true, s.setup)
     a_b = ch.bs_steering(s.geom, s.setup.leg[0])
     assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
+
+
+def test_noiseless_observation_is_the_tensor_observation(setup20):
+    """Without noise, the observation equals the oracle tensor's
+    statistics: a_B^H y and the first-T1-slot covariance."""
+    s = setup20
+    obs = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    ref = observe(synthesize_tensor(s.setup, s.true, noiseless=True), s.setup)
+    for got, want in ((obs.pa, ref.pa), (obs.cov1, ref.cov1)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_observation_same_seed_same_bytes(setup20):
+    s = setup20
+    for seed in (11, 2**40 + 5):
+        for make in (lambda: seed, lambda: np.random.default_rng(seed)):
+            a = ch.synthesize_rx(s.setup, s.true, make())
+            b = ch.synthesize_rx(s.setup, s.true, make())
+            assert a.pa.tobytes() == b.pa.tobytes()
+            assert a.cov1.tobytes() == b.cov1.tobytes()
+    other = ch.synthesize_rx(s.setup, s.true, 12)
+    assert not np.array_equal(other.cov1, a.cov1)
+
+
+def _moments(draws):
+    stack = np.stack(draws)
+    return stack.mean(axis=0), stack.var(axis=0)
+
+
+@pytest.mark.parametrize("power", [-10.0, 20.0])
+def test_observation_moments_match_the_tensor_oracle(setup20, power):
+    """Over 1,500 draws, the means of pa and cov1 equal their exact values
+    (N_b field; N_b sum_n conj(f) f^T + N_b N sigma^2 I) within sampling
+    error, and their per-entry variances equal those of the oracle
+    tensor's statistics within 5 %, the diagonal of cov1 (where the
+    Wishart part enters) on its own. At -10 dBm the noise-by-noise terms
+    carry most of cov1's variance, at 20 dBm the signal-by-noise ones."""
+    s = setup20
+    cfg = hn.ExperimentConfig().system(power)
+    setup = ch.Setup(s.geom, cfg, ch.make_pilots(cfg, s.geom.n_ms, 8), s.sched)
+    n_draws, sigma2, n_bs = 1500, cfg.noise_power, s.geom.n_bs
+    rng_new, rng_ref = np.random.default_rng(61), np.random.default_rng(62)
+    new = [ch.synthesize_rx(setup, s.true, rng_new) for _ in range(n_draws)]
+    ref = [observe(synthesize_tensor(setup, s.true, rng_ref), setup)
+           for _ in range(n_draws)]
+    field = ch.model_field(s.true, setup)
+    f1 = field[:cfg.t1]
+    exact = {"pa": n_bs * field,
+             "cov1": n_bs * (f1.conj() @ f1.T + cfg.n_subcarriers * sigma2
+                             * np.eye(cfg.t1))}
+    for name in ("pa", "cov1"):
+        mean_new, var_new = _moments([getattr(o, name) for o in new])
+        mean_ref, var_ref = _moments([getattr(o, name) for o in ref])
+        for mean in (mean_new, mean_ref):
+            z2 = np.abs(mean - exact[name]) ** 2 / (var_ref / n_draws)
+            assert np.mean(z2) < 1.5, (name, np.mean(z2))
+        ratio = var_new / var_ref
+        parts = [ratio] if name == "pa" else [np.diag(ratio),
+                                               ratio[~np.eye(cfg.t1, dtype=bool)]]
+        for part in parts:
+            assert abs(np.mean(part) - 1.0) < 0.05, (name, np.mean(part))
+    assert np.mean(np.diag(var_new)) > 0.0
+
+
+def test_single_bs_antenna_trial_runs():
+    """N_b = 1 leaves no noise orthogonal to a_B: m = 0 Wishart degrees of
+    freedom, and the covariance is that of the beamformed record alone."""
+    exp = hn.ExperimentConfig(n_bs=1, n_trials=1, powers_dbm=[20.0])
+    setup = hn.power_setup(exp, 20.0)
+    true = gm.true_channel_params(setup.geom,
+                                  ch.draw_gains(setup.cfg, setup.geom, 0))
+    obs = ch.synthesize_rx(setup, true, 5)
+    y1 = obs.pa[:setup.cfg.t1] / setup.a_b[0]
+    assert_allclose(obs.cov1, y1.conj() @ y1.T, rtol=1e-12)
+    rec = hn.run_trial(exp, 20.0, 0, 0, setup)
+    assert rec.error is None
+    assert np.all(np.isfinite(rec.stages["lm"]))
 
 
 def test_synthesize_matches_cascade_off_reference_leg(default_exp):
@@ -136,7 +216,7 @@ def test_synthesize_matches_cascade_off_reference_leg(default_exp):
         setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8),
                          ch.make_phase_schedule(cfg, geom.n_ris, 7))
         params = gm.true_channel_params(geom, ch.draw_gains(cfg, geom, 42))
-        rx = ch.synthesize_rx(setup, params, noiseless=True)
+        rx = synthesize_tensor(setup, params, noiseless=True)
         for t in (0, cfg.t1, cfg.t_total - 1):
             for n in (1, n_sub // 2, n_sub):
                 h = build_channel_cascade(cfg, geom, params,
@@ -150,7 +230,7 @@ def test_energy_bookkeeping(setup20):
     s = setup20
     params = s.true.copy()
     params.gains[:] = 1.0
-    rx = ch.synthesize_rx(s.setup, params, noiseless=True)
+    rx = synthesize_tensor(s.setup, params, noiseless=True)
     for t in (0, 16, 36):
         for n in (1, 10, 20):
             h = build_channel(s.cfg, s.geom, params,

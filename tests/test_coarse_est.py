@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp_tensor,
-                     ms_steering, to_angles)
+                     ms_steering, observe, synthesize_tensor, to_angles,
+                     trial_tensor)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -89,9 +90,12 @@ def test_dcs_somp_matches_tensor_oracle(n_sub, n_meas, n_col, n_dict,
 
 
 def test_coarse_stages_pick_the_oracle_columns(monkeypatch):
-    """Over 10 reference trials per power, ``estimate_aod_coarse`` and
-    ``estimate_ris_aoa`` select the same dictionary columns as a run with
-    the correlation-tensor oracle patched in for ``dcs_somp``."""
+    """Over 10 reference trials per power, built from their received
+    tensors, the stages of stage ``aod_mle`` select the same dictionary
+    columns as the correlation-tensor oracle: ``estimate_aod_coarse``
+    from the observation's covariance as ``dcs_somp_tensor`` on the
+    first T1 slots of the tensor, and ``estimate_ris_aoa`` as a run with
+    the oracle patched in for ``dcs_somp``."""
     exp = hn.ExperimentConfig(n_trials=10, stage="aod_mle")
     setups = [hn.power_setup(exp, p) for p in exp.powers_dbm]
 
@@ -103,14 +107,49 @@ def test_coarse_stages_pick_the_oracle_columns(monkeypatch):
             calls.append(res.support)
             return res
         monkeypatch.setattr(ce, "dcs_somp", recorded)
-        for p_idx, (power, setup) in enumerate(zip(exp.powers_dbm, setups)):
+        for p_idx, setup in enumerate(setups):
+            t1 = setup.cfg.t1
+            theta_m = setup.pilots[:, :t1].conj().T @ setup.a_m_dict.matrix
             for trial in range(exp.n_trials):
-                hn.run_trial(exp, power, p_idx, trial, setup)
+                _, y = trial_tensor(exp, setup, p_idx, trial)
+                obs = observe(y, setup)
+                if somp is dcs_somp_tensor:
+                    res = recorded(y[:, :t1, :].conj().transpose(2, 1, 0),
+                                   theta_m, setup.n_paths)
+                    u_hat = setup.a_m_dict.grid[res.support]
+                else:
+                    u_hat, res = ce.estimate_aod_coarse(obs, setup)
+                    calls.append(res.support)
+                u_hat = ce.refine_aod_mle(obs, setup, u_hat)
+                ce.estimate_ris_aoa(obs, setup, u_hat)
         return calls
 
     fast = picks(ce.dcs_somp)
     assert len(fast) == 4 * 10 * (1 + setups[0].n_paths)
     assert fast == picks(dcs_somp_tensor)
+
+
+def test_covariance_picks_equal_dcs_somp_picks():
+    """On 50 reference trials per power, the departure picks from the
+    observation's covariance equal ``dcs_somp``'s picks on the first T1
+    slots of the received tensor, and the residual norms agree."""
+    exp = hn.ExperimentConfig()
+    n_draws = 0
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        t1 = setup.cfg.t1
+        theta_m = setup.pilots[:, :t1].conj().T @ setup.a_m_dict.matrix
+        for trial in range(50):
+            _, y = trial_tensor(exp, setup, p_idx, trial)
+            _, picks = ce.estimate_aod_coarse(observe(y, setup), setup)
+            ref = ce.dcs_somp(y[:, :t1, :].conj().transpose(2, 1, 0),
+                              theta_m, setup.n_paths)
+            assert picks.support == ref.support, (power, trial)
+            assert picks.coeffs is None
+            assert_allclose(picks.residual_norms, ref.residual_norms,
+                            rtol=1e-9)
+            n_draws += 1
+    assert n_draws >= 200
 
 
 def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
@@ -121,8 +160,8 @@ def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
-    rx = ch.synthesize_rx(setup, true, noise_seed=seed, noiseless=noiseless)
-    return true, setup, rx
+    rx = synthesize_tensor(setup, true, noise_seed=seed, noiseless=noiseless)
+    return true, setup, observe(rx, setup)
 
 
 def test_aod_coarse_ongrid_exact(ongrid):
@@ -137,8 +176,7 @@ def test_aod_coarse_ongrid_exact(ongrid):
 def test_aod_coarse_offgrid_half_cell(setup20):
     """Off-grid truth recovered to within half a grid cell in sin space."""
     s = setup20
-    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    u_hat, _ = ce.estimate_aod_coarse(rx, s.setup)
+    u_hat, _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
     from rispos.harness import associate_paths
     perm = associate_paths(u_hat, s.true.u)
     gap = np.abs(u_hat[perm] - s.true.u)
@@ -147,9 +185,8 @@ def test_aod_coarse_offgrid_half_cell(setup20):
 
 def test_refine_aod_mle_improves(setup20):
     s = setup20
-    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    u_grid, _ = ce.estimate_aod_coarse(rx, s.setup)
-    refined = ce.refine_aod_mle(rx, s.setup, u_grid)
+    u_grid, _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
+    refined = ce.refine_aod_mle(s.obs_clean, s.setup, u_grid)
     from rispos.harness import associate_paths
     perm_c = associate_paths(u_grid, s.true.u)
     perm_r = associate_paths(refined, s.true.u)
@@ -160,11 +197,10 @@ def test_refine_aod_mle_improves(setup20):
 
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
-    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
-    refined = ce.refine_aod_mle(rx, s.setup, s.true.u.copy())
+    refined = ce.refine_aod_mle(s.obs_clean, s.setup, s.true.u.copy())
     assert np.max(np.abs(refined - s.true.u)) < 1e-9
     # objective change from the truth is negligible
-    mats = _aod_mats(s, rx)
+    mats = _aod_mats(s, s.rx_clean)
     obj = concentrated_aod_objective(np.arcsin(refined), *mats, s.geom)
     t1 = concentrated_aod_objective(np.arcsin(s.true.u), *mats, s.geom)
     assert abs(obj - t1) <= 1e-8 * abs(t1)
@@ -307,8 +343,8 @@ def test_ris_aoa_zero_difference(setup20):
     params = ChannelParams(
         tau=s.true.tau[:1], gains=np.array([1e-6 + 0j]),
         u=s.true.u[:1], c=[c_out], s=[s_out])
-    rx = ch.synthesize_rx(s.setup, params, noiseless=True)
-    aoa = ce.estimate_ris_aoa(rx, s.setup, params.u)
+    rx = synthesize_tensor(s.setup, params, noiseless=True)
+    aoa = ce.estimate_ris_aoa(observe(rx, s.setup), s.setup, params.u)
     assert aoa.c[0] == pytest.approx(c_out, abs=1e-15)
     assert aoa.s[0] == pytest.approx(s_out, abs=1e-15)
     assert not aoa.clamped[0]
@@ -370,9 +406,8 @@ def test_estimate_toa_out_of_range():
 def test_refine_aod_colliding_angles_rejected(setup20):
     """Duplicate departure angles make the concentration singular."""
     s = setup20
-    rx = ch.synthesize_rx(s.setup, s.true, noiseless=True)
     with pytest.raises(SingularConcentration):
-        ce.refine_aod_mle(rx, s.setup, np.array([0.3, 0.3]))
+        ce.refine_aod_mle(s.obs_clean, s.setup, np.array([0.3, 0.3]))
 
 
 def test_ris_aoa_block_too_short(setup20):
@@ -382,9 +417,9 @@ def test_ris_aoa_block_too_short(setup20):
     cfg = dataclasses.replace(s.cfg, t1=34, n_blocks=3, v_slots=1)
     sched = ch.make_phase_schedule(cfg, s.geom.n_ris, 7)
     setup = ch.Setup(s.geom, cfg, s.pilots, sched)
-    rx = ch.synthesize_rx(setup, s.true, 0)
+    rx = synthesize_tensor(setup, s.true, 0)
     with pytest.raises(RankDeficient):
-        ce.estimate_ris_aoa(rx, setup, s.true.u)
+        ce.estimate_ris_aoa(observe(rx, setup), setup, s.true.u)
 
 
 def test_associate_paths_convention():

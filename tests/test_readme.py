@@ -15,7 +15,7 @@ PRELUDE = ("from rispos import channel, coarse_est, sage, positioning, "
 
 def test_readme_stage_calls_run():
     text = README.read_text()
-    start = text.index("Every stage takes the received tensor")
+    start = text.index("Every stage takes the observation")
     block = re.search(r"```python\n(.*?)```", text[start:], re.S).group(1)
     namespace = {}
     exec(compile(PRELUDE + block, str(README), "exec"), namespace)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (bs_steering, build_channel, channel_params_from_vector,
-                     from_angles, gain_closed_form, ms_steering, path_terms,
+from oracles import (beamform, bs_steering, build_channel,
+                     channel_params_from_vector, from_angles,
+                     gain_closed_form, ms_steering, observe, path_terms,
                      reconstruct_complete_data, ris_diff_steering,
-                     single_path_objective, to_angles)
+                     single_path_objective, synthesize_tensor,
+                     synthesize_via_tensor, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -52,7 +54,7 @@ def test_loglik_matches_residual_form(setup20):
     for _ in range(5):
         params = _random_params(s, rng)
         y = 1e-5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        lam = sg.global_log_likelihood(params, y, s.setup)
+        lam = sg.global_log_likelihood(params, observe(y, s.setup), s.setup)
         ref = _loglik_reference(params, y, s.pilots, s.sched, s.geom, s.cfg)
         assert abs(lam - ref) < 1e-8 * max(abs(ref), 1e-30)
 
@@ -61,20 +63,20 @@ def test_loglik_zero_gain(setup20):
     s = setup20
     silent = s.true.copy()
     silent.gains[:] = 0.0
-    lam = sg.global_log_likelihood(silent, s.rx_noisy, s.setup)
+    lam = sg.global_log_likelihood(silent, s.obs_noisy, s.setup)
     assert lam == 0.0
 
 
 def test_loglik_local_optimality_at_truth(setup20):
     s = setup20
-    lam0 = sg.global_log_likelihood(s.true, s.rx_clean, s.setup)
+    lam0 = sg.global_log_likelihood(s.true, s.obs_clean, s.setup)
     rng = np.random.default_rng(1)
     vec0 = s.true.to_vector()
     scales = np.tile([1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2)
     for _ in range(100):
         vec = vec0 + scales * rng.standard_normal(vec0.size)
         pert = channel_params_from_vector(vec)
-        lam = sg.global_log_likelihood(pert, s.rx_clean, s.setup)
+        lam = sg.global_log_likelihood(pert, s.obs_clean, s.setup)
         assert lam <= lam0 + 1e-10 * abs(lam0)
 
 
@@ -83,7 +85,7 @@ def test_reconstruct_single_path_identity(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
-    rx = ch.synthesize_rx(s.setup, single, noise_seed=5)
+    rx = synthesize_tensor(s.setup, single, noise_seed=5)
     y_0 = reconstruct_complete_data(rx, single, 0, s.setup)
     assert np.array_equal(y_0, rx)
 
@@ -94,7 +96,7 @@ def test_reconstruct_recovers_planted_path(setup20):
         only_q = s.true.copy()
         only_q.gains = s.true.gains.copy()
         only_q.gains[1 - q] = 0.0
-        planted = ch.synthesize_rx(s.setup, only_q, noiseless=True)
+        planted = synthesize_tensor(s.setup, only_q, noiseless=True)
         y_q = reconstruct_complete_data(s.rx_clean, s.true, q, s.setup)
         scale = np.max(np.abs(planted))
         assert np.max(np.abs(y_q - planted)) < 1e-10 * scale
@@ -114,10 +116,10 @@ def test_reconstruct_sum_identity(setup20):
 def test_complete_data_beamforms_the_full_tensor(setup20):
     """a_B^H y - (a_B^H a_B) field equals a_B^H applied to the per-path tensor."""
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    prob = sg.SageProblem(s.obs_noisy, s.setup)
     for q in range(2):
         full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
-        ref = ch.beamform(s.setup.a_b, full)
+        ref = beamform(s.setup.a_b, full)
         got = prob.complete_data(s.true, q)
         assert got.shape == (s.cfg.t_total, s.cfg.n_subcarriers)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -128,7 +130,7 @@ def _planted_single(s, seed=None):
     only = s.true.copy()
     only.gains = s.true.gains.copy()
     only.gains[1] = 0.0
-    rx = ch.synthesize_rx(s.setup, only, noiseless=True)
+    rx = synthesize_tensor(s.setup, only, noiseless=True)
     return to_angles(only), rx
 
 
@@ -222,7 +224,8 @@ def test_concentrated_equals_substituted_likelihood(setup20):
         single = ChannelParams(
             tau=params.tau[:1], gains=np.array([delta]),
             u=params.u[:1], c=params.c[:1], s=params.s[:1])
-        l_val = sg.global_log_likelihood(single, y_q, s.setup)
+        l_val = sg.global_log_likelihood(single, observe(y_q, s.setup),
+                                         s.setup)
         assert abs(l_val - f_val) < 1e-8 * max(abs(f_val), 1e-30)
 
 
@@ -255,7 +258,7 @@ def _angles(u, c, s):
 
 def _search_stats(s, y_q, params):
     """A problem on y_q and the per-search statistics at path 0 of params."""
-    prob = sg.SageProblem(y_q, s.setup)
+    prob = sg.SageProblem(observe(y_q, s.setup), s.setup)
     tau, u, c, sa = _coords(params)
     sigma = prob.block_sigma(c, sa)[prob.slot_block]
     p = prob.slot_proj(u)
@@ -308,7 +311,7 @@ def test_batched_objective_matches_scalar_oracle(setup20):
 def test_batched_objective_zero_denominator_never_wins(setup20):
     """A candidate whose slot factors vanish scores 0 instead of raising."""
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    prob = sg.SageProblem(s.obs_noisy, s.setup)
     tau, u, c, sa = _coords(s.true)
     sigma = prob.block_sigma(c, sa)[prob.slot_block]
     p = prob.slot_proj(u)
@@ -358,11 +361,11 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
 
     monkeypatch.setattr(sg.SageProblem, "elevation_terms", elevation)
     monkeypatch.setattr(sg.SageProblem, "azimuth_terms", azimuth)
-    coarse = ce.run_coarse(s.rx_noisy, s.setup)
-    sg.run_sage(s.rx_noisy, s.setup, coarse.params, max_cycles=3)
+    coarse = ce.run_coarse(s.obs_noisy, s.setup)
+    sg.run_sage(s.obs_noisy, s.setup, coarse.params, max_cycles=3)
     # starts on the rim c^2 + s^2 = 1 (psi_in at pi/2 or 3pi/2), where an
     # unclipped bracket would leave the physical set at once
-    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    prob = sg.SageProblem(s.obs_noisy, s.setup)
     for psi in (0.5 * np.pi, 1.5 * np.pi):
         for phi in (0.2, 1.0, 2.0, 2.9):
             params = s.true.copy()
@@ -389,7 +392,7 @@ def test_objective_zero_denominator(setup20):
 
 def test_coordinate_cycle_fixed_point(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_clean, s.setup)
+    prob = sg.SageProblem(s.obs_clean, s.setup)
     params = s.true.copy()
     trace = sg.coordinate_update_cycle(prob, params, 0)
     est, true = to_angles(params), to_angles(s.true)
@@ -405,7 +408,7 @@ def test_coordinate_cycle_fixed_point(setup20):
 
 def test_coordinate_cycle_ascent_any_input(setup20):
     s = setup20
-    prob = sg.SageProblem(s.rx_noisy, s.setup)
+    prob = sg.SageProblem(s.obs_noisy, s.setup)
     rng = np.random.default_rng(6)
     params = _random_params(s, rng)
     trace = sg.coordinate_update_cycle(prob, params, 1)
@@ -422,9 +425,9 @@ def test_run_sage_noiseless_ongrid(ongrid):
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     pilots = ch.make_pilots(cfg, geom.n_ms, 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
-    rx = ch.synthesize_rx(setup, true, noiseless=True)
-    coarse = ce.run_coarse(rx, setup)
-    refined, info = sg.run_sage(rx, setup, coarse.params)
+    obs = observe(synthesize_tensor(setup, true, noiseless=True), setup)
+    coarse = ce.run_coarse(obs, setup)
+    refined, info = sg.run_sage(obs, setup, coarse.params)
     assert info.monotone_ok
     est, ref = to_angles(refined), to_angles(true)
     assert np.max(np.abs(est.theta_t - ref.theta_t)) < 1e-6
@@ -437,8 +440,8 @@ def test_run_sage_noiseless_ongrid(ongrid):
 
 def test_run_sage_monotone_noisy(setup20):
     s = setup20
-    coarse = ce.run_coarse(s.rx_noisy, s.setup)
-    refined, info = sg.run_sage(s.rx_noisy, s.setup, coarse.params)
+    coarse = ce.run_coarse(s.obs_noisy, s.setup)
+    refined, info = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
     assert info.monotone_ok
     hist = np.asarray(info.loglik_history)
     assert np.all(np.diff(hist) >= -1e-8 * np.abs(hist[:-1]))
@@ -450,7 +453,7 @@ def test_run_sage_single_path_reduction(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
-    rx = ch.synthesize_rx(s.setup, single, noise_seed=9)
+    rx = observe(synthesize_tensor(s.setup, single, noise_seed=9), s.setup)
     init = single.copy()
     init.tau[0] += 3e-9
     init.u[0] = np.sin(np.arcsin(init.u[0]) + 0.01)
@@ -486,8 +489,9 @@ def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
                 geom, ch.draw_gains(setup.cfg, geom,
                                     np.random.default_rng(gain_seed)))
             sd = np.sqrt(np.diag(np.linalg.inv(bnd.fim_channel(true, setup))))
-            y = ch.synthesize_rx(setup, true,
-                                 noise_seed=np.random.default_rng(noise_seed))
+            y = observe(synthesize_tensor(
+                setup, true, noise_seed=np.random.default_rng(noise_seed)),
+                setup)
 
             rows = []
             for tight in (False, True):
@@ -515,8 +519,8 @@ def _sage_cases(setup20, exp):
         true = gm.true_channel_params(
             geom, ch.draw_gains(setup.cfg, geom,
                                 np.random.default_rng(gain_seed)))
-        y = ch.synthesize_rx(setup, true,
-                             noise_seed=np.random.default_rng(noise_seed))
+        y = synthesize_tensor(setup, true,
+                              noise_seed=np.random.default_rng(noise_seed))
         yield setup, y, true
 
 
@@ -534,14 +538,15 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
     """
     worst = 0.0
     for setup, y, true in _sage_cases(setup20, default_exp):
-        coarse = ce.run_coarse(y, setup)
-        refined, _ = sg.run_sage(y, setup, coarse.params)
+        obs = observe(y, setup)
+        coarse = ce.run_coarse(obs, setup)
+        refined, _ = sg.run_sage(obs, setup, coarse.params)
         perm = hn.associate_paths(refined.u, true.u)
         cov = np.linalg.inv(bnd.fim_channel(true, setup))
         sd = np.sqrt(np.diag(cov)).reshape(-1, 6)[np.argsort(perm)]
         sd_angle = np.sqrt(hn.angle_crlb(cov, true)).reshape(
             -1, 6)[np.argsort(perm)]
-        prob = sg.SageProblem(y, setup)
+        prob = sg.SageProblem(obs, setup)
         for _ in range(20):
             prev = refined.to_vector().reshape(-1, 6)
             for q in range(refined.n_paths):
@@ -582,10 +587,12 @@ def test_local_sage_stays_on_the_full_search_maximum(power, trial,
     """Trials on which local steps of up to 12.5 % of a bracket walked to
     another local maximum (a VLoS theta_t moved 0.609 -> 0.729 rad): with
     the 1 % step limit, SAGE ends within 0.1 CRLB sd of a run whose
-    searches are all full."""
+    searches are all full. The trials are observed from the received
+    tensors these cases were found on."""
     exp = hn.ExperimentConfig(master_seed=5, stage="sage", n_trials=30)
     p_idx = exp.powers_dbm.index(power)
     setup = hn.power_setup(exp, power)
+    monkeypatch.setattr(ch, "synthesize_rx", synthesize_via_tensor)
     rec = hn.run_trial(exp, power, p_idx, trial, setup)
     with monkeypatch.context() as m:
         m.setattr(sg, "maximize_1d", _full_search)
