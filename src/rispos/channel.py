@@ -220,7 +220,12 @@ class Setup:
     phase schedule; the known RIS-BS leg ``leg`` (the unit vector of
     bs - ris: its x component is sin theta_r0, its z and y components the
     c and s of the outgoing leg), the dictionaries, the BS steering
-    vector a_B and the path count Q+1 follow from them once.
+    vector a_B and the path count Q+1 follow from them once. So do the
+    products the estimators would otherwise form on every trial: the
+    (blocks, T) indicator ``block_sum`` whose row b sums the slots of
+    phase block b, the projected AOD dictionary ``aod_proj`` = X1^H A_M
+    over the first T1 slots, and the block-level RIS dictionary
+    ``ris_eff`` = block_phases @ A_R with its column powers.
     """
 
     geom: ScenarioGeometry
@@ -232,6 +237,10 @@ class Setup:
     leg: np.ndarray = field(init=False)
     a_b: np.ndarray = field(init=False)
     n_paths: int = field(init=False)
+    block_sum: np.ndarray = field(init=False)        # (blocks, T)
+    aod_proj: np.ndarray = field(init=False)         # (T1, G_ms)
+    ris_eff: np.ndarray = field(init=False)          # (blocks, G_r)
+    ris_eff_power: np.ndarray = field(init=False)    # (G_r,)
 
     def __post_init__(self):
         if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
@@ -242,6 +251,15 @@ class Setup:
         self.a_m_dict, self.ris_dict = build_dictionaries(self)
         self.a_b = bs_steering(self.geom, self.leg[0])
         self.n_paths = self.geom.n_scatterers + 1
+        sched = self.sched
+        self.block_sum = (sched.slot_block
+                          == np.arange(sched.n_blocks)[:, None]).astype(float)
+        self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
+                         @ self.a_m_dict.matrix)
+        self.ris_eff = sched.block_phases @ self.ris_dict.matrix
+        # unequal column norms (random phase profiles) must not bias a pick
+        self.ris_eff_power = np.maximum(
+            np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
 
 
 def ris_factors(setup: Setup, c, s) -> tuple:

@@ -3,10 +3,14 @@
 Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
 of those sines, per-path sparse recovery of the RIS arrival's c and s,
-and DFT-plus-rotation delay/gain estimation. Both recoveries are
-DCS-SOMP, every pick made by ``pick_columns`` from an M x M covariance
-C: the departure step passes the observation's cov1, ``dcs_somp`` forms
-C from its record. The dictionaries are grids of these absolute
+and DFT-plus-rotation delay/gain estimation. The departure recovery is
+DCS-SOMP, its picks made by ``pick_columns`` from the observation's
+T1 x T1 covariance cov1. The arrival recovery de-mixes all phase blocks
+with one batched solve and makes every path's 1-sparse pick from one
+product with the block-level RIS dictionary. The products that depend
+on the setup alone (the projected AOD dictionary, the block indicator,
+the block-level RIS dictionary) are built once per power by
+``channel.Setup``. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
 shortest, comes first. Each stage takes the ``channel.Observation``
@@ -46,10 +50,12 @@ class SompResult:
 
 
 def _check_gram(gram: np.ndarray, what: str) -> None:
-    """``RankDeficient`` unless the Hermitian Gram's condition is <= 1e12."""
+    """``RankDeficient`` unless each Hermitian Gram, (K, K) or a stack
+    (..., K, K), has a condition number <= 1e12."""
     if np.all(np.isfinite(gram)):
         eig = np.linalg.eigvalsh(gram)
-        if eig[0] > 0.0 and eig[-1] <= _COND_LIMIT * eig[0]:
+        low, high = eig[..., 0], eig[..., -1]
+        if np.all((low > 0.0) & (high <= _COND_LIMIT * low)):
             return
     raise RankDeficient(what)
 
@@ -92,41 +98,6 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     return SompResult(support, None, np.asarray(norms))
 
 
-def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
-             sparsity: int) -> SompResult:
-    """Simultaneous OMP with one support shared across subcarriers.
-
-    That is plain SOMP on the flattened (M, N L) record Y, its picks made
-    by ``pick_columns`` from C = Y Y^H; the coefficients and residual
-    norms are then computed from Y itself, so both are exact.
-
-    Parameters
-    ----------
-    measurements : (N, M, L) complex
-        Per-subcarrier measurement matrices sharing a row-sparse model.
-    dictionary : (M, G) complex
-    sparsity : int
-        Number of columns to select (one per propagation path).
-    """
-    y = np.asarray(measurements, dtype=complex)
-    if y.ndim == 2:
-        y = y[:, :, None]
-    n_sub, n_meas, n_col = y.shape
-    theta = np.asarray(dictionary, dtype=complex)
-    y_flat = y.transpose(1, 0, 2).reshape(n_meas, n_sub * n_col)
-    support = pick_columns(y_flat @ y_flat.conj().T, theta, sparsity).support
-    resid = y_flat
-    norms = [np.sqrt(np.vdot(resid, resid).real)]
-    for k in range(1, sparsity + 1):
-        sel = theta[:, support[:k]]
-        coef = _solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
-        resid = y_flat - sel @ coef
-        norms.append(np.sqrt(np.vdot(resid, resid).real))
-    return SompResult(support=support,
-                      coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
-                      residual_norms=np.asarray(norms))
-
-
 def estimate_aod_coarse(obs: Observation, setup: Setup):
     """Grid departure sines from the first T1 slots: DCS-SOMP's picks from
     the observation's ``cov1`` over the projected dictionary X1^H A_M.
@@ -134,8 +105,7 @@ def estimate_aod_coarse(obs: Observation, setup: Setup):
     Returns (u_hat, picks); u_hat[i] is the grid value of the i-th
     selected column, ``picks`` the support and residual norms.
     """
-    theta_m = setup.pilots[:, :setup.cfg.t1].conj().T @ setup.a_m_dict.matrix
-    res = pick_columns(obs.cov1, theta_m, setup.n_paths)
+    res = pick_columns(obs.cov1, setup.aod_proj, setup.n_paths)
     return setup.a_m_dict.grid[res.support], res
 
 
@@ -221,48 +191,46 @@ class AoaEstimate:
     clamped: np.ndarray         # (Q+1,) grid point projected onto the disk
 
 
-def _right_inverse(mat: np.ndarray) -> np.ndarray:
-    gram = mat @ mat.conj().T
-    _check_gram(gram, "block mixing matrix has no right inverse")
-    return mat.conj().T @ np.linalg.inv(gram)
-
-
 def estimate_ris_aoa(obs: Observation, setup: Setup,
                      u_hat: np.ndarray) -> AoaEstimate:
     """Recover per-path RIS arrival coordinates (c, s) and hybrid gains.
 
-    Scales the beamformed record pa by 1/N_B, de-mixes each phase
-    block with the right inverse of its pilot projection, then solves a
-    1-sparse recovery per path over the phase-profile dictionary. The
-    grids hold c and s in [-1, 1), so the picked point needs only its s
-    projected onto the disk, |s| <= sqrt(1 - c^2); ``clamped`` marks a
+    Scales the beamformed record pa by 1/N_B and de-mixes every phase
+    block at once: with p_t the slots' pilot projections (Q+1,), block b
+    has the Gram G_b = sum_{t in b} conj(p_t) p_t^T and the right-hand
+    side sum_{t in b} conj(p_t) pa_t^T, and one batched solve gives the
+    per-block path signals S (blocks, Q+1, N). Each path then makes a
+    1-sparse pick over the block-level dictionary D = ``setup.ris_eff``:
+    from Z = D^H S, path q takes the column g maximizing
+    ||Z[g, q]||^2 / ||d_g||^2, and its hybrid gain is Z[g, q] / ||d_g||^2.
+    The grids hold c and s in [-1, 1), so the picked point needs only its
+    s projected onto the disk, |s| <= sqrt(1 - c^2); ``clamped`` marks a
     path whose s moved.
     """
-    geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
-    n_paths = u_hat.size
-    ycheck = obs.pa / geom.n_bs                                     # (T, N)
+    geom, cfg = setup.geom, setup.cfg
+    block_sum = setup.block_sum                                 # (B, T)
+    n_blocks, n_slots = block_sum.shape
     proj = pilot_projection(geom, setup.pilots,
-                            np.atleast_1d(u_hat)).T                 # (Q+1, T)
+                            np.atleast_1d(u_hat))               # (T, Q+1)
+    n_paths = proj.shape[1]
+    if np.any(block_sum.sum(axis=1) < n_paths):
+        raise RankDeficient("phase block shorter than the path count")
+    ycheck = obs.pa / geom.n_bs                                 # (T, N)
 
-    blocks = []
-    for i in range(schedule.n_blocks):
-        slots = schedule.block_slots(i)
-        if slots.size < n_paths:
-            raise RankDeficient("phase block shorter than the path count")
-        b_i = proj[:, slots]                            # (Q+1, V_i)
-        pinv = _right_inverse(b_i)                      # (V_i, Q+1)
-        blocks.append(ycheck[slots, :].T @ pinv)        # (N, Q+1)
-    stacked = np.stack(blocks, axis=1)                  # (N, blocks, Q+1)
+    outer = proj.conj()[:, :, None] * proj[:, None, :]          # (T, Q+1, Q+1)
+    gram = (block_sum @ outer.reshape(n_slots, -1)).reshape(
+        n_blocks, n_paths, n_paths)
+    _check_gram(gram, "block mixing matrix has no right inverse")
+    rhs = proj.conj()[:, :, None] * ycheck[:, None, :]          # (T, Q+1, N)
+    rhs = (block_sum @ rhs.reshape(n_slots, -1)).reshape(n_blocks, n_paths, -1)
+    paths = np.linalg.solve(gram, rhs)                          # (B, Q+1, N)
 
     ris_dict = setup.ris_dict
-    dict_eff = schedule.block_phases @ ris_dict.matrix  # (blocks, G_r)
-
-    support = np.empty(n_paths, dtype=int)
-    delta_tilde = np.empty((n_paths, cfg.n_subcarriers), dtype=complex)
-    for q in range(n_paths):
-        res = dcs_somp(stacked[:, :, q][:, :, None], dict_eff, 1)
-        support[q] = res.support[0]
-        delta_tilde[q] = res.coeffs[:, 0, 0]
+    corr = (setup.ris_eff.conj().T @ paths.reshape(n_blocks, -1)).reshape(
+        ris_dict.size, n_paths, -1)                             # (G_r, Q+1, N)
+    power = setup.ris_eff_power[:, None]
+    support = np.argmax(np.sum(np.abs(corr) ** 2, axis=2) / power, axis=0)
+    delta_tilde = corr[support, np.arange(n_paths)] / power[support]
     k_el, k_az = divmod(support, cfg.g_ris_az)
     c = ris_dict.elevation.grid[k_el]
     s_grid = ris_dict.azimuth.grid[k_az]
@@ -295,7 +263,8 @@ def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
         return np.abs(rot @ base) / np.sqrt(n)
 
     half = 1.0 / (2.0 * bw)
-    dtau, _ = maximize_1d(peak_mag, -half, half, incumbent=0.0)
+    dtau, _ = maximize_1d(peak_mag, -half, half, n_grid=_N_GRID,
+                          incumbent=0.0)
     tau_hat = m0 / bw - dtau
     upsilon = tau_hat * bw / n
     if not 0.0 < upsilon < 1.0:

@@ -99,9 +99,6 @@ class SageProblem:
         self.pa0 = obs.pa                                # (T, N)
         self._ab_sq = float(np.real(np.vdot(setup.a_b, setup.a_b)))
         self.slot_block = sched.slot_block               # (T,)
-        # (blocks, T) indicator: row b sums the slots of phase block b
-        self._block_sum = (sched.slot_block
-                           == np.arange(sched.n_blocks)[:, None]).astype(float)
         self._den_scale = geom.n_bs * setup.cfg.n_subcarriers
         # block phases as (B, N_el, N_az) and (B, N_az, N_el)
         self._phases = sched.block_phases.reshape(-1, geom.n_ris_el,
@@ -157,8 +154,9 @@ class SageProblem:
         """RIS search at de-rotated r (T,) and projections p (T,): the
         block phases with the fixed factor folded in, (B, n_steer), times
         ``steer`` of each candidate."""
-        k = self._block_sum @ (r * p.conj())
-        d = self._den_scale * (self._block_sum @ np.abs(p) ** 2)
+        block_sum = self.setup.block_sum
+        k = block_sum @ (r * p.conj())
+        d = self._den_scale * (block_sum @ np.abs(p) ** 2)
 
         def terms(x):
             sigma_b = folded @ steer(x)

@@ -1,13 +1,15 @@
 """Test oracles: the node angles and the angle-domain channel model, the
 long-way channel builders, the received tensor and its two statistics,
 the out-of-place noisy synthesis, the full-tensor SAGE path objective,
-the full-stack concentrated AOD objective, the correlation-tensor
-DCS-SOMP, the UPA steering vector, the vector-to-params map, the field
-derivatives as a tensor, the angle-domain Fisher information and
-Jacobian, and the exhaustive path association. The package keeps only
-the fast forms, in the arrays' spatial frequencies (u, c, s), and never
-forms the (N_b, T, N) received tensor; these reference implementations,
-most of them in angles, check them.
+the full-stack concentrated AOD objective, DCS-SOMP on a record (its
+covariance form and the correlation-tensor form), the RIS arrival step
+one phase block and one path at a time, the UPA steering vector, the
+vector-to-params map, the field derivatives as a tensor, the
+angle-domain Fisher information and Jacobian, and the exhaustive path
+association. The package keeps only the fast forms, in the arrays'
+spatial frequencies (u, c, s), and never forms the (N_b, T, N) received
+tensor; these reference implementations, most of them in angles, check
+them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
@@ -22,8 +24,8 @@ from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import coarse_est as ce
 from rispos.errors import (DegenerateGeometry, DimensionMismatch,
-                           SingularConcentration, SparsityInfeasible,
-                           ZeroDenominator)
+                           RankDeficient, SingularConcentration,
+                           SparsityInfeasible, ZeroDenominator)
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
 from rispos.params import ChannelParams, PositionParams
 
@@ -417,6 +419,89 @@ def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
         np.subtract(proj_y, psi, out=psi)
     return ce.SompResult(support=support, coeffs=coeffs,
                          residual_norms=np.asarray(norms))
+
+
+def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
+             sparsity: int) -> ce.SompResult:
+    """Simultaneous OMP with one support shared across subcarriers.
+
+    That is plain SOMP on the flattened (M, N L) record Y, its picks made
+    by ``pick_columns`` from C = Y Y^H; the coefficients and residual
+    norms are then computed from Y itself, so both are exact.
+
+    Parameters
+    ----------
+    measurements : (N, M, L) complex
+        Per-subcarrier measurement matrices sharing a row-sparse model.
+    dictionary : (M, G) complex
+    sparsity : int
+        Number of columns to select (one per propagation path).
+    """
+    y = np.asarray(measurements, dtype=complex)
+    if y.ndim == 2:
+        y = y[:, :, None]
+    n_sub, n_meas, n_col = y.shape
+    theta = np.asarray(dictionary, dtype=complex)
+    y_flat = y.transpose(1, 0, 2).reshape(n_meas, n_sub * n_col)
+    support = ce.pick_columns(y_flat @ y_flat.conj().T, theta,
+                              sparsity).support
+    resid = y_flat
+    norms = [np.sqrt(np.vdot(resid, resid).real)]
+    for k in range(1, sparsity + 1):
+        sel = theta[:, support[:k]]
+        coef = ce._solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
+        resid = y_flat - sel @ coef
+        norms.append(np.sqrt(np.vdot(resid, resid).real))
+    return ce.SompResult(
+        support=support,
+        coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
+        residual_norms=np.asarray(norms))
+
+
+def _right_inverse(mat: np.ndarray) -> np.ndarray:
+    gram = mat @ mat.conj().T
+    ce._check_gram(gram, "block mixing matrix has no right inverse")
+    return mat.conj().T @ np.linalg.inv(gram)
+
+
+def ris_aoa_loop(obs: ch.Observation, setup: ch.Setup, u_hat: np.ndarray,
+                 somp=dcs_somp) -> ce.AoaEstimate:
+    """``coarse_est.estimate_ris_aoa`` one block and one path at a time:
+    each phase block de-mixed with the right inverse of its pilot
+    projection, then one 1-sparse ``somp`` call per path over
+    block_phases @ A_R."""
+    geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
+    n_paths = u_hat.size
+    ycheck = obs.pa / geom.n_bs                                     # (T, N)
+    proj = ch.pilot_projection(geom, setup.pilots,
+                               np.atleast_1d(u_hat)).T              # (Q+1, T)
+
+    blocks = []
+    for i in range(schedule.n_blocks):
+        slots = schedule.block_slots(i)
+        if slots.size < n_paths:
+            raise RankDeficient("phase block shorter than the path count")
+        b_i = proj[:, slots]                            # (Q+1, V_i)
+        pinv = _right_inverse(b_i)                      # (V_i, Q+1)
+        blocks.append(ycheck[slots, :].T @ pinv)        # (N, Q+1)
+    stacked = np.stack(blocks, axis=1)                  # (N, blocks, Q+1)
+
+    ris_dict = setup.ris_dict
+    dict_eff = schedule.block_phases @ ris_dict.matrix  # (blocks, G_r)
+
+    support = np.empty(n_paths, dtype=int)
+    delta_tilde = np.empty((n_paths, cfg.n_subcarriers), dtype=complex)
+    for q in range(n_paths):
+        res = somp(stacked[:, :, q][:, :, None], dict_eff, 1)
+        support[q] = res.support[0]
+        delta_tilde[q] = res.coeffs[:, 0, 0]
+    k_el, k_az = divmod(support, cfg.g_ris_az)
+    c = ris_dict.elevation.grid[k_el]
+    s_grid = ris_dict.azimuth.grid[k_az]
+    rim = np.sqrt(1.0 - c * c)
+    s = np.clip(s_grid, -rim, rim)
+    return ce.AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
+                          clamped=s != s_grid)
 
 
 def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (bs_steering, concentrated_aod_objective, dcs_somp_tensor,
-                     ms_steering, observe, synthesize_tensor, to_angles,
-                     trial_tensor)
+from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
+                     dcs_somp_tensor, ms_steering, observe, ris_aoa_loop,
+                     synthesize_tensor, to_angles, trial_tensor)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -22,7 +22,7 @@ def test_dcs_somp_one_sparse_exact():
     truth = 17
     coeff = np.array([2.0 - 1j, -0.5 + 0.3j, 1j])
     y = np.stack([theta[:, truth][:, None] * c for c in coeff])
-    res = ce.dcs_somp(y, theta, 1)
+    res = dcs_somp(y, theta, 1)
     assert res.support == [truth]
     assert_allclose(res.coeffs[:, 0, 0], coeff, atol=1e-12)
     assert res.residual_norms[-1] < 1e-12
@@ -38,7 +38,7 @@ def test_dcs_somp_orthonormal_zero_residual():
     for s in support_true:
         y += theta[:, s][None, :, None] * (
             rng.standard_normal((4, 1, 1)) + 1j * rng.standard_normal((4, 1, 1)))
-    res = ce.dcs_somp(y, theta, 3)
+    res = dcs_somp(y, theta, 3)
     assert sorted(res.support) == support_true
     assert res.residual_norms[-1] < 1e-12
 
@@ -47,7 +47,7 @@ def test_dcs_somp_residual_monotone():
     rng = np.random.default_rng(2)
     theta = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
     y = rng.standard_normal((5, 16, 2)) + 1j * rng.standard_normal((5, 16, 2))
-    res = ce.dcs_somp(y, theta, 8)
+    res = dcs_somp(y, theta, 8)
     assert np.all(np.diff(res.residual_norms) <= 1e-12)
 
 
@@ -55,7 +55,7 @@ def test_dcs_somp_sparsity_infeasible():
     theta = np.eye(4, dtype=complex)
     y = np.zeros((1, 4, 1), dtype=complex)
     with pytest.raises(SparsityInfeasible):
-        ce.dcs_somp(y, theta, 5)
+        dcs_somp(y, theta, 5)
 
 
 def _complex_normal(rng, *shape):
@@ -79,7 +79,7 @@ def test_dcs_somp_matches_tensor_oracle(n_sub, n_meas, n_col, n_dict,
                   _complex_normal(rng, n_sub, sparsity, n_col))
     if noisy:
         y += 0.3 * _complex_normal(rng, n_sub, n_meas, n_col)
-    res = ce.dcs_somp(y, theta, sparsity)
+    res = dcs_somp(y, theta, sparsity)
     ref = dcs_somp_tensor(y, theta, sparsity)
     assert res.support == ref.support
     assert sorted(res.support) == sorted(cols)
@@ -89,44 +89,45 @@ def test_dcs_somp_matches_tensor_oracle(n_sub, n_meas, n_col, n_dict,
                     atol=1e-12 * ref.residual_norms[0])
 
 
-def test_coarse_stages_pick_the_oracle_columns(monkeypatch):
+def test_coarse_stages_pick_the_oracle_columns():
     """Over 10 reference trials per power, built from their received
     tensors, the stages of stage ``aod_mle`` select the same dictionary
     columns as the correlation-tensor oracle: ``estimate_aod_coarse``
     from the observation's covariance as ``dcs_somp_tensor`` on the
-    first T1 slots of the tensor, and ``estimate_ris_aoa`` as a run with
-    the oracle patched in for ``dcs_somp``."""
+    first T1 slots of the tensor, and ``estimate_ris_aoa`` as the
+    per-block, per-path loop running ``dcs_somp_tensor``."""
     exp = hn.ExperimentConfig(n_trials=10, stage="aod_mle")
     setups = [hn.power_setup(exp, p) for p in exp.powers_dbm]
 
-    def picks(somp):
-        calls = []
-
-        def recorded(*args):
-            res = somp(*args)
-            calls.append(res.support)
-            return res
-        monkeypatch.setattr(ce, "dcs_somp", recorded)
+    def picks(oracle):
+        calls, gains = [], []
         for p_idx, setup in enumerate(setups):
             t1 = setup.cfg.t1
             theta_m = setup.pilots[:, :t1].conj().T @ setup.a_m_dict.matrix
             for trial in range(exp.n_trials):
                 _, y = trial_tensor(exp, setup, p_idx, trial)
                 obs = observe(y, setup)
-                if somp is dcs_somp_tensor:
-                    res = recorded(y[:, :t1, :].conj().transpose(2, 1, 0),
-                                   theta_m, setup.n_paths)
+                if oracle:
+                    res = dcs_somp_tensor(
+                        y[:, :t1, :].conj().transpose(2, 1, 0), theta_m,
+                        setup.n_paths)
                     u_hat = setup.a_m_dict.grid[res.support]
                 else:
                     u_hat, res = ce.estimate_aod_coarse(obs, setup)
-                    calls.append(res.support)
+                calls.append(res.support)
                 u_hat = ce.refine_aod_mle(obs, setup, u_hat)
-                ce.estimate_ris_aoa(obs, setup, u_hat)
-        return calls
+                aoa = (ris_aoa_loop(obs, setup, u_hat, dcs_somp_tensor)
+                       if oracle else ce.estimate_ris_aoa(obs, setup, u_hat))
+                calls.append((aoa.c.tolist(), aoa.s.tolist(),
+                              aoa.clamped.tolist()))
+                gains.append(aoa.delta_tilde)
+        return calls, np.array(gains)
 
-    fast = picks(ce.dcs_somp)
-    assert len(fast) == 4 * 10 * (1 + setups[0].n_paths)
-    assert fast == picks(dcs_somp_tensor)
+    fast, fast_gains = picks(False)
+    assert len(fast) == 4 * 10 * 2
+    ref, ref_gains = picks(True)
+    assert fast == ref
+    assert_allclose(fast_gains, ref_gains, rtol=1e-9, atol=0.0)
 
 
 def test_covariance_picks_equal_dcs_somp_picks():
@@ -142,7 +143,7 @@ def test_covariance_picks_equal_dcs_somp_picks():
         for trial in range(50):
             _, y = trial_tensor(exp, setup, p_idx, trial)
             _, picks = ce.estimate_aod_coarse(observe(y, setup), setup)
-            ref = ce.dcs_somp(y[:, :t1, :].conj().transpose(2, 1, 0),
+            ref = dcs_somp(y[:, :t1, :].conj().transpose(2, 1, 0),
                               theta_m, setup.n_paths)
             assert picks.support == ref.support, (power, trial)
             assert picks.coeffs is None
@@ -348,6 +349,110 @@ def test_ris_aoa_zero_difference(setup20):
     assert aoa.c[0] == pytest.approx(c_out, abs=1e-15)
     assert aoa.s[0] == pytest.approx(s_out, abs=1e-15)
     assert not aoa.clamped[0]
+
+
+def _sweep_observations(exp, setup, p_idx, n_trials):
+    """Observations of the first sweep trials at one power, drawn from
+    the seeds ``harness.run_trial`` uses, with their coarse departure
+    sines."""
+    for trial in range(n_trials):
+        gain_seed, noise_seed = np.random.SeedSequence(
+            (exp.master_seed, hn._TAG_TRIAL, p_idx, trial)).spawn(2)
+        true = gm.true_channel_params(setup.geom, ch.draw_gains(
+            setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
+        obs = ch.synthesize_rx(setup, true, np.random.default_rng(noise_seed))
+        yield obs, ce.estimate_aod_coarse(obs, setup)[0]
+
+
+def _assert_same_aoa(aoa, ref, what):
+    assert aoa.c.tolist() == ref.c.tolist(), what
+    assert aoa.s.tolist() == ref.s.tolist(), what
+    assert aoa.clamped.tolist() == ref.clamped.tolist(), what
+    gap = np.linalg.norm(aoa.delta_tilde - ref.delta_tilde, axis=1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref.delta_tilde, axis=1)), what
+
+
+def test_batched_ris_aoa_matches_the_per_path_loop():
+    """On 50 sweep trials per power (master seed 77), the one-solve,
+    one-product arrival step makes the per-block, per-path loop's picks
+    and clamps, its hybrid gains within 1e-12 relative."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    n_draws = 0
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        for trial, (obs, u_hat) in enumerate(
+                _sweep_observations(exp, setup, p_idx, 50)):
+            _assert_same_aoa(ce.estimate_ris_aoa(obs, setup, u_hat),
+                             ris_aoa_loop(obs, setup, u_hat), (power, trial))
+            n_draws += 1
+    assert n_draws == 200
+
+
+@pytest.mark.parametrize("layout", ["permuted", "unequal"])
+def test_batched_ris_aoa_on_irregular_schedules(layout):
+    """Phase blocks need neither contiguous slots nor equal lengths: on a
+    schedule with its slots permuted, and on one with blocks of 2 to 10
+    slots, the arrival step makes the loop's picks."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    base = hn.power_setup(exp, 20.0)
+    rng = np.random.default_rng(5)
+    if layout == "permuted":
+        slot_block = rng.permutation(base.sched.slot_block)
+    else:
+        lengths = [10, 2, 5, 3, 4, 2, 7, 4]
+        slot_block = np.repeat(np.arange(len(lengths)), lengths)
+        slot_block = slot_block[rng.permutation(slot_block.size)]
+    assert slot_block.size == base.cfg.t_total
+    assert np.any(np.diff(slot_block) < 0)          # blocks interleave
+    sched = ch.PhaseSchedule(base.sched.block_phases, slot_block)
+    setup = ch.Setup(base.geom, base.cfg, base.pilots, sched)
+    for trial, (obs, u_hat) in enumerate(
+            _sweep_observations(exp, setup, 3, 20)):
+        _assert_same_aoa(ce.estimate_ris_aoa(obs, setup, u_hat),
+                         ris_aoa_loop(obs, setup, u_hat), trial)
+
+
+def test_ris_aoa_colliding_departures_rank_deficient(setup20):
+    """Equal departure sines leave every block's mixing Gram singular."""
+    s = setup20
+    u_hat = np.array([0.3, 0.3])
+    with pytest.raises(RankDeficient):
+        ris_aoa_loop(s.obs_noisy, s.setup, u_hat)
+    with pytest.raises(RankDeficient):
+        ce.estimate_ris_aoa(s.obs_noisy, s.setup, u_hat)
+
+
+def test_estimate_toa_matches_brute_force():
+    """On 200 random (delay, noise) draws, a quarter of them within 0.05
+    bin of a bracket end, the 41-point delay search lands within 1e-6 bin
+    of a 4,001-point scan of the rotation bracket plus a parabolic step
+    through its best triple (the scan's end point when that is best)."""
+    cfg = ch.SystemConfig()
+    n, bw = cfg.n_subcarriers, cfg.bandwidth
+    k = np.arange(n)
+    half = 1.0 / (2.0 * bw)
+    xs = np.linspace(-half, half, 4001)
+    rng = np.random.default_rng(2024)
+    for draw in range(200):
+        frac = (rng.uniform(-0.05, 0.05) + rng.choice([-0.5, 0.5])
+                if draw % 4 == 0 else rng.uniform(-0.5, 0.5))
+        tau = (rng.integers(2, n - 2) + frac) / bw
+        noise = rng.uniform(0.0, 0.3)
+        d = (np.exp(2j * np.pi * rng.uniform()) * np.exp(
+            -2j * np.pi * k * tau * bw / n)
+             + noise * (rng.standard_normal(n)
+                        + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
+        _, _, m_bin, dtau = ce.estimate_toa(d, cfg)
+
+        base = d * np.exp(2j * np.pi * k * (m_bin - 1) / n)
+        vals = np.abs(np.exp(-2j * np.pi * np.multiply.outer(xs, k) * bw / n)
+                      @ base)
+        j = int(np.argmax(vals))
+        best = xs[j]
+        if 0 < j < xs.size - 1:
+            v1, v2, v3 = vals[j - 1:j + 2]
+            best += 0.5 * (xs[1] - xs[0]) * (v1 - v3) / (v1 - 2.0 * v2 + v3)
+        assert abs(dtau - best) * bw < 1e-6, (draw, tau * bw, noise)
 
 
 def test_estimate_toa_on_bin():
