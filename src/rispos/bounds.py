@@ -69,7 +69,13 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
     contributes the antenna count. With each derivative the outer product
     of its factors, the sum is Re{(A^H A) o (B^H B)}, o entrywise.
     """
-    a, b = derivative_factors(params, setup)
+    return fim_from_factors(*derivative_factors(params, setup), setup)
+
+
+def fim_from_factors(a: np.ndarray, b: np.ndarray, setup: Setup) -> np.ndarray:
+    """The channel FIM (2 N_B / sigma^2) Re{(A^H A) o (B^H B)} from the
+    ``derivative_factors`` A and B; the one formula ``fim_channel`` and
+    the Fisher-scoring steps of ``sage.run_sage`` share."""
     return (2.0 * setup.geom.n_bs / setup.cfg.noise_power
             * np.real((a.conj().T @ a) * (b.conj().T @ b)))
 

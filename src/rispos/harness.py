@@ -336,6 +336,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         rec.support_ok = _support_matches(coarse.params, true, cfg.g_ms)
         rec.flags.update(coarse.flags)
         est = coarse.params
+        j_est = None
 
         if exp.stage in ("sage", "lm"):
             refined, info = sg.run_sage(obs, setup, est)
@@ -343,7 +344,11 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
             rec.sq_errors["sage"] = channel_sq_errors(refined, true)
             rec.flags["sage_converged"] = info.converged
             rec.flags["sage_monotone"] = info.monotone_ok
-            est = refined
+            rec.flags["sage_scoring_steps"] = info.scoring_steps
+            rec.flags["sage_fallback"] = info.fallback
+            # the FIM of SAGE's last scoring step, when it converged, is
+            # fim_channel at the estimate
+            est, j_est = refined, info.fim
 
         pos0, pflags = pos_mod.position_closed_form(est, geom.ris, geom.bs)
         rec.stages["closed_form"] = pos0.to_vector()
@@ -351,7 +356,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         rec.flags.update(pflags)
 
         if exp.stage == "lm":
-            j_est = bnd.fim_channel(est, setup)
+            if j_est is None:
+                j_est = bnd.fim_channel(est, setup)
             pos_ref, diag = pos_mod.refine_position_lm(
                 est.to_vector(), j_est, pos0, geom.ris, geom.bs)
             rec.stages["lm"] = pos_ref.to_vector()

@@ -68,6 +68,13 @@ class ChannelParams:
         ])
         return cols.ravel()
 
+    @classmethod
+    def from_vector(cls, vec: np.ndarray) -> "ChannelParams":
+        """Inverse of ``to_vector``."""
+        rows = np.asarray(vec, dtype=float).reshape(-1, 6)
+        return cls(rows[:, 0], rows[:, 1] + 1j * rows[:, 2], rows[:, 3],
+                   rows[:, 4], rows[:, 5])
+
     def copy(self) -> "ChannelParams":
         return ChannelParams(self.tau.copy(), self.gains.copy(), self.u.copy(),
                              self.c.copy(), self.s.copy())

@@ -123,12 +123,6 @@ def _weight_matrix(j_eta: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, floor)) @ vecs.T
 
 
-def _map_and_jacobian(pos: PositionParams, ris, bs):
-    eta = forward_map_G(pos, ris, bs).to_vector()
-    jac = transformation_matrix(pos, ris, bs).T     # d eta / d eta~
-    return eta, jac
-
-
 def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
                        pos_init: PositionParams,
                        ris: np.ndarray, bs: np.ndarray
@@ -137,15 +131,17 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
 
     The residual is the estimated channel vector minus the geometric map
     of the position parameters; accepted steps never increase the
-    objective and the damping never accepts an increasing one.
+    objective and the damping never accepts an increasing one. A
+    candidate costs one ``forward_map_G``; the Jacobian d eta / d eta~ is
+    built only at accepted points.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
     weight = _weight_matrix(j_eta)
 
     x = pos_init.to_vector()
     diag = LmDiagnostics()
-    eta, jac = _map_and_jacobian(pos_init, ris, bs)
-    r = eta_hat - eta
+    r = eta_hat - forward_map_G(pos_init, ris, bs).to_vector()
+    jac = transformation_matrix(pos_init, ris, bs).T
     obj = float(r @ weight @ r)
     diag.objective_history.append(obj)
 
@@ -173,11 +169,10 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
             try:
                 if not 0.0 <= pos_new.alpha < np.pi:
                     raise DegenerateGeometry("step left the rotation domain")
-                eta_new, jac_new = _map_and_jacobian(pos_new, ris, bs)
+                r_new = eta_hat - forward_map_G(pos_new, ris, bs).to_vector()
             except DegenerateGeometry:
                 lam *= _LM_DAMPING_UP
                 continue
-            r_new = eta_hat - eta_new
             obj_new = float(r_new @ weight @ r_new)
             if obj_new <= obj:
                 accepted = True
@@ -186,7 +181,9 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
         if not accepted:
             diag.stalled = True
             break
-        x, eta, jac, r, obj = x_new, eta_new, jac_new, r_new, obj_new
+        # forward_map_G accepted pos_new, so its legs are non-degenerate
+        jac = transformation_matrix(pos_new, ris, bs).T
+        x, r, obj = x_new, r_new, obj_new
         diag.objective_history.append(obj)
         if obj < best_obj:
             best_x, best_obj = x.copy(), obj

@@ -43,7 +43,18 @@ in the elevation search, |s| <= sqrt(1 - c^2) in the azimuth search.
 The pole c = +-1 is a regular point of that disk, which a search can
 leave along c.
 
-The first cycle runs every search in full. Later cycles start within a
+The first cycle runs every search in full and finds the basin. From its
+point, at most ``_SCORING_STEPS`` joint Fisher-scoring steps (Kay,
+Estimation Theory, 1993, sec. 7.7) refine all paths at once. The score
+is (2/sigma^2) Re diag(A^H E conj(B)) with E = pa - N_B ``model_field``,
+the FIM (2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, both from
+``bounds.derivative_factors``. A step is halved until the global
+log-likelihood does not fall and the point stays in |u| <= 1,
+c^2 + s^2 <= 1. Scoring has converged when step^T J step < 1e-6 at the
+current point; that J is returned in ``SageInfo.fim`` and equals
+``bounds.fim_channel`` at the estimate. When scoring does not converge,
+its point is dropped and coordinate cycles continue from the cycle-1
+point, as a run without scoring would. Those cycles start within a
 small fraction of a cell of each maximum and take ``maximize_1d``'s
 local path: SAGE is a generalized EM, so an M-step need only not lower
 its objective, which the incumbent rule guarantees.
@@ -61,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds as bnd
 from ._search import maximize_1d
 from .channel import (Observation, Setup, model_field, ms_sine_steering,
                       path_factors, ris_factors, subcarrier_ramp)
@@ -71,16 +83,29 @@ from .params import ChannelParams
 UPDATE_ORDER = ("tau", "u", "c", "s", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
+_SCORING_STEPS = 5            # Fisher-scoring steps after the first cycle
+_SCORING_TOL = 1e-6           # step^T J step that ends scoring
+_SCORING_HALVINGS = 30        # step halvings before scoring gives up
 
 
 @dataclass
 class SageInfo:
-    """Convergence diagnostics of one SAGE run."""
+    """Convergence diagnostics of one SAGE run.
+
+    ``loglik_history`` holds the start, each coordinate cycle and each
+    kept scoring step. ``scoring_steps`` counts the accepted scoring
+    steps, kept or not; ``fallback`` is set when scoring did not converge
+    and the cycles went on from the cycle-1 point. ``fim`` is the channel
+    FIM at the returned estimate when scoring converged, else None.
+    """
 
     loglik_history: list = field(default_factory=list)
     n_cycles: int = 0
     converged: bool = False
     monotone_ok: bool = True
+    scoring_steps: int = 0
+    fallback: bool = False
+    fim: np.ndarray | None = None
 
 
 class SageProblem:
@@ -256,14 +281,64 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     return trace
 
 
+def fisher_scoring(obs: Observation, setup: Setup, params: ChannelParams,
+                   lamb: float):
+    """At most ``_SCORING_STEPS`` Fisher-scoring steps from ``params``,
+    whose global log-likelihood is ``lamb``.
+
+    Returns (params, fim, log-likelihoods of the accepted steps). ``fim``
+    is the FIM at the returned point when step^T J step fell below
+    ``_SCORING_TOL`` there, and None when scoring did not converge: the
+    step budget ran out, no halving of a step kept the likelihood and
+    the physical set, or the FIM could not be solved.
+    """
+    n_bs = setup.geom.n_bs
+    score_scale = 2.0 / setup.cfg.noise_power
+    history = []
+    for n_steps in range(_SCORING_STEPS + 1):
+        a, b = bnd.derivative_factors(params, setup)
+        fim = bnd.fim_from_factors(a, b, setup)
+        resid = obs.pa - n_bs * model_field(params, setup)
+        score = score_scale * np.real(
+            np.sum((a.conj().T @ resid) * b.conj().T, axis=1))
+        d = np.sqrt(np.diag(fim))
+        if not np.all(d > 0.0):
+            break
+        try:
+            step = np.linalg.solve(fim / np.outer(d, d), score / d) / d
+        except np.linalg.LinAlgError:
+            break
+        if step @ fim @ step < _SCORING_TOL:
+            return params, fim, history
+        if n_steps == _SCORING_STEPS:
+            break
+        x = params.to_vector()
+        for _ in range(_SCORING_HALVINGS):
+            cand = ChannelParams.from_vector(x + step)
+            if (np.all(np.abs(cand.u) <= 1.0)
+                    and np.all(cand.c ** 2 + cand.s ** 2 <= 1.0)):
+                new_lamb = global_log_likelihood(cand, obs, setup)
+                if new_lamb >= lamb:
+                    break
+            step = 0.5 * step
+        else:
+            break
+        params, lamb = cand, new_lamb
+        history.append(lamb)
+    return params, None, history
+
+
 def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
              max_cycles: int = 50) -> tuple[ChannelParams, SageInfo]:
     """Refine all channel parameters from the coarse initialization.
 
     Paths are visited cyclically; termination is checked after each full
     cycle on the elementwise parameter change and on the global
-    log-likelihood change. Hitting the cycle limit leaves ``converged``
-    False but still returns the current estimate.
+    log-likelihood change. When the first cycle does not end the run and
+    more cycles are allowed, Fisher scoring (``fisher_scoring``) takes
+    over; if it does not converge, the cycles go on from the cycle-1
+    point. Hitting the cycle limit leaves ``converged`` False but still
+    returns the current estimate.
     """
     params = init.copy()
     prob = SageProblem(obs, setup)
@@ -292,4 +367,12 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
             info.converged = True
             break
         lamb = new_lamb
+        if cycle == 0 and max_cycles > 1:
+            scored, fim, history = fisher_scoring(obs, setup, params, lamb)
+            info.scoring_steps = len(history)
+            if fim is not None:
+                info.loglik_history.extend(history)
+                info.converged, info.fim = True, fim
+                return scored, info
+            info.fallback = True
     return params, info

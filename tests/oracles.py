@@ -5,11 +5,11 @@ the full-stack concentrated AOD objective, DCS-SOMP on a record (its
 covariance form and the correlation-tensor form), the RIS arrival step
 one phase block and one path at a time, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
-angle-domain Fisher information and Jacobian, and the exhaustive path
-association. The package keeps only the fast forms, in the arrays'
-spatial frequencies (u, c, s), and never forms the (N_b, T, N) received
-tensor; these reference implementations, most of them in angles, check
-them.
+angle-domain Fisher information and Jacobian, the exhaustive path
+association, and SAGE by coordinate cycles alone. The package keeps
+only the fast forms, in the arrays' spatial frequencies (u, c, s), and
+never forms the (N_b, T, N) received tensor; these reference
+implementations, most of them in angles, check them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
@@ -23,6 +23,7 @@ from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import coarse_est as ce
+from rispos import sage as sg
 from rispos.errors import (DegenerateGeometry, DimensionMismatch,
                            RankDeficient, SingularConcentration,
                            SparsityInfeasible, ZeroDenominator)
@@ -641,3 +642,27 @@ def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
                          scatterers=geom.scatterers)
     return bnd.position_bounds(
         j_eta, transformation_matrix_angles(pos, geom.ris, geom.bs))
+
+
+def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
+                max_cycles: int = 50) -> ChannelParams:
+    """``sage.run_sage`` without Fisher scoring: full-search first cycle,
+    local cycles after it, the same stopping rule. A run that falls back
+    from scoring must end where this does."""
+    params = init.copy()
+    prob = sg.SageProblem(obs, setup)
+    eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
+                  init.n_paths)
+    for q, gain in enumerate(init.gains):
+        eps[6 * q + 1:6 * q + 3] = 1e-6 * max(abs(gain), 1e-30)
+    lamb = sg.global_log_likelihood(params, obs, setup)
+    for cycle in range(max_cycles):
+        prev_vec = params.to_vector()
+        for q in range(params.n_paths):
+            sg.coordinate_update_cycle(prob, params, q, local=cycle > 0)
+        new_lamb = sg.global_log_likelihood(params, obs, setup)
+        if np.all(np.abs(params.to_vector() - prev_vec) <= eps) or \
+                abs(new_lamb - lamb) <= sg._EPS_LOGLIK_REL * abs(lamb):
+            break
+        lamb = new_lamb
+    return params

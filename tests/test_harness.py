@@ -12,8 +12,11 @@ import pytest
 
 from conftest import sample_layout
 from oracles import min_association_cost
+from rispos import bounds as bnd
 from rispos import cli
 from rispos import harness as hn
+from rispos import positioning as pos_mod
+from rispos import sage as sg
 from rispos.errors import IoError
 from rispos.params import PositionParams
 
@@ -372,6 +375,51 @@ def test_cli_trial_matches_sweep_trial(capsys):
     assert list(payload["stages"]) == list(rec.stages)
     for stage, vec in rec.stages.items():
         assert np.array_equal(np.asarray(payload["stages"][stage]), vec)
+
+
+@pytest.mark.parametrize("power,trial,fallback", [(20.0, 0, False),
+                                                  (-10.0, 21, True)])
+def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
+    """An lm trial whose SAGE scoring converged weights LM with scoring's
+    last FIM, which is ``fim_channel`` at the SAGE estimate bit for bit,
+    and so calls ``fim_channel`` once (the bounds at the truth), one
+    call fewer than a trial that fell back (master seed 77)."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    setup = hn.power_setup(exp, power)
+    seen = {"fim_calls": 0}
+    fim_channel, run_sage = bnd.fim_channel, sg.run_sage
+    refine = pos_mod.refine_position_lm
+
+    def counted(*args):
+        seen["fim_calls"] += 1
+        return fim_channel(*args)
+
+    def sage(*args, **kwargs):
+        out = run_sage(*args, **kwargs)
+        seen["sage"] = out[0]
+        return out
+
+    def lm(eta_hat, j_eta, *args):
+        seen["j_eta"] = j_eta
+        return refine(eta_hat, j_eta, *args)
+    monkeypatch.setattr(bnd, "fim_channel", counted)
+    monkeypatch.setattr(sg, "run_sage", sage)
+    monkeypatch.setattr(pos_mod, "refine_position_lm", lm)
+    rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, setup)
+    assert rec.error is None
+    assert rec.flags["sage_fallback"] is fallback
+    assert seen["fim_calls"] == (2 if fallback else 1)
+    assert np.array_equal(seen["j_eta"], fim_channel(seen["sage"], setup))
+
+
+def test_cli_trial_prints_scoring_flags(capsys):
+    """``rispos trial`` reports SAGE's scoring steps and its fall-back."""
+    assert cli.main(["trial", "--seed", "77", "--power", "-10",
+                     "--trial", "21"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] is None
+    assert payload["flags"]["sage_fallback"] is True
+    assert payload["flags"]["sage_scoring_steps"] > 0
 
 
 def test_cli_trial_unknown_power(capsys):

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from conftest import sample_layout
 from oracles import channel_params_from_vector, to_angles
 from rispos import bounds as bnd
+from rispos import channel as ch
 from rispos import geometry as gm
+from rispos import harness as hn
 from rispos import positioning as po
 from rispos.errors import InfeasibleGeometry, SingularDenominator
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
@@ -179,7 +181,8 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
     pos0.alpha = np.pi - 1e-6
-    eta0, jac = po._map_and_jacobian(pos0, default_geom.ris, default_geom.bs)
+    eta0 = gm.forward_map_G(pos0, default_geom.ris, default_geom.bs).to_vector()
+    jac = bnd.transformation_matrix(pos0, default_geom.ris, default_geom.bs).T
     # data whose Gauss-Newton step from pos0 raises alpha by 0.01
     dx = np.zeros(jac.shape[1])
     dx[2 * params.n_paths + 3] = 1e-2
@@ -189,6 +192,32 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     assert 0.0 <= pos.alpha < np.pi
     assert diag.n_iter >= 1
     assert diag.objective_history[-1] <= diag.objective_history[0]
+
+
+def test_lm_jacobian_only_at_accepted_points(default_exp, monkeypatch):
+    """A rejected LM candidate costs one forward map: the Jacobian is
+    built at the start and at each accepted step, nowhere else. The
+    draw has rejected candidates."""
+    geom = default_exp.geometry()
+    setup = hn.power_setup(default_exp, 20.0)
+    params = _true_params(geom, ch.nominal_gain_amplitudes(
+        setup.cfg, geom).astype(complex))
+    vec = params.to_vector() + np.tile(
+        [1e-10, 1e-8, 1e-8, 1e-3, 1e-3, 1e-3], 2) * \
+        np.random.default_rng(3).standard_normal(12)
+    pos0, _ = po.position_closed_form(channel_params_from_vector(vec),
+                                      geom.ris, geom.bs)
+    calls = {"forward_map_G": 0, "transformation_matrix": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(po, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(po, name, counted)
+    _, diag = po.refine_position_lm(vec, bnd.fim_channel(params, setup), pos0,
+                                    geom.ris, geom.bs)
+    accepted = len(diag.objective_history) - 1
+    assert calls["transformation_matrix"] == accepted + 1
+    assert calls["forward_map_G"] > accepted + 1
 
 
 def test_lm_median_not_worse_than_closed_form(mini_mc):

@@ -10,7 +10,7 @@ from oracles import (beamform, bs_steering, build_channel,
                      channel_params_from_vector, from_angles,
                      gain_closed_form, ms_steering, observe, path_terms,
                      reconstruct_complete_data, ris_diff_steering,
-                     single_path_objective, synthesize_tensor,
+                     sage_cycles, single_path_objective, synthesize_tensor,
                      synthesize_via_tensor, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
@@ -606,3 +606,45 @@ def test_local_sage_stays_on_the_full_search_maximum(power, trial,
         rows.append(hn.channel_angles(est)[hn.associate_paths(est.u, u_true)])
     sd = np.sqrt(rec.crlb).reshape(-1, 6)
     assert np.max(np.abs(rows[0] - rows[1]) / sd) <= 0.1
+
+
+def test_fisher_scoring_converges_with_the_channel_fim(setup20):
+    """After one cycle, scoring converges within its step budget: SAGE
+    ends without further cycles, the history holds each accepted step and
+    does not fall, and the FIM it returns is ``bounds.fim_channel`` at the
+    estimate, bit for bit."""
+    s = setup20
+    coarse = ce.run_coarse(s.obs_noisy, s.setup)
+    refined, info = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
+    assert info.converged and not info.fallback
+    assert info.n_cycles == 1
+    assert 0 < info.scoring_steps <= sg._SCORING_STEPS
+    hist = np.asarray(info.loglik_history)
+    assert hist.size == 2 + info.scoring_steps
+    assert np.all(np.diff(hist) >= 0.0)
+    assert np.array_equal(info.fim, bnd.fim_channel(refined, s.setup))
+
+
+def test_scoring_fallback_restarts_from_the_cycle_one_point(monkeypatch):
+    """Master seed 77, -10 dBm, trial 21 starts from a coarse miss on
+    which scoring converges only linearly; handing its point on to the
+    cycles ended LM at 30.7x PEB. The run falls back, its SAGE vector is
+    that of the cycles alone from the same start, and LM ends within
+    3x PEB (1.51x)."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    calls = []
+    run_sage = sg.run_sage
+
+    def recorded(obs, setup, init, *args, **kwargs):
+        out = run_sage(obs, setup, init, *args, **kwargs)
+        calls.append((obs, setup, init, out))
+        return out
+    monkeypatch.setattr(sg, "run_sage", recorded)
+    rec = hn.run_trial(exp, -10.0, 0, 21)
+    assert rec.error is None and rec.flags["sage_fallback"]
+    (obs, setup, init, (refined, info)), = calls
+    assert info.fallback and info.fim is None and info.scoring_steps > 0
+    assert info.monotone_ok and info.n_cycles > 1
+    assert np.array_equal(refined.to_vector(),
+                          sage_cycles(obs, setup, init).to_vector())
+    assert np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb < 3.0
