@@ -3,25 +3,30 @@
 Draws the RIS phase-shift schedule, random binary pilots, path gains and
 the dictionaries. ``Setup`` is the per-power measurement setup every
 stage runs against: geometry, system, pilots and schedule, with the
-known RIS-BS leg (the unit vector of bs - ris), the dictionaries, a_B
-and the path count derived from them once. The setup is the only holder
-of the RIS-BS leg; a ``ChannelParams`` carries the estimated per-path
+known RIS-BS leg (the unit vector of bs - ris), the dictionaries and
+the path count derived from them once. The setup is the only holder of
+the RIS-BS leg; a ``ChannelParams`` carries the estimated per-path
 (tau, gain, u, c, s) alone.
 
-Each array has one steering function, taking the coordinates a
-``ChannelParams`` holds: ``bs_steering`` and ``ms_sine_steering`` take a
-sine, ``ris_factors`` the elevation cosine c and azimuth product s. The
-RIS response runs at the differential frequencies c - c_out and
-s - s_out of the known leg, which folds the RIS-BS steering into it.
-The dictionaries are built with these functions on grids of the same
-absolute coordinates: u, c and s each take G values of step 2/G in
-[-1, 1), the RIS grids placed to contain the leg's own c_out and s_out.
-``model_field`` is the only implementation of the noiseless received
-field: synthesis, the SAGE E-step, the likelihood and the Fisher
+Every path arrives at the BS along the known leg, so the received
+tensor is y = a_B (x) field + z; the package never forms a_B, whose
+only trace in the estimators is |a_B|^2 = N_b. The other arrays each
+have one steering function, taking the coordinates a ``ChannelParams``
+holds: ``ms_sine_steering`` takes a sine, ``ris_factors`` the elevation
+cosine c and azimuth product s. The RIS response runs at the
+differential frequencies c - c_out and s - s_out of the known leg,
+which folds the RIS-BS steering into it. The dictionaries are built
+with these functions on grids of the same absolute coordinates: u, c
+and s each take G values of step 2/G in [-1, 1), the RIS grids placed
+to contain the leg's own c_out and s_out.
+``model_field`` is the only implementation of the noiseless field:
+synthesis, the SAGE complete data, the likelihood and the Fisher
 information all build on it or on its per-path factors
-(``ris_slot_scalars``, ``pilot_projection``, ``subcarrier_ramp``).
-``synthesize_rx`` draws the received tensor y = a_B (x) field + z only
-through the two statistics the estimators read, as an ``Observation``.
+(``path_factors``: the RIS slot scalars, ``pilot_projection`` and
+``subcarrier_ramp``); the coarse delay step and SAGE's delay search
+score the same ``subcarrier_ramp``. ``synthesize_rx`` draws the received
+tensor only through the two statistics the estimators read, as an
+``Observation``.
 """
 
 from __future__ import annotations
@@ -194,11 +199,6 @@ def grid_values(g: int) -> np.ndarray:
 
 # per-path response factors used throughout estimation
 
-def bs_steering(geom: ScenarioGeometry, u: float) -> np.ndarray:
-    """BS steering vector at the arrival sine u = sin(theta_r0); (N_b,)."""
-    return steer_ula(geom.d_bs / geom.wavelength * u, geom.n_bs)
-
-
 def ms_sine_steering(geom: ScenarioGeometry, u) -> np.ndarray:
     """MS steering vectors at departure sines u = sin(theta_t); (N_m,) or
     (N_m, n)."""
@@ -219,13 +219,13 @@ class Setup:
     Built from the geometry, the system, the pilots (N_m, T) and the
     phase schedule; the known RIS-BS leg ``leg`` (the unit vector of
     bs - ris: its x component is sin theta_r0, its z and y components the
-    c and s of the outgoing leg), the dictionaries, the BS steering
-    vector a_B and the path count Q+1 follow from them once. So do the
-    products the estimators would otherwise form on every trial: the
-    (blocks, T) indicator ``block_sum`` whose row b sums the slots of
-    phase block b, the projected AOD dictionary ``aod_proj`` = X1^H A_M
-    over the first T1 slots, and the block-level RIS dictionary
-    ``ris_eff`` = block_phases @ A_R with its column powers.
+    c and s of the outgoing leg), the dictionaries and the path count
+    Q+1 follow from them once. So do the products the estimators would
+    otherwise form on every trial: the (blocks, T) indicator
+    ``block_sum`` whose row b sums the slots of phase block b, the
+    projected AOD dictionary ``aod_proj`` = X1^H A_M over the first T1
+    slots, and the block-level RIS dictionary ``ris_eff`` =
+    block_phases @ A_R with its column powers.
     """
 
     geom: ScenarioGeometry
@@ -235,7 +235,6 @@ class Setup:
     a_m_dict: Dictionary = field(init=False)
     ris_dict: RisDictionary = field(init=False)
     leg: np.ndarray = field(init=False)
-    a_b: np.ndarray = field(init=False)
     n_paths: int = field(init=False)
     block_sum: np.ndarray = field(init=False)        # (blocks, T)
     aod_proj: np.ndarray = field(init=False)         # (T1, G_ms)
@@ -249,7 +248,6 @@ class Setup:
             raise DimensionMismatch("schedule slot count must equal T")
         self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
         self.a_m_dict, self.ris_dict = build_dictionaries(self)
-        self.a_b = bs_steering(self.geom, self.leg[0])
         self.n_paths = self.geom.n_scatterers + 1
         sched = self.sched
         self.block_sum = (sched.slot_block
@@ -293,14 +291,6 @@ def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
                           Dictionary(a_el, ge)))
 
 
-def ris_slot_scalars(setup: Setup, c, s) -> np.ndarray:
-    """sigma_t = g_t^T a_R(c, s) per slot; (T,) or (T, n) for arrays. The
-    block phases are contracted once and read off per slot."""
-    sched = setup.sched
-    return (sched.block_phases
-            @ kron_columns(*ris_factors(setup, c, s)))[sched.slot_block]
-
-
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
                      u) -> np.ndarray:
     """p_t = a_M(u)^H x_t per slot; (T,) or (T, n) for array sines."""
@@ -311,10 +301,12 @@ def path_factors(params: ChannelParams, setup: Setup):
     """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
 
     Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
-    subcarrier n of the field.
+    subcarrier n of the field: sigma_t = g_t^T a_R(c, s), the block
+    phases contracted once and read off per slot, p_t = a_M(u)^H x_t.
     """
-    cfg = setup.cfg
-    sigma = ris_slot_scalars(setup, params.c, params.s)
+    cfg, sched = setup.cfg, setup.sched
+    sigma = (sched.block_phases @ kron_columns(
+        *ris_factors(setup, params.c, params.s)))[sched.slot_block]
     proj = pilot_projection(setup.geom, setup.pilots, params.u)
     ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
     return sigma, proj, ramp
@@ -325,7 +317,8 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
 
     The noiseless received tensor is a_B (x) this field: every path
     arrives at the BS along the known RIS-BS direction, so the field and
-    all its parameter derivatives share that rank-1 structure.
+    all its parameter derivatives share that rank-1 structure, and
+    |a_B|^2 = N_b is all the estimators need of a_B.
     """
     sigma, proj, ramp = path_factors(params, setup)
     return (sigma * proj * params.gains) @ ramp.T
@@ -347,17 +340,17 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     """Draw the observation of y = a_B (x) field + z, z iid CN(0, sigma^2),
     exactly in distribution and without forming y.
 
-    With e = a_B / |a_B|, ypar = e^H y = |a_B| field + z_par, z_par iid
-    CN(0, sigma^2), and pa = |a_B| ypar. The noise orthogonal to e enters
-    only cov1, as conj(W): W = sigma^2 L L^H is complex Wishart with
-    m = (N_b - 1) N degrees of freedom, L lower triangular by Bartlett's
-    decomposition (|L_ii|^2 ~ Gamma(m - i), CN(0, 1) below the diagonal),
-    or its m columns when m < T1. The draws come in a fixed order, z_par,
-    the gammas, the off-diagonal normals, so one seed gives one
-    observation.
+    With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
+    + z_par, z_par iid CN(0, sigma^2), and pa = |a_B| ypar. The noise
+    orthogonal to e enters only cov1, as conj(W): W = sigma^2 L L^H is
+    complex Wishart with m = (N_b - 1) N degrees of freedom, L lower
+    triangular by Bartlett's decomposition (|L_ii|^2 ~ Gamma(m - i),
+    CN(0, 1) below the diagonal), or its m columns when m < T1. The draws
+    come in a fixed order, z_par, the gammas, the off-diagonal normals,
+    so one seed gives one observation.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
-    norm_b = np.sqrt(np.vdot(setup.a_b, setup.a_b).real)
+    norm_b = np.sqrt(setup.geom.n_bs)
     ypar = norm_b * model_field(params, setup)
     low = np.zeros((t1, 0))
     if not noiseless:

@@ -3,7 +3,8 @@
 Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
 of those sines, per-path sparse recovery of the RIS arrival's c and s,
-and DFT-plus-rotation delay/gain estimation. The departure recovery is
+and delay/gain estimation on ``channel.subcarrier_ramp``, the statistic
+SAGE's delay search scores. The departure recovery is
 DCS-SOMP, its picks made by ``pick_columns`` from the observation's
 T1 x T1 covariance cov1. The arrival recovery de-mixes all phase blocks
 with one batched solve and makes every path's 1-sparse pick from one
@@ -15,7 +16,7 @@ coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
 shortest, comes first. Each stage takes the ``channel.Observation``
 and the per-power ``channel.Setup``: the pilots, schedule,
-dictionaries, known RIS-BS leg, a_B and path count come from there.
+dictionaries, known RIS-BS leg and path count come from there.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._search import maximize_1d
 from .channel import (Observation, Setup, SystemConfig, ms_sine_steering,
-                      pilot_projection)
+                      pilot_projection, subcarrier_ramp)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
 from .geometry import ScenarioGeometry
@@ -34,10 +35,6 @@ from .params import ChannelParams
 
 _COND_LIMIT = 1e12
 _AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
-# grid points of each coordinate search: a bracket spans at most about 1.3
-# main lobes; at the default ``tol`` three zoom levels and the parabolic
-# step refine the grid's best cell, at most five batches per search
-_N_GRID = 41
 
 
 @dataclass
@@ -172,8 +169,8 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
             u0 = float(sines[q])
             column = _aod_column_objective(sines, q, s_mat, c_mat, geom)
             u_best, _ = maximize_1d(column, max(-1.0, u0 - cell),
-                                    min(1.0, u0 + cell), n_grid=_N_GRID,
-                                    incumbent=u0, local=n_pass > 0)
+                                    min(1.0, u0 + cell), incumbent=u0,
+                                    local=n_pass > 0)
             moved = max(moved, abs(u_best - u0))
             sines[q] = u_best
         if moved < 1e-9:
@@ -241,37 +238,31 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
 
 
 def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
-    """Delay and gain of one path from its hybrid per-subcarrier gains.
+    """Delay and gain of one path from its hybrid per-subcarrier gains d.
 
-    DFT peak for the coarse bin, then a rotation search over half a bin
-    on either side; the gain follows by least squares on the de-rotated
-    phase ramp.
+    The delay maximizes |ramp(-tau)^T d|, ramp = ``channel.subcarrier_ramp``,
+    the statistic SAGE's delay search scores: first over the DFT bins
+    tau = m / B, then over half a bin on either side of the best bin. The
+    gain is the least-squares fit ramp(tau)^H d / N on the same ramp.
 
-    Returns (tau_hat, delta_hat, peak_bin, delta_tau).
+    Returns (tau_hat, delta_hat, peak_bin, delta_tau): the 1-based bin
+    and delta_tau = m / B - tau_hat.
     """
     d = np.asarray(delta_tilde_q, dtype=complex)
-    n = d.size
-    bw = cfg.bandwidth
-    z = np.fft.ifft(d) * np.sqrt(n)
-    m0 = int(np.argmax(np.abs(z)))          # 0-based peak bin
+    n, bw = d.size, cfg.bandwidth
 
-    k = np.arange(n)
-    base = d * np.exp(2j * np.pi * k * m0 / n)
+    def peak_mag(taus) -> np.ndarray:
+        return np.abs(d @ subcarrier_ramp(np.negative(taus), bw, n))
 
-    def peak_mag(dtaus: np.ndarray) -> np.ndarray:
-        rot = np.exp(-2j * np.pi * np.multiply.outer(dtaus, k) * bw / n)
-        return np.abs(rot @ base) / np.sqrt(n)
-
-    half = 1.0 / (2.0 * bw)
-    dtau, _ = maximize_1d(peak_mag, -half, half, n_grid=_N_GRID,
-                          incumbent=0.0)
-    tau_hat = m0 / bw - dtau
+    m0 = int(np.argmax(peak_mag(np.arange(n) / bw)))      # 0-based peak bin
+    tau_bin, half = m0 / bw, 1.0 / (2.0 * bw)
+    tau_hat, _ = maximize_1d(peak_mag, tau_bin - half, tau_bin + half,
+                             incumbent=tau_bin)
     upsilon = tau_hat * bw / n
     if not 0.0 < upsilon < 1.0:
         raise OutOfRange(f"normalized delay {upsilon} outside (0, 1)")
-    ramp = np.exp(-2j * np.pi * k * upsilon)
-    delta_hat = (ramp.conj() @ d) / n
-    return float(tau_hat), complex(delta_hat), m0 + 1, float(dtau)
+    delta_hat = (subcarrier_ramp(tau_hat, bw, n).conj() @ d) / n
+    return float(tau_hat), complex(delta_hat), m0 + 1, float(tau_bin - tau_hat)
 
 
 @dataclass

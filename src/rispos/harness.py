@@ -59,7 +59,17 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-# config fields that must be integers >= 1, and those that must be reals
+def _is_finite_real(value) -> bool:
+    return _is_number(value, numbers.Real) and bool(np.isfinite(value))
+
+
+def _is_point(value) -> bool:
+    """``value`` is a sequence of three finite real numbers."""
+    return (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+            and all(map(_is_finite_real, value)))
+
+
+# config fields that must be integers >= 1, and those that must be finite reals
 _COUNT_FIELDS = ("n_trials", "workers", "n_bs", "n_ms", "n_ris_az", "n_ris_el",
                  "n_subcarriers", "t_total", "t1", "n_blocks", "v_slots",
                  "g_ms", "g_ris_az", "g_ris_el")
@@ -112,6 +122,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
+        if not isinstance(self.noiseless, (bool, np.bool_)):
+            raise ValueError(
+                f"noiseless must be true or false, not {self.noiseless!r}")
+        for name in ("bs", "ris", "ms"):
+            if not _is_point(getattr(self, name)):
+                raise ValueError(f"{name} must be three finite real numbers, "
+                                 f"not {getattr(self, name)!r}")
+        if (not isinstance(self.scatterers, (list, tuple, np.ndarray))
+                or not all(_is_point(p) for p in self.scatterers)):
+            raise ValueError("scatterers must be a list of points of three "
+                             f"finite real numbers, not {self.scatterers!r}")
         for name, least in ([(n, 1) for n in _COUNT_FIELDS]
                             + [("master_seed", 0)]):
             value = getattr(self, name)
@@ -120,8 +141,9 @@ class ExperimentConfig:
                     f"{name} must be an integer >= {least}, not {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if not _is_number(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if not _is_finite_real(value):
+                raise ValueError(
+                    f"{name} must be a finite real number, not {value!r}")
         for name in ("fc_hz", "bandwidth_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(
@@ -134,9 +156,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"shadow_std_db must be >= 0, not {self.shadow_std_db!r}")
         if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
-                or not all(_is_number(p, numbers.Real) for p in self.powers_dbm)):
-            raise ValueError("powers_dbm must be a non-empty list of real "
-                             f"numbers, not {self.powers_dbm!r}")
+                or not all(map(_is_finite_real, self.powers_dbm))):
+            raise ValueError("powers_dbm must be a non-empty list of finite "
+                             f"real numbers, not {self.powers_dbm!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

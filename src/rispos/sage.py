@@ -1,13 +1,14 @@
 """Joint refinement of all channel parameters by coordinate-wise SAGE.
 
 Each path's hidden per-path signal (its complete data) is the
-observation minus the other paths' share of ``channel.model_field`` at
-their freshest estimates. Beamformed onto a_B it is the observation's
-record a_B^H y minus (a_B^H a_B) times the other paths' field, a (T, N)
-record pa; nothing else of the received tensor enters SAGE. De-rotated
-by the path's delay it gives r_t; the path's model slot factor is
-v_t = sigma_t p_t, with sigma_t = g_t^T a_R and p_t = a_M^H x_t. With the
-gain eliminated, the per-path likelihood is
+observation minus the other paths' share of the field at their freshest
+estimates. Beamformed onto a_B it is the observation's record a_B^H y
+minus |a_B|^2 = N_B times the other paths' field, a (T, N) record pa;
+nothing else of the received tensor enters SAGE. One
+``channel.path_factors`` call gives that field and the path's own slot
+factors: sigma_t = g_t^T a_R, p_t = a_M^H x_t (``channel.pilot_projection``)
+and v_t = sigma_t p_t. De-rotated by the path's delay, pa gives r_t.
+With the gain eliminated, the per-path likelihood is
 
     F = |num|^2 / den,  num = sum_t r_t conj(v_t),
                         den = N_B N sum_t |v_t|^2,
@@ -61,9 +62,9 @@ its objective, which the incumbent rule guarantees.
 
 ``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
 into F and the gain; they are the only scoring path of a coordinate
-cycle. The global log-likelihood over all slots and subcarriers is the
-convergence monitor. Every function takes the ``channel.Observation``
-and the per-power ``channel.Setup``.
+cycle. The global log-likelihood 2 Re<mu, pa> - N_B ||mu||^2, mu the
+``channel.model_field``, is the convergence monitor. Every function
+takes the ``channel.Observation`` and the per-power ``channel.Setup``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ import numpy as np
 from . import bounds as bnd
 from ._search import maximize_1d
 from .channel import (Observation, Setup, model_field, ms_sine_steering,
-                      path_factors, ris_factors, subcarrier_ramp)
-from .coarse_est import _N_GRID
+                      path_factors, pilot_projection, ris_factors,
+                      subcarrier_ramp)
 from .errors import ZeroDenominator
 from .params import ChannelParams
 
@@ -111,8 +112,8 @@ class SageInfo:
 class SageProblem:
     """Observation context shared by all SAGE updates.
 
-    Holds the beamformed observation a_B^H y (T, N) and the slot
-    structure the per-search statistics contract over. Each ``*_terms``
+    Holds the beamformed observation a_B^H y (T, N) and the block
+    phases the RIS statistics contract over. Each ``*_terms``
     method forms one search's statistics once and returns a function
     from candidate coordinates, scalar or (n,), to the matching
     (num, den).
@@ -122,34 +123,27 @@ class SageProblem:
         self.setup = setup
         geom, sched = setup.geom, setup.sched
         self.pa0 = obs.pa                                # (T, N)
-        self._ab_sq = float(np.real(np.vdot(setup.a_b, setup.a_b)))
-        self.slot_block = sched.slot_block               # (T,)
         self._den_scale = geom.n_bs * setup.cfg.n_subcarriers
         # block phases as (B, N_el, N_az) and (B, N_az, N_el)
         self._phases = sched.block_phases.reshape(-1, geom.n_ris_el,
                                                   geom.n_ris_az)
         self._phases_t = self._phases.transpose(0, 2, 1)
 
-    def complete_data(self, params: ChannelParams, q: int) -> np.ndarray:
-        """Beamformed per-path signal (T, N): observation minus the other paths."""
-        others = params.copy()
-        others.gains[q] = 0.0
-        return self.pa0 - self._ab_sq * model_field(others, self.setup)
+    def complete_data(self, params: ChannelParams, q: int):
+        """Path q's beamformed complete data pa (T, N), the observation
+        minus N_B times the other paths' field, and its slot factors
+        sigma_t and v_t = sigma_t p_t, each (T,)."""
+        sigma, proj, ramp = path_factors(params, self.setup)
+        others = params.gains.copy()
+        others[q] = 0.0
+        pa = self.pa0 - self.setup.geom.n_bs * (
+            (sigma * proj * others) @ ramp.T)
+        return pa, sigma[:, q], sigma[:, q] * proj[:, q]
 
     def derotated(self, pa: np.ndarray, tau: float) -> np.ndarray:
         """r_t = sum_n pa[t, n] conj(ramp_n(tau)) for a (T, N) record pa."""
         cfg = self.setup.cfg
         return pa @ subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers)
-
-    def block_sigma(self, c: float, s: float) -> np.ndarray:
-        """sigma_b = block_phases[b] @ a_R per phase block, (B,), at the
-        elevation cosine c and azimuth product s."""
-        a_el, a_az = ris_factors(self.setup, c, s)
-        return (self._phases @ a_az) @ a_el
-
-    def slot_proj(self, u: float) -> np.ndarray:
-        """p_t = a_M^H x_t per slot, (T,), at the departure sine u."""
-        return self.setup.pilots.T @ ms_sine_steering(self.setup.geom, u).conj()
 
     def delay_terms(self, pa: np.ndarray, v: np.ndarray):
         """Delay search at slot factors v (T,): num = ramp(-tau)^T pa^T conj(v)."""
@@ -217,21 +211,13 @@ def path_fit(num, den) -> tuple[float, complex]:
 
 def global_log_likelihood(params: ChannelParams, obs: Observation,
                           setup: Setup) -> float:
-    """Constant-free log-likelihood of the full parameter vector.
-
-    Two terms: twice the real part of the per-path data correlation and
-    the BS-gain-weighted cross-path Gram correction. Equals
-    sum_n ||Y[n]||_F^2 - sum_n ||Y[n] - model||_F^2 exactly.
+    """Constant-free log-likelihood of the full parameter vector:
+    2 Re<mu, pa> - N_B ||mu||^2 with mu = ``model_field``, which equals
+    ||y||^2 - ||y - a_B (x) mu||^2 exactly.
     """
-    sigma, proj, ramp = path_factors(params, setup)
-    w_mat = sigma * proj                                          # (T, Q+1)
-    k_mat = obs.pa.conj() @ ramp                                  # (T, Q+1)
-    term1 = 2.0 * np.real(np.sum(params.gains * np.sum(w_mat * k_mat, axis=0)))
-    rho = ramp.conj().T @ ramp                                    # (Q+1, Q+1)
-    gram = w_mat.conj().T @ w_mat
-    term2 = setup.geom.n_bs * np.real(
-        params.gains.conj() @ ((rho * gram) @ params.gains))
-    return float(term1 - term2)
+    mu = model_field(params, setup)
+    return float(2.0 * np.vdot(obs.pa, mu).real
+                 - setup.geom.n_bs * np.vdot(mu, mu).real)
 
 
 def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
@@ -243,18 +229,17 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     ``local`` starts each search with ``maximize_1d``'s local path.
     Returns the objective trace of the steps.
     """
-    cfg = prob.setup.cfg
-    pa = prob.complete_data(params, q)
+    setup, cfg = prob.setup, prob.setup.cfg
+    pa, sigma, v = prob.complete_data(params, q)
 
     def search(terms, x0, half, lim=np.inf):
         return maximize_1d(lambda xs: path_objective(*terms(xs)),
                            max(-lim, x0 - half), min(lim, x0 + half),
-                           n_grid=_N_GRID, incumbent=x0, local=local)
+                           incumbent=x0, local=local)
 
     tau, u, c, s = (float(x[q]) for x in (params.tau, params.u, params.c,
                                            params.s))
-    sigma = prob.block_sigma(c, s)[prob.slot_block]
-    delay = prob.delay_terms(pa, sigma * prob.slot_proj(u))
+    delay = prob.delay_terms(pa, v)
     trace = {"start": path_fit(*delay(tau))[0]}
 
     # delay: half a DFT bin on either side
@@ -264,7 +249,7 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     # departure sine: +-_ANGLE_CELLS coarse cells
     u, trace["u"] = search(prob.departure_terms(r, sigma), u,
                                  _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
-    p = prob.slot_proj(u)
+    p = pilot_projection(setup.geom, setup.pilots, u)
 
     # elevation cosine at the fixed azimuth product: |c| <= sqrt(1 - s^2)
     c, trace["c"] = search(prob.elevation_terms(r, p, s), c,

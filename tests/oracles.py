@@ -255,7 +255,7 @@ def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
     is scaled in place and added into y's parts, with no complex
     temporaries.
     """
-    y = setup.a_b[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    y = bs_steering(setup.geom)[:, None, None] * ch.model_field(params, setup)[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
         noise = rng.standard_normal((2,) + y.shape)
@@ -270,7 +270,7 @@ def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
     beamformed record a_B^H y and the first-T1-slot covariance
     sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
     y1 = y[:, :setup.cfg.t1, :]
-    return ch.Observation(beamform(setup.a_b, y),
+    return ch.Observation(beamform(bs_steering(setup.geom), y),
                           np.einsum("btn,bsn->ts", y1.conj(), y1))
 
 
@@ -316,7 +316,7 @@ def synthesize_rx_sum(setup: ch.Setup, params: ChannelParams,
     """The received tensor as the out-of-place sum a_B (x) field +
     sqrt(sigma^2 / 2) (z_re + 1j z_im), the two halves drawn one after
     the other."""
-    y = setup.a_b[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    y = bs_steering(setup.geom)[:, None, None] * ch.model_field(params, setup)[None, :, :]
     rng = np.random.default_rng(noise_seed)
     scale = np.sqrt(setup.cfg.noise_power / 2.0)
     return y + scale * (rng.standard_normal(y.shape)
@@ -329,7 +329,7 @@ def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,
     observation minus a_B (x) the other paths' field."""
     others = params.copy()
     others.gains[q] = 0.0
-    return y - setup.a_b[:, None, None] * ch.model_field(others, setup)[None]
+    return y - bs_steering(setup.geom)[:, None, None] * ch.model_field(others, setup)[None]
 
 
 def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,

@@ -120,7 +120,8 @@ def test_synthesize_is_bs_steering_times_model_field(setup20):
     s = setup20
     rx = synthesize_tensor(s.setup, s.true, noiseless=True)
     field = ch.model_field(s.true, s.setup)
-    a_b = ch.bs_steering(s.geom, s.setup.leg[0])
+    a_b = gm.steer_ula(s.geom.d_bs / s.geom.wavelength * s.setup.leg[0],
+                       s.geom.n_bs)
     assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
 
 
@@ -195,7 +196,7 @@ def test_single_bs_antenna_trial_runs():
     true = gm.true_channel_params(setup.geom,
                                   ch.draw_gains(setup.cfg, setup.geom, 0))
     obs = ch.synthesize_rx(setup, true, 5)
-    y1 = obs.pa[:setup.cfg.t1] / setup.a_b[0]
+    y1 = obs.pa[:setup.cfg.t1] / np.sqrt(setup.geom.n_bs)
     assert_allclose(obs.cov1, y1.conj() @ y1.T, rtol=1e-12)
     rec = hn.run_trial(exp, 20.0, 0, 0, setup)
     assert rec.error is None

@@ -17,6 +17,7 @@ from rispos import cli
 from rispos import harness as hn
 from rispos import positioning as pos_mod
 from rispos import sage as sg
+from rispos import errors
 from rispos.errors import IoError
 from rispos.params import PositionParams
 
@@ -195,12 +196,14 @@ def test_config_file_malformed_is_value_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("text", [
     "powers_dbm: 20\n", "powers_dbm: []\n", "powers_dbm: [20, x]\n",
     "powers_dbm: [true]\n", "n_trials: 2.5\n", "n_trials: 0\n",
-    "n_trials: true\n", "workers: 2.0\n", "workers: 0\n", "workers: -1\n"],
+    "n_trials: true\n", "workers: 2.0\n", "workers: 0\n", "workers: -1\n",
+    "powers_dbm: [20, .nan]\n"],
     ids=["powers_scalar", "powers_empty", "powers_string", "powers_bool",
          "trials_float", "trials_zero", "trials_bool", "workers_float",
-         "workers_zero", "workers_negative"])
+         "workers_zero", "workers_negative", "powers_nan"])
 def test_config_bad_types_are_value_errors(tmp_path, capsys, text):
-    """A config whose powers are not a non-empty list of reals, or whose
+    """A config whose powers are not a non-empty list of finite reals
+    (a NaN power ended every trial in a LinAlgError), or whose
     trial or worker count is not an integer >= 1, is a ValueError naming
     the field, which the CLI reports with exit code 2."""
     bad = tmp_path / "bad.yaml"
@@ -263,13 +266,20 @@ def test_cli_negative_seed_or_trial_rejected(tmp_path, capsys, argv,
     "v_slots: 1.5\n", "g_ms: 0\n", "g_ris_az: 2.5\n", "g_ris_el: -1\n",
     "fc_hz: 0\n", "bandwidth_hz: -2.0e7\n", "fc_hz: x\n",
     "alpha_deg: x\n", "ris_spacing_wl: [1]\n", "shadow_std_db: -1\n",
-    "bs_spacing_wl: 0.6\n", "ms_spacing_wl: -0.5\n", "ris_spacing_wl: 0\n"],
+    "bs_spacing_wl: 0.6\n", "ms_spacing_wl: -0.5\n", "ris_spacing_wl: 0\n",
+    "noiseless: 'false'\n", "noiseless: 1\n", "ms: [22, 35]\n",
+    "bs: [0, 0, .nan]\n", "ris: [-6, x, 20]\n", "ms: 22\n",
+    "scatterers: [[6, 5]]\n", "scatterers: [[6, 5, .inf]]\n",
+    "scatterers: 6\n", "fc_hz: .inf\n", "noise_density_dbm_hz: .nan\n"],
     ids=["n_bs_float", "n_ms_zero", "n_ris_az_string", "n_ris_el_bool",
          "n_subcarriers_zero", "t_total_float", "t1_negative",
          "n_blocks_zero", "v_slots_float", "g_ms_zero", "g_ris_az_float",
          "g_ris_el_negative", "fc_zero", "bandwidth_negative", "fc_string",
          "alpha_string", "spacing_list", "shadow_negative", "bs_spacing_wide",
-         "ms_spacing_negative", "ris_spacing_zero"])
+         "ms_spacing_negative", "ris_spacing_zero", "noiseless_string",
+         "noiseless_int", "ms_two_entries", "bs_nan", "ris_string",
+         "ms_scalar", "scatterer_two_entries", "scatterer_inf",
+         "scatterers_scalar", "fc_inf", "noise_density_nan"])
 def test_config_bad_counts_and_reals_are_value_errors(tmp_path, capsys, text):
     """An array, subcarrier, slot or grid count that is not an integer
     >= 1, a carrier or bandwidth that is not a real > 0, an element
@@ -278,7 +288,11 @@ def test_config_bad_counts_and_reals_are_value_errors(tmp_path, capsys, text):
     naming the field, which the CLI reports with exit code 2 (n_bs: 2.5
     ran as 3 antennas, zeros divided by zero, strings were TypeError
     tracebacks, a zero RIS spacing ran a sweep of meaningless bounds, a
-    negative shadowing spread failed in NumPy's sampler)."""
+    negative shadowing spread failed in NumPy's sampler). So is a
+    ``noiseless`` that is not a bool (the string 'false' ran noiseless),
+    a node or scatterer that is not three finite reals (ms: [22, 35]
+    failed in NumPy's reshape, naming no field), and a non-finite real
+    setting (an infinite carrier was a ZeroDivisionError traceback)."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     field_name = text.split(":")[0]
@@ -501,3 +515,39 @@ def test_two_scatterer_noiseless_trial_ends_near_peb():
                               t1=22, t_total=43, powers_dbm=[20.0],
                               n_trials=1, noiseless=True)
     assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 10.0
+
+
+def _admissible_layouts():
+    """30 one-scatterer ``sample_layout`` draws (default_rng(2026)), and 10
+    two-scatterer draws: a ``sample_layout`` draw plus a second scatterer
+    from the same box (default_rng(2027)), with the schedule Q = 2 needs."""
+    rng = np.random.default_rng(2026)
+    layouts = [(sample_layout(rng), {}) for _ in range(30)]
+    rng = np.random.default_rng(2027)
+    for _ in range(10):
+        geom = sample_layout(rng)
+        second = [rng.uniform(-2.0, 14.0), rng.uniform(2.0, 7.5),
+                  rng.uniform(0.5, 8.0)]
+        geom.scatterers = np.vstack([geom.scatterers, second])
+        layouts.append((geom, {"t1": 22, "t_total": 43}))
+    return layouts
+
+
+_TYPED_ERRORS = {"LinAlgError"} | {
+    cls.__name__ for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.RisposError)}
+
+
+@pytest.mark.parametrize("power", [-10.0, 20.0])
+def test_no_exception_escapes_run_trial_on_admissible_layouts(power):
+    """Every admissible layout gives an estimate or a typed error: each
+    ``run_trial`` returns, and a failed trial names a ``RisposError``
+    subclass or ``LinAlgError``."""
+    for geom, schedule in _admissible_layouts():
+        exp = hn.ExperimentConfig(
+            ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+            scatterers=geom.scatterers.tolist(), powers_dbm=[power],
+            n_trials=1, **schedule)
+        rec = hn.run_trial(exp, power, 0, 0)
+        assert rec.error is None or rec.error.split(":")[0] in _TYPED_ERRORS, \
+            (geom.ms, geom.scatterers, rec.error)

@@ -107,22 +107,26 @@ def test_reconstruct_sum_identity(setup20):
     y_0 = reconstruct_complete_data(s.rx_noisy, s.true, 0, s.setup)
     others = s.true.copy()
     others.gains[0] = 0.0
-    interference = (s.setup.a_b[:, None, None]
+    interference = (bs_steering(s.geom)[:, None, None]
                     * ch.model_field(others, s.setup))
     scale = np.max(np.abs(s.rx_noisy))
     assert np.max(np.abs(y_0 + interference - s.rx_noisy)) < 1e-15 * scale
 
 
 def test_complete_data_beamforms_the_full_tensor(setup20):
-    """a_B^H y - (a_B^H a_B) field equals a_B^H applied to the per-path tensor."""
+    """a_B^H y - (a_B^H a_B) field equals a_B^H applied to the per-path
+    tensor; the slot factors are path q's ``channel.path_factors``."""
     s = setup20
     prob = sg.SageProblem(s.obs_noisy, s.setup)
+    sigma, proj, _ = ch.path_factors(s.true, s.setup)
     for q in range(2):
         full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
-        ref = beamform(s.setup.a_b, full)
-        got = prob.complete_data(s.true, q)
+        ref = beamform(bs_steering(s.geom), full)
+        got, sigma_q, v_q = prob.complete_data(s.true, q)
         assert got.shape == (s.cfg.t_total, s.cfg.n_subcarriers)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(sigma_q, sigma[:, q])
+        assert np.array_equal(v_q, sigma[:, q] * proj[:, q])
 
 
 def _planted_single(s, seed=None):
@@ -256,12 +260,17 @@ def _angles(u, c, s):
             np.pi - np.arcsin(np.clip(s / sin_phi, -1.0, 1.0)))
 
 
+def _slot_factors(s, params):
+    """sigma_t and p_t of path 0 of params, (T,) each."""
+    sigma, proj, _ = ch.path_factors(params, s.setup)
+    return sigma[:, 0], proj[:, 0]
+
+
 def _search_stats(s, y_q, params):
     """A problem on y_q and the per-search statistics at path 0 of params."""
     prob = sg.SageProblem(observe(y_q, s.setup), s.setup)
     tau, u, c, sa = _coords(params)
-    sigma = prob.block_sigma(c, sa)[prob.slot_block]
-    p = prob.slot_proj(u)
+    sigma, p = _slot_factors(s, params)
     r = prob.derotated(prob.pa0, tau)
     return (prob.delay_terms(prob.pa0, sigma * p),
             prob.departure_terms(r, sigma), prob.elevation_terms(r, p, sa),
@@ -313,8 +322,7 @@ def test_batched_objective_zero_denominator_never_wins(setup20):
     s = setup20
     prob = sg.SageProblem(s.obs_noisy, s.setup)
     tau, u, c, sa = _coords(s.true)
-    sigma = prob.block_sigma(c, sa)[prob.slot_block]
-    p = prob.slot_proj(u)
+    sigma, p = _slot_factors(s, s.true)
     r = prob.derotated(prob.pa0, tau)
     zero = np.zeros(s.cfg.t_total)
     step = np.linspace(-0.01, 0.01, 5)

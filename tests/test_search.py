@@ -34,7 +34,7 @@ def test_incumbent_never_beaten_by_worse_result():
         f = _bumpy(seed)
         lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
         inc = rng.uniform(lo, hi)
-        x, fx = maximize_1d(f, lo, hi, incumbent=inc)
+        x, fx = maximize_1d(f, lo, hi, n_grid=201, incumbent=inc)
         assert lo <= x <= hi
         assert fx >= f(np.array([inc]))[0]
         assert fx == f(np.array([x]))[0]
@@ -47,13 +47,13 @@ def test_off_grid_incumbent_kept_when_best():
     def spike(xs):
         return np.exp(-((xs - x0) / 1e-9) ** 2)
 
-    x, fx = maximize_1d(spike, 0.0, 1.0, incumbent=x0)
+    x, fx = maximize_1d(spike, 0.0, 1.0, n_grid=201, incumbent=x0)
     assert x == x0
     assert fx == 1.0
 
 
 def test_tie_goes_to_incumbent():
-    x, fx = maximize_1d(lambda xs: np.ones_like(xs), -2.0, 3.0,
+    x, fx = maximize_1d(lambda xs: np.ones_like(xs), -2.0, 3.0, n_grid=201,
                         incumbent=0.7)
     assert (x, fx) == (0.7, 1.0)
 
@@ -70,7 +70,7 @@ def _peaked(peak):
 @pytest.mark.parametrize("peak", _PEAKS)
 def test_accuracy_within_tol_of_known_maximum(peak):
     lo, hi, tol = -1.0, 1.0, 1e-7
-    x, fx = maximize_1d(_peaked(peak), lo, hi, tol=tol)
+    x, fx = maximize_1d(_peaked(peak), lo, hi, n_grid=201, tol=tol)
     assert abs(x - peak) <= tol * (hi - lo)
     assert fx == pytest.approx(0.0, abs=1e-12)
 
@@ -97,13 +97,13 @@ def test_default_depth_and_accuracy(n_grid, max_batches, with_incumbent):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_peak_at_bracket_edge(sign):
-    x, fx = maximize_1d(lambda xs: sign * xs, 2.0, 5.0)
+    x, fx = maximize_1d(lambda xs: sign * xs, 2.0, 5.0, n_grid=201)
     assert x == (5.0 if sign > 0 else 2.0)
     assert fx == sign * x
 
 
 def test_reversed_bracket_is_swapped():
-    x, _ = maximize_1d(lambda xs: -(xs - 1.5) ** 2, 4.0, 0.0)
+    x, _ = maximize_1d(lambda xs: -(xs - 1.5) ** 2, 4.0, 0.0, n_grid=201)
     assert abs(x - 1.5) < 1e-7 * 4.0
 
 
@@ -175,7 +175,8 @@ def test_local_ends_near_smooth_peak_in_few_stencils(peak):
     lo, hi = -1.0, 1.0
     for offset in np.linspace(-0.0099, 0.0099, 23) * (hi - lo):
         f = Counted(_peaked(peak))
-        x, _ = maximize_1d(f, lo, hi, incumbent=peak + offset, local=True)
+        x, _ = maximize_1d(f, lo, hi, n_grid=201, incumbent=peak + offset,
+                           local=True)
         assert abs(x - peak) <= 1e-7 * (hi - lo)
         assert len(f.sizes) <= 4
         assert set(f.sizes) == {3}
@@ -201,13 +202,14 @@ def test_local_falls_back_to_full_search(case):
     search returns, from the same batches after at most one stencil."""
     f, inc = _FALLBACKS[case]
     full, local = Counted(f), Counted(f)
-    expected = maximize_1d(full, -1.0, 1.0, incumbent=inc)
-    assert maximize_1d(local, -1.0, 1.0, incumbent=inc, local=True) == expected
+    expected = maximize_1d(full, -1.0, 1.0, n_grid=201, incumbent=inc)
+    assert maximize_1d(local, -1.0, 1.0, n_grid=201, incumbent=inc,
+                       local=True) == expected
     stencils = 0 if case == "at_bracket_end" else 1
     assert local.sizes == [3] * stencils + full.sizes
     # without an incumbent there is nothing to start from
-    assert (maximize_1d(f, -1.0, 1.0, local=True)
-            == maximize_1d(f, -1.0, 1.0))
+    assert (maximize_1d(f, -1.0, 1.0, n_grid=201, local=True)
+            == maximize_1d(f, -1.0, 1.0, n_grid=201))
 
 
 def test_nan_hole_never_beats_the_incumbent():
@@ -215,7 +217,8 @@ def test_nan_hole_never_beats_the_incumbent():
     value no worse than the incumbent's (it returned the NaN point)."""
     f = _nan_beside(0.3141, 0.32)
     for local in (False, True):
-        x, fx = maximize_1d(f, -1.0, 1.0, incumbent=0.32, local=local)
+        x, fx = maximize_1d(f, -1.0, 1.0, n_grid=201, incumbent=0.32,
+                            local=local)
         assert np.isfinite(fx) and fx == f(np.array([x]))[0]
         assert fx >= f(np.array([0.32]))[0]
         assert abs(x - 0.3141) < 1e-6
