@@ -1,12 +1,13 @@
 """Shared 1-D maximization: grid scan, zoom levels, parabolic step, local path.
 
-All refinement searches in the pipeline (AOD likelihood, delay rotation,
-per-path coordinate ascent) use the same scheme so their ascent
-guarantees are uniform: the incumbent point is always a candidate and is
-only abandoned for a strictly better one. A NaN objective value scores
-as -inf, so it never wins. Every stage hands its
-candidates to the objective as one batch: the grid (with the incumbent),
-then each zoom level, then the single parabolic step.
+All refinement searches in the pipeline (AOD likelihood, per-path
+coordinate ascent) use the same scheme so their ascent guarantees are
+uniform: the incumbent point is always a candidate and is only abandoned
+for a strictly better one. A NaN objective value scores as -inf, so it
+never wins. Every stage hands its candidates to the objective as one
+batch: the grid (with the incumbent), then each zoom level, then the
+single parabolic step. The coarse delay step calls no search: its
+Newton steps use closed-form derivatives (``coarse_est.estimate_toa``).
 
 Callers whose incumbent an earlier cycle refined ask for the local path:
 at most four 3-point stencils [x - h, x, x + h], h = 1e-5 of the width,

@@ -73,11 +73,37 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
 
 
 def fim_from_factors(a: np.ndarray, b: np.ndarray, setup: Setup) -> np.ndarray:
-    """The channel FIM (2 N_B / sigma^2) Re{(A^H A) o (B^H B)} from the
-    ``derivative_factors`` A and B; the one formula ``fim_channel`` and
-    the Fisher-scoring steps of ``sage.run_sage`` share."""
-    return (2.0 * setup.geom.n_bs / setup.cfg.noise_power
-            * np.real((a.conj().T @ a) * (b.conj().T @ b)))
+    """The channel FIM from the ``derivative_factors`` A and B: what
+    ``fim_channel`` and the Fisher-scoring steps of ``sage.run_sage``
+    compute."""
+    return fim_from_gram(gram_from_factors(a, b), setup)
+
+
+def gram_from_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The complex Gram (A^H A) o (B^H B) of the derivative factors."""
+    return (a.conj().T @ a) * (b.conj().T @ b)
+
+
+def fim_from_gram(gram: np.ndarray, setup: Setup) -> np.ndarray:
+    """(2 N_B / sigma^2) Re{gram}: the one formula of the channel FIM, from
+    the complex Gram of the derivative factors."""
+    return 2.0 * setup.geom.n_bs / setup.cfg.noise_power * np.real(gram)
+
+
+def fim_at_gains(gram0: np.ndarray, gains: np.ndarray,
+                 setup: Setup) -> np.ndarray:
+    """The channel FIM at parameters whose Gram at unit gains is ``gram0``,
+    with the path gains ``gains`` swapped in.
+
+    A gain only scales its own columns of A (Kay, Fundamentals of
+    Statistical Signal Processing: Estimation Theory, 1993, sec. 3.9):
+    with w = [g, 1, 1, g, g, g] per path, A = A0 diag(w), B does not
+    change, and the Gram is (conj(w) w^T) o gram0.
+    """
+    w = np.ones((gains.size, 6), dtype=complex)
+    w[:, [0, 3, 4, 5]] = gains[:, None]
+    w = w.ravel()
+    return fim_from_gram(np.outer(w.conj(), w) * gram0, setup)
 
 
 def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):

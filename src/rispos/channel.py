@@ -224,8 +224,15 @@ class Setup:
     otherwise form on every trial: the (blocks, T) indicator
     ``block_sum`` whose row b sums the slots of phase block b, the
     projected AOD dictionary ``aod_proj`` = X1^H A_M over the first T1
-    slots, and the block-level RIS dictionary ``ris_eff`` =
-    block_phases @ A_R with its column powers.
+    slots, the block-level RIS dictionary ``ris_eff`` =
+    block_phases @ A_R with its column powers, the strictly lower
+    triangle ``tril`` of a T1 x T1 matrix, where synthesis puts its
+    Bartlett normals, and the delay step's ramps: ``bin_ramp`` (N, N),
+    column m subcarrier_ramp(-m / B) at DFT bin m; ``grid_ramp`` (N, 41),
+    the same at the 41 ``grid_offsets`` (seconds) that span half a bin on
+    either side; ``ramp_weights`` (N, 3), the weights 1, j beta n and
+    (j beta n)^2, beta = 2 pi B / N, of the ramp's sum and its first two
+    derivatives in the delay.
     """
 
     geom: ScenarioGeometry
@@ -240,6 +247,11 @@ class Setup:
     aod_proj: np.ndarray = field(init=False)         # (T1, G_ms)
     ris_eff: np.ndarray = field(init=False)          # (blocks, G_r)
     ris_eff_power: np.ndarray = field(init=False)    # (G_r,)
+    tril: tuple = field(init=False)                  # row and column indices
+    bin_ramp: np.ndarray = field(init=False)         # (N, N)
+    grid_ramp: np.ndarray = field(init=False)        # (N, 41)
+    grid_offsets: np.ndarray = field(init=False)     # (41,) seconds
+    ramp_weights: np.ndarray = field(init=False)     # (N, 3)
 
     def __post_init__(self):
         if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
@@ -258,6 +270,14 @@ class Setup:
         # unequal column norms (random phase profiles) must not bias a pick
         self.ris_eff_power = np.maximum(
             np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
+        self.tril = np.tril_indices(self.cfg.t1, -1)
+        n_sub, bw = self.cfg.n_subcarriers, self.cfg.bandwidth
+        self.bin_ramp = subcarrier_ramp(-np.arange(n_sub) / bw, bw, n_sub)
+        self.grid_offsets = np.linspace(-0.5, 0.5, 41) / bw
+        self.grid_ramp = subcarrier_ramp(-self.grid_offsets, bw, n_sub)
+        rate = 2j * np.pi * bw / n_sub * np.arange(n_sub)
+        self.ramp_weights = np.stack([np.ones(n_sub), rate, rate * rate],
+                                     axis=1)
 
 
 def ris_factors(setup: Setup, c, s) -> tuple:
@@ -360,7 +380,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
         m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
         if m >= t1:
             low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
-            low[np.tril_indices(t1, -1)] = rng.standard_normal(
+            low[setup.tril] = rng.standard_normal(
                 (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
         else:
             low = rng.standard_normal((t1, m, 2)).view(complex)[..., 0]

@@ -4,13 +4,15 @@ Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
 of those sines, per-path sparse recovery of the RIS arrival's c and s,
 and delay/gain estimation on ``channel.subcarrier_ramp``, the statistic
-SAGE's delay search scores. The departure recovery is
-DCS-SOMP, its picks made by ``pick_columns`` from the observation's
-T1 x T1 covariance cov1. The arrival recovery de-mixes all phase blocks
-with one batched solve and makes every path's 1-sparse pick from one
-product with the block-level RIS dictionary. The products that depend
-on the setup alone (the projected AOD dictionary, the block indicator,
-the block-level RIS dictionary) are built once per power by
+SAGE's delay search scores, for all paths at once: the DFT bin, then
+Newton steps on closed-form derivatives within half a bin of it, with
+no search. The departure recovery is DCS-SOMP, its picks made by
+``pick_columns`` from the observation's T1 x T1 covariance cov1. The
+arrival recovery de-mixes all phase blocks with one batched solve and
+makes every path's 1-sparse pick from one product with the block-level
+RIS dictionary. The products that depend on the setup alone (the
+projected AOD dictionary, the block indicator, the block-level RIS
+dictionary, the delay step's ramps) are built once per power by
 ``channel.Setup``. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import maximize_1d
-from .channel import (Observation, Setup, SystemConfig, ms_sine_steering,
-                      pilot_projection, subcarrier_ramp)
+from .channel import (Observation, Setup, ms_sine_steering, pilot_projection,
+                      subcarrier_ramp)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
                      SparsityInfeasible)
 from .geometry import ScenarioGeometry
@@ -35,6 +37,10 @@ from .params import ChannelParams
 
 _COND_LIMIT = 1e12
 _AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
+# delay step: Newton steps from the best grid point, and the share of f
+# a step may lose to rounding and still be taken
+_TOA_NEWTON_STEPS = 4
+_TOA_FLAT = 1e-12
 
 
 @dataclass
@@ -237,32 +243,63 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
                        clamped=s != s_grid)
 
 
-def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
-    """Delay and gain of one path from its hybrid per-subcarrier gains d.
+def estimate_toa(delta_tilde: np.ndarray, setup: Setup):
+    """Delays and gains of all paths from their hybrid per-subcarrier
+    gains D (Q+1, N), one row d per path.
 
-    The delay maximizes |ramp(-tau)^T d|, ramp = ``channel.subcarrier_ramp``,
-    the statistic SAGE's delay search scores: first over the DFT bins
-    tau = m / B, then over half a bin on either side of the best bin. The
-    gain is the least-squares fit ramp(tau)^H d / N on the same ramp.
+    A path's delay maximizes f(tau) = |z(tau)|^2, z(tau) = ramp(-tau)^T d,
+    ramp = ``channel.subcarrier_ramp``, the statistic SAGE's delay search
+    scores, within half a bin of its best DFT bin tau = m / B. Every step
+    reads a ramp ``channel.Setup`` built: the bins from ``bin_ramp``; the
+    start, the best of the oversampled transform at the bracket's 41
+    points, from ``grid_ramp``; then ``_TOA_NEWTON_STEPS`` Newton steps on
+    f from ``ramp_weights``, each clipped to the bracket and taken only
+    where f is concave, with f' / f'' = Re(conj(z) z') / (|z'|^2 +
+    Re(conj(z) z'')). The bin centre is kept unless the result is
+    strictly better. The gain is the least-squares fit ramp(tau)^H d / N
+    on the same ramp.
 
-    Returns (tau_hat, delta_hat, peak_bin, delta_tau): the 1-based bin
-    and delta_tau = m / B - tau_hat.
+    Returns (tau_hat, delta_hat), each (Q+1,); raises ``OutOfRange`` when
+    a normalized delay tau B / N falls outside (0, 1).
     """
-    d = np.asarray(delta_tilde_q, dtype=complex)
-    n, bw = d.size, cfg.bandwidth
+    d = np.asarray(delta_tilde, dtype=complex)
+    n, bw = setup.cfg.n_subcarriers, setup.cfg.bandwidth
+    m0 = np.argmax(np.abs(d @ setup.bin_ramp), axis=1)          # 0-based bins
+    tau_bin = m0 / bw
+    lo, hi = tau_bin - 0.5 / bw, tau_bin + 0.5 / bw
+    grid = np.abs((d * setup.bin_ramp[:, m0].T) @ setup.grid_ramp)
+    start = np.minimum(np.maximum(
+        tau_bin + setup.grid_offsets[np.argmax(grid, axis=1)], lo), hi)
+    weights = setup.ramp_weights
 
-    def peak_mag(taus) -> np.ndarray:
-        return np.abs(d @ subcarrier_ramp(np.negative(taus), bw, n))
+    def ramp_sums(tau):
+        """Columns z, z' and z'' at the delays ``tau``, one row per path."""
+        return (d * np.exp(np.multiply.outer(tau, weights[:, 1]))) @ weights
 
-    m0 = int(np.argmax(peak_mag(np.arange(n) / bw)))      # 0-based peak bin
-    tau_bin, half = m0 / bw, 1.0 / (2.0 * bw)
-    tau_hat, _ = maximize_1d(peak_mag, tau_bin - half, tau_bin + half,
-                             incumbent=tau_bin)
-    upsilon = tau_hat * bw / n
-    if not 0.0 < upsilon < 1.0:
-        raise OutOfRange(f"normalized delay {upsilon} outside (0, 1)")
-    delta_hat = (subcarrier_ramp(tau_hat, bw, n).conj() @ d) / n
-    return float(tau_hat), complex(delta_hat), m0 + 1, float(tau_bin - tau_hat)
+    z = ramp_sums(start)
+    f_start = np.abs(z[:, 0]) ** 2
+    tau = start
+    for _ in range(_TOA_NEWTON_STEPS):
+        grad = np.real(z[:, 0].conj() * z[:, 1])
+        curv = np.abs(z[:, 1]) ** 2 + np.real(z[:, 0].conj() * z[:, 2])
+        # no step where f is not concave: grad / -inf is zero
+        tau = np.minimum(np.maximum(
+            tau - grad / np.where(curv < 0.0, curv, -np.inf), lo), hi)
+        z = ramp_sums(tau)
+    # f is flat to rounding near its peak: the Newton point is taken
+    # unless it lost more than _TOA_FLAT of the start's f
+    f = np.abs(z[:, 0]) ** 2
+    take = f >= f_start * (1.0 - _TOA_FLAT)
+    tau, f = np.where(take, tau, start), np.where(take, f, f_start)
+    tau = np.where(f > np.abs(ramp_sums(tau_bin)[:, 0]) ** 2, tau, tau_bin)
+
+    upsilon = tau * bw / n
+    outside = ~((upsilon > 0.0) & (upsilon < 1.0))
+    if np.any(outside):
+        raise OutOfRange(
+            f"normalized delay {upsilon[outside][0]} outside (0, 1)")
+    ramp = subcarrier_ramp(tau, bw, n)
+    return tau, np.einsum("nq,qn->q", ramp.conj(), d) / n
 
 
 @dataclass
@@ -280,10 +317,7 @@ def run_coarse(obs: Observation, setup: Setup,
     if refine_aod:
         u_hat = refine_aod_mle(obs, setup, u_hat)
     aoa = estimate_ris_aoa(obs, setup, u_hat)
-    tau = np.empty(setup.n_paths)
-    gains = np.empty(setup.n_paths, dtype=complex)
-    for q in range(setup.n_paths):
-        tau[q], gains[q], _, _ = estimate_toa(aoa.delta_tilde[q], setup.cfg)
+    tau, gains = estimate_toa(aoa.delta_tilde, setup)
 
     order = np.argsort(tau, kind="stable")
     params = ChannelParams(tau[order], gains[order], u_hat[order],

@@ -144,6 +144,9 @@ class ExperimentConfig:
             if not _is_finite_real(value):
                 raise ValueError(
                     f"{name} must be a finite real number, not {value!r}")
+        if not 0 <= self.alpha_deg < 180:
+            raise ValueError(
+                f"alpha_deg must lie in [0, 180), not {self.alpha_deg!r}")
         for name in ("fc_hz", "bandwidth_hz"):
             if not getattr(self, name) > 0:
                 raise ValueError(
@@ -289,23 +292,48 @@ def _support_matches(est: ChannelParams, true: ChannelParams,
 @dataclass
 class PowerSetup(ch.Setup):
     """What every trial at one transmit power shares: the channel setup
-    and the parameter Jacobian at the true pose (it does not depend on
-    the gains).
+    and the truth's products that do not depend on the gains.
+
+    Within one power point the trials differ only in their drawn path
+    gains. So the setup holds the true channel parameters ``true_unit``
+    at unit gains, whose delays and spatial frequencies every trial
+    shares, the complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of
+    ``bounds.derivative_factors`` at them, and the parameter Jacobian
+    ``t_true`` at the true pose; ``truth`` swaps a trial's gains into
+    the first two.
 
     All of it is seeded by the master seed alone, so a sweep builds it
     once per power point and hands it to each trial and to the
     reference bounds.
     """
 
+    true_unit: ChannelParams = field(init=False)
+    true_gram: np.ndarray = field(init=False)
     t_true: np.ndarray = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
         geom = self.geom
+        self.true_unit = true_channel_params(
+            geom, np.ones(self.n_paths, complex))
+        # every trial's true parameters share these arrays
+        for shared in (self.true_unit.tau, self.true_unit.u,
+                       self.true_unit.c, self.true_unit.s):
+            shared.flags.writeable = False
+        self.true_gram = bnd.gram_from_factors(
+            *bnd.derivative_factors(self.true_unit, self))
         self.t_true = bnd.transformation_matrix(
             PositionParams(gains=np.zeros(self.n_paths, complex), ms=geom.ms,
                            alpha=geom.alpha, scatterers=geom.scatterers),
             geom.ris, geom.bs)
+
+    def truth(self, gains: np.ndarray):
+        """The true channel parameters with path gains ``gains`` and the
+        bounds at them, from ``bounds.fim_at_gains``."""
+        unit = self.true_unit
+        true = ChannelParams(unit.tau, gains, unit.u, unit.c, unit.s)
+        j_eta = bnd.fim_at_gains(self.true_gram, true.gains, self)
+        return true, bnd.position_bounds(j_eta, self.t_true)
 
 
 def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
@@ -339,12 +367,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     ss = np.random.SeedSequence(entropy)
     gain_seed, noise_seed = ss.spawn(2)
     gains = ch.draw_gains(cfg, geom, np.random.default_rng(gain_seed))
-    true = true_channel_params(geom, gains)
+    true, rep = setup.truth(gains)
     rec.eta_true = true.to_vector()
-
-    # per-trial bounds at the true parameters
-    j_true = bnd.fim_channel(true, setup)
-    rep = bnd.position_bounds(j_true, setup.t_true)
     rec.crlb = angle_crlb(rep.cov_channel, true)
     rec.peb, rec.oeb = rep.peb, rep.oeb
 
@@ -429,9 +453,7 @@ def reference_bounds(exp: ExperimentConfig, power_dbm: float,
     if setup is None:
         setup = power_setup(exp, power_dbm)
     gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
-    true = true_channel_params(setup.geom, gains)
-    j_eta = bnd.fim_channel(true, setup)
-    rep = bnd.position_bounds(j_eta, setup.t_true)
+    true, rep = setup.truth(gains)
     return _report_bounds(angle_crlb(rep.cov_channel, true).reshape(-1, 6),
                           rep.peb, rep.oeb)
 

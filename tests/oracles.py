@@ -1,9 +1,11 @@
 """Test oracles: the node angles and the angle-domain channel model, the
 long-way channel builders, the received tensor and its two statistics,
-the out-of-place noisy synthesis, the full-tensor SAGE path objective,
+the out-of-place noisy synthesis, the observation drawn with a fresh
+lower-triangle index, the full-tensor SAGE path objective,
 the full-stack concentrated AOD objective, DCS-SOMP on a record (its
 covariance form and the correlation-tensor form), the RIS arrival step
-one phase block and one path at a time, the UPA steering vector, the
+one phase block and one path at a time, the delay step one path at a
+time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
 association, and SAGE by coordinate cycles alone. The package keeps
@@ -24,8 +26,10 @@ from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import coarse_est as ce
 from rispos import sage as sg
+from rispos._search import maximize_1d
+from rispos.channel import SystemConfig, subcarrier_ramp
 from rispos.errors import (DegenerateGeometry, DimensionMismatch,
-                           RankDeficient, SingularConcentration,
+                           OutOfRange, RankDeficient, SingularConcentration,
                            SparsityInfeasible, ZeroDenominator)
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
 from rispos.params import ChannelParams, PositionParams
@@ -282,6 +286,26 @@ def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
                    setup)
 
 
+def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
+                        noise_seed) -> ch.Observation:
+    """``channel.synthesize_rx``'s noisy observation for N_b - 1 >= T1 / N,
+    drawn in its documented order: z_par, the Bartlett gammas, then the
+    normals below the diagonal, placed by a fresh ``np.tril_indices``."""
+    cfg, t1 = setup.cfg, setup.cfg.t1
+    norm_b = np.sqrt(setup.geom.n_bs)
+    rng = np.random.default_rng(noise_seed)
+    ypar = norm_b * ch.model_field(params, setup)
+    noise = rng.standard_normal((2,) + ypar.shape)
+    ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
+    m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
+    low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
+    low[np.tril_indices(t1, -1)] = rng.standard_normal(
+        (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
+    y1 = ypar[:t1]
+    return ch.Observation(norm_b * ypar, y1.conj() @ y1.T
+                          + cfg.noise_power * (low.conj() @ low.T))
+
+
 def trial_tensor(exp, setup: ch.Setup, power_idx: int, trial_idx: int):
     """The true parameters and the received tensor of one sweep trial,
     drawn from the seeds ``harness.run_trial`` uses."""
@@ -503,6 +527,34 @@ def ris_aoa_loop(obs: ch.Observation, setup: ch.Setup, u_hat: np.ndarray,
     s = np.clip(s_grid, -rim, rim)
     return ce.AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
                           clamped=s != s_grid)
+
+
+def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
+    """Delay and gain of one path from its hybrid per-subcarrier gains d.
+
+    The delay maximizes |ramp(-tau)^T d|, ramp = ``channel.subcarrier_ramp``,
+    the statistic SAGE's delay search scores: first over the DFT bins
+    tau = m / B, then over half a bin on either side of the best bin. The
+    gain is the least-squares fit ramp(tau)^H d / N on the same ramp.
+
+    Returns (tau_hat, delta_hat, peak_bin, delta_tau): the 1-based bin
+    and delta_tau = m / B - tau_hat.
+    """
+    d = np.asarray(delta_tilde_q, dtype=complex)
+    n, bw = d.size, cfg.bandwidth
+
+    def peak_mag(taus) -> np.ndarray:
+        return np.abs(d @ subcarrier_ramp(np.negative(taus), bw, n))
+
+    m0 = int(np.argmax(peak_mag(np.arange(n) / bw)))      # 0-based peak bin
+    tau_bin, half = m0 / bw, 1.0 / (2.0 * bw)
+    tau_hat, _ = maximize_1d(peak_mag, tau_bin - half, tau_bin + half,
+                             incumbent=tau_bin)
+    upsilon = tau_hat * bw / n
+    if not 0.0 < upsilon < 1.0:
+        raise OutOfRange(f"normalized delay {upsilon} outside (0, 1)")
+    delta_hat = (subcarrier_ramp(tau_hat, bw, n).conj() @ d) / n
+    return float(tau_hat), complex(delta_hat), m0 + 1, float(tau_bin - tau_hat)
 
 
 def channel_params_from_vector(vec: np.ndarray) -> ChannelParams:

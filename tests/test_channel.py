@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (build_channel, build_channel_cascade, observe,
-                     synthesize_rx_sum, synthesize_tensor)
+                     synthesize_rx_draws, synthesize_rx_sum, synthesize_tensor)
 from rispos import harness as hn
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -134,6 +134,24 @@ def test_noiseless_observation_is_the_tensor_observation(setup20):
     for got, want in ((obs.pa, ref.pa), (obs.cov1, ref.cov1)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_prebuilt_triangle_keeps_every_draw():
+    """Building the Bartlett triangle's indices once per setup changes no
+    draw: on 50 sweep trials (master seed 77, 20 dBm) the observation
+    equals, bit for bit, the one drawn in the documented order with
+    ``np.tril_indices`` built per draw."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    setup = hn.power_setup(exp, 20.0)
+    for trial in range(50):
+        gain_seed, noise_seed = np.random.SeedSequence(
+            (exp.master_seed, hn._TAG_TRIAL, 3, trial)).spawn(2)
+        true, _ = setup.truth(ch.draw_gains(
+            setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
+        obs = ch.synthesize_rx(setup, true, np.random.default_rng(noise_seed))
+        ref = synthesize_rx_draws(setup, true, np.random.default_rng(noise_seed))
+        assert np.array_equal(obs.pa, ref.pa), trial
+        assert np.array_equal(obs.cov1, ref.cov1), trial
 
 
 def test_observation_same_seed_same_bytes(setup20):

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
-                     dcs_somp_tensor, ms_steering, observe, ris_aoa_loop,
-                     synthesize_tensor, to_angles, trial_tensor)
+                     dcs_somp_tensor, estimate_toa, ms_steering, observe,
+                     ris_aoa_loop, synthesize_tensor, to_angles, trial_tensor)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -422,10 +422,22 @@ def test_ris_aoa_colliding_departures_rank_deficient(setup20):
         ce.estimate_ris_aoa(s.obs_noisy, s.setup, u_hat)
 
 
-def test_estimate_toa_matches_brute_force():
+def _toa_one_path(d, setup):
+    """``estimate_toa`` on one path's gains d: (tau_hat, delta_hat, the
+    1-based DFT bin, bin delay - tau_hat). At a bracket end tau_hat is
+    (m +- 1/2) / B, which names no bin, so the bin is d's DFT peak, checked
+    to lie within half a bin of tau_hat."""
+    (tau_hat,), (delta_hat,) = ce.estimate_toa(d[None, :], setup)
+    m0 = int(np.argmax(np.abs(np.fft.ifft(d))))
+    bw = setup.cfg.bandwidth
+    assert abs(tau_hat * bw - m0) <= 0.5 + 1e-12
+    return tau_hat, delta_hat, m0 + 1, m0 / bw - tau_hat
+
+
+def test_estimate_toa_matches_brute_force(setup20):
     """On 200 random (delay, noise) draws, a quarter of them within 0.05
-    bin of a bracket end, the 41-point delay search lands within 1e-6 bin
-    of a 4,001-point scan of the rotation bracket plus a parabolic step
+    bin of a bracket end, the delay step lands within 1e-6 bin of a
+    4,001-point scan of the rotation bracket plus a parabolic step
     through its best triple (the scan's end point when that is best)."""
     cfg = ch.SystemConfig()
     n, bw = cfg.n_subcarriers, cfg.bandwidth
@@ -442,7 +454,7 @@ def test_estimate_toa_matches_brute_force():
             -2j * np.pi * k * tau * bw / n)
              + noise * (rng.standard_normal(n)
                         + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
-        _, _, m_bin, dtau = ce.estimate_toa(d, cfg)
+        _, _, m_bin, dtau = _toa_one_path(d, setup20.setup)
 
         base = d * np.exp(2j * np.pi * k * (m_bin - 1) / n)
         vals = np.abs(np.exp(-2j * np.pi * np.multiply.outer(xs, k) * bw / n)
@@ -455,33 +467,34 @@ def test_estimate_toa_matches_brute_force():
         assert abs(dtau - best) * bw < 1e-6, (draw, tau * bw, noise)
 
 
-def test_estimate_toa_on_bin():
+def test_estimate_toa_on_bin(setup20):
     cfg = ch.SystemConfig()
     n = cfg.n_subcarriers
     delta = 0.7 - 0.2j
     tau = 4.0 / cfg.bandwidth          # exactly on DFT bin 5
     ramp = np.exp(-2j * np.pi * np.arange(n) * tau * cfg.bandwidth / n)
-    tau_hat, delta_hat, m_bin, dtau = ce.estimate_toa(delta * ramp, cfg)
+    tau_hat, delta_hat, m_bin, dtau = _toa_one_path(delta * ramp,
+                                                    setup20.setup)
     assert m_bin == 5
     assert abs(dtau) < 1e-18            # zero up to bracket-scale roundoff
     assert tau_hat == pytest.approx(tau, abs=1e-18)
     assert abs(delta_hat - delta) < 1e-12
 
 
-def test_estimate_toa_default_delay():
+def test_estimate_toa_default_delay(setup20):
     """Reference VLoS delay: bin 5 and sub-0.05 ns refinement."""
     cfg = ch.SystemConfig()
     tau = (np.sqrt(164.0) + np.sqrt(1855.25)) / 3e8       # 186.26 ns
     n = cfg.n_subcarriers
     delta = 1.3e-6 * np.exp(0.4j)
     ramp = np.exp(-2j * np.pi * np.arange(n) * tau * cfg.bandwidth / n)
-    tau_hat, delta_hat, m_bin, _ = ce.estimate_toa(delta * ramp, cfg)
+    tau_hat, delta_hat, m_bin, _ = _toa_one_path(delta * ramp, setup20.setup)
     assert m_bin == 5
     assert abs(tau_hat - tau) < 0.05e-9
     assert abs(np.angle(delta_hat / delta)) < 1e-6
 
 
-def test_estimate_toa_rotation_non_decreasing():
+def test_estimate_toa_rotation_non_decreasing(setup20):
     """The refined rotation never loses peak magnitude vs no rotation."""
     cfg = ch.SystemConfig()
     rng = np.random.default_rng(3)
@@ -491,7 +504,7 @@ def test_estimate_toa_rotation_non_decreasing():
         tau = rng.uniform(0.05, 0.9) * n / cfg.bandwidth
         d = np.exp(-2j * np.pi * k * tau * cfg.bandwidth / n) \
             + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        tau_hat, _, m_bin, dtau = ce.estimate_toa(d, cfg)
+        tau_hat, _, m_bin, dtau = _toa_one_path(d, setup20.setup)
         base = d * np.exp(2j * np.pi * k * (m_bin - 1) / n)
         mag0 = abs(np.sum(base))
         mag = abs(np.sum(np.exp(-2j * np.pi * k * dtau * cfg.bandwidth / n)
@@ -499,13 +512,62 @@ def test_estimate_toa_rotation_non_decreasing():
         assert mag >= mag0 - 1e-12
 
 
-def test_estimate_toa_out_of_range():
+def test_estimate_toa_out_of_range(setup20):
     cfg = ch.SystemConfig()
     n = cfg.n_subcarriers
     # positive phase ramp implies a negative delay
     d = np.exp(+2j * np.pi * np.arange(n) * 0.01)
     with pytest.raises(OutOfRange):
-        ce.estimate_toa(d, cfg)
+        ce.estimate_toa(d[None, :], setup20.setup)
+
+
+def _assert_toa_matches_search(gains, setup, what):
+    """``estimate_toa`` on the rows of ``gains`` (paths, N) against the
+    half-bin search oracle path by path: the same ``OutOfRange`` outcome,
+    delays within 1e-9 bin and gains within 1e-9 relative. Returns
+    whether the oracle raised."""
+    try:
+        ref = [estimate_toa(row, setup.cfg) for row in gains]
+    except OutOfRange:
+        with pytest.raises(OutOfRange):
+            ce.estimate_toa(gains, setup)
+        return True
+    tau, delta = ce.estimate_toa(gains, setup)
+    ref_tau = np.array([r[0] for r in ref])
+    ref_delta = np.array([r[1] for r in ref])
+    assert np.max(np.abs(tau - ref_tau)) * setup.cfg.bandwidth <= 1e-9, what
+    assert np.max(np.abs(delta - ref_delta) / np.abs(ref_delta)) <= 1e-9, what
+    return False
+
+
+def test_estimate_toa_matches_the_search_oracle():
+    """On the hybrid gains of the 800 trials of master seed 77 (200 per
+    power, coarse departure sines), the search-free delay step matches
+    the per-path half-bin ``maximize_1d`` search of the oracle: delays
+    within 1e-9 bin, gains within 1e-9 relative, the same ``OutOfRange``
+    outcome. So it does on 200 single-path draws with delays within a
+    bin of 0 or N / B, about a quarter of which the oracle rejects."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    n_trials = 0
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        for trial, (obs, u_hat) in enumerate(
+                _sweep_observations(exp, setup, p_idx, exp.n_trials)):
+            aoa = ce.estimate_ris_aoa(obs, setup, u_hat)
+            _assert_toa_matches_search(aoa.delta_tilde, setup, (power, trial))
+            n_trials += 1
+    assert n_trials == 800
+
+    n, bw = setup.cfg.n_subcarriers, setup.cfg.bandwidth
+    k = np.arange(n)
+    rng = np.random.default_rng(2025)
+    raised = 0
+    for draw in range(200):
+        x = rng.uniform(-1.0, 1.0) + (n if draw % 2 else 0)
+        d = (np.exp(-2j * np.pi * k * x / n)
+             + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        raised += _assert_toa_matches_search(d[None, :], setup, draw)
+    assert 25 <= raised <= 100
 
 
 def test_refine_aod_colliding_angles_rejected(setup20):

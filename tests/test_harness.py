@@ -13,7 +13,9 @@ import pytest
 from conftest import sample_layout
 from oracles import min_association_cost
 from rispos import bounds as bnd
+from rispos import channel as ch
 from rispos import cli
+from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import positioning as pos_mod
 from rispos import sage as sg
@@ -270,7 +272,8 @@ def test_cli_negative_seed_or_trial_rejected(tmp_path, capsys, argv,
     "noiseless: 'false'\n", "noiseless: 1\n", "ms: [22, 35]\n",
     "bs: [0, 0, .nan]\n", "ris: [-6, x, 20]\n", "ms: 22\n",
     "scatterers: [[6, 5]]\n", "scatterers: [[6, 5, .inf]]\n",
-    "scatterers: 6\n", "fc_hz: .inf\n", "noise_density_dbm_hz: .nan\n"],
+    "scatterers: 6\n", "fc_hz: .inf\n", "noise_density_dbm_hz: .nan\n",
+    "alpha_deg: 200\n", "alpha_deg: -1\n"],
     ids=["n_bs_float", "n_ms_zero", "n_ris_az_string", "n_ris_el_bool",
          "n_subcarriers_zero", "t_total_float", "t1_negative",
          "n_blocks_zero", "v_slots_float", "g_ms_zero", "g_ris_az_float",
@@ -279,7 +282,8 @@ def test_cli_negative_seed_or_trial_rejected(tmp_path, capsys, argv,
          "ms_spacing_negative", "ris_spacing_zero", "noiseless_string",
          "noiseless_int", "ms_two_entries", "bs_nan", "ris_string",
          "ms_scalar", "scatterer_two_entries", "scatterer_inf",
-         "scatterers_scalar", "fc_inf", "noise_density_nan"])
+         "scatterers_scalar", "fc_inf", "noise_density_nan", "alpha_above",
+         "alpha_negative"])
 def test_config_bad_counts_and_reals_are_value_errors(tmp_path, capsys, text):
     """An array, subcarrier, slot or grid count that is not an integer
     >= 1, a carrier or bandwidth that is not a real > 0, an element
@@ -292,7 +296,8 @@ def test_config_bad_counts_and_reals_are_value_errors(tmp_path, capsys, text):
     ``noiseless`` that is not a bool (the string 'false' ran noiseless),
     a node or scatterer that is not three finite reals (ms: [22, 35]
     failed in NumPy's reshape, naming no field), and a non-finite real
-    setting (an infinite carrier was a ZeroDivisionError traceback)."""
+    setting (an infinite carrier was a ZeroDivisionError traceback), or a
+    rotation outside [0, 180) degrees (it named the geometry's alpha)."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     field_name = text.split(":")[0]
@@ -367,6 +372,23 @@ def test_import_is_scipy_free():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("power", [-10.0, 20.0])
+def test_reference_bounds_match_the_fim_channel_path(power):
+    """``reference_bounds`` reads the setup's unit-gain Gram; every bound
+    equals the one from ``fim_channel`` at ``true_channel_params`` of the
+    nominal gains to 1e-10 relative."""
+    exp = hn.ExperimentConfig()
+    setup = hn.power_setup(exp, power)
+    gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
+    true = gm.true_channel_params(setup.geom, gains)
+    rep = bnd.position_bounds(bnd.fim_channel(true, setup), setup.t_true)
+    ref = hn._report_bounds(
+        hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6), rep.peb, rep.oeb)
+    got = hn.reference_bounds(exp, power, setup)
+    for cls in hn.REPORT_CLASSES:
+        assert got[cls] == pytest.approx(ref[cls], rel=1e-10), cls
+
+
 def test_cli_bounds_and_trial(capsys):
     assert cli.main(["bounds", "--powers", "0", "10"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
@@ -396,8 +418,9 @@ def test_cli_trial_matches_sweep_trial(capsys):
 def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
     """An lm trial whose SAGE scoring converged weights LM with scoring's
     last FIM, which is ``fim_channel`` at the SAGE estimate bit for bit,
-    and so calls ``fim_channel`` once (the bounds at the truth), one
-    call fewer than a trial that fell back (master seed 77)."""
+    and so never calls ``fim_channel`` (the bounds at the truth read the
+    setup's unit-gain Gram), one call fewer than a trial that fell back
+    (master seed 77)."""
     exp = hn.ExperimentConfig(master_seed=77)
     setup = hn.power_setup(exp, power)
     seen = {"fim_calls": 0}
@@ -422,7 +445,7 @@ def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
     rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, setup)
     assert rec.error is None
     assert rec.flags["sage_fallback"] is fallback
-    assert seen["fim_calls"] == (2 if fallback else 1)
+    assert seen["fim_calls"] == (1 if fallback else 0)
     assert np.array_equal(seen["j_eta"], fim_channel(seen["sage"], setup))
 
 

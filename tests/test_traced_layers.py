@@ -3,7 +3,10 @@
 ``perfbench/spans.py`` wraps the package's functions by module attribute.
 A renamed function, or a caller that bypasses the module attribute,
 leaves its span or counter at zero without any error; this test fails
-instead.
+instead. A trial calls ``fim_channel`` only when SAGE's Fisher scoring
+falls back (the bounds at the truth read the setup's unit-gain Gram), so
+the traced sweep runs the -10 dBm trials of master seed 77 up to trial
+21, the first that falls back.
 """
 
 import importlib
@@ -20,11 +23,12 @@ def test_traced_sweep_reaches_every_span_and_counter(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        report = hn.run_sweep(hn.ExperimentConfig(n_trials=1,
-                                                  powers_dbm=[20.0]))
+        report = hn.run_sweep(hn.ExperimentConfig(
+            master_seed=77, n_trials=22, powers_dbm=[-10.0]))
     finally:
         tracer.close()
     assert report.records[0][0].error is None
+    assert report.records[0][21].flags["sage_fallback"]
     assert tracer.missing == []
     traced = {span[0] for span in tracer.spans}
     assert [n for n in spans.SELF_TIME_SPANS if n not in traced] == []
