@@ -9,7 +9,7 @@ batch: the grid (with the incumbent), then each zoom level, then the
 single parabolic step. The coarse delay step calls no search: its
 Newton steps use closed-form derivatives (``coarse_est.estimate_toa``).
 
-Callers whose incumbent an earlier cycle refined ask for the local path:
+Later passes of the AOD refinement ask for the local path:
 at most four 3-point stencils [x - h, x, x + h], h = 1e-5 of the width,
 one batch each from the incumbent, each taking the Newton step
 -h (f+ - f-) / (2 (f+ - 2 f0 + f-)) until a step is below 1e-7 of the

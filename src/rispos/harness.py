@@ -391,7 +391,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
             rec.flags["sage_converged"] = info.converged
             rec.flags["sage_monotone"] = info.monotone_ok
             rec.flags["sage_scoring_steps"] = info.scoring_steps
-            rec.flags["sage_fallback"] = info.fallback
+            rec.flags["sage_cycles"] = info.n_cycles
             # the FIM of SAGE's last scoring step, when it converged, is
             # fim_channel at the estimate
             est, j_est = refined, info.fim

@@ -44,21 +44,20 @@ in the elevation search, |s| <= sqrt(1 - c^2) in the azimuth search.
 The pole c = +-1 is a regular point of that disk, which a search can
 leave along c.
 
-The first cycle runs every search in full and finds the basin. From its
-point, at most ``_SCORING_STEPS`` joint Fisher-scoring steps (Kay,
-Estimation Theory, 1993, sec. 7.7) refine all paths at once. The score
-is (2/sigma^2) Re diag(A^H E conj(B)) with E = pa - N_B ``model_field``,
-the FIM (2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, both from
+SAGE is one loop. Each iteration first takes at most ``_SCORING_STEPS``
+joint Fisher-scoring steps (Kay, Estimation Theory, 1993, sec. 7.7) from
+the current point. The score is (2/sigma^2) Re diag(A^H E conj(B)) with
+E = pa - N_B ``model_field``, the FIM
+(2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, both from
 ``bounds.derivative_factors``. A step is halved until the global
 log-likelihood does not fall and the point stays in |u| <= 1,
-c^2 + s^2 <= 1. Scoring has converged when step^T J step < 1e-6 at the
-current point; that J is returned in ``SageInfo.fim`` and equals
-``bounds.fim_channel`` at the estimate. When scoring does not converge,
-its point is dropped and coordinate cycles continue from the cycle-1
-point, as a run without scoring would. Those cycles start within a
-small fraction of a cell of each maximum and take ``maximize_1d``'s
-local path: SAGE is a generalized EM, so an M-step need only not lower
-its objective, which the incumbent rule guarantees.
+c^2 + s^2 <= 1. Scoring has converged when step^T J step < 1e-6; SAGE
+returns that point and J (``SageInfo.fim``, which equals
+``bounds.fim_channel`` at the estimate). Otherwise its point is dropped
+and one full-search coordinate cycle, a generalized EM step (Fessler and
+Hero, IEEE TSP 1994), runs from the current point before scoring is
+tried again: cycles alone can stop on the 1e-8 likelihood rule short of
+the ML point.
 
 ``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
 into F and the gain; they are the only scoring path of a coordinate
@@ -84,7 +83,7 @@ from .params import ChannelParams
 UPDATE_ORDER = ("tau", "u", "c", "s", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
-_SCORING_STEPS = 5            # Fisher-scoring steps after the first cycle
+_SCORING_STEPS = 5            # Fisher-scoring steps per attempt
 _SCORING_TOL = 1e-6           # step^T J step that ends scoring
 _SCORING_HALVINGS = 30        # step halvings before scoring gives up
 
@@ -94,10 +93,10 @@ class SageInfo:
     """Convergence diagnostics of one SAGE run.
 
     ``loglik_history`` holds the start, each coordinate cycle and each
-    kept scoring step. ``scoring_steps`` counts the accepted scoring
-    steps, kept or not; ``fallback`` is set when scoring did not converge
-    and the cycles went on from the cycle-1 point. ``fim`` is the channel
-    FIM at the returned estimate when scoring converged, else None.
+    kept scoring step. ``n_cycles`` counts the coordinate cycles, 0 when
+    scoring converged at once; ``scoring_steps`` the accepted scoring
+    steps of all attempts, kept or not. ``fim`` is the channel FIM at
+    the returned estimate when scoring converged, else None.
     """
 
     loglik_history: list = field(default_factory=list)
@@ -105,7 +104,6 @@ class SageInfo:
     converged: bool = False
     monotone_ok: bool = True
     scoring_steps: int = 0
-    fallback: bool = False
     fim: np.ndarray | None = None
 
 
@@ -221,12 +219,11 @@ def global_log_likelihood(params: ChannelParams, obs: Observation,
 
 
 def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
-                            q: int, local: bool = False) -> dict:
+                            q: int) -> dict:
     """Update path q in place: tau, u, c, s, then the gain.
 
     Each 1-D step maximizes the concentrated likelihood over a local
     bracket with the incumbent always a candidate, so F never decreases.
-    ``local`` starts each search with ``maximize_1d``'s local path.
     Returns the objective trace of the steps.
     """
     setup, cfg = prob.setup, prob.setup.cfg
@@ -235,7 +232,7 @@ def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
     def search(terms, x0, half, lim=np.inf):
         return maximize_1d(lambda xs: path_objective(*terms(xs)),
                            max(-lim, x0 - half), min(lim, x0 + half),
-                           incumbent=x0, local=local)
+                           incumbent=x0)
 
     tau, u, c, s = (float(x[q]) for x in (params.tau, params.u, params.c,
                                            params.s))
@@ -317,13 +314,12 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
              max_cycles: int = 50) -> tuple[ChannelParams, SageInfo]:
     """Refine all channel parameters from the coarse initialization.
 
-    Paths are visited cyclically; termination is checked after each full
-    cycle on the elementwise parameter change and on the global
-    log-likelihood change. When the first cycle does not end the run and
-    more cycles are allowed, Fisher scoring (``fisher_scoring``) takes
-    over; if it does not converge, the cycles go on from the cycle-1
-    point. Hitting the cycle limit leaves ``converged`` False but still
-    returns the current estimate.
+    Each iteration tries Fisher scoring (``fisher_scoring``) from the
+    current point and returns its point when it converges. Otherwise one
+    coordinate cycle visits every path, and the run stops on the
+    elementwise parameter change or the global log-likelihood change.
+    Hitting the cycle limit leaves ``converged`` False but still returns
+    the current estimate.
     """
     params = init.copy()
     prob = SageProblem(obs, setup)
@@ -338,9 +334,15 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
     lamb = global_log_likelihood(params, obs, setup)
     info.loglik_history.append(lamb)
     for cycle in range(max_cycles):
+        scored, fim, history = fisher_scoring(obs, setup, params, lamb)
+        info.scoring_steps += len(history)
+        if fim is not None:
+            info.loglik_history.extend(history)
+            info.converged, info.fim = True, fim
+            return scored, info
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            coordinate_update_cycle(prob, params, q, local=cycle > 0)
+            coordinate_update_cycle(prob, params, q)
         info.n_cycles = cycle + 1
         new_lamb = global_log_likelihood(params, obs, setup)
         info.loglik_history.append(new_lamb)
@@ -352,12 +354,4 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
             info.converged = True
             break
         lamb = new_lamb
-        if cycle == 0 and max_cycles > 1:
-            scored, fim, history = fisher_scoring(obs, setup, params, lamb)
-            info.scoring_steps = len(history)
-            if fim is not None:
-                info.loglik_history.extend(history)
-                info.converged, info.fim = True, fim
-                return scored, info
-            info.fallback = True
     return params, info

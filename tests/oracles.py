@@ -698,9 +698,9 @@ def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
 
 def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
                 max_cycles: int = 50) -> ChannelParams:
-    """``sage.run_sage`` without Fisher scoring: full-search first cycle,
-    local cycles after it, the same stopping rule. A run that falls back
-    from scoring must end where this does."""
+    """``sage.run_sage`` without Fisher scoring: full-search coordinate
+    cycles and the same stopping rule. A run on which scoring never
+    converges must end where this does."""
     params = init.copy()
     prob = sg.SageProblem(obs, setup)
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
@@ -708,10 +708,10 @@ def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
     for q, gain in enumerate(init.gains):
         eps[6 * q + 1:6 * q + 3] = 1e-6 * max(abs(gain), 1e-30)
     lamb = sg.global_log_likelihood(params, obs, setup)
-    for cycle in range(max_cycles):
+    for _ in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            sg.coordinate_update_cycle(prob, params, q, local=cycle > 0)
+            sg.coordinate_update_cycle(prob, params, q)
         new_lamb = sg.global_log_likelihood(params, obs, setup)
         if np.all(np.abs(params.to_vector() - prev_vec) <= eps) or \
                 abs(new_lamb - lamb) <= sg._EPS_LOGLIK_REL * abs(lamb):

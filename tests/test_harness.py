@@ -413,14 +413,14 @@ def test_cli_trial_matches_sweep_trial(capsys):
         assert np.array_equal(np.asarray(payload["stages"][stage]), vec)
 
 
-@pytest.mark.parametrize("power,trial,fallback", [(20.0, 0, False),
-                                                  (-10.0, 21, True)])
-def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
+@pytest.mark.parametrize("power,trial,failed", [(20.0, 0, False),
+                                                (-10.0, 71, True)])
+def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
     """An lm trial whose SAGE scoring converged weights LM with scoring's
     last FIM, which is ``fim_channel`` at the SAGE estimate bit for bit,
     and so never calls ``fim_channel`` (the bounds at the truth read the
-    setup's unit-gain Gram), one call fewer than a trial that fell back
-    (master seed 77)."""
+    setup's unit-gain Gram), one call fewer than a trial on which scoring
+    never converged (master seed 77)."""
     exp = hn.ExperimentConfig(master_seed=77)
     setup = hn.power_setup(exp, power)
     seen = {"fim_calls": 0}
@@ -433,7 +433,7 @@ def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
 
     def sage(*args, **kwargs):
         out = run_sage(*args, **kwargs)
-        seen["sage"] = out[0]
+        seen["sage"] = out
         return out
 
     def lm(eta_hat, j_eta, *args):
@@ -444,18 +444,21 @@ def test_lm_weight_is_the_scoring_fim(power, trial, fallback, monkeypatch):
     monkeypatch.setattr(pos_mod, "refine_position_lm", lm)
     rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, setup)
     assert rec.error is None
-    assert rec.flags["sage_fallback"] is fallback
-    assert seen["fim_calls"] == (1 if fallback else 0)
-    assert np.array_equal(seen["j_eta"], fim_channel(seen["sage"], setup))
+    refined, info = seen["sage"]
+    assert (info.fim is None) is failed
+    assert seen["fim_calls"] == (1 if failed else 0)
+    assert np.array_equal(seen["j_eta"], fim_channel(refined, setup))
 
 
 def test_cli_trial_prints_scoring_flags(capsys):
-    """``rispos trial`` reports SAGE's scoring steps and its fall-back."""
-    assert cli.main(["trial", "--seed", "77", "--power", "-10",
-                     "--trial", "21"]) == 0
+    """``rispos trial`` reports SAGE's scoring steps and its coordinate
+    cycles: master seed 7, -10 dBm, trial 4 runs cycles before scoring
+    converges."""
+    assert cli.main(["trial", "--seed", "7", "--power", "-10",
+                     "--trial", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] is None
-    assert payload["flags"]["sage_fallback"] is True
+    assert payload["flags"]["sage_cycles"] > 0
     assert payload["flags"]["sage_scoring_steps"] > 0
 
 
@@ -528,6 +531,23 @@ def test_scatterer_arrival_off_the_differential_grid_ends_near_peb(draw):
         ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
         scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1)
     assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 10.0
+
+
+@pytest.mark.parametrize("draw", [35, 55])
+def test_scoring_after_every_cycle_ends_near_peb(draw):
+    """``sample_layout`` draws (default_rng(11), master seed 5, 20 dBm,
+    noisy) on which scoring fails from the coarse point and converges
+    after one cycle, at 1.06x and 0.73x PEB. Plain coordinate cycles
+    after the failed attempt stop on the likelihood rule short of the ML
+    point and end LM at 1.60x and 2.01x."""
+    rng = np.random.default_rng(11)
+    for _ in range(draw + 1):
+        geom = sample_layout(rng)
+    exp = hn.ExperimentConfig(
+        ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+        scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1,
+        master_seed=5, stage="lm")
+    assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 1.5
 
 
 def test_two_scatterer_noiseless_trial_ends_near_peb():

@@ -455,9 +455,12 @@ def test_run_sage_monotone_noisy(setup20):
     assert np.all(np.diff(hist) >= -1e-8 * np.abs(hist[:-1]))
 
 
-def test_run_sage_single_path_reduction(setup20):
-    """Q=0: one SAGE cycle is exactly one per-path coordinate ascent."""
+def test_run_sage_single_path_reduction(setup20, monkeypatch):
+    """Q=0: one SAGE cycle is exactly one per-path coordinate ascent.
+    Scoring is made to fail, so the run's one iteration is a cycle."""
     s = setup20
+    monkeypatch.setattr(sg, "fisher_scoring",
+                        lambda obs, setup, params, lamb: (params, None, []))
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
@@ -540,9 +543,7 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
 
     The run_sage result is carried on by whole cycles until no coordinate
     moves by 1e-4 sd: the 1e-8 log-likelihood stop rule alone can end a
-    run a few hundredths of an sd short of the fixed point. The extra
-    cycles search locally, as run_sage's cycles after the first do, so the
-    point checked is the one those cycles deliver.
+    run a few hundredths of an sd short of the fixed point.
     """
     worst = 0.0
     for setup, y, true in _sage_cases(setup20, default_exp):
@@ -558,7 +559,7 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
         for _ in range(20):
             prev = refined.to_vector().reshape(-1, 6)
             for q in range(refined.n_paths):
-                sg.coordinate_update_cycle(prob, refined, q, local=True)
+                sg.coordinate_update_cycle(prob, refined, q)
             moved = np.abs(refined.to_vector().reshape(-1, 6) - prev) / sd
             if np.max(moved[:, [0, 3, 4, 5]]) < 1e-4:
                 break
@@ -593,17 +594,17 @@ def _full_search(*args, local=False, **kwargs):
 def test_local_sage_stays_on_the_full_search_maximum(power, trial,
                                                      monkeypatch):
     """Trials on which local steps of up to 12.5 % of a bracket walked to
-    another local maximum (a VLoS theta_t moved 0.609 -> 0.729 rad): with
-    the 1 % step limit, SAGE ends within 0.1 CRLB sd of a run whose
-    searches are all full. The trials are observed from the received
-    tensors these cases were found on."""
+    another local maximum (a VLoS theta_t moved 0.609 -> 0.729 rad). SAGE
+    searches in full; the AOD refinement's later passes search locally.
+    With the 1 % step limit, SAGE ends within 0.1 CRLB sd of a run whose
+    AOD passes all search in full. The trials are observed from the
+    received tensors these cases were found on."""
     exp = hn.ExperimentConfig(master_seed=5, stage="sage", n_trials=30)
     p_idx = exp.powers_dbm.index(power)
     setup = hn.power_setup(exp, power)
     monkeypatch.setattr(ch, "synthesize_rx", synthesize_via_tensor)
     rec = hn.run_trial(exp, power, p_idx, trial, setup)
     with monkeypatch.context() as m:
-        m.setattr(sg, "maximize_1d", _full_search)
         m.setattr(ce, "maximize_1d", _full_search)
         ref = hn.run_trial(exp, power, p_idx, trial, setup)
     assert rec.error is None and ref.error is None
@@ -617,29 +618,25 @@ def test_local_sage_stays_on_the_full_search_maximum(power, trial,
 
 
 def test_fisher_scoring_converges_with_the_channel_fim(setup20):
-    """After one cycle, scoring converges within its step budget: SAGE
-    ends without further cycles, the history holds each accepted step and
-    does not fall, and the FIM it returns is ``bounds.fim_channel`` at the
-    estimate, bit for bit."""
+    """From the coarse point, scoring converges within its step budget:
+    SAGE ends without a coordinate cycle, the history holds the start and
+    each accepted step and does not fall, and the FIM it returns is
+    ``bounds.fim_channel`` at the estimate, bit for bit."""
     s = setup20
     coarse = ce.run_coarse(s.obs_noisy, s.setup)
     refined, info = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
-    assert info.converged and not info.fallback
-    assert info.n_cycles == 1
+    assert info.converged
+    assert info.n_cycles == 0
     assert 0 < info.scoring_steps <= sg._SCORING_STEPS
     hist = np.asarray(info.loglik_history)
-    assert hist.size == 2 + info.scoring_steps
+    assert hist.size == 1 + info.scoring_steps
     assert np.all(np.diff(hist) >= 0.0)
     assert np.array_equal(info.fim, bnd.fim_channel(refined, s.setup))
 
 
-def test_scoring_fallback_restarts_from_the_cycle_one_point(monkeypatch):
-    """Master seed 77, -10 dBm, trial 21 starts from a coarse miss on
-    which scoring converges only linearly; handing its point on to the
-    cycles ended LM at 30.7x PEB. The run falls back, its SAGE vector is
-    that of the cycles alone from the same start, and LM ends within
-    3x PEB (1.51x)."""
-    exp = hn.ExperimentConfig(master_seed=77)
+def _recorded_sage(monkeypatch, seed, power, trial):
+    """The inputs and result of SAGE in one lm trial, which ends LM
+    within 3x PEB."""
     calls = []
     run_sage = sg.run_sage
 
@@ -647,12 +644,34 @@ def test_scoring_fallback_restarts_from_the_cycle_one_point(monkeypatch):
         out = run_sage(obs, setup, init, *args, **kwargs)
         calls.append((obs, setup, init, out))
         return out
-    monkeypatch.setattr(sg, "run_sage", recorded)
-    rec = hn.run_trial(exp, -10.0, 0, 21)
-    assert rec.error is None and rec.flags["sage_fallback"]
-    (obs, setup, init, (refined, info)), = calls
-    assert info.fallback and info.fim is None and info.scoring_steps > 0
-    assert info.monotone_ok and info.n_cycles > 1
+    with monkeypatch.context() as m:
+        m.setattr(sg, "run_sage", recorded)
+        exp = hn.ExperimentConfig(master_seed=seed)
+        rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial)
+    assert rec.error is None
+    assert np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb < 3.0
+    (call,) = calls
+    return call
+
+
+def test_scoring_is_tried_before_every_cycle(monkeypatch):
+    """Scoring that fails leaves the point to one full-search cycle, and
+    is tried again after it. Master seed 77, -10 dBm, trial 71: scoring
+    never converges, and SAGE ends where the cycles alone end (LM at
+    2.37x PEB). Master seed 7, -10 dBm, trial 4: scoring converges after
+    three cycles, from the cycles' point (LM at 1.96x PEB)."""
+    obs, setup, init, (refined, info) = _recorded_sage(monkeypatch, 77,
+                                                       -10.0, 71)
+    assert info.fim is None and info.scoring_steps > 0
+    assert info.converged and info.monotone_ok and info.n_cycles > 0
     assert np.array_equal(refined.to_vector(),
                           sage_cycles(obs, setup, init).to_vector())
-    assert np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb < 3.0
+
+    obs, setup, init, (refined, info) = _recorded_sage(monkeypatch, 7,
+                                                       -10.0, 4)
+    assert info.fim is not None and info.n_cycles == 3
+    cycled = sage_cycles(obs, setup, init, max_cycles=3)
+    scored, fim, _ = sg.fisher_scoring(
+        obs, setup, cycled, sg.global_log_likelihood(cycled, obs, setup))
+    assert np.array_equal(refined.to_vector(), scored.to_vector())
+    assert np.array_equal(info.fim, fim)
