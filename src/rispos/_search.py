@@ -1,22 +1,14 @@
-"""Shared 1-D maximization: grid scan, zoom levels, parabolic step, local path.
+"""Shared 1-D maximization: grid scan, zoom levels, parabolic step.
 
-All refinement searches in the pipeline (AOD likelihood, per-path
-coordinate ascent) use the same scheme so their ascent guarantees are
-uniform: the incumbent point is always a candidate and is only abandoned
-for a strictly better one. A NaN objective value scores as -inf, so it
-never wins. Every stage hands its candidates to the objective as one
-batch: the grid (with the incumbent), then each zoom level, then the
-single parabolic step. The coarse delay step calls no search: its
-Newton steps use closed-form derivatives (``coarse_est.estimate_toa``).
-
-Later passes of the AOD refinement ask for the local path:
-at most four 3-point stencils [x - h, x, x + h], h = 1e-5 of the width,
-one batch each from the incumbent, each taking the Newton step
--h (f+ - f-) / (2 (f+ - 2 f0 + f-)) until a step is below 1e-7 of the
-width. It returns its best stencil centre, so the incumbent rule holds.
-The full search runs instead, unchanged, when a stencil is not strictly
-concave (NaN included), a step exceeds 1 % of the width (another peak
-may lie there) or a stencil would leave the bracket.
+All refinement searches in the pipeline (the AOD refinement's cyclic
+passes, SAGE's coordinate cycles) use the same scheme so their ascent
+guarantees are uniform: the incumbent point is always a candidate and is
+only abandoned for a strictly better one. A NaN objective value scores
+as -inf, so it never wins. Every stage hands its candidates to the
+objective as one batch: the grid (with the incumbent), then each zoom
+level, then the single parabolic step. The coarse delay step calls no
+search: its Newton steps use closed-form derivatives
+(``coarse_est.estimate_toa``).
 """
 
 from __future__ import annotations
@@ -29,12 +21,6 @@ import numpy as np
 _ZOOM_POINTS = 20
 _MAX_ZOOM_LEVELS = 8
 _ZOOM_STEPS = np.arange(1.0, _ZOOM_POINTS + 1)
-# local path, relative to the width: spacing (its O(h^2) bias stays far
-# below a CRLB sd, 4e-5 of the delay bracket at 20 dBm), stop, step limit
-_LOCAL_H = 1e-5
-_LOCAL_STOP = 1e-7
-_LOCAL_MAX_STEP = 1e-2
-_LOCAL_STENCILS = 4
 
 
 def _scores(vals) -> np.ndarray:
@@ -43,33 +29,8 @@ def _scores(vals) -> np.ndarray:
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
-def _local_ascent(f_batch, lo: float, hi: float, x: float):
-    """The local path from x: (x_best, f_best) over the stencil centres, or
-    None when a safeguard hands the search to the full scheme."""
-    width = hi - lo
-    h = _LOCAL_H * width
-    best = None
-    for _ in range(_LOCAL_STENCILS):
-        if not (lo <= x - h and x + h <= hi):
-            return None
-        f_m, f_0, f_p = f_batch(np.array([x - h, x, x + h]))
-        if best is None or f_0 > best[1]:
-            best = (float(x), float(f_0))
-        curv = f_p - 2.0 * f_0 + f_m
-        if not curv < 0.0:
-            return None
-        step = -h * (f_p - f_m) / (2.0 * curv)
-        if not abs(step) <= _LOCAL_MAX_STEP * width:
-            return None
-        if abs(step) < _LOCAL_STOP * width:
-            break
-        x += step
-    return best
-
-
 def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 41,
-                tol: float = 1e-4, incumbent: float | None = None,
-                local: bool = False):
+                tol: float = 1e-4, incumbent: float | None = None):
     """Maximize a smooth scalar function over [lo, hi].
 
     Parameters
@@ -96,9 +57,6 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 41,
     incumbent : float, optional
         A point guaranteed to be among the candidates; the result never
         has a smaller objective than the incumbent.
-    local : bool
-        Try the local path from the incumbent first (module docstring);
-        it needs an incumbent.
 
     Returns
     -------
@@ -110,10 +68,6 @@ def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 41,
     if width <= 0.0:
         x = lo if incumbent is None else incumbent
         return x, float(f_batch(np.array([x]))[0])
-    if local and incumbent is not None:
-        found = _local_ascent(f_batch, lo, hi, float(incumbent))
-        if found is not None:
-            return found
 
     grid = np.linspace(lo, hi, n_grid)
     xs = grid if incumbent is None else np.append(grid, float(incumbent))

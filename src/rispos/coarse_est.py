@@ -2,11 +2,12 @@
 
 Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
-of those sines, per-path sparse recovery of the RIS arrival's c and s,
-and delay/gain estimation on ``channel.subcarrier_ramp``, the statistic
-SAGE's delay search scores, for all paths at once: the DFT bin, then
-Newton steps on closed-form derivatives within half a bin of it, with
-no search. The departure recovery is DCS-SOMP, its picks made by
+of those sines (joint Newton steps, with cyclic 1-D passes when an
+attempt is dropped), per-path sparse recovery of the RIS arrival's c
+and s, and delay/gain estimation on ``channel.subcarrier_ramp``, the
+statistic SAGE's delay search scores, for all paths at once: the DFT
+bin, then Newton steps on closed-form derivatives within half a bin of
+it, with no search. The departure recovery is DCS-SOMP, its picks made by
 ``pick_columns`` from the observation's T1 x T1 covariance cov1. The
 arrival recovery de-mixes all phase blocks with one batched solve and
 makes every path's 1-sparse pick from one product with the block-level
@@ -37,6 +38,12 @@ from .params import ChannelParams
 
 _COND_LIMIT = 1e12
 _AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
+# AOD Newton attempts: difference spacing, step budget, the step that
+# ends an attempt, and the share of the objective a step may lose
+_AOD_NEWTON_H = 1e-5
+_AOD_NEWTON_STEPS = 6
+_AOD_NEWTON_STOP = 1e-9
+_AOD_NEWTON_FLAT = 1e-12
 # delay step: Newton steps from the best grid point, and the share of f
 # a step may lose to rounding and still be taken
 _TOA_NEWTON_STEPS = 4
@@ -112,52 +119,84 @@ def estimate_aod_coarse(obs: Observation, setup: Setup):
     return setup.a_m_dict.grid[res.support], res
 
 
-def _aod_column_objective(sines: np.ndarray, q: int, s_mat: np.ndarray,
-                          c_mat: np.ndarray, geom: ScenarioGeometry):
-    """Concentrated AOD log-likelihood as a function of AOD q alone.
+def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
+                   geom: ScenarioGeometry):
+    """Concentrated AOD log-likelihood over stacks of departure sines.
 
-    ``sines`` holds the departure sines sin(theta_t) of all paths,
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
     With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
-    tr(G^-1 A^H S A) (constant dropped). With the candidate column a last,
-    G = [[G0, b], [b^H, d]] and A^H S A = [[H0, h], [h^H, e]], G0 and H0
-    formed once; by the Schur complement s = d - Re(b^H w), w = G0^-1 b,
-    the trace is tr(G0^-1 H0) + (w^H H0 w - 2 Re(w^H h) + e) / s. Returns
-    a map from (n,) candidate sines to (n,) values; it raises
-    ``SingularConcentration`` when G0 is ill-conditioned or a candidate
-    has a non-finite s or s <= max(lambda_max(G0), d) / 1e12.
+    tr(G^-1 A^H S A) (constant dropped). Returns a map from an (n, P)
+    stack of sine vectors to the (n,) values, from one batched solve; it
+    raises ``SingularConcentration`` when any G is not finite or has a
+    condition number above 1e12.
     """
-    fixed = ms_sine_steering(geom, np.delete(sines, q))  # (N_m, Q)
-    c_fix, s_fix = c_mat @ fixed, s_mat @ fixed
-    g0, h0 = fixed.conj().T @ c_fix, fixed.conj().T @ s_fix
-    eig = np.linalg.eigvalsh(g0)         # empty for Q = 0, NaN if not finite
-    top = eig[-1] if eig.size else 0.0
-    if eig.size and not eig[0] > top / _COND_LIMIT:
+    def objective(stack: np.ndarray) -> np.ndarray:
+        a = np.moveaxis(ms_sine_steering(geom, stack), 0, 1)    # (n, N_m, P)
+        a_h = a.conj().transpose(0, 2, 1)
+        gram = a_h @ (c_mat @ a)
+        if np.all(np.isfinite(gram)):
+            eig = np.linalg.eigvalsh(gram)
+            if np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
+                return np.trace(np.linalg.solve(gram, a_h @ (s_mat @ a)),
+                                axis1=1, axis2=2).real
         raise SingularConcentration("departure angles collide")
-    base = np.trace(np.linalg.solve(g0, h0)).real
-
-    def objective(u_q: np.ndarray) -> np.ndarray:
-        a = ms_sine_steering(geom, u_q)                  # (N_m, n)
-        b, h = c_fix.conj().T @ a, s_fix.conj().T @ a    # (Q, n)
-        d = np.einsum("mn,mn->n", a.conj(), c_mat @ a).real
-        w = np.linalg.solve(g0, b)
-        schur = d - np.einsum("qn,qn->n", b.conj(), w).real
-        if not np.all(np.isfinite(schur) & (
-                schur > np.maximum(top, d) / _COND_LIMIT)):
-            raise SingularConcentration("departure angles collide")
-        num = (np.einsum("qn,qn->n", w.conj(), h0 @ w - 2.0 * h).real
-               + np.einsum("mn,mn->n", a.conj(), s_mat @ a).real)
-        return base + num / schur
     return objective
 
 
-def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
-    """Cyclic 1-D refinement of the departure sines over the first T1 slots.
+def _aod_newton(objective, sines: np.ndarray, cell: float):
+    """Joint Newton steps on the concentrated objective from ``sines``.
 
-    Each sine is searched over one coarse grid cell around its current
-    value; the concentrated objective never decreases. Passes after the
-    first start each search with the local path. Returns the refined
-    sines.
+    Each step scores one batch of 1 + 2P + 2P(P-1) stacks, the point, the
+    points +-h e_i and the corners (+-h e_i, +-h e_j) of each pair i < j,
+    whose central differences give the gradient and Hessian. Returns the
+    point at which a step falls below 1e-9, or None when the attempt is
+    dropped: -H has no Cholesky factor, a step leaves [-1, 1] or one grid
+    cell around ``sines``, the objective falls by more than 1e-12
+    relative, or ``_AOD_NEWTON_STEPS`` steps pass.
+    """
+    p = sines.size
+    eye = np.eye(p)
+    pairs = np.triu_indices(p, 1)
+    corners = [a * eye[i] + b * eye[j] for i, j in zip(*pairs)
+               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    h = _AOD_NEWTON_H
+    stencil = h * np.vstack([np.zeros(p), eye, -eye, *corners])
+    x, f_prev = sines, -np.inf
+    for _ in range(_AOD_NEWTON_STEPS):
+        f = objective(x + stencil)
+        if f[0] < f_prev - _AOD_NEWTON_FLAT * abs(f_prev):
+            return None
+        f_prev = f[0]
+        f_plus, f_minus = f[1:p + 1], f[p + 1:2 * p + 1]
+        grad = (f_plus - f_minus) / (2.0 * h)
+        hess = np.diag((f_plus - 2.0 * f[0] + f_minus) / h ** 2)
+        hess[pairs] = hess[pairs[::-1]] = (
+            f[2 * p + 1:].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
+            / (4.0 * h ** 2))
+        try:
+            chol = np.linalg.cholesky(-hess)
+        except np.linalg.LinAlgError:
+            return None
+        step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        if np.max(np.abs(step)) < _AOD_NEWTON_STOP:
+            return x
+        x = x + step
+        if not (np.all(np.abs(x) <= 1.0)
+                and np.all(np.abs(x - sines) <= cell)):
+            return None
+    return None
+
+
+def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
+    """ML refinement of the departure sines over the first T1 slots.
+
+    Each of at most ``_AOD_MAX_PASSES`` iterations first tries joint
+    Newton steps on all sines (``_aod_newton``) and returns their point
+    when they converge. Otherwise one cyclic pass searches each sine in
+    full over one coarse grid cell around it, as incumbent, so the
+    concentrated objective never decreases; a pass that moves no sine by
+    1e-9 ends the loop. Returns (sines, passes), passes counting the
+    cyclic passes run: 0 when Newton converged from ``u_init``.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -165,23 +204,27 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     c_mat = x1 @ x1.conj().T
     b_mat = x1 @ obs.pa[:t1].conj()                     # column n: B[n]^H a_B
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
+    objective = _aod_objective(s_mat, c_mat, geom)
 
     sines = np.array(u_init, dtype=float)
+    lanes = np.arange(sines.size)
     cell = 2.0 / cfg.g_ms
-
-    for n_pass in range(_AOD_MAX_PASSES):
+    for passes in range(_AOD_MAX_PASSES):
+        found = _aod_newton(objective, sines, cell)
+        if found is not None:
+            return found, passes
         moved = 0.0
         for q in range(sines.size):
             u0 = float(sines[q])
-            column = _aod_column_objective(sines, q, s_mat, c_mat, geom)
-            u_best, _ = maximize_1d(column, max(-1.0, u0 - cell),
-                                    min(1.0, u0 + cell), incumbent=u0,
-                                    local=n_pass > 0)
-            moved = max(moved, abs(u_best - u0))
-            sines[q] = u_best
+            # sine q's candidates in stacks that hold the other sines
+            sines[q], _ = maximize_1d(
+                lambda u_q: objective(np.where(lanes == q, u_q[:, None],
+                                               sines)),
+                max(-1.0, u0 - cell), min(1.0, u0 + cell), incumbent=u0)
+            moved = max(moved, abs(sines[q] - u0))
         if moved < 1e-9:
-            break
-    return sines
+            return sines, passes + 1
+    return sines, _AOD_MAX_PASSES
 
 
 @dataclass
@@ -314,13 +357,14 @@ def run_coarse(obs: Observation, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
     """Run the four coarse sub-steps and order the paths by delay."""
     u_hat, _ = estimate_aod_coarse(obs, setup)
+    flags = {}
     if refine_aod:
-        u_hat = refine_aod_mle(obs, setup, u_hat)
+        u_hat, flags["aod_passes"] = refine_aod_mle(obs, setup, u_hat)
     aoa = estimate_ris_aoa(obs, setup, u_hat)
     tau, gains = estimate_toa(aoa.delta_tilde, setup)
 
     order = np.argsort(tau, kind="stable")
     params = ChannelParams(tau[order], gains[order], u_hat[order],
                            aoa.c[order], aoa.s[order])
-    return CoarseEstimate(params=params,
-                          flags={"aoa_clamped": aoa.clamped[order].tolist()})
+    flags["aoa_clamped"] = aoa.clamped[order].tolist()
+    return CoarseEstimate(params=params, flags=flags)

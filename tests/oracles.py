@@ -2,7 +2,8 @@
 long-way channel builders, the received tensor and its two statistics,
 the out-of-place noisy synthesis, the observation drawn with a fresh
 lower-triangle index, the full-tensor SAGE path objective,
-the full-stack concentrated AOD objective, DCS-SOMP on a record (its
+the full-stack concentrated AOD objective and the AOD refinement by
+cyclic passes on it, DCS-SOMP on a record (its
 covariance form and the correlation-tensor form), the RIS arrival step
 one phase block and one path at a time, the delay step one path at a
 time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
@@ -408,6 +409,41 @@ def concentrated_aod_objective(theta_vec: np.ndarray, s_mat: np.ndarray,
     vals = np.real(np.trace(np.linalg.solve(gram, a_h @ s_mat @ a),
                             axis1=1, axis2=2))
     return vals if theta.ndim == 2 else float(vals[0])
+
+
+def refine_aod_cyclic(obs: ch.Observation, setup: ch.Setup,
+                      u_init: np.ndarray,
+                      max_passes: int = 100) -> np.ndarray:
+    """``coarse_est.refine_aod_mle`` as cyclic 1-D maximization, the
+    alternating projection of Ziskind and Wax: full-search passes, each
+    sine over one coarse grid cell around its current value with that
+    value as incumbent, on ``concentrated_aod_objective``, until a pass
+    moves no sine."""
+    geom, t1 = setup.geom, setup.cfg.t1
+    x1 = setup.pilots[:, :t1]
+    c_mat = x1 @ x1.conj().T
+    b_mat = x1 @ obs.pa[:t1].conj()
+    s_mat = b_mat @ b_mat.conj().T / geom.n_bs
+    sines = np.array(u_init, dtype=float)
+    cell = 2.0 / setup.cfg.g_ms
+
+    def column(q):
+        def f_batch(u_q):
+            stack = np.repeat(sines[None, :], u_q.size, axis=0)
+            stack[:, q] = u_q
+            return concentrated_aod_objective(np.arcsin(stack), s_mat, c_mat,
+                                              geom)
+        return f_batch
+
+    for _ in range(max_passes):
+        prev = sines.copy()
+        for q in range(sines.size):
+            u0 = float(sines[q])
+            sines[q], _ = maximize_1d(column(q), max(-1.0, u0 - cell),
+                                      min(1.0, u0 + cell), incumbent=u0)
+        if np.array_equal(sines, prev):
+            return sines
+    raise AssertionError(f"no fixed point in {max_passes} passes")
 
 
 def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,

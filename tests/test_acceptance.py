@@ -136,8 +136,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
             for t in range(s.cfg.t1):
                 raw += np.linalg.norm(y[:, t, n] - blocks[t] @ dvec) ** 2
                 const += np.linalg.norm(y[:, t, n]) ** 2
-        simp = ce._aod_column_objective(params.u, 1, s_mat, c_mat, s.geom)(
-            params.u[1:])[0]
+        simp = ce._aod_objective(s_mat, c_mat, s.geom)(params.u[None, :])[0]
         worst["aod"] = max(worst["aod"],
                            abs((const - raw) - simp) / abs(simp))
 

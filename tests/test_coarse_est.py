@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import sample_layout
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
                      dcs_somp_tensor, estimate_toa, ms_steering, observe,
-                     ris_aoa_loop, synthesize_tensor, to_angles, trial_tensor)
+                     refine_aod_cyclic, ris_aoa_loop, synthesize_tensor,
+                     to_angles, trial_tensor)
 from rispos import channel as ch
 from rispos import coarse_est as ce
 from rispos import geometry as gm
@@ -115,7 +117,7 @@ def test_coarse_stages_pick_the_oracle_columns():
                 else:
                     u_hat, res = ce.estimate_aod_coarse(obs, setup)
                 calls.append(res.support)
-                u_hat = ce.refine_aod_mle(obs, setup, u_hat)
+                u_hat, _ = ce.refine_aod_mle(obs, setup, u_hat)
                 aoa = (ris_aoa_loop(obs, setup, u_hat, dcs_somp_tensor)
                        if oracle else ce.estimate_ris_aoa(obs, setup, u_hat))
                 calls.append((aoa.c.tolist(), aoa.s.tolist(),
@@ -187,7 +189,7 @@ def test_aod_coarse_offgrid_half_cell(setup20):
 def test_refine_aod_mle_improves(setup20):
     s = setup20
     u_grid, _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
-    refined = ce.refine_aod_mle(s.obs_clean, s.setup, u_grid)
+    refined, _ = ce.refine_aod_mle(s.obs_clean, s.setup, u_grid)
     from rispos.harness import associate_paths
     perm_c = associate_paths(u_grid, s.true.u)
     perm_r = associate_paths(refined, s.true.u)
@@ -198,13 +200,72 @@ def test_refine_aod_mle_improves(setup20):
 
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
-    refined = ce.refine_aod_mle(s.obs_clean, s.setup, s.true.u.copy())
+    refined, _ = ce.refine_aod_mle(s.obs_clean, s.setup, s.true.u.copy())
     assert np.max(np.abs(refined - s.true.u)) < 1e-9
     # objective change from the truth is negligible
     mats = _aod_mats(s, s.rx_clean)
     obj = concentrated_aod_objective(np.arcsin(refined), *mats, s.geom)
     t1 = concentrated_aod_objective(np.arcsin(s.true.u), *mats, s.geom)
     assert abs(obj - t1) <= 1e-8 * abs(t1)
+
+
+def _refinements_against_oracle(monkeypatch, exp, trials):
+    """Run ``trials`` of ``exp`` at every power and return, for each
+    ``refine_aod_mle`` call, its sines and passes and the oracle's sines
+    from the same start."""
+    calls = []
+    refine = ce.refine_aod_mle
+
+    def recorded(obs, setup, u_init):
+        sines, passes = refine(obs, setup, u_init)
+        calls.append((sines, passes, refine_aod_cyclic(obs, setup, u_init)))
+        return sines, passes
+
+    monkeypatch.setattr(ce, "refine_aod_mle", recorded)
+    for p_idx, power in enumerate(exp.powers_dbm):
+        setup = hn.power_setup(exp, power)
+        for trial in trials:
+            hn.run_trial(exp, power, p_idx, trial, setup)
+    return calls
+
+
+def test_refine_aod_mle_matches_the_cyclic_oracle(monkeypatch):
+    """On the 200 trials of master seed 77 at 50 per power, the refined
+    sines lie within 1e-7 of cyclic passes run to their fixed point, and
+    Newton converges from the grid picks on most of them."""
+    exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="aod_mle")
+    calls = _refinements_against_oracle(monkeypatch, exp, range(50))
+    assert len(calls) == 200
+    gap = max(np.max(np.abs(sines - ref)) for sines, _, ref in calls)
+    assert gap <= 1e-7, gap
+    assert sum(passes == 0 for _, passes, _ in calls) >= 150
+
+
+def test_refine_aod_mle_falls_back_to_cyclic_passes(monkeypatch):
+    """``sample_layout`` draw 2 (default_rng(11), master seed 5, 20 dBm)
+    puts a path at end-fire, where every Newton step leaves [-1, 1]: each
+    attempt is dropped, the cyclic passes run, and the sines still lie
+    within 1e-7 of the oracle."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        geom = sample_layout(rng)
+    exp = hn.ExperimentConfig(
+        ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+        scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1,
+        master_seed=5, stage="aod_mle")
+    results = []
+    newton = ce._aod_newton
+
+    def counted(*args):
+        results.append(newton(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ce, "_aod_newton", counted)
+    [(sines, passes, ref)] = _refinements_against_oracle(monkeypatch, exp,
+                                                          [0])
+    assert passes >= 1 and len(results) == passes
+    assert all(found is None for found in results)
+    assert np.max(np.abs(sines - ref)) <= 1e-7
 
 
 def _aod_mats(s, rx):
@@ -254,19 +315,19 @@ def test_aod_objective_batched_rejects_colliding_row(setup20):
 
 
 def test_aod_column_batch_matches_full_stacks(setup20):
-    """Scoring one column against fixed others equals the full-stack
-    objective on stacks that differ in that column only."""
+    """The package objective on stacks that differ in one column only, as
+    a cyclic pass scores them, equals the oracle's full-stack objective."""
     s = setup20
     mats = _aod_mats(s, s.rx_noisy)
+    objective = ce._aod_objective(*mats, s.geom)
     rng = np.random.default_rng(11)
     for n_paths in (1, 2, 3):
         theta = rng.uniform(-1.2, 1.2, n_paths)
         for q in range(n_paths):
             cands = rng.uniform(-1.4, 1.4, 17)
-            column = ce._aod_column_objective(np.sin(theta), q, *mats, s.geom)
             stack = np.repeat(theta[None, :], cands.size, axis=0)
             stack[:, q] = cands
-            batch = column(np.sin(cands))
+            batch = objective(np.sin(stack))
             assert batch.shape == (17,)
             assert_allclose(batch,
                             concentrated_aod_objective(stack, *mats, s.geom),
@@ -276,11 +337,11 @@ def test_aod_column_batch_matches_full_stacks(setup20):
 def test_aod_column_batch_rejects_colliding_column(setup20):
     s = setup20
     mats = _aod_mats(s, s.rx_noisy)
-    column = ce._aod_column_objective(np.array([0.3, -0.4]), 0, *mats, s.geom)
-    cands = np.array([0.1, 0.2, -0.4, 0.5])
-    column(cands[[0, 1, 3]])
+    objective = ce._aod_objective(*mats, s.geom)
+    stack = np.array([[0.1, -0.4], [0.2, -0.4], [-0.4, -0.4], [0.5, -0.4]])
+    objective(stack[[0, 1, 3]])
     with pytest.raises(SingularConcentration):
-        column(cands)
+        objective(stack)
 
 
 def test_aod_objective_matches_raw_form(setup20):
@@ -294,8 +355,8 @@ def test_aod_objective_matches_raw_form(setup20):
                       s.cfg.n_subcarriers))], axis=1)
     theta = np.array([0.2, -0.45])
     s_mat, c_mat = _aod_mats(s, rx)
-    simplified = ce._aod_column_objective(np.sin(theta), 1, s_mat, c_mat,
-                                          s.geom)(np.sin(theta[1:]))[0]
+    simplified = ce._aod_objective(s_mat, c_mat, s.geom)(
+        np.sin(theta)[None, :])[0]
 
     # raw form: residual after per-subcarrier LS gain fitting
     a_b = bs_steering(s.geom)

@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 from oracles import (beamform, bs_steering, build_channel,
                      channel_params_from_vector, from_angles,
                      gain_closed_form, ms_steering, observe, path_terms,
-                     reconstruct_complete_data, ris_diff_steering,
-                     sage_cycles, single_path_objective, synthesize_tensor,
-                     synthesize_via_tensor, to_angles)
+                     reconstruct_complete_data, refine_aod_cyclic,
+                     ris_diff_steering, sage_cycles, single_path_objective,
+                     synthesize_tensor, synthesize_via_tensor, to_angles)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import coarse_est as ce
@@ -585,27 +585,26 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
     assert worst <= 1e-2, worst
 
 
-def _full_search(*args, local=False, **kwargs):
-    """``maximize_1d`` with the local path switched off."""
-    return maximize_1d(*args, **kwargs)
+def _cyclic_refinement(obs, setup, u_init):
+    """``refine_aod_mle`` with its sines from the cyclic oracle."""
+    return refine_aod_cyclic(obs, setup, u_init), 0
 
 
 @pytest.mark.parametrize("power,trial", [(0.0, 8), (0.0, 16), (10.0, 26)])
-def test_local_sage_stays_on_the_full_search_maximum(power, trial,
-                                                     monkeypatch):
-    """Trials on which local steps of up to 12.5 % of a bracket walked to
-    another local maximum (a VLoS theta_t moved 0.609 -> 0.729 rad). SAGE
-    searches in full; the AOD refinement's later passes search locally.
-    With the 1 % step limit, SAGE ends within 0.1 CRLB sd of a run whose
-    AOD passes all search in full. The trials are observed from the
-    received tensors these cases were found on."""
+def test_sage_from_newton_aod_matches_the_cyclic_aod_oracle(power, trial,
+                                                            monkeypatch):
+    """Trials on which a local search once walked to another local
+    maximum (a VLoS theta_t moved 0.609 -> 0.729 rad). SAGE from the AOD
+    refinement's sines ends within 0.1 CRLB sd of SAGE from the sines of
+    cyclic full-search passes run to their fixed point. The trials are
+    observed from the received tensors these cases were found on."""
     exp = hn.ExperimentConfig(master_seed=5, stage="sage", n_trials=30)
     p_idx = exp.powers_dbm.index(power)
     setup = hn.power_setup(exp, power)
     monkeypatch.setattr(ch, "synthesize_rx", synthesize_via_tensor)
     rec = hn.run_trial(exp, power, p_idx, trial, setup)
     with monkeypatch.context() as m:
-        m.setattr(ce, "maximize_1d", _full_search)
+        m.setattr(ce, "refine_aod_mle", _cyclic_refinement)
         ref = hn.run_trial(exp, power, p_idx, trial, setup)
     assert rec.error is None and ref.error is None
     u_true = rec.eta_true.reshape(-1, 6)[:, 3]

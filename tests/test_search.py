@@ -156,77 +156,17 @@ def test_zoom_candidates_are_linspace_interiors(n_grid, with_incumbent):
             px = np.concatenate(([xa], expected, [xb]))
 
 
-def test_local_keeps_incumbent_rule():
-    rng = np.random.default_rng(1)
-    for seed in range(50):
-        f = _bumpy(seed)
-        lo, hi = sorted(rng.uniform(-1.0, 1.0, 2))
-        inc = rng.uniform(lo, hi)
-        x, fx = maximize_1d(f, lo, hi, n_grid=41, incumbent=inc, local=True)
-        assert lo <= x <= hi
-        assert fx >= f(np.array([inc]))[0]
-        assert fx == f(np.array([x]))[0]
-
-
-@pytest.mark.parametrize("peak", _PEAKS)
-def test_local_ends_near_smooth_peak_in_few_stencils(peak):
-    """Starts within 1 % of the width converge to 1e-7 of the width in at
-    most four 3-point batches."""
-    lo, hi = -1.0, 1.0
-    for offset in np.linspace(-0.0099, 0.0099, 23) * (hi - lo):
-        f = Counted(_peaked(peak))
-        x, _ = maximize_1d(f, lo, hi, n_grid=201, incumbent=peak + offset,
-                           local=True)
-        assert abs(x - peak) <= 1e-7 * (hi - lo)
-        assert len(f.sizes) <= 4
-        assert set(f.sizes) == {3}
-
-
 def _nan_beside(peak, inc):
     """_peaked(peak) with a NaN hole just right of ``inc``."""
     f = _peaked(peak)
     return lambda xs: np.where((xs > inc) & (xs < inc + 1e-4), np.nan, f(xs))
 
 
-_FALLBACKS = {
-    "convex": (lambda xs: (xs - 0.2) ** 2, 0.2),
-    "nan": (_nan_beside(0.3141, 0.3215), 0.3215),
-    "oversized_step": (_peaked(0.3141), 0.3141 + 0.05 * 2.0),
-    "at_bracket_end": (_peaked(0.77777), 1.0 - 0.5e-5 * 2.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_FALLBACKS))
-def test_local_falls_back_to_full_search(case):
-    """A start the stencils cannot take returns exactly what the full
-    search returns, from the same batches after at most one stencil."""
-    f, inc = _FALLBACKS[case]
-    full, local = Counted(f), Counted(f)
-    expected = maximize_1d(full, -1.0, 1.0, n_grid=201, incumbent=inc)
-    assert maximize_1d(local, -1.0, 1.0, n_grid=201, incumbent=inc,
-                       local=True) == expected
-    stencils = 0 if case == "at_bracket_end" else 1
-    assert local.sizes == [3] * stencils + full.sizes
-    # without an incumbent there is nothing to start from
-    assert (maximize_1d(f, -1.0, 1.0, n_grid=201, local=True)
-            == maximize_1d(f, -1.0, 1.0, n_grid=201))
-
-
 def test_nan_hole_never_beats_the_incumbent():
     """A NaN hole right of the incumbent: the full search returns a finite
     value no worse than the incumbent's (it returned the NaN point)."""
     f = _nan_beside(0.3141, 0.32)
-    for local in (False, True):
-        x, fx = maximize_1d(f, -1.0, 1.0, n_grid=201, incumbent=0.32,
-                            local=local)
-        assert np.isfinite(fx) and fx == f(np.array([x]))[0]
-        assert fx >= f(np.array([0.32]))[0]
-        assert abs(x - 0.3141) < 1e-6
-
-
-def test_local_zero_width_bracket():
-    f = Counted(lambda xs: -xs ** 2)
-    assert maximize_1d(f, 0.5, 0.5, local=True) == (0.5, -0.25)
-    assert maximize_1d(f, 0.5, 0.5, incumbent=0.25, local=True) == (0.25,
-                                                                   -0.0625)
-    assert f.sizes == [1, 1]
+    x, fx = maximize_1d(f, -1.0, 1.0, n_grid=201, incumbent=0.32)
+    assert np.isfinite(fx) and fx == f(np.array([x]))[0]
+    assert fx >= f(np.array([0.32]))[0]
+    assert abs(x - 0.3141) < 1e-6
