@@ -22,9 +22,10 @@ to contain the leg's own c_out and s_out.
 ``model_field`` is the only implementation of the noiseless field:
 synthesis, the SAGE complete data, the likelihood and the Fisher
 information all build on it or on its per-path factors
-(``path_factors``: the RIS slot scalars, ``pilot_projection`` and
-``subcarrier_ramp``); the coarse delay step and SAGE's delay search
-score the same ``subcarrier_ramp``. ``synthesize_rx`` draws the received
+(``path_factors``: ``ris_slot_factors``, ``pilot_projection`` and
+``subcarrier_ramp``); SAGE's coordinate searches rebuild one of these
+factors per candidate, and the coarse delay step scores the same
+``subcarrier_ramp``. ``synthesize_rx`` draws the received
 tensor only through the two statistics the estimators read, as an
 ``Observation``.
 """
@@ -283,15 +284,13 @@ class Setup:
 def ris_factors(setup: Setup, c, s) -> tuple:
     """Elevation and azimuth factors of the RIS response, a_R = a_el (x)
     a_az, at elevation cosines c and azimuth products s; each (N,) or
-    (N, n), None for a coordinate given as None. Both run at the
-    differential frequencies of the known leg."""
+    (N, n). Both run at the differential frequencies of the known leg."""
     geom, leg = setup.geom, setup.leg
     lam = geom.wavelength
-    a_el = None if c is None else steer_ula(
-        geom.d_ris_el / lam * (np.asarray(c) - leg[2]), geom.n_ris_el)
-    a_az = None if s is None else steer_ula(
-        geom.d_ris_az / lam * (np.asarray(s) - leg[1]), geom.n_ris_az)
-    return a_el, a_az
+    return (steer_ula(geom.d_ris_el / lam * (np.asarray(c) - leg[2]),
+                      geom.n_ris_el),
+            steer_ula(geom.d_ris_az / lam * (np.asarray(s) - leg[1]),
+                      geom.n_ris_az))
 
 
 def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
@@ -317,16 +316,24 @@ def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
     return pilots.T @ ms_sine_steering(geom, u).conj()
 
 
+def ris_slot_factors(setup: Setup, c, s) -> np.ndarray:
+    """sigma_t = g_t^T a_R(c, s) per slot, (T, n), at (n,) arrays c and s,
+    either of which may hold one value shared by all n: the block phases
+    contracted once and read off per slot."""
+    sched = setup.sched
+    return (sched.block_phases @ kron_columns(
+        *ris_factors(setup, c, s)))[sched.slot_block]
+
+
 def path_factors(params: ChannelParams, setup: Setup):
     """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
 
     Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
-    subcarrier n of the field: sigma_t = g_t^T a_R(c, s), the block
-    phases contracted once and read off per slot, p_t = a_M(u)^H x_t.
+    subcarrier n of the field: sigma_t = g_t^T a_R(c, s)
+    (``ris_slot_factors``), p_t = a_M(u)^H x_t (``pilot_projection``).
     """
-    cfg, sched = setup.cfg, setup.sched
-    sigma = (sched.block_phases @ kron_columns(
-        *ris_factors(setup, params.c, params.s)))[sched.slot_block]
+    cfg = setup.cfg
+    sigma = ris_slot_factors(setup, params.c, params.s)
     proj = pilot_projection(setup.geom, setup.pilots, params.u)
     ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
     return sigma, proj, ramp

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -34,10 +35,10 @@ def _cmd_sweep(args) -> int:
     """``sweep`` writes the summary CSV; ``simulate`` adds the figure files."""
     exp = _load_config(args)
     report = harness.run_sweep(exp)
-    paths = [harness.write_summary_csv(report,
-                                       f"{exp.out_dir}/sweep_summary.csv")]
+    out = Path(exp.out_dir)
+    paths = [harness.write_summary_csv(report, out / "sweep_summary.csv")]
     if args.command == "simulate":
-        paths += harness.emit_plot_data(report, exp.out_dir)
+        paths += harness.emit_plot_data(report, out)
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -39,7 +39,8 @@ def steer_ula(u: float | np.ndarray, n_ant: int) -> np.ndarray:
 
 def kron_columns(fe: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product fe (x) fa of UPA factors, (n_e*n_a,)
-    or (n_e*n_a, n) for (n_e, n) and (n_a, n) factors."""
+    or (n_e*n_a, n) for (n_e, n) and (n_a, n) factors, either of which
+    may have one column shared by all n."""
     if fa.ndim == 1:
         return np.kron(fe, fa)
     return (fe[:, None, :] * fa[None, :, :]).reshape(fe.shape[0] * fa.shape[0],

@@ -5,7 +5,9 @@ a transmit-power sweep, aggregates per-parameter RMSE curves next to the
 corresponding bounds, and writes plot-ready CSV files (one per figure
 panel analogue). What the trials at one power share is built once per
 power point by ``power_setup``: a ``channel.Setup`` that every stage
-takes, plus the parameter Jacobian at the true pose for the bounds.
+takes, plus what the bounds read of the truth: the true parameters at
+unit gains ``true_unit``, their FIM Gram ``true_gram`` and the parameter
+Jacobian at the true pose.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -158,6 +160,9 @@ class ExperimentConfig:
         if not self.shadow_std_db >= 0:
             raise ValueError(
                 f"shadow_std_db must be >= 0, not {self.shadow_std_db!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError("out_dir must be a non-empty path string, "
+                             f"not {self.out_dir!r}")
         if (not isinstance(self.powers_dbm, list) or not self.powers_dbm
                 or not all(map(_is_finite_real, self.powers_dbm))):
             raise ValueError("powers_dbm must be a non-empty list of finite "

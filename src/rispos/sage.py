@@ -3,40 +3,28 @@
 Each path's hidden per-path signal (its complete data) is the
 observation minus the other paths' share of the field at their freshest
 estimates. Beamformed onto a_B it is the observation's record a_B^H y
-minus |a_B|^2 = N_B times the other paths' field, a (T, N) record pa;
-nothing else of the received tensor enters SAGE. One
-``channel.path_factors`` call gives that field and the path's own slot
-factors: sigma_t = g_t^T a_R, p_t = a_M^H x_t (``channel.pilot_projection``)
-and v_t = sigma_t p_t. De-rotated by the path's delay, pa gives r_t.
-With the gain eliminated, the per-path likelihood is
+minus |a_B|^2 = N_B times the other paths' ``channel.model_field``, a
+(T, N) record pa; nothing else of the received tensor enters SAGE.
+Path q's own field is the outer product of its ``channel.path_factors``:
+the RIS slot factors sigma_t = g_t^T a_R(c, s)
+(``channel.ris_slot_factors``), the pilot projections p_t = a_M(u)^H x_t
+(``channel.pilot_projection``) and the subcarrier ramp of its delay
+(``channel.subcarrier_ramp``). With the gain eliminated, the per-path
+likelihood is F = |num|^2 / den, with (``path_terms``)
 
-    F = |num|^2 / den,  num = sum_t r_t conj(v_t),
-                        den = N_B N sum_t |v_t|^2,
+    num = sum_t conj(sigma_t p_t) (pa conj(ramp))_t,
+    den = N_B N sum_t |sigma_t p_t|^2,
 
 and the closed-form gain is num / den.
 
 A path update searches the coordinates a ``ChannelParams`` holds, the
 arrays' own spatial frequencies: the delay tau, the departure sine
 u = sin theta_t, the elevation cosine c = cos phi_in and the azimuth
-product s = sin psi_in sin phi_in. a_M depends on u alone, and a_R is
-a_el(c) (x) a_az(s) (``channel.ris_factors``), so each coordinate enters
-one factor, and the update writes its result back as it is.
-
-Each 1-D search first contracts the factors it holds fixed into small
-per-search statistics, so a candidate costs only its own steering
-vector:
-
-- delay: k = pa^T conj(v), an (N,) vector; num = ramp(-tau)^T k and den
-  does not change over the search;
-- departure sine: w = conj(X) (r . conj(sigma)) over the pilots X;
-  num = a_M(u)^T w and den = N_B N |sigma|^T |X^T conj(a_M(u))|^2;
-- elevation and azimuth: per phase block b, k_b = sum_{t in b} r_t
-  conj(p_t) and d_b = sum_{t in b} |p_t|^2; num = k^T conj(sigma_b) and
-  den = N_B N d^T |sigma_b|^2, one sigma_b per block instead of one per
-  slot. The block phases (B, N_el, N_az) are contracted once with the
-  fixed factor, a_az(s) for the elevation search and a_el(c) for the
-  azimuth search, so a candidate costs one 10-element ULA vector and a
-  (B x 10) product.
+product s = sin psi_in sin phi_in. Each coordinate enters one factor, so
+a 1-D search rebuilds that factor for its candidates and reuses the
+other two: ``subcarrier_ramp`` for tau, ``pilot_projection`` for u,
+``ris_slot_factors`` for c and for s. The update writes its result back
+as it is.
 
 Brackets span +-``_ANGLE_CELLS`` coarse grid cells around the incumbent
 and are clipped to the physical set c^2 + s^2 <= 1: |c| <= sqrt(1 - s^2)
@@ -59,9 +47,9 @@ Hero, IEEE TSP 1994), runs from the current point before scoring is
 tried again: cycles alone can stop on the 1e-8 likelihood rule short of
 the ML point.
 
-``path_objective`` and ``path_fit`` turn any of these (num, den) pairs
-into F and the gain; they are the only scoring path of a coordinate
-cycle. The global log-likelihood 2 Re<mu, pa> - N_B ||mu||^2, mu the
+``path_objective`` and ``path_fit`` turn ``path_terms``' (num, den) into
+F and the gain; they are the only scoring path of a coordinate cycle.
+The global log-likelihood 2 Re<mu, pa> - N_B ||mu||^2, mu the
 ``channel.model_field``, is the convergence monitor. Every function
 takes the ``channel.Observation`` and the per-power ``channel.Setup``.
 """
@@ -74,13 +62,11 @@ import numpy as np
 
 from . import bounds as bnd
 from ._search import maximize_1d
-from .channel import (Observation, Setup, model_field, ms_sine_steering,
-                      path_factors, pilot_projection, ris_factors,
-                      subcarrier_ramp)
+from .channel import (Observation, Setup, model_field, path_factors,
+                      pilot_projection, ris_slot_factors, subcarrier_ramp)
 from .errors import ZeroDenominator
 from .params import ChannelParams
 
-UPDATE_ORDER = ("tau", "u", "c", "s", "delta")
 _EPS_LOGLIK_REL = 1e-8        # relative log-likelihood change that stops SAGE
 _ANGLE_CELLS = 2              # coarse grid cells on either side of an angle
 _SCORING_STEPS = 5            # Fisher-scoring steps per attempt
@@ -107,92 +93,16 @@ class SageInfo:
     fim: np.ndarray | None = None
 
 
-class SageProblem:
-    """Observation context shared by all SAGE updates.
-
-    Holds the beamformed observation a_B^H y (T, N) and the block
-    phases the RIS statistics contract over. Each ``*_terms``
-    method forms one search's statistics once and returns a function
-    from candidate coordinates, scalar or (n,), to the matching
-    (num, den).
-    """
-
-    def __init__(self, obs: Observation, setup: Setup):
-        self.setup = setup
-        geom, sched = setup.geom, setup.sched
-        self.pa0 = obs.pa                                # (T, N)
-        self._den_scale = geom.n_bs * setup.cfg.n_subcarriers
-        # block phases as (B, N_el, N_az) and (B, N_az, N_el)
-        self._phases = sched.block_phases.reshape(-1, geom.n_ris_el,
-                                                  geom.n_ris_az)
-        self._phases_t = self._phases.transpose(0, 2, 1)
-
-    def complete_data(self, params: ChannelParams, q: int):
-        """Path q's beamformed complete data pa (T, N), the observation
-        minus N_B times the other paths' field, and its slot factors
-        sigma_t and v_t = sigma_t p_t, each (T,)."""
-        sigma, proj, ramp = path_factors(params, self.setup)
-        others = params.gains.copy()
-        others[q] = 0.0
-        pa = self.pa0 - self.setup.geom.n_bs * (
-            (sigma * proj * others) @ ramp.T)
-        return pa, sigma[:, q], sigma[:, q] * proj[:, q]
-
-    def derotated(self, pa: np.ndarray, tau: float) -> np.ndarray:
-        """r_t = sum_n pa[t, n] conj(ramp_n(tau)) for a (T, N) record pa."""
-        cfg = self.setup.cfg
-        return pa @ subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers)
-
-    def delay_terms(self, pa: np.ndarray, v: np.ndarray):
-        """Delay search at slot factors v (T,): num = ramp(-tau)^T pa^T conj(v)."""
-        cfg = self.setup.cfg
-        k = pa.T @ v.conj()                              # (N,)
-        den = self._den_scale * float(np.vdot(v, v).real)
-
-        def terms(tau):
-            ramp = subcarrier_ramp(np.negative(tau), cfg.bandwidth,
-                                   cfg.n_subcarriers)
-            return ramp.T @ k, den
-        return terms
-
-    def departure_terms(self, r: np.ndarray, sigma: np.ndarray):
-        """Departure-sine search at de-rotated r (T,) and RIS factors sigma (T,)."""
-        geom, pilots = self.setup.geom, self.setup.pilots
-        w = pilots.conj() @ (r * sigma.conj())           # (N_m,)
-        sigma_sq = self._den_scale * np.abs(sigma) ** 2
-
-        def terms(u):
-            a_m = ms_sine_steering(geom, u)
-            return a_m.T @ w, sigma_sq @ np.abs(pilots.T @ a_m.conj()) ** 2
-        return terms
-
-    def _ris_terms(self, r: np.ndarray, p: np.ndarray, folded: np.ndarray,
-                   steer):
-        """RIS search at de-rotated r (T,) and projections p (T,): the
-        block phases with the fixed factor folded in, (B, n_steer), times
-        ``steer`` of each candidate."""
-        block_sum = self.setup.block_sum
-        k = block_sum @ (r * p.conj())
-        d = self._den_scale * (block_sum @ np.abs(p) ** 2)
-
-        def terms(x):
-            sigma_b = folded @ steer(x)
-            return k @ sigma_b.conj(), d @ np.abs(sigma_b) ** 2
-        return terms
-
-    def elevation_terms(self, r: np.ndarray, p: np.ndarray, s: float):
-        """Elevation-cosine search at a fixed azimuth product s."""
-        setup = self.setup
-        folded = self._phases @ ris_factors(setup, None, s)[1]
-        return self._ris_terms(r, p, folded,
-                               lambda c: ris_factors(setup, c, None)[0])
-
-    def azimuth_terms(self, r: np.ndarray, p: np.ndarray, c: float):
-        """Azimuth-product search at a fixed elevation cosine c."""
-        setup = self.setup
-        folded = self._phases_t @ ris_factors(setup, c, None)[0]
-        return self._ris_terms(r, p, folded,
-                               lambda s: ris_factors(setup, None, s)[1])
+def path_terms(pa: np.ndarray, setup: Setup, sigma: np.ndarray,
+               proj: np.ndarray, ramp: np.ndarray):
+    """(num, den) of the per-path likelihood on the complete data pa
+    (T, N), each (n,), at the factor columns sigma and proj, (T, n) or
+    (T, 1), and ramp, (N, n) or (N, 1), broadcast over n candidates."""
+    v = sigma * proj
+    num = np.sum(v.conj() * (pa @ ramp.conj()), axis=0)
+    den = (setup.geom.n_bs * setup.cfg.n_subcarriers
+           * np.sum(np.abs(v) ** 2, axis=0))
+    return num, den
 
 
 def path_objective(num, den) -> np.ndarray:
@@ -218,48 +128,63 @@ def global_log_likelihood(params: ChannelParams, obs: Observation,
                  - setup.geom.n_bs * np.vdot(mu, mu).real)
 
 
-def coordinate_update_cycle(prob: SageProblem, params: ChannelParams,
-                            q: int) -> dict:
+def coordinate_update_cycle(obs: Observation, setup: Setup,
+                            params: ChannelParams, q: int) -> dict:
     """Update path q in place: tau, u, c, s, then the gain.
 
     Each 1-D step maximizes the concentrated likelihood over a local
     bracket with the incumbent always a candidate, so F never decreases.
     Returns the objective trace of the steps.
     """
-    setup, cfg = prob.setup, prob.setup.cfg
-    pa, sigma, v = prob.complete_data(params, q)
+    geom, cfg = setup.geom, setup.cfg
+    others = params.copy()
+    others.gains[q] = 0.0
+    pa = obs.pa - geom.n_bs * model_field(others, setup)
+    sigma, proj, ramp = (f[:, q:q + 1] for f in path_factors(params, setup))
 
-    def search(terms, x0, half, lim=np.inf):
-        return maximize_1d(lambda xs: path_objective(*terms(xs)),
-                           max(-lim, x0 - half), min(lim, x0 + half),
-                           incumbent=x0)
+    def search(factors, x0, half, lim=np.inf):
+        """Search one coordinate; ``factors`` maps its candidates to the
+        (sigma, proj, ramp) columns."""
+        return maximize_1d(
+            lambda xs: path_objective(*path_terms(pa, setup, *factors(xs))),
+            max(-lim, x0 - half), min(lim, x0 + half), incumbent=x0)
+
+    def fit(*factors):
+        """F and the gain at one (sigma, proj, ramp) column each."""
+        return path_fit(*(x[0] for x in path_terms(pa, setup, *factors)))
 
     tau, u, c, s = (float(x[q]) for x in (params.tau, params.u, params.c,
                                            params.s))
-    delay = prob.delay_terms(pa, v)
-    trace = {"start": path_fit(*delay(tau))[0]}
+    trace = {"start": fit(sigma, proj, ramp)[0]}
 
     # delay: half a DFT bin on either side
-    tau, trace["tau"] = search(delay, tau, 1.0 / (2.0 * cfg.bandwidth))
-    r = prob.derotated(pa, tau)
+    tau, trace["tau"] = search(
+        lambda taus: (sigma, proj, subcarrier_ramp(taus, cfg.bandwidth,
+                                                   cfg.n_subcarriers)),
+        tau, 1.0 / (2.0 * cfg.bandwidth))
+    ramp = subcarrier_ramp(np.array([tau]), cfg.bandwidth, cfg.n_subcarriers)
 
     # departure sine: +-_ANGLE_CELLS coarse cells
-    u, trace["u"] = search(prob.departure_terms(r, sigma), u,
-                                 _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
-    p = pilot_projection(setup.geom, setup.pilots, u)
+    u, trace["u"] = search(
+        lambda us: (sigma, pilot_projection(geom, setup.pilots, us), ramp),
+        u, _ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
+    proj = pilot_projection(geom, setup.pilots, np.array([u]))
 
     # elevation cosine at the fixed azimuth product: |c| <= sqrt(1 - s^2)
-    c, trace["c"] = search(prob.elevation_terms(r, p, s), c,
-                                _ANGLE_CELLS * (2.0 / cfg.g_ris_el),
-                                np.sqrt(max(1.0 - s * s, 0.0)))
+    c, trace["c"] = search(
+        lambda cs: (ris_slot_factors(setup, cs, np.array([s])), proj, ramp),
+        c, _ANGLE_CELLS * (2.0 / cfg.g_ris_el),
+        np.sqrt(max(1.0 - s * s, 0.0)))
 
     # azimuth product at the fixed elevation cosine: |s| <= sqrt(1 - c^2)
-    azimuth = prob.azimuth_terms(r, p, c)
-    s, trace["s"] = search(azimuth, s, _ANGLE_CELLS * (2.0 / cfg.g_ris_az),
-                           np.sqrt(max(1.0 - c * c, 0.0)))
+    s, trace["s"] = search(
+        lambda ss: (ris_slot_factors(setup, np.array([c]), ss), proj, ramp),
+        s, _ANGLE_CELLS * (2.0 / cfg.g_ris_az),
+        np.sqrt(max(1.0 - c * c, 0.0)))
+    sigma = ris_slot_factors(setup, np.array([c]), np.array([s]))
 
     params.tau[q], params.u[q], params.c[q], params.s[q] = tau, u, c, s
-    params.gains[q] = path_fit(*azimuth(s))[1]
+    params.gains[q] = fit(sigma, proj, ramp)[1]
     return trace
 
 
@@ -322,7 +247,6 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
     the current estimate.
     """
     params = init.copy()
-    prob = SageProblem(obs, setup)
     # elementwise stopping thresholds, 1e-6 in each natural unit: 1/B for
     # delays, the initial per-path magnitude for gains, the unit of u, c, s
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
@@ -342,7 +266,7 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams,
             return scored, info
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            coordinate_update_cycle(prob, params, q)
+            coordinate_update_cycle(obs, setup, params, q)
         info.n_cycles = cycle + 1
         new_lamb = global_log_likelihood(params, obs, setup)
         info.loglik_history.append(new_lamb)

@@ -738,7 +738,6 @@ def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
     cycles and the same stopping rule. A run on which scoring never
     converges must end where this does."""
     params = init.copy()
-    prob = sg.SageProblem(obs, setup)
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
                   init.n_paths)
     for q, gain in enumerate(init.gains):
@@ -747,7 +746,7 @@ def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
     for _ in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            sg.coordinate_update_cycle(prob, params, q)
+            sg.coordinate_update_cycle(obs, setup, params, q)
         new_lamb = sg.global_log_likelihood(params, obs, setup)
         if np.all(np.abs(params.to_vector() - prev_vec) <= eps) or \
                 abs(new_lamb - lamb) <= sg._EPS_LOGLIK_REL * abs(lamb):

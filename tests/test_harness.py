@@ -199,15 +199,18 @@ def test_config_file_malformed_is_value_error(tmp_path, capsys, text):
     "powers_dbm: 20\n", "powers_dbm: []\n", "powers_dbm: [20, x]\n",
     "powers_dbm: [true]\n", "n_trials: 2.5\n", "n_trials: 0\n",
     "n_trials: true\n", "workers: 2.0\n", "workers: 0\n", "workers: -1\n",
-    "powers_dbm: [20, .nan]\n"],
+    "powers_dbm: [20, .nan]\n", "out_dir: null\n", "out_dir: ''\n"],
     ids=["powers_scalar", "powers_empty", "powers_string", "powers_bool",
          "trials_float", "trials_zero", "trials_bool", "workers_float",
-         "workers_zero", "workers_negative", "powers_nan"])
+         "workers_zero", "workers_negative", "powers_nan", "out_dir_null",
+         "out_dir_empty"])
 def test_config_bad_types_are_value_errors(tmp_path, capsys, text):
     """A config whose powers are not a non-empty list of finite reals
-    (a NaN power ended every trial in a LinAlgError), or whose
-    trial or worker count is not an integer >= 1, is a ValueError naming
-    the field, which the CLI reports with exit code 2."""
+    (a NaN power ended every trial in a LinAlgError), whose trial or
+    worker count is not an integer >= 1, or whose output directory is
+    not a non-empty string (null wrote ./None/sweep_summary.csv, then
+    raised a TypeError), is a ValueError naming the field, which the CLI
+    reports with exit code 2."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
     field_name = text.split(":")[0]
@@ -489,6 +492,16 @@ def test_cli_simulate(tmp_path):
     assert (out / "sweep_summary.csv").exists()
     assert (out / "plots.gp").exists()
     assert len(list(out.glob("fig_*.csv"))) == 8
+
+
+def test_cli_empty_out_rejected(tmp_path, monkeypatch, capsys):
+    """An empty --out is rejected before the sweep runs: it put the
+    summary at /sweep_summary.csv and the figure files in the cwd."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--trials", "1", "--powers", "20",
+                     "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: out_dir")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_override_is_validated(tmp_path, capsys):

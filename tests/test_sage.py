@@ -113,20 +113,30 @@ def test_reconstruct_sum_identity(setup20):
     assert np.max(np.abs(y_0 + interference - s.rx_noisy)) < 1e-15 * scale
 
 
-def test_complete_data_beamforms_the_full_tensor(setup20):
-    """a_B^H y - (a_B^H a_B) field equals a_B^H applied to the per-path
-    tensor; the slot factors are path q's ``channel.path_factors``."""
+def test_complete_data_beamforms_the_full_tensor(setup20, monkeypatch):
+    """The record a coordinate cycle scores, a_B^H y - (a_B^H a_B) field,
+    equals a_B^H applied to the per-path tensor; the factors it starts
+    from are path q's ``channel.path_factors`` columns."""
     s = setup20
-    prob = sg.SageProblem(s.obs_noisy, s.setup)
-    sigma, proj, _ = ch.path_factors(s.true, s.setup)
+    calls = []
+    path_terms_pkg = sg.path_terms
+
+    def recorded(pa, setup, sigma, proj, ramp):
+        calls.append((pa, sigma, proj, ramp))
+        return path_terms_pkg(pa, setup, sigma, proj, ramp)
+    monkeypatch.setattr(sg, "path_terms", recorded)
+    factors = ch.path_factors(s.true, s.setup)
     for q in range(2):
         full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
         ref = beamform(bs_steering(s.geom), full)
-        got, sigma_q, v_q = prob.complete_data(s.true, q)
+        calls.clear()
+        sg.coordinate_update_cycle(s.obs_noisy, s.setup, s.true.copy(), q)
+        got = calls[0][0]
         assert got.shape == (s.cfg.t_total, s.cfg.n_subcarriers)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(sigma_q, sigma[:, q])
-        assert np.array_equal(v_q, sigma[:, q] * proj[:, q])
+        assert all(call[0] is got for call in calls)
+        for f, col in zip(factors, calls[0][1:]):
+            assert np.array_equal(col, f[:, q:q + 1])
 
 
 def _planted_single(s, seed=None):
@@ -260,26 +270,33 @@ def _angles(u, c, s):
             np.pi - np.arcsin(np.clip(s / sin_phi, -1.0, 1.0)))
 
 
-def _slot_factors(s, params):
-    """sigma_t and p_t of path 0 of params, (T,) each."""
-    sigma, proj, _ = ch.path_factors(params, s.setup)
-    return sigma[:, 0], proj[:, 0]
-
-
-def _search_stats(s, y_q, params):
-    """A problem on y_q and the per-search statistics at path 0 of params."""
-    prob = sg.SageProblem(observe(y_q, s.setup), s.setup)
+def _search_factors(s, params, sigma=None, proj=None):
+    """Per coordinate of path 0 of params, a map from candidates to the
+    (sigma, proj, ramp) columns its search scores: the candidates' own
+    factor and path 0's other two, ``sigma`` or ``proj`` in place of
+    path 0's when given."""
     tau, u, c, sa = _coords(params)
-    sigma, p = _slot_factors(s, params)
-    r = prob.derotated(prob.pa0, tau)
-    return (prob.delay_terms(prob.pa0, sigma * p),
-            prob.departure_terms(r, sigma), prob.elevation_terms(r, p, sa),
-            prob.azimuth_terms(r, p, c))
+    cols = [f[:, :1] for f in ch.path_factors(params, s.setup)]
+    if sigma is not None:
+        cols[0] = sigma
+    if proj is not None:
+        cols[1] = proj
+    sig, p, ramp = cols
+    return {
+        "tau": lambda x: (sig, p, ch.subcarrier_ramp(x, s.cfg.bandwidth,
+                                                     s.cfg.n_subcarriers)),
+        "theta_t": lambda x: (sig, ch.pilot_projection(s.geom, s.pilots, x),
+                              ramp),
+        "phi_in": lambda x: (ch.ris_slot_factors(s.setup, x, np.array([sa])),
+                             p, ramp),
+        "psi_in": lambda x: (ch.ris_slot_factors(s.setup, np.array([c]), x),
+                             p, ramp),
+    }
 
 
 def test_batched_objective_matches_scalar_oracle(setup20):
-    """Each reduced delay and coordinate batch equals the long-form oracle
-    at the mapped angles, row by row."""
+    """``sage.path_terms`` on each search's factor columns equals the
+    long-form oracle at the mapped angles, row by row."""
     s = setup20
     rng = np.random.default_rng(7)
     shape = (s.geom.n_bs, s.cfg.t_total, s.cfg.n_subcarriers)
@@ -289,7 +306,8 @@ def test_batched_objective_matches_scalar_oracle(setup20):
         params = _random_params(s, rng)
         tau, u, c, sa = _coords(params)
         th, ph, ps = _angles(u, c, sa)
-        delay, departure, elevation, azimuth = _search_stats(s, y_q, params)
+        pa = observe(y_q, s.setup).pa
+        factors = _search_factors(s, params)
         n = 9
         # physical brackets: c^2 + s^2 <= 1 along both RIS coordinates
         lim_c, lim_s = np.sqrt(1.0 - sa * sa), np.sqrt(1.0 - c * c)
@@ -298,14 +316,13 @@ def test_batched_objective_matches_scalar_oracle(setup20):
         cs = np.linspace(max(-lim_c, c - 0.05), min(lim_c, c + 0.05), n)
         ss = np.linspace(max(-lim_s, sa - 0.05), min(lim_s, sa + 0.05), n)
         batches = {
-            "tau": (delay(taus), [(t, th, ph, ps) for t in taus]),
-            "theta_t": (departure(us),
-                        [(tau,) + _angles(x, c, sa) for x in us]),
-            "phi_in": (elevation(cs),
-                       [(tau,) + _angles(u, x, sa) for x in cs]),
-            "psi_in": (azimuth(ss), [(tau,) + _angles(u, c, x) for x in ss]),
+            "tau": (taus, [(t, th, ph, ps) for t in taus]),
+            "theta_t": (us, [(tau,) + _angles(x, c, sa) for x in us]),
+            "phi_in": (cs, [(tau,) + _angles(u, x, sa) for x in cs]),
+            "psi_in": (ss, [(tau,) + _angles(u, c, x) for x in ss]),
         }
-        for name, (terms, points) in batches.items():
+        for name, (xs, points) in batches.items():
+            terms = sg.path_terms(pa, s.setup, *factors[name](xs))
             batch = sg.path_objective(*terms)
             assert batch.shape == (n,), name
             ref = np.array([single_path_objective(y_q, *pt, s.setup)
@@ -320,27 +337,22 @@ def test_batched_objective_matches_scalar_oracle(setup20):
 def test_batched_objective_zero_denominator_never_wins(setup20):
     """A candidate whose slot factors vanish scores 0 instead of raising."""
     s = setup20
-    prob = sg.SageProblem(s.obs_noisy, s.setup)
+    pa = s.obs_noisy.pa
     tau, u, c, sa = _coords(s.true)
-    sigma, p = _slot_factors(s, s.true)
-    r = prob.derotated(prob.pa0, tau)
-    zero = np.zeros(s.cfg.t_total)
+    zero = np.zeros((s.cfg.t_total, 1))
     step = np.linspace(-0.01, 0.01, 5)
-    live_dead = {
-        "tau": (prob.delay_terms(prob.pa0, sigma * p),
-                prob.delay_terms(prob.pa0, zero), tau + 1e-7 * step),
-        "theta_t": (prob.departure_terms(r, sigma),
-                    prob.departure_terms(r, zero), u + step),
-        "phi_in": (prob.elevation_terms(r, p, sa),
-                   prob.elevation_terms(r, zero, sa), c + step),
-        "psi_in": (prob.azimuth_terms(r, p, c),
-                   prob.azimuth_terms(r, zero, c), sa + step),
-    }
-    for name, (live, dead, cands) in live_dead.items():
-        assert np.all(sg.path_objective(*live(cands)) > 0.0), name
-        assert np.all(sg.path_objective(*dead(cands)) == 0.0), name
+    live = _search_factors(s, s.true)
+    # each search's candidate factor times a vanishing fixed one
+    dead = _search_factors(s, s.true, sigma=zero, proj=zero)
+    cands = {"tau": tau + 1e-7 * step, "theta_t": u + step,
+             "phi_in": c + step, "psi_in": sa + step}
+    for name, xs in cands.items():
+        live_terms = sg.path_terms(pa, s.setup, *live[name](xs))
+        dead_terms = sg.path_terms(pa, s.setup, *dead[name](xs))
+        assert np.all(sg.path_objective(*live_terms) > 0.0), name
+        assert np.all(sg.path_objective(*dead_terms) == 0.0), name
         with pytest.raises(sg.ZeroDenominator):
-            sg.path_fit(*dead(cands[0]))
+            sg.path_fit(*(x[0] for x in dead_terms))
 
 
 def test_ris_candidates_are_physical(setup20, monkeypatch):
@@ -348,39 +360,26 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
     |s| <= sqrt(1 - c^2): each one is a real (phi_in, psi_in)."""
     s = setup20
     pairs = []
-    elevation_terms = sg.SageProblem.elevation_terms
-    azimuth_terms = sg.SageProblem.azimuth_terms
+    ris_slot_factors = sg.ris_slot_factors
 
-    def elevation(self, r, p, sa):
-        terms = elevation_terms(self, r, p, sa)
+    def recorded(setup, c, sa):
+        pairs.append(np.broadcast_arrays(c, sa))
+        return ris_slot_factors(setup, c, sa)
 
-        def recorded(cs):
-            pairs.append((np.asarray(cs), np.full(np.shape(cs), sa)))
-            return terms(cs)
-        return recorded
-
-    def azimuth(self, r, p, c):
-        terms = azimuth_terms(self, r, p, c)
-
-        def recorded(ss):
-            pairs.append((np.full(np.shape(ss), c), np.asarray(ss)))
-            return terms(ss)
-        return recorded
-
-    monkeypatch.setattr(sg.SageProblem, "elevation_terms", elevation)
-    monkeypatch.setattr(sg.SageProblem, "azimuth_terms", azimuth)
+    monkeypatch.setattr(sg, "ris_slot_factors", recorded)
+    monkeypatch.setattr(sg, "fisher_scoring",
+                        lambda obs, setup, params, lamb: (params, None, []))
     coarse = ce.run_coarse(s.obs_noisy, s.setup)
     sg.run_sage(s.obs_noisy, s.setup, coarse.params, max_cycles=3)
     # starts on the rim c^2 + s^2 = 1 (psi_in at pi/2 or 3pi/2), where an
     # unclipped bracket would leave the physical set at once
-    prob = sg.SageProblem(s.obs_noisy, s.setup)
     for psi in (0.5 * np.pi, 1.5 * np.pi):
         for phi in (0.2, 1.0, 2.0, 2.9):
             params = s.true.copy()
             params.c[:] = np.cos(phi)
             params.s[:] = np.sin(psi) * np.sin(phi)
             for q in range(params.n_paths):
-                sg.coordinate_update_cycle(prob, params, q)
+                sg.coordinate_update_cycle(s.obs_noisy, s.setup, params, q)
     cs = np.concatenate([np.ravel(c) for c, _ in pairs])
     ss = np.concatenate([np.ravel(sa) for _, sa in pairs])
     assert cs.size > 1000
@@ -400,9 +399,8 @@ def test_objective_zero_denominator(setup20):
 
 def test_coordinate_cycle_fixed_point(setup20):
     s = setup20
-    prob = sg.SageProblem(s.obs_clean, s.setup)
     params = s.true.copy()
-    trace = sg.coordinate_update_cycle(prob, params, 0)
+    trace = sg.coordinate_update_cycle(s.obs_clean, s.setup, params, 0)
     est, true = to_angles(params), to_angles(s.true)
     assert abs(params.tau[0] - s.true.tau[0]) \
         < 1e-6 / s.cfg.bandwidth
@@ -416,13 +414,12 @@ def test_coordinate_cycle_fixed_point(setup20):
 
 def test_coordinate_cycle_ascent_any_input(setup20):
     s = setup20
-    prob = sg.SageProblem(s.obs_noisy, s.setup)
     rng = np.random.default_rng(6)
     params = _random_params(s, rng)
-    trace = sg.coordinate_update_cycle(prob, params, 1)
+    trace = sg.coordinate_update_cycle(s.obs_noisy, s.setup, params, 1)
     vals = list(trace.values())
     assert np.all(np.diff(vals) >= -1e-9 * max(abs(vals[0]), 1e-30))
-    assert sg.UPDATE_ORDER == ("tau", "u", "c", "s", "delta")
+    assert list(trace) == ["start", "tau", "u", "c", "s"]
 
 
 def test_run_sage_noiseless_ongrid(ongrid):
@@ -469,9 +466,8 @@ def test_run_sage_single_path_reduction(setup20, monkeypatch):
     init.tau[0] += 3e-9
     init.u[0] = np.sin(np.arcsin(init.u[0]) + 0.01)
     refined, _ = sg.run_sage(rx, s.setup, init, max_cycles=1)
-    prob = sg.SageProblem(rx, s.setup)
     manual = init.copy()
-    sg.coordinate_update_cycle(prob, manual, 0)
+    sg.coordinate_update_cycle(rx, s.setup, manual, 0)
     assert_allclose(refined.to_vector(), manual.to_vector(), rtol=0,
                     atol=1e-30)
 
@@ -555,11 +551,10 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
         sd = np.sqrt(np.diag(cov)).reshape(-1, 6)[np.argsort(perm)]
         sd_angle = np.sqrt(hn.angle_crlb(cov, true)).reshape(
             -1, 6)[np.argsort(perm)]
-        prob = sg.SageProblem(obs, setup)
         for _ in range(20):
             prev = refined.to_vector().reshape(-1, 6)
             for q in range(refined.n_paths):
-                sg.coordinate_update_cycle(prob, refined, q)
+                sg.coordinate_update_cycle(obs, setup, refined, q)
             moved = np.abs(refined.to_vector().reshape(-1, 6) - prev) / sd
             if np.max(moved[:, [0, 3, 4, 5]]) < 1e-4:
                 break
@@ -635,7 +630,7 @@ def test_fisher_scoring_converges_with_the_channel_fim(setup20):
 
 def _recorded_sage(monkeypatch, seed, power, trial):
     """The inputs and result of SAGE in one lm trial, which ends LM
-    within 3x PEB."""
+    within 3x PEB, and that trial's LM error/PEB."""
     calls = []
     run_sage = sg.run_sage
 
@@ -648,9 +643,10 @@ def _recorded_sage(monkeypatch, seed, power, trial):
         exp = hn.ExperimentConfig(master_seed=seed)
         rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial)
     assert rec.error is None
-    assert np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb < 3.0
+    ratio = np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb
+    assert ratio < 3.0
     (call,) = calls
-    return call
+    return call, ratio
 
 
 def test_scoring_is_tried_before_every_cycle(monkeypatch):
@@ -658,19 +654,23 @@ def test_scoring_is_tried_before_every_cycle(monkeypatch):
     is tried again after it. Master seed 77, -10 dBm, trial 71: scoring
     never converges, and SAGE ends where the cycles alone end (LM at
     2.37x PEB). Master seed 7, -10 dBm, trial 4: scoring converges after
-    three cycles, from the cycles' point (LM at 1.96x PEB)."""
-    obs, setup, init, (refined, info) = _recorded_sage(monkeypatch, 77,
-                                                       -10.0, 71)
+    three cycles, from the cycles' point (LM at 1.96x PEB). That trial's
+    cycle count and LM error/PEB are pinned to what the cycles gave when
+    they scored a hand-reduced copy of the per-path field."""
+    call, _ = _recorded_sage(monkeypatch, 77, -10.0, 71)
+    obs, setup, init, (refined, info) = call
     assert info.fim is None and info.scoring_steps > 0
     assert info.converged and info.monotone_ok and info.n_cycles > 0
     assert np.array_equal(refined.to_vector(),
                           sage_cycles(obs, setup, init).to_vector())
 
-    obs, setup, init, (refined, info) = _recorded_sage(monkeypatch, 7,
-                                                       -10.0, 4)
+    call, ratio = _recorded_sage(monkeypatch, 7, -10.0, 4)
+    obs, setup, init, (refined, info) = call
     assert info.fim is not None and info.n_cycles == 3
+    assert abs(ratio / 1.9610847232732143 - 1.0) < 1e-6
     cycled = sage_cycles(obs, setup, init, max_cycles=3)
     scored, fim, _ = sg.fisher_scoring(
         obs, setup, cycled, sg.global_log_likelihood(cycled, obs, setup))
     assert np.array_equal(refined.to_vector(), scored.to_vector())
     assert np.array_equal(info.fim, fim)
+
