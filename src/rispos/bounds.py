@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Setup, ms_sine_steering, path_factors, ris_factors
-from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, unit_vector
+from .channel import (Setup, ms_sine_steering, ris_factors, slot_factors,
+                      subcarrier_ramp)
+from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, path_legs
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
@@ -30,35 +31,50 @@ _COND_LIMIT = 1e12
 def derivative_factors(params: ChannelParams, setup: Setup):
     """Slot and subcarrier factors of the derivatives of
     ``channel.model_field``: A (T, 6(Q+1)) and B (N, 6(Q+1)), derivative
-    k the (T, N) outer product of A[:, k] and B[:, k].
+    k the (T, N) outer product of A[:, k] and B[:, k]; and the field mu
+    (T, N) itself, so one pass over the factors gives all three.
+
+    The per-path factors are ``channel.path_factors``' own expressions
+    on steering vectors built once: sigma from ``channel.slot_factors``
+    of a_R, p = X^T conj(a_M) as ``channel.pilot_projection`` forms it,
+    and mu = (sigma p delta) @ ramp^T as ``model_field`` does.
 
     Parameter order per path: [tau, delta_re, delta_im, u, c, s]. Each
     derivative keeps the path's product form. The u, c and s derivatives
     weight the MS steering vector and the RIS response by the MS, RIS
     elevation and RIS azimuth index ramps.
     """
-    geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
+    geom, cfg = setup.geom, setup.cfg
     lam = geom.wavelength
     gains = params.gains
-    sigma, proj, ramp = path_factors(params, setup)
-    a_m = ms_sine_steering(geom, params.u)
+    n_paths = gains.size
+    a_m = ms_sine_steering(geom, params.u).conj()
     a_r = kron_columns(*ris_factors(setup, params.c, params.s))
-    k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]
-    k_az = np.tile(np.arange(geom.n_ris_az), geom.n_ris_el)[:, None]
-    n_sub = np.arange(cfg.n_subcarriers)[:, None]
-
+    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    k_r = np.arange(geom.n_ris)[:, None]
+    # each product on its own: a product's columns keep their bits only
+    # among products of as many columns
+    sigma = slot_factors(setup, a_r)
+    proj = setup.pilots.T @ a_m
     dproj = 2j * np.pi * geom.d_ms / lam * (
-        setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m.conj()))
-    d_c = -2j * np.pi * geom.d_ris_el / lam * (phases @ (k_el * a_r))
-    d_s = -2j * np.pi * geom.d_ris_az / lam * (phases @ (k_az * a_r))
+        setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m))
+    d_c = -2j * np.pi * geom.d_ris_el / lam * slot_factors(
+        setup, k_r // geom.n_ris_az * a_r)
+    d_s = -2j * np.pi * geom.d_ris_az / lam * slot_factors(
+        setup, k_r % geom.n_ris_az * a_r)
     u = sigma * proj
-    slots = np.stack([
-        -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u,
-        u, 1j * u, gains * sigma * dproj, gains * d_c * proj,
-        gains * d_s * proj])                                       # (6, T, Q+1)
-    subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
-    return (slots.transpose(1, 2, 0).reshape(cfg.t_total, -1),
-            subs.transpose(1, 2, 0).reshape(cfg.n_subcarriers, -1))
+    slots = np.empty((cfg.t_total, n_paths, 6), complex)
+    slots[..., 0] = -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u
+    slots[..., 1] = u
+    slots[..., 2] = 1j * u
+    slots[..., 3] = gains * sigma * dproj
+    slots[..., 4] = gains * d_c * proj
+    slots[..., 5] = gains * d_s * proj
+    subs = np.empty((cfg.n_subcarriers, n_paths, 6), complex)
+    subs[..., 0] = np.arange(cfg.n_subcarriers)[:, None] * ramp
+    subs[..., 1:] = ramp[..., None]
+    return (slots.reshape(cfg.t_total, -1),
+            subs.reshape(cfg.n_subcarriers, -1), (u * gains) @ ramp.T)
 
 
 def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
@@ -69,7 +85,8 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
     contributes the antenna count. With each derivative the outer product
     of its factors, the sum is Re{(A^H A) o (B^H B)}, o entrywise.
     """
-    return fim_from_factors(*derivative_factors(params, setup), setup)
+    a, b, _ = derivative_factors(params, setup)
+    return fim_from_factors(a, b, setup)
 
 
 def fim_from_factors(a: np.ndarray, b: np.ndarray, setup: Setup) -> np.ndarray:
@@ -106,13 +123,6 @@ def fim_at_gains(gram0: np.ndarray, gains: np.ndarray,
     return fim_from_gram(np.outer(w.conj(), w) * gram0, setup)
 
 
-def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
-    """w = (a - b) / |a - b| and dw/da = (I - w w^T) / |a - b| (symmetric;
-    dw/db = -dw/da)."""
-    w, dist = unit_vector(a, b, what)
-    return w, (np.eye(3) - np.outer(w, w)) / dist
-
-
 def transformation_matrix(pos: PositionParams, ris: np.ndarray,
                           bs: np.ndarray) -> np.ndarray:
     """Jacobian d(eta)^T/d(eta~), shape (5Q+6, 6(Q+1)).
@@ -121,41 +131,41 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
     rotation, scatterers); columns follow the channel-parameter vector.
     A delay leg |a - b| has gradient w, u = a . w_dep has gradient
     (I - w w^T) a / |w|, and c and s are the z and y rows of the
-    arrival's (I - w w^T) / |w|.
+    arrival's (I - w w^T) / |w|: all paths' legs and gradients come from
+    one ``geometry.path_legs`` pass.
     """
-    ris = np.asarray(ris, float)
     q_n = pos.n_scatterers
     n_paths = q_n + 1
     t_mat = np.zeros((5 * q_n + 6, 6 * n_paths))
-    m_off = 2 * n_paths           # row offset of the MS coordinates
-    a_off = m_off + 3             # row of alpha
+    cols = t_mat.reshape(-1, n_paths, 6)      # rows x path x parameter
+    m_rows = slice(2 * n_paths, 2 * n_paths + 3)  # the MS coordinates
+    a_row = 2 * n_paths + 3                   # alpha
     axis = ms_axis(pos.alpha)
     axis_dot = np.array([-np.sin(pos.alpha), -np.cos(pos.alpha), 0.0])
 
     c = SPEED_OF_LIGHT
-    for q in range(n_paths):
-        col = 6 * q
-        # gain identity blocks
-        t_mat[2 * q, col + 1] = 1.0
-        t_mat[2 * q + 1, col + 2] = 1.0
-
-        # path 0 departs toward the RIS and arrives from the MS; path q > 0
-        # does both through scatterer q, whose coordinate rows start at s0
-        hop = ris if q == 0 else pos.scatterers[q - 1]
-        s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
-        w_dep, g_dep = _unit_grad(hop, pos.ms,
-                                  "MS-RIS" if q == 0 else "MS-scatterer")
-        w_arr, g_arr = _unit_grad(ris, pos.ms if q == 0 else hop,
-                                  "MS-RIS" if q == 0 else "scatterer-RIS")
-        du = g_dep @ axis             # d u / d hop
-        t_mat[m_off:m_off + 3, col + 0] = -w_dep / c
-        t_mat[m_off:m_off + 3, col + 3] = -du
-        t_mat[a_off, col + 3] = axis_dot @ w_dep
-        if q > 0:
-            t_mat[s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
-            t_mat[s0:s0 + 3, col + 3] = du
-        t_mat[s0:s0 + 3, col + 4] = -g_arr[2]
-        t_mat[s0:s0 + 3, col + 5] = -g_arr[1]
+    w, dist = path_legs(pos, ris)
+    w_dep, w_arr = w[:, 0], w[:, 1]
+    grad = (np.eye(3) - w[..., :, None] * w[..., None, :]) / dist[..., None,
+                                                                  None]
+    du = grad[:, 0] @ axis        # d u / d hop, (Q+1, 3)
+    # the arrival's d(c, s) / d source: the z and y rows of its gradient
+    dcs = -grad[:, 1, 2:0:-1].transpose(0, 2, 1)   # (Q+1, 3, 2)
+    # gain identity blocks
+    q = np.arange(n_paths)
+    cols[:2 * n_paths].reshape(n_paths, 2, n_paths, 6)[q, :, q, 1:3] = \
+        np.eye(2)
+    cols[m_rows, :, 0] = -w_dep.T / c
+    cols[m_rows, :, 3] = -du.T
+    cols[a_row, :, 3] = (w_dep[:, None, :] @ axis_dot)[:, 0]
+    # path 0 departs toward the RIS and arrives from the MS; path q > 0
+    # does both through scatterer q, whose coordinate rows follow alpha's
+    cols[m_rows, 0, 4:] = dcs[0]
+    scat = cols[a_row + 1:].reshape(q_n, 3, n_paths, 6)
+    q = q[:-1]
+    scat[q, :, q + 1, 0] = (w_dep - w_arr)[1:] / c
+    scat[q, :, q + 1, 3] = du[1:]
+    scat[q, :, q + 1, 4:] = dcs[1:]
     return t_mat
 
 

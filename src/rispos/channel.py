@@ -32,6 +32,8 @@ tensor only through the two statistics the estimators read, as an
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,6 +236,11 @@ class Setup:
     either side; ``ramp_weights`` (N, 3), the weights 1, j beta n and
     (j beta n)^2, beta = 2 pi B / N, of the ramp's sum and its first two
     derivatives in the delay.
+
+    Of these only ``cfg`` (its ``p_tx``), ``pilots`` and ``aod_proj``
+    depend on the transmit power. ``at_power`` gives the setup at
+    another power, which shares every other array; so the setup makes
+    those arrays read-only, the geometry's and the schedule's included.
     """
 
     geom: ScenarioGeometry
@@ -255,8 +262,6 @@ class Setup:
     ramp_weights: np.ndarray = field(init=False)     # (N, 3)
 
     def __post_init__(self):
-        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
-            raise DimensionMismatch("pilot matrix must be (N_m, T)")
         if self.sched.n_slots != self.cfg.t_total:
             raise DimensionMismatch("schedule slot count must equal T")
         self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
@@ -265,8 +270,6 @@ class Setup:
         sched = self.sched
         self.block_sum = (sched.slot_block
                           == np.arange(sched.n_blocks)[:, None]).astype(float)
-        self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
-                         @ self.a_m_dict.matrix)
         self.ris_eff = sched.block_phases @ self.ris_dict.matrix
         # unequal column norms (random phase profiles) must not bias a pick
         self.ris_eff_power = np.maximum(
@@ -279,6 +282,36 @@ class Setup:
         rate = 2j * np.pi * bw / n_sub * np.arange(n_sub)
         self.ramp_weights = np.stack([np.ones(n_sub), rate, rate * rate],
                                      axis=1)
+        geom = self.geom
+        for shared in (geom.bs, geom.ris, geom.ms, geom.scatterers, self.leg,
+                       self.a_m_dict.matrix, self.a_m_dict.grid,
+                       self.ris_dict.matrix, self.ris_dict.azimuth.matrix,
+                       self.ris_dict.azimuth.grid,
+                       self.ris_dict.elevation.matrix,
+                       self.ris_dict.elevation.grid, sched.block_phases,
+                       sched.slot_block, self.block_sum, self.ris_eff,
+                       self.ris_eff_power, *self.tril, self.bin_ramp,
+                       self.grid_ramp, self.grid_offsets, self.ramp_weights):
+            shared.flags.writeable = False
+        self._power_fields()
+
+    def _power_fields(self) -> None:
+        """Build what depends on the transmit power: ``aod_proj``."""
+        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
+            raise DimensionMismatch("pilot matrix must be (N_m, T)")
+        self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
+                         @ self.a_m_dict.matrix)
+
+    def at_power(self, cfg: SystemConfig, pilots: np.ndarray) -> "Setup":
+        """This setup at the transmit power of ``cfg``, with the pilots
+        ``pilots`` of that power: ``cfg`` may differ from this setup's in
+        ``p_tx`` alone, and every power-independent array is shared."""
+        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
+            raise ValueError("at_power changes the transmit power alone")
+        other = copy.copy(self)
+        other.cfg, other.pilots = cfg, pilots
+        other._power_fields()
+        return other
 
 
 def ris_factors(setup: Setup, c, s) -> tuple:
@@ -305,9 +338,11 @@ def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
     ge = grid_values(cfg.g_ris_el) + np.mod(leg[2] + 1.0, 2.0 / cfg.g_ris_el)
     ga = grid_values(cfg.g_ris_az) + np.mod(leg[1] + 1.0, 2.0 / cfg.g_ris_az)
     a_el, a_az = ris_factors(setup, ge, ga)
+    # np.kron(a_el, a_az) as one broadcast product
+    ris = (a_el[:, None, :, None] * a_az[None, :, None, :]).reshape(
+        a_el.shape[0] * a_az.shape[0], -1)
     return (Dictionary(ms_sine_steering(setup.geom, gm), gm),
-            RisDictionary(np.kron(a_el, a_az), Dictionary(a_az, ga),
-                          Dictionary(a_el, ge)))
+            RisDictionary(ris, Dictionary(a_az, ga), Dictionary(a_el, ge)))
 
 
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
@@ -316,13 +351,17 @@ def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
     return pilots.T @ ms_sine_steering(geom, u).conj()
 
 
+def slot_factors(setup: Setup, cols: np.ndarray) -> np.ndarray:
+    """g_t^T r per slot of each RIS-side column r of ``cols`` (N_r, n),
+    (T, n): the block phases contracted once and read off per slot."""
+    sched = setup.sched
+    return (sched.block_phases @ cols)[sched.slot_block]
+
+
 def ris_slot_factors(setup: Setup, c, s) -> np.ndarray:
     """sigma_t = g_t^T a_R(c, s) per slot, (T, n), at (n,) arrays c and s,
-    either of which may hold one value shared by all n: the block phases
-    contracted once and read off per slot."""
-    sched = setup.sched
-    return (sched.block_phases @ kron_columns(
-        *ris_factors(setup, c, s)))[sched.slot_block]
+    either of which may hold one value shared by all n."""
+    return slot_factors(setup, kron_columns(*ris_factors(setup, c, s)))
 
 
 def path_factors(params: ChannelParams, setup: Setup):

@@ -48,8 +48,9 @@ def _cmd_bounds(args) -> int:
     exp = _load_config(args)
     rows = ["power_dbm," + ",".join(
         f"bound_{c}" for c in harness.REPORT_CLASSES)]
-    for p in exp.powers_dbm:
-        ref = harness.reference_bounds(exp, p)
+    for p, setup in zip(exp.powers_dbm,
+                        harness.power_setups(exp, exp.powers_dbm)):
+        ref = harness.reference_bounds(exp, p, setup)
         rows.append(",".join([f"{p:.12e}"] + [
             f"{ref[c]:.12e}" for c in harness.REPORT_CLASSES]))
     print("\n".join(rows))

@@ -3,11 +3,12 @@
 Runs the synthesize -> coarse -> SAGE -> closed-form -> LM pipeline over
 a transmit-power sweep, aggregates per-parameter RMSE curves next to the
 corresponding bounds, and writes plot-ready CSV files (one per figure
-panel analogue). What the trials at one power share is built once per
-power point by ``power_setup``: a ``channel.Setup`` that every stage
-takes, plus what the bounds read of the truth: the true parameters at
-unit gains ``true_unit``, their FIM Gram ``true_gram`` and the parameter
-Jacobian at the true pose.
+panel analogue). What the trials at one power share is a
+``PowerSetup``: a ``channel.Setup`` that every stage takes, plus what
+the bounds read of the truth: the true parameters at unit gains
+``true_unit``, their FIM Gram ``true_gram`` and the parameter Jacobian
+at the true pose. ``power_setups`` builds a sweep's setups at once,
+the power-independent part a single time.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -307,9 +308,11 @@ class PowerSetup(ch.Setup):
     ``t_true`` at the true pose; ``truth`` swaps a trial's gains into
     the first two.
 
-    All of it is seeded by the master seed alone, so a sweep builds it
-    once per power point and hands it to each trial and to the
-    reference bounds.
+    All of it is seeded by the master seed alone, and of it only
+    ``true_gram`` depends on the transmit power beside the channel
+    setup's ``cfg``, ``pilots`` and ``aod_proj``. So a sweep builds the
+    rest once (``power_setups``) and hands each power's setup to its
+    trials and to the reference bounds.
     """
 
     true_unit: ChannelParams = field(init=False)
@@ -317,20 +320,25 @@ class PowerSetup(ch.Setup):
     t_true: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        super().__post_init__()
         geom = self.geom
         self.true_unit = true_channel_params(
-            geom, np.ones(self.n_paths, complex))
-        # every trial's true parameters share these arrays
-        for shared in (self.true_unit.tau, self.true_unit.u,
-                       self.true_unit.c, self.true_unit.s):
-            shared.flags.writeable = False
-        self.true_gram = bnd.gram_from_factors(
-            *bnd.derivative_factors(self.true_unit, self))
+            geom, np.ones(geom.n_scatterers + 1, complex))
         self.t_true = bnd.transformation_matrix(
-            PositionParams(gains=np.zeros(self.n_paths, complex), ms=geom.ms,
-                           alpha=geom.alpha, scatterers=geom.scatterers),
+            PositionParams(gains=np.zeros(geom.n_scatterers + 1, complex),
+                           ms=geom.ms, alpha=geom.alpha,
+                           scatterers=geom.scatterers),
             geom.ris, geom.bs)
+        # every trial's true parameters share these arrays
+        for shared in (self.true_unit.tau, self.true_unit.gains,
+                       self.true_unit.u, self.true_unit.c, self.true_unit.s,
+                       self.t_true):
+            shared.flags.writeable = False
+        super().__post_init__()
+
+    def _power_fields(self) -> None:
+        super()._power_fields()
+        a, b, _ = bnd.derivative_factors(self.true_unit, self)
+        self.true_gram = bnd.gram_from_factors(a, b)
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with path gains ``gains`` and the
@@ -341,16 +349,34 @@ class PowerSetup(ch.Setup):
         return true, bnd.position_bounds(j_eta, self.t_true)
 
 
+def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
+    """The validated setups of ``exp`` at the powers ``powers``, in order.
+
+    The first is built in full; each later one is ``at_power`` of the one
+    before, with that power's system and pilots (the same seeded signs
+    at its amplitude), so all of them share one geometry, schedule,
+    dictionary set and truth.
+    """
+    geom = exp.geometry()
+    first = exp.system(powers[0])
+    first.validate(geom.n_scatterers + 1)
+    sched = ch.make_phase_schedule(
+        first, geom.n_ris,
+        np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
+    setups = []
+    for power in powers:
+        cfg = exp.system(power)
+        pilots = ch.make_pilots(
+            cfg, geom.n_ms,
+            np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
+        setups.append(setups[-1].at_power(cfg, pilots) if setups
+                      else PowerSetup(geom, cfg, pilots, sched))
+    return setups
+
+
 def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
     """The validated setup of one power point of ``exp``."""
-    geom = exp.geometry()
-    cfg = exp.system(power_dbm)
-    cfg.validate(geom.n_scatterers + 1)
-    pilots = ch.make_pilots(cfg, geom.n_ms,
-                            np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-    sched = ch.make_phase_schedule(cfg, geom.n_ris,
-                                   np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
-    return PowerSetup(geom, cfg, pilots, sched)
+    return power_setups(exp, [power_dbm])[0]
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
@@ -474,18 +500,37 @@ def _aggregate_trial_bounds(records: list) -> dict:
                           float(np.sqrt(np.mean([r.oeb ** 2 for r in recs]))))
 
 
-def _aggregate_rmse(records: list, stage: str, cls: str,
-                    only_support_ok: bool) -> float:
-    sq = []
+def _aggregate_rmse(records: list, stage_classes: dict) -> tuple[dict, dict]:
+    """RMSEs of one power point in report units, stage -> class -> float,
+    over the successful trials and over the support-ok ones, from one
+    pass over the records. ``stage_classes`` maps each stage to its
+    classes; every class of a stage has as many errors per trial, so a
+    stage's squared errors form one (classes, errors) array, each row
+    concatenated in trial order."""
+    every = {stage: [] for stage in stage_classes}
+    support_ok = {stage: [] for stage in stage_classes}
     for rec in records:
-        if rec.error is not None or stage not in rec.sq_errors:
+        if rec.error is not None:
             continue
-        if only_support_ok and not rec.support_ok:
-            continue
-        sq.append(np.atleast_1d(rec.sq_errors[stage][cls]))
-    if not sq:
-        return np.nan
-    return float(np.sqrt(np.mean(np.concatenate(sq)))) * _CLASSES[cls][1]
+        for stage, classes in stage_classes.items():
+            if stage in rec.sq_errors:
+                sq = np.array([np.atleast_1d(rec.sq_errors[stage][c])
+                               for c in classes])
+                every[stage].append(sq)
+                if rec.support_ok:
+                    support_ok[stage].append(sq)
+
+    def rmse(by_stage):
+        out = {}
+        for stage, classes in stage_classes.items():
+            rms = (np.sqrt(np.mean(np.concatenate(by_stage[stage], axis=1),
+                                   axis=1)) if by_stage[stage]
+                   else np.full(len(classes), np.nan))
+            out[stage] = {c: float(r) * _CLASSES[c][1]
+                          for c, r in zip(classes, rms)}
+        return out
+
+    return rmse(every), rmse(support_ok)
 
 
 def run_sweep(exp: ExperimentConfig) -> SweepReport:
@@ -496,14 +541,17 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     stage_list.append("closed_form")
     if exp.stage == "lm":
         stage_list.append("lm")
+    stage_classes = {stage: (("position", "orientation")
+                             if stage in ("closed_form", "lm")
+                             else CHANNEL_CLASSES) for stage in stage_list}
 
     all_records, ref = [], []
-    # one pool serves every power point; setups are still built one at a time
+    # one pool and one setup build serve every power point
     pool = (concurrent.futures.ProcessPoolExecutor(exp.workers)
             if exp.workers > 1 else None)
     with pool or contextlib.nullcontext():
-        for p_idx, power in enumerate(exp.powers_dbm):
-            setup = power_setup(exp, power)
+        for p_idx, (power, setup) in enumerate(
+                zip(exp.powers_dbm, power_setups(exp, exp.powers_dbm))):
             tasks = [(exp, power, p_idx, t, setup)
                      for t in range(exp.n_trials)]
             if pool is not None:
@@ -514,17 +562,11 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
             all_records.append(recs)
             ref.append(reference_bounds(exp, power, setup))
 
-    rmse = {}
-    rmse_filtered = {}
-    for stage in stage_list:
-        classes = (("position", "orientation")
-                   if stage in ("closed_form", "lm") else CHANNEL_CLASSES)
-        rmse[stage] = {c: np.array([
-            _aggregate_rmse(recs, stage, c, False) for recs in all_records])
-            for c in classes}
-        rmse_filtered[stage] = {c: np.array([
-            _aggregate_rmse(recs, stage, c, True) for recs in all_records])
-            for c in classes}
+    per_power = [_aggregate_rmse(recs, stage_classes) for recs in all_records]
+    rmse, rmse_filtered = (
+        {stage: {c: np.array([agg[i][stage][c] for agg in per_power])
+                 for c in classes} for stage, classes in stage_classes.items()}
+        for i in (0, 1))
 
     bounds_ref = {c: np.array([r[c] for r in ref]) for c in REPORT_CLASSES}
     per_trial = [_aggregate_trial_bounds(recs) for recs in all_records]

@@ -35,13 +35,15 @@ leave along c.
 SAGE is one loop. Each iteration first takes at most ``_SCORING_STEPS``
 joint Fisher-scoring steps (Kay, Estimation Theory, 1993, sec. 7.7) from
 the current point. The score is (2/sigma^2) Re diag(A^H E conj(B)) with
-E = pa - N_B ``model_field``, the FIM
-(2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, both from
-``bounds.derivative_factors``. A step is halved until the global
-log-likelihood does not fall and the point stays in |u| <= 1,
-c^2 + s^2 <= 1. Scoring has converged when step^T J step < 1e-6; SAGE
-returns that point and J (``SageInfo.fim``, which equals
-``bounds.fim_channel`` at the estimate). Otherwise its point is dropped
+E = pa - N_B mu, the FIM (2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, all
+from one pass of ``bounds.derivative_factors``, which returns A, B and
+the field mu. A step is halved until the global log-likelihood does not
+fall and the point stays in |u| <= 1, c^2 + s^2 <= 1. Each scoring
+point costs that one pass: its mu gives the point's likelihood and,
+once the point is kept, its A and B give the next step. Scoring has
+converged when step^T J step < 1e-6; SAGE returns that point and J
+(``SageInfo.fim``, which equals ``bounds.fim_channel`` at the
+estimate). Otherwise its point is dropped
 and one full-search coordinate cycle, a generalized EM step (Fessler and
 Hero, IEEE TSP 1994), runs from the current point before scoring is
 tried again: cycles alone can stop on the 1e-8 likelihood rule short of
@@ -123,7 +125,12 @@ def global_log_likelihood(params: ChannelParams, obs: Observation,
     2 Re<mu, pa> - N_B ||mu||^2 with mu = ``model_field``, which equals
     ||y||^2 - ||y - a_B (x) mu||^2 exactly.
     """
-    mu = model_field(params, setup)
+    return field_log_likelihood(model_field(params, setup), obs, setup)
+
+
+def field_log_likelihood(mu: np.ndarray, obs: Observation,
+                         setup: Setup) -> float:
+    """2 Re<mu, pa> - N_B ||mu||^2 of the noiseless field mu (T, N)."""
     return float(2.0 * np.vdot(obs.pa, mu).real
                  - setup.geom.n_bs * np.vdot(mu, mu).real)
 
@@ -202,10 +209,10 @@ def fisher_scoring(obs: Observation, setup: Setup, params: ChannelParams,
     n_bs = setup.geom.n_bs
     score_scale = 2.0 / setup.cfg.noise_power
     history = []
+    a, b, mu = bnd.derivative_factors(params, setup)
     for n_steps in range(_SCORING_STEPS + 1):
-        a, b = bnd.derivative_factors(params, setup)
         fim = bnd.fim_from_factors(a, b, setup)
-        resid = obs.pa - n_bs * model_field(params, setup)
+        resid = obs.pa - n_bs * mu
         score = score_scale * np.real(
             np.sum((a.conj().T @ resid) * b.conj().T, axis=1))
         d = np.sqrt(np.diag(fim))
@@ -224,13 +231,16 @@ def fisher_scoring(obs: Observation, setup: Setup, params: ChannelParams,
             cand = ChannelParams.from_vector(x + step)
             if (np.all(np.abs(cand.u) <= 1.0)
                     and np.all(cand.c ** 2 + cand.s ** 2 <= 1.0)):
-                new_lamb = global_log_likelihood(cand, obs, setup)
+                # one factor pass serves the likelihood test and, when the
+                # candidate is kept, the next step's score and FIM
+                factors = bnd.derivative_factors(cand, setup)
+                new_lamb = field_log_likelihood(factors[2], obs, setup)
                 if new_lamb >= lamb:
                     break
             step = 0.5 * step
         else:
             break
-        params, lamb = cand, new_lamb
+        params, lamb, (a, b, mu) = cand, new_lamb, factors
         history.append(lamb)
     return params, None, history
 

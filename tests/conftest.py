@@ -163,6 +163,18 @@ def sample_layout(rng: np.random.Generator) -> ScenarioGeometry:
                             wavelength=lam)
 
 
+def sample_layout_with(rng: np.random.Generator,
+                       n_scatterers: int) -> ScenarioGeometry:
+    """A ``sample_layout`` draw with one scatterer, or with two: the draw
+    plus a second scatterer from the same box."""
+    geom = sample_layout(rng)
+    if n_scatterers == 2:
+        second = [rng.uniform(-2.0, 14.0), rng.uniform(2.0, 7.5),
+                  rng.uniform(0.5, 8.0)]
+        geom.scatterers = np.vstack([geom.scatterers, second])
+    return geom
+
+
 @pytest.fixture(scope="session")
 def mini_mc(default_exp):
     """100 trials at 20 dBm through the full pipeline (shared across tests)."""

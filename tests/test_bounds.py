@@ -1,13 +1,15 @@
 """Fisher information, transformation Jacobian, and error bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import sample_layout
+from conftest import sample_layout, sample_layout_with
 from oracles import (angle_bounds, angles_from_geometry,
-                     channel_params_from_vector, fim_channel_tensor,
-                     model_field_derivs)
+                     channel_params_from_vector, derivative_factors_slots,
+                     fim_channel_tensor, model_field_derivs)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -48,6 +50,28 @@ def test_model_derivatives_match_finite_differences(setup20):
         scale = np.linalg.norm(analytic[u])
         assert np.linalg.norm(analytic[u] - numeric[u]) < FD_TOL * scale, \
             f"direction {u}"
+
+
+@pytest.mark.parametrize("n_scat", [1, 2])
+def test_derivative_factors_match_the_per_slot_oracle(n_scat):
+    """One factor pass gives the oracle's A and B and model_field's bits."""
+    rng = np.random.default_rng(40 + n_scat)
+    cfg = hn.ExperimentConfig().system(10.0)
+    if n_scat == 2:
+        cfg = dataclasses.replace(cfg, t1=22, t_total=43)
+    for _ in range(20):
+        geom = sample_layout_with(rng, n_scat)
+        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8),
+                         ch.make_phase_schedule(cfg, geom.n_ris, 7))
+        gains = 1e-5 * (rng.standard_normal(n_scat + 1)
+                        + 1j * rng.standard_normal(n_scat + 1))
+        params = gm.true_channel_params(geom, gains)
+        a, b, mu = bnd.derivative_factors(params, setup)
+        for new, old in zip((a, b), derivative_factors_slots(params, setup)):
+            assert new.shape == old.shape
+            assert np.all(np.max(np.abs(new - old), axis=0)
+                          <= 1e-12 * np.max(np.abs(old), axis=0))
+        assert np.array_equal(mu, ch.model_field(params, setup))
 
 
 def test_fim_symmetric_psd(setup20):

@@ -1,5 +1,6 @@
 """Experiment engine: trials, sweeps, aggregation, CSV emission, CLI."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import sample_layout
+from conftest import sample_layout, sample_layout_with
 from oracles import min_association_cost
 from rispos import bounds as bnd
 from rispos import channel as ch
@@ -49,17 +50,62 @@ def test_run_trial_noiseless_ongrid(ongrid):
 
 
 def test_run_trial_prebuilt_setup_is_a_cache():
-    """A trial given the sweep's per-power setup equals one that builds it."""
-    exp = hn.ExperimentConfig(**MICRO)
-    setup = hn.power_setup(exp, 20.0)
-    built = hn.run_trial(exp, 20.0, 1, 2)
-    given = hn.run_trial(exp, 20.0, 1, 2, setup)
-    assert built.error == given.error
-    assert list(built.stages) == list(given.stages)
-    for stage in built.stages:
-        assert np.array_equal(built.stages[stage], given.stages[stage])
-    assert np.array_equal(built.crlb, given.crlb)
-    assert built.peb == given.peb
+    """Each power's sweep setup gives the trial that builds its own."""
+    exp = hn.ExperimentConfig(n_trials=3, powers_dbm=[-10.0, 0.0, 10.0, 20.0])
+    for p_idx, (power, setup) in enumerate(
+            zip(exp.powers_dbm, hn.power_setups(exp, exp.powers_dbm))):
+        built = hn.run_trial(exp, power, p_idx, 2)
+        given = hn.run_trial(exp, power, p_idx, 2, setup)
+        assert built.error == given.error
+        assert list(built.stages) == list(given.stages)
+        for stage in built.stages:
+            assert np.array_equal(built.stages[stage], given.stages[stage])
+        assert np.array_equal(built.crlb, given.crlb)
+        assert built.peb == given.peb
+
+
+def _leaves(obj, name=""):
+    """(path, leaf) of every value reachable through ``obj``'s dataclass
+    fields and tuples."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{name}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{name}[{i}]")
+    else:
+        yield name, obj
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"scatterers": [[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], "t1": 22,
+         "t_total": 43}])
+def test_sweep_setups_are_power_setups(overrides):
+    """Sweep setups equal power_setup and share only read-only arrays."""
+    exp = hn.ExperimentConfig(**overrides)
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    for power, setup in zip(exp.powers_dbm, setups):
+        alone = dict(_leaves(hn.power_setup(exp, power)))
+        leaves = dict(_leaves(setup))
+        assert leaves.keys() == alone.keys()
+        for name, value in leaves.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == alone[name].dtype, name
+                assert np.array_equal(value, alone[name]), name
+            else:
+                assert value == alone[name], name
+    first = dict(_leaves(setups[0]))
+    for setup in setups[1:]:
+        own = set()
+        for name, value in _leaves(setup):
+            if not isinstance(value, np.ndarray):
+                continue
+            if value is not first[name]:
+                own.add(name)
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = value
+        assert own == {".pilots", ".aod_proj", ".true_gram"}
 
 
 @pytest.mark.parametrize("stage,present,absent", [
@@ -580,12 +626,8 @@ def _admissible_layouts():
     rng = np.random.default_rng(2026)
     layouts = [(sample_layout(rng), {}) for _ in range(30)]
     rng = np.random.default_rng(2027)
-    for _ in range(10):
-        geom = sample_layout(rng)
-        second = [rng.uniform(-2.0, 14.0), rng.uniform(2.0, 7.5),
-                  rng.uniform(0.5, 8.0)]
-        geom.scatterers = np.vstack([geom.scatterers, second])
-        layouts.append((geom, {"t1": 22, "t_total": 43}))
+    layouts += [(sample_layout_with(rng, 2), {"t1": 22, "t_total": 43})
+                for _ in range(10)]
     return layouts
 
 
