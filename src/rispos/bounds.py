@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import (Setup, ms_sine_steering, ris_factors, slot_factors,
                       subcarrier_ramp)
-from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, path_legs
+from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, unit_vector
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
@@ -123,6 +123,13 @@ def fim_at_gains(gram0: np.ndarray, gains: np.ndarray,
     return fim_from_gram(np.outer(w.conj(), w) * gram0, setup)
 
 
+def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
+    """w = (a - b) / |a - b| and dw/da = (I - w w^T) / |a - b| (symmetric;
+    dw/db = -dw/da)."""
+    w, dist = unit_vector(a, b, what)
+    return w, (np.eye(3) - np.outer(w, w)) / dist
+
+
 def transformation_matrix(pos: PositionParams, ris: np.ndarray,
                           bs: np.ndarray) -> np.ndarray:
     """Jacobian d(eta)^T/d(eta~), shape (5Q+6, 6(Q+1)).
@@ -131,41 +138,41 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
     rotation, scatterers); columns follow the channel-parameter vector.
     A delay leg |a - b| has gradient w, u = a . w_dep has gradient
     (I - w w^T) a / |w|, and c and s are the z and y rows of the
-    arrival's (I - w w^T) / |w|: all paths' legs and gradients come from
-    one ``geometry.path_legs`` pass.
+    arrival's (I - w w^T) / |w|.
     """
+    ris = np.asarray(ris, float)
     q_n = pos.n_scatterers
     n_paths = q_n + 1
     t_mat = np.zeros((5 * q_n + 6, 6 * n_paths))
-    cols = t_mat.reshape(-1, n_paths, 6)      # rows x path x parameter
-    m_rows = slice(2 * n_paths, 2 * n_paths + 3)  # the MS coordinates
-    a_row = 2 * n_paths + 3                   # alpha
+    m_off = 2 * n_paths           # row offset of the MS coordinates
+    a_off = m_off + 3             # row of alpha
     axis = ms_axis(pos.alpha)
     axis_dot = np.array([-np.sin(pos.alpha), -np.cos(pos.alpha), 0.0])
 
     c = SPEED_OF_LIGHT
-    w, dist = path_legs(pos, ris)
-    w_dep, w_arr = w[:, 0], w[:, 1]
-    grad = (np.eye(3) - w[..., :, None] * w[..., None, :]) / dist[..., None,
-                                                                  None]
-    du = grad[:, 0] @ axis        # d u / d hop, (Q+1, 3)
-    # the arrival's d(c, s) / d source: the z and y rows of its gradient
-    dcs = -grad[:, 1, 2:0:-1].transpose(0, 2, 1)   # (Q+1, 3, 2)
-    # gain identity blocks
-    q = np.arange(n_paths)
-    cols[:2 * n_paths].reshape(n_paths, 2, n_paths, 6)[q, :, q, 1:3] = \
-        np.eye(2)
-    cols[m_rows, :, 0] = -w_dep.T / c
-    cols[m_rows, :, 3] = -du.T
-    cols[a_row, :, 3] = (w_dep[:, None, :] @ axis_dot)[:, 0]
-    # path 0 departs toward the RIS and arrives from the MS; path q > 0
-    # does both through scatterer q, whose coordinate rows follow alpha's
-    cols[m_rows, 0, 4:] = dcs[0]
-    scat = cols[a_row + 1:].reshape(q_n, 3, n_paths, 6)
-    q = q[:-1]
-    scat[q, :, q + 1, 0] = (w_dep - w_arr)[1:] / c
-    scat[q, :, q + 1, 3] = du[1:]
-    scat[q, :, q + 1, 4:] = dcs[1:]
+    for q in range(n_paths):
+        col = 6 * q
+        # gain identity blocks
+        t_mat[2 * q, col + 1] = 1.0
+        t_mat[2 * q + 1, col + 2] = 1.0
+
+        # path 0 departs toward the RIS and arrives from the MS; path q > 0
+        # does both through scatterer q, whose coordinate rows start at s0
+        hop = ris if q == 0 else pos.scatterers[q - 1]
+        s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
+        w_dep, g_dep = _unit_grad(hop, pos.ms,
+                                  "MS-RIS" if q == 0 else "MS-scatterer")
+        w_arr, g_arr = _unit_grad(ris, pos.ms if q == 0 else hop,
+                                  "MS-RIS" if q == 0 else "scatterer-RIS")
+        du = g_dep @ axis             # d u / d hop
+        t_mat[m_off:m_off + 3, col + 0] = -w_dep / c
+        t_mat[m_off:m_off + 3, col + 3] = -du
+        t_mat[a_off, col + 3] = axis_dot @ w_dep
+        if q > 0:
+            t_mat[s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
+            t_mat[s0:s0 + 3, col + 3] = du
+        t_mat[s0:s0 + 3, col + 4] = -g_arr[2]
+        t_mat[s0:s0 + 3, col + 5] = -g_arr[1]
     return t_mat
 
 

@@ -240,7 +240,8 @@ class Setup:
     Of these only ``cfg`` (its ``p_tx``), ``pilots`` and ``aod_proj``
     depend on the transmit power. ``at_power`` gives the setup at
     another power, which shares every other array; so the setup makes
-    those arrays read-only, the geometry's and the schedule's included.
+    those arrays read-only. It keeps its own copies of ``geom`` and
+    ``sched`` to do so, and the caller's stay writable.
     """
 
     geom: ScenarioGeometry
@@ -264,6 +265,7 @@ class Setup:
     def __post_init__(self):
         if self.sched.n_slots != self.cfg.t_total:
             raise DimensionMismatch("schedule slot count must equal T")
+        self.geom, self.sched = copy.deepcopy((self.geom, self.sched))
         self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
         self.a_m_dict, self.ris_dict = build_dictionaries(self)
         self.n_paths = self.geom.n_scatterers + 1

@@ -105,50 +105,29 @@ def ms_axis(alpha: float) -> np.ndarray:
     return np.array([np.cos(alpha), -np.sin(alpha), 0.0])
 
 
-# leg names of path 0 and of a scatterer path: (departure, arrival)
-_LEG_NAMES = (("MS-RIS", "MS-RIS"), ("MS-scatterer", "scatterer-RIS"))
-
-
-def path_legs(pos: PositionParams, ris: Vec3) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors w (Q+1, 2, 3) and lengths (Q+1, 2) of every path's
-    departure (leg 0) and arrival (leg 1), in one pass.
-
-    Path 0 departs toward the RIS and arrives from the MS; path q > 0
-    does both through scatterer q. The departure is hop - ms and the
-    arrival ris - source, hop the path's first point after the MS and
-    source its last point before the RIS. A zero leg raises
-    ``DegenerateGeometry`` naming the first one in path order, the
-    departure before the arrival.
-    """
-    ris = np.asarray(ris, float)
-    diff = np.empty((pos.n_scatterers + 1, 2, 3))
-    diff[0] = ris - pos.ms
-    diff[1:, 0] = pos.scatterers - pos.ms
-    diff[1:, 1] = ris - pos.scatterers
-    # each length as np.linalg.norm takes it: the root of a dot product
-    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    if not dist.all():
-        q, leg = divmod(int(np.flatnonzero(dist <= 0.0)[0]), 2)
-        raise DegenerateGeometry(
-            f"zero distance: {_LEG_NAMES[min(q, 1)][leg]}")
-    return diff / dist[..., None], dist
-
-
 def forward_map_G(pos: PositionParams, ris: Vec3, bs: Vec3) -> ChannelParams:
     """Map position-level parameters to channel parameters.
 
     Gains pass through unchanged; delays and the spatial frequencies
-    (u, c, s) follow from the node geometry, all paths' legs from one
-    ``path_legs`` pass. The inverse (in the noiseless case) is provided
-    by the closed forms in :mod:`rispos.positioning`.
+    (u, c, s) follow from the node geometry. The inverse (in the
+    noiseless case) is provided by the closed forms in
+    :mod:`rispos.positioning`.
     """
+    a = ms_axis(pos.alpha)
     d_rb = unit_vector(ris, bs, "RIS-BS")[1]
-    w, dist = path_legs(pos, ris)
-    tau = (d_rb + dist[:, 1] + dist[:, 0]) / SPEED_OF_LIGHT
-    # path 0's departure is its arrival leg, counted once
-    tau[0] = (d_rb + dist[0, 1]) / SPEED_OF_LIGHT
-    u = (w[:, 0, None, :] @ ms_axis(pos.alpha))[:, 0]
-    return ChannelParams(tau, pos.gains.copy(), u, w[:, 1, 2], w[:, 1, 1])
+    n_paths = pos.n_scatterers + 1
+    tau, u, c, s = (np.empty(n_paths) for _ in range(4))
+    for q in range(n_paths):
+        # path 0 departs toward the RIS and arrives from the MS; path q > 0
+        # does both through scatterer q
+        hop = ris if q == 0 else pos.scatterers[q - 1]
+        w_dep, h_dep = unit_vector(hop, pos.ms,
+                                   "MS-RIS" if q == 0 else "MS-scatterer")
+        w_arr, h_arr = unit_vector(ris, pos.ms if q == 0 else hop,
+                                   "MS-RIS" if q == 0 else "scatterer-RIS")
+        tau[q] = (d_rb + h_arr + (h_dep if q > 0 else 0.0)) / SPEED_OF_LIGHT
+        u[q], c[q], s[q] = a @ w_dep, w_arr[2], w_arr[1]
+    return ChannelParams(tau, pos.gains.copy(), u, c, s)
 
 
 def true_channel_params(geom: ScenarioGeometry, gains: np.ndarray) -> ChannelParams:

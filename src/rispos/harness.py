@@ -500,37 +500,18 @@ def _aggregate_trial_bounds(records: list) -> dict:
                           float(np.sqrt(np.mean([r.oeb ** 2 for r in recs]))))
 
 
-def _aggregate_rmse(records: list, stage_classes: dict) -> tuple[dict, dict]:
-    """RMSEs of one power point in report units, stage -> class -> float,
-    over the successful trials and over the support-ok ones, from one
-    pass over the records. ``stage_classes`` maps each stage to its
-    classes; every class of a stage has as many errors per trial, so a
-    stage's squared errors form one (classes, errors) array, each row
-    concatenated in trial order."""
-    every = {stage: [] for stage in stage_classes}
-    support_ok = {stage: [] for stage in stage_classes}
+def _aggregate_rmse(records: list, stage: str, cls: str,
+                    only_support_ok: bool) -> float:
+    sq = []
     for rec in records:
-        if rec.error is not None:
+        if rec.error is not None or stage not in rec.sq_errors:
             continue
-        for stage, classes in stage_classes.items():
-            if stage in rec.sq_errors:
-                sq = np.array([np.atleast_1d(rec.sq_errors[stage][c])
-                               for c in classes])
-                every[stage].append(sq)
-                if rec.support_ok:
-                    support_ok[stage].append(sq)
-
-    def rmse(by_stage):
-        out = {}
-        for stage, classes in stage_classes.items():
-            rms = (np.sqrt(np.mean(np.concatenate(by_stage[stage], axis=1),
-                                   axis=1)) if by_stage[stage]
-                   else np.full(len(classes), np.nan))
-            out[stage] = {c: float(r) * _CLASSES[c][1]
-                          for c, r in zip(classes, rms)}
-        return out
-
-    return rmse(every), rmse(support_ok)
+        if only_support_ok and not rec.support_ok:
+            continue
+        sq.append(np.atleast_1d(rec.sq_errors[stage][cls]))
+    if not sq:
+        return np.nan
+    return float(np.sqrt(np.mean(np.concatenate(sq)))) * _CLASSES[cls][1]
 
 
 def run_sweep(exp: ExperimentConfig) -> SweepReport:
@@ -541,9 +522,6 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     stage_list.append("closed_form")
     if exp.stage == "lm":
         stage_list.append("lm")
-    stage_classes = {stage: (("position", "orientation")
-                             if stage in ("closed_form", "lm")
-                             else CHANNEL_CLASSES) for stage in stage_list}
 
     all_records, ref = [], []
     # one pool and one setup build serve every power point
@@ -562,11 +540,17 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
             all_records.append(recs)
             ref.append(reference_bounds(exp, power, setup))
 
-    per_power = [_aggregate_rmse(recs, stage_classes) for recs in all_records]
-    rmse, rmse_filtered = (
-        {stage: {c: np.array([agg[i][stage][c] for agg in per_power])
-                 for c in classes} for stage, classes in stage_classes.items()}
-        for i in (0, 1))
+    rmse = {}
+    rmse_filtered = {}
+    for stage in stage_list:
+        classes = (("position", "orientation")
+                   if stage in ("closed_form", "lm") else CHANNEL_CLASSES)
+        rmse[stage] = {c: np.array([
+            _aggregate_rmse(recs, stage, c, False) for recs in all_records])
+            for c in classes}
+        rmse_filtered[stage] = {c: np.array([
+            _aggregate_rmse(recs, stage, c, True) for recs in all_records])
+            for c in classes}
 
     bounds_ref = {c: np.array([r[c] for r in ref]) for c in REPORT_CLASSES}
     per_trial = [_aggregate_trial_bounds(recs) for recs in all_records]

@@ -9,9 +9,8 @@ one phase block and one path at a time, the delay step one path at a
 time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
-association, SAGE by coordinate cycles alone, the FIM derivative
-factors with the RIS phases contracted per slot, and the forward map
-and its Jacobian one path and one leg at a time. The package keeps
+association, SAGE by coordinate cycles alone, and the FIM derivative
+factors with the RIS phases contracted per slot. The package keeps
 only the fast forms, in the arrays' spatial frequencies (u, c, s), and
 never forms the (N_b, T, N) received tensor; these reference
 implementations, most of them in angles, check them.
@@ -783,69 +782,3 @@ def derivative_factors_slots(params: ChannelParams, setup: ch.Setup):
     subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
     return (slots.transpose(1, 2, 0).reshape(cfg.t_total, -1),
             subs.transpose(1, 2, 0).reshape(cfg.n_subcarriers, -1))
-
-
-def forward_map_G_legs(pos: PositionParams, ris, bs) -> ChannelParams:
-    """``geometry.forward_map_G`` one path and one ``unit_vector`` leg at
-    a time."""
-    a = gm.ms_axis(pos.alpha)
-    d_rb = gm.unit_vector(ris, bs, "RIS-BS")[1]
-    n_paths = pos.n_scatterers + 1
-    tau, u, c, s = (np.empty(n_paths) for _ in range(4))
-    for q in range(n_paths):
-        # path 0 departs toward the RIS and arrives from the MS; path q > 0
-        # does both through scatterer q
-        hop = ris if q == 0 else pos.scatterers[q - 1]
-        w_dep, h_dep = gm.unit_vector(hop, pos.ms,
-                                      "MS-RIS" if q == 0 else "MS-scatterer")
-        w_arr, h_arr = gm.unit_vector(ris, pos.ms if q == 0 else hop,
-                                      "MS-RIS" if q == 0 else "scatterer-RIS")
-        tau[q] = (d_rb + h_arr + (h_dep if q > 0 else 0.0)) / SPEED_OF_LIGHT
-        u[q], c[q], s[q] = a @ w_dep, w_arr[2], w_arr[1]
-    return ChannelParams(tau, pos.gains.copy(), u, c, s)
-
-
-def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
-    """w = (a - b) / |a - b| and dw/da = (I - w w^T) / |a - b| (symmetric;
-    dw/db = -dw/da)."""
-    w, dist = gm.unit_vector(a, b, what)
-    return w, (np.eye(3) - np.outer(w, w)) / dist
-
-
-def transformation_matrix_legs(pos: PositionParams, ris: np.ndarray,
-                               bs: np.ndarray) -> np.ndarray:
-    """``bounds.transformation_matrix`` one path and one leg at a time."""
-    ris = np.asarray(ris, float)
-    q_n = pos.n_scatterers
-    n_paths = q_n + 1
-    t_mat = np.zeros((5 * q_n + 6, 6 * n_paths))
-    m_off = 2 * n_paths           # row offset of the MS coordinates
-    a_off = m_off + 3             # row of alpha
-    axis = gm.ms_axis(pos.alpha)
-    axis_dot = np.array([-np.sin(pos.alpha), -np.cos(pos.alpha), 0.0])
-
-    c = SPEED_OF_LIGHT
-    for q in range(n_paths):
-        col = 6 * q
-        # gain identity blocks
-        t_mat[2 * q, col + 1] = 1.0
-        t_mat[2 * q + 1, col + 2] = 1.0
-
-        # path 0 departs toward the RIS and arrives from the MS; path q > 0
-        # does both through scatterer q, whose coordinate rows start at s0
-        hop = ris if q == 0 else pos.scatterers[q - 1]
-        s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
-        w_dep, g_dep = _unit_grad(hop, pos.ms,
-                                  "MS-RIS" if q == 0 else "MS-scatterer")
-        w_arr, g_arr = _unit_grad(ris, pos.ms if q == 0 else hop,
-                                  "MS-RIS" if q == 0 else "scatterer-RIS")
-        du = g_dep @ axis             # d u / d hop
-        t_mat[m_off:m_off + 3, col + 0] = -w_dep / c
-        t_mat[m_off:m_off + 3, col + 3] = -du
-        t_mat[a_off, col + 3] = axis_dot @ w_dep
-        if q > 0:
-            t_mat[s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
-            t_mat[s0:s0 + 3, col + 3] = du
-        t_mat[s0:s0 + 3, col + 4] = -g_arr[2]
-        t_mat[s0:s0 + 3, col + 5] = -g_arr[1]
-    return t_mat

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import sample_layout, sample_layout_with
-from oracles import (angles_from_geometry, forward_map_G_legs, ris_bs_angles,
-                     steer_upa, transformation_matrix_legs,
+from conftest import sample_layout
+from oracles import (angles_from_geometry, ris_bs_angles, steer_upa,
                      toas_from_geometry)
-from rispos import bounds as bnd
 from rispos import geometry as gm
 from rispos.errors import DegenerateGeometry
 from rispos.geometry import ScenarioGeometry
@@ -167,47 +165,3 @@ def test_geometry_validation():
         ScenarioGeometry(bs=[0, 0, 28], ris=[-6, 8, 20], ms=[22, 35, 1.5],
                          alpha=0.1, scatterers=[], wavelength=lam,
                          d_ms=0.6 * lam)
-
-
-@pytest.mark.parametrize("n_scat", [1, 2])
-def test_leg_pass_matches_the_per_leg_oracles(n_scat):
-    """forward_map_G and transformation_matrix equal their per-leg loops."""
-    rng = np.random.default_rng(50 + n_scat)
-    for _ in range(20):
-        geom = sample_layout_with(rng, n_scat)
-        pos = PositionParams(gains=rng.standard_normal(n_scat + 1) + 0.5j,
-                             ms=geom.ms, alpha=geom.alpha,
-                             scatterers=geom.scatterers)
-        new = gm.forward_map_G(pos, geom.ris, geom.bs)
-        old = forward_map_G_legs(pos, geom.ris, geom.bs)
-        assert np.array_equal(new.gains, old.gains)
-        for name in ("tau", "u", "c", "s"):
-            x, y = getattr(new, name), getattr(old, name)
-            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
-        t_new = bnd.transformation_matrix(pos, geom.ris, geom.bs)
-        t_old = transformation_matrix_legs(pos, geom.ris, geom.bs)
-        assert np.array_equal(t_new != 0.0, t_old != 0.0)
-        assert np.all(np.max(np.abs(t_new - t_old), axis=0)
-                      <= 1e-12 * np.max(np.abs(t_old), axis=0))
-
-
-@pytest.mark.parametrize("where,leg", [
-    ({"ms": [-6.0, 8.0, 20.0]}, "MS-RIS"),
-    ({"scatterers": [[6.0, 5.0, 3.0], [22.0, 35.0, 1.5]]}, "MS-scatterer"),
-    ({"scatterers": [[6.0, 5.0, 3.0], [-6.0, 8.0, 20.0]]}, "scatterer-RIS"),
-    ({"bs": [-6.0, 8.0, 20.0]}, "RIS-BS"),
-])
-def test_zero_leg_is_named(where, leg):
-    """A zero leg raises DegenerateGeometry naming it, as the loops did."""
-    nodes = {"ms": [22.0, 35.0, 1.5], "scatterers": [[6.0, 5.0, 3.0]],
-             "bs": [0.0, 0.0, 28.0], **where}
-    pos = PositionParams(gains=np.ones(len(nodes["scatterers"]) + 1),
-                         ms=nodes["ms"], alpha=1.3,
-                         scatterers=nodes["scatterers"])
-    ris = [-6.0, 8.0, 20.0]
-    maps = [gm.forward_map_G, forward_map_G_legs]
-    if leg != "RIS-BS":       # the Jacobian does not use the RIS-BS leg
-        maps += [bnd.transformation_matrix, transformation_matrix_legs]
-    for fmap in maps:
-        with pytest.raises(DegenerateGeometry, match=f"zero distance: {leg}$"):
-            fmap(pos, ris, nodes["bs"])

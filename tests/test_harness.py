@@ -108,6 +108,23 @@ def test_sweep_setups_are_power_setups(overrides):
         assert own == {".pilots", ".aod_proj", ".true_gram"}
 
 
+def test_setup_leaves_the_callers_arrays_writable():
+    """A setup freezes its own copies of the geometry and schedule."""
+    exp = hn.ExperimentConfig(scatterers=np.array([[6.0, 5.0, 3.0]]))
+    geom, cfg = exp.geometry(), exp.system(20.0)
+    sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
+    setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8), sched)
+    hn.power_setup(exp, 20.0)
+    for mine, its in ((geom.bs, setup.geom.bs), (geom.ris, setup.geom.ris),
+                      (geom.ms, setup.geom.ms),
+                      (geom.scatterers, setup.geom.scatterers),
+                      (sched.block_phases, setup.sched.block_phases),
+                      (sched.slot_block, setup.sched.slot_block)):
+        assert mine.flags.writeable and not its.flags.writeable
+        assert np.array_equal(mine, its)
+    assert exp.scatterers.flags.writeable
+
+
 @pytest.mark.parametrize("stage,present,absent", [
     ("coarse", ["coarse", "closed_form"], ["sage", "lm"]),
     ("aod_mle", ["coarse", "closed_form"], ["sage", "lm"]),
