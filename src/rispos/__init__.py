@@ -5,7 +5,7 @@ Modules
 geometry     array steering, node geometry, parameter maps
 channel      system configuration, pilots, the forward model, synthesis
 coarse_est   sparse-recovery + DFT coarse channel estimation
-sage         coordinate-wise joint likelihood refinement
+sage         damped Fisher-scoring joint likelihood refinement
 positioning  closed-form pose recovery and weighted LM refinement
 bounds       Fisher information, CRLB, position/orientation bounds
 harness      seeded Monte Carlo experiments and CSV emission

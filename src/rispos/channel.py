@@ -20,14 +20,12 @@ with these functions on grids of the same absolute coordinates: u, c
 and s each take G values of step 2/G in [-1, 1), the RIS grids placed
 to contain the leg's own c_out and s_out.
 ``model_field`` is the only implementation of the noiseless field:
-synthesis, the SAGE complete data, the likelihood and the Fisher
-information all build on it or on its per-path factors
-(``path_factors``: ``ris_slot_factors``, ``pilot_projection`` and
-``subcarrier_ramp``); SAGE's coordinate searches rebuild one of these
-factors per candidate, and the coarse delay step scores the same
-``subcarrier_ramp``. ``synthesize_rx`` draws the received
-tensor only through the two statistics the estimators read, as an
-``Observation``.
+synthesis, the likelihood and the Fisher information all build on it or
+on its per-path factors (``path_factors``: ``ris_slot_factors``,
+``pilot_projection`` and ``subcarrier_ramp``), and the coarse delay
+step scores the same ``subcarrier_ramp``. ``synthesize_rx`` draws the
+received tensor only through the two statistics the estimators read, as
+an ``Observation``.
 """
 
 from __future__ import annotations
@@ -102,14 +100,6 @@ class PhaseSchedule:
     @property
     def n_blocks(self) -> int:
         return self.block_phases.shape[0]
-
-    @property
-    def slot_phases(self) -> np.ndarray:
-        """Per-slot phase vectors, shape (T, N_r)."""
-        return self.block_phases[self.slot_block]
-
-    def block_slots(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.slot_block == i)
 
 
 def make_phase_schedule(cfg: SystemConfig, n_ris: int,

@@ -2,12 +2,11 @@
 
 Four sub-steps run on the block-structured pilot record: joint-sparse
 recovery of the departure sines u = sin theta_t, likelihood refinement
-of those sines (joint Newton steps, with cyclic 1-D passes when an
-attempt is dropped), per-path sparse recovery of the RIS arrival's c
-and s, and delay/gain estimation on ``channel.subcarrier_ramp``, the
-statistic SAGE's delay search scores, for all paths at once: the DFT
-bin, then Newton steps on closed-form derivatives within half a bin of
-it, with no search. The departure recovery is DCS-SOMP, its picks made by
+of those sines (damped joint Newton steps), per-path sparse recovery of
+the RIS arrival's c and s, and delay/gain estimation on
+``channel.subcarrier_ramp`` for all paths at once: the DFT bin, then
+Newton steps on closed-form derivatives within half a bin of it, with
+no search. The departure recovery is DCS-SOMP, its picks made by
 ``pick_columns`` from the observation's T1 x T1 covariance cov1. The
 arrival recovery de-mixes all phase blocks with one batched solve and
 makes every path's 1-sparse pick from one product with the block-level
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import maximize_1d
+from ._damping import damped_step
 from .channel import (Observation, Setup, ms_sine_steering, pilot_projection,
                       subcarrier_ramp)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
@@ -37,11 +36,10 @@ from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
 _COND_LIMIT = 1e12
-_AOD_MAX_PASSES = 5           # cyclic passes of the AOD refinement
-# AOD Newton attempts: difference spacing, step budget, the step that
-# ends an attempt, and the share of the objective a step may lose
+# AOD refinement: difference spacing, step cap, the undamped step that
+# ends it, and the share of the objective a step may lose
 _AOD_NEWTON_H = 1e-5
-_AOD_NEWTON_STEPS = 6
+_AOD_MAX_STEPS = 100
 _AOD_NEWTON_STOP = 1e-9
 _AOD_NEWTON_FLAT = 1e-12
 # delay step: Newton steps from the best grid point, and the share of f
@@ -143,60 +141,29 @@ def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
     return objective
 
 
-def _aod_newton(objective, sines: np.ndarray, cell: float):
-    """Joint Newton steps on the concentrated objective from ``sines``.
-
-    Each step scores one batch of 1 + 2P + 2P(P-1) stacks, the point, the
-    points +-h e_i and the corners (+-h e_i, +-h e_j) of each pair i < j,
-    whose central differences give the gradient and Hessian. Returns the
-    point at which a step falls below 1e-9, or None when the attempt is
-    dropped: -H has no Cholesky factor, a step leaves [-1, 1] or one grid
-    cell around ``sines``, the objective falls by more than 1e-12
-    relative, or ``_AOD_NEWTON_STEPS`` steps pass.
-    """
-    p = sines.size
-    eye = np.eye(p)
-    pairs = np.triu_indices(p, 1)
-    corners = [a * eye[i] + b * eye[j] for i, j in zip(*pairs)
-               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    h = _AOD_NEWTON_H
-    stencil = h * np.vstack([np.zeros(p), eye, -eye, *corners])
-    x, f_prev = sines, -np.inf
-    for _ in range(_AOD_NEWTON_STEPS):
-        f = objective(x + stencil)
-        if f[0] < f_prev - _AOD_NEWTON_FLAT * abs(f_prev):
-            return None
-        f_prev = f[0]
-        f_plus, f_minus = f[1:p + 1], f[p + 1:2 * p + 1]
-        grad = (f_plus - f_minus) / (2.0 * h)
-        hess = np.diag((f_plus - 2.0 * f[0] + f_minus) / h ** 2)
-        hess[pairs] = hess[pairs[::-1]] = (
-            f[2 * p + 1:].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
-            / (4.0 * h ** 2))
-        try:
-            chol = np.linalg.cholesky(-hess)
-        except np.linalg.LinAlgError:
-            return None
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-        if np.max(np.abs(step)) < _AOD_NEWTON_STOP:
-            return x
-        x = x + step
-        if not (np.all(np.abs(x) <= 1.0)
-                and np.all(np.abs(x - sines) <= cell)):
-            return None
-    return None
+def _newton_step(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The solution x of -H x = g through the Cholesky factor of -H;
+    raises ``LinAlgError`` when -H is not positive definite."""
+    chol = np.linalg.cholesky(neg_hess)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
 
 
 def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     """ML refinement of the departure sines over the first T1 slots.
 
-    Each of at most ``_AOD_MAX_PASSES`` iterations first tries joint
-    Newton steps on all sines (``_aod_newton``) and returns their point
-    when they converge. Otherwise one cyclic pass searches each sine in
-    full over one coarse grid cell around it, as incumbent, so the
-    concentrated objective never decreases; a pass that moves no sine by
-    1e-9 ends the loop. Returns (sines, passes), passes counting the
-    cyclic passes run: 0 when Newton converged from ``u_init``.
+    Damped Newton steps on all sines jointly (``_damping.damped_step``)
+    maximize the concentrated objective F of ``_aod_objective``. Each
+    step scores one batch of 1 + 2P + 2P(P-1) stacks, the point, the
+    points +-h e_i and the corners (+-h e_i, +-h e_j) of each pair i < j,
+    whose central differences give the gradient and Hessian at the point;
+    its row 0 is the point's F. A step solves (-H + lambda diag|H|) x = g,
+    the undamped Newton step first. A candidate is clipped to [-1, 1]; it
+    is kept when its F falls by no more than 1e-12 relative, and rejected
+    when its stencil raises ``SingularConcentration``. A sine at +-1
+    whose gradient points out of [-1, 1] leaves the step space. The
+    refinement ends when the undamped step moves no sine by 1e-9, when
+    the damping passes 1e12, or after ``_AOD_MAX_STEPS`` steps. Returns
+    (sines, steps), steps counting the accepted steps.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -206,25 +173,56 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     s_mat = b_mat @ b_mat.conj().T / geom.n_bs
     objective = _aod_objective(s_mat, c_mat, geom)
 
-    sines = np.array(u_init, dtype=float)
-    lanes = np.arange(sines.size)
-    cell = 2.0 / cfg.g_ms
-    for passes in range(_AOD_MAX_PASSES):
-        found = _aod_newton(objective, sines, cell)
-        if found is not None:
-            return found, passes
-        moved = 0.0
-        for q in range(sines.size):
-            u0 = float(sines[q])
-            # sine q's candidates in stacks that hold the other sines
-            sines[q], _ = maximize_1d(
-                lambda u_q: objective(np.where(lanes == q, u_q[:, None],
-                                               sines)),
-                max(-1.0, u0 - cell), min(1.0, u0 + cell), incumbent=u0)
-            moved = max(moved, abs(sines[q] - u0))
-        if moved < 1e-9:
-            return sines, passes + 1
-    return sines, _AOD_MAX_PASSES
+    x = np.array(u_init, dtype=float)
+    p = x.size
+    eye = np.eye(p)
+    pairs = np.triu_indices(p, 1)
+    corners = [a * eye[i] + b * eye[j] for i, j in zip(*pairs)
+               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    h = _AOD_NEWTON_H
+    stencil = h * np.vstack([np.zeros(p), eye, -eye, *corners])
+    f = objective(x + stencil)
+    damping = 0.0
+    for steps in range(_AOD_MAX_STEPS):
+        f_plus, f_minus = f[1:p + 1], f[p + 1:2 * p + 1]
+        grad = (f_plus - f_minus) / (2.0 * h)
+        hess = np.diag((f_plus - 2.0 * f[0] + f_minus) / h ** 2)
+        hess[pairs] = hess[pairs[::-1]] = (
+            f[2 * p + 1:].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
+            / (4.0 * h ** 2))
+        free = ~((np.abs(x) >= 1.0) & (x * grad > 0.0))
+        neg_hess, g = -hess[free][:, free], grad[free]
+        try:
+            undamped = _newton_step(neg_hess, g)
+        except np.linalg.LinAlgError:
+            undamped = None
+        if undamped is not None and np.all(np.abs(undamped)
+                                           < _AOD_NEWTON_STOP):
+            break
+
+        def evaluate(step):
+            """The clipped candidate and its stencil values, or None when
+            its F falls or its stencil collides."""
+            cand = x.copy()
+            cand[free] += step
+            cand = np.clip(cand, -1.0, 1.0)
+            try:
+                f_new = objective(cand + stencil)
+            except SingularConcentration:
+                return None
+            floor = f[0] - _AOD_NEWTON_FLAT * abs(f[0])
+            return (cand, f_new) if f_new[0] >= floor else None
+
+        kept, damping = damped_step(
+            undamped, lambda lam: _newton_step(
+                neg_hess + lam * np.diag(np.abs(np.diag(neg_hess))), g),
+            evaluate, damping)
+        if kept is None:
+            break
+        x, f = kept
+    else:
+        steps = _AOD_MAX_STEPS
+    return x, steps
 
 
 @dataclass
@@ -291,16 +289,15 @@ def estimate_toa(delta_tilde: np.ndarray, setup: Setup):
     gains D (Q+1, N), one row d per path.
 
     A path's delay maximizes f(tau) = |z(tau)|^2, z(tau) = ramp(-tau)^T d,
-    ramp = ``channel.subcarrier_ramp``, the statistic SAGE's delay search
-    scores, within half a bin of its best DFT bin tau = m / B. Every step
-    reads a ramp ``channel.Setup`` built: the bins from ``bin_ramp``; the
-    start, the best of the oversampled transform at the bracket's 41
-    points, from ``grid_ramp``; then ``_TOA_NEWTON_STEPS`` Newton steps on
-    f from ``ramp_weights``, each clipped to the bracket and taken only
-    where f is concave, with f' / f'' = Re(conj(z) z') / (|z'|^2 +
-    Re(conj(z) z'')). The bin centre is kept unless the result is
-    strictly better. The gain is the least-squares fit ramp(tau)^H d / N
-    on the same ramp.
+    ramp = ``channel.subcarrier_ramp``, within half a bin of its best DFT
+    bin tau = m / B. Every step reads a ramp ``channel.Setup`` built: the
+    bins from ``bin_ramp``; the start, the best of the oversampled
+    transform at the bracket's 41 points, from ``grid_ramp``; then
+    ``_TOA_NEWTON_STEPS`` Newton steps on f from ``ramp_weights``, each
+    clipped to the bracket and taken only where f is concave, with
+    f' / f'' = Re(conj(z) z') / (|z'|^2 + Re(conj(z) z'')). The bin
+    centre is kept unless the result is strictly better. The gain is the
+    least-squares fit ramp(tau)^H d / N on the same ramp.
 
     Returns (tau_hat, delta_hat), each (Q+1,); raises ``OutOfRange`` when
     a normalized delay tau B / N falls outside (0, 1).
@@ -359,7 +356,7 @@ def run_coarse(obs: Observation, setup: Setup,
     u_hat, _ = estimate_aod_coarse(obs, setup)
     flags = {}
     if refine_aod:
-        u_hat, flags["aod_passes"] = refine_aod_mle(obs, setup, u_hat)
+        u_hat, flags["aod_steps"] = refine_aod_mle(obs, setup, u_hat)
     aoa = estimate_ris_aoa(obs, setup, u_hat)
     tau, gains = estimate_toa(aoa.delta_tilde, setup)
 

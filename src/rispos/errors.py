@@ -33,10 +33,6 @@ class OutOfRange(RisposError):
     """A normalized delay left the identifiable interval (0, 1)."""
 
 
-class ZeroDenominator(RisposError):
-    """Closed-form gain denominator is not strictly positive."""
-
-
 class InfeasibleGeometry(RisposError):
     """Estimated delay is shorter than the fixed RIS-BS leg."""
 

@@ -420,9 +420,7 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
             rec.stages["sage"] = refined.to_vector()
             rec.sq_errors["sage"] = channel_sq_errors(refined, true)
             rec.flags["sage_converged"] = info.converged
-            rec.flags["sage_monotone"] = info.monotone_ok
             rec.flags["sage_scoring_steps"] = info.scoring_steps
-            rec.flags["sage_cycles"] = info.n_cycles
             # the FIM of SAGE's last scoring step, when it converged, is
             # fim_channel at the estimate
             est, j_est = refined, info.fim

@@ -63,10 +63,11 @@ class ChannelParams:
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the length-6(Q+1) real parameter vector."""
-        cols = np.column_stack([
-            self.tau, self.gains.real, self.gains.imag, self.u, self.c, self.s,
-        ])
-        return cols.ravel()
+        rows = np.empty((self.tau.size, 6))
+        rows[:, 0], rows[:, 3], rows[:, 4], rows[:, 5] = (self.tau, self.u,
+                                                          self.c, self.s)
+        rows[:, 1], rows[:, 2] = self.gains.real, self.gains.imag
+        return rows.ravel()
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "ChannelParams":

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._damping import DAMPING, DAMPING_DOWN, DAMPING_LIMIT, DAMPING_UP
 from .bounds import transformation_matrix
 from .errors import ArccosDomain, DegenerateGeometry, SingularDenominator
 from .geometry import SPEED_OF_LIGHT, forward_map_G, ms_ris_range
@@ -23,11 +24,7 @@ from .params import ChannelParams, PositionParams, arrival_azimuth
 
 ARCCOS_CLAMP_TOL = 1e-9
 
-# Levenberg-Marquardt damping and termination
-_LM_DAMPING = 1e-3            # initial damping
-_LM_DAMPING_UP = 10.0         # factor after a rejected step
-_LM_DAMPING_DOWN = 0.1        # factor after an accepted step
-_LM_DAMPING_LIMIT = 1e12      # stall once the damping passes this
+# Levenberg-Marquardt termination; the damping schedule is ``_damping``'s
 _LM_MAX_ITER = 100
 _LM_GRAD_TOL = 1e-10          # max |gradient| that counts as converged
 _LM_STEP_TOL = 1e-12          # relative step that counts as converged
@@ -145,7 +142,7 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     obj = float(r @ weight @ r)
     diag.objective_history.append(obj)
 
-    lam = _LM_DAMPING
+    lam = DAMPING
     best_x, best_obj = x.copy(), obj
     for it in range(_LM_MAX_ITER):
         diag.n_iter = it + 1
@@ -158,11 +155,11 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
         hess = jw @ jac
         scale = np.maximum(np.diag(hess), 1e-300)
         accepted = False
-        while lam <= _LM_DAMPING_LIMIT:
+        while lam <= DAMPING_LIMIT:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(scale), jw @ r)
             except np.linalg.LinAlgError:
-                lam *= _LM_DAMPING_UP
+                lam *= DAMPING_UP
                 continue
             x_new = x + step
             pos_new = PositionParams.from_vector(x_new)
@@ -171,13 +168,13 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
                     raise DegenerateGeometry("step left the rotation domain")
                 r_new = eta_hat - forward_map_G(pos_new, ris, bs).to_vector()
             except DegenerateGeometry:
-                lam *= _LM_DAMPING_UP
+                lam *= DAMPING_UP
                 continue
             obj_new = float(r_new @ weight @ r_new)
             if obj_new <= obj:
                 accepted = True
                 break
-            lam *= _LM_DAMPING_UP
+            lam *= DAMPING_UP
         if not accepted:
             diag.stalled = True
             break
@@ -187,7 +184,7 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
         diag.objective_history.append(obj)
         if obj < best_obj:
             best_x, best_obj = x.copy(), obj
-        lam = max(lam * _LM_DAMPING_DOWN, 1e-15)
+        lam = max(lam * DAMPING_DOWN, 1e-15)
         if float(np.linalg.norm(step)) <= _LM_STEP_TOL * (
                 1.0 + float(np.linalg.norm(x))):
             diag.converged = True

@@ -1,16 +1,18 @@
 """Test oracles: the node angles and the angle-domain channel model, the
-long-way channel builders, the received tensor and its two statistics,
-the out-of-place noisy synthesis, the observation drawn with a fresh
-lower-triangle index, the full-tensor SAGE path objective,
-the full-stack concentrated AOD objective and the AOD refinement by
-cyclic passes on it, DCS-SOMP on a record (its
+long-way channel builders, the per-slot RIS phases, the received tensor
+and its two statistics, the out-of-place noisy synthesis, the
+observation drawn with a fresh lower-triangle index, the 1-D
+grid-and-zoom search ``maximize_1d``, the global log-likelihood from
+``model_field``, the full-tensor SAGE path objective and its
+factor-column form, the full-stack concentrated AOD objective and the
+AOD refinement by cyclic passes on it, DCS-SOMP on a record (its
 covariance form and the correlation-tensor form), the RIS arrival step
 one phase block and one path at a time, the delay step one path at a
 time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
-association, SAGE by coordinate cycles alone, and the FIM derivative
-factors with the RIS phases contracted per slot. The package keeps
+association, SAGE by full-search coordinate cycles alone, and the FIM
+derivative factors with the RIS phases contracted per slot. The package keeps
 only the fast forms, in the arrays' spatial frequencies (u, c, s), and
 never forms the (N_b, T, N) received tensor; these reference
 implementations, most of them in angles, check them.
@@ -28,13 +30,121 @@ from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import coarse_est as ce
 from rispos import sage as sg
-from rispos._search import maximize_1d
 from rispos.channel import SystemConfig, subcarrier_ramp
 from rispos.errors import (DegenerateGeometry, DimensionMismatch,
-                           OutOfRange, RankDeficient, SingularConcentration,
-                           SparsityInfeasible, ZeroDenominator)
+                           OutOfRange, RankDeficient, RisposError,
+                           SingularConcentration, SparsityInfeasible)
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
 from rispos.params import ChannelParams, PositionParams
+
+
+class ZeroDenominator(RisposError):
+    """Closed-form gain denominator is not strictly positive."""
+
+
+# The 1-D search of the full-search oracles: a grid scan, zoom levels and
+# one parabolic step. The incumbent point is always a candidate and is
+# only abandoned for a strictly better one; a NaN objective value scores
+# as -inf, so it never wins. Every stage hands its candidates to the
+# objective as one batch: the grid (with the incumbent), then each zoom
+# level, then the single parabolic step. A zoom level has ZOOM_POINTS
+# interior candidates and shrinks the bracket to at most
+# 2 / (ZOOM_POINTS + 1) of its width; the level cap bounds a search at
+# ten batches: grid, levels, parabolic step.
+ZOOM_POINTS = 20
+MAX_ZOOM_LEVELS = 8
+ZOOM_STEPS = np.arange(1.0, ZOOM_POINTS + 1)
+
+
+def _scores(vals) -> np.ndarray:
+    """Objective values as floats, NaN read as -inf."""
+    vals = np.asarray(vals, dtype=float)
+    return np.where(np.isnan(vals), -np.inf, vals)
+
+
+def maximize_1d(f_batch, lo: float, hi: float, n_grid: int = 41,
+                tol: float = 1e-4, incumbent: float | None = None):
+    """Maximize a smooth scalar function over [lo, hi].
+
+    Parameters
+    ----------
+    f_batch : callable
+        Maps an ndarray of candidates to an ndarray of objective values.
+    lo, hi : float
+        Search bracket.
+    n_grid : int
+        Uniform scan resolution before the zoom levels. Every bracket of
+        the oracles spans at most about 1.3 main lobes, which the default
+        41 points resolve; at the default ``tol`` three zoom levels and the
+        parabolic step then refine the grid's best cell, at most five
+        batches per search.
+    tol : float
+        Zoom bracket width, relative to the search width, at which the zoom
+        stops. The default 1e-4 takes 3 levels at 41 grid points and 2 at
+        201. Deeper levels buy nothing: on a smooth peak the parabolic step
+        through the last level's best triple lands about 1e-10 of the width
+        from the maximum, far inside that last bracket. After k levels the
+        bracket is at most (2 / (n_grid - 1)) (2 / 21)^k of the width, so
+        ``MAX_ZOOM_LEVELS`` binds only for tol below about 7e-11 at 201
+        grid points and 3e-10 at 41.
+    incumbent : float, optional
+        A point guaranteed to be among the candidates; the result never
+        has a smaller objective than the incumbent.
+
+    Returns
+    -------
+    (x_best, f_best)
+    """
+    if hi < lo:
+        lo, hi = hi, lo
+    width = hi - lo
+    if width <= 0.0:
+        x = lo if incumbent is None else incumbent
+        return x, float(f_batch(np.array([x]))[0])
+
+    grid = np.linspace(lo, hi, n_grid)
+    xs = grid if incumbent is None else np.append(grid, float(incumbent))
+    vals = _scores(f_batch(xs))
+    top = int(np.argmax(vals))
+    x_best, f_best = float(xs[top]), float(vals[top])
+
+    # zoom into the grid cells on either side of the best grid point; each
+    # level samples the bracket uniformly and keeps the cells around its best
+    px, pv = grid, vals[:n_grid]
+    j = int(pv.argmax())
+    for _ in range(MAX_ZOOM_LEVELS):
+        ia, ib = max(j - 1, 0), min(j + 1, px.size - 1)
+        xa, xb = px[ia], px[ib]
+        if xb - xa <= tol * width:
+            break
+        # the interior of linspace(xa, xb, ZOOM_POINTS + 2), bit for bit
+        inner = ZOOM_STEPS * ((xb - xa) / (ZOOM_POINTS + 1)) + xa
+        level_x = np.empty(ZOOM_POINTS + 2)
+        level_v = np.empty(ZOOM_POINTS + 2)
+        level_x[0], level_x[1:-1], level_x[-1] = xa, inner, xb
+        level_v[0], level_v[1:-1], level_v[-1] = (pv[ia], _scores(f_batch(inner)),
+                                                  pv[ib])
+        px, pv = level_x, level_v
+        j = int(pv.argmax())
+        if pv[j] > f_best:
+            x_best, f_best = float(px[j]), float(pv[j])
+
+    # one parabolic interpolation step through the best local triple
+    if 0 < j < px.size - 1:
+        (x1, x2, x3), (v1, v2, v3) = px[j - 1:j + 2], pv[j - 1:j + 2]
+        denom = (x2 - x1) * (v2 - v3) - (x2 - x3) * (v2 - v1)
+        if abs(denom) > 0.0:
+            xv = x2 - 0.5 * ((x2 - x1) ** 2 * (v2 - v3)
+                             - (x2 - x3) ** 2 * (v2 - v1)) / denom
+            if lo <= xv <= hi and np.isfinite(xv):
+                fv = float(_scores(f_batch(np.array([xv])))[0])
+                if fv > f_best:
+                    x_best, f_best = float(xv), fv
+
+    if incumbent is not None and vals[-1] >= f_best:
+        return float(incumbent), float(vals[-1])
+    return x_best, f_best
+
 
 # Tolerance for inverse-trig arguments that drift past +-1 in floating point.
 TRIG_CLAMP_TOL = 1e-9
@@ -366,7 +476,7 @@ def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,
     cfg, geom = setup.cfg, setup.geom
     pa = beamform(bs_steering(geom), y_q)                  # (T, N)
     r = ch.subcarrier_ramp(-tau, cfg.bandwidth, cfg.n_subcarriers) @ pa.T
-    u = ((setup.sched.slot_phases @ ris_diff_steering(geom, phi_in, psi_in))
+    u = ((slot_phases(setup.sched) @ ris_diff_steering(geom, phi_in, psi_in))
          * (setup.pilots.T @ ms_steering(geom, theta_t).conj()))
     num = np.sum(r * u.conj())
     den = geom.n_bs * cfg.n_subcarriers * np.sum(np.abs(u) ** 2)
@@ -540,7 +650,7 @@ def ris_aoa_loop(obs: ch.Observation, setup: ch.Setup, u_hat: np.ndarray,
 
     blocks = []
     for i in range(schedule.n_blocks):
-        slots = schedule.block_slots(i)
+        slots = block_slots(schedule, i)
         if slots.size < n_paths:
             raise RankDeficient("phase block shorter than the path count")
         b_i = proj[:, slots]                            # (Q+1, V_i)
@@ -622,7 +732,7 @@ def model_field_derivs_angles(params: AngleParams,
     """Derivatives of the noiseless field in angles, (6(Q+1), T, N), order
     [tau, delta_re, delta_im, theta_t, phi_in, psi_in] per path, by the
     chain rule through the angles' sines and cosines."""
-    geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
+    geom, cfg, phases = setup.geom, setup.cfg, slot_phases(setup.sched)
     lam = geom.wavelength
     gains, theta, phi, psi = (params.gains, params.theta_t, params.phi_in,
                               params.psi_in)
@@ -733,34 +843,141 @@ def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
         j_eta, transformation_matrix_angles(pos, geom.ris, geom.bs))
 
 
+def global_log_likelihood(params: ChannelParams, obs: ch.Observation,
+                          setup: ch.Setup) -> float:
+    """2 Re<mu, pa> - N_B ||mu||^2 with mu = ``channel.model_field``,
+    which equals ||y||^2 - ||y - a_B (x) mu||^2 exactly."""
+    return sg.field_log_likelihood(ch.model_field(params, setup), obs, setup)
+
+
+def factor_terms(pa: np.ndarray, setup: ch.Setup, sigma: np.ndarray,
+                 proj: np.ndarray, ramp: np.ndarray):
+    """(num, den) of the per-path likelihood F = |num|^2 / den on the
+    complete data pa (T, N), each (n,), at the factor columns sigma and
+    proj, (T, n) or (T, 1), and ramp, (N, n) or (N, 1), broadcast over n
+    candidates: num = sum_t conj(sigma_t p_t) (pa conj(ramp))_t and
+    den = N_B N sum_t |sigma_t p_t|^2."""
+    v = sigma * proj
+    num = np.sum(v.conj() * (pa @ ramp.conj()), axis=0)
+    den = (setup.geom.n_bs * setup.cfg.n_subcarriers
+           * np.sum(np.abs(v) ** 2, axis=0))
+    return num, den
+
+
+def factor_objective(num, den) -> np.ndarray:
+    """F of each candidate; one with a vanishing denominator scores 0."""
+    return np.abs(num) ** 2 / np.where(den > 0.0, den, np.inf)
+
+
+def factor_fit(num, den) -> tuple[float, complex]:
+    """F and the closed-form gain num / den of one candidate."""
+    if not den > 0.0:
+        raise ZeroDenominator("single-path objective denominator vanished")
+    return float(abs(num) ** 2 / den), complex(num / den)
+
+
+ANGLE_CELLS = 2               # coarse grid cells on either side of an angle
+EPS_LOGLIK_REL = 1e-8         # relative likelihood change that ends cycles
+
+
+def coordinate_update_cycle(obs: ch.Observation, setup: ch.Setup,
+                            params: ChannelParams, q: int) -> dict:
+    """One SAGE coordinate cycle of path q, in place: tau, u, c, s, then
+    the gain (Fessler and Hero's generalized EM step).
+
+    Path q's complete data is pa minus N_B times the other paths' field.
+    Each coordinate enters one of the path's ``channel.path_factors``, so
+    a ``maximize_1d`` search rebuilds that factor for its candidates and
+    reuses the other two; its bracket spans half a DFT bin for the delay
+    and ``ANGLE_CELLS`` coarse grid cells for u, c and s, clipped to
+    |u| <= 1 and to the disk c^2 + s^2 <= 1. The incumbent is always a
+    candidate, so F never decreases. Returns the objective trace.
+    """
+    geom, cfg = setup.geom, setup.cfg
+    others = params.copy()
+    others.gains[q] = 0.0
+    pa = obs.pa - geom.n_bs * ch.model_field(others, setup)
+    sigma, proj, ramp = (f[:, q:q + 1] for f in ch.path_factors(params, setup))
+
+    def search(factors, x0, half, lim=np.inf):
+        """Search one coordinate; ``factors`` maps its candidates to the
+        (sigma, proj, ramp) columns."""
+        return maximize_1d(
+            lambda xs: factor_objective(*factor_terms(pa, setup,
+                                                      *factors(xs))),
+            max(-lim, x0 - half), min(lim, x0 + half), incumbent=x0)
+
+    def fit(*factors):
+        """F and the gain at one (sigma, proj, ramp) column each."""
+        return factor_fit(*(x[0] for x in factor_terms(pa, setup, *factors)))
+
+    tau, u, c, s = (float(x[q]) for x in (params.tau, params.u, params.c,
+                                           params.s))
+    trace = {"start": fit(sigma, proj, ramp)[0]}
+    tau, trace["tau"] = search(
+        lambda taus: (sigma, proj, ch.subcarrier_ramp(taus, cfg.bandwidth,
+                                                      cfg.n_subcarriers)),
+        tau, 1.0 / (2.0 * cfg.bandwidth))
+    ramp = ch.subcarrier_ramp(np.array([tau]), cfg.bandwidth,
+                              cfg.n_subcarriers)
+    u, trace["u"] = search(
+        lambda us: (sigma, ch.pilot_projection(geom, setup.pilots, us), ramp),
+        u, ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
+    proj = ch.pilot_projection(geom, setup.pilots, np.array([u]))
+    c, trace["c"] = search(
+        lambda cs: (ch.ris_slot_factors(setup, cs, np.array([s])), proj,
+                    ramp),
+        c, ANGLE_CELLS * (2.0 / cfg.g_ris_el), np.sqrt(max(1.0 - s * s, 0.0)))
+    s, trace["s"] = search(
+        lambda ss: (ch.ris_slot_factors(setup, np.array([c]), ss), proj,
+                    ramp),
+        s, ANGLE_CELLS * (2.0 / cfg.g_ris_az), np.sqrt(max(1.0 - c * c, 0.0)))
+    sigma = ch.ris_slot_factors(setup, np.array([c]), np.array([s]))
+    params.tau[q], params.u[q], params.c[q], params.s[q] = tau, u, c, s
+    params.gains[q] = fit(sigma, proj, ramp)[1]
+    return trace
+
+
 def sage_cycles(obs: ch.Observation, setup: ch.Setup, init: ChannelParams,
                 max_cycles: int = 50) -> ChannelParams:
-    """``sage.run_sage`` without Fisher scoring: full-search coordinate
-    cycles and the same stopping rule. A run on which scoring never
-    converges must end where this does."""
+    """SAGE by full-search coordinate cycles alone: every path's
+    ``coordinate_update_cycle`` per cycle, until no parameter moves by
+    1e-6 of its natural unit (1/B for delays, the initial gain magnitude
+    for gains, 1 for u, c and s) or the global log-likelihood changes by
+    less than ``EPS_LOGLIK_REL`` relative."""
     params = init.copy()
     eps = np.tile([1e-6 / setup.cfg.bandwidth, 0.0, 0.0, 1e-6, 1e-6, 1e-6],
                   init.n_paths)
     for q, gain in enumerate(init.gains):
         eps[6 * q + 1:6 * q + 3] = 1e-6 * max(abs(gain), 1e-30)
-    lamb = sg.global_log_likelihood(params, obs, setup)
+    lamb = global_log_likelihood(params, obs, setup)
     for _ in range(max_cycles):
         prev_vec = params.to_vector()
         for q in range(params.n_paths):
-            sg.coordinate_update_cycle(obs, setup, params, q)
-        new_lamb = sg.global_log_likelihood(params, obs, setup)
+            coordinate_update_cycle(obs, setup, params, q)
+        new_lamb = global_log_likelihood(params, obs, setup)
         if np.all(np.abs(params.to_vector() - prev_vec) <= eps) or \
-                abs(new_lamb - lamb) <= sg._EPS_LOGLIK_REL * abs(lamb):
+                abs(new_lamb - lamb) <= EPS_LOGLIK_REL * abs(lamb):
             break
         lamb = new_lamb
     return params
+
+
+def slot_phases(sched: ch.PhaseSchedule) -> np.ndarray:
+    """Per-slot RIS phase vectors, shape (T, N_r)."""
+    return sched.block_phases[sched.slot_block]
+
+
+def block_slots(sched: ch.PhaseSchedule, i: int) -> np.ndarray:
+    """The slots of phase block i."""
+    return np.flatnonzero(sched.slot_block == i)
 
 
 def derivative_factors_slots(params: ChannelParams, setup: ch.Setup):
     """``bounds.derivative_factors`` without the field, its RIS
     derivatives contracted with every slot's phases: A (T, 6(Q+1)) and
     B (N, 6(Q+1))."""
-    geom, cfg, phases = setup.geom, setup.cfg, setup.sched.slot_phases
+    geom, cfg, phases = setup.geom, setup.cfg, slot_phases(setup.sched)
     lam = geom.wavelength
     gains = params.gains
     sigma, proj, ramp = ch.path_factors(params, setup)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (build_channel, build_channel_cascade, observe,
-                     synthesize_rx_draws, synthesize_rx_sum, synthesize_tensor)
+from oracles import (block_slots, build_channel, build_channel_cascade,
+                     observe, slot_phases, synthesize_rx_draws,
+                     synthesize_rx_sum, synthesize_tensor)
 from rispos import harness as hn
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -56,7 +57,7 @@ def test_build_channel_subcarrier_phase(setup20):
     single = ChannelParams(
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
-    g_t = s.sched.slot_phases[0]
+    g_t = slot_phases(s.sched)[0]
     h1 = build_channel(s.cfg, s.geom, single, g_t, 4)
     h2 = build_channel(s.cfg, s.geom, single, g_t, 5)
     ramp = np.exp(-2j * np.pi * single.tau[0] * s.cfg.bandwidth
@@ -70,7 +71,7 @@ def test_build_channel_dimension_checks(setup20):
         build_channel(s.cfg, s.geom, s.true, np.ones(3), 1)
     with pytest.raises(DimensionMismatch):
         build_channel(s.cfg, s.geom, s.true,
-                      s.sched.slot_phases[0], s.cfg.n_subcarriers + 1)
+                      slot_phases(s.sched)[0], s.cfg.n_subcarriers + 1)
 
 
 def test_synthesize_zero_gain_zero_noise(setup20):
@@ -239,7 +240,7 @@ def test_synthesize_matches_cascade_off_reference_leg(default_exp):
         for t in (0, cfg.t1, cfg.t_total - 1):
             for n in (1, n_sub // 2, n_sub):
                 h = build_channel_cascade(cfg, geom, params,
-                                          setup.sched.slot_phases[t], n)
+                                          slot_phases(setup.sched)[t], n)
                 assert_allclose(rx[:, t, n - 1], h @ setup.pilots[:, t],
                                 rtol=1e-10, atol=0)
 
@@ -253,7 +254,7 @@ def test_energy_bookkeeping(setup20):
     for t in (0, 16, 36):
         for n in (1, 10, 20):
             h = build_channel(s.cfg, s.geom, params,
-                              s.sched.slot_phases[t], n)
+                              slot_phases(s.sched)[t], n)
             ref = h @ s.pilots[:, t]
             got = rx[:, t, n - 1]
             assert abs(np.linalg.norm(got) ** 2 - np.linalg.norm(ref) ** 2) \
@@ -287,7 +288,7 @@ def test_channel_bilinearity(setup20):
     scale = 0.3 - 1.7j
     scaled = s.true.copy()
     scaled.gains = scaled.gains * scale
-    g_t = s.sched.slot_phases[2]
+    g_t = slot_phases(s.sched)[2]
     h1 = build_channel(s.cfg, s.geom, s.true, g_t, 3)
     h2 = build_channel(s.cfg, s.geom, scaled, g_t, 3)
     assert np.max(np.abs(h2 - scale * h1)) < 1e-15 * np.max(np.abs(h1))
@@ -300,9 +301,9 @@ def test_phase_schedule_structure(setup20):
     assert sched.n_slots == 37
     assert len({tuple(np.round(row, 12)) for row in sched.block_phases}) == 8
     assert_allclose(np.abs(sched.block_phases), 1.0, atol=1e-14)
-    slots3 = sched.block_slots(3)
+    slots3 = block_slots(sched, 3)
     for t in slots3:
-        assert np.array_equal(sched.slot_phases[t], sched.block_phases[3])
+        assert np.array_equal(slot_phases(sched)[t], sched.block_phases[3])
     # effective dictionary Gram has no zero diagonal entry
     gram_diag = np.sum(np.abs(sched.block_phases @ s.ris_dict.matrix) ** 2,
                        axis=0)

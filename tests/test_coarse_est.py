@@ -211,61 +211,84 @@ def test_refine_aod_mle_fixed_point(setup20):
 
 def _refinements_against_oracle(monkeypatch, exp, trials):
     """Run ``trials`` of ``exp`` at every power and return, for each
-    ``refine_aod_mle`` call, its sines and passes and the oracle's sines
-    from the same start."""
+    ``refine_aod_mle`` call, its sines and steps, whether every step was
+    the undamped Newton step, and the oracle's sines from the same
+    start."""
     calls = []
-    refine = ce.refine_aod_mle
+    dampings = []
+    refine, damped_step = ce.refine_aod_mle, ce.damped_step
+
+    def counted(*args):
+        out = damped_step(*args)
+        dampings.append(out[1])
+        return out
 
     def recorded(obs, setup, u_init):
-        sines, passes = refine(obs, setup, u_init)
-        calls.append((sines, passes, refine_aod_cyclic(obs, setup, u_init)))
-        return sines, passes
+        dampings.clear()
+        sines, steps = refine(obs, setup, u_init)
+        calls.append((sines, steps, not any(dampings),
+                      refine_aod_cyclic(obs, setup, u_init)))
+        return sines, steps
 
-    monkeypatch.setattr(ce, "refine_aod_mle", recorded)
-    for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
-        for trial in trials:
-            hn.run_trial(exp, power, p_idx, trial, setup)
+    with monkeypatch.context() as m:
+        m.setattr(ce, "damped_step", counted)
+        m.setattr(ce, "refine_aod_mle", recorded)
+        for p_idx, power in enumerate(exp.powers_dbm):
+            setup = hn.power_setup(exp, power)
+            for trial in trials:
+                hn.run_trial(exp, power, p_idx, trial, setup)
     return calls
 
 
 def test_refine_aod_mle_matches_the_cyclic_oracle(monkeypatch):
     """On the 200 trials of master seed 77 at 50 per power, the refined
     sines lie within 1e-7 of cyclic passes run to their fixed point, and
-    Newton converges from the grid picks on most of them."""
+    undamped Newton steps converge from the grid picks on most of them."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="aod_mle")
     calls = _refinements_against_oracle(monkeypatch, exp, range(50))
     assert len(calls) == 200
-    gap = max(np.max(np.abs(sines - ref)) for sines, _, ref in calls)
+    gap = max(np.max(np.abs(sines - ref)) for sines, _, _, ref in calls)
     assert gap <= 1e-7, gap
-    assert sum(passes == 0 for _, passes, _ in calls) >= 150
+    assert sum(undamped for _, _, undamped, _ in calls) >= 150
 
 
-def test_refine_aod_mle_falls_back_to_cyclic_passes(monkeypatch):
+def test_refine_aod_mle_holds_an_end_fire_sine_on_its_bound(monkeypatch):
     """``sample_layout`` draw 2 (default_rng(11), master seed 5, 20 dBm)
-    puts a path at end-fire, where every Newton step leaves [-1, 1]: each
-    attempt is dropped, the cyclic passes run, and the sines still lie
-    within 1e-7 of the oracle."""
+    puts a path at end-fire: its grid pick is -1, where the gradient
+    points out of [-1, 1]. That sine leaves the step space and stays at
+    -1, undamped Newton steps converge on the other, the sines lie within
+    1e-7 of the oracle, and SAGE converges from them."""
     rng = np.random.default_rng(11)
     for _ in range(3):
         geom = sample_layout(rng)
     exp = hn.ExperimentConfig(
         ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
         scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1,
-        master_seed=5, stage="aod_mle")
-    results = []
-    newton = ce._aod_newton
-
-    def counted(*args):
-        results.append(newton(*args))
-        return results[-1]
-
-    monkeypatch.setattr(ce, "_aod_newton", counted)
-    [(sines, passes, ref)] = _refinements_against_oracle(monkeypatch, exp,
-                                                          [0])
-    assert passes >= 1 and len(results) == passes
-    assert all(found is None for found in results)
+        master_seed=5, stage="sage")
+    [(sines, steps, undamped, ref)] = _refinements_against_oracle(
+        monkeypatch, exp, [0])
+    assert -1.0 in sines and undamped and 0 < steps < ce._AOD_MAX_STEPS
     assert np.max(np.abs(sines - ref)) <= 1e-7
+    assert hn.run_trial(exp, 20.0, 0, 0).flags["sage_converged"]
+
+
+def test_refine_aod_mle_matches_the_oracle_on_random_layouts(monkeypatch):
+    """On 60 ``sample_layout`` draws (default_rng(11), master seed 5,
+    20 dBm), end-fire paths included, the refined sines stay in [-1, 1]
+    and lie within 1e-7 of the cyclic oracle's."""
+    rng = np.random.default_rng(11)
+    calls = []
+    for _ in range(60):
+        geom = sample_layout(rng)
+        exp = hn.ExperimentConfig(
+            ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
+            scatterers=geom.scatterers.tolist(), powers_dbm=[20.0],
+            n_trials=1, master_seed=5, stage="aod_mle")
+        calls += _refinements_against_oracle(monkeypatch, exp, [0])
+    assert len(calls) == 60
+    assert all(np.all(np.abs(sines) <= 1.0) for sines, *_ in calls)
+    gap = max(np.max(np.abs(sines - ref)) for sines, _, _, ref in calls)
+    assert gap <= 1e-7, gap
 
 
 def _aod_mats(s, rx):

@@ -1,9 +1,10 @@
-"""The shared 1-D search: incumbent rule, accuracy, edges, batch count."""
+"""The full-search oracles' 1-D search: incumbent rule, accuracy, edges,
+batch count."""
 
 import numpy as np
 import pytest
 
-from rispos._search import maximize_1d
+from oracles import maximize_1d
 
 
 class Counted:
