@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._damping import damped_step
+from ._damping import ascend
 from .channel import (Observation, Setup, ms_sine_steering, pilot_projection,
                       subcarrier_ramp)
 from .errors import (OutOfRange, RankDeficient, SingularConcentration,
@@ -36,11 +36,9 @@ from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
 _COND_LIMIT = 1e12
-# AOD refinement: difference spacing, step cap, the undamped step that
-# ends it, and the share of the objective a step may lose
+# AOD refinement: difference spacing, and the share of the objective a
+# step may lose
 _AOD_NEWTON_H = 1e-5
-_AOD_MAX_STEPS = 100
-_AOD_NEWTON_STOP = 1e-9
 _AOD_NEWTON_FLAT = 1e-12
 # delay step: Newton steps from the best grid point, and the share of f
 # a step may lose to rounding and still be taken
@@ -50,10 +48,9 @@ _TOA_FLAT = 1e-12
 
 @dataclass
 class SompResult:
-    """Support, per-subcarrier projection coefficients, residual norms."""
+    """Support and residual norms of DCS-SOMP's picks."""
 
     support: list[int]            # 0-based dictionary column indices
-    coeffs: np.ndarray | None     # (N, K, L); None from a covariance alone
     residual_norms: np.ndarray    # (K+1,) Frobenius norms, initial first
 
 
@@ -82,7 +79,7 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     record Y: after picks S the residual (I - P_S) Y has covariance
     R = (I - P_S) C (I - P_S), and the next pick maximizes
     Re(theta_g^H R theta_g) / ||theta_g||^2. Returns the support and the
-    residual norms sqrt(tr R), initial first, without coefficients.
+    residual norms sqrt(tr R), initial first.
     """
     theta = np.asarray(dictionary, dtype=complex)
     n_meas = theta.shape[0]
@@ -103,7 +100,7 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
                                                   sel.conj().T)
         resid = comp @ cov @ comp
         norms.append(np.sqrt(max(np.trace(resid).real, 0.0)))
-    return SompResult(support, None, np.asarray(norms))
+    return SompResult(support, np.asarray(norms))
 
 
 def estimate_aod_coarse(obs: Observation, setup: Setup):
@@ -141,29 +138,22 @@ def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
     return objective
 
 
-def _newton_step(neg_hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The solution x of -H x = g through the Cholesky factor of -H;
-    raises ``LinAlgError`` when -H is not positive definite."""
-    chol = np.linalg.cholesky(neg_hess)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-
-
 def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     """ML refinement of the departure sines over the first T1 slots.
 
-    Damped Newton steps on all sines jointly (``_damping.damped_step``)
+    Damped Newton steps on all sines jointly (``_damping.ascend``)
     maximize the concentrated objective F of ``_aod_objective``. Each
-    step scores one batch of 1 + 2P + 2P(P-1) stacks, the point, the
+    point scores one batch of 1 + 2P + 2P(P-1) stacks, the point, the
     points +-h e_i and the corners (+-h e_i, +-h e_j) of each pair i < j,
-    whose central differences give the gradient and Hessian at the point;
-    its row 0 is the point's F. A step solves (-H + lambda diag|H|) x = g,
-    the undamped Newton step first. A candidate is clipped to [-1, 1]; it
-    is kept when its F falls by no more than 1e-12 relative, and rejected
-    when its stencil raises ``SingularConcentration``. A sine at +-1
-    whose gradient points out of [-1, 1] leaves the step space. The
-    refinement ends when the undamped step moves no sine by 1e-9, when
-    the damping passes 1e12, or after ``_AOD_MAX_STEPS`` steps. Returns
-    (sines, steps), steps counting the accepted steps.
+    whose central differences give the gradient g and Hessian H at the
+    point; its row 0 is the point's F. The model is A = -H and g in the
+    units of F, which are sigma^2 times nats, so the refinement ends when
+    the undamped step's decrement g^T x / sigma^2 is below 1e-6 nats. A
+    candidate is clipped to [-1, 1]; it is kept when its F falls by no
+    more than 1e-12 relative, and rejected when its stencil raises
+    ``SingularConcentration``. A sine at +-1 whose gradient points out of
+    [-1, 1] leaves the step space. Returns (sines, steps), steps counting
+    the accepted steps.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
@@ -181,9 +171,10 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
                for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     h = _AOD_NEWTON_H
     stencil = h * np.vstack([np.zeros(p), eye, -eye, *corners])
-    f = objective(x + stencil)
-    damping = 0.0
-    for steps in range(_AOD_MAX_STEPS):
+
+    def model(state):
+        """-H, g and the free sines' columns from the stencil values."""
+        x, f = state
         f_plus, f_minus = f[1:p + 1], f[p + 1:2 * p + 1]
         grad = (f_plus - f_minus) / (2.0 * h)
         hess = np.diag((f_plus - 2.0 * f[0] + f_minus) / h ** 2)
@@ -191,37 +182,22 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
             f[2 * p + 1:].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
             / (4.0 * h ** 2))
         free = ~((np.abs(x) >= 1.0) & (x * grad > 0.0))
-        neg_hess, g = -hess[free][:, free], grad[free]
+        return -hess, grad, None if free.all() else eye[:, free]
+
+    def evaluate(state, step):
+        """The clipped candidate and its stencil values, or None when its
+        F falls or its stencil collides."""
+        x, f = state
+        cand = np.clip(x + step, -1.0, 1.0)
         try:
-            undamped = _newton_step(neg_hess, g)
-        except np.linalg.LinAlgError:
-            undamped = None
-        if undamped is not None and np.all(np.abs(undamped)
-                                           < _AOD_NEWTON_STOP):
-            break
+            f_new = objective(cand + stencil)
+        except SingularConcentration:
+            return None
+        floor = f[0] - _AOD_NEWTON_FLAT * abs(f[0])
+        return (cand, f_new) if f_new[0] >= floor else None
 
-        def evaluate(step):
-            """The clipped candidate and its stencil values, or None when
-            its F falls or its stencil collides."""
-            cand = x.copy()
-            cand[free] += step
-            cand = np.clip(cand, -1.0, 1.0)
-            try:
-                f_new = objective(cand + stencil)
-            except SingularConcentration:
-                return None
-            floor = f[0] - _AOD_NEWTON_FLAT * abs(f[0])
-            return (cand, f_new) if f_new[0] >= floor else None
-
-        kept, damping = damped_step(
-            undamped, lambda lam: _newton_step(
-                neg_hess + lam * np.diag(np.abs(np.diag(neg_hess))), g),
-            evaluate, damping)
-        if kept is None:
-            break
-        x, f = kept
-    else:
-        steps = _AOD_MAX_STEPS
+    (x, _), steps, _ = ascend((x, objective(x + stencil)), model, evaluate,
+                              nats=1.0 / cfg.noise_power)
     return x, steps
 
 

@@ -437,7 +437,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
                 est.to_vector(), j_est, pos0, geom.ris, geom.bs)
             rec.stages["lm"] = pos_ref.to_vector()
             rec.sq_errors["lm"] = position_sq_errors(pos_ref, geom)
-            rec.flags["lm_stalled"] = diag.stalled
+            rec.flags["lm_converged"] = diag.converged
+            rec.flags["lm_steps"] = diag.n_iter
     except (RisposError, np.linalg.LinAlgError) as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec

@@ -16,18 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._damping import DAMPING, DAMPING_DOWN, DAMPING_LIMIT, DAMPING_UP
+from ._damping import ascend
 from .bounds import transformation_matrix
 from .errors import ArccosDomain, DegenerateGeometry, SingularDenominator
 from .geometry import SPEED_OF_LIGHT, forward_map_G, ms_ris_range
 from .params import ChannelParams, PositionParams, arrival_azimuth
 
 ARCCOS_CLAMP_TOL = 1e-9
-
-# Levenberg-Marquardt termination; the damping schedule is ``_damping``'s
-_LM_MAX_ITER = 100
-_LM_GRAD_TOL = 1e-10          # max |gradient| that counts as converged
-_LM_STEP_TOL = 1e-12          # relative step that counts as converged
 
 
 def closed_form_ms(params: ChannelParams, ris: np.ndarray,
@@ -103,13 +98,13 @@ def position_closed_form(params: ChannelParams, ris: np.ndarray,
 
 @dataclass
 class LmDiagnostics:
-    """Outcome of one weighted nonlinear least-squares refinement."""
+    """Outcome of one weighted nonlinear least-squares refinement:
+    r^T W r at the start and after each accepted step, the accepted
+    steps, and whether the fit converged."""
 
     objective_history: list = field(default_factory=list)
     n_iter: int = 0
     converged: bool = False
-    stalled: bool = False
-    grad_norm: float = np.inf
 
 
 def _weight_matrix(j_eta: np.ndarray) -> np.ndarray:
@@ -126,71 +121,49 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
                        ) -> tuple[PositionParams, LmDiagnostics]:
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
 
-    The residual is the estimated channel vector minus the geometric map
-    of the position parameters; accepted steps never increase the
-    objective and the damping never accepts an increasing one. A
-    candidate costs one ``forward_map_G``; the Jacobian d eta / d eta~ is
-    built only at accepted points.
+    The residual r is the estimated channel vector minus the geometric
+    map of the position parameters, and the fit maximizes -r^T W r / 2,
+    in nats for W the channel FIM, by ``_damping.ascend``: with T the
+    transformation matrix d eta / d eta~, its gradient is T W r and its
+    Gauss-Newton curvature T W T^T, so the first step is Gauss-Newton and
+    the fit ends when that decrement is below 1e-6 nats. A candidate is
+    kept when it stays in the rotation domain, its legs are not
+    degenerate and r^T W r does not rise; it costs one ``forward_map_G``,
+    and T is built only at accepted points.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
     weight = _weight_matrix(j_eta)
 
-    x = pos_init.to_vector()
-    diag = LmDiagnostics()
-    r = eta_hat - forward_map_G(pos_init, ris, bs).to_vector()
-    jac = transformation_matrix(pos_init, ris, bs).T
-    obj = float(r @ weight @ r)
-    diag.objective_history.append(obj)
+    def model(state):
+        """T W T^T and T W r at an accepted point."""
+        pos, r, _ = state
+        t_mat = transformation_matrix(pos, ris, bs)
+        t_w = t_mat @ weight
+        return t_w @ t_mat.T, t_w @ r, None
 
-    lam = DAMPING
-    best_x, best_obj = x.copy(), obj
-    for it in range(_LM_MAX_ITER):
-        diag.n_iter = it + 1
-        jw = jac.T @ weight
-        grad = 2.0 * jw @ r
-        diag.grad_norm = float(np.max(np.abs(grad)))
-        if diag.grad_norm <= _LM_GRAD_TOL:
-            diag.converged = True
-            break
-        hess = jw @ jac
-        scale = np.maximum(np.diag(hess), 1e-300)
-        accepted = False
-        while lam <= DAMPING_LIMIT:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(scale), jw @ r)
-            except np.linalg.LinAlgError:
-                lam *= DAMPING_UP
-                continue
-            x_new = x + step
-            pos_new = PositionParams.from_vector(x_new)
-            try:
-                if not 0.0 <= pos_new.alpha < np.pi:
-                    raise DegenerateGeometry("step left the rotation domain")
-                r_new = eta_hat - forward_map_G(pos_new, ris, bs).to_vector()
-            except DegenerateGeometry:
-                lam *= DAMPING_UP
-                continue
-            obj_new = float(r_new @ weight @ r_new)
-            if obj_new <= obj:
-                accepted = True
-                break
-            lam *= DAMPING_UP
-        if not accepted:
-            diag.stalled = True
-            break
-        # forward_map_G accepted pos_new, so its legs are non-degenerate
-        jac = transformation_matrix(pos_new, ris, bs).T
-        x, r, obj = x_new, r_new, obj_new
+    def evaluate(state, step):
+        """The candidate, its residual and objective, or None when it
+        leaves the rotation domain, degenerates, or r^T W r rises or is
+        NaN."""
+        pos = PositionParams.from_vector(state[0].to_vector() + step)
+        if not 0.0 <= pos.alpha < np.pi:
+            return None
+        try:
+            r = eta_hat - forward_map_G(pos, ris, bs).to_vector()
+        except DegenerateGeometry:
+            return None
+        obj = float(r @ weight @ r)
+        if not obj <= state[2]:
+            return None
         diag.objective_history.append(obj)
-        if obj < best_obj:
-            best_x, best_obj = x.copy(), obj
-        lam = max(lam * DAMPING_DOWN, 1e-15)
-        if float(np.linalg.norm(step)) <= _LM_STEP_TOL * (
-                1.0 + float(np.linalg.norm(x))):
-            diag.converged = True
-            break
-    out = PositionParams.from_vector(best_x)
-    return out, diag
+        return pos, r, obj
+
+    r = eta_hat - forward_map_G(pos_init, ris, bs).to_vector()
+    obj = float(r @ weight @ r)
+    diag = LmDiagnostics(objective_history=[obj])
+    (pos, _, _), diag.n_iter, diag.converged = ascend(
+        (pos_init, r, obj), model, evaluate)
+    return pos, diag
 
 
 def wrapped_rotation_error(alpha_est: float, alpha_true: float) -> float:

@@ -20,9 +20,9 @@ of ``bounds.derivative_factors``, which returns A, B and the field mu.
 A point costs that one pass: its mu gives the point's likelihood and,
 once the point is kept, its A and B give the next step.
 
-Each step solves the system scaled by sqrt(diag J), damped by
-Marquardt's lambda (``_damping.damped_step``): the undamped step first,
-so a run whose every step is accepted is plain Fisher scoring. A
+The loop is ``_damping.ascend`` with the curvature J and the gradient g
+the score, both in nats: the undamped step first, so a run whose every
+step is accepted is plain Fisher scoring, then Marquardt's damping. A
 candidate is projected onto the physical set: each u is clipped to
 [-1, 1] and each (c, s) outside the disk c^2 + s^2 <= 1 is scaled
 radially onto it. A coordinate on that boundary whose score points out
@@ -32,11 +32,11 @@ SIAM J. Control Optim. 1982): a sine at +-1 loses its direction, and a
 one. The pole c = +-1 needs no care of its own: it is a regular point of
 the rim.
 
-SAGE has converged when the undamped step has step^T J step < 1e-6. It
-then returns that point and J (``SageInfo.fim``, which equals
-``bounds.fim_channel`` at the estimate). A run that stalls, the damping
-past 1e12, or that reaches ``_MAX_STEPS`` returns its last point
-unconverged. Every function takes the ``channel.Observation`` and the
+SAGE has converged when the undamped step's decrement g^T J^-1 g, which
+is step^T J step, is below 1e-6 nats. It then returns that point and J
+(``SageInfo.fim``, which equals ``bounds.fim_channel`` at the estimate).
+A run that stalls or takes 100 steps returns its last point unconverged.
+Every function takes the ``channel.Observation`` and the
 per-power ``channel.Setup``.
 """
 
@@ -47,12 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
-from ._damping import damped_step
+from ._damping import ascend
 from .channel import Observation, Setup
 from .params import ChannelParams
 
-_SCORING_TOL = 1e-6           # undamped step^T J step that ends SAGE
-_MAX_STEPS = 100              # scoring steps before SAGE gives up
 _RIM_TOL = 1e-12              # c^2 + s^2 >= 1 - this puts (c, s) on the rim
 
 
@@ -121,52 +119,31 @@ def run_sage(obs: Observation, setup: Setup,
     damped Fisher scoring; see the module docstring."""
     n_bs = setup.geom.n_bs
     score_scale = 2.0 / setup.cfg.noise_power
-    params = init.copy()
-    factors = bnd.derivative_factors(params, setup)
-    lamb = field_log_likelihood(factors[2], obs, setup)
-    info = SageInfo(loglik_history=[lamb])
-    damping = 0.0
-    for _ in range(_MAX_STEPS):
-        a, b, mu = factors
-        fim = bnd.fim_from_factors(a, b, setup)
+
+    def model(state):
+        """The FIM, the score and the step space at a point."""
+        params, _, (a, b, mu) = state
         score = score_scale * np.real(
             np.sum((a.conj().T @ (obs.pa - n_bs * mu)) * b.conj().T, axis=1))
-        basis = _step_basis(params, score)
-        jac, grad = ((fim, score) if basis is None
-                     else (basis.T @ fim @ basis, basis.T @ score))
-        d = np.sqrt(np.diag(jac))
-        if not np.all(d > 0.0):
-            break
-        jac_n, grad_n = jac / np.outer(d, d), grad / d
+        return (bnd.fim_from_factors(a, b, setup), score,
+                _step_basis(params, score))
 
-        def solve(lam):
-            """The step at damping lam, back in the full coordinates."""
-            damped = jac_n + lam * np.eye(d.size) if lam else jac_n
-            step = np.linalg.solve(damped, grad_n) / d
-            return step if basis is None else basis @ step
-
-        try:
-            undamped = solve(0.0)
-        except np.linalg.LinAlgError:
-            undamped = None
-        if undamped is not None and undamped @ fim @ undamped < _SCORING_TOL:
-            info.converged, info.fim = True, fim
-            break
-        x = params.to_vector()
-
-        def evaluate(step):
-            """The projected candidate, its likelihood and its factors,
-            or None when the likelihood falls."""
-            cand = _projected(x + step)
-            cand_factors = bnd.derivative_factors(cand, setup)
-            cand_lamb = field_log_likelihood(cand_factors[2], obs, setup)
-            return (cand, cand_lamb, cand_factors) if cand_lamb >= lamb \
-                else None
-
-        kept, damping = damped_step(undamped, solve, evaluate, damping)
-        if kept is None:
-            break
-        params, lamb, factors = kept
+    def evaluate(state, step):
+        """The projected candidate, its likelihood and its factors, or
+        None when the likelihood falls or is NaN."""
+        cand = _projected(state[0].to_vector() + step)
+        factors = bnd.derivative_factors(cand, setup)
+        lamb = field_log_likelihood(factors[2], obs, setup)
+        if not lamb >= state[1]:
+            return None
         info.loglik_history.append(lamb)
-    info.scoring_steps = len(info.loglik_history) - 1
+        return cand, lamb, factors
+
+    factors = bnd.derivative_factors(init, setup)
+    lamb = field_log_likelihood(factors[2], obs, setup)
+    info = SageInfo(loglik_history=[lamb])
+    (params, _, (a, b, _)), info.scoring_steps, info.converged = ascend(
+        (init.copy(), lamb, factors), model, evaluate)
+    if info.converged:
+        info.fim = bnd.fim_from_factors(a, b, setup)
     return params, info

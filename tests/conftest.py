@@ -175,6 +175,26 @@ def sample_layout_with(rng: np.random.Generator,
     return geom
 
 
+def spy_ascents(monkeypatch, module) -> list:
+    """Record each ``_damping.ascend`` call that ``module`` makes as
+    (steps, converged, candidates), candidates counting the ``evaluate``
+    calls: every step was the undamped one when candidates == steps."""
+    calls = []
+    ascend = module.ascend
+
+    def recorded(state, model, evaluate, **kwargs):
+        seen = []
+
+        def counted(state, step):
+            seen.append(step)
+            return evaluate(state, step)
+        out = ascend(state, model, counted, **kwargs)
+        calls.append((out[1], out[2], len(seen)))
+        return out
+    monkeypatch.setattr(module, "ascend", recorded)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def mini_mc(default_exp):
     """100 trials at 20 dBm through the full pipeline (shared across tests)."""

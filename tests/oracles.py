@@ -557,8 +557,18 @@ def refine_aod_cyclic(obs: ch.Observation, setup: ch.Setup,
     raise AssertionError(f"no fixed point in {max_passes} passes")
 
 
+@dataclass
+class SompFit:
+    """DCS-SOMP's support, its per-subcarrier projection coefficients
+    (N, K, L) and the residual norms, initial first."""
+
+    support: list
+    coeffs: np.ndarray
+    residual_norms: np.ndarray
+
+
 def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
-                    sparsity: int) -> ce.SompResult:
+                    sparsity: int) -> SompFit:
     """DCS-SOMP from the (N, G, L) correlation tensor Theta^H r[n]: column
     g scores sum_{n,l} |theta_g^H r_{n,l}|^2 / ||theta_g||^2, and the
     correlations are updated by subtracting the projection of Theta^H Y
@@ -589,12 +599,12 @@ def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
         norms.append(float(np.linalg.norm(y - sel @ coeffs)))
         np.matmul(theta_h @ sel, coeffs, out=psi)
         np.subtract(proj_y, psi, out=psi)
-    return ce.SompResult(support=support, coeffs=coeffs,
-                         residual_norms=np.asarray(norms))
+    return SompFit(support=support, coeffs=coeffs,
+                   residual_norms=np.asarray(norms))
 
 
 def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
-             sparsity: int) -> ce.SompResult:
+             sparsity: int) -> SompFit:
     """Simultaneous OMP with one support shared across subcarriers.
 
     That is plain SOMP on the flattened (M, N L) record Y, its picks made
@@ -624,7 +634,7 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
         coef = ce._solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
         resid = y_flat - sel @ coef
         norms.append(np.sqrt(np.vdot(resid, resid).real))
-    return ce.SompResult(
+    return SompFit(
         support=support,
         coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
         residual_norms=np.asarray(norms))

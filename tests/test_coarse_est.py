@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import sample_layout
+from conftest import sample_layout, spy_ascents
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
                      dcs_somp_tensor, estimate_toa, ms_steering, observe,
                      refine_aod_cyclic, ris_aoa_loop, synthesize_tensor,
                      to_angles, trial_tensor)
 from rispos import channel as ch
+from rispos import _damping as dm
 from rispos import coarse_est as ce
 from rispos import geometry as gm
 from rispos import harness as hn
@@ -148,7 +149,6 @@ def test_covariance_picks_equal_dcs_somp_picks():
             ref = dcs_somp(y[:, :t1, :].conj().transpose(2, 1, 0),
                               theta_m, setup.n_paths)
             assert picks.support == ref.support, (power, trial)
-            assert picks.coeffs is None
             assert_allclose(picks.residual_norms, ref.residual_norms,
                             rtol=1e-9)
             n_draws += 1
@@ -209,29 +209,34 @@ def test_refine_aod_mle_fixed_point(setup20):
     assert abs(obj - t1) <= 1e-8 * abs(t1)
 
 
+def _aod_nats(obs, setup, sines):
+    """The concentrated objective F at ``sines`` over sigma^2, in nats."""
+    x1 = setup.pilots[:, :setup.cfg.t1]
+    b_mat = x1 @ obs.pa[:setup.cfg.t1].conj()
+    objective = ce._aod_objective(b_mat @ b_mat.conj().T / setup.geom.n_bs,
+                                  x1 @ x1.conj().T, setup.geom)
+    return objective(sines[None, :])[0] / setup.cfg.noise_power
+
+
 def _refinements_against_oracle(monkeypatch, exp, trials):
     """Run ``trials`` of ``exp`` at every power and return, for each
     ``refine_aod_mle`` call, its sines and steps, whether every step was
-    the undamped Newton step, and the oracle's sines from the same
-    start."""
+    the undamped Newton step, the oracle's sines from the same start, and
+    how far the refined sines' F falls below the oracle's, in nats."""
     calls = []
-    dampings = []
-    refine, damped_step = ce.refine_aod_mle, ce.damped_step
-
-    def counted(*args):
-        out = damped_step(*args)
-        dampings.append(out[1])
-        return out
+    refine = ce.refine_aod_mle
 
     def recorded(obs, setup, u_init):
-        dampings.clear()
         sines, steps = refine(obs, setup, u_init)
-        calls.append((sines, steps, not any(dampings),
-                      refine_aod_cyclic(obs, setup, u_init)))
+        n_steps, _, candidates = ascents[-1]
+        ref = refine_aod_cyclic(obs, setup, u_init)
+        calls.append((sines, steps, candidates == n_steps, ref,
+                      _aod_nats(obs, setup, ref)
+                      - _aod_nats(obs, setup, sines)))
         return sines, steps
 
     with monkeypatch.context() as m:
-        m.setattr(ce, "damped_step", counted)
+        ascents = spy_ascents(m, ce)
         m.setattr(ce, "refine_aod_mle", recorded)
         for p_idx, power in enumerate(exp.powers_dbm):
             setup = hn.power_setup(exp, power)
@@ -242,14 +247,17 @@ def _refinements_against_oracle(monkeypatch, exp, trials):
 
 def test_refine_aod_mle_matches_the_cyclic_oracle(monkeypatch):
     """On the 200 trials of master seed 77 at 50 per power, the refined
-    sines lie within 1e-7 of cyclic passes run to their fixed point, and
-    undamped Newton steps converge from the grid picks on most of them."""
+    sines reach the likelihood of cyclic passes run to their fixed point,
+    less the stop rule: a point whose undamped decrement is below 1e-6
+    nats lies about half that below the maximum, and the other half
+    covers the stencil's model error and F's rounding. Undamped Newton
+    steps converge from the grid picks on most of them."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="aod_mle")
     calls = _refinements_against_oracle(monkeypatch, exp, range(50))
     assert len(calls) == 200
-    gap = max(np.max(np.abs(sines - ref)) for sines, _, _, ref in calls)
-    assert gap <= 1e-7, gap
-    assert sum(undamped for _, _, undamped, _ in calls) >= 150
+    shortfall = max(call[4] for call in calls)
+    assert shortfall <= dm.DECREMENT_TOL, shortfall
+    assert sum(call[2] for call in calls) >= 150
 
 
 def test_refine_aod_mle_holds_an_end_fire_sine_on_its_bound(monkeypatch):
@@ -265,9 +273,9 @@ def test_refine_aod_mle_holds_an_end_fire_sine_on_its_bound(monkeypatch):
         ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
         scatterers=geom.scatterers.tolist(), powers_dbm=[20.0], n_trials=1,
         master_seed=5, stage="sage")
-    [(sines, steps, undamped, ref)] = _refinements_against_oracle(
+    [(sines, steps, undamped, ref, _)] = _refinements_against_oracle(
         monkeypatch, exp, [0])
-    assert -1.0 in sines and undamped and 0 < steps < ce._AOD_MAX_STEPS
+    assert -1.0 in sines and undamped and 0 < steps < dm.MAX_STEPS
     assert np.max(np.abs(sines - ref)) <= 1e-7
     assert hn.run_trial(exp, 20.0, 0, 0).flags["sage_converged"]
 
@@ -287,7 +295,7 @@ def test_refine_aod_mle_matches_the_oracle_on_random_layouts(monkeypatch):
         calls += _refinements_against_oracle(monkeypatch, exp, [0])
     assert len(calls) == 60
     assert all(np.all(np.abs(sines) <= 1.0) for sines, *_ in calls)
-    gap = max(np.max(np.abs(sines - ref)) for sines, _, _, ref in calls)
+    gap = max(np.max(np.abs(sines - ref)) for sines, _, _, ref, _ in calls)
     assert gap <= 1e-7, gap
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import sample_layout, sample_layout_with
 from oracles import min_association_cost
+from rispos import _damping as dm
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import cli
@@ -487,9 +488,10 @@ def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
     and so never calls ``fim_channel`` (the bounds at the truth read the
     setup's unit-gain Gram), one call fewer than a trial on which SAGE did
     not converge (master seed 77). Trial 71 needs many damped steps, so
-    with the step cap cut to one SAGE ends unconverged."""
+    with the step cap cut to one SAGE ends unconverged; the cap is shared,
+    so the AOD refinement and the LM fit take one step each too."""
     if failed:
-        monkeypatch.setattr(sg, "_MAX_STEPS", 1)
+        monkeypatch.setattr(dm, "MAX_STEPS", 1)
     exp = hn.ExperimentConfig(master_seed=77)
     setup = hn.power_setup(exp, power)
     seen = {"fim_calls": 0}
@@ -520,10 +522,10 @@ def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
 
 
 def test_cli_trial_prints_scoring_flags(capsys):
-    """``rispos trial`` reports how SAGE and the AOD refinement ended:
-    master seed 7, -10 dBm, trial 4, on which SAGE takes damped scoring
-    steps and converges. No flag of the removed full-search fall-backs is
-    printed."""
+    """``rispos trial`` reports how the AOD refinement, SAGE and the LM
+    fit ended: master seed 7, -10 dBm, trial 4, on which SAGE takes damped
+    scoring steps and converges. No flag of the removed full-search
+    fall-backs, nor the LM's old stall flag, is printed."""
     assert cli.main(["trial", "--seed", "7", "--power", "-10",
                      "--trial", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -531,7 +533,9 @@ def test_cli_trial_prints_scoring_flags(capsys):
     flags = payload["flags"]
     assert flags["sage_converged"] is True
     assert flags["sage_scoring_steps"] > 0 and flags["aod_steps"] > 0
-    assert not {"sage_cycles", "sage_monotone", "aod_passes"} & set(flags)
+    assert flags["lm_converged"] is True and flags["lm_steps"] > 0
+    assert not {"sage_cycles", "sage_monotone", "aod_passes",
+                "lm_stalled"} & set(flags)
 
 
 def test_cli_trial_unknown_power(capsys):
@@ -642,18 +646,33 @@ def test_two_scatterer_noiseless_trial_ends_near_peb():
     assert _err_over_peb(hn.run_trial(exp, 20.0, 0, 0)) < 10.0
 
 
-def _fuzz_ratios(layouts) -> np.ndarray:
-    """LM error/PEB of one noisy lm trial per (geometry, schedule) layout,
-    master seed 5, 20 dBm; inf for a trial that ends in an error."""
-    ratios = []
+def _fuzz_records(layouts) -> list:
+    """One noisy lm trial per (geometry, schedule) layout, master seed 5,
+    20 dBm."""
+    records = []
     for geom, schedule in layouts:
         exp = hn.ExperimentConfig(
             ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
             scatterers=geom.scatterers.tolist(), powers_dbm=[20.0],
             n_trials=1, master_seed=5, stage="lm", **schedule)
-        rec = hn.run_trial(exp, 20.0, 0, 0)
-        ratios.append(np.inf if rec.error else _err_over_peb(rec))
-    return np.asarray(ratios)
+        records.append(hn.run_trial(exp, 20.0, 0, 0))
+    return records
+
+
+def _fuzz_ratios(records) -> np.ndarray:
+    """LM error/PEB of each record; inf for a trial that ended in an
+    error."""
+    return np.asarray([np.inf if rec.error else _err_over_peb(rec)
+                       for rec in records])
+
+
+@pytest.fixture(scope="module")
+def two_scatterer_fuzz():
+    """40 two-scatterer draws, a ``sample_layout`` draw plus a second
+    scatterer from the same box (default_rng(2027), T1 = 22, T = 43)."""
+    rng = np.random.default_rng(2027)
+    return _fuzz_records([(sample_layout_with(rng, 2),
+                           {"t1": 22, "t_total": 43}) for _ in range(40)])
 
 
 def test_one_scatterer_fuzz_ends_near_peb():
@@ -662,20 +681,31 @@ def test_one_scatterer_fuzz_ends_near_peb():
     written; full-search fall-backs left 8. The rest are end-fire paths
     (u and u +- 2 alias at lambda/2 spacing) and wrong coarse RIS picks."""
     rng = np.random.default_rng(11)
-    ratios = _fuzz_ratios([(sample_layout(rng), {}) for _ in range(60)])
+    ratios = _fuzz_ratios(_fuzz_records([(sample_layout(rng), {})
+                                         for _ in range(60)]))
     assert np.sum(ratios > 10.0) <= 7, np.flatnonzero(ratios > 10.0)
 
 
-def test_two_scatterer_fuzz_ends_near_peb():
-    """40 two-scatterer draws, a ``sample_layout`` draw plus a second
-    scatterer from the same box (default_rng(2027), T1 = 22, T = 43): at
-    most 13 end above 10x PEB, the count the damped solvers gave when this
-    test was written, against 23 with full-search fall-backs. The rest
-    are wrong local maxima of the likelihood."""
-    rng = np.random.default_rng(2027)
-    ratios = _fuzz_ratios([(sample_layout_with(rng, 2),
-                            {"t1": 22, "t_total": 43}) for _ in range(40)])
+def test_two_scatterer_fuzz_ends_near_peb(two_scatterer_fuzz):
+    """On the 40 two-scatterer draws at most 13 end above 10x PEB, the
+    count the damped solvers gave when this test was written, against 23
+    with full-search fall-backs. The rest are wrong local maxima of the
+    likelihood."""
+    ratios = _fuzz_ratios(two_scatterer_fuzz)
     assert np.sum(ratios > 10.0) <= 13, np.flatnonzero(ratios > 10.0)
+
+
+def test_two_scatterer_aod_refinement_rarely_runs_its_cap(
+        two_scatterer_fuzz):
+    """On the 40 two-scatterer draws the AOD refinement takes its 100-step
+    cap on at most 4 (draws 4, 12, 26 and 30), the count measured when
+    its stop rule became the decrement in nats; stopping when the
+    undamped step moved no sine by 1e-9 left 10 capped. On those four
+    the stencil's difference noise keeps the decrement above 1e-6 nats
+    at the maximum."""
+    capped = [k for k, rec in enumerate(two_scatterer_fuzz)
+              if rec.flags.get("aod_steps") == dm.MAX_STEPS]
+    assert len(capped) <= 4, capped
 
 
 def _admissible_layouts():

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from conftest import sample_layout
 from oracles import channel_params_from_vector, to_angles
 from rispos import bounds as bnd
-from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import positioning as po
@@ -194,28 +193,30 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     assert diag.objective_history[-1] <= diag.objective_history[0]
 
 
-def test_lm_jacobian_only_at_accepted_points(default_exp, monkeypatch):
+def test_lm_jacobian_only_at_accepted_points(monkeypatch):
     """A rejected LM candidate costs one forward map: the Jacobian is
-    built at the start and at each accepted step, nowhere else. The
-    draw has rejected candidates."""
-    geom = default_exp.geometry()
-    setup = hn.power_setup(default_exp, 20.0)
-    params = _true_params(geom, ch.nominal_gain_amplitudes(
-        setup.cfg, geom).astype(complex))
-    vec = params.to_vector() + np.tile(
-        [1e-10, 1e-8, 1e-8, 1e-3, 1e-3, 1e-3], 2) * \
-        np.random.default_rng(3).standard_normal(12)
-    pos0, _ = po.position_closed_form(channel_params_from_vector(vec),
-                                      geom.ris, geom.bs)
+    built at the start and at each accepted step, nowhere else. The LM of
+    master seed 77, -10 dBm, trial 72 (a trial above 10x PEB) has rejected
+    candidates; from a closed-form start Gauss-Newton accepts every step."""
+    inputs = []
+    refine = po.refine_position_lm
+
+    def recorded(*args):
+        inputs.append(args)
+        return refine(*args)
+    exp = hn.ExperimentConfig(master_seed=77)
+    with monkeypatch.context() as m:
+        m.setattr(po, "refine_position_lm", recorded)
+        assert hn.run_trial(exp, -10.0, 0, 72).error is None
     calls = {"forward_map_G": 0, "transformation_matrix": 0}
     for name in calls:
         def counted(*args, _fn=getattr(po, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(po, name, counted)
-    _, diag = po.refine_position_lm(vec, bnd.fim_channel(params, setup), pos0,
-                                    geom.ris, geom.bs)
+    _, diag = po.refine_position_lm(*inputs[0])
     accepted = len(diag.objective_history) - 1
+    assert diag.converged and accepted == diag.n_iter
     assert calls["transformation_matrix"] == accepted + 1
     assert calls["forward_map_G"] > accepted + 1
 

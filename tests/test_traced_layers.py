@@ -7,15 +7,16 @@ instead. The wrappers and counters of the deleted full-search code (the
 1-D search, the coordinate cycle and the global log-likelihood) are
 expected to be missing, and only they. A trial calls ``fim_channel`` only
 when SAGE does not converge (the bounds at the truth read the setup's
-unit-gain Gram), so the traced sweep runs with SAGE's step cap cut to one
-on the -10 dBm trials of master seed 5 up to trial 2.
+unit-gain Gram), so the traced sweep runs with the step cap that SAGE
+shares with the AOD refinement and the LM fit cut to one, on the -10 dBm
+trials of master seed 5 up to trial 2.
 """
 
 import importlib
 from pathlib import Path
 
+from rispos import _damping as dm
 from rispos import harness as hn
-from rispos import sage as sg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,7 +32,7 @@ UNCOUNTED = {"search.maximize_1d.calls", "search.maximize_1d.batch_evals",
 
 def test_traced_sweep_reaches_every_span_and_counter(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sg, "_MAX_STEPS", 1)
+    monkeypatch.setattr(dm, "MAX_STEPS", 1)
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     tracer.install()
