@@ -17,7 +17,11 @@ the rest:
 - one stop rule, the Newton decrement g^T A^-1 g (Boyd and
   Vandenberghe, Convex Optimization, 2004, sec. 9.5.1), twice the gain
   the undamped step predicts: a fit has converged when it is below
-  1e-6 nats;
+  1e-6 nats. It then takes one last candidate at the current lambda,
+  the undamped step unless candidates were rejected just before, and
+  keeps it where its test accepts it: the step gains under 5e-7 nats
+  but may still move the point by a thousandth of a standard
+  deviation, an error that one Newton step squares;
 - the cap of 100 accepted steps.
 """
 
@@ -54,8 +58,10 @@ def ascend(state, model, evaluate, nats: float = 1.0):
     step reaches, or None when the fit rejects the candidate. ``nats`` is
     one unit of the objective in nats. Returns (state, accepted steps,
     converged): converged when the undamped decrement g^T x, in nats, fell
-    below ``DECREMENT_TOL``; a fit that stalls or takes ``MAX_STEPS``
-    steps returns its last accepted state unconverged.
+    below ``DECREMENT_TOL``, the state then being the one the last
+    candidate reaches, or the one before where ``evaluate`` rejects it; a
+    fit that stalls or takes ``MAX_STEPS`` steps returns its last accepted
+    state unconverged.
     """
     lam = 0.0
     for steps in range(MAX_STEPS):
@@ -63,16 +69,18 @@ def ascend(state, model, evaluate, nats: float = 1.0):
         if basis is not None:
             a, g = basis.T @ a @ basis, basis.T @ g
         undamped = _solve(a, g, 0.0)
-        if undamped is not None and nats * (g @ undamped) < DECREMENT_TOL:
-            return state, steps, True
+        last = undamped is not None and nats * (g @ undamped) < DECREMENT_TOL
         while True:
             step = undamped if lam == 0.0 else _solve(a, g, lam)
             new = None if step is None else evaluate(
                 state, step if basis is None else basis @ step)
-            if new is not None:
+            if new is not None or last:
                 break
             lam = max(DAMPING, DAMPING_UP * lam)
             if lam > DAMPING_LIMIT:
                 return state, steps, False
+        if last:
+            return (state, steps, True) if new is None else \
+                (new, steps + 1, True)
         state, lam = new, DAMPING_DOWN * lam
     return state, MAX_STEPS, False

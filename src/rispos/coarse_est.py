@@ -147,8 +147,9 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     points +-h e_i and the corners (+-h e_i, +-h e_j) of each pair i < j,
     whose central differences give the gradient g and Hessian H at the
     point; its row 0 is the point's F. The model is A = -H and g in the
-    units of F, which are sigma^2 times nats, so the refinement ends when
-    the undamped step's decrement g^T x / sigma^2 is below 1e-6 nats. A
+    units of F, which are sigma^2 times nats, so the refinement takes one
+    last step and ends once the undamped step's decrement g^T x / sigma^2
+    is below 1e-6 nats. A
     candidate is clipped to [-1, 1]; it is kept when its F falls by no
     more than 1e-12 relative, and rejected when its stencil raises
     ``SingularConcentration``. A sine at +-1 whose gradient points out of

@@ -126,7 +126,8 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     in nats for W the channel FIM, by ``_damping.ascend``: with T the
     transformation matrix d eta / d eta~, its gradient is T W r and its
     Gauss-Newton curvature T W T^T, so the first step is Gauss-Newton and
-    the fit ends when that decrement is below 1e-6 nats. A candidate is
+    the fit takes one last step and ends once that decrement is below
+    1e-6 nats. A candidate is
     kept when it stays in the rotation domain, its legs are not
     degenerate and r^T W r does not rise; it costs one ``forward_map_G``,
     and T is built only at accepted points.

@@ -33,8 +33,9 @@ one. The pole c = +-1 needs no care of its own: it is a regular point of
 the rim.
 
 SAGE has converged when the undamped step's decrement g^T J^-1 g, which
-is step^T J step, is below 1e-6 nats. It then returns that point and J
-(``SageInfo.fim``, which equals ``bounds.fim_channel`` at the estimate).
+is step^T J step, is below 1e-6 nats. It then takes that last step and
+returns the point it reaches and J there (``SageInfo.fim``, which equals
+``bounds.fim_channel`` at the estimate).
 A run that stalls or takes 100 steps returns its last point unconverged.
 Every function takes the ``channel.Observation`` and the
 per-power ``channel.Setup``.

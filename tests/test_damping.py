@@ -26,12 +26,15 @@ def _ascent(objective):
 
 
 def test_concave_quadratic_converges_in_one_undamped_step():
+    """The first undamped step reaches the peak; the decrement there is at
+    rounding level, so the loop takes that null step and ends."""
     curv = np.array([[4.0, 1.0], [1.0, 3.0]])
     peak = np.array([0.5, -2.0])
     evaluate, seen = _ascent(lambda x: -(x - peak) @ curv @ (x - peak))
     x, steps, converged = dm.ascend(np.zeros(2), _quadratic(curv, peak),
                                     evaluate)
-    assert converged and steps == 1 and len(seen) == 1
+    assert converged and steps == 2 and len(seen) == 2
+    np.testing.assert_allclose(seen[0], peak, rtol=0, atol=1e-14)
     np.testing.assert_allclose(x, peak, rtol=0, atol=1e-14)
 
 
@@ -90,7 +93,8 @@ def test_an_indefinite_model_is_never_converged():
 def test_steps_stay_in_the_span_of_the_basis():
     """With the step space spanned by e_0 and (e_1 + e_2)/sqrt(2), every
     candidate lies in that span, and the ascent ends at the projection of
-    the peak onto it."""
+    the peak onto it: one step reaches it, and the null step there ends
+    the fit."""
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     basis[:, 1] /= np.sqrt(2.0)
     peak = np.array([1.0, 2.0, 3.0])
@@ -99,7 +103,7 @@ def test_steps_stay_in_the_span_of_the_basis():
     def model(x):
         return np.eye(3), peak - x, basis
     x, steps, converged = dm.ascend(np.zeros(3), model, evaluate)
-    assert converged and steps == 1
+    assert converged and steps == 2
     off_span = np.eye(3) - basis @ basis.T
     assert max(np.max(np.abs(off_span @ step)) for step in seen) < 1e-15
     np.testing.assert_allclose(x, basis @ basis.T @ peak, atol=1e-15)
