@@ -110,17 +110,19 @@ def fim_from_gram(gram: np.ndarray, setup: Setup) -> np.ndarray:
 def fim_at_gains(gram0: np.ndarray, gains: np.ndarray,
                  setup: Setup) -> np.ndarray:
     """The channel FIM at parameters whose Gram at unit gains is ``gram0``,
-    with the path gains ``gains`` swapped in.
+    with the path gains ``gains`` swapped in; a stack of gains (K, Q+1)
+    gives the stack of FIMs (K, 6(Q+1), 6(Q+1)).
 
     A gain only scales its own columns of A (Kay, Fundamentals of
     Statistical Signal Processing: Estimation Theory, 1993, sec. 3.9):
     with w = [g, 1, 1, g, g, g] per path, A = A0 diag(w), B does not
     change, and the Gram is (conj(w) w^T) o gram0.
     """
-    w = np.ones((gains.size, 6), dtype=complex)
-    w[:, [0, 3, 4, 5]] = gains[:, None]
-    w = w.ravel()
-    return fim_from_gram(np.outer(w.conj(), w) * gram0, setup)
+    w = np.ones(gains.shape + (6,), dtype=complex)
+    w[..., [0, 3, 4, 5]] = gains[..., None]
+    w = w.reshape(gains.shape[:-1] + (-1,))
+    return fim_from_gram(w.conj()[..., :, None] * w[..., None, :] * gram0,
+                         setup)
 
 
 def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
@@ -178,45 +180,58 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
 
 @dataclass
 class BoundReport:
-    """Channel-parameter covariance bound plus position/orientation bounds."""
+    """Channel-parameter covariance bound plus position/orientation bounds;
+    of a stack of FIMs, each field stacked along a leading axis."""
 
     cov_channel: np.ndarray        # (6(Q+1), 6(Q+1)) inverse channel FIM
     peb: float                     # meters
     oeb: float                     # radians
     singular: bool
 
+    def row(self, k: int) -> "BoundReport":
+        """The report of FIM ``k`` of a stacked report."""
+        return BoundReport(self.cov_channel[k], float(self.peb[k]),
+                           float(self.oeb[k]), bool(self.singular[k]))
 
-def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Eigendecomposition-based inverse and a singularity flag.
+
+def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition-based inverses of a stack of matrices (K, n, n)
+    and their singularity flags (K,).
 
     The matrix mixes parameters of wildly different units (seconds,
     sines, raw gains), so it is diagonally preconditioned to a
     correlation-like form first; the condition number and pseudo-inverse
-    cutoff apply to that scaled matrix.
+    cutoff apply to that scaled matrix. A matrix with no nonzero
+    eigenvalue has an all-infinite inverse. The stacked ``eigh`` and
+    products make the same LAPACK and BLAS calls per matrix as on one.
     """
-    sym = 0.5 * (mat + mat.T)
-    d = np.sqrt(np.maximum(np.diag(sym), np.finfo(float).tiny))
-    scaled = sym / np.outer(d, d)
-    vals, vecs = np.linalg.eigh(scaled)
-    top = float(np.max(np.abs(vals)))
-    if top <= 0.0:
-        return np.full_like(sym, np.inf), True
-    cond = top / max(float(np.min(np.abs(vals))), np.finfo(float).tiny)
-    floor = top / _COND_LIMIT
-    inv_vals = np.where(np.abs(vals) > floor, 1.0 / vals, 0.0)
-    inv_scaled = (vecs * inv_vals) @ vecs.T
-    return inv_scaled / np.outer(d, d), cond > _COND_LIMIT
+    sym = 0.5 * (mat + mat.swapaxes(1, 2))
+    d = np.sqrt(np.maximum(np.diagonal(sym, axis1=1, axis2=2),
+                           np.finfo(float).tiny))
+    scale = d[:, :, None] * d[:, None, :]
+    vals, vecs = np.linalg.eigh(sym / scale)
+    size = np.abs(vals)
+    top = size.max(axis=1)
+    cond = top / np.maximum(size.min(axis=1), np.finfo(float).tiny)
+    inv_vals = np.where(size > top[:, None] / _COND_LIMIT, 1.0 / vals, 0.0)
+    inv = (vecs * inv_vals[:, None, :]) @ vecs.swapaxes(1, 2) / scale
+    zero = top <= 0.0
+    if zero.any():
+        inv[zero] = np.inf
+    return inv, zero | (cond > _COND_LIMIT)
 
 
 def position_bounds(j_eta: np.ndarray, t_mat: np.ndarray) -> BoundReport:
-    """Inverse FIM of the channel parameters and PEB/OEB of the position ones."""
-    inv_eta, sing_eta = _inv_psd(j_eta)
-    n_paths = j_eta.shape[0] // 6
-    j_pos = t_mat @ j_eta @ t_mat.T
-    inv_pos, sing_pos = _inv_psd(j_pos)
-    m_off = 2 * n_paths
-    peb = float(np.sqrt(np.trace(inv_pos[m_off:m_off + 3, m_off:m_off + 3])))
-    oeb = float(np.sqrt(inv_pos[m_off + 3, m_off + 3]))
-    return BoundReport(
-        cov_channel=inv_eta, peb=peb, oeb=oeb,
-        singular=bool(sing_eta or sing_pos))
+    """Inverse FIM of the channel parameters and PEB/OEB of the position
+    ones; a stack of FIMs (K, 6(Q+1), 6(Q+1)) gives a stacked report."""
+    stack = j_eta if j_eta.ndim == 3 else j_eta[None]
+    inv_eta, sing_eta = _inv_psd(stack)
+    inv_pos, sing_pos = _inv_psd(t_mat @ stack @ t_mat.T)
+    m_off = 2 * (j_eta.shape[-1] // 6)
+    rep = BoundReport(
+        cov_channel=inv_eta,
+        peb=np.sqrt(np.trace(inv_pos[:, m_off:m_off + 3, m_off:m_off + 3],
+                             axis1=1, axis2=2)),
+        oeb=np.sqrt(inv_pos[:, m_off + 3, m_off + 3]),
+        singular=sing_eta | sing_pos)
+    return rep if j_eta.ndim == 3 else rep.row(0)

@@ -376,10 +376,12 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
     The noiseless received tensor is a_B (x) this field: every path
     arrives at the BS along the known RIS-BS direction, so the field and
     all its parameter derivatives share that rank-1 structure, and
-    |a_B|^2 = N_b is all the estimators need of a_B.
+    |a_B|^2 = N_b is all the estimators need of a_B. Parameters whose
+    gains are a stack (K, Q+1) give the K fields (K, T, N) of those
+    gains, one product per field.
     """
     sigma, proj, ramp = path_factors(params, setup)
-    return (sigma * proj * params.gains) @ ramp.T
+    return (sigma * proj * params.gains[..., None, :]) @ ramp.T
 
 
 @dataclass
@@ -394,9 +396,11 @@ class Observation:
 
 def synthesize_rx(setup: Setup, params: ChannelParams,
                   noise_seed: int | np.random.Generator | None = 0,
-                  noiseless: bool = False) -> Observation:
+                  noiseless: bool = False,
+                  field: np.ndarray | None = None) -> Observation:
     """Draw the observation of y = a_B (x) field + z, z iid CN(0, sigma^2),
-    exactly in distribution and without forming y.
+    exactly in distribution and without forming y. ``field`` is
+    ``model_field(params, setup)``, formed here when not given.
 
     With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
     + z_par, z_par iid CN(0, sigma^2), and pa = |a_B| ypar. The noise
@@ -409,7 +413,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
-    ypar = norm_b * model_field(params, setup)
+    ypar = norm_b * (model_field(params, setup) if field is None else field)
     low = np.zeros((t1, 0))
     if not noiseless:
         rng = np.random.default_rng(noise_seed)

@@ -10,6 +10,17 @@ the bounds read of the truth: the true parameters at unit gains
 at the true pose. ``power_setups`` builds a sweep's setups at once,
 the power-independent part a single time.
 
+A sweep runs each power's trials in batches of ``BATCH`` consecutive
+trial indices (``run_batch``), fixed by the indices alone, so the worker
+count cannot change them; a pool task is one batch. A batch first draws
+each trial's gains from that trial's own stream and forms, for all its
+trials at once, what depends on the gains alone: the truth, its CRLBs
+and PEB/OEB, and the noiseless fields (``draw_trials``). Then it calls
+``run_trial`` on each trial, which draws the noise and runs every stage
+that can branch or fail. ``run_trial`` stays the unit of work: a record
+per call, called once per trial through this module, and alone it draws
+a batch of one.
+
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
 the reported channel errors and CRLBs are in angles (``channel_angles``,
@@ -40,6 +51,10 @@ from .params import ChannelParams, PositionParams, arrival_azimuth
 _TAG_PILOTS = 1
 _TAG_SCHEDULE = 2
 _TAG_TRIAL = 3
+
+# trials per batch of one power's trials, taken in trial-index order: the
+# unit of ``draw_trials`` and of a pool task
+BATCH = 16
 
 STAGES = ("coarse", "aod_mle", "sage", "lm")
 
@@ -240,7 +255,8 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
     D C D^T, with D the per-path Jacobian of the angles:
     d theta/du = 1/sqrt(1 - u^2), d phi/dc = -1/sqrt(1 - c^2),
     d psi/dc = -s c / (r (1 - c^2)) and d psi/ds = -1/r,
-    r = sqrt(1 - c^2 - s^2)."""
+    r = sqrt(1 - c^2 - s^2). A stack of bounds (K, 6(Q+1), 6(Q+1)) at
+    parameters that differ only in their gains gives (K, 6(Q+1))."""
     u, c, s = params.u, params.c, params.s
     n = params.n_paths
     r = np.sqrt(1.0 - c * c - s * s)
@@ -251,8 +267,13 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
     jac[:, 5, 4] = -s * c / (r * (1.0 - c * c))
     jac[:, 5, 5] = -1.0 / r
     idx = np.arange(n)
-    blocks = cov.reshape(n, 6, n, 6)[idx, :, idx, :]       # (Q+1, 6, 6)
-    return np.einsum("qij,qjk,qik->qi", jac, blocks, jac).ravel()
+    # one einsum per bound, as on one: over a stack its sums could round
+    # otherwise
+    return np.array([
+        np.einsum("qij,qjk,qik->qi", jac,
+                  one.reshape(n, 6, n, 6)[idx, :, idx, :], jac).ravel()
+        for one in cov.reshape((-1,) + cov.shape[-2:])]).reshape(
+            cov.shape[:-1])
 
 
 def channel_sq_errors(est: ChannelParams, true: ChannelParams) -> dict:
@@ -312,7 +333,10 @@ class PowerSetup(ch.Setup):
     ``true_gram`` depends on the transmit power beside the channel
     setup's ``cfg``, ``pilots`` and ``aod_proj``. So a sweep builds the
     rest once (``power_setups``) and hands each power's setup to its
-    trials and to the reference bounds.
+    trials and to the reference bounds. ``truth`` takes one trial's gains
+    or a batch's stack of them: ``draw_trials`` forms a batch's truth and
+    bounds in one stacked pass, of which a lone trial and the reference
+    bounds are the one-row case.
     """
 
     true_unit: ChannelParams = field(init=False)
@@ -342,11 +366,16 @@ class PowerSetup(ch.Setup):
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with path gains ``gains`` and the
-        bounds at them, from ``bounds.fim_at_gains``."""
+        bounds at them, from ``bounds.fim_at_gains``.
+
+        ``gains`` is one trial's (Q+1,), or a stack of K trials' (K, Q+1):
+        then the parameters hold that stack as their gains, the one truth
+        of the K trials, and the report's fields are stacked.
+        """
         unit = self.true_unit
-        true = ChannelParams(unit.tau, gains, unit.u, unit.c, unit.s)
-        j_eta = bnd.fim_at_gains(self.true_gram, true.gains, self)
-        return true, bnd.position_bounds(j_eta, self.t_true)
+        j_eta = bnd.fim_at_gains(self.true_gram, gains, self)
+        return (ChannelParams(unit.tau, gains, unit.u, unit.c, unit.s),
+                bnd.position_bounds(j_eta, self.t_true))
 
 
 def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
@@ -379,33 +408,77 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
     return power_setups(exp, [power_dbm])[0]
 
 
+@dataclass
+class TrialDraw:
+    """What one trial draws and forms before its pipeline runs: the truth
+    ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
+    ``bounds`` there, the noiseless field ``field`` of
+    ``channel.model_field`` and the seed of its noise."""
+
+    true: ChannelParams
+    crlb: np.ndarray
+    bounds: bnd.BoundReport
+    field: np.ndarray
+    noise_seed: np.random.SeedSequence
+
+
+def _trial_entropy(exp: ExperimentConfig, power_idx: int,
+                   trial_idx: int) -> tuple:
+    return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
+
+
+def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
+                setup: PowerSetup) -> list[TrialDraw]:
+    """The draws of the trials ``trial_indices`` of one power, in order.
+
+    Each trial draws its gains from its own stream, spawned from
+    (master seed, power index, trial index), so a trial's draw does not
+    depend on the trials drawn beside it. Within one power the trials
+    differ only in their gains, so the truth, its bounds and the
+    noiseless fields of all of them are formed at once, as stacks. The
+    stacked products and ``eigh`` make the same BLAS and LAPACK call per
+    trial as on a batch of one, so no number depends on the batch either.
+    """
+    seeds = [np.random.SeedSequence(_trial_entropy(exp, power_idx, t)).spawn(2)
+             for t in trial_indices]
+    gains = np.array([ch.draw_gains(setup.cfg, setup.geom,
+                                    np.random.default_rng(gain_seed))
+                      for gain_seed, _ in seeds])
+    truth, rep = setup.truth(gains)
+    crlb = angle_crlb(rep.cov_channel, truth)
+    fields = ch.model_field(truth, setup)
+    return [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
+                                    truth.s),
+                      crlb[k], rep.row(k), fields[k], noise_seed)
+            for k, (_, noise_seed) in enumerate(seeds)]
+
+
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
-              trial_idx: int, setup: PowerSetup | None = None) -> TrialRecord:
+              trial_idx: int, setup: PowerSetup | None = None,
+              draw: TrialDraw | None = None) -> TrialRecord:
     """One seeded trial through the configured pipeline stages.
 
     Stage failures are captured in the record rather than aborting the
     sweep; every random draw derives from (master seed, power index,
     trial index) so scheduling cannot perturb results. ``setup`` is
-    ``power_setup(exp, power_dbm)``, built here when not given.
+    ``power_setup(exp, power_dbm)``, built here when not given, and
+    ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
+    when not given. The trial draws its noise and runs every stage that
+    can branch or fail.
     """
-    entropy = (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
-                      seed_entropy=entropy)
+                      seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
     if setup is None:
         setup = power_setup(exp, power_dbm)
-    geom, cfg = setup.geom, setup.cfg
-
-    ss = np.random.SeedSequence(entropy)
-    gain_seed, noise_seed = ss.spawn(2)
-    gains = ch.draw_gains(cfg, geom, np.random.default_rng(gain_seed))
-    true, rep = setup.truth(gains)
+    if draw is None:
+        (draw,) = draw_trials(exp, power_idx, [trial_idx], setup)
+    geom, cfg, true = setup.geom, setup.cfg, draw.true
     rec.eta_true = true.to_vector()
-    rec.crlb = angle_crlb(rep.cov_channel, true)
-    rec.peb, rec.oeb = rep.peb, rep.oeb
+    rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
 
     obs = ch.synthesize_rx(setup, true,
-                           noise_seed=np.random.default_rng(noise_seed),
-                           noiseless=exp.noiseless)
+                           noise_seed=np.random.default_rng(draw.noise_seed),
+                           noiseless=exp.noiseless, field=draw.field)
     try:
         coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
         rec.stages["coarse"] = coarse.params.to_vector()
@@ -444,8 +517,14 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     return rec
 
 
-def _trial_star(args):
-    return run_trial(*args)
+def run_batch(exp: ExperimentConfig, power_dbm: float, power_idx: int,
+              trial_indices, setup: PowerSetup) -> list[TrialRecord]:
+    """The trials ``trial_indices`` of one power: one ``draw_trials`` for
+    all of them, then ``run_trial`` on each, called through this module
+    so that a wrapper of ``run_trial`` sees every trial."""
+    draws = draw_trials(exp, power_idx, trial_indices, setup)
+    return [run_trial(exp, power_dbm, power_idx, t, setup, draw)
+            for t, draw in zip(trial_indices, draws)]
 
 
 @dataclass
@@ -523,20 +602,18 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
         stage_list.append("lm")
 
     all_records, ref = [], []
+    trials = range(exp.n_trials)
+    batches = [trials[t:t + BATCH] for t in range(0, exp.n_trials, BATCH)]
     # one pool and one setup build serve every power point
     pool = (concurrent.futures.ProcessPoolExecutor(exp.workers)
             if exp.workers > 1 else None)
     with pool or contextlib.nullcontext():
         for p_idx, (power, setup) in enumerate(
                 zip(exp.powers_dbm, power_setups(exp, exp.powers_dbm))):
-            tasks = [(exp, power, p_idx, t, setup)
-                     for t in range(exp.n_trials)]
-            if pool is not None:
-                recs = list(pool.map(_trial_star, tasks, chunksize=4))
-            else:
-                recs = [run_trial(*t) for t in tasks]
-            recs.sort(key=lambda r: r.trial_index)
-            all_records.append(recs)
+            tasks = [(exp, power, p_idx, b, setup) for b in batches]
+            recs = (pool.map(run_batch, *zip(*tasks)) if pool is not None
+                    else [run_batch(*task) for task in tasks])
+            all_records.append([rec for batch in recs for rec in batch])
             ref.append(reference_bounds(exp, power, setup))
 
     rmse = {}

@@ -391,9 +391,11 @@ def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
 
 
 def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
-                          noise_seed=0, noiseless: bool = False):
+                          noise_seed=0, noiseless: bool = False, field=None):
     """``channel.synthesize_rx`` by way of the received tensor: the
-    observation of ``synthesize_tensor``'s draw."""
+    observation of ``synthesize_tensor``'s draw. The tensor is built from
+    ``params``; the formed noiseless ``field`` a caller may pass is not
+    read."""
     return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
                    setup)
 

@@ -229,6 +229,78 @@ def test_sweep_worker_count_invariant(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_sweep_worker_count_invariant_over_batches(tmp_path):
+    """A pool task is one batch of a power's trials; with three batches
+    both workers get one, and the summary is the serial one."""
+    csvs = []
+    for workers in (1, 2):
+        exp = hn.ExperimentConfig(n_trials=40, powers_dbm=[20.0],
+                                  stage="coarse", workers=workers)
+        assert exp.n_trials > 2 * hn.BATCH
+        csvs.append(hn.write_summary_csv(
+            hn.run_sweep(exp), tmp_path / f"w{workers}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def _bits(value):
+    """``value`` with every array and float as its bytes, so that ``==``
+    compares bits, NaN included."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (np.ndarray, float)):
+        return np.asarray(value).tobytes()
+    return value
+
+
+def test_batched_sweep_equals_lone_trials():
+    """A sweep draws each batch of a power's trials at once, and a lone
+    trial a batch of one: every sweep record equals its trial run alone,
+    bit for bit, in every field. The setup's truth at one trial's gains
+    is its row of the truth at a stack of gains."""
+    exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse")
+    report = hn.run_sweep(exp)
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    for p_idx, (power, setup, recs) in enumerate(
+            zip(exp.powers_dbm, setups, report.records)):
+        assert [r.trial_index for r in recs] == list(range(exp.n_trials))
+        for rec in recs:
+            alone = hn.run_trial(exp, power, p_idx, rec.trial_index, setup)
+            for f in dataclasses.fields(rec):
+                assert (_bits(getattr(rec, f.name))
+                        == _bits(getattr(alone, f.name))), (rec.trial_index,
+                                                            f.name)
+    setup = setups[0]
+    gains = np.stack([ch.draw_gains(setup.cfg, setup.geom, seed)
+                      for seed in range(2 * hn.BATCH)])
+    stacked, reps = setup.truth(gains)
+    crlb = hn.angle_crlb(reps.cov_channel, stacked)
+    for k, g in enumerate(gains):
+        true, rep = setup.truth(g)
+        assert np.array_equal(true.gains, stacked.gains[k])
+        for f in dataclasses.fields(rep):
+            assert (_bits(getattr(rep, f.name))
+                    == _bits(getattr(reps.row(k), f.name))), (k, f.name)
+        assert _bits(hn.angle_crlb(rep.cov_channel, true)) == _bits(crlb[k])
+
+
+def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
+    """A serial sweep runs every trial through the module's ``run_trial``,
+    in trial order, so a wrapper of it sees each trial once."""
+    calls = []
+    run_trial = hn.run_trial
+
+    def counted(exp, power_dbm, power_idx, trial_idx, *args):
+        calls.append((power_idx, trial_idx))
+        return run_trial(exp, power_dbm, power_idx, trial_idx, *args)
+
+    monkeypatch.setattr(hn, "run_trial", counted)
+    exp = hn.ExperimentConfig(n_trials=hn.BATCH + 1, powers_dbm=[0.0, 20.0],
+                              stage="coarse")
+    hn.run_sweep(exp)
+    assert calls == [(p, t) for p in range(len(exp.powers_dbm))
+                     for t in range(exp.n_trials)]
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text("n_trials: 5\npowers_dbm: [3.0]\nmaster_seed: 99\n"
