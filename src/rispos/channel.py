@@ -339,8 +339,11 @@ def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
 
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
                      u) -> np.ndarray:
-    """p_t = a_M(u)^H x_t per slot; (T,) or (T, n) for array sines."""
-    return pilots.T @ ms_sine_steering(geom, u).conj()
+    """p_t = a_M(u)^H x_t per slot; (T,) or (T, n) for array sines, and
+    (K, T, n) for a (K, n) stack of them."""
+    steer = ms_sine_steering(geom, u)
+    return pilots.T @ (np.moveaxis(steer, 0, 1) if steer.ndim == 3
+                       else steer).conj()
 
 
 def slot_factors(setup: Setup, cols: np.ndarray) -> np.ndarray:
@@ -388,19 +391,24 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
 class Observation:
     """What the estimators read of the received tensor y (N_b, T, N): the
     beamformed record pa = a_B^H y and the first-T1-slot covariance
-    cov1[t, t'] = sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
+    cov1[t, t'] = sum_{b, n} conj(y[b, t, n]) y[b, t', n]. A stack of K
+    observations holds them as (K, T, N) and (K, T1, T1); ``row`` gives
+    one of them."""
 
     pa: np.ndarray       # (T, N)
     cov1: np.ndarray     # (T1, T1) Hermitian
 
+    def row(self, k: int) -> "Observation":
+        """Observation k of a stack."""
+        return Observation(self.pa[k], self.cov1[k])
+
 
 def synthesize_rx(setup: Setup, params: ChannelParams,
                   noise_seed: int | np.random.Generator | None = 0,
-                  noiseless: bool = False,
-                  field: np.ndarray | None = None) -> Observation:
+                  noiseless: bool = False) -> Observation:
     """Draw the observation of y = a_B (x) field + z, z iid CN(0, sigma^2),
-    exactly in distribution and without forming y. ``field`` is
-    ``model_field(params, setup)``, formed here when not given.
+    exactly in distribution and without forming y; the field is
+    ``model_field(params, setup)``.
 
     With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
     + z_par, z_par iid CN(0, sigma^2), and pa = |a_B| ypar. The noise
@@ -410,23 +418,36 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     CN(0, 1) below the diagonal), or its m columns when m < T1. The draws
     come in a fixed order, z_par, the gammas, the off-diagonal normals,
     so one seed gives one observation.
+
+    Parameters whose gains are a stack (K, Q+1) give the K observations
+    of those gains as one stacked ``Observation``, pa (K, T, N) and cov1
+    (K, T1, T1); ``noise_seed`` is then a sequence of K seeds, and each
+    observation draws its noise from its own seed in the order above, so
+    it equals the observation of its gains drawn alone.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
-    ypar = norm_b * (model_field(params, setup) if field is None else field)
-    low = np.zeros((t1, 0))
-    if not noiseless:
-        rng = np.random.default_rng(noise_seed)
-        noise = rng.standard_normal((2,) + ypar.shape)
-        ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
-        m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
+    ypar = norm_b * model_field(params, setup)
+    lone = ypar.ndim == 2
+    ypar = ypar.reshape((-1,) + ypar.shape[-2:])
+    m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
+    low = np.zeros((len(ypar), t1, 0 if noiseless else min(m, t1)),
+                   dtype=complex)
+    diag = np.arange(t1)
+    for row, low_row, seed in zip(ypar, low, () if noiseless else
+                                  [noise_seed] if lone else noise_seed,
+                                  strict=not noiseless):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((2,) + row.shape)
+        row += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
         if m >= t1:
-            low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
-            low[setup.tril] = rng.standard_normal(
+            low_row[diag, diag] = np.sqrt(rng.standard_gamma(m - diag))
+            low_row[setup.tril] = rng.standard_normal(
                 (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
         else:
-            low = rng.standard_normal((t1, m, 2)).view(complex)[..., 0]
-            low *= np.sqrt(0.5)
-    y1 = ypar[:t1]
-    return Observation(norm_b * ypar, y1.conj() @ y1.T
-                       + cfg.noise_power * (low.conj() @ low.T))
+            low_row[:] = rng.standard_normal((t1, m, 2)).view(
+                complex)[..., 0] * np.sqrt(0.5)
+    y1 = ypar[:, :t1]
+    obs = Observation(norm_b * ypar, y1.conj() @ y1.swapaxes(1, 2)
+                      + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))
+    return obs.row(0) if lone else obs

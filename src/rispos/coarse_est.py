@@ -19,10 +19,17 @@ converts to angles. Paths leave in delay order: the VLoS path, the
 shortest, comes first. Each stage takes the ``channel.Observation``
 and the per-power ``channel.Setup``: the pilots, schedule,
 dictionaries, known RIS-BS leg and path count come from there.
+
+The grid stages (the departure picks, the RIS arrival and the delay
+step) also take a stack of K records, as a sweep's batch does: each
+product then runs once for the stack, and a record that fails keeps
+its typed error in its row of the result's ``errors`` while the others
+go on. A lone record is a stack of one whose error is raised.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,31 +53,61 @@ _TOA_NEWTON_STEPS = 4
 _TOA_FLAT = 1e-12
 
 
+def _one_row(result, lone: bool):
+    """``result`` of a stack as it is or, when the input was ``lone``,
+    its one row: the row's error raised, or every field's row 0."""
+    if not lone:
+        return result
+    if result.errors[0] is not None:
+        raise result.errors[0]
+    return dataclasses.replace(result, errors=None, **{
+        f.name: getattr(result, f.name)[0]
+        for f in dataclasses.fields(result) if f.name != "errors"})
+
+
+def _well_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian Gram of a stack (..., n, n) is finite with a
+    condition number <= 1e12."""
+    flat = gram.reshape((-1,) + gram.shape[-2:])
+    good = np.isfinite(flat).all(axis=(1, 2))
+    if good.any():
+        eig = np.linalg.eigvalsh(flat[good])
+        low, high = eig[:, 0], eig[:, -1]
+        good[good] = (low > 0.0) & (high <= _COND_LIMIT * low)
+    return good.reshape(gram.shape[:-2])
+
+
+def _solve_rows(gram: np.ndarray, rhs: np.ndarray, what: str):
+    """Solutions x of gram x = rhs on each row of the stacks gram
+    (K, ..., n, n) and rhs (K, ..., n, m), and per row its error or None.
+
+    A row is solved when every Gram it holds is ``_well_conditioned``.
+    Any other row gets ``RankDeficient(what)`` and NaN, and stays out of
+    the batched solve, which would otherwise raise for the whole stack.
+    """
+    good = _well_conditioned(gram).reshape(len(gram), -1).all(axis=1)
+    errors = [None if ok else RankDeficient(what) for ok in good]
+    x = np.full(rhs.shape, np.nan, dtype=complex)
+    if good.any():
+        try:
+            x[good] = np.linalg.solve(gram[good], rhs[good])
+        except np.linalg.LinAlgError:
+            for k in np.flatnonzero(good):      # find the rows that raise
+                try:
+                    x[k] = np.linalg.solve(gram[k], rhs[k])
+                except np.linalg.LinAlgError as exc:
+                    errors[k] = RankDeficient(str(exc))
+    return x, errors
+
+
 @dataclass
 class SompResult:
-    """Support and residual norms of DCS-SOMP's picks."""
+    """Support and residual norms of DCS-SOMP's picks; for a stack of
+    records, one row of each per record and its error or None."""
 
-    support: list[int]            # 0-based dictionary column indices
+    support: list                 # 0-based dictionary column indices
     residual_norms: np.ndarray    # (K+1,) Frobenius norms, initial first
-
-
-def _check_gram(gram: np.ndarray, what: str) -> None:
-    """``RankDeficient`` unless each Hermitian Gram, (K, K) or a stack
-    (..., K, K), has a condition number <= 1e12."""
-    if np.all(np.isfinite(gram)):
-        eig = np.linalg.eigvalsh(gram)
-        low, high = eig[..., 0], eig[..., -1]
-        if np.all((low > 0.0) & (high <= _COND_LIMIT * low)):
-            return
-    raise RankDeficient(what)
-
-
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    _check_gram(gram, "selected dictionary columns are linearly dependent")
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(str(exc)) from exc
+    errors: list | None = None
 
 
 def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
@@ -80,27 +117,42 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     R = (I - P_S) C (I - P_S), and the next pick maximizes
     Re(theta_g^H R theta_g) / ||theta_g||^2. Returns the support and the
     residual norms sqrt(tr R), initial first.
+
+    A stack of covariances (K, M, M) runs each product once for the
+    stack; its result holds the K supports and norms, and for a record
+    whose picked columns are linearly dependent the error in its row of
+    ``errors``. A lone covariance raises that error.
     """
     theta = np.asarray(dictionary, dtype=complex)
     n_meas = theta.shape[0]
-    if cov.shape != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
+    lone = cov.ndim == 2
+    if cov.shape[-2:] != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
         raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
                                  f"covariance and {n_meas} dictionary rows")
+    cov = cov.reshape((-1, n_meas, n_meas))
+    rows = np.arange(len(cov))[:, None]
     # unequal column norms (random phase profiles) must not bias the pick
     col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
-    support: list[int] = []
+    support = np.zeros((len(cov), 0), dtype=int)
+    errors = [None] * len(cov)
     resid = cov
-    norms = [np.sqrt(max(np.trace(cov).real, 0.0))]
+    norms = [np.trace(cov, axis1=1, axis2=2).real]
     for _ in range(sparsity):
-        corr = np.einsum("mg,mg->g", theta.conj(), resid @ theta).real / col_power
-        corr[support] = -np.inf          # residual is orthogonal to these
-        support.append(int(np.argmax(corr)))
-        sel = theta[:, support]
-        comp = np.eye(n_meas) - sel @ _solve_gram(sel.conj().T @ sel,
-                                                  sel.conj().T)
+        corr = np.einsum("mg,kmg->kg", theta.conj(),
+                         resid @ theta).real / col_power
+        corr[rows, support] = -np.inf    # residual is orthogonal to these
+        support = np.hstack([support, np.argmax(corr, axis=1)[:, None]])
+        sel = theta.T[support].transpose(0, 2, 1)          # (K, M, picks)
+        sel_h = sel.conj().transpose(0, 2, 1)
+        proj, failed = _solve_rows(
+            sel_h @ sel, sel_h,
+            "selected dictionary columns are linearly dependent")
+        errors = [old or new for old, new in zip(errors, failed)]
+        comp = np.eye(n_meas) - sel @ proj
         resid = comp @ cov @ comp
-        norms.append(np.sqrt(max(np.trace(resid).real, 0.0)))
-    return SompResult(support, np.asarray(norms))
+        norms.append(np.trace(resid, axis1=1, axis2=2).real)
+    norms = np.sqrt(np.maximum(np.stack(norms, axis=1), 0.0))
+    return _one_row(SompResult(support.tolist(), norms, errors), lone)
 
 
 def estimate_aod_coarse(obs: Observation, setup: Setup):
@@ -108,10 +160,15 @@ def estimate_aod_coarse(obs: Observation, setup: Setup):
     the observation's ``cov1`` over the projected dictionary X1^H A_M.
 
     Returns (u_hat, picks); u_hat[i] is the grid value of the i-th
-    selected column, ``picks`` the support and residual norms.
+    selected column, ``picks`` the support and residual norms. A stack
+    of observations gives a (K, Q+1) stack of sines, NaN in the rows
+    that ``picks.errors`` names.
     """
     res = pick_columns(obs.cov1, setup.aod_proj, setup.n_paths)
-    return setup.a_m_dict.grid[res.support], res
+    u_hat = setup.a_m_dict.grid[res.support]
+    if res.errors is not None:
+        u_hat[[e is not None for e in res.errors]] = np.nan
+    return u_hat, res
 
 
 def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
@@ -204,12 +261,14 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
 
 @dataclass
 class AoaEstimate:
-    """Per-path RIS arrival recovery output."""
+    """Per-path RIS arrival recovery output; for a stack of records, one
+    row of each per record and its error or None."""
 
     c: np.ndarray               # (Q+1,) elevation cosines
     s: np.ndarray               # (Q+1,) azimuth products
     delta_tilde: np.ndarray     # (Q+1, N) per-subcarrier hybrid gains
     clamped: np.ndarray         # (Q+1,) grid point projected onto the disk
+    errors: list | None = None
 
 
 def estimate_ris_aoa(obs: Observation, setup: Setup,
@@ -227,41 +286,63 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     The grids hold c and s in [-1, 1), so the picked point needs only its
     s projected onto the disk, |s| <= sqrt(1 - c^2); ``clamped`` marks a
     path whose s moved.
+
+    A stack of K observations with a (K, Q+1) stack of sines runs each
+    step once for the stack; a record whose block Grams fail the
+    condition check gets its error in its row of ``errors`` and NaN
+    gains. A lone observation raises that error.
     """
     geom, cfg = setup.geom, setup.cfg
     block_sum = setup.block_sum                                 # (B, T)
     n_blocks, n_slots = block_sum.shape
-    proj = pilot_projection(geom, setup.pilots,
-                            np.atleast_1d(u_hat))               # (T, Q+1)
-    n_paths = proj.shape[1]
+    lone = obs.pa.ndim == 2
+    u_hat = np.atleast_1d(u_hat)
+    proj = pilot_projection(geom, setup.pilots, u_hat.reshape(
+        -1, u_hat.shape[-1]))                                   # (K, T, Q+1)
+    n_rows, _, n_paths = proj.shape
     if np.any(block_sum.sum(axis=1) < n_paths):
         raise RankDeficient("phase block shorter than the path count")
-    ycheck = obs.pa / geom.n_bs                                 # (T, N)
+    ycheck = obs.pa.reshape(n_rows, n_slots, -1) / geom.n_bs     # (K, T, N)
 
-    outer = proj.conj()[:, :, None] * proj[:, None, :]          # (T, Q+1, Q+1)
-    gram = (block_sum @ outer.reshape(n_slots, -1)).reshape(
-        n_blocks, n_paths, n_paths)
-    _check_gram(gram, "block mixing matrix has no right inverse")
-    rhs = proj.conj()[:, :, None] * ycheck[:, None, :]          # (T, Q+1, N)
-    rhs = (block_sum @ rhs.reshape(n_slots, -1)).reshape(n_blocks, n_paths, -1)
-    paths = np.linalg.solve(gram, rhs)                          # (B, Q+1, N)
-
-    ris_dict = setup.ris_dict
-    corr = (setup.ris_eff.conj().T @ paths.reshape(n_blocks, -1)).reshape(
-        ris_dict.size, n_paths, -1)                             # (G_r, Q+1, N)
-    power = setup.ris_eff_power[:, None]
-    support = np.argmax(np.sum(np.abs(corr) ** 2, axis=2) / power, axis=0)
-    delta_tilde = corr[support, np.arange(n_paths)] / power[support]
+    outer = proj.conj()[..., None] * proj[..., None, :]    # (K, T, Q+1, Q+1)
+    gram = (block_sum @ outer.reshape(n_rows, n_slots, -1)).reshape(
+        n_rows, n_blocks, n_paths, n_paths)
+    # the right-hand sides and the correlation over the grid are formed
+    # one path at a time, which keeps a stack's temporaries small
+    rhs = np.stack([block_sum @ (proj[..., q, None].conj() * ycheck)
+                    for q in range(n_paths)], axis=2)     # (K, B, Q+1, N)
+    paths, errors = _solve_rows(
+        gram, rhs, "block mixing matrix has no right inverse")
+    eff_h, power = setup.ris_eff.conj().T, setup.ris_eff_power
+    support = np.empty((n_rows, n_paths), dtype=int)
+    delta_tilde = np.empty((n_rows, n_paths, paths.shape[-1]), dtype=complex)
+    corr = np.empty((n_rows, len(power), paths.shape[-1]), dtype=complex)
+    mag = np.empty(corr.shape)
+    for q in range(n_paths):
+        np.matmul(eff_h, paths[:, :, q], out=corr)              # (K, G_r, N)
+        np.square(np.abs(corr, out=mag), out=mag)
+        support[:, q] = np.argmax(np.sum(mag, axis=2) / power, axis=1)
+        delta_tilde[:, q] = (corr[np.arange(n_rows), support[:, q]]
+                             / power[support[:, q], None])
     k_el, k_az = divmod(support, cfg.g_ris_az)
-    c = ris_dict.elevation.grid[k_el]
-    s_grid = ris_dict.azimuth.grid[k_az]
+    c = setup.ris_dict.elevation.grid[k_el]
+    s_grid = setup.ris_dict.azimuth.grid[k_az]
     rim = np.sqrt(1.0 - c * c)
     s = np.clip(s_grid, -rim, rim)
-    return AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
-                       clamped=s != s_grid)
+    return _one_row(AoaEstimate(c, s, delta_tilde, s != s_grid, errors), lone)
 
 
-def estimate_toa(delta_tilde: np.ndarray, setup: Setup):
+@dataclass
+class DelayEstimate:
+    """Per-path delays and gains; for a stack of records, one row of each
+    per record and its error or None."""
+
+    tau: np.ndarray             # (Q+1,) seconds
+    gains: np.ndarray           # (Q+1,) complex
+    errors: list | None = None
+
+
+def estimate_toa(delta_tilde: np.ndarray, setup: Setup) -> DelayEstimate:
     """Delays and gains of all paths from their hybrid per-subcarrier
     gains D (Q+1, N), one row d per path.
 
@@ -276,69 +357,99 @@ def estimate_toa(delta_tilde: np.ndarray, setup: Setup):
     centre is kept unless the result is strictly better. The gain is the
     least-squares fit ramp(tau)^H d / N on the same ramp.
 
-    Returns (tau_hat, delta_hat), each (Q+1,); raises ``OutOfRange`` when
-    a normalized delay tau B / N falls outside (0, 1).
+    Returns the delays and gains, each (Q+1,); raises ``OutOfRange`` when
+    a normalized delay tau B / N falls outside (0, 1). A stack (K, Q+1, N)
+    runs each step once for the stack and gives (K, Q+1) delays and
+    gains, with the ``OutOfRange`` of a record in its row of ``errors``.
     """
     d = np.asarray(delta_tilde, dtype=complex)
+    lone = d.ndim == 2
+    d = d.reshape((-1,) + d.shape[-2:])                         # (K, Q+1, N)
     n, bw = setup.cfg.n_subcarriers, setup.cfg.bandwidth
-    m0 = np.argmax(np.abs(d @ setup.bin_ramp), axis=1)          # 0-based bins
+    m0 = np.argmax(np.abs(d @ setup.bin_ramp), axis=2)          # 0-based bins
     tau_bin = m0 / bw
     lo, hi = tau_bin - 0.5 / bw, tau_bin + 0.5 / bw
-    grid = np.abs((d * setup.bin_ramp[:, m0].T) @ setup.grid_ramp)
+    grid = np.abs((d * setup.bin_ramp.T[m0]) @ setup.grid_ramp)
     start = np.minimum(np.maximum(
-        tau_bin + setup.grid_offsets[np.argmax(grid, axis=1)], lo), hi)
+        tau_bin + setup.grid_offsets[np.argmax(grid, axis=2)], lo), hi)
     weights = setup.ramp_weights
 
     def ramp_sums(tau):
-        """Columns z, z' and z'' at the delays ``tau``, one row per path."""
+        """z, z' and z'' at the delays ``tau``, the last axis."""
         return (d * np.exp(np.multiply.outer(tau, weights[:, 1]))) @ weights
 
     z = ramp_sums(start)
-    f_start = np.abs(z[:, 0]) ** 2
+    f_start = np.abs(z[..., 0]) ** 2
     tau = start
     for _ in range(_TOA_NEWTON_STEPS):
-        grad = np.real(z[:, 0].conj() * z[:, 1])
-        curv = np.abs(z[:, 1]) ** 2 + np.real(z[:, 0].conj() * z[:, 2])
+        grad = np.real(z[..., 0].conj() * z[..., 1])
+        curv = np.abs(z[..., 1]) ** 2 + np.real(z[..., 0].conj() * z[..., 2])
         # no step where f is not concave: grad / -inf is zero
         tau = np.minimum(np.maximum(
             tau - grad / np.where(curv < 0.0, curv, -np.inf), lo), hi)
         z = ramp_sums(tau)
     # f is flat to rounding near its peak: the Newton point is taken
     # unless it lost more than _TOA_FLAT of the start's f
-    f = np.abs(z[:, 0]) ** 2
+    f = np.abs(z[..., 0]) ** 2
     take = f >= f_start * (1.0 - _TOA_FLAT)
     tau, f = np.where(take, tau, start), np.where(take, f, f_start)
-    tau = np.where(f > np.abs(ramp_sums(tau_bin)[:, 0]) ** 2, tau, tau_bin)
+    tau = np.where(f > np.abs(ramp_sums(tau_bin)[..., 0]) ** 2, tau, tau_bin)
 
     upsilon = tau * bw / n
     outside = ~((upsilon > 0.0) & (upsilon < 1.0))
-    if np.any(outside):
-        raise OutOfRange(
-            f"normalized delay {upsilon[outside][0]} outside (0, 1)")
-    ramp = subcarrier_ramp(tau, bw, n)
-    return tau, np.einsum("nq,qn->q", ramp.conj(), d) / n
+    errors = [OutOfRange(f"normalized delay {row[out][0]} outside (0, 1)")
+              if out.any() else None for row, out in zip(upsilon, outside)]
+    ramp = subcarrier_ramp(tau, bw, n)                          # (N, K, Q+1)
+    gains = np.einsum("nkq,kqn->kq", ramp.conj(), d) / n
+    return _one_row(DelayEstimate(tau, gains, errors), lone)
 
 
 @dataclass
 class CoarseEstimate:
-    """Full coarse-stage output in delay order (the VLoS path first)."""
+    """Full coarse-stage output in delay order (the VLoS path first). For
+    a stack of records the parameters are (K, Q+1) stacks, each flag
+    holds one entry per record, and ``errors`` per record the first
+    error it met or None; ``row`` gives one record's estimate."""
 
     params: ChannelParams
     flags: dict
+    errors: list | None = None
+
+    def row(self, k: int) -> "CoarseEstimate":
+        """Record k's estimate of a stack."""
+        p = self.params
+        return CoarseEstimate(
+            ChannelParams(p.tau[k], p.gains[k], p.u[k], p.c[k], p.s[k]),
+            {name: value[k] for name, value in self.flags.items()})
 
 
-def run_coarse(obs: Observation, setup: Setup,
-               refine_aod: bool = True) -> CoarseEstimate:
-    """Run the four coarse sub-steps and order the paths by delay."""
-    u_hat, _ = estimate_aod_coarse(obs, setup)
-    flags = {}
+def run_coarse(obs: Observation, setup: Setup, refine_aod: bool = True,
+               u_grid: np.ndarray | None = None) -> CoarseEstimate:
+    """Run the four coarse sub-steps and order the paths by delay.
+
+    ``u_grid`` is ``estimate_aod_coarse``'s grid sines, picked here when
+    not given. A stack of observations, left unrefined, runs each grid
+    stage once for the stack, and a record's error stays in its row of
+    ``errors``; a lone observation raises it.
+    """
+    stage_errors = []
+    if u_grid is None:
+        u_grid, picks = estimate_aod_coarse(obs, setup)
+        stage_errors.append(picks.errors)
+    u_hat, flags = u_grid, {}
     if refine_aod:
         u_hat, flags["aod_steps"] = refine_aod_mle(obs, setup, u_hat)
     aoa = estimate_ris_aoa(obs, setup, u_hat)
-    tau, gains = estimate_toa(aoa.delta_tilde, setup)
+    toa = estimate_toa(aoa.delta_tilde, setup)
+    stage_errors += [aoa.errors, toa.errors]
 
-    order = np.argsort(tau, kind="stable")
-    params = ChannelParams(tau[order], gains[order], u_hat[order],
-                           aoa.c[order], aoa.s[order])
-    flags["aoa_clamped"] = aoa.clamped[order].tolist()
-    return CoarseEstimate(params=params, flags=flags)
+    order = np.argsort(toa.tau, axis=-1, kind="stable")
+
+    def by_delay(values):
+        return np.take_along_axis(values, order, axis=-1)
+    params = ChannelParams(*map(by_delay, (toa.tau, toa.gains, u_hat,
+                                           aoa.c, aoa.s)))
+    flags["aoa_clamped"] = by_delay(aoa.clamped).tolist()
+    errors = (None if obs.pa.ndim == 2 else
+              [next(filter(None, row), None) for row in zip(*stage_errors)])
+    return CoarseEstimate(params, flags, errors)

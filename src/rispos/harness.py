@@ -13,13 +13,14 @@ the power-independent part a single time.
 A sweep runs each power's trials in batches of ``BATCH`` consecutive
 trial indices (``run_batch``), fixed by the indices alone, so the worker
 count cannot change them; a pool task is one batch. A batch first draws
-each trial's gains from that trial's own stream and forms, for all its
-trials at once, what depends on the gains alone: the truth, its CRLBs
-and PEB/OEB, and the noiseless fields (``draw_trials``). Then it calls
-``run_trial`` on each trial, which draws the noise and runs every stage
-that can branch or fail. ``run_trial`` stays the unit of work: a record
-per call, called once per trial through this module, and alone it draws
-a batch of one.
+each trial's gains and noise from that trial's own streams and forms,
+for all its trials at once, the truth, its CRLBs and PEB/OEB, and the
+observations; then it runs the grid stages once on the stack: the
+DCS-SOMP picks and, at stage ``coarse``, the RIS arrival and the delay
+step, each trial keeping its own row or error (``draw_trials``). Then it
+calls ``run_trial`` on each trial, which runs the stages that remain.
+``run_trial`` stays the unit of work: a record per call, called once per
+trial through this module, and alone it draws a batch of one.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -412,14 +413,18 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
 class TrialDraw:
     """What one trial draws and forms before its pipeline runs: the truth
     ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
-    ``bounds`` there, the noiseless field ``field`` of
-    ``channel.model_field`` and the seed of its noise."""
+    ``bounds`` there, its observation ``obs``, and what the grid stages
+    gave it: DCS-SOMP's grid sines ``u_grid``, at stage ``coarse`` the
+    whole coarse estimate ``coarse``, or else the ``error`` one of them
+    raised on it."""
 
     true: ChannelParams
     crlb: np.ndarray
     bounds: bnd.BoundReport
-    field: np.ndarray
-    noise_seed: np.random.SeedSequence
+    obs: ch.Observation
+    u_grid: np.ndarray | None = None
+    coarse: ce.CoarseEstimate | None = None
+    error: Exception | None = None
 
 
 def _trial_entropy(exp: ExperimentConfig, power_idx: int,
@@ -431,13 +436,16 @@ def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
                 setup: PowerSetup) -> list[TrialDraw]:
     """The draws of the trials ``trial_indices`` of one power, in order.
 
-    Each trial draws its gains from its own stream, spawned from
-    (master seed, power index, trial index), so a trial's draw does not
-    depend on the trials drawn beside it. Within one power the trials
-    differ only in their gains, so the truth, its bounds and the
-    noiseless fields of all of them are formed at once, as stacks. The
-    stacked products and ``eigh`` make the same BLAS and LAPACK call per
-    trial as on a batch of one, so no number depends on the batch either.
+    Each trial draws its gains and its noise from its own streams,
+    spawned from (master seed, power index, trial index), so a trial's
+    draw does not depend on the trials drawn beside it. Within one power
+    the trials differ only in these draws, so the truth, its bounds and
+    the observations of all of them are formed at once, as stacks, and
+    the grid stages run once on the stack: DCS-SOMP's picks and, at stage
+    ``coarse``, the RIS arrival and the delay step too. A trial that one
+    of them fails keeps its error, and the others go on. The stacked
+    products and ``eigh`` make the same BLAS and LAPACK call per trial as
+    on a batch of one, so no number depends on the batch either.
     """
     seeds = [np.random.SeedSequence(_trial_entropy(exp, power_idx, t)).spawn(2)
              for t in trial_indices]
@@ -446,11 +454,25 @@ def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
                       for gain_seed, _ in seeds])
     truth, rep = setup.truth(gains)
     crlb = angle_crlb(rep.cov_channel, truth)
-    fields = ch.model_field(truth, setup)
+    obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
+                           noiseless=exp.noiseless)
+    u_grid = coarse = None
+    try:
+        if exp.stage == "coarse":
+            coarse = ce.run_coarse(obs, setup, refine_aod=False)
+            errors = coarse.errors
+        else:
+            u_grid, picks = ce.estimate_aod_coarse(obs, setup)
+            errors = picks.errors
+    except (RisposError, np.linalg.LinAlgError) as exc:
+        errors = [exc] * len(seeds)     # raised for the whole batch
     return [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
                                     truth.s),
-                      crlb[k], rep.row(k), fields[k], noise_seed)
-            for k, (_, noise_seed) in enumerate(seeds)]
+                      crlb[k], rep.row(k), obs.row(k),
+                      u_grid=None if u_grid is None else u_grid[k],
+                      coarse=None if coarse is None else coarse.row(k),
+                      error=errors[k])
+            for k in range(len(seeds))]
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
@@ -463,8 +485,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     trial index) so scheduling cannot perturb results. ``setup`` is
     ``power_setup(exp, power_dbm)``, built here when not given, and
     ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
-    when not given. The trial draws its noise and runs every stage that
-    can branch or fail.
+    when not given. The trial runs every stage the batch did not: from
+    the AOD refinement on, or from SAGE on at stage ``coarse``.
     """
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
                       seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
@@ -472,15 +494,16 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         setup = power_setup(exp, power_dbm)
     if draw is None:
         (draw,) = draw_trials(exp, power_idx, [trial_idx], setup)
-    geom, cfg, true = setup.geom, setup.cfg, draw.true
+    geom, cfg, true, obs = setup.geom, setup.cfg, draw.true, draw.obs
     rec.eta_true = true.to_vector()
     rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
 
-    obs = ch.synthesize_rx(setup, true,
-                           noise_seed=np.random.default_rng(draw.noise_seed),
-                           noiseless=exp.noiseless, field=draw.field)
     try:
-        coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
+        if draw.error is not None:
+            raise draw.error
+        coarse = draw.coarse
+        if coarse is None:
+            coarse = ce.run_coarse(obs, setup, u_grid=draw.u_grid)
         rec.stages["coarse"] = coarse.params.to_vector()
         rec.sq_errors["coarse"] = channel_sq_errors(coarse.params, true)
         rec.support_ok = _support_matches(coarse.params, true, cfg.g_ms)
@@ -578,18 +601,27 @@ def _aggregate_trial_bounds(records: list) -> dict:
                           float(np.sqrt(np.mean([r.oeb ** 2 for r in recs]))))
 
 
-def _aggregate_rmse(records: list, stage: str, cls: str,
-                    only_support_ok: bool) -> float:
-    sq = []
-    for rec in records:
-        if rec.error is not None or stage not in rec.sq_errors:
-            continue
-        if only_support_ok and not rec.support_ok:
-            continue
-        sq.append(np.atleast_1d(rec.sq_errors[stage][cls]))
-    if not sq:
-        return np.nan
-    return float(np.sqrt(np.mean(np.concatenate(sq)))) * _CLASSES[cls][1]
+def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
+    """RMSE per class of ``classes`` in report units over one power's
+    records that reached ``stage``, and the same over those of them whose
+    coarse support matched; NaN where no record counts.
+
+    Each class's squared errors are gathered once, in record order, as
+    one row per record, so both means sum the same values in the same
+    order as a walk over the records would.
+    """
+    done = [r for r in records if r.error is None and stage in r.sq_errors]
+    if not done:
+        return ({c: np.nan for c in classes},) * 2
+    sq = np.array([[np.atleast_1d(r.sq_errors[stage][c]) for c in classes]
+                   for r in done])                  # (records, classes, paths)
+    support_ok = np.array([r.support_ok for r in done], dtype=bool)
+
+    def rmse(rows):
+        return {c: (float(np.sqrt(np.mean(rows[:, i].ravel())))
+                    * _CLASSES[c][1] if len(rows) else np.nan)
+                for i, c in enumerate(classes)}
+    return rmse(sq), rmse(sq[support_ok])
 
 
 def run_sweep(exp: ExperimentConfig) -> SweepReport:
@@ -621,12 +653,10 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     for stage in stage_list:
         classes = (("position", "orientation")
                    if stage in ("closed_form", "lm") else CHANNEL_CLASSES)
-        rmse[stage] = {c: np.array([
-            _aggregate_rmse(recs, stage, c, False) for recs in all_records])
-            for c in classes}
-        rmse_filtered[stage] = {c: np.array([
-            _aggregate_rmse(recs, stage, c, True) for recs in all_records])
-            for c in classes}
+        per_power = [_stage_rmse(recs, stage, classes) for recs in all_records]
+        for out, which in ((rmse, 0), (rmse_filtered, 1)):
+            out[stage] = {c: np.array([p[which][c] for p in per_power])
+                          for c in classes}
 
     bounds_ref = {c: np.array([r[c] for r in ref]) for c in REPORT_CLASSES}
     per_trial = [_aggregate_trial_bounds(recs) for recs in all_records]

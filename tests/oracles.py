@@ -391,13 +391,18 @@ def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
 
 
 def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
-                          noise_seed=0, noiseless: bool = False, field=None):
+                          noise_seed=0, noiseless: bool = False):
     """``channel.synthesize_rx`` by way of the received tensor: the
-    observation of ``synthesize_tensor``'s draw. The tensor is built from
-    ``params``; the formed noiseless ``field`` a caller may pass is not
-    read."""
-    return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
-                   setup)
+    observation of ``synthesize_tensor``'s draw, and for a stack of gains
+    the stack of the observations of its rows, each from its own seed."""
+    if params.gains.ndim == 1:
+        return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
+                       setup)
+    rows = [synthesize_via_tensor(
+        setup, ChannelParams(params.tau, gains, params.u, params.c, params.s),
+        seed, noiseless) for gains, seed in zip(params.gains, noise_seed)]
+    return ch.Observation(np.stack([r.pa for r in rows]),
+                          np.stack([r.cov1 for r in rows]))
 
 
 def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
@@ -559,6 +564,18 @@ def refine_aod_cyclic(obs: ch.Observation, setup: ch.Setup,
     raise AssertionError(f"no fixed point in {max_passes} passes")
 
 
+def _check_gram(gram: np.ndarray, what: str) -> None:
+    """``RankDeficient(what)`` unless every Gram of ``gram`` passes the
+    package's condition check."""
+    if not np.all(ce._well_conditioned(gram)):
+        raise RankDeficient(what)
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    _check_gram(gram, "selected dictionary columns are linearly dependent")
+    return np.linalg.solve(gram, rhs)
+
+
 @dataclass
 class SompFit:
     """DCS-SOMP's support, its per-subcarrier projection coefficients
@@ -597,7 +614,7 @@ def dcs_somp_tensor(measurements: np.ndarray, dictionary: np.ndarray,
         support.append(int(np.argmax(corr)))
         sel = theta[:, support]
         gram = sel.conj().T @ sel
-        coeffs = ce._solve_gram(gram, proj_y[:, support, :])
+        coeffs = _solve_gram(gram, proj_y[:, support, :])
         norms.append(float(np.linalg.norm(y - sel @ coeffs)))
         np.matmul(theta_h @ sel, coeffs, out=psi)
         np.subtract(proj_y, psi, out=psi)
@@ -633,7 +650,7 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
     norms = [np.sqrt(np.vdot(resid, resid).real)]
     for k in range(1, sparsity + 1):
         sel = theta[:, support[:k]]
-        coef = ce._solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
+        coef = _solve_gram(sel.conj().T @ sel, sel.conj().T @ y_flat)
         resid = y_flat - sel @ coef
         norms.append(np.sqrt(np.vdot(resid, resid).real))
     return SompFit(
@@ -644,7 +661,7 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
 
 def _right_inverse(mat: np.ndarray) -> np.ndarray:
     gram = mat @ mat.conj().T
-    ce._check_gram(gram, "block mixing matrix has no right inverse")
+    _check_gram(gram, "block mixing matrix has no right inverse")
     return mat.conj().T @ np.linalg.inv(gram)
 
 

@@ -1,5 +1,7 @@
 """Sparse recovery, AOD refinement, RIS AOA recovery, and delay estimation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,8 +16,8 @@ from rispos import _damping as dm
 from rispos import coarse_est as ce
 from rispos import geometry as gm
 from rispos import harness as hn
-from rispos.errors import (OutOfRange, RankDeficient, SingularConcentration,
-                           SparsityInfeasible)
+from rispos.errors import (OutOfRange, RankDeficient, RisposError,
+                           SingularConcentration, SparsityInfeasible)
 from rispos.params import ChannelParams
 
 
@@ -505,7 +507,8 @@ def _toa_one_path(d, setup):
     1-based DFT bin, bin delay - tau_hat). At a bracket end tau_hat is
     (m +- 1/2) / B, which names no bin, so the bin is d's DFT peak, checked
     to lie within half a bin of tau_hat."""
-    (tau_hat,), (delta_hat,) = ce.estimate_toa(d[None, :], setup)
+    est = ce.estimate_toa(d[None, :], setup)
+    (tau_hat,), (delta_hat,) = est.tau, est.gains
     m0 = int(np.argmax(np.abs(np.fft.ifft(d))))
     bw = setup.cfg.bandwidth
     assert abs(tau_hat * bw - m0) <= 0.5 + 1e-12
@@ -599,6 +602,66 @@ def test_estimate_toa_out_of_range(setup20):
         ce.estimate_toa(d[None, :], setup20.setup)
 
 
+def _grid_stage_rows(stage, s):
+    """Three lone inputs of one grid stage, the middle one failing, and
+    the stage as a map from a list of them, stacked, or from one alone,
+    to its result."""
+    if stage == "picks":
+        rng = np.random.default_rng(8)
+        theta = _complex_normal(rng, 8, 20)
+        theta[:, 1] = theta[:, 0]
+        ys = [_complex_normal(rng, 8, 30) for _ in range(2)]
+        # a zero record picks columns 0 and 1, which are one column twice
+        rows = [ys[0] @ ys[0].conj().T, np.zeros((8, 8), complex),
+                ys[1] @ ys[1].conj().T]
+        return rows, lambda x: ce.pick_columns(
+            np.stack(x) if isinstance(x, list) else x, theta, 3)
+    if stage == "ris_aoa":
+        rows = [(s.obs_noisy, s.true.u), (s.obs_noisy, np.array([0.3, 0.3])),
+                (s.obs_clean, s.true.u)]
+
+        def run(x):
+            if not isinstance(x, list):
+                return ce.estimate_ris_aoa(x[0], s.setup, x[1])
+            obs = ch.Observation(np.stack([o.pa for o, _ in x]),
+                                 np.stack([o.cov1 for o, _ in x]))
+            return ce.estimate_ris_aoa(obs, s.setup,
+                                       np.stack([u for _, u in x]))
+        return rows, run
+    good = [ce.estimate_ris_aoa(obs, s.setup, s.true.u).delta_tilde
+            for obs in (s.obs_noisy, s.obs_clean)]
+    # flat gains peak at DFT bin 0: delay 0, outside (0, 1)
+    rows = [good[0], np.ones_like(good[0]), good[1]]
+    return rows, lambda x: ce.estimate_toa(
+        np.stack(x) if isinstance(x, list) else x, s.setup)
+
+
+@pytest.mark.parametrize("stage", ["picks", "ris_aoa", "toa"])
+def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, setup20):
+    """A grid stage on a stack runs each row as its lone call does: with
+    a failing row between two good ones, each good row equals its lone
+    call bit for bit, and the failing row carries the error its lone call
+    raises, class and message, without stopping the others."""
+    rows, run = _grid_stage_rows(stage, setup20)
+    stacked = run(rows)
+    assert [e is None for e in stacked.errors] == [True, False, True]
+    for k, row in enumerate(rows):
+        if k == 1:
+            with pytest.raises(RisposError) as raised:
+                run(row)
+            error = stacked.errors[k]
+            assert type(error) is type(raised.value)
+            assert str(error) == str(raised.value)
+            continue
+        alone = run(row)
+        assert alone.errors is None
+        for f in dataclasses.fields(alone):
+            if f.name != "errors":
+                assert (np.asarray(getattr(stacked, f.name)[k]).tobytes()
+                        == np.asarray(getattr(alone, f.name)).tobytes()), (
+                            k, f.name)
+
+
 def _assert_toa_matches_search(gains, setup, what):
     """``estimate_toa`` on the rows of ``gains`` (paths, N) against the
     half-bin search oracle path by path: the same ``OutOfRange`` outcome,
@@ -610,7 +673,8 @@ def _assert_toa_matches_search(gains, setup, what):
         with pytest.raises(OutOfRange):
             ce.estimate_toa(gains, setup)
         return True
-    tau, delta = ce.estimate_toa(gains, setup)
+    est = ce.estimate_toa(gains, setup)
+    tau, delta = est.tau, est.gains
     ref_tau = np.array([r[0] for r in ref])
     ref_delta = np.array([r[1] for r in ref])
     assert np.max(np.abs(tau - ref_tau)) * setup.cfg.bandwidth <= 1e-9, what

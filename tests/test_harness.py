@@ -283,6 +283,29 @@ def test_batched_sweep_equals_lone_trials():
         assert _bits(hn.angle_crlb(rep.cov_channel, true)) == _bits(crlb[k])
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(stage="coarse", noiseless=True),
+    dict(stage="aod_mle"),
+], ids=["noiseless", "aod_mle"])
+def test_batched_stages_equal_lone_trials(overrides):
+    """Noiseless observations, and at stage ``aod_mle`` the stacked picks
+    followed by each trial's AOD refinement, RIS arrival and delay step,
+    give every sweep record its lone trial's bits, over a full batch and
+    a partial one."""
+    exp = hn.ExperimentConfig(master_seed=77, n_trials=hn.BATCH + 4,
+                              **overrides)
+    report = hn.run_sweep(exp)
+    for p_idx, (power, setup, recs) in enumerate(zip(
+            exp.powers_dbm, hn.power_setups(exp, exp.powers_dbm),
+            report.records)):
+        for rec in recs:
+            alone = hn.run_trial(exp, power, p_idx, rec.trial_index, setup)
+            for f in dataclasses.fields(rec):
+                assert (_bits(getattr(rec, f.name))
+                        == _bits(getattr(alone, f.name))), (rec.trial_index,
+                                                            f.name)
+
+
 def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
     """A serial sweep runs every trial through the module's ``run_trial``,
     in trial order, so a wrapper of it sees each trial once."""
