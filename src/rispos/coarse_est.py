@@ -25,6 +25,8 @@ step) also take a stack of K records, as a sweep's batch does: each
 product then runs once for the stack, and a record that fails keeps
 its typed error in its row of the result's ``errors`` while the others
 go on. A lone record is a stack of one whose error is raised.
+``run_coarse`` runs all four sub-steps on a stack, the likelihood
+refinement one record at a time.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 from ._damping import ascend
 from .channel import (Observation, Setup, ms_sine_steering, pilot_projection,
                       subcarrier_ramp)
-from .errors import (OutOfRange, RankDeficient, SingularConcentration,
-                     SparsityInfeasible)
+from .errors import (OutOfRange, RankDeficient, RisposError,
+                     SingularConcentration, SparsityInfeasible)
 from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
@@ -180,18 +182,16 @@ def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
     tr(G^-1 A^H S A) (constant dropped). Returns a map from an (n, P)
     stack of sine vectors to the (n,) values, from one batched solve; it
     raises ``SingularConcentration`` when any G is not finite or has a
-    condition number above 1e12.
+    condition number above 1e12 (``_well_conditioned``).
     """
     def objective(stack: np.ndarray) -> np.ndarray:
         a = np.moveaxis(ms_sine_steering(geom, stack), 0, 1)    # (n, N_m, P)
         a_h = a.conj().transpose(0, 2, 1)
         gram = a_h @ (c_mat @ a)
-        if np.all(np.isfinite(gram)):
-            eig = np.linalg.eigvalsh(gram)
-            if np.all(eig[:, 0] > eig[:, -1] / _COND_LIMIT):
-                return np.trace(np.linalg.solve(gram, a_h @ (s_mat @ a)),
-                                axis1=1, axis2=2).real
-        raise SingularConcentration("departure angles collide")
+        if not _well_conditioned(gram).all():
+            raise SingularConcentration("departure angles collide")
+        return np.trace(np.linalg.solve(gram, a_h @ (s_mat @ a)),
+                        axis1=1, axis2=2).real
     return objective
 
 
@@ -423,25 +423,31 @@ class CoarseEstimate:
             {name: value[k] for name, value in self.flags.items()})
 
 
-def run_coarse(obs: Observation, setup: Setup, refine_aod: bool = True,
-               u_grid: np.ndarray | None = None) -> CoarseEstimate:
-    """Run the four coarse sub-steps and order the paths by delay.
-
-    ``u_grid`` is ``estimate_aod_coarse``'s grid sines, picked here when
-    not given. A stack of observations, left unrefined, runs each grid
-    stage once for the stack, and a record's error stays in its row of
-    ``errors``; a lone observation raises it.
+def run_coarse(obs: Observation, setup: Setup,
+               refine_aod: bool = True) -> CoarseEstimate:
+    """Run the four coarse sub-steps on a stack of observations and order
+    the paths by delay: the picks, the RIS arrival and the delay step once
+    for the stack, the AOD refinement, when ``refine_aod``, on each record
+    whose picks succeeded. A record's first error, in stage order, stays
+    in its row of ``errors``; a lone observation is a stack of one whose
+    error is raised and whose row is returned.
     """
-    stage_errors = []
-    if u_grid is None:
-        u_grid, picks = estimate_aod_coarse(obs, setup)
-        stage_errors.append(picks.errors)
-    u_hat, flags = u_grid, {}
+    lone = obs.pa.ndim == 2
+    if lone:
+        obs = Observation(obs.pa[None], obs.cov1[None])
+    u_hat, picks = estimate_aod_coarse(obs, setup)
+    errors, flags = list(picks.errors), {}
     if refine_aod:
-        u_hat, flags["aod_steps"] = refine_aod_mle(obs, setup, u_hat)
+        flags["aod_steps"] = [None] * len(errors)
+        for k, error in enumerate(errors):
+            if error is None:
+                try:
+                    u_hat[k], flags["aod_steps"][k] = refine_aod_mle(
+                        obs.row(k), setup, u_hat[k])
+                except (RisposError, np.linalg.LinAlgError) as exc:
+                    errors[k] = exc
     aoa = estimate_ris_aoa(obs, setup, u_hat)
     toa = estimate_toa(aoa.delta_tilde, setup)
-    stage_errors += [aoa.errors, toa.errors]
 
     order = np.argsort(toa.tau, axis=-1, kind="stable")
 
@@ -450,6 +456,9 @@ def run_coarse(obs: Observation, setup: Setup, refine_aod: bool = True,
     params = ChannelParams(*map(by_delay, (toa.tau, toa.gains, u_hat,
                                            aoa.c, aoa.s)))
     flags["aoa_clamped"] = by_delay(aoa.clamped).tolist()
-    errors = (None if obs.pa.ndim == 2 else
-              [next(filter(None, row), None) for row in zip(*stage_errors)])
-    return CoarseEstimate(params, flags, errors)
+    est = CoarseEstimate(params, flags, [
+        next(filter(None, row), None)
+        for row in zip(errors, aoa.errors, toa.errors)])
+    if lone and est.errors[0] is not None:
+        raise est.errors[0]
+    return est.row(0) if lone else est

@@ -15,10 +15,10 @@ trial indices (``run_batch``), fixed by the indices alone, so the worker
 count cannot change them; a pool task is one batch. A batch first draws
 each trial's gains and noise from that trial's own streams and forms,
 for all its trials at once, the truth, its CRLBs and PEB/OEB, and the
-observations; then it runs the grid stages once on the stack: the
-DCS-SOMP picks and, at stage ``coarse``, the RIS arrival and the delay
-step, each trial keeping its own row or error (``draw_trials``). Then it
-calls ``run_trial`` on each trial, which runs the stages that remain.
+observations; then it runs the coarse stage on the stack, the AOD
+refinement trial by trial, each trial keeping its own row or error
+(``draw_trials``). Then it calls ``run_trial`` on each trial, which
+scores the coarse estimate and runs the stages after it.
 ``run_trial`` stays the unit of work: a record per call, called once per
 trial through this module, and alone it draws a batch of one.
 
@@ -277,11 +277,14 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
             cov.shape[:-1])
 
 
-def channel_sq_errors(est: ChannelParams, true: ChannelParams) -> dict:
-    """Per-class squared errors (per path) after association, in angles."""
+def channel_sq_errors(est: ChannelParams, true: ChannelParams,
+                      true_angles: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Per-class squared errors (per path) in angles after association,
+    given the truth's ``channel_angles``, and the association."""
     perm = associate_paths(est.u, true.u)
-    diff = channel_angles(est)[perm] - channel_angles(true)
-    return {cls: diff[:, _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES}
+    diff = channel_angles(est)[perm] - true_angles
+    return ({cls: diff[:, _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES},
+            perm)
 
 
 def position_sq_errors(est: PositionParams, true_geom: ScenarioGeometry) -> dict:
@@ -308,13 +311,6 @@ class TrialRecord:
     support_ok: bool = False
     flags: dict = field(default_factory=dict)
     error: str | None = None
-
-
-def _support_matches(est: ChannelParams, true: ChannelParams,
-                     g_ms: int) -> bool:
-    """Coarse support within 1.5 grid cells of every true departure sine."""
-    perm = associate_paths(est.u, true.u)
-    return bool(np.all(np.abs(est.u[perm] - true.u) <= 1.5 * 2.0 / g_ms))
 
 
 @dataclass
@@ -413,16 +409,14 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
 class TrialDraw:
     """What one trial draws and forms before its pipeline runs: the truth
     ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
-    ``bounds`` there, its observation ``obs``, and what the grid stages
-    gave it: DCS-SOMP's grid sines ``u_grid``, at stage ``coarse`` the
-    whole coarse estimate ``coarse``, or else the ``error`` one of them
-    raised on it."""
+    ``bounds`` there, its observation ``obs``, and its coarse estimate
+    ``coarse``, refined at every stage but ``coarse``, or else the
+    ``error`` the coarse stage raised on it."""
 
     true: ChannelParams
     crlb: np.ndarray
     bounds: bnd.BoundReport
     obs: ch.Observation
-    u_grid: np.ndarray | None = None
     coarse: ce.CoarseEstimate | None = None
     error: Exception | None = None
 
@@ -441,9 +435,9 @@ def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
     draw does not depend on the trials drawn beside it. Within one power
     the trials differ only in these draws, so the truth, its bounds and
     the observations of all of them are formed at once, as stacks, and
-    the grid stages run once on the stack: DCS-SOMP's picks and, at stage
-    ``coarse``, the RIS arrival and the delay step too. A trial that one
-    of them fails keeps its error, and the others go on. The stacked
+    ``coarse_est.run_coarse`` runs the coarse stage on the stack, its AOD
+    refinement on at every stage but ``coarse``. A trial that one of its
+    sub-steps fails keeps its error, and the others go on. The stacked
     products and ``eigh`` make the same BLAS and LAPACK call per trial as
     on a batch of one, so no number depends on the batch either.
     """
@@ -456,22 +450,14 @@ def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
     crlb = angle_crlb(rep.cov_channel, truth)
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
                            noiseless=exp.noiseless)
-    u_grid = coarse = None
     try:
-        if exp.stage == "coarse":
-            coarse = ce.run_coarse(obs, setup, refine_aod=False)
-            errors = coarse.errors
-        else:
-            u_grid, picks = ce.estimate_aod_coarse(obs, setup)
-            errors = picks.errors
+        coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
+        rows = [(coarse.row(k), e) for k, e in enumerate(coarse.errors)]
     except (RisposError, np.linalg.LinAlgError) as exc:
-        errors = [exc] * len(seeds)     # raised for the whole batch
+        rows = [(None, exc)] * len(seeds)       # raised for the whole batch
     return [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
                                     truth.s),
-                      crlb[k], rep.row(k), obs.row(k),
-                      u_grid=None if u_grid is None else u_grid[k],
-                      coarse=None if coarse is None else coarse.row(k),
-                      error=errors[k])
+                      crlb[k], rep.row(k), obs.row(k), *rows[k])
             for k in range(len(seeds))]
 
 
@@ -485,8 +471,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     trial index) so scheduling cannot perturb results. ``setup`` is
     ``power_setup(exp, power_dbm)``, built here when not given, and
     ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
-    when not given. The trial runs every stage the batch did not: from
-    the AOD refinement on, or from SAGE on at stage ``coarse``.
+    when not given. The draw holds the coarse estimate; the trial scores
+    it and runs the stages after it, from SAGE on.
     """
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
                       seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
@@ -501,20 +487,22 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     try:
         if draw.error is not None:
             raise draw.error
-        coarse = draw.coarse
-        if coarse is None:
-            coarse = ce.run_coarse(obs, setup, u_grid=draw.u_grid)
-        rec.stages["coarse"] = coarse.params.to_vector()
-        rec.sq_errors["coarse"] = channel_sq_errors(coarse.params, true)
-        rec.support_ok = _support_matches(coarse.params, true, cfg.g_ms)
-        rec.flags.update(coarse.flags)
-        est = coarse.params
+        est = draw.coarse.params
+        true_angles = channel_angles(true)
+        rec.stages["coarse"] = est.to_vector()
+        rec.sq_errors["coarse"], perm = channel_sq_errors(est, true,
+                                                          true_angles)
+        # coarse support within 1.5 grid cells of every true departure sine
+        rec.support_ok = bool(np.all(np.abs(est.u[perm] - true.u)
+                                     <= 1.5 * 2.0 / cfg.g_ms))
+        rec.flags.update(draw.coarse.flags)
         j_est = None
 
         if exp.stage in ("sage", "lm"):
             refined, info = sg.run_sage(obs, setup, est)
             rec.stages["sage"] = refined.to_vector()
-            rec.sq_errors["sage"] = channel_sq_errors(refined, true)
+            rec.sq_errors["sage"], _ = channel_sq_errors(refined, true,
+                                                         true_angles)
             rec.flags["sage_converged"] = info.converged
             rec.flags["sage_scoring_steps"] = info.scoring_steps
             # the FIM of SAGE's last scoring step, when it converged, is

@@ -662,6 +662,39 @@ def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, setup20):
                             k, f.name)
 
 
+def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
+                                                         setup20):
+    """With the AOD refinement raising on the middle of three stacked
+    records, ``run_coarse`` gives each other record its lone estimate bit
+    for bit, parameters and flags, and the middle one the error its lone
+    call raises, class and message."""
+    s = setup20
+    rows = [s.obs_noisy, s.obs_clean, ch.synthesize_rx(s.setup, s.true, 4)]
+    refine = ce.refine_aod_mle
+
+    def failing(obs, setup, u_init):
+        if np.array_equal(obs.pa, rows[1].pa):
+            raise SingularConcentration("stubbed collision")
+        return refine(obs, setup, u_init)
+
+    monkeypatch.setattr(ce, "refine_aod_mle", failing)
+    stacked = ce.run_coarse(ch.Observation(
+        np.stack([o.pa for o in rows]), np.stack([o.cov1 for o in rows])),
+        s.setup)
+    assert [e is None for e in stacked.errors] == [True, False, True]
+    with pytest.raises(RisposError) as raised:
+        ce.run_coarse(rows[1], s.setup)
+    assert type(stacked.errors[1]) is type(raised.value)
+    assert str(stacked.errors[1]) == str(raised.value) == "stubbed collision"
+    for k in (0, 2):
+        alone, row = ce.run_coarse(rows[k], s.setup), stacked.row(k)
+        for f in dataclasses.fields(alone.params):
+            assert (getattr(row.params, f.name).tobytes()
+                    == getattr(alone.params, f.name).tobytes()), (k, f.name)
+        assert row.flags == alone.flags
+        assert type(row.flags["aod_steps"]) is int
+
+
 def _assert_toa_matches_search(gains, setup, what):
     """``estimate_toa`` on the rows of ``gains`` (paths, N) against the
     half-bin search oracle path by path: the same ``OutOfRange`` outcome,

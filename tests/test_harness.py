@@ -286,12 +286,13 @@ def test_batched_sweep_equals_lone_trials():
 @pytest.mark.parametrize("overrides", [
     dict(stage="coarse", noiseless=True),
     dict(stage="aod_mle"),
-], ids=["noiseless", "aod_mle"])
+    dict(stage="lm"),
+], ids=["noiseless", "aod_mle", "lm"])
 def test_batched_stages_equal_lone_trials(overrides):
-    """Noiseless observations, and at stage ``aod_mle`` the stacked picks
-    followed by each trial's AOD refinement, RIS arrival and delay step,
-    give every sweep record its lone trial's bits, over a full batch and
-    a partial one."""
+    """Noiseless observations, and at stages ``aod_mle`` and ``lm`` the
+    stacked coarse stage with each trial's AOD refinement inside it, give
+    every sweep record its lone trial's bits, over a full batch and a
+    partial one."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=hn.BATCH + 4,
                               **overrides)
     report = hn.run_sweep(exp)
