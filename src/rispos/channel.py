@@ -232,7 +232,17 @@ class Setup:
     another power, which shares every other array; so the setup makes
     those arrays read-only. It keeps its own copies of ``geom`` and
     ``sched`` to do so, and the caller's stay writable.
+
+    ``stack`` joins such setups into one for a stack of records at
+    several powers: each of ``POWER_FIELDS`` gains a leading row axis,
+    pilots (K, N_m, T) and ``aod_proj`` (K, T1, G_ms), and ``row(k)`` is
+    record k's own setup. The stacked stages take it as they take a lone
+    setup, whose arrays every record shares.
     """
+
+    # what depends on the transmit power besides ``cfg``: a stacked
+    # setup holds these with a leading row axis
+    POWER_FIELDS = ("pilots", "aod_proj")
 
     geom: ScenarioGeometry
     cfg: SystemConfig
@@ -251,6 +261,8 @@ class Setup:
     grid_ramp: np.ndarray = field(init=False)        # (N, 41)
     grid_offsets: np.ndarray = field(init=False)     # (41,) seconds
     ramp_weights: np.ndarray = field(init=False)     # (N, 3)
+    # the lone setup of each row of a stacked setup, or None
+    rows: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.sched.n_slots != self.cfg.t_total:
@@ -305,6 +317,29 @@ class Setup:
         other._power_fields()
         return other
 
+    @staticmethod
+    def stack(rows: list) -> "Setup":
+        """One setup for a stack of records, record k at the power of the
+        lone setup ``rows[k]``; every setup of ``rows`` must be ``at_power``
+        of the others. Each of ``POWER_FIELDS`` is stacked along a leading
+        row axis and every other array is shared. Its ``cfg`` holds no one
+        power: ``p_tx`` is NaN, which no stacked stage reads."""
+        first = rows[0]
+        if any(r.rows is not None or r.a_m_dict is not first.a_m_dict
+               for r in rows):
+            raise ValueError("stack takes lone setups at_power of one another")
+        out = copy.copy(first)
+        out.cfg = dataclasses.replace(first.cfg, p_tx=np.nan)
+        for name in out.POWER_FIELDS:
+            setattr(out, name, np.stack([getattr(r, name) for r in rows]))
+        out.rows = list(rows)
+        return out
+
+    def row(self, k: int) -> "Setup":
+        """Record k's own setup: row k of a stacked setup, or this lone
+        setup, which every record shares."""
+        return self if self.rows is None else self.rows[k]
+
 
 def ris_factors(setup: Setup, c, s) -> tuple:
     """Elevation and azimuth factors of the RIS response, a_R = a_el (x)
@@ -340,10 +375,11 @@ def build_dictionaries(setup: Setup) -> tuple[Dictionary, RisDictionary]:
 def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
                      u) -> np.ndarray:
     """p_t = a_M(u)^H x_t per slot; (T,) or (T, n) for array sines, and
-    (K, T, n) for a (K, n) stack of them."""
+    (K, T, n) for a (K, n) stack of them or for pilots stacked (K, N_m, T),
+    one matrix product per record either way."""
     steer = ms_sine_steering(geom, u)
-    return pilots.T @ (np.moveaxis(steer, 0, 1) if steer.ndim == 3
-                       else steer).conj()
+    return np.swapaxes(pilots, -1, -2) @ (
+        np.moveaxis(steer, 0, 1) if steer.ndim == 3 else steer).conj()
 
 
 def slot_factors(setup: Setup, cols: np.ndarray) -> np.ndarray:
@@ -381,7 +417,8 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
     all its parameter derivatives share that rank-1 structure, and
     |a_B|^2 = N_b is all the estimators need of a_B. Parameters whose
     gains are a stack (K, Q+1) give the K fields (K, T, N) of those
-    gains, one product per field.
+    gains, one product per field; a stacked setup (``Setup.stack``)
+    gives field k at the pilots of its row k.
     """
     sigma, proj, ramp = path_factors(params, setup)
     return (sigma * proj * params.gains[..., None, :]) @ ramp.T
@@ -423,7 +460,9 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     of those gains as one stacked ``Observation``, pa (K, T, N) and cov1
     (K, T1, T1); ``noise_seed`` is then a sequence of K seeds, and each
     observation draws its noise from its own seed in the order above, so
-    it equals the observation of its gains drawn alone.
+    it equals the observation of its gains drawn alone. With a stacked
+    setup (``Setup.stack``) observation k is also at its own row's
+    pilots, as it would be drawn with that row's lone setup.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)

@@ -48,9 +48,7 @@ def _cmd_bounds(args) -> int:
     exp = _load_config(args)
     rows = ["power_dbm," + ",".join(
         f"bound_{c}" for c in harness.REPORT_CLASSES)]
-    for p, setup in zip(exp.powers_dbm,
-                        harness.power_setups(exp, exp.powers_dbm)):
-        ref = harness.reference_bounds(exp, p, setup)
+    for p, ref in zip(exp.powers_dbm, harness.reference_bounds(exp)):
         rows.append(",".join([f"{p:.12e}"] + [
             f"{ref[c]:.12e}" for c in harness.REPORT_CLASSES]))
     print("\n".join(rows))

@@ -24,9 +24,12 @@ The grid stages (the departure picks, the RIS arrival and the delay
 step) also take a stack of K records, as a sweep's batch does: each
 product then runs once for the stack, and a record that fails keeps
 its typed error in its row of the result's ``errors`` while the others
-go on. A lone record is a stack of one whose error is raised.
-``run_coarse`` runs all four sub-steps on a stack, the likelihood
-refinement one record at a time.
+go on. A lone record is a stack of one whose error is raised. The
+records of a stack may be at different transmit powers: a stacked setup
+(``channel.Setup.stack``) holds the pilots and the projected AOD
+dictionary with a leading row axis, and each record's products then
+read its own row. ``run_coarse`` runs all four sub-steps on a stack,
+the likelihood refinement one record at a time with its own setup.
 """
 
 from __future__ import annotations
@@ -123,10 +126,11 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     A stack of covariances (K, M, M) runs each product once for the
     stack; its result holds the K supports and norms, and for a record
     whose picked columns are linearly dependent the error in its row of
-    ``errors``. A lone covariance raises that error.
+    ``errors``. A lone covariance raises that error. The dictionary is
+    shared by every record (M, G), or a stack (K, M, G) of one per record.
     """
     theta = np.asarray(dictionary, dtype=complex)
-    n_meas = theta.shape[0]
+    n_meas = theta.shape[-2]
     lone = cov.ndim == 2
     if cov.shape[-2:] != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
         raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
@@ -134,17 +138,19 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     cov = cov.reshape((-1, n_meas, n_meas))
     rows = np.arange(len(cov))[:, None]
     # unequal column norms (random phase profiles) must not bias the pick
-    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=0), 1e-300)
+    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=-2), 1e-300)
+    theta_h = theta.conj()
+    columns = np.broadcast_to(theta, cov.shape[:1] + theta.shape[-2:])
     support = np.zeros((len(cov), 0), dtype=int)
     errors = [None] * len(cov)
     resid = cov
     norms = [np.trace(cov, axis1=1, axis2=2).real]
     for _ in range(sparsity):
-        corr = np.einsum("mg,kmg->kg", theta.conj(),
+        corr = np.einsum("...mg,...mg->...g", theta_h,
                          resid @ theta).real / col_power
         corr[rows, support] = -np.inf    # residual is orthogonal to these
         support = np.hstack([support, np.argmax(corr, axis=1)[:, None]])
-        sel = theta.T[support].transpose(0, 2, 1)          # (K, M, picks)
+        sel = columns.swapaxes(1, 2)[rows, support].transpose(0, 2, 1)
         sel_h = sel.conj().transpose(0, 2, 1)
         proj, failed = _solve_rows(
             sel_h @ sel, sel_h,
@@ -290,7 +296,8 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     A stack of K observations with a (K, Q+1) stack of sines runs each
     step once for the stack; a record whose block Grams fail the
     condition check gets its error in its row of ``errors`` and NaN
-    gains. A lone observation raises that error.
+    gains. A lone observation raises that error. A stacked setup gives
+    each record's pilot projections its own row's pilots.
     """
     geom, cfg = setup.geom, setup.cfg
     block_sum = setup.block_sum                                 # (B, T)
@@ -428,9 +435,10 @@ def run_coarse(obs: Observation, setup: Setup,
     """Run the four coarse sub-steps on a stack of observations and order
     the paths by delay: the picks, the RIS arrival and the delay step once
     for the stack, the AOD refinement, when ``refine_aod``, on each record
-    whose picks succeeded. A record's first error, in stage order, stays
-    in its row of ``errors``; a lone observation is a stack of one whose
-    error is raised and whose row is returned.
+    whose picks succeeded, with that record's own setup (``Setup.row``).
+    A record's first error, in stage order, stays in its row of
+    ``errors``; a lone observation is a stack of one whose error is
+    raised and whose row is returned.
     """
     lone = obs.pa.ndim == 2
     if lone:
@@ -443,7 +451,7 @@ def run_coarse(obs: Observation, setup: Setup,
             if error is None:
                 try:
                     u_hat[k], flags["aod_steps"][k] = refine_aod_mle(
-                        obs.row(k), setup, u_hat[k])
+                        obs.row(k), setup.row(k), u_hat[k])
                 except (RisposError, np.linalg.LinAlgError) as exc:
                     errors[k] = exc
     aoa = estimate_ris_aoa(obs, setup, u_hat)

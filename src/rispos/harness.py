@@ -10,17 +10,26 @@ the bounds read of the truth: the true parameters at unit gains
 at the true pose. ``power_setups`` builds a sweep's setups at once,
 the power-independent part a single time.
 
-A sweep runs each power's trials in batches of ``BATCH`` consecutive
-trial indices (``run_batch``), fixed by the indices alone, so the worker
-count cannot change them; a pool task is one batch. A batch first draws
-each trial's gains and noise from that trial's own streams and forms,
-for all its trials at once, the truth, its CRLBs and PEB/OEB, and the
-observations; then it runs the coarse stage on the stack, the AOD
-refinement trial by trial, each trial keeping its own row or error
-(``draw_trials``). Then it calls ``run_trial`` on each trial, which
-scores the coarse estimate and runs the stages after it.
+A sweep runs its trials in batches (``run_batch``): a batch is a block
+of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
+of them, so it holds at most ``BATCH`` trials (or one per power beyond
+``BATCH`` powers) and a sweep of one trial per power is one batch. The
+block follows from the config alone, so the worker count cannot change
+it; a pool task is one block. Within one sweep the trials differ only in
+their drawn gains and noise and, across powers, in the pilots, the
+projected AOD dictionary and the truth's Gram, which a stacked setup
+(``channel.Setup.stack``) holds one row per trial. So a batch first
+draws each trial's gains and noise from that trial's own streams and
+forms, for all its trials at once, the truth, its CRLBs and PEB/OEB,
+and the observations; then it runs the coarse stage on the stack, the
+AOD refinement trial by trial, each trial keeping its own row or error
+(``draw_trials``). Then it calls ``run_trial`` on each trial, power by
+power, which scores the coarse estimate and runs the stages after it.
 ``run_trial`` stays the unit of work: a record per call, called once per
-trial through this module, and alone it draws a batch of one.
+trial through this module, and alone it draws a batch of one. The block
+is ``BATCH`` // powers indices, not ``BATCH``, because a stack's
+temporaries grow with its rows: the cap on rows bounds a sweep's peak
+memory.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -30,15 +39,12 @@ the reported channel errors and CRLBs are in angles (``channel_angles``,
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import dataclasses
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import bounds as bnd
 from . import channel as ch
@@ -53,8 +59,9 @@ _TAG_PILOTS = 1
 _TAG_SCHEDULE = 2
 _TAG_TRIAL = 3
 
-# trials per batch of one power's trials, taken in trial-index order: the
-# unit of ``draw_trials`` and of a pool task
+# the most trials a batch holds: a block of max(1, BATCH // powers)
+# consecutive trial indices at every power, the unit of ``draw_trials``
+# and of a pool task
 BATCH = 16
 
 STAGES = ("coarse", "aod_mle", "sage", "lm")
@@ -187,6 +194,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        import yaml     # only a config file needs it
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = yaml.safe_load(fh)
@@ -330,11 +339,14 @@ class PowerSetup(ch.Setup):
     ``true_gram`` depends on the transmit power beside the channel
     setup's ``cfg``, ``pilots`` and ``aod_proj``. So a sweep builds the
     rest once (``power_setups``) and hands each power's setup to its
-    trials and to the reference bounds. ``truth`` takes one trial's gains
+    trials, and a stacked setup (``channel.Setup.stack``) holds
+    ``true_gram`` one row per trial too. ``truth`` takes one trial's gains
     or a batch's stack of them: ``draw_trials`` forms a batch's truth and
-    bounds in one stacked pass, of which a lone trial and the reference
-    bounds are the one-row case.
+    bounds in one stacked pass over its powers, and ``reference_bounds``
+    the sweep's, of which a lone trial is the one-row case.
     """
+
+    POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
 
     true_unit: ChannelParams = field(init=False)
     true_gram: np.ndarray = field(init=False)
@@ -367,7 +379,9 @@ class PowerSetup(ch.Setup):
 
         ``gains`` is one trial's (Q+1,), or a stack of K trials' (K, Q+1):
         then the parameters hold that stack as their gains, the one truth
-        of the K trials, and the report's fields are stacked.
+        of the K trials, and the report's fields are stacked. A stacked
+        setup takes a stack of gains, one per row, each row read at its
+        own ``true_gram``.
         """
         unit = self.true_unit
         j_eta = bnd.fim_at_gains(self.true_gram, gains, self)
@@ -426,38 +440,43 @@ def _trial_entropy(exp: ExperimentConfig, power_idx: int,
     return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
 
 
-def draw_trials(exp: ExperimentConfig, power_idx: int, trial_indices,
-                setup: PowerSetup) -> list[TrialDraw]:
-    """The draws of the trials ``trial_indices`` of one power, in order.
+def draw_trials(exp: ExperimentConfig, rows: list,
+                setups) -> list[TrialDraw]:
+    """The draws of the trials ``rows``, (power index, trial index) pairs,
+    in order; ``setups[p]`` is the ``PowerSetup`` of power index p.
 
     Each trial draws its gains and its noise from its own streams,
     spawned from (master seed, power index, trial index), so a trial's
-    draw does not depend on the trials drawn beside it. Within one power
-    the trials differ only in these draws, so the truth, its bounds and
-    the observations of all of them are formed at once, as stacks, and
-    ``coarse_est.run_coarse`` runs the coarse stage on the stack, its AOD
-    refinement on at every stage but ``coarse``. A trial that one of its
-    sub-steps fails keeps its error, and the others go on. The stacked
-    products and ``eigh`` make the same BLAS and LAPACK call per trial as
-    on a batch of one, so no number depends on the batch either.
+    draw does not depend on the trials drawn beside it. The trials differ
+    only in these draws and in what depends on their power, which the
+    stacked setup ``PowerSetup.stack`` of their setups holds one row per
+    trial: the pilots, the projected AOD dictionary and the truth's Gram.
+    So the truth, its bounds and the observations of all of them are
+    formed at once, as stacks, and ``coarse_est.run_coarse`` runs the
+    coarse stage on the stack, its AOD refinement on at every stage but
+    ``coarse``, each trial's with its own power's setup. A trial that one
+    of its sub-steps fails keeps its error, and the others go on. The
+    stacked products and ``eigh`` make the same BLAS and LAPACK call per
+    trial as on a batch of one, so no number depends on the batch either.
     """
-    seeds = [np.random.SeedSequence(_trial_entropy(exp, power_idx, t)).spawn(2)
-             for t in trial_indices]
-    gains = np.array([ch.draw_gains(setup.cfg, setup.geom,
+    setup = PowerSetup.stack([setups[p] for p, _ in rows])
+    seeds = [np.random.SeedSequence(_trial_entropy(exp, p, t)).spawn(2)
+             for p, t in rows]
+    gains = np.array([ch.draw_gains(setups[p].cfg, setups[p].geom,
                                     np.random.default_rng(gain_seed))
-                      for gain_seed, _ in seeds])
+                      for (p, _), (gain_seed, _) in zip(rows, seeds)])
     truth, rep = setup.truth(gains)
     crlb = angle_crlb(rep.cov_channel, truth)
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
                            noiseless=exp.noiseless)
     try:
         coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
-        rows = [(coarse.row(k), e) for k, e in enumerate(coarse.errors)]
+        estimates = [(coarse.row(k), e) for k, e in enumerate(coarse.errors)]
     except (RisposError, np.linalg.LinAlgError) as exc:
-        rows = [(None, exc)] * len(seeds)       # raised for the whole batch
+        estimates = [(None, exc)] * len(seeds)  # raised for the whole batch
     return [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
                                     truth.s),
-                      crlb[k], rep.row(k), obs.row(k), *rows[k])
+                      crlb[k], rep.row(k), obs.row(k), *estimates[k])
             for k in range(len(seeds))]
 
 
@@ -479,7 +498,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     if setup is None:
         setup = power_setup(exp, power_dbm)
     if draw is None:
-        (draw,) = draw_trials(exp, power_idx, [trial_idx], setup)
+        (draw,) = draw_trials(exp, [(power_idx, trial_idx)],
+                              {power_idx: setup})
     geom, cfg, true, obs = setup.geom, setup.cfg, draw.true, draw.obs
     rec.eta_true = true.to_vector()
     rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
@@ -528,14 +548,30 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     return rec
 
 
-def run_batch(exp: ExperimentConfig, power_dbm: float, power_idx: int,
-              trial_indices, setup: PowerSetup) -> list[TrialRecord]:
-    """The trials ``trial_indices`` of one power: one ``draw_trials`` for
+def run_batch(exp: ExperimentConfig, trial_indices,
+              setups: list) -> list[TrialRecord]:
+    """The trials ``trial_indices`` at every power of ``exp``, power by
+    power, ``setups`` the powers' ``PowerSetup``s: one ``draw_trials`` for
     all of them, then ``run_trial`` on each, called through this module
     so that a wrapper of ``run_trial`` sees every trial."""
-    draws = draw_trials(exp, power_idx, trial_indices, setup)
-    return [run_trial(exp, power_dbm, power_idx, t, setup, draw)
-            for t, draw in zip(trial_indices, draws)]
+    rows = [(p, t) for p in range(len(setups)) for t in trial_indices]
+    draws = draw_trials(exp, rows, setups)
+    return [run_trial(exp, exp.powers_dbm[p], p, t, setups[p], draw)
+            for (p, t), draw in zip(rows, draws)]
+
+
+# a pool worker's config and setups, built once by ``_start_worker``
+_WORKER = {}
+
+
+def _start_worker(exp: ExperimentConfig) -> None:
+    """Pool initializer: build the sweep's setups once per worker, so that
+    a task carries its block of trial indices alone."""
+    _WORKER["exp"], _WORKER["setups"] = exp, power_setups(exp, exp.powers_dbm)
+
+
+def _worker_batch(trial_indices) -> list[TrialRecord]:
+    return run_batch(_WORKER["exp"], trial_indices, _WORKER["setups"])
 
 
 @dataclass
@@ -564,18 +600,22 @@ def _report_bounds(crlb: np.ndarray, peb: float, oeb: float) -> dict:
     return {cls: rms[cls] * scale for cls, (_, scale) in _CLASSES.items()}
 
 
-def reference_bounds(exp: ExperimentConfig, power_dbm: float,
-                     setup: PowerSetup | None = None) -> dict:
-    """Bound values at the nominal zero-shadowing gains (RNG-free).
+def reference_bounds(exp: ExperimentConfig,
+                     setups: list | None = None) -> list[dict]:
+    """Bound values at the nominal zero-shadowing gains (RNG-free), one
+    dict per setup, from one stacked pass over the setups' powers.
 
-    ``setup`` is ``power_setup(exp, power_dbm)``, built here when not given.
+    ``setups`` is ``power_setups(exp, exp.powers_dbm)``, built here when
+    not given. Each power's bounds equal those of its setup alone.
     """
-    if setup is None:
-        setup = power_setup(exp, power_dbm)
+    if setups is None:
+        setups = power_setups(exp, exp.powers_dbm)
+    setup = PowerSetup.stack(setups)
     gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
-    true, rep = setup.truth(gains)
-    return _report_bounds(angle_crlb(rep.cov_channel, true).reshape(-1, 6),
-                          rep.peb, rep.oeb)
+    true, rep = setup.truth(np.tile(gains, (len(setups), 1)))
+    crlb = angle_crlb(rep.cov_channel, true)
+    return [_report_bounds(crlb[k].reshape(-1, 6), float(rep.peb[k]),
+                           float(rep.oeb[k])) for k in range(len(setups))]
 
 
 def _aggregate_trial_bounds(records: list) -> dict:
@@ -621,20 +661,26 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     if exp.stage == "lm":
         stage_list.append("lm")
 
-    all_records, ref = [], []
+    # the parent builds the setups too: they check the config and give
+    # the reference bounds
+    setups = power_setups(exp, exp.powers_dbm)
     trials = range(exp.n_trials)
-    batches = [trials[t:t + BATCH] for t in range(0, exp.n_trials, BATCH)]
-    # one pool and one setup build serve every power point
-    pool = (concurrent.futures.ProcessPoolExecutor(exp.workers)
-            if exp.workers > 1 else None)
-    with pool or contextlib.nullcontext():
-        for p_idx, (power, setup) in enumerate(
-                zip(exp.powers_dbm, power_setups(exp, exp.powers_dbm))):
-            tasks = [(exp, power, p_idx, b, setup) for b in batches]
-            recs = (pool.map(run_batch, *zip(*tasks)) if pool is not None
-                    else [run_batch(*task) for task in tasks])
-            all_records.append([rec for batch in recs for rec in batch])
-            ref.append(reference_bounds(exp, power, setup))
+    size = max(1, BATCH // len(setups))
+    blocks = [trials[t:t + size] for t in range(0, exp.n_trials, size)]
+    if exp.workers > 1:
+        import concurrent.futures     # a serial sweep never loads it
+
+        with concurrent.futures.ProcessPoolExecutor(
+                exp.workers, initializer=_start_worker,
+                initargs=(exp,)) as pool:
+            batches = list(pool.map(_worker_batch, blocks))
+    else:
+        batches = [run_batch(exp, b, setups) for b in blocks]
+    # a batch's records run power by power, len(block) of each
+    all_records = [[rec for b, batch in zip(blocks, batches)
+                    for rec in batch[p * len(b):(p + 1) * len(b)]]
+                   for p in range(len(setups))]
+    ref = reference_bounds(exp, setups)
 
     rmse = {}
     rmse_filtered = {}

@@ -394,13 +394,16 @@ def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
                           noise_seed=0, noiseless: bool = False):
     """``channel.synthesize_rx`` by way of the received tensor: the
     observation of ``synthesize_tensor``'s draw, and for a stack of gains
-    the stack of the observations of its rows, each from its own seed."""
+    the stack of the observations of its rows, each from its own seed on
+    its own row's setup (``Setup.row``)."""
     if params.gains.ndim == 1:
         return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
                        setup)
     rows = [synthesize_via_tensor(
-        setup, ChannelParams(params.tau, gains, params.u, params.c, params.s),
-        seed, noiseless) for gains, seed in zip(params.gains, noise_seed)]
+        setup.row(k),
+        ChannelParams(params.tau, gains, params.u, params.c, params.s),
+        seed, noiseless)
+        for k, (gains, seed) in enumerate(zip(params.gains, noise_seed))]
     return ch.Observation(np.stack([r.pa for r in rows]),
                           np.stack([r.cov1 for r in rows]))
 

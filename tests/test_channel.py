@@ -155,6 +155,31 @@ def test_prebuilt_triangle_keeps_every_draw():
         assert np.array_equal(obs.cov1, ref.cov1), trial
 
 
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
+    """Synthesis on a stacked setup (``Setup.stack``) at four powers of
+    one sweep gives each row the field and the observation of its gains
+    and noise seed drawn alone with its own power's setup, bit for bit."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    stack = ch.Setup.stack(setups)
+    assert stack.pilots.shape == (4,) + setups[0].pilots.shape
+    gains = np.stack([ch.draw_gains(s.cfg, s.geom, k)
+                      for k, s in enumerate(setups)])
+    true, _ = setups[0].truth(gains)
+    seeds = [20 + k for k in range(len(setups))]
+    fields = ch.model_field(true, stack)
+    obs = ch.synthesize_rx(stack, true, seeds, noiseless=noiseless)
+    for k, setup in enumerate(setups):
+        alone_true, _ = setup.truth(gains[k])
+        alone = ch.synthesize_rx(setup, alone_true, seeds[k],
+                                 noiseless=noiseless)
+        assert fields[k].tobytes() == ch.model_field(alone_true,
+                                                     setup).tobytes(), k
+        assert obs.row(k).pa.tobytes() == alone.pa.tobytes(), k
+        assert obs.row(k).cov1.tobytes() == alone.cov1.tobytes(), k
+
+
 def test_observation_same_seed_same_bytes(setup20):
     s = setup20
     for seed in (11, 2**40 + 5):

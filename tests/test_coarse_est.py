@@ -642,7 +642,12 @@ def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, setup20):
     a failing row between two good ones, each good row equals its lone
     call bit for bit, and the failing row carries the error its lone call
     raises, class and message, without stopping the others."""
-    rows, run = _grid_stage_rows(stage, setup20)
+    _assert_rows_equal_lone_calls(*_grid_stage_rows(stage, setup20))
+
+
+def _assert_rows_equal_lone_calls(rows, run):
+    """``run`` on the list ``rows`` gives each good row its lone call's
+    bits, and the failing middle row its lone call's error."""
     stacked = run(rows)
     assert [e is None for e in stacked.errors] == [True, False, True]
     for k, row in enumerate(rows):
@@ -660,6 +665,84 @@ def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, setup20):
                 assert (np.asarray(getattr(stacked, f.name)[k]).tobytes()
                         == np.asarray(getattr(alone, f.name)).tobytes()), (
                             k, f.name)
+
+
+def _three_power_records():
+    """The setups of -10, 0 and 20 dBm of one sweep, their stacked setup,
+    and one observation at each power, drawn alone on its own setup."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    setups = hn.power_setups(exp, [-10.0, 0.0, 20.0])
+    obs = []
+    for k, setup in enumerate(setups):
+        true, _ = setup.truth(ch.draw_gains(setup.cfg, setup.geom, k))
+        obs.append(ch.synthesize_rx(setup, true, 10 + k))
+    return setups, ch.Setup.stack(setups), obs
+
+
+def _per_row_setup_rows(stage):
+    """Three lone inputs of one stage, each at its own power, the middle
+    one failing, and the stage as a map from a list of them, on per-row
+    setup arrays, or from one alone, on its own."""
+    setups, stack, obs = _three_power_records()
+    if stage == "picks":
+        # a zero record over a dictionary whose columns 0 and 1 are one
+        # column picks that column twice
+        dicts = [s.aod_proj for s in setups]
+        dicts[1] = dicts[1].copy()
+        dicts[1][:, 1] = dicts[1][:, 0]
+        covs = [obs[0].cov1, np.zeros_like(obs[1].cov1), obs[2].cov1]
+        rows = list(zip(covs, dicts))
+        return rows, lambda x: (
+            ce.pick_columns(np.stack([c for c, _ in x]),
+                            np.stack([d for _, d in x]), 3)
+            if isinstance(x, list) else ce.pick_columns(*x, 3))
+    u_true = setups[0].true_unit.u
+    sines = [u_true, np.array([0.3, 0.3]), u_true]     # one colliding pair
+    rows = list(zip(obs, setups, sines))
+
+    def run(x):
+        if not isinstance(x, list):
+            return ce.estimate_ris_aoa(*x)
+        stacked = ch.Observation(np.stack([o.pa for o, _, _ in x]),
+                                 np.stack([o.cov1 for o, _, _ in x]))
+        return ce.estimate_ris_aoa(stacked, stack,
+                                   np.stack([u for _, _, u in x]))
+    return rows, run
+
+
+@pytest.mark.parametrize("stage", ["picks", "ris_aoa"])
+def test_per_row_setup_keeps_each_row_to_its_power(stage):
+    """A stacked setup (``Setup.stack``) gives each row its own power's
+    pilots and projected AOD dictionary: the DCS-SOMP picks over a
+    (K, M, G) dictionary and the RIS arrival at per-row pilots give each
+    good row the bits of its lone call on its own setup, and the failing
+    middle row its lone error, class and message."""
+    _assert_rows_equal_lone_calls(*_per_row_setup_rows(stage))
+
+
+def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
+    """``run_coarse`` on records at three powers with their stacked setup
+    gives each record the estimate of its lone call on its own setup, the
+    AOD refinement included, which runs on the record's own setup."""
+    setups, stack, obs = _three_power_records()
+    assert [stack.row(k) for k in range(3)] == setups
+    assert setups[0].row(2) is setups[0]
+    stacked = ce.run_coarse(ch.Observation(
+        np.stack([o.pa for o in obs]), np.stack([o.cov1 for o in obs])), stack)
+    assert stacked.errors == [None] * 3
+    for k, setup in enumerate(setups):
+        alone, row = ce.run_coarse(obs[k], setup), stacked.row(k)
+        for f in dataclasses.fields(alone.params):
+            assert (getattr(row.params, f.name).tobytes()
+                    == getattr(alone.params, f.name).tobytes()), (k, f.name)
+        assert row.flags == alone.flags
+
+
+def test_stack_takes_setups_of_one_sweep_alone():
+    """Setups built apart share no arrays, so they do not stack."""
+    exp = hn.ExperimentConfig()
+    with pytest.raises(ValueError):
+        ch.Setup.stack([hn.power_setup(exp, 0.0), hn.power_setup(exp, 20.0)])
 
 
 def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,

@@ -230,13 +230,27 @@ def test_sweep_worker_count_invariant(tmp_path):
 
 
 def test_sweep_worker_count_invariant_over_batches(tmp_path):
-    """A pool task is one batch of a power's trials; with three batches
-    both workers get one, and the summary is the serial one."""
+    """A pool task is one batch, a block of trial indices at every power;
+    with three batches both workers get one, and the summary is the
+    serial one."""
     csvs = []
     for workers in (1, 2):
         exp = hn.ExperimentConfig(n_trials=40, powers_dbm=[20.0],
                                   stage="coarse", workers=workers)
         assert exp.n_trials > 2 * hn.BATCH
+        csvs.append(hn.write_summary_csv(
+            hn.run_sweep(exp), tmp_path / f"w{workers}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_sweep_worker_count_invariant_over_powers(tmp_path):
+    """Four powers and 9 trials of stage lm are blocks of 4, 4 and 1 trial
+    indices, the last partial; each worker builds the setups of every
+    power once, and the summary is the serial one."""
+    csvs = []
+    for workers in (1, 2):
+        exp = hn.ExperimentConfig(master_seed=7, n_trials=9, workers=workers)
+        assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
         csvs.append(hn.write_summary_csv(
             hn.run_sweep(exp), tmp_path / f"w{workers}.csv").read_bytes())
     assert csvs[0] == csvs[1]
@@ -253,11 +267,14 @@ def _bits(value):
 
 
 def test_batched_sweep_equals_lone_trials():
-    """A sweep draws each batch of a power's trials at once, and a lone
-    trial a batch of one: every sweep record equals its trial run alone,
-    bit for bit, in every field. The setup's truth at one trial's gains
-    is its row of the truth at a stack of gains."""
+    """A sweep draws each batch, a block of trial indices at every power,
+    at once, and a lone trial a batch of one: every sweep record equals
+    its trial run alone, bit for bit, in every field, over full blocks
+    and a partial one. The setup's truth at one trial's gains is its row
+    of the truth at a stack of gains, and of the truth of a stacked setup,
+    whose rows hold the Grams of several powers."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse")
+    assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
     setups = hn.power_setups(exp, exp.powers_dbm)
     for p_idx, (power, setup, recs) in enumerate(
@@ -272,9 +289,18 @@ def test_batched_sweep_equals_lone_trials():
     setup = setups[0]
     gains = np.stack([ch.draw_gains(setup.cfg, setup.geom, seed)
                       for seed in range(2 * hn.BATCH)])
-    stacked, reps = setup.truth(gains)
+    mixed = [setups[k % len(setups)] for k in range(len(gains))]
+    for stack, row_setups in ((setup, [setup] * len(gains)),
+                              (hn.PowerSetup.stack(mixed), mixed)):
+        _assert_truth_rows_equal_lone_truth(stack, row_setups, gains)
+
+
+def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
+    """The truth of the setup ``stack`` at the stack ``gains`` gives row k
+    the bits of ``row_setups[k].truth(gains[k])``."""
+    stacked, reps = stack.truth(gains)
     crlb = hn.angle_crlb(reps.cov_channel, stacked)
-    for k, g in enumerate(gains):
+    for k, (setup, g) in enumerate(zip(row_setups, gains)):
         true, rep = setup.truth(g)
         assert np.array_equal(true.gains, stacked.gains[k])
         for f in dataclasses.fields(rep):
@@ -290,11 +316,12 @@ def test_batched_sweep_equals_lone_trials():
 ], ids=["noiseless", "aod_mle", "lm"])
 def test_batched_stages_equal_lone_trials(overrides):
     """Noiseless observations, and at stages ``aod_mle`` and ``lm`` the
-    stacked coarse stage with each trial's AOD refinement inside it, give
-    every sweep record its lone trial's bits, over a full batch and a
-    partial one."""
-    exp = hn.ExperimentConfig(master_seed=77, n_trials=hn.BATCH + 4,
+    stacked coarse stage with each trial's AOD refinement inside it, on
+    its own power's setup, give every sweep record at four powers its
+    lone trial's bits, over full blocks and a partial one."""
+    exp = hn.ExperimentConfig(master_seed=77, n_trials=hn.BATCH + 5,
                               **overrides)
+    assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
     for p_idx, (power, setup, recs) in enumerate(zip(
             exp.powers_dbm, hn.power_setups(exp, exp.powers_dbm),
@@ -309,7 +336,8 @@ def test_batched_stages_equal_lone_trials(overrides):
 
 def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
     """A serial sweep runs every trial through the module's ``run_trial``,
-    in trial order, so a wrapper of it sees each trial once."""
+    block by block and power by power within a block, so a wrapper of it
+    sees each trial once."""
     calls = []
     run_trial = hn.run_trial
 
@@ -321,8 +349,10 @@ def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
     exp = hn.ExperimentConfig(n_trials=hn.BATCH + 1, powers_dbm=[0.0, 20.0],
                               stage="coarse")
     hn.run_sweep(exp)
-    assert calls == [(p, t) for p in range(len(exp.powers_dbm))
-                     for t in range(exp.n_trials)]
+    size = hn.BATCH // len(exp.powers_dbm)
+    assert calls == [(p, t) for start in range(0, exp.n_trials, size)
+                     for p in range(len(exp.powers_dbm))
+                     for t in range(start, min(start + size, exp.n_trials))]
 
 
 def test_config_file_round_trip(tmp_path):
@@ -547,9 +577,31 @@ def test_reference_bounds_match_the_fim_channel_path(power):
     rep = bnd.position_bounds(bnd.fim_channel(true, setup), setup.t_true)
     ref = hn._report_bounds(
         hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6), rep.peb, rep.oeb)
-    got = hn.reference_bounds(exp, power, setup)
+    (got,) = hn.reference_bounds(exp, [setup])
     for cls in hn.REPORT_CLASSES:
         assert got[cls] == pytest.approx(ref[cls], rel=1e-10), cls
+
+
+def test_stacked_reference_bounds_equal_each_powers_lone_path():
+    """The sweep's reference bounds come from one stacked pass over its
+    powers; each power's bounds equal, bit for bit, those of its setup
+    alone, a lone ``PowerSetup.truth`` at the nominal gains, and the
+    bounds of a setup built for that power alone."""
+    exp = hn.ExperimentConfig(master_seed=77)
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    stacked = hn.reference_bounds(exp, setups)
+    assert _bits(hn.reference_bounds(exp)) == _bits(stacked)
+    for power, setup, got in zip(exp.powers_dbm, setups, stacked):
+        gains = ch.nominal_gain_amplitudes(setup.cfg,
+                                           setup.geom).astype(complex)
+        true, rep = setup.truth(gains)
+        lone = hn._report_bounds(
+            hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6),
+            rep.peb, rep.oeb)
+        assert _bits(got) == _bits(lone), power
+        assert _bits(got) == _bits(hn.reference_bounds(exp, [setup])[0])
+        built = hn.reference_bounds(exp, [hn.power_setup(exp, power)])[0]
+        assert _bits(got) == _bits(built), power
 
 
 def test_cli_bounds_and_trial(capsys):
