@@ -23,11 +23,23 @@ the rest:
   but may still move the point by a thousandth of a standard
   deviation, an error that one Newton step squares;
 - the cap of 100 accepted steps.
+
+The loop runs a stack of K fits of one kind in lockstep, as a sweep's
+batch holds them; a lone fit is a stack of one. Each row keeps its own
+damping, step count and last-step flag, and a row that converges,
+stalls or reaches the cap leaves the active set. Each pass asks for the
+model only at the rows whose point moved, tests one candidate of every
+active row, and so ends every row where its lone fit ends: the stacked
+Cholesky factors and solves make one LAPACK call per matrix, as on one.
+Rows whose step space is reduced by a basis, and the rows of a stacked
+factor that raises, are solved one at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import RisposError
 
 MAX_STEPS = 100               # accepted steps before a fit gives up
 DECREMENT_TOL = 1e-6          # nats; a smaller undamped decrement ends a fit
@@ -49,38 +61,130 @@ def _solve(a: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, g))
 
 
-def ascend(state, model, evaluate, nats: float = 1.0):
-    """Damped Newton ascent from ``state``; see the module docstring.
+def _solve_stack(a: np.ndarray, g: np.ndarray, lam: np.ndarray):
+    """``_solve`` on each row of the stacks a (k, n, n), g (k, n) at the
+    dampings ``lam`` (k,): the steps (k, n) and whether each exists."""
+    damped = lam > 0.0
+    if damped.any():
+        idx = np.arange(a.shape[-1])
+        diag = np.zeros(a[damped].shape)
+        diag[:, idx, idx] = np.abs(a[damped][:, idx, idx])
+        a = a.copy()
+        a[damped] = a[damped] + lam[damped, None, None] * diag
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:          # find the rows that fail
+        steps = [_solve(a_k, g_k, 0.0) for a_k, g_k in zip(a, g)]
+        ok = np.array([x is not None for x in steps])
+        out = np.zeros(g.shape)
+        if ok.any():
+            out[ok] = np.stack([x for x in steps if x is not None])
+        return out, ok
+    return (np.linalg.solve(chol.swapaxes(1, 2),
+                            np.linalg.solve(chol, g[..., None]))[..., 0],
+            np.ones(len(g), bool))
 
-    ``model(state)`` gives (A, g, basis): the curvature and gradient of
-    the objective at ``state`` and the columns spanning its step space, or
-    None for the whole space. ``evaluate(state, step)`` gives the state a
-    step reaches, or None when the fit rejects the candidate. ``nats`` is
-    one unit of the objective in nats. Returns (state, accepted steps,
-    converged): converged when the undamped decrement g^T x, in nats, fell
-    below ``DECREMENT_TOL``, the state then being the one the last
-    candidate reaches, or the one before where ``evaluate`` rejects it; a
-    fit that stalls or takes ``MAX_STEPS`` steps returns its last accepted
-    state unconverged.
+
+def ascend(state, model, evaluate, nats: float = 1.0):
+    """Damped Newton ascent of a stack of fits from ``state``; see the
+    module docstring.
+
+    ``state`` holds the fits' points, a tuple of arrays whose leading axis
+    is the row. ``model(state, rows)`` gives (A, g, bases) at the points
+    of the rows ``rows``, an index array: the curvatures (k, n, n), the
+    gradients (k, n), and for each row the columns spanning its step
+    space or None for the whole space (``bases`` may be None when no row
+    has one). ``evaluate(state, rows, steps)`` tests a candidate step
+    (k, n) of each row and gives whether the fit accepts it, writing each
+    accepted candidate's point into its row of ``state``. ``nats`` is one
+    unit of the objective in nats. Returns (state, accepted steps (K,),
+    converged (K,)): a row has converged when its undamped decrement
+    g^T x, in nats, fell below ``DECREMENT_TOL``, its point then being the
+    one the last candidate reaches, or the one before where ``evaluate``
+    rejects it; a row that stalls or takes ``MAX_STEPS`` steps keeps its
+    last accepted point unconverged.
     """
-    lam = 0.0
-    for steps in range(MAX_STEPS):
-        a, g, basis = model(state)
-        if basis is not None:
-            a, g = basis.T @ a @ basis, basis.T @ g
-        undamped = _solve(a, g, 0.0)
-        last = undamped is not None and nats * (g @ undamped) < DECREMENT_TOL
-        while True:
-            step = undamped if lam == 0.0 else _solve(a, g, lam)
-            new = None if step is None else evaluate(
-                state, step if basis is None else basis @ step)
-            if new is not None or last:
-                break
-            lam = max(DAMPING, DAMPING_UP * lam)
-            if lam > DAMPING_LIMIT:
-                return state, steps, False
-        if last:
-            return (state, steps, True) if new is None else \
-                (new, steps + 1, True)
-        state, lam = new, DAMPING_DOWN * lam
-    return state, MAX_STEPS, False
+    n_rows = len(state[0])
+    steps = np.zeros(n_rows, int)
+    converged = np.zeros(n_rows, bool)
+    lam = np.zeros(n_rows)
+    active = fresh = np.arange(n_rows)     # fresh: the rows whose point moved
+    last, has_step, in_basis = (np.zeros(n_rows, bool) for _ in range(3))
+    curv = grad = undamped = None
+    reduced = {}                  # row with a basis -> (A, g, basis, x)
+    while active.size:
+        if fresh.size:
+            a, g, bases = model(state, fresh)
+            if curv is None:
+                curv, grad = np.zeros((n_rows,) + a.shape[1:]), \
+                    np.zeros((n_rows, g.shape[1]))
+                undamped = np.zeros_like(grad)
+            curv[fresh], grad[fresh] = a, g
+            in_basis[fresh] = False if bases is None else \
+                [basis is not None for basis in bases]
+            for i in np.flatnonzero(in_basis[fresh]):  # on its own
+                k, basis = fresh[i], bases[i]
+                a_k, g_k = basis.T @ a[i] @ basis, basis.T @ g[i]
+                x = _solve(a_k, g_k, 0.0)
+                reduced[k] = (a_k, g_k, basis, x)
+                has_step[k] = x is not None
+                last[k] = has_step[k] and nats * (g_k @ x) < DECREMENT_TOL
+        # one stacked solve for the undamped steps at the moved points
+        # and the damped steps of the rows held back
+        new = fresh[~in_basis[fresh]]
+        held = active[(lam[active] > 0.0) & ~in_basis[active]]
+        rows = np.concatenate([new, held])
+        if rows.size:
+            x, ok = _solve_stack(curv[rows], grad[rows], np.concatenate(
+                [np.zeros(new.size), lam[held]]))
+            undamped[new], has_step[new] = x[:new.size], ok[:new.size]
+            for k in new:
+                last[k] = has_step[k] and \
+                    nats * (grad[k] @ undamped[k]) < DECREMENT_TOL
+        # each active row's candidate at its own damping
+        step, ok_step = undamped[active], has_step[active]
+        if held.size:
+            at = np.searchsorted(active, held)
+            step[at], ok_step[at] = x[new.size:], ok[new.size:]
+        for i in np.flatnonzero(in_basis[active]):
+            a_k, g_k, basis, x_k = reduced[active[i]]
+            if lam[active[i]] > 0.0:
+                x_k = _solve(a_k, g_k, lam[active[i]])
+            ok_step[i] = x_k is not None
+            if ok_step[i]:
+                step[i] = basis @ x_k
+        accepted = np.zeros(active.size, bool)
+        if ok_step.any():
+            accepted[ok_step] = evaluate(state, active[ok_step],
+                                         step[ok_step])
+        ends = last[active]
+        steps[active] += accepted
+        converged[active[ends]] = True
+        moved = accepted & ~ends
+        lam[active[moved]] *= DAMPING_DOWN
+        back = ~accepted & ~ends
+        lam[active[back]] = np.maximum(DAMPING, DAMPING_UP * lam[active[back]])
+        done = ends | (moved & (steps[active] == MAX_STEPS)) | \
+            (back & (lam[active] > DAMPING_LIMIT))
+        fresh, active = active[moved & ~done], active[~done]
+    return state, steps, converged
+
+
+def fit_rows(fit, n_rows: int):
+    """``fit(rows)`` on all ``n_rows`` rows of a stack, as an index array,
+    giving a list of per-row outputs; where that raises a ``RisposError``
+    or ``LinAlgError``, ``fit`` on each row alone, so each row keeps the
+    output or the error of its lone fit. Returns the outputs, None for a
+    row that raised, and per row its error or None. A kept error drops
+    its traceback, whose frames would keep the stack's arrays alive."""
+    try:
+        return fit(np.arange(n_rows)), [None] * n_rows
+    except (RisposError, np.linalg.LinAlgError):
+        pass
+    outs, errors = [None] * n_rows, [None] * n_rows
+    for k in range(n_rows):
+        try:
+            (outs[k],) = fit(np.array([k]))
+        except (RisposError, np.linalg.LinAlgError) as exc:
+            errors[k] = exc.with_traceback(None)
+    return outs, errors

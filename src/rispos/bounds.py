@@ -22,7 +22,8 @@ import numpy as np
 
 from .channel import (Setup, ms_sine_steering, ris_factors, slot_factors,
                       subcarrier_ramp)
-from .geometry import SPEED_OF_LIGHT, kron_columns, ms_axis, unit_vector
+from .geometry import (SPEED_OF_LIGHT, dot_rows, kron_columns, ms_axis,
+                       unit_vector)
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
@@ -43,38 +44,48 @@ def derivative_factors(params: ChannelParams, setup: Setup):
     derivative keeps the path's product form. The u, c and s derivatives
     weight the MS steering vector and the RIS response by the MS, RIS
     elevation and RIS azimuth index ramps.
+
+    Parameters stacked (K, Q+1), or a stacked setup (``Setup.stack``),
+    give the K passes (K, T, 6(Q+1)), (K, N, 6(Q+1)) and (K, T, N), each
+    product on its own row's operands, as on one; B and mu keep no row
+    axis where neither has one.
     """
     geom, cfg = setup.geom, setup.cfg
     lam = geom.wavelength
-    gains = params.gains
-    n_paths = gains.size
-    a_m = ms_sine_steering(geom, params.u).conj()
-    a_r = kron_columns(*ris_factors(setup, params.c, params.s))
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    gains = params.gains[..., None, :]
+    n_paths = params.tau.shape[-1]
+    a_m = np.moveaxis(ms_sine_steering(geom, params.u).conj(), 0, -2)
+    a_r = np.moveaxis(kron_columns(*ris_factors(setup, params.c, params.s)),
+                      0, -2)
+    ramp = np.moveaxis(subcarrier_ramp(params.tau, cfg.bandwidth,
+                                       cfg.n_subcarriers), 0, -2)
     k_r = np.arange(geom.n_ris)[:, None]
-    # each product on its own: a product's columns keep their bits only
-    # among products of as many columns
-    sigma = slot_factors(setup, a_r)
-    proj = setup.pilots.T @ a_m
-    dproj = 2j * np.pi * geom.d_ms / lam * (
-        setup.pilots.T @ (np.arange(geom.n_ms)[:, None] * a_m))
-    d_c = -2j * np.pi * geom.d_ris_el / lam * slot_factors(
-        setup, k_r // geom.n_ris_az * a_r)
-    d_s = -2j * np.pi * geom.d_ris_az / lam * slot_factors(
-        setup, k_r % geom.n_ris_az * a_r)
+    pilots_t = np.swapaxes(setup.pilots, -1, -2)
+    # each product on its own matrices, stacked along a new leading axis:
+    # a product's columns keep their bits only among products of as many
+    # columns
+    sigma, d_c, d_s = slot_factors(setup, np.stack([
+        a_r, k_r // geom.n_ris_az * a_r, k_r % geom.n_ris_az * a_r]))
+    prods = pilots_t[..., None, :, :] @ np.stack(
+        [a_m, np.arange(geom.n_ms)[:, None] * a_m], axis=-3)
+    proj = prods[..., 0, :, :]
+    dproj = 2j * np.pi * geom.d_ms / lam * prods[..., 1, :, :]
+    d_c = -2j * np.pi * geom.d_ris_el / lam * d_c
+    d_s = -2j * np.pi * geom.d_ris_az / lam * d_s
     u = sigma * proj
-    slots = np.empty((cfg.t_total, n_paths, 6), complex)
+    slots = np.empty(u.shape + (6,), complex)
     slots[..., 0] = -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u
     slots[..., 1] = u
     slots[..., 2] = 1j * u
     slots[..., 3] = gains * sigma * dproj
     slots[..., 4] = gains * d_c * proj
     slots[..., 5] = gains * d_s * proj
-    subs = np.empty((cfg.n_subcarriers, n_paths, 6), complex)
+    subs = np.empty(ramp.shape + (6,), complex)
     subs[..., 0] = np.arange(cfg.n_subcarriers)[:, None] * ramp
     subs[..., 1:] = ramp[..., None]
-    return (slots.reshape(cfg.t_total, -1),
-            subs.reshape(cfg.n_subcarriers, -1), (u * gains) @ ramp.T)
+    return (slots.reshape(u.shape[:-1] + (6 * n_paths,)),
+            subs.reshape(ramp.shape[:-1] + (6 * n_paths,)),
+            (u * gains) @ np.swapaxes(ramp, -1, -2))
 
 
 def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
@@ -97,8 +108,10 @@ def fim_from_factors(a: np.ndarray, b: np.ndarray, setup: Setup) -> np.ndarray:
 
 
 def gram_from_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The complex Gram (A^H A) o (B^H B) of the derivative factors."""
-    return (a.conj().T @ a) * (b.conj().T @ b)
+    """The complex Gram (A^H A) o (B^H B) of the derivative factors, or of
+    stacks of them."""
+    return ((a.conj().swapaxes(-1, -2) @ a)
+            * (b.conj().swapaxes(-1, -2) @ b))
 
 
 def fim_from_gram(gram: np.ndarray, setup: Setup) -> np.ndarray:
@@ -127,14 +140,16 @@ def fim_at_gains(gram0: np.ndarray, gains: np.ndarray,
 
 def _unit_grad(a: np.ndarray, b: np.ndarray, what: str):
     """w = (a - b) / |a - b| and dw/da = (I - w w^T) / |a - b| (symmetric;
-    dw/db = -dw/da)."""
+    dw/db = -dw/da); of each row for points stacked (K, 3)."""
     w, dist = unit_vector(a, b, what)
-    return w, (np.eye(3) - np.outer(w, w)) / dist
+    return w, ((np.eye(3) - w[..., :, None] * w[..., None, :])
+               / dist[..., None, None])
 
 
 def transformation_matrix(pos: PositionParams, ris: np.ndarray,
                           bs: np.ndarray) -> np.ndarray:
-    """Jacobian d(eta)^T/d(eta~), shape (5Q+6, 6(Q+1)).
+    """Jacobian d(eta)^T/d(eta~), shape (5Q+6, 6(Q+1)); (K, 5Q+6, 6(Q+1))
+    for the stacked parameters of K poses.
 
     Rows follow the position-parameter vector (gains, MS position,
     rotation, scatterers); columns follow the channel-parameter vector.
@@ -145,36 +160,37 @@ def transformation_matrix(pos: PositionParams, ris: np.ndarray,
     ris = np.asarray(ris, float)
     q_n = pos.n_scatterers
     n_paths = q_n + 1
-    t_mat = np.zeros((5 * q_n + 6, 6 * n_paths))
+    t_mat = np.zeros(np.shape(pos.alpha) + (5 * q_n + 6, 6 * n_paths))
     m_off = 2 * n_paths           # row offset of the MS coordinates
     a_off = m_off + 3             # row of alpha
     axis = ms_axis(pos.alpha)
-    axis_dot = np.array([-np.sin(pos.alpha), -np.cos(pos.alpha), 0.0])
+    axis_dot = np.stack([-np.sin(pos.alpha), -np.cos(pos.alpha),
+                         np.zeros_like(pos.alpha)], axis=-1)
 
     c = SPEED_OF_LIGHT
     for q in range(n_paths):
         col = 6 * q
         # gain identity blocks
-        t_mat[2 * q, col + 1] = 1.0
-        t_mat[2 * q + 1, col + 2] = 1.0
+        t_mat[..., 2 * q, col + 1] = 1.0
+        t_mat[..., 2 * q + 1, col + 2] = 1.0
 
         # path 0 departs toward the RIS and arrives from the MS; path q > 0
         # does both through scatterer q, whose coordinate rows start at s0
-        hop = ris if q == 0 else pos.scatterers[q - 1]
+        hop = ris if q == 0 else pos.scatterers[..., q - 1, :]
         s0 = m_off if q == 0 else a_off + 1 + 3 * (q - 1)
         w_dep, g_dep = _unit_grad(hop, pos.ms,
                                   "MS-RIS" if q == 0 else "MS-scatterer")
         w_arr, g_arr = _unit_grad(ris, pos.ms if q == 0 else hop,
                                   "MS-RIS" if q == 0 else "scatterer-RIS")
-        du = g_dep @ axis             # d u / d hop
-        t_mat[m_off:m_off + 3, col + 0] = -w_dep / c
-        t_mat[m_off:m_off + 3, col + 3] = -du
-        t_mat[a_off, col + 3] = axis_dot @ w_dep
+        du = (g_dep @ axis[..., None])[..., 0]      # d u / d hop
+        t_mat[..., m_off:m_off + 3, col + 0] = -w_dep / c
+        t_mat[..., m_off:m_off + 3, col + 3] = -du
+        t_mat[..., a_off, col + 3] = dot_rows(axis_dot, w_dep)
         if q > 0:
-            t_mat[s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
-            t_mat[s0:s0 + 3, col + 3] = du
-        t_mat[s0:s0 + 3, col + 4] = -g_arr[2]
-        t_mat[s0:s0 + 3, col + 5] = -g_arr[1]
+            t_mat[..., s0:s0 + 3, col + 0] = (w_dep - w_arr) / c
+            t_mat[..., s0:s0 + 3, col + 3] = du
+        t_mat[..., s0:s0 + 3, col + 4] = -g_arr[..., 2, :]
+        t_mat[..., s0:s0 + 3, col + 5] = -g_arr[..., 1, :]
     return t_mat
 
 

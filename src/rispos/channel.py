@@ -229,15 +229,17 @@ class Setup:
 
     Of these only ``cfg`` (its ``p_tx``), ``pilots`` and ``aod_proj``
     depend on the transmit power. ``at_power`` gives the setup at
-    another power, which shares every other array; so the setup makes
-    those arrays read-only. It keeps its own copies of ``geom`` and
-    ``sched`` to do so, and the caller's stay writable.
+    another power, the same pilot signs at that power's amplitude, which
+    shares every other array; so the setup makes those arrays read-only.
+    It keeps its own copies of ``geom`` and ``sched`` to do so, and the
+    caller's stay writable.
 
     ``stack`` joins such setups into one for a stack of records at
     several powers: each of ``POWER_FIELDS`` gains a leading row axis,
     pilots (K, N_m, T) and ``aod_proj`` (K, T1, G_ms), and ``row(k)`` is
-    record k's own setup. The stacked stages take it as they take a lone
-    setup, whose arrays every record shares.
+    record k's own setup, ``take(rows)`` the setup of some of its
+    records. The stacked stages take it as they take a lone setup, whose
+    arrays every record shares.
     """
 
     # what depends on the transmit power besides ``cfg``: a stacked
@@ -306,14 +308,17 @@ class Setup:
         self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
                          @ self.a_m_dict.matrix)
 
-    def at_power(self, cfg: SystemConfig, pilots: np.ndarray) -> "Setup":
-        """This setup at the transmit power of ``cfg``, with the pilots
-        ``pilots`` of that power: ``cfg`` may differ from this setup's in
-        ``p_tx`` alone, and every power-independent array is shared."""
+    def at_power(self, cfg: SystemConfig) -> "Setup":
+        """This setup at the transmit power of ``cfg``: ``cfg`` may differ
+        from this setup's in ``p_tx`` alone, the pilots are this setup's
+        signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), and every
+        power-independent array is shared."""
         if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
             raise ValueError("at_power changes the transmit power alone")
         other = copy.copy(self)
-        other.cfg, other.pilots = cfg, pilots
+        other.cfg = cfg
+        other.pilots = np.sign(self.pilots) * np.sqrt(cfg.p_tx
+                                                      / self.geom.n_ms)
         other._power_fields()
         return other
 
@@ -321,16 +326,16 @@ class Setup:
     def stack(rows: list) -> "Setup":
         """One setup for a stack of records, record k at the power of the
         lone setup ``rows[k]``; every setup of ``rows`` must be ``at_power``
-        of the others. Each of ``POWER_FIELDS`` is stacked along a leading
-        row axis and every other array is shared. Its ``cfg`` holds no one
-        power: ``p_tx`` is NaN, which no stacked stage reads."""
+        of the others. Each of ``Setup.POWER_FIELDS`` is stacked along a
+        leading row axis and every other array is shared. Its ``cfg`` holds
+        no one power: ``p_tx`` is NaN, which no stacked stage reads."""
         first = rows[0]
         if any(r.rows is not None or r.a_m_dict is not first.a_m_dict
                for r in rows):
             raise ValueError("stack takes lone setups at_power of one another")
         out = copy.copy(first)
         out.cfg = dataclasses.replace(first.cfg, p_tx=np.nan)
-        for name in out.POWER_FIELDS:
+        for name in Setup.POWER_FIELDS:
             setattr(out, name, np.stack([getattr(r, name) for r in rows]))
         out.rows = list(rows)
         return out
@@ -339,6 +344,19 @@ class Setup:
         """Record k's own setup: row k of a stacked setup, or this lone
         setup, which every record shares."""
         return self if self.rows is None else self.rows[k]
+
+    def take(self, rows) -> "Setup":
+        """The setup of the records ``rows``, an index array: the stack of
+        those rows of a stacked setup, or this setup where it is lone or
+        ``rows`` are all its rows in order."""
+        if self.rows is None or np.array_equal(rows,
+                                               np.arange(len(self.rows))):
+            return self
+        out = copy.copy(self)
+        for name in self.POWER_FIELDS:
+            setattr(out, name, getattr(self, name)[rows])
+        out.rows = [self.rows[k] for k in rows]
+        return out
 
 
 def ris_factors(setup: Setup, c, s) -> tuple:
@@ -384,9 +402,10 @@ def pilot_projection(geom: ScenarioGeometry, pilots: np.ndarray,
 
 def slot_factors(setup: Setup, cols: np.ndarray) -> np.ndarray:
     """g_t^T r per slot of each RIS-side column r of ``cols`` (N_r, n),
-    (T, n): the block phases contracted once and read off per slot."""
+    (T, n), or of each row of a stack (K, N_r, n): the block phases
+    contracted once and read off per slot."""
     sched = setup.sched
-    return (sched.block_phases @ cols)[sched.slot_block]
+    return (sched.block_phases @ cols)[..., sched.slot_block, :]
 
 
 def ris_slot_factors(setup: Setup, c, s) -> np.ndarray:
@@ -438,6 +457,10 @@ class Observation:
     def row(self, k: int) -> "Observation":
         """Observation k of a stack."""
         return Observation(self.pa[k], self.cov1[k])
+
+    def take(self, rows) -> "Observation":
+        """The stack of the observations ``rows``, an index array."""
+        return Observation(self.pa[rows], self.cov1[rows])
 
 
 def synthesize_rx(setup: Setup, params: ChannelParams,

@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._damping import ascend
+from ._damping import ascend, fit_rows
 from .channel import (Observation, Setup, ms_sine_steering, pilot_projection,
                       subcarrier_ramp)
-from .errors import (OutOfRange, RankDeficient, RisposError,
-                     SingularConcentration, SparsityInfeasible)
+from .errors import (OutOfRange, RankDeficient, SingularConcentration,
+                     SparsityInfeasible)
 from .geometry import ScenarioGeometry
 from .params import ChannelParams
 
@@ -183,21 +183,30 @@ def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
                    geom: ScenarioGeometry):
     """Concentrated AOD log-likelihood over stacks of departure sines.
 
-    ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H.
-    With D = A G^-1 A^H and G = A^H C A, 2 tr(DS) - tr(S D C D^H) equals
-    tr(G^-1 A^H S A) (constant dropped). Returns a map from an (n, P)
-    stack of sine vectors to the (n,) values, from one batched solve; it
-    raises ``SingularConcentration`` when any G is not finite or has a
-    condition number above 1e12 (``_well_conditioned``).
+    ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H,
+    one per record (K, N_m, N_m). With D = A G^-1 A^H and G = A^H C A,
+    2 tr(DS) - tr(S D C D^H) equals tr(G^-1 A^H S A) (constant dropped).
+    Returns a map from the
+    records ``rows`` and their stacks of sine vectors (k, n, P) to the
+    values (k, n) and, per record, whether every G of its stack is finite
+    with a condition number <= 1e12 (``_well_conditioned``); a record
+    that fails it collides and gets NaN values. Each record's products and
+    solve make the calls of a lone record.
     """
-    def objective(stack: np.ndarray) -> np.ndarray:
-        a = np.moveaxis(ms_sine_steering(geom, stack), 0, 1)    # (n, N_m, P)
-        a_h = a.conj().transpose(0, 2, 1)
-        gram = a_h @ (c_mat @ a)
-        if not _well_conditioned(gram).all():
-            raise SingularConcentration("departure angles collide")
-        return np.trace(np.linalg.solve(gram, a_h @ (s_mat @ a)),
-                        axis1=1, axis2=2).real
+    cs_mat = np.stack([c_mat, s_mat], axis=1)[:, :, None]
+
+    def objective(rows, stack: np.ndarray):
+        a = np.moveaxis(ms_sine_steering(geom, stack), 0, -2)  # (k, n, N_m, P)
+        # A^H C A and A^H S A, each product on its own matrices
+        gram, rhs = np.moveaxis(
+            a.conj().swapaxes(-1, -2)[:, None] @ (cs_mat[rows] @ a[:, None]),
+            1, 0)
+        ok = _well_conditioned(gram).all(axis=1)
+        vals = np.full(stack.shape[:2], np.nan)
+        if ok.any():
+            vals[ok] = np.trace(np.linalg.solve(gram[ok], rhs[ok]),
+                                axis1=2, axis2=3).real
+        return vals, ok
     return objective
 
 
@@ -214,55 +223,71 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     last step and ends once the undamped step's decrement g^T x / sigma^2
     is below 1e-6 nats. A
     candidate is clipped to [-1, 1]; it is kept when its F falls by no
-    more than 1e-12 relative, and rejected when its stencil raises
-    ``SingularConcentration``. A sine at +-1 whose gradient points out of
+    more than 1e-12 relative, and rejected when its stencil collides
+    (``_aod_objective``). A sine at +-1 whose gradient points out of
     [-1, 1] leaves the step space. Returns (sines, steps), steps counting
-    the accepted steps.
+    the accepted steps; a start whose stencil collides raises
+    ``SingularConcentration``.
+
+    A stack of K observations, with their setup stacked or shared and
+    starts (K, P), runs the K refinements in lockstep, each ending where
+    it ends alone: it returns the (K, P) sines and a list of K step
+    counts, and raises when any start collides.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
-    x1 = setup.pilots[:, :t1]
-    c_mat = x1 @ x1.conj().T
-    b_mat = x1 @ obs.pa[:t1].conj()                     # column n: B[n]^H a_B
-    s_mat = b_mat @ b_mat.conj().T / geom.n_bs
+    lone = obs.pa.ndim == 2
+    x = np.array(u_init, dtype=float, ndmin=2)
+    x1 = setup.pilots[..., :t1]
+    b_mat = x1 @ obs.pa[..., :t1, :].conj()             # column n: B[n]^H a_B
+    s_mat = (b_mat @ np.swapaxes(b_mat.conj(), -1, -2) / geom.n_bs).reshape(
+        (len(x), geom.n_ms, geom.n_ms))
+    c_mat = np.broadcast_to(x1 @ np.swapaxes(x1.conj(), -1, -2), s_mat.shape)
     objective = _aod_objective(s_mat, c_mat, geom)
 
-    x = np.array(u_init, dtype=float)
-    p = x.size
+    p = x.shape[1]
     eye = np.eye(p)
     pairs = np.triu_indices(p, 1)
     corners = [a * eye[i] + b * eye[j] for i, j in zip(*pairs)
                for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
     h = _AOD_NEWTON_H
     stencil = h * np.vstack([np.zeros(p), eye, -eye, *corners])
+    diag = np.arange(p)
 
-    def model(state):
+    def model(state, rows):
         """-H, g and the free sines' columns from the stencil values."""
-        x, f = state
-        f_plus, f_minus = f[1:p + 1], f[p + 1:2 * p + 1]
+        x, f = state[0][rows], state[1][rows]
+        f_plus, f_minus = f[:, 1:p + 1], f[:, p + 1:2 * p + 1]
         grad = (f_plus - f_minus) / (2.0 * h)
-        hess = np.diag((f_plus - 2.0 * f[0] + f_minus) / h ** 2)
-        hess[pairs] = hess[pairs[::-1]] = (
-            f[2 * p + 1:].reshape(-1, 4) @ [1.0, -1.0, -1.0, 1.0]
+        hess = np.zeros((len(rows), p, p))
+        hess[:, diag, diag] = (f_plus - 2.0 * f[:, :1] + f_minus) / h ** 2
+        hess[:, pairs[0], pairs[1]] = hess[:, pairs[1], pairs[0]] = (
+            f[:, 2 * p + 1:].reshape(len(rows), -1, 4) @ [1.0, -1.0, -1.0, 1.0]
             / (4.0 * h ** 2))
         free = ~((np.abs(x) >= 1.0) & (x * grad > 0.0))
-        return -hess, grad, None if free.all() else eye[:, free]
+        bases = None
+        if not free.all():
+            bases = [None if keep.all() else eye[:, keep] for keep in free]
+        return -hess, grad, bases
 
-    def evaluate(state, step):
-        """The clipped candidate and its stencil values, or None when its
-        F falls or its stencil collides."""
-        x, f = state
-        cand = np.clip(x + step, -1.0, 1.0)
-        try:
-            f_new = objective(cand + stencil)
-        except SingularConcentration:
-            return None
-        floor = f[0] - _AOD_NEWTON_FLAT * abs(f[0])
-        return (cand, f_new) if f_new[0] >= floor else None
+    def evaluate(state, rows, steps):
+        """Keep each clipped candidate whose F falls by no more than the
+        flat share and whose stencil does not collide."""
+        f = state[1][rows, 0]
+        cand = np.clip(state[0][rows] + steps, -1.0, 1.0)
+        f_new, ok = objective(rows, cand[:, None, :] + stencil)
+        floor = f - _AOD_NEWTON_FLAT * abs(f)
+        keep = ok & (f_new[:, 0] >= floor)
+        state[0][rows[keep]], state[1][rows[keep]] = cand[keep], f_new[keep]
+        return keep
 
-    (x, _), steps, _ = ascend((x, objective(x + stencil)), model, evaluate,
+    rows = np.arange(len(x))
+    f, ok = objective(rows, x[:, None, :] + stencil)
+    if not ok.all():
+        raise SingularConcentration("departure angles collide")
+    (x, _), steps, _ = ascend((x, f), model, evaluate,
                               nats=1.0 / cfg.noise_power)
-    return x, steps
+    return (x[0], int(steps[0])) if lone else (x, steps.tolist())
 
 
 @dataclass
@@ -424,9 +449,8 @@ class CoarseEstimate:
 
     def row(self, k: int) -> "CoarseEstimate":
         """Record k's estimate of a stack."""
-        p = self.params
         return CoarseEstimate(
-            ChannelParams(p.tau[k], p.gains[k], p.u[k], p.c[k], p.s[k]),
+            self.params.take(k),
             {name: value[k] for name, value in self.flags.items()})
 
 
@@ -434,11 +458,13 @@ def run_coarse(obs: Observation, setup: Setup,
                refine_aod: bool = True) -> CoarseEstimate:
     """Run the four coarse sub-steps on a stack of observations and order
     the paths by delay: the picks, the RIS arrival and the delay step once
-    for the stack, the AOD refinement, when ``refine_aod``, on each record
-    whose picks succeeded, with that record's own setup (``Setup.row``).
-    A record's first error, in stage order, stays in its row of
-    ``errors``; a lone observation is a stack of one whose error is
-    raised and whose row is returned.
+    for the stack, and in between, when ``refine_aod``, the AOD refinement
+    in lockstep on the stack of the records whose picks succeeded, each
+    with its own setup's pilots (``Setup.take``). Where that stack raises,
+    each record is refined alone (``_damping.fit_rows``). A record's first
+    error, in stage order, stays in its row of ``errors``; a lone
+    observation is a stack of one whose error is raised and whose row is
+    returned.
     """
     lone = obs.pa.ndim == 2
     if lone:
@@ -447,13 +473,19 @@ def run_coarse(obs: Observation, setup: Setup,
     errors, flags = list(picks.errors), {}
     if refine_aod:
         flags["aod_steps"] = [None] * len(errors)
-        for k, error in enumerate(errors):
-            if error is None:
-                try:
-                    u_hat[k], flags["aod_steps"][k] = refine_aod_mle(
-                        obs.row(k), setup.row(k), u_hat[k])
-                except (RisposError, np.linalg.LinAlgError) as exc:
-                    errors[k] = exc
+        picked = np.flatnonzero([e is None for e in errors])
+
+        def refine(rows):
+            rows = picked[rows]
+            sines, steps = refine_aod_mle(obs.take(rows), setup.take(rows),
+                                          u_hat[rows])
+            return list(zip(sines, steps))
+        if picked.size:
+            outs, failed = fit_rows(refine, picked.size)
+            for k, out, exc in zip(picked, outs, failed):
+                if exc is None:
+                    u_hat[k], flags["aod_steps"][k] = out
+                errors[k] = exc
     aoa = estimate_ris_aoa(obs, setup, u_hat)
     toa = estimate_toa(aoa.delta_tilde, setup)
 

@@ -40,11 +40,12 @@ def steer_ula(u: float | np.ndarray, n_ant: int) -> np.ndarray:
 def kron_columns(fe: np.ndarray, fa: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product fe (x) fa of UPA factors, (n_e*n_a,)
     or (n_e*n_a, n) for (n_e, n) and (n_a, n) factors, either of which
-    may have one column shared by all n."""
+    may have one column shared by all n; factors (n_e, K, n) and
+    (n_a, K, n) give (n_e*n_a, K, n)."""
     if fa.ndim == 1:
         return np.kron(fe, fa)
-    return (fe[:, None, :] * fa[None, :, :]).reshape(fe.shape[0] * fa.shape[0],
-                                                     -1)
+    prod = fe[:, None] * fa[None]
+    return prod.reshape((fe.shape[0] * fa.shape[0],) + prod.shape[2:])
 
 
 @dataclass
@@ -92,17 +93,27 @@ class ScenarioGeometry:
 
 def unit_vector(a: Vec3, b: Vec3, what: str) -> tuple[np.ndarray, float]:
     """(a - b) / |a - b| and |a - b|; a zero distance raises
-    ``DegenerateGeometry`` naming the leg ``what``."""
+    ``DegenerateGeometry`` naming the leg ``what``. Points stacked (K, 3)
+    give (K, 3) and (K,), and any zero distance raises."""
     diff = np.asarray(a, float) - np.asarray(b, float)
-    dist = float(np.linalg.norm(diff))
-    if dist <= 0.0:
+    # the norm as the dot product np.linalg.norm forms, on each row
+    dist = np.sqrt(dot_rows(diff, diff))
+    if np.any(dist <= 0.0):
         raise DegenerateGeometry(f"zero distance: {what}")
-    return diff / dist, dist
+    return diff / dist[..., None], dist
 
 
-def ms_axis(alpha: float) -> np.ndarray:
-    """Direction a of the MS array axis at rotation ``alpha``."""
-    return np.array([np.cos(alpha), -np.sin(alpha), 0.0])
+def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis of (..., n) stacks: one dot product per
+    row, the one a lone ``x @ y`` makes."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def ms_axis(alpha) -> np.ndarray:
+    """Direction a of the MS array axis at rotation ``alpha``, (3,), or
+    (K, 3) for K rotations."""
+    return np.stack([np.cos(alpha), -np.sin(alpha), np.zeros_like(alpha)],
+                    axis=-1)
 
 
 def forward_map_G(pos: PositionParams, ris: Vec3, bs: Vec3) -> ChannelParams:
@@ -111,22 +122,26 @@ def forward_map_G(pos: PositionParams, ris: Vec3, bs: Vec3) -> ChannelParams:
     Gains pass through unchanged; delays and the spatial frequencies
     (u, c, s) follow from the node geometry. The inverse (in the
     noiseless case) is provided by the closed forms in
-    :mod:`rispos.positioning`.
+    :mod:`rispos.positioning`. Stacked parameters (``PositionParams``
+    of K poses) give channel parameters stacked (K, Q+1).
     """
     a = ms_axis(pos.alpha)
     d_rb = unit_vector(ris, bs, "RIS-BS")[1]
     n_paths = pos.n_scatterers + 1
-    tau, u, c, s = (np.empty(n_paths) for _ in range(4))
+    tau, u, c, s = (np.empty(np.shape(pos.alpha) + (n_paths,))
+                    for _ in range(4))
     for q in range(n_paths):
         # path 0 departs toward the RIS and arrives from the MS; path q > 0
         # does both through scatterer q
-        hop = ris if q == 0 else pos.scatterers[q - 1]
+        hop = ris if q == 0 else pos.scatterers[..., q - 1, :]
         w_dep, h_dep = unit_vector(hop, pos.ms,
                                    "MS-RIS" if q == 0 else "MS-scatterer")
         w_arr, h_arr = unit_vector(ris, pos.ms if q == 0 else hop,
                                    "MS-RIS" if q == 0 else "scatterer-RIS")
-        tau[q] = (d_rb + h_arr + (h_dep if q > 0 else 0.0)) / SPEED_OF_LIGHT
-        u[q], c[q], s[q] = a @ w_dep, w_arr[2], w_arr[1]
+        tau[..., q] = ((d_rb + h_arr + (h_dep if q > 0 else 0.0))
+                       / SPEED_OF_LIGHT)
+        u[..., q], c[..., q], s[..., q] = (dot_rows(a, w_dep), w_arr[..., 2],
+                                           w_arr[..., 1])
     return ChannelParams(tau, pos.gains.copy(), u, c, s)
 
 

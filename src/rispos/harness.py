@@ -18,18 +18,19 @@ block follows from the config alone, so the worker count cannot change
 it; a pool task is one block. Within one sweep the trials differ only in
 their drawn gains and noise and, across powers, in the pilots, the
 projected AOD dictionary and the truth's Gram, which a stacked setup
-(``channel.Setup.stack``) holds one row per trial. So a batch first
+(``PowerSetup.stack``) holds one row per trial. So a batch first
 draws each trial's gains and noise from that trial's own streams and
 forms, for all its trials at once, the truth, its CRLBs and PEB/OEB,
-and the observations; then it runs the coarse stage on the stack, the
-AOD refinement trial by trial, each trial keeping its own row or error
-(``draw_trials``). Then it calls ``run_trial`` on each trial, power by
-power, which scores the coarse estimate and runs the stages after it.
-``run_trial`` stays the unit of work: a record per call, called once per
-trial through this module, and alone it draws a batch of one. The block
-is ``BATCH`` // powers indices, not ``BATCH``, because a stack's
-temporaries grow with its rows: the cap on rows bounds a sweep's peak
-memory.
+and the observations; then it runs every stage on the stack, the three
+iterative fits (the AOD refinement, SAGE and the LM) in lockstep, one
+``_damping.ascend`` loop per fit for all its trials, each trial keeping
+its own row or error (``draw_trials``). Then it calls ``run_trial`` on
+each trial, power by power, which scores the stages' outputs into the
+trial's record. ``run_trial`` stays the unit of work: a record per
+call, called once per trial through this module, and alone it draws a
+batch of one. The block is ``BATCH`` // powers indices, not ``BATCH``,
+because a stack's temporaries grow with its rows: the cap on rows
+bounds a sweep's peak memory.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -51,6 +52,7 @@ from . import channel as ch
 from . import coarse_est as ce
 from . import positioning as pos_mod
 from . import sage as sg
+from ._damping import fit_rows
 from .errors import IoError, RisposError
 from .geometry import SPEED_OF_LIGHT, ScenarioGeometry, true_channel_params
 from .params import ChannelParams, PositionParams, arrival_azimuth
@@ -338,9 +340,10 @@ class PowerSetup(ch.Setup):
     All of it is seeded by the master seed alone, and of it only
     ``true_gram`` depends on the transmit power beside the channel
     setup's ``cfg``, ``pilots`` and ``aod_proj``. So a sweep builds the
-    rest once (``power_setups``) and hands each power's setup to its
-    trials, and a stacked setup (``channel.Setup.stack``) holds
-    ``true_gram`` one row per trial too. ``truth`` takes one trial's gains
+    rest once and every power's ``true_gram`` in one stacked pass
+    (``power_setups``), and hands each power's setup to its trials, and
+    a stacked setup (``PowerSetup.stack``) holds ``true_gram`` one row
+    per trial too. ``truth`` takes one trial's gains
     or a batch's stack of them: ``draw_trials`` forms a batch's truth and
     bounds in one stacked pass over its powers, and ``reference_bounds``
     the sweep's, of which a lone trial is the one-row case.
@@ -370,8 +373,16 @@ class PowerSetup(ch.Setup):
 
     def _power_fields(self) -> None:
         super()._power_fields()
-        a, b, _ = bnd.derivative_factors(self.true_unit, self)
-        self.true_gram = bnd.gram_from_factors(a, b)
+        # ``power_setups`` forms the Gram of every power at once
+        self.true_gram = None
+
+    @staticmethod
+    def stack(rows: list) -> "PowerSetup":
+        """``channel.Setup.stack`` of power setups, with ``true_gram``
+        stacked too."""
+        out = ch.Setup.stack(rows)
+        out.true_gram = np.stack([r.true_gram for r in rows])
+        return out
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with path gains ``gains`` and the
@@ -392,10 +403,12 @@ class PowerSetup(ch.Setup):
 def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     """The validated setups of ``exp`` at the powers ``powers``, in order.
 
-    The first is built in full; each later one is ``at_power`` of the one
-    before, with that power's system and pilots (the same seeded signs
-    at its amplitude), so all of them share one geometry, schedule,
-    dictionary set and truth.
+    The first is built in full, with the pilots ``channel.make_pilots``
+    draws; each later one is ``at_power`` of the one before, the same
+    seeded signs at its amplitude, so all of them share one geometry,
+    schedule, dictionary set and truth. The truth's Gram of every power
+    comes from one ``bounds.derivative_factors`` pass over the setups'
+    stacked pilots.
     """
     geom = exp.geometry()
     first = exp.system(powers[0])
@@ -403,14 +416,16 @@ def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     sched = ch.make_phase_schedule(
         first, geom.n_ris,
         np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
-    setups = []
-    for power in powers:
-        cfg = exp.system(power)
-        pilots = ch.make_pilots(
-            cfg, geom.n_ms,
-            np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-        setups.append(setups[-1].at_power(cfg, pilots) if setups
-                      else PowerSetup(geom, cfg, pilots, sched))
+    pilots = ch.make_pilots(
+        first, geom.n_ms,
+        np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
+    setups = [PowerSetup(geom, first, pilots, sched)]
+    for power in powers[1:]:
+        setups.append(setups[-1].at_power(exp.system(power)))
+    a, b, _ = bnd.derivative_factors(setups[0].true_unit,
+                                     ch.Setup.stack(setups))
+    for setup, gram in zip(setups, bnd.gram_from_factors(a, b)):
+        setup.true_gram = gram
     return setups
 
 
@@ -421,23 +436,43 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
 
 @dataclass
 class TrialDraw:
-    """What one trial draws and forms before its pipeline runs: the truth
-    ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
-    ``bounds`` there, its observation ``obs``, and its coarse estimate
-    ``coarse``, refined at every stage but ``coarse``, or else the
-    ``error`` the coarse stage raised on it."""
+    """What a trial's batch draws and estimates for it: the truth ``true``
+    at its drawn gains, the angle CRLBs ``crlb`` and the bounds
+    ``bounds`` there, its observation ``obs``, and the output of each
+    stage that the stage setting runs: the coarse estimate ``coarse``,
+    refined at every stage but ``coarse``, SAGE's (params, ``SageInfo``)
+    ``sage``, the closed form's (pose, flags) ``closed`` and the LM fit's
+    (pose, ``LmDiagnostics``) ``lm``. From the first stage that raised on
+    the trial on, the outputs are None and ``error`` holds that error."""
 
     true: ChannelParams
     crlb: np.ndarray
     bounds: bnd.BoundReport
     obs: ch.Observation
     coarse: ce.CoarseEstimate | None = None
+    sage: tuple | None = None
+    closed: tuple | None = None
+    lm: tuple | None = None
     error: Exception | None = None
 
 
 def _trial_entropy(exp: ExperimentConfig, power_idx: int,
                    trial_idx: int) -> tuple:
     return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
+
+
+def _fit_draws(draws: list, stage: str, fit) -> None:
+    """Run the stage ``stage`` on the stack of the draws that have met no
+    error, ``fit(ks)`` taking their indices and giving one output per
+    draw, and store each draw's output as its ``stage``; where the stack
+    raises, each draw runs alone and keeps its output or its error
+    (``_damping.fit_rows``)."""
+    live = np.flatnonzero([d.error is None for d in draws])
+    if live.size:
+        outs, errors = fit_rows(lambda rows: fit(live[rows]), live.size)
+        for k, out, exc in zip(live, outs, errors):
+            setattr(draws[k], stage, out)
+            draws[k].error = exc
 
 
 def draw_trials(exp: ExperimentConfig, rows: list,
@@ -452,14 +487,18 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     stacked setup ``PowerSetup.stack`` of their setups holds one row per
     trial: the pilots, the projected AOD dictionary and the truth's Gram.
     So the truth, its bounds and the observations of all of them are
-    formed at once, as stacks, and ``coarse_est.run_coarse`` runs the
-    coarse stage on the stack, its AOD refinement on at every stage but
-    ``coarse``, each trial's with its own power's setup. A trial that one
-    of its sub-steps fails keeps its error, and the others go on. The
-    stacked products and ``eigh`` make the same BLAS and LAPACK call per
-    trial as on a batch of one, so no number depends on the batch either.
+    formed at once, as stacks, and every stage of the stage setting runs
+    on the stack: ``coarse_est.run_coarse``, its AOD refinement on at
+    every stage but ``coarse``; then SAGE, in lockstep on the trials
+    still running; the closed form, trial by trial; and the LM fit, in
+    lockstep, weighted by SAGE's FIM or, where SAGE did not converge,
+    by ``bounds.fim_channel`` at its estimate. A trial that a stage fails
+    keeps its error, and the others go on. The stacked products, solves
+    and ``eigh`` make the same BLAS and LAPACK call per trial as on a
+    batch of one, so no number depends on the batch either.
     """
     setup = PowerSetup.stack([setups[p] for p, _ in rows])
+    geom = setup.geom
     seeds = [np.random.SeedSequence(_trial_entropy(exp, p, t)).spawn(2)
              for p, t in rows]
     gains = np.array([ch.draw_gains(setups[p].cfg, setups[p].geom,
@@ -469,15 +508,56 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     crlb = angle_crlb(rep.cov_channel, truth)
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
                            noiseless=exp.noiseless)
+    draws = [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
+                                     truth.s),
+                       crlb[k], rep.row(k), obs.row(k))
+             for k in range(len(rows))]
     try:
         coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
-        estimates = [(coarse.row(k), e) for k, e in enumerate(coarse.errors)]
     except (RisposError, np.linalg.LinAlgError) as exc:
-        estimates = [(None, exc)] * len(seeds)  # raised for the whole batch
-    return [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
-                                    truth.s),
-                      crlb[k], rep.row(k), obs.row(k), *estimates[k])
-            for k in range(len(seeds))]
+        for draw in draws:                  # raised for the whole batch
+            draw.error = exc.with_traceback(None)
+        return draws
+    for k, draw in enumerate(draws):
+        draw.coarse, draw.error = (
+            (coarse.row(k), None) if coarse.errors[k] is None
+            else (None, coarse.errors[k]))
+    if exp.stage in ("sage", "lm"):
+        def sage(ks):
+            params, infos = sg.run_sage(obs.take(ks), setup.take(ks),
+                                        coarse.params.take(ks))
+            return [(params.take(i), info) for i, info in enumerate(infos)]
+        _fit_draws(draws, "sage", sage)
+
+    def estimate(k):
+        """Trial k's channel estimate, SAGE's where it ran."""
+        draw = draws[k]
+        return draw.coarse.params if draw.sage is None else draw.sage[0]
+    _fit_draws(draws, "closed", lambda ks: [
+        pos_mod.position_closed_form(estimate(k), geom.ris, geom.bs)
+        for k in ks])
+    if exp.stage == "lm":
+        def lm(ks):
+            # SAGE's last FIM, when it converged, is fim_channel there
+            weights = [draws[k].sage[1].fim for k in ks]
+            for i, k in enumerate(ks):
+                if weights[i] is None:
+                    weights[i] = bnd.fim_channel(estimate(k), setup.row(k))
+            poses, diags = pos_mod.refine_position_lm(
+                np.stack([estimate(k).to_vector() for k in ks]),
+                np.stack(weights), [draws[k].closed[0] for k in ks],
+                geom.ris, geom.bs)
+            return list(zip(poses, diags))
+        _fit_draws(draws, "lm", lm)
+    return draws
+
+
+def _stage(draw: TrialDraw, out):
+    """A stage's output ``out`` of ``draw``, or its error raised where the
+    stage failed."""
+    if out is None:
+        raise draw.error
+    return out
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
@@ -490,8 +570,9 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     trial index) so scheduling cannot perturb results. ``setup`` is
     ``power_setup(exp, power_dbm)``, built here when not given, and
     ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
-    when not given. The draw holds the coarse estimate; the trial scores
-    it and runs the stages after it, from SAGE on.
+    when not given. The draw holds every stage's output; the trial
+    scores them into its record, stage by stage up to the first that
+    failed.
     """
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
                       seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
@@ -500,14 +581,13 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     if draw is None:
         (draw,) = draw_trials(exp, [(power_idx, trial_idx)],
                               {power_idx: setup})
-    geom, cfg, true, obs = setup.geom, setup.cfg, draw.true, draw.obs
+    geom, cfg, true = setup.geom, setup.cfg, draw.true
     rec.eta_true = true.to_vector()
     rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
 
     try:
-        if draw.error is not None:
-            raise draw.error
-        est = draw.coarse.params
+        coarse = _stage(draw, draw.coarse)
+        est = coarse.params
         true_angles = channel_angles(true)
         rec.stages["coarse"] = est.to_vector()
         rec.sq_errors["coarse"], perm = channel_sq_errors(est, true,
@@ -515,36 +595,30 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         # coarse support within 1.5 grid cells of every true departure sine
         rec.support_ok = bool(np.all(np.abs(est.u[perm] - true.u)
                                      <= 1.5 * 2.0 / cfg.g_ms))
-        rec.flags.update(draw.coarse.flags)
-        j_est = None
+        rec.flags.update(coarse.flags)
 
         if exp.stage in ("sage", "lm"):
-            refined, info = sg.run_sage(obs, setup, est)
+            refined, info = _stage(draw, draw.sage)
             rec.stages["sage"] = refined.to_vector()
             rec.sq_errors["sage"], _ = channel_sq_errors(refined, true,
                                                          true_angles)
             rec.flags["sage_converged"] = info.converged
             rec.flags["sage_scoring_steps"] = info.scoring_steps
-            # the FIM of SAGE's last scoring step, when it converged, is
-            # fim_channel at the estimate
-            est, j_est = refined, info.fim
 
-        pos0, pflags = pos_mod.position_closed_form(est, geom.ris, geom.bs)
+        pos0, pflags = _stage(draw, draw.closed)
         rec.stages["closed_form"] = pos0.to_vector()
         rec.sq_errors["closed_form"] = position_sq_errors(pos0, geom)
         rec.flags.update(pflags)
 
         if exp.stage == "lm":
-            if j_est is None:
-                j_est = bnd.fim_channel(est, setup)
-            pos_ref, diag = pos_mod.refine_position_lm(
-                est.to_vector(), j_est, pos0, geom.ris, geom.bs)
+            pos_ref, diag = _stage(draw, draw.lm)
             rec.stages["lm"] = pos_ref.to_vector()
             rec.sq_errors["lm"] = position_sq_errors(pos_ref, geom)
             rec.flags["lm_converged"] = diag.converged
             rec.flags["lm_steps"] = diag.n_iter
     except (RisposError, np.linalg.LinAlgError) as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
+        exc.with_traceback(None)        # the draw holds it: keep no frame
     return rec
 
 
@@ -634,9 +708,9 @@ def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
     records that reached ``stage``, and the same over those of them whose
     coarse support matched; NaN where no record counts.
 
-    Each class's squared errors are gathered once, in record order, as
-    one row per record, so both means sum the same values in the same
-    order as a walk over the records would.
+    Each class's squared errors are gathered once, in record order, into
+    one contiguous row per class, and one mean over the rows' axis sums
+    each row pairwise in that order, as a mean of the class alone would.
     """
     done = [r for r in records if r.error is None and stage in r.sq_errors]
     if not done:
@@ -646,9 +720,12 @@ def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
     support_ok = np.array([r.support_ok for r in done], dtype=bool)
 
     def rmse(rows):
-        return {c: (float(np.sqrt(np.mean(rows[:, i].ravel())))
-                    * _CLASSES[c][1] if len(rows) else np.nan)
-                for i, c in enumerate(classes)}
+        if not len(rows):
+            return {c: np.nan for c in classes}
+        means = np.ascontiguousarray(rows.swapaxes(0, 1)).reshape(
+            len(classes), -1).mean(axis=1)
+        return {c: float(np.sqrt(m)) * _CLASSES[c][1]
+                for c, m in zip(classes, means)}
     return rmse(sq), rmse(sq[support_ok])
 
 

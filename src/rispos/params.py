@@ -59,22 +59,31 @@ class ChannelParams:
 
     @property
     def n_paths(self) -> int:
-        return self.tau.size
+        return self.tau.shape[-1]
 
     def to_vector(self) -> np.ndarray:
-        """Flatten to the length-6(Q+1) real parameter vector."""
-        rows = np.empty((self.tau.size, 6))
-        rows[:, 0], rows[:, 3], rows[:, 4], rows[:, 5] = (self.tau, self.u,
-                                                          self.c, self.s)
-        rows[:, 1], rows[:, 2] = self.gains.real, self.gains.imag
-        return rows.ravel()
+        """Flatten to the length-6(Q+1) real parameter vector; parameters
+        stacked (K, Q+1) give the (K, 6(Q+1)) vectors."""
+        rows = np.empty(self.tau.shape + (6,))
+        rows[..., 0], rows[..., 3], rows[..., 4], rows[..., 5] = (
+            self.tau, self.u, self.c, self.s)
+        rows[..., 1], rows[..., 2] = self.gains.real, self.gains.imag
+        return rows.reshape(self.tau.shape[:-1] + (-1,))
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "ChannelParams":
-        """Inverse of ``to_vector``."""
-        rows = np.asarray(vec, dtype=float).reshape(-1, 6)
-        return cls(rows[:, 0], rows[:, 1] + 1j * rows[:, 2], rows[:, 3],
-                   rows[:, 4], rows[:, 5])
+        """Inverse of ``to_vector``, of one vector or a stack of them."""
+        vec = np.asarray(vec, dtype=float)
+        rows = vec.reshape(vec.shape[:-1] + (-1, 6))
+        return cls(rows[..., 0], rows[..., 1] + 1j * rows[..., 2],
+                   rows[..., 3], rows[..., 4], rows[..., 5])
+
+    def take(self, index) -> "ChannelParams":
+        """The parameters at ``index`` of a stack's leading axis: row k,
+        the stack of the rows of an index array, or, for None, these
+        parameters as a stack of one."""
+        return ChannelParams(self.tau[index], self.gains[index],
+                             self.u[index], self.c[index], self.s[index])
 
     def copy(self) -> "ChannelParams":
         return ChannelParams(self.tau.copy(), self.gains.copy(), self.u.copy(),
@@ -86,7 +95,10 @@ class PositionParams:
     """Position-level parameters: gains, MS pose, scatterer coordinates.
 
     The flattened real vector is ``[delta_re/delta_im per path, m (3),
-    alpha, s^1 (3), ..., s^Q (3)]`` of length 5Q+6.
+    alpha, s^1 (3), ..., s^Q (3)]`` of length 5Q+6. The parameters of K
+    poses may be stacked, gains (K, Q+1), ms (K, 3), alpha (K,) and
+    scatterers (K, Q, 3), as ``from_vector`` gives them for a (K, 5Q+6)
+    stack of vectors.
     """
 
     gains: np.ndarray                 # (Q+1,) complex
@@ -96,13 +108,17 @@ class PositionParams:
 
     def __post_init__(self):
         self.gains = np.atleast_1d(np.asarray(self.gains, dtype=complex))
-        self.ms = np.asarray(self.ms, dtype=float).reshape(3)
-        self.scatterers = np.asarray(self.scatterers, dtype=float).reshape(-1, 3)
-        self.alpha = float(self.alpha)
+        self.ms = np.asarray(self.ms, dtype=float)
+        if self.ms.ndim == 2:
+            self.alpha = np.asarray(self.alpha, dtype=float)
+        else:
+            self.ms, self.alpha = self.ms.reshape(3), float(self.alpha)
+        self.scatterers = np.asarray(self.scatterers, dtype=float).reshape(
+            self.ms.shape[:-1] + (-1, 3))
 
     @property
     def n_scatterers(self) -> int:
-        return self.scatterers.shape[0]
+        return self.scatterers.shape[-2]
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the length-(5Q+6) real parameter vector."""
@@ -112,17 +128,20 @@ class PositionParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "PositionParams":
+        """Inverse of ``to_vector``; a stack of vectors (K, 5Q+6) gives the
+        stacked parameters of K poses."""
         vec = np.asarray(vec, dtype=float)
-        if (vec.size - 6) % 5 != 0:
+        if (vec.shape[-1] - 6) % 5 != 0:
             raise ValueError("position parameter vector length must be 5Q+6")
-        q = (vec.size - 6) // 5
-        gain_block = vec[:2 * (q + 1)].reshape(-1, 2)
-        rest = vec[2 * (q + 1):]
+        q = (vec.shape[-1] - 6) // 5
+        lead = vec.shape[:-1]
+        gain_block = vec[..., :2 * (q + 1)].reshape(lead + (-1, 2))
+        rest = vec[..., 2 * (q + 1):]
         return cls(
-            gains=gain_block[:, 0] + 1j * gain_block[:, 1],
-            ms=rest[:3],
-            alpha=float(rest[3]),
-            scatterers=rest[4:].reshape(q, 3),
+            gains=gain_block[..., 0] + 1j * gain_block[..., 1],
+            ms=rest[..., :3],
+            alpha=rest[..., 3],
+            scatterers=rest[..., 4:].reshape(lead + (q, 3)),
         )
 
     def copy(self) -> "PositionParams":

@@ -108,17 +108,19 @@ class LmDiagnostics:
 
 
 def _weight_matrix(j_eta: np.ndarray) -> np.ndarray:
-    """Symmetrize and floor the FIM weight so the objective is PSD."""
-    sym = 0.5 * (j_eta + j_eta.T)
+    """Symmetrize and floor the FIM weight so the objective is PSD; of
+    each FIM of a stack (K, n, n)."""
+    sym = 0.5 * (j_eta + j_eta.swapaxes(-1, -2))
     vals, vecs = np.linalg.eigh(sym)
-    floor = 1e-12 * max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
-    return (vecs * np.maximum(vals, floor)) @ vecs.T
+    floor = 1e-12 * np.maximum(np.max(np.abs(vals), axis=-1),
+                               np.finfo(float).tiny)
+    return ((vecs * np.maximum(vals, floor[..., None])[..., None, :])
+            @ vecs.swapaxes(-1, -2))
 
 
 def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
                        pos_init: PositionParams,
-                       ris: np.ndarray, bs: np.ndarray
-                       ) -> tuple[PositionParams, LmDiagnostics]:
+                       ris: np.ndarray, bs: np.ndarray):
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
 
     The residual r is the estimated channel vector minus the geometric
@@ -130,41 +132,75 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     1e-6 nats. A candidate is
     kept when it stays in the rotation domain, its legs are not
     degenerate and r^T W r does not rise; it costs one ``forward_map_G``,
-    and T is built only at accepted points.
+    and T is built only at accepted points. Returns the pose and
+    ``LmDiagnostics``; a start whose legs are degenerate raises
+    ``DegenerateGeometry``.
+
+    A stack of K fits, ``eta_hat`` (K, 6(Q+1)), ``j_eta`` (K, 6(Q+1),
+    6(Q+1)) and a list of K start poses, runs in lockstep, each fit
+    ending where it ends alone, with one ``forward_map_G`` of the
+    stacked candidates per pass; it returns lists of K poses and
+    ``LmDiagnostics``, and raises when any start is degenerate.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
+    lone = eta_hat.ndim == 1
+    if lone:
+        eta_hat, j_eta, pos_init = eta_hat[None], j_eta[None], [pos_init]
     weight = _weight_matrix(j_eta)
+    alpha_at = 2 * pos_init[0].gains.size + 3   # alpha's entry of a vector
 
-    def model(state):
-        """T W T^T and T W r at an accepted point."""
-        pos, r, _ = state
-        t_mat = transformation_matrix(pos, ris, bs)
-        t_w = t_mat @ weight
-        return t_w @ t_mat.T, t_w @ r, None
+    def objectives(r, rows):
+        """r^T W r of each row's residual."""
+        return (r[:, None, :] @ weight[rows] @ r[:, :, None])[:, 0, 0]
 
-    def evaluate(state, step):
-        """The candidate, its residual and objective, or None when it
-        leaves the rotation domain, degenerates, or r^T W r rises or is
-        NaN."""
-        pos = PositionParams.from_vector(state[0].to_vector() + step)
-        if not 0.0 <= pos.alpha < np.pi:
-            return None
+    def residuals(vec, rows):
+        return eta_hat[rows] - forward_map_G(
+            PositionParams.from_vector(vec), ris, bs).to_vector()
+
+    def model(state, rows):
+        """T W T^T and T W r at the rows' accepted points."""
+        t_mat = transformation_matrix(PositionParams.from_vector(
+            state[0][rows]), ris, bs)
+        t_w = t_mat @ weight[rows]
+        return (t_w @ t_mat.swapaxes(1, 2),
+                (t_w @ state[1][rows, :, None])[..., 0], None)
+
+    def evaluate(state, rows, steps):
+        """Keep each candidate that stays in the rotation domain, is not
+        degenerate, and whose r^T W r does not rise and is not NaN."""
+        vec = state[0][rows] + steps
+        inside = (0.0 <= vec[:, alpha_at]) & (vec[:, alpha_at] < np.pi)
+        r = np.full(state[1][rows].shape, np.nan)
         try:
-            r = eta_hat - forward_map_G(pos, ris, bs).to_vector()
-        except DegenerateGeometry:
-            return None
-        obj = float(r @ weight @ r)
-        if not obj <= state[2]:
-            return None
-        diag.objective_history.append(obj)
-        return pos, r, obj
+            if inside.any():
+                r[inside] = residuals(vec[inside], rows[inside])
+        except DegenerateGeometry:          # find the rows that degenerate
+            for i in np.flatnonzero(inside):
+                try:
+                    r[i] = residuals(vec[i:i + 1], rows[i:i + 1])[0]
+                except DegenerateGeometry:
+                    pass
+        obj = objectives(r, rows)
+        keep = obj <= state[2][rows]
+        kept = rows[keep]
+        for x, new in zip(state, (vec, r, obj)):
+            x[kept] = new[keep]
+        for k, value in zip(kept, obj[keep].tolist()):
+            diags[k].objective_history.append(value)
+        return keep
 
-    r = eta_hat - forward_map_G(pos_init, ris, bs).to_vector()
-    obj = float(r @ weight @ r)
-    diag = LmDiagnostics(objective_history=[obj])
-    (pos, _, _), diag.n_iter, diag.converged = ascend(
-        (pos_init, r, obj), model, evaluate)
-    return pos, diag
+    rows = np.arange(len(eta_hat))
+    vec = np.stack([p.to_vector() for p in pos_init])
+    r = residuals(vec, rows)
+    obj = objectives(r, rows)
+    diags = [LmDiagnostics(objective_history=[value])
+             for value in obj.tolist()]
+    (vec, _, _), steps, converged = ascend((vec, r, obj), model, evaluate)
+    poses = []
+    for k, diag in enumerate(diags):
+        diag.n_iter, diag.converged = int(steps[k]), bool(converged[k])
+        poses.append(PositionParams.from_vector(vec[k]))
+    return (poses[0], diags[0]) if lone else (poses, diags)
 
 
 def wrapped_rotation_error(alpha_est: float, alpha_true: float) -> float:

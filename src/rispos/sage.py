@@ -77,6 +77,18 @@ def field_log_likelihood(mu: np.ndarray, obs: Observation,
                  - setup.geom.n_bs * np.vdot(mu, mu).real)
 
 
+def _boundary_rows(vec: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Whether each row of the stacks of parameter vectors and scores
+    (k, 6(Q+1)) has a boundary direction along which its score leaves the
+    physical set: ``_step_basis``'s test on every path at once."""
+    p, g = vec.reshape(len(vec), -1, 6), score.reshape(len(vec), -1, 6)
+    u, c, s = p[..., 3], p[..., 4], p[..., 5]
+    out = (np.abs(u) >= 1.0) & (u * g[..., 3] > 0.0)
+    out |= ((c * c + s * s >= 1.0 - _RIM_TOL)
+            & (c * g[..., 4] + s * g[..., 5] > 0.0))
+    return out.any(axis=1)
+
+
 def _step_basis(params: ChannelParams, score: np.ndarray):
     """Columns spanning the step space at ``params``: the identity, less
     each boundary direction along which the score leaves the physical
@@ -103,8 +115,9 @@ def _step_basis(params: ChannelParams, score: np.ndarray):
 
 
 def _projected(vec: np.ndarray) -> ChannelParams:
-    """The parameters of ``vec`` with each u clipped to [-1, 1] and each
-    (c, s) outside the disk scaled radially onto its rim."""
+    """The parameters of ``vec`` (6(Q+1),), or of each row of a stack
+    (k, 6(Q+1)), with each u clipped to [-1, 1] and each (c, s) outside
+    the disk scaled radially onto its rim."""
     params = ChannelParams.from_vector(vec)
     r2 = params.c ** 2 + params.s ** 2
     if np.any(np.abs(params.u) > 1.0) or np.any(r2 > 1.0):
@@ -114,37 +127,64 @@ def _projected(vec: np.ndarray) -> ChannelParams:
     return params
 
 
-def run_sage(obs: Observation, setup: Setup,
-             init: ChannelParams) -> tuple[ChannelParams, SageInfo]:
+def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
     """Refine all channel parameters from the coarse initialization by
-    damped Fisher scoring; see the module docstring."""
+    damped Fisher scoring; see the module docstring. Returns (params,
+    ``SageInfo``).
+
+    A stack of K observations, with their setup stacked or shared and
+    parameters stacked (K, Q+1), runs the K ascents in lockstep, each
+    ending where it ends alone, and returns the stacked parameters and a
+    list of K ``SageInfo``.
+    """
+    lone = obs.pa.ndim == 2
+    if lone:
+        obs, init = Observation(obs.pa[None], obs.cov1[None]), init.take(None)
     n_bs = setup.geom.n_bs
     score_scale = 2.0 / setup.cfg.noise_power
 
-    def model(state):
-        """The FIM, the score and the step space at a point."""
-        params, _, (a, b, mu) = state
-        score = score_scale * np.real(
-            np.sum((a.conj().T @ (obs.pa - n_bs * mu)) * b.conj().T, axis=1))
-        return (bnd.fim_from_factors(a, b, setup), score,
-                _step_basis(params, score))
+    def likelihoods(mu, rows):
+        return np.array([field_log_likelihood(m, obs.row(k), setup)
+                         for k, m in zip(rows, mu)])
 
-    def evaluate(state, step):
-        """The projected candidate, its likelihood and its factors, or
-        None when the likelihood falls or is NaN."""
-        cand = _projected(state[0].to_vector() + step)
-        factors = bnd.derivative_factors(cand, setup)
-        lamb = field_log_likelihood(factors[2], obs, setup)
-        if not lamb >= state[1]:
-            return None
-        info.loglik_history.append(lamb)
-        return cand, lamb, factors
+    def model(state, rows):
+        """The FIMs, the scores and the step spaces at the rows' points."""
+        vec, _, a, b, mu = (x[rows] for x in state)
+        a_h = a.conj().swapaxes(1, 2)
+        score = score_scale * np.real(np.sum(
+            (a_h @ (obs.pa[rows] - n_bs * mu)) * b.conj().swapaxes(1, 2),
+            axis=2))
+        fim = bnd.fim_from_factors(a, b, setup)
+        edge = _boundary_rows(vec, score)
+        bases = None
+        if edge.any():
+            bases = [_step_basis(ChannelParams.from_vector(v), g) if e
+                     else None for v, g, e in zip(vec, score, edge)]
+        return fim, score, bases
 
-    factors = bnd.derivative_factors(init, setup)
-    lamb = field_log_likelihood(factors[2], obs, setup)
-    info = SageInfo(loglik_history=[lamb])
-    (params, _, (a, b, _)), info.scoring_steps, info.converged = ascend(
-        (init.copy(), lamb, factors), model, evaluate)
-    if info.converged:
-        info.fim = bnd.fim_from_factors(a, b, setup)
-    return params, info
+    def evaluate(state, rows, steps):
+        """Keep each projected candidate whose likelihood does not fall
+        and is not NaN, with its factors."""
+        cand = _projected(state[0][rows] + steps)
+        a, b, mu = bnd.derivative_factors(cand, setup.take(rows))
+        lamb = likelihoods(mu, rows)
+        keep = lamb >= state[1][rows]
+        kept = rows[keep]
+        for x, new in zip(state, (cand.to_vector(), lamb, a, b, mu)):
+            x[kept] = new[keep]
+        for k, value in zip(kept, lamb[keep].tolist()):
+            infos[k].loglik_history.append(value)
+        return keep
+
+    a, b, mu = bnd.derivative_factors(init, setup)
+    lamb = likelihoods(mu, np.arange(len(mu)))
+    infos = [SageInfo(loglik_history=[value]) for value in lamb.tolist()]
+    (vec, _, a, b, _), steps, converged = ascend(
+        (init.to_vector(), lamb, a, b, mu), model, evaluate)
+    fims = bnd.fim_from_factors(a, b, setup)
+    for k, info in enumerate(infos):
+        info.scoring_steps, info.converged = int(steps[k]), bool(converged[k])
+        if info.converged:
+            info.fim = fims[k]
+    params = ChannelParams.from_vector(vec)
+    return (params.take(0), infos[0]) if lone else (params, infos)

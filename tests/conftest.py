@@ -10,7 +10,9 @@ from oracles import (angles_from_geometry, observe, ris_bs_angles,
                      synthesize_tensor)
 from rispos import channel as ch
 from rispos import geometry as gm
+from rispos import coarse_est as ce
 from rispos import harness as hn
+from rispos.errors import SingularConcentration
 from rispos.geometry import ScenarioGeometry
 
 
@@ -175,21 +177,36 @@ def sample_layout_with(rng: np.random.Generator,
     return geom
 
 
+def lone_aod_objective(s_mat, c_mat, geom):
+    """``coarse_est._aod_objective`` of one record, as a map of (n, P)
+    stacks of sines to their (n,) values that raises
+    ``SingularConcentration`` where the stack collides."""
+    objective = ce._aod_objective(s_mat[None], c_mat[None], geom)
+
+    def lone(stack):
+        vals, ok = objective(np.arange(1), stack[None])
+        if not ok[0]:
+            raise SingularConcentration("departure angles collide")
+        return vals[0]
+    return lone
+
+
 def spy_ascents(monkeypatch, module) -> list:
-    """Record each ``_damping.ascend`` call that ``module`` makes as
-    (steps, converged, candidates), candidates counting the ``evaluate``
-    calls: every step was the undamped one when candidates == steps."""
+    """Record each fit of each ``_damping.ascend`` call that ``module``
+    makes, row by row, as (steps, converged, candidates), candidates
+    counting the candidates ``evaluate`` was given for that row: every
+    step was the undamped one when candidates == steps."""
     calls = []
     ascend = module.ascend
 
     def recorded(state, model, evaluate, **kwargs):
-        seen = []
+        seen = np.zeros(len(state[0]), int)
 
-        def counted(state, step):
-            seen.append(step)
-            return evaluate(state, step)
+        def counted(state, rows, steps):
+            seen[rows] += 1
+            return evaluate(state, rows, steps)
         out = ascend(state, model, counted, **kwargs)
-        calls.append((out[1], out[2], len(seen)))
+        calls.extend(zip(out[1].tolist(), out[2].tolist(), seen.tolist()))
         return out
     monkeypatch.setattr(module, "ascend", recorded)
     return calls

@@ -12,7 +12,8 @@ time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
 association, SAGE by full-search coordinate cycles alone, and the FIM
-derivative factors with the RIS phases contracted per slot. The package keeps
+derivative factors with the RIS phases contracted per slot, and the
+damped Newton loop of one fit at a time. The package keeps
 only the fast forms, in the arrays' spatial frequencies (u, c, s), and
 never forms the (N_b, T, N) received tensor; these reference
 implementations, most of them in angles, check them.
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rispos import _damping as dm
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -1031,3 +1033,31 @@ def derivative_factors_slots(params: ChannelParams, setup: ch.Setup):
     subs = np.stack([n_sub * ramp] + [ramp] * 5)                   # (6, N, Q+1)
     return (slots.transpose(1, 2, 0).reshape(cfg.t_total, -1),
             subs.transpose(1, 2, 0).reshape(cfg.n_subcarriers, -1))
+
+
+def lone_ascend(state, model, evaluate, nats: float = 1.0):
+    """``_damping.ascend`` on one fit: ``model(state)`` gives (A, g, basis)
+    at a point, ``evaluate(state, step)`` the state a step reaches or
+    None. Returns (state, accepted steps, converged)."""
+    lam = 0.0
+    for steps in range(dm.MAX_STEPS):
+        a, g, basis = model(state)
+        if basis is not None:
+            a, g = basis.T @ a @ basis, basis.T @ g
+        undamped = dm._solve(a, g, 0.0)
+        last = (undamped is not None
+                and nats * (g @ undamped) < dm.DECREMENT_TOL)
+        while True:
+            step = undamped if lam == 0.0 else dm._solve(a, g, lam)
+            new = None if step is None else evaluate(
+                state, step if basis is None else basis @ step)
+            if new is not None or last:
+                break
+            lam = max(dm.DAMPING, dm.DAMPING_UP * lam)
+            if lam > dm.DAMPING_LIMIT:
+                return state, steps, False
+        if last:
+            return (state, steps, True) if new is None else \
+                (new, steps + 1, True)
+        state, lam = new, dm.DAMPING_DOWN * lam
+    return state, dm.MAX_STEPS, False

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_ongrid_scenario
+from conftest import build_ongrid_scenario, lone_aod_objective
 from oracles import (bs_steering, build_channel, channel_params_from_vector,
                      from_angles, gain_closed_form, global_log_likelihood,
                      model_field_derivs, ms_steering, observe,
@@ -137,7 +137,7 @@ def test_criterion_3_dual_formula_oracles(setup20):
             for t in range(s.cfg.t1):
                 raw += np.linalg.norm(y[:, t, n] - blocks[t] @ dvec) ** 2
                 const += np.linalg.norm(y[:, t, n]) ** 2
-        simp = ce._aod_objective(s_mat, c_mat, s.geom)(params.u[None, :])[0]
+        simp = lone_aod_objective(s_mat, c_mat, s.geom)(params.u[None, :])[0]
         worst["aod"] = max(worst["aod"],
                            abs((const - raw) - simp) / abs(simp))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import sample_layout, spy_ascents
+from conftest import lone_aod_objective, sample_layout, spy_ascents
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
                      dcs_somp_tensor, estimate_toa, ms_steering, observe,
                      refine_aod_cyclic, ris_aoa_loop, synthesize_tensor,
@@ -220,10 +220,12 @@ def _refinements_against_oracle(monkeypatch, exp, trials):
     refine = ce.refine_aod_mle
 
     def recorded(obs, setup, u_init):
+        # a stack of the batch's trials: the last ascents are its rows
         sines, steps = refine(obs, setup, u_init)
-        n_steps, _, candidates = ascents[-1]
-        calls.append((sines, steps, candidates == n_steps,
-                      refine_aod_cyclic(obs, setup, u_init)))
+        for k, (n_steps, _, candidates) in enumerate(ascents[-len(steps):]):
+            calls.append((sines[k], steps[k], candidates == n_steps,
+                          refine_aod_cyclic(obs.row(k), setup.row(k),
+                                            u_init[k])))
         return sines, steps
 
     with monkeypatch.context() as m:
@@ -338,7 +340,7 @@ def test_aod_column_batch_matches_full_stacks(setup20):
     a cyclic pass scores them, equals the oracle's full-stack objective."""
     s = setup20
     mats = _aod_mats(s, s.rx_noisy)
-    objective = ce._aod_objective(*mats, s.geom)
+    objective = lone_aod_objective(*mats, s.geom)
     rng = np.random.default_rng(11)
     for n_paths in (1, 2, 3):
         theta = rng.uniform(-1.2, 1.2, n_paths)
@@ -356,7 +358,7 @@ def test_aod_column_batch_matches_full_stacks(setup20):
 def test_aod_column_batch_rejects_colliding_column(setup20):
     s = setup20
     mats = _aod_mats(s, s.rx_noisy)
-    objective = ce._aod_objective(*mats, s.geom)
+    objective = lone_aod_objective(*mats, s.geom)
     stack = np.array([[0.1, -0.4], [0.2, -0.4], [-0.4, -0.4], [0.5, -0.4]])
     objective(stack[[0, 1, 3]])
     with pytest.raises(SingularConcentration):
@@ -374,7 +376,7 @@ def test_aod_objective_matches_raw_form(setup20):
                       s.cfg.n_subcarriers))], axis=1)
     theta = np.array([0.2, -0.45])
     s_mat, c_mat = _aod_mats(s, rx)
-    simplified = ce._aod_objective(s_mat, c_mat, s.geom)(
+    simplified = lone_aod_objective(s_mat, c_mat, s.geom)(
         np.sin(theta)[None, :])[0]
 
     # raw form: residual after per-subcarrier LS gain fitting
@@ -747,20 +749,24 @@ def test_stack_takes_setups_of_one_sweep_alone():
 
 def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
                                                          setup20):
-    """With the AOD refinement raising on the middle of three stacked
-    records, ``run_coarse`` gives each other record its lone estimate bit
-    for bit, parameters and flags, and the middle one the error its lone
-    call raises, class and message."""
+    """With the AOD refinement's start colliding on the middle of three
+    stacked records (its picks give one sine twice), the stacked
+    refinement raises and ``run_coarse`` refines each record alone: each
+    other record gets its lone estimate bit for bit, parameters and
+    flags, and the middle one the error its lone call raises, class and
+    message."""
     s = setup20
     rows = [s.obs_noisy, s.obs_clean, ch.synthesize_rx(s.setup, s.true, 4)]
-    refine = ce.refine_aod_mle
+    picks = ce.estimate_aod_coarse
 
-    def failing(obs, setup, u_init):
-        if np.array_equal(obs.pa, rows[1].pa):
-            raise SingularConcentration("stubbed collision")
-        return refine(obs, setup, u_init)
+    def colliding(obs, setup):
+        u_hat, res = picks(obs, setup)
+        for k, pa in enumerate(obs.pa):
+            if np.array_equal(pa, rows[1].pa):
+                u_hat[k] = u_hat[k, 0]
+        return u_hat, res
 
-    monkeypatch.setattr(ce, "refine_aod_mle", failing)
+    monkeypatch.setattr(ce, "estimate_aod_coarse", colliding)
     stacked = ce.run_coarse(ch.Observation(
         np.stack([o.pa for o in rows]), np.stack([o.cov1 for o in rows])),
         s.setup)
@@ -768,7 +774,8 @@ def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
     with pytest.raises(RisposError) as raised:
         ce.run_coarse(rows[1], s.setup)
     assert type(stacked.errors[1]) is type(raised.value)
-    assert str(stacked.errors[1]) == str(raised.value) == "stubbed collision"
+    assert str(stacked.errors[1]) == str(raised.value) \
+        == "departure angles collide"
     for k in (0, 2):
         alone, row = ce.run_coarse(rows[k], s.setup), stacked.row(k)
         for f in dataclasses.fields(alone.params):

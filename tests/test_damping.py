@@ -1,12 +1,44 @@
 """The damped Newton ascent that the AOD refinement, SAGE and the LM fit
-share: its steps, its damping schedule, its step space and its stop rule."""
+share: its steps, its damping schedule, its step space and its stop rule,
+on one fit and on a stack of fits in lockstep."""
 
 import numpy as np
 import pytest
 
+from oracles import lone_ascend
 from rispos import _damping as dm
 from rispos import coarse_est as ce
 from rispos import harness as hn
+
+
+def _stacked(starts, models, evaluates, nats=1.0):
+    """``dm.ascend`` on a stack of fits, row k starting at ``starts[k]``
+    with the one-point model ``models[k](x)`` -> (A, g, basis) and test
+    ``evaluates[k](x, step)`` -> the point reached or None. Returns each
+    row's (point, steps, converged)."""
+    def model(state, rows):
+        out = [models[k](state[0][k]) for k in rows]
+        bases = [basis for _, _, basis in out]
+        return (np.stack([a for a, _, _ in out]),
+                np.stack([g for _, g, _ in out]),
+                None if all(b is None for b in bases) else bases)
+
+    def evaluate(state, rows, steps):
+        accepted = []
+        for k, step in zip(rows, steps):
+            new = evaluates[k](state[0][k], step)
+            if new is not None:
+                state[0][k] = new
+            accepted.append(new is not None)
+        return np.array(accepted)
+    (points,), steps, converged = dm.ascend((list(starts),), model, evaluate,
+                                            nats=nats)
+    return list(zip(points, steps.tolist(), converged.tolist()))
+
+
+def _lone(start, model, evaluate):
+    """``dm.ascend`` on one fit, a stack of one."""
+    return _stacked([start], [model], [evaluate])[0]
 
 
 def _quadratic(curv, peak):
@@ -14,13 +46,16 @@ def _quadratic(curv, peak):
     return lambda x: (curv, curv @ (peak - x), None)
 
 
-def _ascent(objective):
-    """An ``evaluate`` that keeps a step unless ``objective`` falls, and the
-    list of candidates it was given."""
+def _ascent(objective, rejects=0):
+    """An ``evaluate`` that rejects its first ``rejects`` candidates and
+    then keeps a step unless ``objective`` falls, and the list of
+    candidates it was given."""
     seen = []
 
     def evaluate(x, step):
         seen.append(step)
+        if len(seen) <= rejects:
+            return None
         return x + step if objective(x + step) >= objective(x) else None
     return evaluate, seen
 
@@ -31,8 +66,8 @@ def test_concave_quadratic_converges_in_one_undamped_step():
     curv = np.array([[4.0, 1.0], [1.0, 3.0]])
     peak = np.array([0.5, -2.0])
     evaluate, seen = _ascent(lambda x: -(x - peak) @ curv @ (x - peak))
-    x, steps, converged = dm.ascend(np.zeros(2), _quadratic(curv, peak),
-                                    evaluate)
+    x, steps, converged = _lone(np.zeros(2), _quadratic(curv, peak),
+                                 evaluate)
     assert converged and steps == 2 and len(seen) == 2
     np.testing.assert_allclose(seen[0], peak, rtol=0, atol=1e-14)
     np.testing.assert_allclose(x, peak, rtol=0, atol=1e-14)
@@ -57,7 +92,7 @@ def test_overshooting_steps_are_damped_and_the_ascent_stays_monotone():
         if out is not None:
             visited.append(f(out))
         return out
-    x, steps, converged = dm.ascend(np.array([3.0]), model, recorded)
+    x, steps, converged = _lone(np.array([3.0]), model, recorded)
     assert converged and abs(x[0]) < 1e-3
     assert len(seen) > steps == len(visited)
     assert np.all(np.diff([f(np.array([3.0]))] + visited) > 0.0)
@@ -72,8 +107,8 @@ def test_an_always_rejecting_fit_stalls_past_the_damping_limit():
         seen.append(step)
         return None
     start = np.array([1.0, 2.0])
-    x, steps, converged = dm.ascend(start, _quadratic(np.eye(2), -start),
-                                    reject)
+    x, steps, converged = _lone(start, _quadratic(np.eye(2), -start),
+                                 reject)
     assert (steps, converged, len(seen)) == (0, False, 17)
     assert x is start
 
@@ -83,7 +118,7 @@ def test_an_indefinite_model_is_never_converged():
     Cholesky factor, so the decrement is never taken: damped steps that
     go nowhere run to the step cap unconverged."""
     curv = np.diag([1.0, -1.0])
-    x, steps, converged = dm.ascend(
+    x, steps, converged = _lone(
         np.zeros(2), lambda x: (curv, -curv @ x, None),
         lambda x, step: x + step)
     assert not converged and steps == dm.MAX_STEPS
@@ -102,11 +137,64 @@ def test_steps_stay_in_the_span_of_the_basis():
 
     def model(x):
         return np.eye(3), peak - x, basis
-    x, steps, converged = dm.ascend(np.zeros(3), model, evaluate)
+    x, steps, converged = _lone(np.zeros(3), model, evaluate)
     assert converged and steps == 2
     off_span = np.eye(3) - basis @ basis.T
     assert max(np.max(np.abs(off_span @ step)) for step in seen) < 1e-15
     np.testing.assert_allclose(x, basis @ basis.T @ peak, atol=1e-15)
+
+
+def test_a_stack_ends_every_row_where_its_lone_fit_ends():
+    """Six fits in lockstep: one that converges through damped steps, one
+    rejected past the damping limit, one that runs the step cap, one with
+    an indefinite model (its rows of the stacked Cholesky factor fail),
+    one whose step space is a basis, and one that moves at a damping of 10
+    to a point whose undamped decrement, 1.5e-6 nats, is above the stop
+    while its damped one is below it. Each row takes the candidates, and
+    ends at the point, step count and flag, of the one-fit loop."""
+    def overshoot(x):
+        r = 1.0 + x[0] ** 2
+        return (np.diag([r ** -1.5, 2.0]),
+                np.array([-x[0] / np.sqrt(r), -2.0 * x[1]]), None)
+
+    def f_overshoot(x):
+        return -np.sqrt(1.0 + x[0] ** 2) - x[1] ** 2
+    indefinite = np.diag([1.0, -1.0])
+    basis = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+    peak = np.array([1.0, 3.0])
+    near = np.array([np.sqrt(1.5e-6) * 1.1, 0.0])
+    fits = [
+        (np.array([3.0, 1.0]), overshoot, lambda: _ascent(f_overshoot)),
+        (np.array([1.0, 2.0]), _quadratic(np.eye(2), -np.array([1.0, 2.0])),
+         lambda: _ascent(None, rejects=np.inf)),
+        (np.zeros(2), lambda x: (1e-3 * np.eye(2), np.ones(2), None),
+         lambda: _ascent(lambda x: 0.0)),
+        (np.zeros(2), lambda x: (indefinite, -indefinite @ x, None),
+         lambda: _ascent(lambda x: 0.0)),
+        (np.zeros(2), lambda x: (np.eye(2), peak - x, basis),
+         lambda: _ascent(lambda x: -np.sum((x - peak) ** 2))),
+        (np.zeros(2), _quadratic(np.eye(2), near),
+         lambda: _ascent(lambda x: -np.sum((x - near) ** 2), rejects=5)),
+    ]
+    stack_eval, stack_seen = zip(*(make() for _, _, make in fits))
+    stacked = _stacked([x0 for x0, _, _ in fits], [m for _, m, _ in fits],
+                       stack_eval)
+    ends = []
+    for k, (x0, model, make) in enumerate(fits):
+        evaluate, seen = make()
+        x, steps, converged = lone_ascend(x0, model, evaluate)
+        ends.append((steps, converged))
+        assert stacked[k][1:] == (steps, converged), k
+        assert np.array_equal(stacked[k][0], x), k
+        assert len(stack_seen[k]) == len(seen), k
+        for a, b in zip(stack_seen[k], seen):
+            assert np.array_equal(a, b), k
+        if k == 0:
+            assert steps > 2 and len(seen) > steps
+        if k == 1:
+            assert len(seen) == 17
+    assert ends == [(ends[0][0], True), (0, False), (dm.MAX_STEPS, False),
+                    (dm.MAX_STEPS, False), (2, True), (3, True)]
 
 
 def test_the_aod_decrement_is_read_in_nats(monkeypatch):
@@ -119,7 +207,8 @@ def test_the_aod_decrement_is_read_in_nats(monkeypatch):
     ascend = ce.ascend
 
     def recorded(state, model, evaluate, nats):
-        calls.append((state, model, evaluate, nats))
+        # the start of the trial's stack of one, before the ascent moves it
+        calls.append((tuple(x.copy() for x in state), model, evaluate, nats))
         return ascend(state, model, evaluate, nats=nats)
     monkeypatch.setattr(ce, "ascend", recorded)
     exp = hn.ExperimentConfig(stage="aod_mle")
@@ -128,15 +217,16 @@ def test_the_aod_decrement_is_read_in_nats(monkeypatch):
     assert rec.flags["aod_steps"] >= 2
     [(state, model, evaluate, nats)] = calls
     assert nats == 1.0 / setup.cfg.noise_power
+    row = np.arange(1)
     for k in range(3):
-        curv, grad, basis = model(state)
-        assert basis is None
-        step = np.linalg.solve(curv, grad)
-        new = evaluate(state, step)
-        assert new is not None
+        curv, grad, bases = model(state, row)
+        assert bases is None
+        step = np.linalg.solve(curv[0], grad[0])
+        new = tuple(x.copy() for x in state)    # evaluate writes its point
+        assert evaluate(new, row, step[None])[0]
         if k < 2:
             state = new
-    predicted = 0.5 * nats * (grad @ step)
-    gain = nats * (new[1][0] - state[1][0])
+    predicted = 0.5 * nats * (grad[0] @ step)
+    gain = nats * (new[1][0, 0] - state[1][0, 0])
     assert 1e-5 < predicted < 1e-2
     assert gain == pytest.approx(predicted, rel=0.1)

@@ -313,14 +313,18 @@ def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
     dict(stage="coarse", noiseless=True),
     dict(stage="aod_mle"),
     dict(stage="lm"),
-], ids=["noiseless", "aod_mle", "lm"])
+    # two scatterers: fits that run long, so blocks of 4, 4 and 1 trials
+    dict(stage="lm", scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], t1=22,
+         t_total=43, n_trials=hn.BATCH // 4 * 2 + 1),
+], ids=["noiseless", "aod_mle", "lm", "q2_lm"])
 def test_batched_stages_equal_lone_trials(overrides):
-    """Noiseless observations, and at stages ``aod_mle`` and ``lm`` the
-    stacked coarse stage with each trial's AOD refinement inside it, on
-    its own power's setup, give every sweep record at four powers its
-    lone trial's bits, over full blocks and a partial one."""
-    exp = hn.ExperimentConfig(master_seed=77, n_trials=hn.BATCH + 5,
-                              **overrides)
+    """Noiseless observations, and at stages ``aod_mle`` and ``lm``, with
+    one scatterer or two, the stacked coarse stage and the AOD refinement,
+    SAGE and the LM fit in lockstep over the batch, each trial on its own
+    power's setup, give every sweep record at four powers its lone
+    trial's bits, over full blocks and a partial one."""
+    exp = hn.ExperimentConfig(**{"master_seed": 77,
+                                 "n_trials": hn.BATCH + 5, **overrides})
     assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
     for p_idx, (power, setup, recs) in enumerate(zip(
@@ -332,6 +336,47 @@ def test_batched_stages_equal_lone_trials(overrides):
                 assert (_bits(getattr(rec, f.name))
                         == _bits(getattr(alone, f.name))), (rec.trial_index,
                                                             f.name)
+
+
+@pytest.mark.parametrize("fit", ["sage", "lm"])
+def test_stacked_fits_keep_a_failing_rows_lone_error(fit, monkeypatch):
+    """A batch of three trials (master seed 77, 20 dBm) whose middle trial
+    fails at the start of the stacked fit: SAGE's first factor pass, or
+    the LM fit's first Jacobian, raises on any stack that holds that
+    trial's start. Each trial's fit then runs alone, so every record
+    equals its lone trial's bit for bit, and the middle one holds the
+    error its lone trial records, class and message."""
+    exp = hn.ExperimentConfig(master_seed=77, n_trials=3, powers_dbm=[20.0])
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    middle = hn.run_trial(exp, 20.0, 0, 1, setups[0])
+    if fit == "sage":
+        tau = middle.stages["coarse"].reshape(-1, 6)[:, 0]
+        factors = bnd.derivative_factors
+
+        def stub(params, setup):
+            if np.all(np.atleast_2d(params.tau) == tau, axis=1).any():
+                raise errors.SingularConcentration("stubbed")
+            return factors(params, setup)
+        monkeypatch.setattr(bnd, "derivative_factors", stub)
+        message = "SingularConcentration: stubbed"
+    else:
+        ms = PositionParams.from_vector(middle.stages["closed_form"]).ms
+        t_mat = pos_mod.transformation_matrix
+
+        def stub(pos, ris, bs):
+            if np.all(np.atleast_2d(pos.ms) == ms, axis=1).any():
+                raise errors.DegenerateGeometry("stubbed")
+            return t_mat(pos, ris, bs)
+        monkeypatch.setattr(pos_mod, "transformation_matrix", stub)
+        message = "DegenerateGeometry: stubbed"
+    records = hn.run_batch(exp, range(3), setups)
+    assert [r.error for r in records] == [None, message, None]
+    for rec in records:
+        alone = hn.run_trial(exp, 20.0, 0, rec.trial_index, setups[0])
+        for f in dataclasses.fields(rec):
+            assert (_bits(getattr(rec, f.name))
+                    == _bits(getattr(alone, f.name))), (rec.trial_index,
+                                                        f.name)
 
 
 def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
@@ -663,10 +708,12 @@ def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
     monkeypatch.setattr(pos_mod, "refine_position_lm", lm)
     rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, setup)
     assert rec.error is None
-    refined, info = seen["sage"]
+    # the trial's batch of one runs both fits on stacks of one
+    refined, (info,) = seen["sage"]
     assert (info.fim is None) is failed
     assert seen["fim_calls"] == (1 if failed else 0)
-    assert np.array_equal(seen["j_eta"], fim_channel(refined, setup))
+    assert np.array_equal(seen["j_eta"][0],
+                          fim_channel(refined.take(0), setup))
 
 
 def test_cli_trial_prints_scoring_flags(capsys):

@@ -219,7 +219,7 @@ def test_lm_jacobian_only_at_accepted_points(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(po, name, counted)
-    _, diag = po.refine_position_lm(*inputs[0])
+    _, (diag,) = po.refine_position_lm(*inputs[0])   # the batch's stack of one
     accepted = len(diag.objective_history) - 1
     assert diag.converged and accepted == diag.n_iter
     assert calls["transformation_matrix"] == accepted

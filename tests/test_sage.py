@@ -571,8 +571,10 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
 
 
 def _cyclic_refinement(obs, setup, u_init):
-    """``refine_aod_mle`` with its sines from the cyclic oracle."""
-    return refine_aod_cyclic(obs, setup, u_init), 0
+    """``refine_aod_mle`` on a stack with its sines from the cyclic
+    oracle, row by row."""
+    return (np.array([refine_aod_cyclic(obs.row(k), setup.row(k), u)
+                      for k, u in enumerate(u_init)]), [0] * len(u_init))
 
 
 @pytest.mark.parametrize("power,trial", [(0.0, 8), (0.0, 16), (10.0, 26)])
@@ -636,8 +638,10 @@ def _recorded_sage(monkeypatch, seed, power, trial):
     assert rec.error is None
     ratio = np.sqrt(rec.sq_errors["lm"]["position"]) / rec.peb
     assert ratio < 3.0
-    (call,) = calls
-    return call, ratio
+    # the trial's batch runs SAGE on a stack of one: its one row
+    ((obs, setup, init, (refined, (info,))),) = calls
+    return (obs.row(0), setup.row(0), init.take(0),
+            (refined.take(0), info)), ratio
 
 
 def test_damped_scoring_converges_where_plain_scoring_failed(monkeypatch):
