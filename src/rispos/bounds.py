@@ -61,9 +61,9 @@ def derivative_factors(params: ChannelParams, setup: Setup):
                                        cfg.n_subcarriers), 0, -2)
     k_r = np.arange(geom.n_ris)[:, None]
     pilots_t = np.swapaxes(setup.pilots, -1, -2)
-    # each product on its own matrices, stacked along a new leading axis:
-    # a product's columns keep their bits only among products of as many
-    # columns
+    # the matrices of each product stacked along a new axis, so that each
+    # makes the gemm call of its own: a product's columns keep their bits
+    # only among products of as many columns
     sigma, d_c, d_s = slot_factors(setup, np.stack([
         a_r, k_r // geom.n_ris_az * a_r, k_r % geom.n_ris_az * a_r]))
     prods = pilots_t[..., None, :, :] @ np.stack(

@@ -29,7 +29,8 @@ records of a stack may be at different transmit powers: a stacked setup
 (``channel.Setup.stack``) holds the pilots and the projected AOD
 dictionary with a leading row axis, and each record's products then
 read its own row. ``run_coarse`` runs all four sub-steps on a stack,
-the likelihood refinement one record at a time with its own setup.
+the likelihood refinement in lockstep over its records
+(``_damping.ascend``), each with its own setup's pilots.
 """
 
 from __future__ import annotations
@@ -186,12 +187,12 @@ def _aod_objective(s_mat: np.ndarray, c_mat: np.ndarray,
     ``s_mat`` is sum_n B^H[n] E B[n] and ``c_mat`` the pilot Gram X1 X1^H,
     one per record (K, N_m, N_m). With D = A G^-1 A^H and G = A^H C A,
     2 tr(DS) - tr(S D C D^H) equals tr(G^-1 A^H S A) (constant dropped).
-    Returns a map from the
-    records ``rows`` and their stacks of sine vectors (k, n, P) to the
-    values (k, n) and, per record, whether every G of its stack is finite
-    with a condition number <= 1e12 (``_well_conditioned``); a record
-    that fails it collides and gets NaN values. Each record's products and
-    solve make the calls of a lone record.
+    Returns a map from the records ``rows`` and their stacks of sine
+    vectors (k, n, P) to the values (k, n) and, per record, whether every
+    G of its stack is finite with a condition number <= 1e12
+    (``_well_conditioned``); a record that fails it collides and gets NaN
+    values. Each record's products and solve make the calls of a lone
+    record.
     """
     cs_mat = np.stack([c_mat, s_mat], axis=1)[:, :, None]
 

@@ -663,14 +663,21 @@ class SweepReport:
     records: list               # list of lists of TrialRecord
 
 
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """The mean of each row of ``rows`` (n, ...), from one mean over the
+    rows' axis of a contiguous copy: each row sums pairwise in C order, as
+    a mean of that row alone would."""
+    return np.ascontiguousarray(rows).reshape(len(rows), -1).mean(axis=1)
+
+
 def _report_bounds(crlb: np.ndarray, peb: float, oeb: float) -> dict:
     """Bounds in report units from per-path angle-unit CRLB variances
     ``crlb`` (..., 6), averaged over all leading axes, and the given PEB
     and OEB."""
     rms = {"position": peb, "orientation": oeb}
-    for cls, (col, _) in _CLASSES.items():
-        if col is not None:
-            rms[cls] = float(np.sqrt(np.mean(crlb[..., col])))
+    means = _row_means(np.moveaxis(crlb, -1, 0)[
+        [_CLASSES[c][0] for c in CHANNEL_CLASSES]])
+    rms.update(zip(CHANNEL_CLASSES, np.sqrt(means).tolist()))
     return {cls: rms[cls] * scale for cls, (_, scale) in _CLASSES.items()}
 
 
@@ -709,8 +716,7 @@ def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
     coarse support matched; NaN where no record counts.
 
     Each class's squared errors are gathered once, in record order, into
-    one contiguous row per class, and one mean over the rows' axis sums
-    each row pairwise in that order, as a mean of the class alone would.
+    one row per class (``_row_means``).
     """
     done = [r for r in records if r.error is None and stage in r.sq_errors]
     if not done:
@@ -722,10 +728,8 @@ def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
     def rmse(rows):
         if not len(rows):
             return {c: np.nan for c in classes}
-        means = np.ascontiguousarray(rows.swapaxes(0, 1)).reshape(
-            len(classes), -1).mean(axis=1)
-        return {c: float(np.sqrt(m)) * _CLASSES[c][1]
-                for c, m in zip(classes, means)}
+        means = np.sqrt(_row_means(rows.swapaxes(0, 1))).tolist()
+        return {c: m * _CLASSES[c][1] for c, m in zip(classes, means)}
     return rmse(sq), rmse(sq[support_ok])
 
 
