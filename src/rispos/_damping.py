@@ -61,16 +61,18 @@ def _solve(a: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, g))
 
 
-def _solve_stack(a: np.ndarray, g: np.ndarray, lam: np.ndarray):
-    """``_solve`` on each row of the stacks a (k, n, n), g (k, n) at the
-    dampings ``lam`` (k,): the steps (k, n) and whether each exists."""
-    damped = lam > 0.0
-    if damped.any():
-        idx = np.arange(a.shape[-1])
-        diag = np.zeros(a[damped].shape)
-        diag[:, idx, idx] = np.abs(a[damped][:, idx, idx])
-        a = a.copy()
-        a[damped] = a[damped] + lam[damped, None, None] * diag
+def _damped(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A + lam diag|A| of each row of the stacks a (k, n, n), lam (k,), in
+    ``_solve``'s operation order."""
+    idx = np.arange(a.shape[-1])
+    diag = np.zeros_like(a)
+    diag[:, idx, idx] = np.abs(a[:, idx, idx])
+    return a + lam[:, None, None] * diag
+
+
+def _solve_stack(a: np.ndarray, g: np.ndarray):
+    """``_solve`` of each row of the stacks a (k, n, n), g (k, n), the
+    damping already added: the steps (k, n) and whether each exists."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:          # find the rows that fail
@@ -120,39 +122,44 @@ def ascend(state, model, evaluate, nats: float = 1.0):
                     np.zeros((n_rows, g.shape[1]))
                 undamped = np.zeros_like(grad)
             curv[fresh], grad[fresh] = a, g
-            in_basis[fresh] = False if bases is None else \
-                [basis is not None for basis in bases]
-            for i in np.flatnonzero(in_basis[fresh]):  # on its own
-                k, basis = fresh[i], bases[i]
-                a_k, g_k = basis.T @ a[i] @ basis, basis.T @ g[i]
-                x = _solve(a_k, g_k, 0.0)
-                reduced[k] = (a_k, g_k, basis, x)
-                has_step[k] = x is not None
-                last[k] = has_step[k] and nats * (g_k @ x) < DECREMENT_TOL
+            in_basis[fresh] = False
+            for i, basis in enumerate(bases or ()):
+                if basis is not None:          # a boundary row, on its own
+                    k = fresh[i]
+                    a_k, g_k = basis.T @ a[i] @ basis, basis.T @ g[i]
+                    x = _solve(a_k, g_k, 0.0)
+                    reduced[k] = (a_k, g_k, basis, x)
+                    in_basis[k], has_step[k] = True, x is not None
+                    last[k] = has_step[k] and nats * (g_k @ x) < DECREMENT_TOL
         # one stacked solve for the undamped steps at the moved points
         # and the damped steps of the rows held back
+        lam_a = lam[active]
         new = fresh[~in_basis[fresh]]
-        held = active[(lam[active] > 0.0) & ~in_basis[active]]
-        rows = np.concatenate([new, held])
-        if rows.size:
-            x, ok = _solve_stack(curv[rows], grad[rows], np.concatenate(
-                [np.zeros(new.size), lam[held]]))
+        held = active[(lam_a > 0.0) & ~in_basis[active]]
+        if new.size or held.size:
+            rows = np.concatenate([new, held])
+            mats = curv[rows]
+            if held.size:
+                mats[new.size:] = _damped(mats[new.size:], lam[held])
+            x, ok = _solve_stack(mats, grad[rows])
             undamped[new], has_step[new] = x[:new.size], ok[:new.size]
-            for k in new:
-                last[k] = has_step[k] and \
-                    nats * (grad[k] @ undamped[k]) < DECREMENT_TOL
+            # each row's g^T x, the dot product a lone g @ x makes
+            last[new] = ok[:new.size] & (nats * (
+                grad[new][:, None, :] @ x[:new.size, :, None])[:, 0, 0]
+                < DECREMENT_TOL)
         # each active row's candidate at its own damping
         step, ok_step = undamped[active], has_step[active]
         if held.size:
             at = np.searchsorted(active, held)
             step[at], ok_step[at] = x[new.size:], ok[new.size:]
-        for i in np.flatnonzero(in_basis[active]):
-            a_k, g_k, basis, x_k = reduced[active[i]]
-            if lam[active[i]] > 0.0:
-                x_k = _solve(a_k, g_k, lam[active[i]])
-            ok_step[i] = x_k is not None
-            if ok_step[i]:
-                step[i] = basis @ x_k
+        if reduced:
+            for i in np.flatnonzero(in_basis[active]):
+                a_k, g_k, basis, x_k = reduced[active[i]]
+                if lam_a[i] > 0.0:
+                    x_k = _solve(a_k, g_k, lam_a[i])
+                ok_step[i] = x_k is not None
+                if ok_step[i]:
+                    step[i] = basis @ x_k
         accepted = np.zeros(active.size, bool)
         if ok_step.any():
             accepted[ok_step] = evaluate(state, active[ok_step],
@@ -161,11 +168,12 @@ def ascend(state, model, evaluate, nats: float = 1.0):
         steps[active] += accepted
         converged[active[ends]] = True
         moved = accepted & ~ends
-        lam[active[moved]] *= DAMPING_DOWN
-        back = ~accepted & ~ends
-        lam[active[back]] = np.maximum(DAMPING, DAMPING_UP * lam[active[back]])
+        back = ~(accepted | ends)
+        lam_a = np.where(moved, DAMPING_DOWN * lam_a, lam_a)
+        lam_a[back] = np.maximum(DAMPING, DAMPING_UP * lam_a[back])
+        lam[active] = lam_a
         done = ends | (moved & (steps[active] == MAX_STEPS)) | \
-            (back & (lam[active] > DAMPING_LIMIT))
+            (back & (lam_a > DAMPING_LIMIT))
         fresh, active = active[moved & ~done], active[~done]
     return state, steps, converged
 
