@@ -127,10 +127,11 @@ def ascend(state, model, evaluate, nats: float = 1.0):
                 if basis is not None:          # a boundary row, on its own
                     k = fresh[i]
                     a_k, g_k = basis.T @ a[i] @ basis, basis.T @ g[i]
-                    x = _solve(a_k, g_k, 0.0)
-                    reduced[k] = (a_k, g_k, basis, x)
-                    in_basis[k], has_step[k] = True, x is not None
-                    last[k] = has_step[k] and nats * (g_k @ x) < DECREMENT_TOL
+                    x_k = _solve(a_k, g_k, 0.0)
+                    reduced[k] = (a_k, g_k, basis, x_k)
+                    in_basis[k], has_step[k] = True, x_k is not None
+                    last[k] = (has_step[k]
+                               and nats * (g_k @ x_k) < DECREMENT_TOL)
         # one stacked solve for the undamped steps at the moved points
         # and the damped steps of the rows held back
         lam_a = lam[active]
