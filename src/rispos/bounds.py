@@ -229,7 +229,8 @@ def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = np.abs(vals)
     top = size.max(axis=1)
     cond = top / np.maximum(size.min(axis=1), np.finfo(float).tiny)
-    inv_vals = np.where(size > top[:, None] / _COND_LIMIT, 1.0 / vals, 0.0)
+    inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals),
+                         where=size > top[:, None] / _COND_LIMIT)
     inv = (vecs * inv_vals[:, None, :]) @ vecs.swapaxes(1, 2) / scale
     zero = top <= 0.0
     if zero.any():
@@ -238,16 +239,14 @@ def _inv_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def position_bounds(j_eta: np.ndarray, t_mat: np.ndarray) -> BoundReport:
-    """Inverse FIM of the channel parameters and PEB/OEB of the position
-    ones; a stack of FIMs (K, 6(Q+1), 6(Q+1)) gives a stacked report."""
-    stack = j_eta if j_eta.ndim == 3 else j_eta[None]
-    inv_eta, sing_eta = _inv_psd(stack)
-    inv_pos, sing_pos = _inv_psd(t_mat @ stack @ t_mat.T)
+    """Inverse FIMs of the channel parameters and PEB/OEB of the position
+    ones, of a stack of FIMs (K, 6(Q+1), 6(Q+1)): a stacked report."""
+    inv_eta, sing_eta = _inv_psd(j_eta)
+    inv_pos, sing_pos = _inv_psd(t_mat @ j_eta @ t_mat.T)
     m_off = 2 * (j_eta.shape[-1] // 6)
-    rep = BoundReport(
+    return BoundReport(
         cov_channel=inv_eta,
         peb=np.sqrt(np.trace(inv_pos[:, m_off:m_off + 3, m_off:m_off + 3],
                              axis1=1, axis2=2)),
         oeb=np.sqrt(inv_pos[:, m_off + 3, m_off + 3]),
         singular=sing_eta | sing_pos)
-    return rep if j_eta.ndim == 3 else rep.row(0)

@@ -464,10 +464,11 @@ class Observation:
 
 
 def synthesize_rx(setup: Setup, params: ChannelParams,
-                  noise_seed: int | np.random.Generator | None = 0,
+                  noise_seed: list | None = None,
                   noiseless: bool = False) -> Observation:
-    """Draw the observation of y = a_B (x) field + z, z iid CN(0, sigma^2),
-    exactly in distribution and without forming y; the field is
+    """Draw the observations of y = a_B (x) field + z, z iid CN(0,
+    sigma^2), exactly in distribution and without forming y, at
+    parameters whose gains are a stack (K, Q+1); the fields are
     ``model_field(params, setup)``.
 
     With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
@@ -479,25 +480,22 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     come in a fixed order, z_par, the gammas, the off-diagonal normals,
     so one seed gives one observation.
 
-    Parameters whose gains are a stack (K, Q+1) give the K observations
-    of those gains as one stacked ``Observation``, pa (K, T, N) and cov1
-    (K, T1, T1); ``noise_seed`` is then a sequence of K seeds, and each
-    observation draws its noise from its own seed in the order above, so
-    it equals the observation of its gains drawn alone. With a stacked
-    setup (``Setup.stack``) observation k is also at its own row's
-    pilots, as it would be drawn with that row's lone setup.
+    Returns the K observations as one stacked ``Observation``, pa
+    (K, T, N) and cov1 (K, T1, T1). ``noise_seed`` is a sequence of K
+    seeds, unread when ``noiseless``; each observation draws its noise
+    from its own seed in the order above, so it does not depend on the
+    rows drawn beside it. With a stacked setup (``Setup.stack``)
+    observation k is at its own row's pilots, as it would be drawn with
+    that row's lone setup.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
     ypar = norm_b * model_field(params, setup)
-    lone = ypar.ndim == 2
-    ypar = ypar.reshape((-1,) + ypar.shape[-2:])
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
     low = np.zeros((len(ypar), t1, 0 if noiseless else min(m, t1)),
                    dtype=complex)
     diag = np.arange(t1)
-    for row, low_row, seed in zip(ypar, low, () if noiseless else
-                                  [noise_seed] if lone else noise_seed,
+    for row, low_row, seed in zip(ypar, low, () if noiseless else noise_seed,
                                   strict=not noiseless):
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((2,) + row.shape)
@@ -510,6 +508,5 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
             low_row[:] = rng.standard_normal((t1, m, 2)).view(
                 complex)[..., 0] * np.sqrt(0.5)
     y1 = ypar[:, :t1]
-    obs = Observation(norm_b * ypar, y1.conj() @ y1.swapaxes(1, 2)
-                      + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))
-    return obs.row(0) if lone else obs
+    return Observation(norm_b * ypar, y1.conj() @ y1.swapaxes(1, 2)
+                       + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))

@@ -16,26 +16,26 @@ dictionary, the delay step's ramps) are built once per power by
 ``channel.Setup``. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
-shortest, comes first. Each stage takes the ``channel.Observation``
-and the per-power ``channel.Setup``: the pilots, schedule,
-dictionaries, known RIS-BS leg and path count come from there.
+shortest, comes first.
 
-The grid stages (the departure picks, the RIS arrival and the delay
-step) also take a stack of K records, as a sweep's batch does: each
-product then runs once for the stack, and a record that fails keeps
-its typed error in its row of the result's ``errors`` while the others
-go on. A lone record is a stack of one whose error is raised. The
-records of a stack may be at different transmit powers: a stacked setup
+Each stage takes a stack of K records, a stacked
+``channel.Observation``, as a sweep's batch runs it, and the per-power
+``channel.Setup``: the pilots, schedule, dictionaries, known RIS-BS leg
+and path count come from there. The grid stages (the departure picks,
+the RIS arrival and the delay step) run each product once for the
+stack, and a record that fails keeps its typed error in its row of the
+result's ``errors`` while the others go on. The records of a stack may
+be at different transmit powers: a stacked setup
 (``channel.Setup.stack``) holds the pilots and the projected AOD
 dictionary with a leading row axis, and each record's products then
-read its own row. ``run_coarse`` runs all four sub-steps on a stack,
-the likelihood refinement in lockstep over its records
-(``_damping.ascend``), each with its own setup's pilots.
+read its own row; a lone setup is shared by every record.
+``run_coarse`` runs all four sub-steps on a stack, the likelihood
+refinement in lockstep over its records (``_damping.ascend``), each
+with its own setup's pilots.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +57,6 @@ _AOD_NEWTON_FLAT = 1e-12
 # a step may lose to rounding and still be taken
 _TOA_NEWTON_STEPS = 4
 _TOA_FLAT = 1e-12
-
-
-def _one_row(result, lone: bool):
-    """``result`` of a stack as it is or, when the input was ``lone``,
-    its one row: the row's error raised, or every field's row 0."""
-    if not lone:
-        return result
-    if result.errors[0] is not None:
-        raise result.errors[0]
-    return dataclasses.replace(result, errors=None, **{
-        f.name: getattr(result, f.name)[0]
-        for f in dataclasses.fields(result) if f.name != "errors"})
 
 
 def _well_conditioned(gram: np.ndarray) -> np.ndarray:
@@ -108,35 +96,33 @@ def _solve_rows(gram: np.ndarray, rhs: np.ndarray, what: str):
 
 @dataclass
 class SompResult:
-    """Support and residual norms of DCS-SOMP's picks; for a stack of
-    records, one row of each per record and its error or None."""
+    """Support and residual norms of DCS-SOMP's P picks on a stack of K
+    records, one row of each per record, and per record its error or
+    None."""
 
-    support: list                 # 0-based dictionary column indices
-    residual_norms: np.ndarray    # (K+1,) Frobenius norms, initial first
-    errors: list | None = None
+    support: list                 # (K, P) 0-based dictionary column indices
+    residual_norms: np.ndarray    # (K, P+1) Frobenius norms, initial first
+    errors: list
 
 
 def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
                  sparsity: int) -> SompResult:
-    """DCS-SOMP's greedy picks from the covariance C = Y Y^H (M, M) of a
-    record Y: after picks S the residual (I - P_S) Y has covariance
-    R = (I - P_S) C (I - P_S), and the next pick maximizes
-    Re(theta_g^H R theta_g) / ||theta_g||^2. Returns the support and the
-    residual norms sqrt(tr R), initial first.
+    """DCS-SOMP's greedy picks from the covariances C = Y Y^H of a stack
+    of K records Y, (K, M, M): after picks S a residual (I - P_S) Y has
+    covariance R = (I - P_S) C (I - P_S), and the next pick maximizes
+    Re(theta_g^H R theta_g) / ||theta_g||^2. Returns each record's
+    support and residual norms sqrt(tr R), initial first.
 
-    A stack of covariances (K, M, M) runs each product once for the
-    stack; its result holds the K supports and norms, and for a record
-    whose picked columns are linearly dependent the error in its row of
-    ``errors``. A lone covariance raises that error. The dictionary is
-    shared by every record (M, G), or a stack (K, M, G) of one per record.
+    Each product runs once for the stack; a record whose picked columns
+    are linearly dependent gets that error in its row of ``errors``. The
+    dictionary is shared by every record (M, G), or a stack (K, M, G) of
+    one per record.
     """
     theta = np.asarray(dictionary, dtype=complex)
     n_meas = theta.shape[-2]
-    lone = cov.ndim == 2
-    if cov.shape[-2:] != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
+    if cov.shape[1:] != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
         raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
                                  f"covariance and {n_meas} dictionary rows")
-    cov = cov.reshape((-1, n_meas, n_meas))
     rows = np.arange(len(cov))[:, None]
     # unequal column norms (random phase profiles) must not bias the pick
     col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=-2), 1e-300)
@@ -161,22 +147,21 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
         resid = comp @ cov @ comp
         norms.append(np.trace(resid, axis1=1, axis2=2).real)
     norms = np.sqrt(np.maximum(np.stack(norms, axis=1), 0.0))
-    return _one_row(SompResult(support.tolist(), norms, errors), lone)
+    return SompResult(support.tolist(), norms, errors)
 
 
 def estimate_aod_coarse(obs: Observation, setup: Setup):
     """Grid departure sines from the first T1 slots: DCS-SOMP's picks from
     the observation's ``cov1`` over the projected dictionary X1^H A_M.
 
-    Returns (u_hat, picks); u_hat[i] is the grid value of the i-th
-    selected column, ``picks`` the support and residual norms. A stack
-    of observations gives a (K, Q+1) stack of sines, NaN in the rows
-    that ``picks.errors`` names.
+    Returns (u_hat, picks) for a stack of K observations: u_hat (K, Q+1),
+    row k the grid values of record k's selected columns, NaN in the rows
+    that ``picks.errors`` names, and ``picks`` the supports and residual
+    norms.
     """
     res = pick_columns(obs.cov1, setup.aod_proj, setup.n_paths)
     u_hat = setup.a_m_dict.grid[res.support]
-    if res.errors is not None:
-        u_hat[[e is not None for e in res.errors]] = np.nan
+    u_hat[[e is not None for e in res.errors]] = np.nan
     return u_hat, res
 
 
@@ -226,23 +211,20 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
     candidate is clipped to [-1, 1]; it is kept when its F falls by no
     more than 1e-12 relative, and rejected when its stencil collides
     (``_aod_objective``). A sine at +-1 whose gradient points out of
-    [-1, 1] leaves the step space. Returns (sines, steps), steps counting
-    the accepted steps; a start whose stencil collides raises
-    ``SingularConcentration``.
+    [-1, 1] leaves the step space.
 
     A stack of K observations, with their setup stacked or shared and
     starts (K, P), runs the K refinements in lockstep, each ending where
-    it ends alone: it returns the (K, P) sines and a list of K step
-    counts, and raises when any start collides.
+    it ends alone. Returns the (K, P) sines and a list of K step counts,
+    each counting the accepted steps; when any start's stencil collides
+    it raises ``SingularConcentration``.
     """
     geom, cfg = setup.geom, setup.cfg
     t1 = cfg.t1
-    lone = obs.pa.ndim == 2
-    x = np.array(u_init, dtype=float, ndmin=2)
+    x = np.array(u_init, dtype=float)
     x1 = setup.pilots[..., :t1]
     b_mat = x1 @ obs.pa[..., :t1, :].conj()             # column n: B[n]^H a_B
-    s_mat = (b_mat @ np.swapaxes(b_mat.conj(), -1, -2) / geom.n_bs).reshape(
-        (len(x), geom.n_ms, geom.n_ms))
+    s_mat = b_mat @ np.swapaxes(b_mat.conj(), -1, -2) / geom.n_bs
     c_mat = np.broadcast_to(x1 @ np.swapaxes(x1.conj(), -1, -2), s_mat.shape)
     objective = _aod_objective(s_mat, c_mat, geom)
 
@@ -288,19 +270,19 @@ def refine_aod_mle(obs: Observation, setup: Setup, u_init: np.ndarray):
         raise SingularConcentration("departure angles collide")
     (x, _), steps, _ = ascend((x, f), model, evaluate,
                               nats=1.0 / cfg.noise_power)
-    return (x[0], int(steps[0])) if lone else (x, steps.tolist())
+    return x, steps.tolist()
 
 
 @dataclass
 class AoaEstimate:
-    """Per-path RIS arrival recovery output; for a stack of records, one
-    row of each per record and its error or None."""
+    """Per-path RIS arrival recovery output of a stack of K records, one
+    row of each per record, and per record its error or None."""
 
-    c: np.ndarray               # (Q+1,) elevation cosines
-    s: np.ndarray               # (Q+1,) azimuth products
-    delta_tilde: np.ndarray     # (Q+1, N) per-subcarrier hybrid gains
-    clamped: np.ndarray         # (Q+1,) grid point projected onto the disk
-    errors: list | None = None
+    c: np.ndarray               # (K, Q+1) elevation cosines
+    s: np.ndarray               # (K, Q+1) azimuth products
+    delta_tilde: np.ndarray     # (K, Q+1, N) per-subcarrier hybrid gains
+    clamped: np.ndarray         # (K, Q+1) grid point projected onto the disk
+    errors: list
 
 
 def estimate_ris_aoa(obs: Observation, setup: Setup,
@@ -322,20 +304,17 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     A stack of K observations with a (K, Q+1) stack of sines runs each
     step once for the stack; a record whose block Grams fail the
     condition check gets its error in its row of ``errors`` and NaN
-    gains. A lone observation raises that error. A stacked setup gives
-    each record's pilot projections its own row's pilots.
+    gains. A stacked setup gives each record's pilot projections its own
+    row's pilots.
     """
     geom, cfg = setup.geom, setup.cfg
     block_sum = setup.block_sum                                 # (B, T)
     n_blocks, n_slots = block_sum.shape
-    lone = obs.pa.ndim == 2
-    u_hat = np.atleast_1d(u_hat)
-    proj = pilot_projection(geom, setup.pilots, u_hat.reshape(
-        -1, u_hat.shape[-1]))                                   # (K, T, Q+1)
+    proj = pilot_projection(geom, setup.pilots, u_hat)          # (K, T, Q+1)
     n_rows, _, n_paths = proj.shape
     if np.any(block_sum.sum(axis=1) < n_paths):
         raise RankDeficient("phase block shorter than the path count")
-    ycheck = obs.pa.reshape(n_rows, n_slots, -1) / geom.n_bs     # (K, T, N)
+    ycheck = obs.pa / geom.n_bs                                 # (K, T, N)
 
     outer = proj.conj()[..., None] * proj[..., None, :]    # (K, T, Q+1, Q+1)
     gram = (block_sum @ outer.reshape(n_rows, n_slots, -1)).reshape(
@@ -362,22 +341,22 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     s_grid = setup.ris_dict.azimuth.grid[k_az]
     rim = np.sqrt(1.0 - c * c)
     s = np.clip(s_grid, -rim, rim)
-    return _one_row(AoaEstimate(c, s, delta_tilde, s != s_grid, errors), lone)
+    return AoaEstimate(c, s, delta_tilde, s != s_grid, errors)
 
 
 @dataclass
 class DelayEstimate:
-    """Per-path delays and gains; for a stack of records, one row of each
-    per record and its error or None."""
+    """Per-path delays and gains of a stack of K records, one row of each
+    per record, and per record its error or None."""
 
-    tau: np.ndarray             # (Q+1,) seconds
-    gains: np.ndarray           # (Q+1,) complex
-    errors: list | None = None
+    tau: np.ndarray             # (K, Q+1) seconds
+    gains: np.ndarray           # (K, Q+1) complex
+    errors: list
 
 
 def estimate_toa(delta_tilde: np.ndarray, setup: Setup) -> DelayEstimate:
-    """Delays and gains of all paths from their hybrid per-subcarrier
-    gains D (Q+1, N), one row d per path.
+    """Delays and gains of all paths of a stack of K records from their
+    hybrid per-subcarrier gains D (K, Q+1, N), one row d per path.
 
     A path's delay maximizes f(tau) = |z(tau)|^2, z(tau) = ramp(-tau)^T d,
     ramp = ``channel.subcarrier_ramp``, within half a bin of its best DFT
@@ -390,14 +369,11 @@ def estimate_toa(delta_tilde: np.ndarray, setup: Setup) -> DelayEstimate:
     centre is kept unless the result is strictly better. The gain is the
     least-squares fit ramp(tau)^H d / N on the same ramp.
 
-    Returns the delays and gains, each (Q+1,); raises ``OutOfRange`` when
-    a normalized delay tau B / N falls outside (0, 1). A stack (K, Q+1, N)
-    runs each step once for the stack and gives (K, Q+1) delays and
-    gains, with the ``OutOfRange`` of a record in its row of ``errors``.
+    Each step runs once for the stack. Returns the (K, Q+1) delays and
+    gains; a record with a normalized delay tau B / N outside (0, 1) gets
+    ``OutOfRange`` in its row of ``errors``.
     """
-    d = np.asarray(delta_tilde, dtype=complex)
-    lone = d.ndim == 2
-    d = d.reshape((-1,) + d.shape[-2:])                         # (K, Q+1, N)
+    d = np.asarray(delta_tilde, dtype=complex)                  # (K, Q+1, N)
     n, bw = setup.cfg.n_subcarriers, setup.cfg.bandwidth
     m0 = np.argmax(np.abs(d @ setup.bin_ramp), axis=2)          # 0-based bins
     tau_bin = m0 / bw
@@ -434,15 +410,16 @@ def estimate_toa(delta_tilde: np.ndarray, setup: Setup) -> DelayEstimate:
               if out.any() else None for row, out in zip(upsilon, outside)]
     ramp = subcarrier_ramp(tau, bw, n)                          # (N, K, Q+1)
     gains = np.einsum("nkq,kqn->kq", ramp.conj(), d) / n
-    return _one_row(DelayEstimate(tau, gains, errors), lone)
+    return DelayEstimate(tau, gains, errors)
 
 
 @dataclass
 class CoarseEstimate:
-    """Full coarse-stage output in delay order (the VLoS path first). For
-    a stack of records the parameters are (K, Q+1) stacks, each flag
+    """Full coarse-stage output of a stack of K records in delay order
+    (the VLoS path first): the parameters are (K, Q+1) stacks, each flag
     holds one entry per record, and ``errors`` per record the first
-    error it met or None; ``row`` gives one record's estimate."""
+    error it met or None; ``row`` gives one record's estimate, which
+    carries no ``errors``."""
 
     params: ChannelParams
     flags: dict
@@ -463,13 +440,8 @@ def run_coarse(obs: Observation, setup: Setup,
     in lockstep on the stack of the records whose picks succeeded, each
     with its own setup's pilots (``Setup.take``). Where that stack raises,
     each record is refined alone (``_damping.fit_rows``). A record's first
-    error, in stage order, stays in its row of ``errors``; a lone
-    observation is a stack of one whose error is raised and whose row is
-    returned.
+    error, in stage order, stays in its row of ``errors``.
     """
-    lone = obs.pa.ndim == 2
-    if lone:
-        obs = Observation(obs.pa[None], obs.cov1[None])
     u_hat, picks = estimate_aod_coarse(obs, setup)
     errors, flags = list(picks.errors), {}
     if refine_aod:
@@ -497,9 +469,6 @@ def run_coarse(obs: Observation, setup: Setup,
     params = ChannelParams(*map(by_delay, (toa.tau, toa.gains, u_hat,
                                            aoa.c, aoa.s)))
     flags["aoa_clamped"] = by_delay(aoa.clamped).tolist()
-    est = CoarseEstimate(params, flags, [
+    return CoarseEstimate(params, flags, [
         next(filter(None, row), None)
         for row in zip(errors, aoa.errors, toa.errors)])
-    if lone and est.errors[0] is not None:
-        raise est.errors[0]
-    return est.row(0) if lone else est

@@ -343,10 +343,9 @@ class PowerSetup(ch.Setup):
     rest once and every power's ``true_gram`` in one stacked pass
     (``power_setups``), and hands each power's setup to its trials, and
     a stacked setup (``PowerSetup.stack``) holds ``true_gram`` one row
-    per trial too. ``truth`` takes one trial's gains
-    or a batch's stack of them: ``draw_trials`` forms a batch's truth and
-    bounds in one stacked pass over its powers, and ``reference_bounds``
-    the sweep's, of which a lone trial is the one-row case.
+    per trial too. ``truth`` takes a batch's stack of gains:
+    ``draw_trials`` forms a batch's truth and bounds in one stacked pass
+    over its powers, and ``reference_bounds`` the sweep's.
     """
 
     POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
@@ -385,14 +384,11 @@ class PowerSetup(ch.Setup):
         return out
 
     def truth(self, gains: np.ndarray):
-        """The true channel parameters with path gains ``gains`` and the
-        bounds at them, from ``bounds.fim_at_gains``.
-
-        ``gains`` is one trial's (Q+1,), or a stack of K trials' (K, Q+1):
-        then the parameters hold that stack as their gains, the one truth
-        of the K trials, and the report's fields are stacked. A stacked
-        setup takes a stack of gains, one per row, each row read at its
-        own ``true_gram``.
+        """The true channel parameters with the path gains of K trials,
+        ``gains`` (K, Q+1), and the bounds at them, from
+        ``bounds.fim_at_gains``: the parameters hold that stack as their
+        gains, the one truth of the K trials, and the report's fields are
+        stacked. A stacked setup reads each row at its own ``true_gram``.
         """
         unit = self.true_unit
         j_eta = bnd.fim_at_gains(self.true_gram, gains, self)

@@ -143,7 +143,3 @@ class PositionParams:
             alpha=rest[..., 3],
             scatterers=rest[..., 4:].reshape(lead + (q, 3)),
         )
-
-    def copy(self) -> "PositionParams":
-        return PositionParams(self.gains.copy(), self.ms.copy(), self.alpha,
-                              self.scatterers.copy())

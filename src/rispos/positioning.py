@@ -132,20 +132,16 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     1e-6 nats. A candidate is
     kept when it stays in the rotation domain, its legs are not
     degenerate and r^T W r does not rise; it costs one ``forward_map_G``,
-    and T is built only at accepted points. Returns the pose and
-    ``LmDiagnostics``; a start whose legs are degenerate raises
-    ``DegenerateGeometry``.
+    and T is built only at accepted points.
 
     A stack of K fits, ``eta_hat`` (K, 6(Q+1)), ``j_eta`` (K, 6(Q+1),
     6(Q+1)) and a list of K start poses, runs in lockstep, each fit
     ending where it ends alone, with one ``forward_map_G`` of the
-    stacked candidates per pass; it returns lists of K poses and
-    ``LmDiagnostics``, and raises when any start is degenerate.
+    stacked candidates per pass. Returns lists of K poses and
+    ``LmDiagnostics``; when any start's legs are degenerate it raises
+    ``DegenerateGeometry``.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
-    lone = eta_hat.ndim == 1
-    if lone:
-        eta_hat, j_eta, pos_init = eta_hat[None], j_eta[None], [pos_init]
     weight = _weight_matrix(j_eta)
     alpha_at = 2 * pos_init[0].gains.size + 3   # alpha's entry of a vector
 
@@ -200,7 +196,7 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     for k, diag in enumerate(diags):
         diag.n_iter, diag.converged = int(steps[k]), bool(converged[k])
         poses.append(PositionParams.from_vector(vec[k]))
-    return (poses[0], diags[0]) if lone else (poses, diags)
+    return poses, diags
 
 
 def wrapped_rotation_error(alpha_est: float, alpha_true: float) -> float:

@@ -129,17 +129,13 @@ def _projected(vec: np.ndarray) -> ChannelParams:
 
 def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
     """Refine all channel parameters from the coarse initialization by
-    damped Fisher scoring; see the module docstring. Returns (params,
-    ``SageInfo``).
+    damped Fisher scoring; see the module docstring.
 
     A stack of K observations, with their setup stacked or shared and
     parameters stacked (K, Q+1), runs the K ascents in lockstep, each
-    ending where it ends alone, and returns the stacked parameters and a
-    list of K ``SageInfo``.
+    ending where it ends alone. Returns the stacked parameters and a list
+    of K ``SageInfo``.
     """
-    lone = obs.pa.ndim == 2
-    if lone:
-        obs, init = Observation(obs.pa[None], obs.cov1[None]), init.take(None)
     n_bs = setup.geom.n_bs
     score_scale = 2.0 / setup.cfg.noise_power
 
@@ -186,5 +182,4 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
         info.scoring_steps, info.converged = int(steps[k]), bool(converged[k])
         if info.converged:
             info.fim = fims[k]
-    params = ChannelParams.from_vector(vec)
-    return (params.take(0), infos[0]) if lone else (params, infos)
+    return ChannelParams.from_vector(vec), infos

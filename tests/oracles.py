@@ -384,30 +384,27 @@ def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
 
 
 def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
-    """The two statistics of a received tensor y (N_b, T, N): the
-    beamformed record a_B^H y and the first-T1-slot covariance
-    sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
+    """The two statistics of a received tensor y (N_b, T, N), as a stack
+    of one: the beamformed record a_B^H y and the first-T1-slot
+    covariance sum_{b, n} conj(y[b, t, n]) y[b, t', n]."""
     y1 = y[:, :setup.cfg.t1, :]
-    return ch.Observation(beamform(bs_steering(setup.geom), y),
-                          np.einsum("btn,bsn->ts", y1.conj(), y1))
+    return ch.Observation(beamform(bs_steering(setup.geom), y)[None],
+                          np.einsum("btn,bsn->ts", y1.conj(), y1)[None])
 
 
 def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
-                          noise_seed=0, noiseless: bool = False):
-    """``channel.synthesize_rx`` by way of the received tensor: the
-    observation of ``synthesize_tensor``'s draw, and for a stack of gains
-    the stack of the observations of its rows, each from its own seed on
-    its own row's setup (``Setup.row``)."""
-    if params.gains.ndim == 1:
-        return observe(synthesize_tensor(setup, params, noise_seed, noiseless),
-                       setup)
-    rows = [synthesize_via_tensor(
+                          noise_seed=None, noiseless: bool = False):
+    """``channel.synthesize_rx`` by way of the received tensor: for a
+    stack of gains the stack of the observations of ``synthesize_tensor``'s
+    draws of its rows, each from its own seed on its own row's setup
+    (``Setup.row``)."""
+    rows = [observe(synthesize_tensor(
         setup.row(k),
         ChannelParams(params.tau, gains, params.u, params.c, params.s),
-        seed, noiseless)
+        seed, noiseless), setup.row(k))
         for k, (gains, seed) in enumerate(zip(params.gains, noise_seed))]
-    return ch.Observation(np.stack([r.pa for r in rows]),
-                          np.stack([r.cov1 for r in rows]))
+    return ch.Observation(np.concatenate([r.pa for r in rows]),
+                          np.concatenate([r.cov1 for r in rows]))
 
 
 def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
@@ -649,8 +646,8 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
     n_sub, n_meas, n_col = y.shape
     theta = np.asarray(dictionary, dtype=complex)
     y_flat = y.transpose(1, 0, 2).reshape(n_meas, n_sub * n_col)
-    support = ce.pick_columns(y_flat @ y_flat.conj().T, theta,
-                              sparsity).support
+    (support,) = ce.pick_columns((y_flat @ y_flat.conj().T)[None], theta,
+                                 sparsity).support
     resid = y_flat
     norms = [np.sqrt(np.vdot(resid, resid).real)]
     for k in range(1, sparsity + 1):
@@ -672,15 +669,15 @@ def _right_inverse(mat: np.ndarray) -> np.ndarray:
 
 def ris_aoa_loop(obs: ch.Observation, setup: ch.Setup, u_hat: np.ndarray,
                  somp=dcs_somp) -> ce.AoaEstimate:
-    """``coarse_est.estimate_ris_aoa`` one block and one path at a time:
-    each phase block de-mixed with the right inverse of its pilot
-    projection, then one 1-sparse ``somp`` call per path over
-    block_phases @ A_R."""
+    """``coarse_est.estimate_ris_aoa`` on a stack of one record, one block
+    and one path at a time: each phase block de-mixed with the right
+    inverse of its pilot projection, then one 1-sparse ``somp`` call per
+    path over block_phases @ A_R. Raises the record's error."""
     geom, cfg, schedule = setup.geom, setup.cfg, setup.sched
+    (u_hat,) = u_hat
     n_paths = u_hat.size
-    ycheck = obs.pa / geom.n_bs                                     # (T, N)
-    proj = ch.pilot_projection(geom, setup.pilots,
-                               np.atleast_1d(u_hat)).T              # (Q+1, T)
+    (ycheck,) = obs.pa / geom.n_bs                                  # (T, N)
+    proj = ch.pilot_projection(geom, setup.pilots, u_hat).T         # (Q+1, T)
 
     blocks = []
     for i in range(schedule.n_blocks):
@@ -706,8 +703,8 @@ def ris_aoa_loop(obs: ch.Observation, setup: ch.Setup, u_hat: np.ndarray,
     s_grid = ris_dict.azimuth.grid[k_az]
     rim = np.sqrt(1.0 - c * c)
     s = np.clip(s_grid, -rim, rim)
-    return ce.AoaEstimate(c=c, s=s, delta_tilde=delta_tilde,
-                          clamped=s != s_grid)
+    return ce.AoaEstimate(c=c[None], s=s[None], delta_tilde=delta_tilde[None],
+                          clamped=(s != s_grid)[None], errors=[None])
 
 
 def estimate_toa(delta_tilde_q: np.ndarray, cfg: SystemConfig):
@@ -873,8 +870,8 @@ def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
              * np.real(flat.conj() @ flat.T))
     pos = PositionParams(gains=gains, ms=geom.ms, alpha=geom.alpha,
                          scatterers=geom.scatterers)
-    return bnd.position_bounds(
-        j_eta, transformation_matrix_angles(pos, geom.ris, geom.bs))
+    t_mat = transformation_matrix_angles(pos, geom.ris, geom.bs)
+    return bnd.position_bounds(j_eta[None], t_mat).row(0)
 
 
 def global_log_likelihood(params: ChannelParams, obs: ch.Observation,

@@ -201,7 +201,8 @@ def test_criterion_4_sage_monotonicity(default_exp):
             rx = observe(synthesize_tensor(setup, true, noise_seed=2000 + i),
                          setup)
             coarse = ce.run_coarse(rx, setup)
-            _, info = sg.run_sage(rx, setup, coarse.params)
+            assert coarse.errors == [None]
+            _, (info,) = sg.run_sage(rx, setup, coarse.params)
             hist = np.asarray(info.loglik_history)
             all_ok = all_ok and bool(np.all(np.diff(hist) >= 0))
             n_checked += 1
@@ -263,8 +264,8 @@ def test_criterion_7_scaling_laws(setup20, default_exp):
     t_mat = bnd.transformation_matrix(
         PositionParams(gains=s.gains, ms=s.geom.ms, alpha=s.geom.alpha,
                        scatterers=s.geom.scatterers), s.geom.ris, s.geom.bs)
-    peb10 = bnd.position_bounds(j10, t_mat).peb
-    peb20 = bnd.position_bounds(j20, t_mat).peb
+    (peb10,) = bnd.position_bounds(j10[None], t_mat).peb
+    (peb20,) = bnd.position_bounds(j20[None], t_mat).peb
     peb_gap = abs(peb10 / peb20 - np.sqrt(10.0)) / np.sqrt(10.0)
     ok = fim_gap < 1e-8 and peb_gap < 1e-8
     _report(7, ok, f"FIM linearity gap {fim_gap:.2e}, "
@@ -317,9 +318,9 @@ def test_criterion_8_dcs_somp_support(default_exp):
         params.gains = np.asarray(gains, dtype=complex)
         rx = synthesize_tensor(setup, params, noiseless=True)
         _, somp = ce.estimate_aod_coarse(observe(rx, setup), setup)
-        hits += sorted(somp.support) == support_true
+        hits += sorted(somp.support[0]) == support_true
         monotone = monotone and bool(
-            np.all(np.diff(somp.residual_norms) <= 1e-12))
+            np.all(np.diff(somp.residual_norms[0]) <= 1e-12))
     ok = hits == 100 and monotone
     _report(8, ok, f"exact support {hits}/100, residual monotone on all")
 

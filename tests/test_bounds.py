@@ -15,7 +15,7 @@ from rispos import channel as ch
 from rispos import geometry as gm
 from rispos import harness as hn
 from rispos.geometry import ScenarioGeometry
-from rispos.params import PositionParams
+from rispos.params import ChannelParams, PositionParams
 
 FD_TOL = 1e-5
 
@@ -181,7 +181,8 @@ def test_bounds_equal_the_angle_fim_oracle_over_layouts(power):
         setup = hn.power_setup(exp, power)
         gains = ch.nominal_gain_amplitudes(setup.cfg, geom).astype(complex)
         true = gm.true_channel_params(geom, gains)
-        rep = bnd.position_bounds(bnd.fim_channel(true, setup), setup.t_true)
+        rep = bnd.position_bounds(bnd.fim_channel(true, setup)[None],
+                                  setup.t_true).row(0)
         ref = angle_bounds(geom, gains, setup)
         assert abs(rep.peb - ref.peb) <= 1e-9 * ref.peb
         assert abs(rep.oeb - ref.oeb) <= 1e-9 * ref.oeb
@@ -229,8 +230,10 @@ def test_fim_at_gains_matches_fim_channel():
             gains = ch.draw_gains(setup.cfg, setup.geom,
                                   np.random.default_rng(gain_seed))
             true = gm.true_channel_params(setup.geom, gains)
-            assert np.array_equal(setup.truth(gains)[0].to_vector(),
-                                  true.to_vector())
+            truth, _ = setup.truth(gains[None])
+            assert np.array_equal(
+                ChannelParams(truth.tau, truth.gains[0], truth.u, truth.c,
+                              truth.s).to_vector(), true.to_vector())
             ref = bnd.fim_channel(true, setup)
             d = np.sqrt(np.diag(ref))
             gap = np.abs(bnd.fim_at_gains(setup.true_gram, gains, setup)
@@ -244,7 +247,7 @@ def test_position_bounds_finite_and_positive(setup20):
     j = bnd.fim_channel(s.true, s.setup)
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
-    rep = bnd.position_bounds(j, t_mat)
+    rep = bnd.position_bounds(j[None], t_mat).row(0)
     assert np.all(np.diag(rep.cov_channel) > 0.0)
     assert 0.0 < rep.peb < 1.0
     assert 0.0 < rep.oeb < 1.0
@@ -259,8 +262,8 @@ def test_peb_power_scaling(setup20, default_exp):
     pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
     j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
     j20 = bnd.fim_channel(s.true, s.setup)
-    r10 = bnd.position_bounds(j10, t_mat)
-    r20 = bnd.position_bounds(j20, t_mat)
+    r10 = bnd.position_bounds(j10[None], t_mat).row(0)
+    r20 = bnd.position_bounds(j20[None], t_mat).row(0)
     assert abs(r10.peb / r20.peb - np.sqrt(10.0)) < 1e-8 * np.sqrt(10.0)
     assert abs(r10.oeb / r20.oeb - np.sqrt(10.0)) < 1e-8 * np.sqrt(10.0)
 
@@ -283,7 +286,7 @@ def test_scatterer_permutation_invariance(default_exp):
         j = bnd.fim_channel(true, ch.Setup(geom, cfg, pilots, sched))
         t_mat = bnd.transformation_matrix(_true_pos(geom, gorder), geom.ris,
                                           geom.bs)
-        reps.append(bnd.position_bounds(j, t_mat))
+        reps.append(bnd.position_bounds(j[None], t_mat).row(0))
     assert abs(reps[0].peb - reps[1].peb) < 1e-10 * reps[0].peb
     assert abs(reps[0].oeb - reps[1].oeb) < 1e-10 * reps[0].oeb
 
@@ -302,8 +305,8 @@ def test_information_monotone_in_slots(setup20):
     assert np.max(np.abs(j2 - 2 * j1)) < 1e-9 * np.max(np.abs(j2))
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
-    crlb1 = np.diag(bnd.position_bounds(j1, t_mat).cov_channel)
-    crlb2 = np.diag(bnd.position_bounds(j2, t_mat).cov_channel)
+    crlb1 = np.diag(bnd.position_bounds(j1[None], t_mat).cov_channel[0])
+    crlb2 = np.diag(bnd.position_bounds(j2[None], t_mat).cov_channel[0])
     assert np.all(crlb2 <= crlb1 * (1 + 1e-9))
 
 

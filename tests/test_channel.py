@@ -1,5 +1,7 @@
 """Channel construction, phase schedule, pilots, gains, and dictionaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -76,8 +78,7 @@ def test_build_channel_dimension_checks(setup20):
 
 def test_synthesize_zero_gain_zero_noise(setup20):
     s = setup20
-    silent = s.true.copy()
-    silent.gains[:] = 0.0
+    silent = replace(s.true, gains=np.zeros((1, s.true.n_paths)))
     obs = ch.synthesize_rx(s.setup, silent, noiseless=True)
     assert np.all(obs.pa == 0.0) and np.all(obs.cov1 == 0.0)
 
@@ -130,7 +131,8 @@ def test_noiseless_observation_is_the_tensor_observation(setup20):
     """Without noise, the observation equals the oracle tensor's
     statistics: a_B^H y and the first-T1-slot covariance."""
     s = setup20
-    obs = ch.synthesize_rx(s.setup, s.true, noiseless=True)
+    obs = ch.synthesize_rx(s.setup, replace(s.true, gains=s.true.gains[None]),
+                           noiseless=True)
     ref = observe(synthesize_tensor(s.setup, s.true, noiseless=True), s.setup)
     for got, want in ((obs.pa, ref.pa), (obs.cov1, ref.cov1)):
         assert got.shape == want.shape
@@ -147,19 +149,22 @@ def test_prebuilt_triangle_keeps_every_draw():
     for trial in range(50):
         gain_seed, noise_seed = np.random.SeedSequence(
             (exp.master_seed, hn._TAG_TRIAL, 3, trial)).spawn(2)
-        true, _ = setup.truth(ch.draw_gains(
-            setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
-        obs = ch.synthesize_rx(setup, true, np.random.default_rng(noise_seed))
-        ref = synthesize_rx_draws(setup, true, np.random.default_rng(noise_seed))
-        assert np.array_equal(obs.pa, ref.pa), trial
-        assert np.array_equal(obs.cov1, ref.cov1), trial
+        gains = ch.draw_gains(setup.cfg, setup.geom,
+                              np.random.default_rng(gain_seed))
+        true, _ = setup.truth(gains[None])
+        obs = ch.synthesize_rx(setup, true, [np.random.default_rng(noise_seed)])
+        ref = synthesize_rx_draws(setup, replace(true, gains=gains),
+                                  np.random.default_rng(noise_seed))
+        assert np.array_equal(obs.pa, ref.pa[None]), trial
+        assert np.array_equal(obs.cov1, ref.cov1[None]), trial
 
 
 @pytest.mark.parametrize("noiseless", [False, True])
 def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
     """Synthesis on a stacked setup (``Setup.stack``) at four powers of
     one sweep gives each row the field and the observation of its gains
-    and noise seed drawn alone with its own power's setup, bit for bit."""
+    and noise seed drawn as a stack of one with its own power's setup, bit
+    for bit."""
     exp = hn.ExperimentConfig(master_seed=77)
     setups = hn.power_setups(exp, exp.powers_dbm)
     stack = ch.Setup.stack(setups)
@@ -171,8 +176,8 @@ def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
     fields = ch.model_field(true, stack)
     obs = ch.synthesize_rx(stack, true, seeds, noiseless=noiseless)
     for k, setup in enumerate(setups):
-        alone_true, _ = setup.truth(gains[k])
-        alone = ch.synthesize_rx(setup, alone_true, seeds[k],
+        alone_true, _ = setup.truth(gains[k:k + 1])
+        alone = ch.synthesize_rx(setup, alone_true, seeds[k:k + 1],
                                  noiseless=noiseless)
         assert fields[k].tobytes() == ch.model_field(alone_true,
                                                      setup).tobytes(), k
@@ -182,13 +187,14 @@ def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
 
 def test_observation_same_seed_same_bytes(setup20):
     s = setup20
+    true = replace(s.true, gains=s.true.gains[None])
     for seed in (11, 2**40 + 5):
         for make in (lambda: seed, lambda: np.random.default_rng(seed)):
-            a = ch.synthesize_rx(s.setup, s.true, make())
-            b = ch.synthesize_rx(s.setup, s.true, make())
+            a = ch.synthesize_rx(s.setup, true, [make()])
+            b = ch.synthesize_rx(s.setup, true, [make()])
             assert a.pa.tobytes() == b.pa.tobytes()
             assert a.cov1.tobytes() == b.cov1.tobytes()
-    other = ch.synthesize_rx(s.setup, s.true, 12)
+    other = ch.synthesize_rx(s.setup, true, [12])
     assert not np.array_equal(other.cov1, a.cov1)
 
 
@@ -210,8 +216,10 @@ def test_observation_moments_match_the_tensor_oracle(setup20, power):
     setup = ch.Setup(s.geom, cfg, ch.make_pilots(cfg, s.geom.n_ms, 8), s.sched)
     n_draws, sigma2, n_bs = 1500, cfg.noise_power, s.geom.n_bs
     rng_new, rng_ref = np.random.default_rng(61), np.random.default_rng(62)
-    new = [ch.synthesize_rx(setup, s.true, rng_new) for _ in range(n_draws)]
-    ref = [observe(synthesize_tensor(setup, s.true, rng_ref), setup)
+    true = replace(s.true, gains=s.true.gains[None])
+    new = [ch.synthesize_rx(setup, true, [rng_new]).row(0)
+           for _ in range(n_draws)]
+    ref = [observe(synthesize_tensor(setup, s.true, rng_ref), setup).row(0)
            for _ in range(n_draws)]
     field = ch.model_field(s.true, setup)
     f1 = field[:cfg.t1]
@@ -239,7 +247,8 @@ def test_single_bs_antenna_trial_runs():
     setup = hn.power_setup(exp, 20.0)
     true = gm.true_channel_params(setup.geom,
                                   ch.draw_gains(setup.cfg, setup.geom, 0))
-    obs = ch.synthesize_rx(setup, true, 5)
+    obs = ch.synthesize_rx(setup, replace(true, gains=true.gains[None]),
+                           [5]).row(0)
     y1 = obs.pa[:setup.cfg.t1] / np.sqrt(setup.geom.n_bs)
     assert_allclose(obs.cov1, y1.conj() @ y1.T, rtol=1e-12)
     rec = hn.run_trial(exp, 20.0, 0, 0, setup)
@@ -303,7 +312,8 @@ def test_narrowband_single_steering_eval(setup20, monkeypatch):
         cfg = ch.SystemConfig(n_subcarriers=n_sub)
         setup = ch.Setup(s.geom, cfg, s.pilots, s.sched)
         calls["n"] = 0
-        ch.synthesize_rx(setup, s.true, noiseless=True)
+        ch.synthesize_rx(setup, replace(s.true, gains=s.true.gains[None]),
+                         noiseless=True)
         counts.append(calls["n"])
     assert counts[0] == counts[1]
 

@@ -16,7 +16,7 @@ from rispos import _damping as dm
 from rispos import coarse_est as ce
 from rispos import geometry as gm
 from rispos import harness as hn
-from rispos.errors import (OutOfRange, RankDeficient, RisposError,
+from rispos.errors import (OutOfRange, RankDeficient,
                            SingularConcentration, SparsityInfeasible)
 from rispos.params import ChannelParams
 
@@ -113,13 +113,14 @@ def test_coarse_stages_pick_the_oracle_columns():
                 _, y = trial_tensor(exp, setup, p_idx, trial)
                 obs = observe(y, setup)
                 if oracle:
-                    res = dcs_somp_tensor(
+                    support = dcs_somp_tensor(
                         y[:, :t1, :].conj().transpose(2, 1, 0), theta_m,
-                        setup.n_paths)
-                    u_hat = setup.a_m_dict.grid[res.support]
+                        setup.n_paths).support
+                    u_hat = setup.a_m_dict.grid[[support]]
                 else:
                     u_hat, res = ce.estimate_aod_coarse(obs, setup)
-                calls.append(res.support)
+                    (support,) = res.support
+                calls.append(support)
                 u_hat, _ = ce.refine_aod_mle(obs, setup, u_hat)
                 aoa = (ris_aoa_loop(obs, setup, u_hat, dcs_somp_tensor)
                        if oracle else ce.estimate_ris_aoa(obs, setup, u_hat))
@@ -150,8 +151,8 @@ def test_covariance_picks_equal_dcs_somp_picks():
             _, picks = ce.estimate_aod_coarse(observe(y, setup), setup)
             ref = dcs_somp(y[:, :t1, :].conj().transpose(2, 1, 0),
                               theta_m, setup.n_paths)
-            assert picks.support == ref.support, (power, trial)
-            assert_allclose(picks.residual_norms, ref.residual_norms,
+            assert picks.support == [ref.support], (power, trial)
+            assert_allclose(picks.residual_norms, [ref.residual_norms],
                             rtol=1e-9)
             n_draws += 1
     assert n_draws >= 200
@@ -172,16 +173,16 @@ def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
 def test_aod_coarse_ongrid_exact(ongrid):
     true, setup, rx = _ongrid_setup(ongrid)
     a_m = setup.a_m_dict
-    u_hat, somp = ce.estimate_aod_coarse(rx, setup)
+    (u_hat,), somp = ce.estimate_aod_coarse(rx, setup)
     expect = {int(np.argmin(np.abs(a_m.grid - u))) for u in true.u}
-    assert set(somp.support) == expect
+    assert set(somp.support[0]) == expect
     assert_allclose(np.sort(u_hat), np.sort(true.u), atol=1e-12)
 
 
 def test_aod_coarse_offgrid_half_cell(setup20):
     """Off-grid truth recovered to within half a grid cell in sin space."""
     s = setup20
-    u_hat, _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
+    (u_hat,), _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
     from rispos.harness import associate_paths
     perm = associate_paths(u_hat, s.true.u)
     gap = np.abs(u_hat[perm] - s.true.u)
@@ -190,8 +191,8 @@ def test_aod_coarse_offgrid_half_cell(setup20):
 
 def test_refine_aod_mle_improves(setup20):
     s = setup20
-    u_grid, _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
-    refined, _ = ce.refine_aod_mle(s.obs_clean, s.setup, u_grid)
+    (u_grid,), _ = ce.estimate_aod_coarse(s.obs_clean, s.setup)
+    (refined,), _ = ce.refine_aod_mle(s.obs_clean, s.setup, u_grid[None])
     from rispos.harness import associate_paths
     perm_c = associate_paths(u_grid, s.true.u)
     perm_r = associate_paths(refined, s.true.u)
@@ -202,7 +203,7 @@ def test_refine_aod_mle_improves(setup20):
 
 def test_refine_aod_mle_fixed_point(setup20):
     s = setup20
-    refined, _ = ce.refine_aod_mle(s.obs_clean, s.setup, s.true.u.copy())
+    (refined,), _ = ce.refine_aod_mle(s.obs_clean, s.setup, s.true.u[None])
     assert np.max(np.abs(refined - s.true.u)) < 1e-9
     # objective change from the truth is negligible
     mats = _aod_mats(s, s.rx_clean)
@@ -403,9 +404,9 @@ def test_aod_objective_matches_raw_form(setup20):
 def test_ris_aoa_ongrid_exact(ongrid):
     true, setup, rx = _ongrid_setup(ongrid)
     cfg = setup.cfg
-    aoa = ce.estimate_ris_aoa(rx, setup, true.u)
+    aoa = ce.estimate_ris_aoa(rx, setup, true.u[None])
     est = to_angles(ChannelParams(np.zeros(2), np.zeros(2), np.zeros(2),
-                                  aoa.c, aoa.s))
+                                  aoa.c[0], aoa.s[0]))
     ref = to_angles(true)
     assert_allclose(np.sort(est.phi_in), np.sort(ref.phi_in), atol=1e-12)
     assert_allclose(np.sort(est.psi_in), np.sort(ref.psi_in), atol=1e-12)
@@ -414,7 +415,7 @@ def test_ris_aoa_ongrid_exact(ongrid):
     ramp = ch.subcarrier_ramp(true.tau, cfg.bandwidth, cfg.n_subcarriers)
     for q in range(2):
         planted = true.gains[q] * ramp[:, q]
-        match = np.min([np.max(np.abs(aoa.delta_tilde[i] - planted))
+        match = np.min([np.max(np.abs(aoa.delta_tilde[0, i] - planted))
                         for i in range(2)])
         assert match < 1e-8 * np.abs(true.gains[q])
 
@@ -427,10 +428,10 @@ def test_ris_aoa_zero_difference(setup20):
         tau=s.true.tau[:1], gains=np.array([1e-6 + 0j]),
         u=s.true.u[:1], c=[c_out], s=[s_out])
     rx = synthesize_tensor(s.setup, params, noiseless=True)
-    aoa = ce.estimate_ris_aoa(observe(rx, s.setup), s.setup, params.u)
-    assert aoa.c[0] == pytest.approx(c_out, abs=1e-15)
-    assert aoa.s[0] == pytest.approx(s_out, abs=1e-15)
-    assert not aoa.clamped[0]
+    aoa = ce.estimate_ris_aoa(observe(rx, s.setup), s.setup, params.u[None])
+    assert aoa.c[0, 0] == pytest.approx(c_out, abs=1e-15)
+    assert aoa.s[0, 0] == pytest.approx(s_out, abs=1e-15)
+    assert not aoa.clamped[0, 0]
 
 
 def _sweep_observations(exp, setup, p_idx, n_trials):
@@ -442,7 +443,9 @@ def _sweep_observations(exp, setup, p_idx, n_trials):
             (exp.master_seed, hn._TAG_TRIAL, p_idx, trial)).spawn(2)
         true = gm.true_channel_params(setup.geom, ch.draw_gains(
             setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
-        obs = ch.synthesize_rx(setup, true, np.random.default_rng(noise_seed))
+        obs = ch.synthesize_rx(
+            setup, dataclasses.replace(true, gains=true.gains[None]),
+            [np.random.default_rng(noise_seed)])
         yield obs, ce.estimate_aod_coarse(obs, setup)[0]
 
 
@@ -450,8 +453,8 @@ def _assert_same_aoa(aoa, ref, what):
     assert aoa.c.tolist() == ref.c.tolist(), what
     assert aoa.s.tolist() == ref.s.tolist(), what
     assert aoa.clamped.tolist() == ref.clamped.tolist(), what
-    gap = np.linalg.norm(aoa.delta_tilde - ref.delta_tilde, axis=1)
-    assert np.all(gap <= 1e-12 * np.linalg.norm(ref.delta_tilde, axis=1)), what
+    gap = np.linalg.norm(aoa.delta_tilde - ref.delta_tilde, axis=2)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(ref.delta_tilde, axis=2)), what
 
 
 def test_batched_ris_aoa_matches_the_per_path_loop():
@@ -497,11 +500,11 @@ def test_batched_ris_aoa_on_irregular_schedules(layout):
 def test_ris_aoa_colliding_departures_rank_deficient(setup20):
     """Equal departure sines leave every block's mixing Gram singular."""
     s = setup20
-    u_hat = np.array([0.3, 0.3])
+    u_hat = np.array([[0.3, 0.3]])
     with pytest.raises(RankDeficient):
         ris_aoa_loop(s.obs_noisy, s.setup, u_hat)
-    with pytest.raises(RankDeficient):
-        ce.estimate_ris_aoa(s.obs_noisy, s.setup, u_hat)
+    (error,) = ce.estimate_ris_aoa(s.obs_noisy, s.setup, u_hat).errors
+    assert type(error) is RankDeficient
 
 
 def _toa_one_path(d, setup):
@@ -509,8 +512,9 @@ def _toa_one_path(d, setup):
     1-based DFT bin, bin delay - tau_hat). At a bracket end tau_hat is
     (m +- 1/2) / B, which names no bin, so the bin is d's DFT peak, checked
     to lie within half a bin of tau_hat."""
-    est = ce.estimate_toa(d[None, :], setup)
-    (tau_hat,), (delta_hat,) = est.tau, est.gains
+    est = ce.estimate_toa(d[None, None, :], setup)
+    assert est.errors == [None]
+    ((tau_hat,),), ((delta_hat,),) = est.tau, est.gains
     m0 = int(np.argmax(np.abs(np.fft.ifft(d))))
     bw = setup.cfg.bandwidth
     assert abs(tau_hat * bw - m0) <= 0.5 + 1e-12
@@ -600,14 +604,13 @@ def test_estimate_toa_out_of_range(setup20):
     n = cfg.n_subcarriers
     # positive phase ramp implies a negative delay
     d = np.exp(+2j * np.pi * np.arange(n) * 0.01)
-    with pytest.raises(OutOfRange):
-        ce.estimate_toa(d[None, :], setup20.setup)
+    (error,) = ce.estimate_toa(d[None, None, :], setup20.setup).errors
+    assert type(error) is OutOfRange
 
 
 def _grid_stage_rows(stage, s):
-    """Three lone inputs of one grid stage, the middle one failing, and
-    the stage as a map from a list of them, stacked, or from one alone,
-    to its result."""
+    """Three one-record inputs of one grid stage, the middle one failing,
+    and the stage as a map from a list of them, stacked, to its result."""
     if stage == "picks":
         rng = np.random.default_rng(8)
         theta = _complex_normal(rng, 8, 20)
@@ -616,75 +619,75 @@ def _grid_stage_rows(stage, s):
         # a zero record picks columns 0 and 1, which are one column twice
         rows = [ys[0] @ ys[0].conj().T, np.zeros((8, 8), complex),
                 ys[1] @ ys[1].conj().T]
-        return rows, lambda x: ce.pick_columns(
-            np.stack(x) if isinstance(x, list) else x, theta, 3)
+        return rows, lambda x: ce.pick_columns(np.stack(x), theta, 3)
     if stage == "ris_aoa":
         rows = [(s.obs_noisy, s.true.u), (s.obs_noisy, np.array([0.3, 0.3])),
                 (s.obs_clean, s.true.u)]
 
         def run(x):
-            if not isinstance(x, list):
-                return ce.estimate_ris_aoa(x[0], s.setup, x[1])
-            obs = ch.Observation(np.stack([o.pa for o, _ in x]),
-                                 np.stack([o.cov1 for o, _ in x]))
+            obs = ch.Observation(np.concatenate([o.pa for o, _ in x]),
+                                 np.concatenate([o.cov1 for o, _ in x]))
             return ce.estimate_ris_aoa(obs, s.setup,
                                        np.stack([u for _, u in x]))
         return rows, run
-    good = [ce.estimate_ris_aoa(obs, s.setup, s.true.u).delta_tilde
+    good = [ce.estimate_ris_aoa(obs, s.setup, s.true.u[None]).delta_tilde[0]
             for obs in (s.obs_noisy, s.obs_clean)]
     # flat gains peak at DFT bin 0: delay 0, outside (0, 1)
     rows = [good[0], np.ones_like(good[0]), good[1]]
-    return rows, lambda x: ce.estimate_toa(
-        np.stack(x) if isinstance(x, list) else x, s.setup)
+    return rows, lambda x: ce.estimate_toa(np.stack(x), s.setup)
 
 
-@pytest.mark.parametrize("stage", ["picks", "ris_aoa", "toa"])
-def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, setup20):
-    """A grid stage on a stack runs each row as its lone call does: with
-    a failing row between two good ones, each good row equals its lone
-    call bit for bit, and the failing row carries the error its lone call
-    raises, class and message, without stopping the others."""
-    _assert_rows_equal_lone_calls(*_grid_stage_rows(stage, setup20))
+@pytest.mark.parametrize("stage,error", [
+    ("picks", RankDeficient), ("ris_aoa", RankDeficient),
+    ("toa", OutOfRange)], ids=["picks", "ris_aoa", "toa"])
+def test_stacked_grid_stage_keeps_a_failing_row_to_itself(stage, error,
+                                                          setup20):
+    """A grid stage on a stack runs each row as on a stack of one: with
+    a failing row between two good ones, each good row equals its stack
+    of one bit for bit, and the failing row carries the typed error that
+    its stack of one returns in ``errors[0]``, class and message, without
+    stopping the others."""
+    _assert_rows_equal_lone_calls(*_grid_stage_rows(stage, setup20), error)
 
 
-def _assert_rows_equal_lone_calls(rows, run):
-    """``run`` on the list ``rows`` gives each good row its lone call's
-    bits, and the failing middle row its lone call's error."""
+def _assert_rows_equal_lone_calls(rows, run, error):
+    """``run`` on the list ``rows`` gives each good row the bits of
+    ``run`` on that row alone, and the failing middle row the ``error``
+    that ``run`` on it alone returns without raising."""
     stacked = run(rows)
     assert [e is None for e in stacked.errors] == [True, False, True]
     for k, row in enumerate(rows):
+        alone = run([row])
         if k == 1:
-            with pytest.raises(RisposError) as raised:
-                run(row)
-            error = stacked.errors[k]
-            assert type(error) is type(raised.value)
-            assert str(error) == str(raised.value)
+            assert type(alone.errors[0]) is error
+            assert type(stacked.errors[k]) is error
+            assert str(stacked.errors[k]) == str(alone.errors[0])
             continue
-        alone = run(row)
-        assert alone.errors is None
+        assert alone.errors == [None]
         for f in dataclasses.fields(alone):
             if f.name != "errors":
                 assert (np.asarray(getattr(stacked, f.name)[k]).tobytes()
-                        == np.asarray(getattr(alone, f.name)).tobytes()), (
+                        == np.asarray(getattr(alone, f.name)[0]).tobytes()), (
                             k, f.name)
 
 
 def _three_power_records():
     """The setups of -10, 0 and 20 dBm of one sweep, their stacked setup,
-    and one observation at each power, drawn alone on its own setup."""
+    and one observation at each power, drawn as a stack of one on its own
+    setup."""
     exp = hn.ExperimentConfig(master_seed=77)
     setups = hn.power_setups(exp, [-10.0, 0.0, 20.0])
     obs = []
     for k, setup in enumerate(setups):
-        true, _ = setup.truth(ch.draw_gains(setup.cfg, setup.geom, k))
-        obs.append(ch.synthesize_rx(setup, true, 10 + k))
+        true, _ = setup.truth(ch.draw_gains(setup.cfg, setup.geom, k)[None])
+        obs.append(ch.synthesize_rx(setup, true, [10 + k]))
     return setups, ch.Setup.stack(setups), obs
 
 
 def _per_row_setup_rows(stage):
-    """Three lone inputs of one stage, each at its own power, the middle
-    one failing, and the stage as a map from a list of them, on per-row
-    setup arrays, or from one alone, on its own."""
+    """Three one-record inputs of one stage, each at its own power, the
+    middle one failing, and the stage as a map from a list of them, on
+    per-row setup arrays, or from a list of one, on its own setup."""
     setups, stack, obs = _three_power_records()
     if stage == "picks":
         # a zero record over a dictionary whose columns 0 and 1 are one
@@ -692,22 +695,19 @@ def _per_row_setup_rows(stage):
         dicts = [s.aod_proj for s in setups]
         dicts[1] = dicts[1].copy()
         dicts[1][:, 1] = dicts[1][:, 0]
-        covs = [obs[0].cov1, np.zeros_like(obs[1].cov1), obs[2].cov1]
+        covs = [obs[0].cov1[0], np.zeros_like(obs[1].cov1[0]), obs[2].cov1[0]]
         rows = list(zip(covs, dicts))
-        return rows, lambda x: (
-            ce.pick_columns(np.stack([c for c, _ in x]),
-                            np.stack([d for _, d in x]), 3)
-            if isinstance(x, list) else ce.pick_columns(*x, 3))
+        return rows, lambda x: ce.pick_columns(
+            np.stack([c for c, _ in x]), np.stack([d for _, d in x]), 3)
     u_true = setups[0].true_unit.u
     sines = [u_true, np.array([0.3, 0.3]), u_true]     # one colliding pair
     rows = list(zip(obs, setups, sines))
 
     def run(x):
-        if not isinstance(x, list):
-            return ce.estimate_ris_aoa(*x)
-        stacked = ch.Observation(np.stack([o.pa for o, _, _ in x]),
-                                 np.stack([o.cov1 for o, _, _ in x]))
-        return ce.estimate_ris_aoa(stacked, stack,
+        stacked = ch.Observation(np.concatenate([o.pa for o, _, _ in x]),
+                                 np.concatenate([o.cov1 for o, _, _ in x]))
+        setup = x[0][1] if len(x) == 1 else stack
+        return ce.estimate_ris_aoa(stacked, setup,
                                    np.stack([u for _, _, u in x]))
     return rows, run
 
@@ -717,23 +717,27 @@ def test_per_row_setup_keeps_each_row_to_its_power(stage):
     """A stacked setup (``Setup.stack``) gives each row its own power's
     pilots and projected AOD dictionary: the DCS-SOMP picks over a
     (K, M, G) dictionary and the RIS arrival at per-row pilots give each
-    good row the bits of its lone call on its own setup, and the failing
-    middle row its lone error, class and message."""
-    _assert_rows_equal_lone_calls(*_per_row_setup_rows(stage))
+    good row the bits of its stack of one on its own setup, and the
+    failing middle row the error of its stack of one, class and
+    message."""
+    _assert_rows_equal_lone_calls(*_per_row_setup_rows(stage), RankDeficient)
 
 
 def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
     """``run_coarse`` on records at three powers with their stacked setup
-    gives each record the estimate of its lone call on its own setup, the
-    AOD refinement included, which runs on the record's own setup."""
+    gives each record the estimate of its stack of one on its own setup,
+    the AOD refinement included, which runs on the record's own setup."""
     setups, stack, obs = _three_power_records()
     assert [stack.row(k) for k in range(3)] == setups
     assert setups[0].row(2) is setups[0]
     stacked = ce.run_coarse(ch.Observation(
-        np.stack([o.pa for o in obs]), np.stack([o.cov1 for o in obs])), stack)
+        np.concatenate([o.pa for o in obs]),
+        np.concatenate([o.cov1 for o in obs])), stack)
     assert stacked.errors == [None] * 3
     for k, setup in enumerate(setups):
-        alone, row = ce.run_coarse(obs[k], setup), stacked.row(k)
+        alone = ce.run_coarse(obs[k], setup)
+        assert alone.errors == [None]
+        alone, row = alone.row(0), stacked.row(k)
         for f in dataclasses.fields(alone.params):
             assert (getattr(row.params, f.name).tobytes()
                     == getattr(alone.params, f.name).tobytes()), (k, f.name)
@@ -752,32 +756,34 @@ def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
     """With the AOD refinement's start colliding on the middle of three
     stacked records (its picks give one sine twice), the stacked
     refinement raises and ``run_coarse`` refines each record alone: each
-    other record gets its lone estimate bit for bit, parameters and
-    flags, and the middle one the error its lone call raises, class and
-    message."""
+    other record gets the estimate of its stack of one bit for bit,
+    parameters and flags, and the middle one the error that its stack of
+    one returns in ``errors[0]``, class and message."""
     s = setup20
-    rows = [s.obs_noisy, s.obs_clean, ch.synthesize_rx(s.setup, s.true, 4)]
+    rows = [s.obs_noisy, s.obs_clean, ch.synthesize_rx(
+        s.setup, dataclasses.replace(s.true, gains=s.true.gains[None]), [4])]
     picks = ce.estimate_aod_coarse
 
     def colliding(obs, setup):
         u_hat, res = picks(obs, setup)
         for k, pa in enumerate(obs.pa):
-            if np.array_equal(pa, rows[1].pa):
+            if np.array_equal(pa, rows[1].pa[0]):
                 u_hat[k] = u_hat[k, 0]
         return u_hat, res
 
     monkeypatch.setattr(ce, "estimate_aod_coarse", colliding)
     stacked = ce.run_coarse(ch.Observation(
-        np.stack([o.pa for o in rows]), np.stack([o.cov1 for o in rows])),
-        s.setup)
+        np.concatenate([o.pa for o in rows]),
+        np.concatenate([o.cov1 for o in rows])), s.setup)
     assert [e is None for e in stacked.errors] == [True, False, True]
-    with pytest.raises(RisposError) as raised:
-        ce.run_coarse(rows[1], s.setup)
-    assert type(stacked.errors[1]) is type(raised.value)
-    assert str(stacked.errors[1]) == str(raised.value) \
-        == "departure angles collide"
+    (error,) = ce.run_coarse(rows[1], s.setup).errors
+    assert type(error) is SingularConcentration
+    assert type(stacked.errors[1]) is type(error)
+    assert str(stacked.errors[1]) == str(error) == "departure angles collide"
     for k in (0, 2):
-        alone, row = ce.run_coarse(rows[k], s.setup), stacked.row(k)
+        alone = ce.run_coarse(rows[k], s.setup)
+        assert alone.errors == [None]
+        alone, row = alone.row(0), stacked.row(k)
         for f in dataclasses.fields(alone.params):
             assert (getattr(row.params, f.name).tobytes()
                     == getattr(alone.params, f.name).tobytes()), (k, f.name)
@@ -785,19 +791,32 @@ def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
         assert type(row.flags["aod_steps"]) is int
 
 
+def test_run_coarse_returns_a_failing_records_error(setup20):
+    """A stack of one whose record fails returns normally: a zero record,
+    whose delays fall on DFT bin 0, gets ``OutOfRange`` in ``errors[0]``,
+    with the AOD refinement and without it."""
+    s = setup20
+    zero = ch.Observation(np.zeros_like(s.obs_clean.pa),
+                          np.zeros_like(s.obs_clean.cov1))
+    for refine_aod in (True, False):
+        (error,) = ce.run_coarse(zero, s.setup, refine_aod).errors
+        assert type(error) is OutOfRange
+        assert str(error) == "normalized delay 0.0 outside (0, 1)"
+
+
 def _assert_toa_matches_search(gains, setup, what):
     """``estimate_toa`` on the rows of ``gains`` (paths, N) against the
     half-bin search oracle path by path: the same ``OutOfRange`` outcome,
     delays within 1e-9 bin and gains within 1e-9 relative. Returns
     whether the oracle raised."""
+    est = ce.estimate_toa(gains[None], setup)
     try:
         ref = [estimate_toa(row, setup.cfg) for row in gains]
     except OutOfRange:
-        with pytest.raises(OutOfRange):
-            ce.estimate_toa(gains, setup)
+        assert type(est.errors[0]) is OutOfRange
         return True
-    est = ce.estimate_toa(gains, setup)
-    tau, delta = est.tau, est.gains
+    assert est.errors == [None]
+    (tau,), (delta,) = est.tau, est.gains
     ref_tau = np.array([r[0] for r in ref])
     ref_delta = np.array([r[1] for r in ref])
     assert np.max(np.abs(tau - ref_tau)) * setup.cfg.bandwidth <= 1e-9, what
@@ -819,7 +838,8 @@ def test_estimate_toa_matches_the_search_oracle():
         for trial, (obs, u_hat) in enumerate(
                 _sweep_observations(exp, setup, p_idx, exp.n_trials)):
             aoa = ce.estimate_ris_aoa(obs, setup, u_hat)
-            _assert_toa_matches_search(aoa.delta_tilde, setup, (power, trial))
+            _assert_toa_matches_search(aoa.delta_tilde[0], setup,
+                                       (power, trial))
             n_trials += 1
     assert n_trials == 800
 
@@ -839,7 +859,7 @@ def test_refine_aod_colliding_angles_rejected(setup20):
     """Duplicate departure angles make the concentration singular."""
     s = setup20
     with pytest.raises(SingularConcentration):
-        ce.refine_aod_mle(s.obs_clean, s.setup, np.array([0.3, 0.3]))
+        ce.refine_aod_mle(s.obs_clean, s.setup, np.array([[0.3, 0.3]]))
 
 
 def test_ris_aoa_block_too_short(setup20):
@@ -851,7 +871,7 @@ def test_ris_aoa_block_too_short(setup20):
     setup = ch.Setup(s.geom, cfg, s.pilots, sched)
     rx = synthesize_tensor(setup, s.true, 0)
     with pytest.raises(RankDeficient):
-        ce.estimate_ris_aoa(observe(rx, setup), setup, s.true.u)
+        ce.estimate_ris_aoa(observe(rx, setup), setup, s.true.u[None])
 
 
 def test_associate_paths_convention():
@@ -866,7 +886,8 @@ def test_run_coarse_ongrid_end_to_end(ongrid):
     """Noiseless on-grid scenario: every parameter at grid resolution."""
     true, setup, rx = _ongrid_setup(ongrid)
     out = ce.run_coarse(rx, setup)
-    est = out.params
+    assert out.errors == [None]
+    est = out.row(0).params
     assert_allclose(est.u, true.u, atol=1e-9)
     assert_allclose(to_angles(est).phi_in, to_angles(true).phi_in, atol=1e-12)
     assert_allclose(to_angles(est).psi_in, to_angles(true).psi_in, atol=1e-12)

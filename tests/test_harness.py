@@ -270,9 +270,9 @@ def test_batched_sweep_equals_lone_trials():
     """A sweep draws each batch, a block of trial indices at every power,
     at once, and a lone trial a batch of one: every sweep record equals
     its trial run alone, bit for bit, in every field, over full blocks
-    and a partial one. The setup's truth at one trial's gains is its row
-    of the truth at a stack of gains, and of the truth of a stacked setup,
-    whose rows hold the Grams of several powers."""
+    and a partial one. The setup's truth at a stack of one trial's gains
+    is its row of the truth at a larger stack of gains, and of the truth
+    of a stacked setup, whose rows hold the Grams of several powers."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse")
     assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
@@ -297,16 +297,17 @@ def test_batched_sweep_equals_lone_trials():
 
 def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
     """The truth of the setup ``stack`` at the stack ``gains`` gives row k
-    the bits of ``row_setups[k].truth(gains[k])``."""
+    the bits of ``row_setups[k].truth(gains[k:k + 1])``, a stack of one."""
     stacked, reps = stack.truth(gains)
     crlb = hn.angle_crlb(reps.cov_channel, stacked)
     for k, (setup, g) in enumerate(zip(row_setups, gains)):
-        true, rep = setup.truth(g)
-        assert np.array_equal(true.gains, stacked.gains[k])
+        true, rep = setup.truth(g[None])
+        assert np.array_equal(true.gains[0], stacked.gains[k])
         for f in dataclasses.fields(rep):
-            assert (_bits(getattr(rep, f.name))
+            assert (_bits(getattr(rep.row(0), f.name))
                     == _bits(getattr(reps.row(k), f.name))), (k, f.name)
-        assert _bits(hn.angle_crlb(rep.cov_channel, true)) == _bits(crlb[k])
+        assert (_bits(hn.angle_crlb(rep.cov_channel, true)[0])
+                == _bits(crlb[k]))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -619,7 +620,8 @@ def test_reference_bounds_match_the_fim_channel_path(power):
     setup = hn.power_setup(exp, power)
     gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
     true = gm.true_channel_params(setup.geom, gains)
-    rep = bnd.position_bounds(bnd.fim_channel(true, setup), setup.t_true)
+    rep = bnd.position_bounds(bnd.fim_channel(true, setup)[None],
+                              setup.t_true).row(0)
     ref = hn._report_bounds(
         hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6), rep.peb, rep.oeb)
     (got,) = hn.reference_bounds(exp, [setup])
@@ -630,8 +632,8 @@ def test_reference_bounds_match_the_fim_channel_path(power):
 def test_stacked_reference_bounds_equal_each_powers_lone_path():
     """The sweep's reference bounds come from one stacked pass over its
     powers; each power's bounds equal, bit for bit, those of its setup
-    alone, a lone ``PowerSetup.truth`` at the nominal gains, and the
-    bounds of a setup built for that power alone."""
+    alone, ``PowerSetup.truth`` at a stack of one of the nominal gains,
+    and the bounds of a setup built for that power alone."""
     exp = hn.ExperimentConfig(master_seed=77)
     setups = hn.power_setups(exp, exp.powers_dbm)
     stacked = hn.reference_bounds(exp, setups)
@@ -639,14 +641,27 @@ def test_stacked_reference_bounds_equal_each_powers_lone_path():
     for power, setup, got in zip(exp.powers_dbm, setups, stacked):
         gains = ch.nominal_gain_amplitudes(setup.cfg,
                                            setup.geom).astype(complex)
-        true, rep = setup.truth(gains)
+        true, reps = setup.truth(gains[None])
+        rep = reps.row(0)
         lone = hn._report_bounds(
-            hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6),
+            hn.angle_crlb(reps.cov_channel, true)[0].reshape(-1, 6),
             rep.peb, rep.oeb)
         assert _bits(got) == _bits(lone), power
         assert _bits(got) == _bits(hn.reference_bounds(exp, [setup])[0])
         built = hn.reference_bounds(exp, [hn.power_setup(exp, power)])[0]
         assert _bits(got) == _bits(built), power
+
+
+@pytest.mark.filterwarnings("error")
+def test_reference_bounds_of_one_subcarrier_divide_by_no_zero():
+    """With one subcarrier the channel FIM has eigenvalues of exactly 0,
+    which its inverse drops: ``reference_bounds`` forms the inverse
+    eigenvalues only where they are kept, so it runs with warnings as
+    errors, and its position and orientation bounds are finite."""
+    exp = hn.ExperimentConfig(n_subcarriers=1, powers_dbm=[20.0])
+    (bounds,) = hn.reference_bounds(exp)
+    assert np.isfinite(bounds["position"]) and bounds["position"] > 0.0
+    assert np.isfinite(bounds["orientation"]) and bounds["orientation"] > 0.0
 
 
 def test_cli_bounds_and_trial(capsys):

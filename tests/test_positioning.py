@@ -135,8 +135,9 @@ def test_lm_noiseless_fixed_point(default_geom):
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
     j_eta = np.eye(params.to_vector().size)
-    pos, diag = po.refine_position_lm(params.to_vector(), j_eta, pos0,
-                                      default_geom.ris, default_geom.bs)
+    (pos,), (diag,) = po.refine_position_lm(
+        params.to_vector()[None], j_eta[None], [pos0], default_geom.ris,
+        default_geom.bs)
     assert diag.converged and diag.n_iter <= 2
     assert np.linalg.norm(pos.ms - pos0.ms) < 1e-8
 
@@ -151,8 +152,9 @@ def test_lm_descent_contract(default_geom, setup20):
     eta_hat = channel_params_from_vector(noisy_vec)
     pos0, _ = po.position_closed_form(eta_hat, default_geom.ris,
                                       default_geom.bs)
-    pos, diag = po.refine_position_lm(noisy_vec, j_eta, pos0, default_geom.ris,
-                                      default_geom.bs)
+    (pos,), (diag,) = po.refine_position_lm(
+        noisy_vec[None], j_eta[None], [pos0], default_geom.ris,
+        default_geom.bs)
     hist = np.asarray(diag.objective_history)
     assert np.all(np.diff(hist) <= 0.0)
     assert hist[-1] <= hist[0]
@@ -167,8 +169,9 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
     vec[3] += 1e-2                       # perturb one departure sine
     pos0, _ = po.position_closed_form(params, default_geom.ris,
                                       default_geom.bs)
-    pos, diag = po.refine_position_lm(vec, np.eye(vec.size), pos0,
-                                      default_geom.ris, default_geom.bs)
+    (pos,), (diag,) = po.refine_position_lm(
+        vec[None], np.eye(vec.size)[None], [pos0], default_geom.ris,
+        default_geom.bs)
     eta_fit = gm.forward_map_G(pos, default_geom.ris,
                                default_geom.bs).to_vector()
     assert diag.converged and diag.n_iter >= 1
@@ -190,8 +193,9 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     dx = np.zeros(jac.shape[1])
     dx[2 * params.n_paths + 3] = 1e-2
     eta_hat = eta0 + jac @ dx
-    pos, diag = po.refine_position_lm(eta_hat, np.eye(eta_hat.size), pos0,
-                                      default_geom.ris, default_geom.bs)
+    (pos,), (diag,) = po.refine_position_lm(
+        eta_hat[None], np.eye(eta_hat.size)[None], [pos0], default_geom.ris,
+        default_geom.bs)
     assert 0.0 <= pos.alpha < np.pi
     assert diag.n_iter >= 1
     assert diag.objective_history[-1] <= diag.objective_history[0]

@@ -133,7 +133,7 @@ def test_complete_data_beamforms_the_full_tensor(setup20, monkeypatch):
         full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
         ref = beamform(bs_steering(s.geom), full)
         calls.clear()
-        coordinate_update_cycle(s.obs_noisy, s.setup, s.true.copy(), q)
+        coordinate_update_cycle(s.obs_noisy.row(0), s.setup, s.true.copy(), q)
         got = calls[0][0]
         assert got.shape == (s.cfg.t_total, s.cfg.n_subcarriers)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -309,7 +309,7 @@ def test_batched_objective_matches_scalar_oracle(setup20):
         params = _random_params(s, rng)
         tau, u, c, sa = _coords(params)
         th, ph, ps = _angles(u, c, sa)
-        pa = observe(y_q, s.setup).pa
+        (pa,) = observe(y_q, s.setup).pa
         factors = _search_factors(s, params)
         n = 9
         # physical brackets: c^2 + s^2 <= 1 along both RIS coordinates
@@ -340,7 +340,7 @@ def test_batched_objective_matches_scalar_oracle(setup20):
 def test_batched_objective_zero_denominator_never_wins(setup20):
     """A candidate whose slot factors vanish scores 0 instead of raising."""
     s = setup20
-    pa = s.obs_noisy.pa
+    (pa,) = s.obs_noisy.pa
     tau, u, c, sa = _coords(s.true)
     zero = np.zeros((s.cfg.t_total, 1))
     step = np.linspace(-0.01, 0.01, 5)
@@ -377,7 +377,7 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
     sg.run_sage(s.obs_noisy, s.setup, coarse.params)
     for psi in (0.5 * np.pi, 1.5 * np.pi):
         for phi in (0.2, 1.0, 2.0, 2.9):
-            params = s.true.copy()
+            params = s.true.take(None).copy()
             params.c[:] = np.cos(phi)
             params.s[:] = np.sin(psi) * np.sin(phi)
             sg.run_sage(s.obs_noisy, s.setup, params)
@@ -403,7 +403,8 @@ def test_damped_sage_fixed_point(setup20):
     """Started at the truth on the noiseless record, SAGE converges and
     stays there: every delay within 1e-6 / B, every angle within 1e-6."""
     s = setup20
-    refined, info = sg.run_sage(s.obs_clean, s.setup, s.true)
+    refined, (info,) = sg.run_sage(s.obs_clean, s.setup, s.true.take(None))
+    refined = refined.take(0)
     assert info.converged
     est, true = to_angles(refined), to_angles(s.true)
     assert np.max(np.abs(refined.tau - s.true.tau)) < 1e-6 / s.cfg.bandwidth
@@ -419,7 +420,7 @@ def test_damped_sage_ascent_any_input(setup20):
     s = setup20
     rng = np.random.default_rng(6)
     params = _random_params(s, rng)
-    _, info = sg.run_sage(s.obs_noisy, s.setup, params)
+    _, (info,) = sg.run_sage(s.obs_noisy, s.setup, params.take(None))
     hist = np.asarray(info.loglik_history)
     assert hist.size > 1
     assert hist[0] == global_log_likelihood(params, s.obs_noisy, s.setup)
@@ -436,7 +437,9 @@ def test_run_sage_noiseless_ongrid(ongrid):
     setup = ch.Setup(geom, cfg, pilots, sched)
     obs = observe(synthesize_tensor(setup, true, noiseless=True), setup)
     coarse = ce.run_coarse(obs, setup)
-    refined, info = sg.run_sage(obs, setup, coarse.params)
+    assert coarse.errors == [None]
+    refined, (info,) = sg.run_sage(obs, setup, coarse.params)
+    refined = refined.take(0)
     assert info.converged
     assert np.all(np.diff(info.loglik_history) >= 0.0)
     est, ref = to_angles(refined), to_angles(true)
@@ -451,7 +454,8 @@ def test_run_sage_noiseless_ongrid(ongrid):
 def test_run_sage_monotone_noisy(setup20):
     s = setup20
     coarse = ce.run_coarse(s.obs_noisy, s.setup)
-    refined, info = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
+    assert coarse.errors == [None]
+    refined, (info,) = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
     assert np.all(np.diff(info.loglik_history) >= 0.0)
 
 
@@ -465,13 +469,14 @@ def test_run_sage_single_path_reduction(setup20):
         tau=s.true.tau[:1], gains=s.true.gains[:1],
         u=s.true.u[:1], c=s.true.c[:1], s=s.true.s[:1])
     rx = observe(synthesize_tensor(s.setup, single, noise_seed=9), s.setup)
-    init = single.copy()
+    init = single.take(None).copy()
     init.tau[0] += 3e-9
     init.u[0] = np.sin(np.arcsin(init.u[0]) + 0.01)
-    refined, info = sg.run_sage(rx, s.setup, init)
+    refined, (info,) = sg.run_sage(rx, s.setup, init)
+    refined = refined.take(0)
     assert info.converged
     cycled = refined.copy()
-    coordinate_update_cycle(rx, s.setup, cycled, 0)
+    coordinate_update_cycle(rx.row(0), s.setup, cycled, 0)
     sd = np.sqrt(np.diag(np.linalg.inv(info.fim)))
     moved = np.abs(cycled.to_vector() - refined.to_vector()) / sd
     assert np.max(moved) < 1e-2, moved
@@ -513,7 +518,9 @@ def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
                     if tight:
                         m.setattr(dm, "DECREMENT_TOL", 1e-12)
                     coarse = ce.run_coarse(y, setup)
+                    assert coarse.errors == [None]
                     refined, _ = sg.run_sage(y, setup, coarse.params)
+                refined = refined.take(0)
                 perm = hn.associate_paths(refined.u, true.u)
                 rows.append(refined.to_vector().reshape(-1, 6)[perm].ravel())
             worst = max(worst, float(np.max(np.abs(rows[0] - rows[1]) / sd)))
@@ -545,7 +552,9 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
     for setup, y, true in _sage_cases(setup20, default_exp):
         obs = observe(y, setup)
         coarse = ce.run_coarse(obs, setup)
+        assert coarse.errors == [None]
         refined, _ = sg.run_sage(obs, setup, coarse.params)
+        refined = refined.take(0)
         perm = hn.associate_paths(refined.u, true.u)
         cov = np.linalg.inv(bnd.fim_channel(true, setup))
         sd_angle = np.sqrt(hn.angle_crlb(cov, true)).reshape(
@@ -611,7 +620,9 @@ def test_fisher_scoring_converges_with_the_channel_fim(setup20, monkeypatch):
     s = setup20
     ascents = spy_ascents(monkeypatch, sg)
     coarse = ce.run_coarse(s.obs_noisy, s.setup)
-    refined, info = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
+    assert coarse.errors == [None]
+    refined, (info,) = sg.run_sage(s.obs_noisy, s.setup, coarse.params)
+    refined = refined.take(0)
     assert info.converged
     assert info.scoring_steps > 0
     assert ascents == [(info.scoring_steps, True, info.scoring_steps)]
