@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InfeasibleGeometry
+from .errors import DegenerateGeometry
 from .params import ChannelParams, PositionParams
 
 SPEED_OF_LIGHT = 3e8  # m/s
@@ -152,10 +152,3 @@ def true_channel_params(geom: ScenarioGeometry, gains: np.ndarray) -> ChannelPar
                        scatterers=geom.scatterers),
         geom.ris, geom.bs)
 
-
-def ms_ris_range(tau0: float, ris: Vec3, bs: Vec3) -> float:
-    """MS-RIS distance implied by the VLoS delay; negative is infeasible."""
-    rng = tau0 * SPEED_OF_LIGHT - unit_vector(ris, bs, "RIS-BS")[1]
-    if rng < 0.0:
-        raise InfeasibleGeometry("VLoS delay shorter than the RIS-BS leg")
-    return rng

@@ -13,24 +13,18 @@ the power-independent part a single time.
 A sweep runs its trials in batches (``run_batch``): a batch is a block
 of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
 of them, so it holds at most ``BATCH`` trials (or one per power beyond
-``BATCH`` powers) and a sweep of one trial per power is one batch. The
-block follows from the config alone, so the worker count cannot change
-it; a pool task is one block. Within one sweep the trials differ only in
-their drawn gains and noise and, across powers, in the pilots, the
-projected AOD dictionary and the truth's Gram, which a stacked setup
-(``PowerSetup.stack``) holds one row per trial. So a batch first
-draws each trial's gains and noise from that trial's own streams and
-forms, for all its trials at once, the truth, its CRLBs and PEB/OEB,
-and the observations; then it runs every stage on the stack, the three
-iterative fits (the AOD refinement, SAGE and the LM) in lockstep, one
-``_damping.ascend`` loop per fit for all its trials, each trial keeping
-its own row or error (``draw_trials``). Then it calls ``run_trial`` on
-each trial, power by power, which scores the stages' outputs into the
-trial's record. ``run_trial`` stays the unit of work: a record per
-call, called once per trial through this module, and alone it draws a
-batch of one. The block is ``BATCH`` // powers indices, not ``BATCH``,
-because a stack's temporaries grow with its rows: the cap on rows
-bounds a sweep's peak memory.
+``BATCH`` powers). The block follows from the config alone, so the
+worker count cannot change it; a pool task is one block. The trials of
+a batch differ only in their drawn gains and noise and, across powers,
+in what a stacked setup (``PowerSetup.stack``) holds one row per trial.
+So a batch forms the truth, its bounds and the observations of all its
+trials at once, then runs every stage once on the stack, the three
+iterative fits in lockstep, and scores each stage's output there, each
+trial keeping its own row or error (``draw_trials``). Then it calls
+``run_trial`` on each trial, which copies the trial's outputs and scores
+into its record: the unit of work, called once per trial through this
+module, and alone a batch of one. The cap on a batch's rows bounds a
+sweep's peak memory, since a stack's temporaries grow with its rows.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -246,19 +240,22 @@ def associate_paths(u_est: np.ndarray, u_true: np.ndarray) -> np.ndarray:
     assignment. Returns ``perm`` such that estimate ``perm[i]`` scores
     against true path ``i``. For a convex cost of the difference of two
     points on a line, pairing both lists in sorted order is an optimal
-    assignment (the cost matrix of sorted lists is Monge).
+    assignment (the cost matrix of sorted lists is Monge). Sines stacked
+    (K, Q+1), against a truth stacked alike or shared (Q+1,), give each
+    row's association, (K, Q+1).
     """
-    perm = np.empty(np.size(u_true), dtype=int)
-    perm[np.argsort(u_true, kind="stable")] = np.argsort(u_est, kind="stable")
-    return perm
+    rank = np.argsort(np.argsort(u_true, axis=-1, kind="stable"), axis=-1)
+    return np.take_along_axis(np.argsort(u_est, axis=-1, kind="stable"),
+                              np.broadcast_to(rank, np.shape(u_est)), axis=-1)
 
 
 def channel_angles(params: ChannelParams) -> np.ndarray:
     """Rows [tau, delta_re, delta_im, theta_t, phi_in, psi_in] per path,
-    (Q+1, 6): the angles of the report."""
-    return np.column_stack([
+    (Q+1, 6), or (K, Q+1, 6) for parameters stacked (K, Q+1), the truth's
+    shared delays and frequencies included: the angles of the report."""
+    return np.stack(np.broadcast_arrays(
         params.tau, params.gains.real, params.gains.imag, np.arcsin(params.u),
-        np.arccos(params.c), arrival_azimuth(params.c, params.s)])
+        np.arccos(params.c), arrival_azimuth(params.c, params.s)), axis=-1)
 
 
 def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -291,18 +288,24 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
 def channel_sq_errors(est: ChannelParams, true: ChannelParams,
                       true_angles: np.ndarray) -> tuple[dict, np.ndarray]:
     """Per-class squared errors (per path) in angles after association,
-    given the truth's ``channel_angles``, and the association."""
+    given the truth's ``channel_angles``, and the association; estimates
+    stacked (K, Q+1) give (K, Q+1) errors per class."""
     perm = associate_paths(est.u, true.u)
-    diff = channel_angles(est)[perm] - true_angles
-    return ({cls: diff[:, _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES},
+    diff = (np.take_along_axis(channel_angles(est), perm[..., None], axis=-2)
+            - true_angles)
+    return ({cls: diff[..., _CLASSES[cls][0]] ** 2 for cls in CHANNEL_CLASSES},
             perm)
 
 
 def position_sq_errors(est: PositionParams, true_geom: ScenarioGeometry) -> dict:
+    """Squared position and rotation errors of K poses stacked, one float
+    per pose."""
+    err = pos_mod.wrapped_rotation_error(est.alpha, true_geom.alpha)
     return {
-        "position": float(np.sum((est.ms - true_geom.ms) ** 2)),
-        "orientation": pos_mod.wrapped_rotation_error(
-            est.alpha, true_geom.alpha) ** 2,
+        "position": np.sum((est.ms - true_geom.ms) ** 2, axis=-1).tolist(),
+        # pow(), as ``**`` squares a float: an array's ``**`` squares by
+        # err * err, which can round the other way
+        "orientation": np.float_power(err, 2).tolist(),
     }
 
 
@@ -432,23 +435,22 @@ def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
 
 @dataclass
 class TrialDraw:
-    """What a trial's batch draws and estimates for it: the truth ``true``
-    at its drawn gains, the angle CRLBs ``crlb`` and the bounds
-    ``bounds`` there, its observation ``obs``, and the output of each
-    stage that the stage setting runs: the coarse estimate ``coarse``,
-    refined at every stage but ``coarse``, SAGE's (params, ``SageInfo``)
-    ``sage``, the closed form's (pose, flags) ``closed`` and the LM fit's
-    (pose, ``LmDiagnostics``) ``lm``. From the first stage that raised on
-    the trial on, the outputs are None and ``error`` holds that error."""
+    """What a trial's batch draws, estimates and scores for it: the truth
+    ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
+    ``bounds`` there, and of each stage it ran, in stage order, its
+    parameter vector ``stages``, flags ``flags`` and squared errors
+    ``sq_errors`` (class -> errors), as the trial's record holds them;
+    ``support_ok``, whether the coarse departure sines lie within 1.5
+    grid cells of the true ones they are associated with; and the error
+    of the stage that failed on the trial, or None."""
 
     true: ChannelParams
     crlb: np.ndarray
     bounds: bnd.BoundReport
-    obs: ch.Observation
-    coarse: ce.CoarseEstimate | None = None
-    sage: tuple | None = None
-    closed: tuple | None = None
-    lm: tuple | None = None
+    stages: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)
+    sq_errors: dict = field(default_factory=dict)
+    support_ok: bool = False
     error: Exception | None = None
 
 
@@ -457,18 +459,24 @@ def _trial_entropy(exp: ExperimentConfig, power_idx: int,
     return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
 
 
-def _fit_draws(draws: list, stage: str, fit) -> None:
-    """Run the stage ``stage`` on the stack of the draws that have met no
-    error, ``fit(ks)`` taking their indices and giving one output per
-    draw, and store each draw's output as its ``stage``; where the stack
-    raises, each draw runs alone and keeps its output or its error
-    (``_damping.fit_rows``)."""
-    live = np.flatnonzero([d.error is None for d in draws])
-    if live.size:
-        outs, errors = fit_rows(lambda rows: fit(live[rows]), live.size)
-        for k, out, exc in zip(live, outs, errors):
-            setattr(draws[k], stage, out)
-            draws[k].error = exc
+def _keep(draws: list, live: np.ndarray, stage: str, outs: list,
+          errors: list) -> np.ndarray:
+    """Store in draw ``live[i]`` the vector and flags that the output
+    ``outs[i]`` of the stage ``stage`` begins with, or its error
+    ``errors[i]``; the draws of ``live`` that kept an output."""
+    for k, out, exc in zip(live, outs, errors):
+        if exc is None:
+            draws[k].stages[stage], flags = out[:2]
+            draws[k].flags.update(flags)
+        draws[k].error = exc
+    return live[[e is None for e in errors]]
+
+
+def _score(draws: list, live: np.ndarray, stage: str, sq: dict) -> None:
+    """Store the squared errors ``sq``, class -> one entry per draw of
+    ``live``, as the draws' errors of the stage ``stage``."""
+    for i, k in enumerate(live):
+        draws[k].sq_errors[stage] = {cls: v[i] for cls, v in sq.items()}
 
 
 def draw_trials(exp: ExperimentConfig, rows: list,
@@ -484,14 +492,13 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     trial: the pilots, the projected AOD dictionary and the truth's Gram.
     So the truth, its bounds and the observations of all of them are
     formed at once, as stacks, and every stage of the stage setting runs
-    on the stack: ``coarse_est.run_coarse``, its AOD refinement on at
-    every stage but ``coarse``; then SAGE, in lockstep on the trials
-    still running; the closed form, trial by trial; and the LM fit, in
-    lockstep, weighted by SAGE's FIM or, where SAGE did not converge,
-    by ``bounds.fim_channel`` at its estimate. A trial that a stage fails
-    keeps its error, and the others go on. The stacked products, solves
-    and ``eigh`` make the same BLAS and LAPACK call per trial as on a
-    batch of one, so no number depends on the batch either.
+    once, on the stack of the trials that no stage failed, and is scored
+    there: ``coarse_est.run_coarse``, its AOD refinement on at every
+    stage but ``coarse``; SAGE, in lockstep; the closed form; and the LM
+    fit, in lockstep, weighted by SAGE's FIM or, where SAGE did not
+    converge, by ``bounds.fim_channel`` at its estimate. The stacked
+    products, solves and ``eigh`` make the same BLAS and LAPACK call per
+    trial as on a batch of one, so no number depends on the batch.
     """
     setup = PowerSetup.stack([setups[p] for p, _ in rows])
     geom = setup.geom
@@ -505,8 +512,7 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
                            noiseless=exp.noiseless)
     draws = [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
-                                     truth.s),
-                       crlb[k], rep.row(k), obs.row(k))
+                                     truth.s), crlb[k], rep.row(k))
              for k in range(len(rows))]
     try:
         coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
@@ -514,46 +520,72 @@ def draw_trials(exp: ExperimentConfig, rows: list,
         for draw in draws:                  # raised for the whole batch
             draw.error = exc.with_traceback(None)
         return draws
-    for k, draw in enumerate(draws):
-        draw.coarse, draw.error = (
-            (coarse.row(k), None) if coarse.errors[k] is None
-            else (None, coarse.errors[k]))
+    true_angles = channel_angles(truth)
+    live = _keep(draws, np.arange(len(draws)), "coarse", [
+        (row.params.to_vector(), row.flags)
+        for row in map(coarse.row, range(len(draws)))], coarse.errors)
+    if not live.size:
+        return draws
+    est = coarse.params.take(live)
+    sq, perm = channel_sq_errors(est, truth, true_angles[live])
+    _score(draws, live, "coarse", sq)
+    # coarse support within 1.5 grid cells of every true departure sine
+    support = np.all(np.abs(np.take_along_axis(est.u, perm, axis=-1)
+                            - truth.u) <= 1.5 * 2.0 / setup.cfg.g_ms, axis=-1)
+    for k, ok in zip(live, support.tolist()):
+        draws[k].support_ok = ok
     if exp.stage in ("sage", "lm"):
-        def sage(ks):
+        def sage(rows):
+            ks = live[rows]
             params, infos = sg.run_sage(obs.take(ks), setup.take(ks),
-                                        coarse.params.take(ks))
-            return [(params.take(i), info) for i, info in enumerate(infos)]
-        _fit_draws(draws, "sage", sage)
-
-    def estimate(k):
-        """Trial k's channel estimate, SAGE's where it ran."""
-        draw = draws[k]
-        return draw.coarse.params if draw.sage is None else draw.sage[0]
-    _fit_draws(draws, "closed", lambda ks: [
-        pos_mod.position_closed_form(estimate(k), geom.ris, geom.bs)
-        for k in ks])
+                                        est.take(rows))
+            return [(params.take(i).to_vector(),
+                     {"sage_converged": info.converged,
+                      "sage_scoring_steps": info.scoring_steps},
+                     params.take(i), info.fim)
+                    for i, info in enumerate(infos)]
+        outs, errors = fit_rows(sage, live.size)
+        live = _keep(draws, live, "sage", outs, errors)
+        if not live.size:
+            return draws
+        outs = [out for out in outs if out is not None]
+        est = ChannelParams.stack([out[2] for out in outs])
+        fims = [out[3] for out in outs]
+        _score(draws, live, "sage",
+               channel_sq_errors(est, truth, true_angles[live])[0])
+    poses, flags, errors = pos_mod.position_closed_form(est, geom.ris, geom.bs)
+    vecs = poses.to_vector()
+    ok = np.flatnonzero([e is None for e in errors])
+    live = _keep(draws, live, "closed_form", [
+        (vec, {name: v[i] for name, v in flags.items()})
+        for i, vec in enumerate(vecs)], errors)
+    if not live.size:
+        return draws
+    _score(draws, live, "closed_form",
+           position_sq_errors(PositionParams.from_vector(vecs[ok]), geom))
     if exp.stage == "lm":
-        def lm(ks):
+        eta, starts, fims = est.take(ok), vecs[ok], [fims[i] for i in ok]
+
+        def lm(rows):
             # SAGE's last FIM, when it converged, is fim_channel there
-            weights = [draws[k].sage[1].fim for k in ks]
-            for i, k in enumerate(ks):
-                if weights[i] is None:
-                    weights[i] = bnd.fim_channel(estimate(k), setup.row(k))
+            weights = [fims[i] for i in rows]
+            lone = [i for i, w in enumerate(weights) if w is None]
+            if lone:
+                for i, fim in zip(lone, bnd.fim_channel(
+                        eta.take(rows[lone]), setup.take(live[rows[lone]]))):
+                    weights[i] = fim
             poses, diags = pos_mod.refine_position_lm(
-                np.stack([estimate(k).to_vector() for k in ks]),
-                np.stack(weights), [draws[k].closed[0] for k in ks],
+                eta.to_vector()[rows], np.stack(weights), starts[rows],
                 geom.ris, geom.bs)
-            return list(zip(poses, diags))
-        _fit_draws(draws, "lm", lm)
+            return [(vec, {"lm_converged": diag.converged,
+                           "lm_steps": diag.n_iter})
+                    for vec, diag in zip(poses.to_vector(), diags)]
+        live = _keep(draws, live, "lm", *fit_rows(lm, live.size))
+        if live.size:
+            _score(draws, live, "lm", position_sq_errors(
+                PositionParams.from_vector(
+                    np.stack([draws[k].stages["lm"] for k in live])), geom))
     return draws
-
-
-def _stage(draw: TrialDraw, out):
-    """A stage's output ``out`` of ``draw``, or its error raised where the
-    stage failed."""
-    if out is None:
-        raise draw.error
-    return out
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
@@ -566,9 +598,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     trial index) so scheduling cannot perturb results. ``setup`` is
     ``power_setup(exp, power_dbm)``, built here when not given, and
     ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
-    when not given. The draw holds every stage's output; the trial
-    scores them into its record, stage by stage up to the first that
-    failed.
+    when not given. The draw holds each stage's output and scores; the
+    trial copies them into its record.
     """
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
                       seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
@@ -577,44 +608,12 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
     if draw is None:
         (draw,) = draw_trials(exp, [(power_idx, trial_idx)],
                               {power_idx: setup})
-    geom, cfg, true = setup.geom, setup.cfg, draw.true
-    rec.eta_true = true.to_vector()
+    rec.eta_true = draw.true.to_vector()
     rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
-
-    try:
-        coarse = _stage(draw, draw.coarse)
-        est = coarse.params
-        true_angles = channel_angles(true)
-        rec.stages["coarse"] = est.to_vector()
-        rec.sq_errors["coarse"], perm = channel_sq_errors(est, true,
-                                                          true_angles)
-        # coarse support within 1.5 grid cells of every true departure sine
-        rec.support_ok = bool(np.all(np.abs(est.u[perm] - true.u)
-                                     <= 1.5 * 2.0 / cfg.g_ms))
-        rec.flags.update(coarse.flags)
-
-        if exp.stage in ("sage", "lm"):
-            refined, info = _stage(draw, draw.sage)
-            rec.stages["sage"] = refined.to_vector()
-            rec.sq_errors["sage"], _ = channel_sq_errors(refined, true,
-                                                         true_angles)
-            rec.flags["sage_converged"] = info.converged
-            rec.flags["sage_scoring_steps"] = info.scoring_steps
-
-        pos0, pflags = _stage(draw, draw.closed)
-        rec.stages["closed_form"] = pos0.to_vector()
-        rec.sq_errors["closed_form"] = position_sq_errors(pos0, geom)
-        rec.flags.update(pflags)
-
-        if exp.stage == "lm":
-            pos_ref, diag = _stage(draw, draw.lm)
-            rec.stages["lm"] = pos_ref.to_vector()
-            rec.sq_errors["lm"] = position_sq_errors(pos_ref, geom)
-            rec.flags["lm_converged"] = diag.converged
-            rec.flags["lm_steps"] = diag.n_iter
-    except (RisposError, np.linalg.LinAlgError) as exc:
-        rec.error = f"{type(exc).__name__}: {exc}"
-        exc.with_traceback(None)        # the draw holds it: keep no frame
+    rec.stages, rec.flags, rec.sq_errors, rec.support_ok = (
+        draw.stages, draw.flags, draw.sq_errors, draw.support_ok)
+    if draw.error is not None:
+        rec.error = f"{type(draw.error).__name__}: {draw.error}"
     return rec
 
 

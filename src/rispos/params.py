@@ -81,9 +81,21 @@ class ChannelParams:
     def take(self, index) -> "ChannelParams":
         """The parameters at ``index`` of a stack's leading axis: row k,
         the stack of the rows of an index array, or, for None, these
-        parameters as a stack of one."""
-        return ChannelParams(self.tau[index], self.gains[index],
-                             self.u[index], self.c[index], self.s[index])
+        parameters as a stack of one. Row k and the stack of one are views
+        of these arrays, returned read-only so that no edit writes through
+        to them; an index array gives copies."""
+        out = ChannelParams(self.tau[index], self.gains[index],
+                            self.u[index], self.c[index], self.s[index])
+        if np.ndim(index) == 0:
+            for view in (out.tau, out.gains, out.u, out.c, out.s):
+                view.flags.writeable = False
+        return out
+
+    @staticmethod
+    def stack(rows: list) -> "ChannelParams":
+        """The (K, Q+1) stack of the K parameters ``rows`` of Q+1 paths."""
+        return ChannelParams(*(np.stack(f) for f in zip(*(
+            (p.tau, p.gains, p.u, p.c, p.s) for p in rows))))
 
     def copy(self) -> "ChannelParams":
         return ChannelParams(self.tau.copy(), self.gains.copy(), self.u.copy(),
@@ -121,10 +133,13 @@ class PositionParams:
         return self.scatterers.shape[-2]
 
     def to_vector(self) -> np.ndarray:
-        """Flatten to the length-(5Q+6) real parameter vector."""
-        gain_block = np.column_stack([self.gains.real, self.gains.imag]).ravel()
-        return np.concatenate([gain_block, self.ms, [self.alpha],
-                               self.scatterers.ravel()])
+        """Flatten to the length-(5Q+6) real parameter vector; the
+        parameters of K poses give the (K, 5Q+6) vectors."""
+        lead = self.ms.shape[:-1]
+        gains = np.stack([self.gains.real, self.gains.imag], axis=-1)
+        alpha = np.reshape(self.alpha, lead + (1,))
+        return np.concatenate([gains.reshape(lead + (-1,)), self.ms, alpha,
+                               self.scatterers.reshape(lead + (-1,))], axis=-1)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "PositionParams":

@@ -3,11 +3,13 @@
 Closed forms invert the geometric relations exactly in the noiseless
 case; a weighted Gauss-Newton/Levenberg-Marquardt refinement then fits
 all channel parameters jointly with the estimated Fisher information as
-the weight. Both read the channel parameters as they are held: an
-arrival (c, s) is the ray direction [sqrt(1 - c^2 - s^2), -s, -c] from
-the RIS, a departure sine u enters the scatterer projection as it is,
-and only the rotation angle goes through angles, with psi_in from
-``params.arrival_azimuth``.
+the weight. Both run on a stack of K estimates, as a sweep's batch holds
+them, each row ending as it ends alone: the closed form in one pass with
+a typed error per row, the fit in lockstep. Both read the channel
+parameters as they are held: an arrival (c, s) is the ray direction
+[sqrt(1 - c^2 - s^2), -s, -c] from the RIS, a departure sine u enters
+the scatterer projection as it is, and only the rotation angle goes
+through angles, with psi_in from ``params.arrival_azimuth``.
 """
 
 from __future__ import annotations
@@ -18,82 +20,72 @@ import numpy as np
 
 from ._damping import ascend
 from .bounds import transformation_matrix
-from .errors import ArccosDomain, DegenerateGeometry, SingularDenominator
-from .geometry import SPEED_OF_LIGHT, forward_map_G, ms_ris_range
+from .errors import (ArccosDomain, DegenerateGeometry, InfeasibleGeometry,
+                     SingularDenominator)
+from .geometry import SPEED_OF_LIGHT, forward_map_G
 from .params import ChannelParams, PositionParams, arrival_azimuth
 
 ARCCOS_CLAMP_TOL = 1e-9
 
 
-def closed_form_ms(params: ChannelParams, ris: np.ndarray,
-                   bs: np.ndarray) -> tuple[np.ndarray, float, dict]:
-    """MS position and rotation from the VLoS path parameters.
+def position_closed_form(params: ChannelParams, ris: np.ndarray,
+                         bs: np.ndarray):
+    """Closed-form pose of each of K channel estimates stacked (K, Q+1).
 
-    The MS sits on the ray leaving the RIS along the arrival direction
-    at the range implied by the VLoS delay; the rotation angle follows
-    from the departure sine and the arrival angles,
-    alpha = (2 pi - psi_in) - arccos(sin theta_t / sin phi_in).
-    """
-    flags = {"zero_range": False, "alpha_wrapped": False}
-    rng = ms_ris_range(float(params.tau[0]), ris, bs)
-    if rng <= 0.0:
-        flags["zero_range"] = True
-    c, s = float(params.c[0]), float(params.s[0])
-    ms = np.asarray(ris, float) + rng * _ray(c, s)
+    The MS sits on the ray leaving the RIS along the VLoS arrival, at the
+    range the VLoS delay implies; the rotation angle follows from the
+    departure sine and the arrival angles, alpha = (2 pi - psi_in) -
+    arccos(sin theta_t / sin phi_in). Each scatterer solves its path's
+    three equations (RIS ray direction, delay split, departure-sine
+    projection), parametrized by the scatterer-RIS range so that only the
+    shared projection denominator is divided by.
 
-    sin_phi = np.sqrt(max(1.0 - c * c, 0.0))
-    if sin_phi < 1e-12:
-        raise DegenerateGeometry("vertical arrival leaves rotation unobservable")
-    ratio = float(params.u[0]) / sin_phi
-    if abs(ratio) > 1.0 + ARCCOS_CLAMP_TOL:
-        raise ArccosDomain(f"rotation arccos argument {ratio} out of range")
-    alpha_raw = ((2.0 * np.pi - float(arrival_azimuth(c, s)))
-                 - np.arccos(np.clip(ratio, -1.0, 1.0)))
-    alpha = float(np.mod(alpha_raw, np.pi))
-    if abs(alpha - alpha_raw) > 1e-12:
-        flags["alpha_wrapped"] = True
-    return ms, alpha, flags
-
-
-def _ray(c: float, s: float) -> np.ndarray:
-    """Unit direction from the RIS toward the source of an arrival (c, s)."""
-    return np.array([np.sqrt(max(1.0 - c * c - s * s, 0.0)), -s, -c])
-
-
-def closed_form_scatterer(tau_q: float, u_q: float, c_q: float, s_q: float,
-                          ms: np.ndarray, alpha: float,
-                          ris: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Scatterer coordinates from one NLoS path and the recovered MS pose.
-
-    Solves the three-equation system (RIS ray direction, delay split,
-    departure-sine projection), parametrized by the scatterer-RIS range
-    so only the shared projection denominator is ever divided by.
+    Returns the K poses stacked, the flags ``zero_range`` and
+    ``alpha_wrapped`` as lists of K entries, and per row None or the
+    error of its first failing check: ``InfeasibleGeometry``,
+    ``DegenerateGeometry`` (a vertical VLoS arrival), ``ArccosDomain``,
+    then ``SingularDenominator``. A failing row's pose is NaN.
     """
     ris = np.asarray(ris, float)
-    direction = _ray(c_q, s_q)
-    a_coef, b_coef = direction[0], direction[1]
-    d_total = tau_q * SPEED_OF_LIGHT - np.linalg.norm(ris - np.asarray(bs, float))
-    denom = u_q + a_coef * np.cos(alpha) - b_coef * np.sin(alpha)
-    if abs(denom) < 1e-12:
-        raise SingularDenominator("scatterer projection denominator vanished")
-    d_sr = (d_total * u_q
-            - (ris[0] - ms[0]) * np.cos(alpha)
-            + (ris[1] - ms[1]) * np.sin(alpha)) / denom
-    return ris + d_sr * direction
-
-
-def position_closed_form(params: ChannelParams, ris: np.ndarray,
-                         bs: np.ndarray) -> tuple[PositionParams, dict]:
-    """Closed-form initialization of all position-level parameters."""
-    ms, alpha, flags = closed_form_ms(params, ris, bs)
-    scatterers = np.empty((params.n_paths - 1, 3))
-    for q in range(1, params.n_paths):
-        scatterers[q - 1] = closed_form_scatterer(
-            float(params.tau[q]), float(params.u[q]), float(params.c[q]),
-            float(params.s[q]), ms, alpha, ris, bs)
-    pos = PositionParams(gains=params.gains.copy(), ms=ms, alpha=alpha,
-                         scatterers=scatterers)
-    return pos, flags
+    c, s, u = params.c, params.s, params.u
+    ray = np.stack([np.sqrt(np.maximum(1.0 - c * c - s * s, 0.0)), -s, -c],
+                   axis=-1)                                # (K, Q+1, 3)
+    # each path's length beyond the RIS-BS leg; the VLoS one is the range
+    reach = (params.tau * SPEED_OF_LIGHT
+             - np.linalg.norm(ris - np.asarray(bs, float)))
+    ms = ris + reach[:, :1] * ray[:, 0]
+    sin_phi = np.sqrt(np.maximum(1.0 - c[:, 0] * c[:, 0], 0.0))
+    # a failing row may divide by zero here; its check below reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = u[:, 0] / sin_phi
+        alpha_raw = ((2.0 * np.pi - arrival_azimuth(c[:, 0], s[:, 0]))
+                     - np.arccos(np.clip(ratio, -1.0, 1.0)))
+        alpha = np.mod(alpha_raw, np.pi)
+        cos_a, sin_a = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
+        denom = u[:, 1:] + ray[:, 1:, 0] * cos_a - ray[:, 1:, 1] * sin_a
+        d_sr = (reach[:, 1:] * u[:, 1:] - (ris[0] - ms[:, :1]) * cos_a
+                + (ris[1] - ms[:, 1:2]) * sin_a) / denom
+    scatterers = ris + d_sr[..., None] * ray[:, 1:]
+    checks = (
+        (reach[:, 0] < 0.0, InfeasibleGeometry,
+         "VLoS delay shorter than the RIS-BS leg"),
+        (sin_phi < 1e-12, DegenerateGeometry,
+         "vertical arrival leaves rotation unobservable"),
+        (np.abs(ratio) > 1.0 + ARCCOS_CLAMP_TOL, ArccosDomain,
+         "rotation arccos argument {} out of range"),
+        (np.any(np.abs(denom) < 1e-12, axis=-1), SingularDenominator,
+         "scatterer projection denominator vanished"))
+    errors = [None] * len(ms)
+    for fails, error, message in checks:       # a row's first failure
+        for k in np.flatnonzero(fails):
+            if errors[k] is None:
+                errors[k] = error(message.format(ratio[k].tolist()))
+    bad = np.array([e is not None for e in errors], dtype=bool)
+    ms[bad], alpha[bad], scatterers[bad] = np.nan, np.nan, np.nan
+    flags = {"zero_range": (reach[:, 0] <= 0.0).tolist(),
+             "alpha_wrapped": (np.abs(alpha - alpha_raw) > 1e-12).tolist()}
+    return (PositionParams(gains=params.gains.copy(), ms=ms, alpha=alpha,
+                           scatterers=scatterers), flags, errors)
 
 
 @dataclass
@@ -119,8 +111,7 @@ def _weight_matrix(j_eta: np.ndarray) -> np.ndarray:
 
 
 def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
-                       pos_init: PositionParams,
-                       ris: np.ndarray, bs: np.ndarray):
+                       start: np.ndarray, ris: np.ndarray, bs: np.ndarray):
     """Minimize the FIM-weighted channel-parameter misfit over the pose.
 
     The residual r is the estimated channel vector minus the geometric
@@ -135,15 +126,16 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
     and T is built only at accepted points.
 
     A stack of K fits, ``eta_hat`` (K, 6(Q+1)), ``j_eta`` (K, 6(Q+1),
-    6(Q+1)) and a list of K start poses, runs in lockstep, each fit
-    ending where it ends alone, with one ``forward_map_G`` of the
-    stacked candidates per pass. Returns lists of K poses and
+    6(Q+1)) and the start poses' vectors ``start`` (K, 5Q+6), runs in
+    lockstep, each fit ending where it ends alone, with one
+    ``forward_map_G`` of the stacked candidates per pass. Returns the K
+    poses as one stacked ``PositionParams`` and a list of K
     ``LmDiagnostics``; when any start's legs are degenerate it raises
     ``DegenerateGeometry``.
     """
     eta_hat = np.asarray(eta_hat, dtype=float)
     weight = _weight_matrix(j_eta)
-    alpha_at = 2 * pos_init[0].gains.size + 3   # alpha's entry of a vector
+    alpha_at = 2 * (eta_hat.shape[-1] // 6) + 3  # alpha's entry of a vector
 
     def objectives(r, rows):
         """r^T W r of each row's residual."""
@@ -186,20 +178,19 @@ def refine_position_lm(eta_hat: np.ndarray, j_eta: np.ndarray,
         return keep
 
     rows = np.arange(len(eta_hat))
-    vec = np.stack([p.to_vector() for p in pos_init])
+    vec = np.array(start, dtype=float)
     r = residuals(vec, rows)
     obj = objectives(r, rows)
     diags = [LmDiagnostics(objective_history=[value])
              for value in obj.tolist()]
     (vec, _, _), steps, converged = ascend((vec, r, obj), model, evaluate)
-    poses = []
     for k, diag in enumerate(diags):
         diag.n_iter, diag.converged = int(steps[k]), bool(converged[k])
-        poses.append(PositionParams.from_vector(vec[k]))
-    return poses, diags
+    return PositionParams.from_vector(vec), diags
 
 
-def wrapped_rotation_error(alpha_est: float, alpha_true: float) -> float:
-    """Rotation error on the half-circle (alpha is defined modulo pi)."""
+def wrapped_rotation_error(alpha_est, alpha_true):
+    """Rotation error on the half-circle (alpha is defined modulo pi), of
+    each entry of arrays of rotations."""
     d = np.mod(alpha_est - alpha_true, np.pi)
-    return float(min(d, np.pi - d))
+    return np.minimum(d, np.pi - d)

@@ -10,7 +10,7 @@ from oracles import (angles_from_geometry, ris_bs_angles, steer_upa,
 from rispos import geometry as gm
 from rispos.errors import DegenerateGeometry
 from rispos.geometry import ScenarioGeometry
-from rispos.params import PositionParams
+from rispos.params import ChannelParams, PositionParams
 
 
 def test_steer_ula_zero_frequency():
@@ -165,3 +165,22 @@ def test_geometry_validation():
         ScenarioGeometry(bs=[0, 0, 28], ris=[-6, 8, 20], ms=[22, 35, 1.5],
                          alpha=0.1, scatterers=[], wavelength=lam,
                          d_ms=0.6 * lam)
+
+
+def test_channel_params_take_views_are_read_only(default_geom):
+    """Row k and the stack of one of ``ChannelParams.take`` are views of
+    the stack, without a copy, and read-only: an edit raises and leaves
+    the stack as it was. An index array gives copies, which may be
+    edited."""
+    p = ChannelParams.stack([
+        gm.true_channel_params(default_geom, np.full(2, g, complex))
+        for g in (1.0, 2.0)])
+    before = p.to_vector()
+    for index in (0, None):
+        view = p.take(index)
+        assert np.shares_memory(view.c, p.c)
+        with pytest.raises(ValueError):
+            view.c[0] = 0.5
+    copy = p.take(np.array([1]))
+    copy.c[:] = 0.5
+    assert np.array_equal(p.to_vector(), before)

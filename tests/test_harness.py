@@ -401,6 +401,35 @@ def test_serial_sweep_calls_run_trial_once_per_trial(monkeypatch):
                      for t in range(start, min(start + size, exp.n_trials))]
 
 
+def test_serial_sweep_runs_the_closed_form_once_per_batch(monkeypatch):
+    """A serial sweep runs ``positioning.position_closed_form`` once per
+    batch, on the stack of all its trials, while ``run_trial`` still runs
+    once per trial."""
+    calls, trials = [], []
+    closed_form, run_trial = pos_mod.position_closed_form, hn.run_trial
+
+    def counted(params, *args):
+        calls.append(len(params.tau))
+        return closed_form(params, *args)
+
+    def counted_trial(exp, power_dbm, power_idx, trial_idx, *args):
+        trials.append((power_idx, trial_idx))
+        return run_trial(exp, power_dbm, power_idx, trial_idx, *args)
+
+    monkeypatch.setattr(pos_mod, "position_closed_form", counted)
+    monkeypatch.setattr(hn, "run_trial", counted_trial)
+    exp = hn.ExperimentConfig(n_trials=hn.BATCH + 1, powers_dbm=[0.0, 20.0],
+                              stage="coarse")
+    report = hn.run_sweep(exp)
+    assert not report.n_failed.any()
+    size = hn.BATCH // len(exp.powers_dbm)
+    assert calls == [len(exp.powers_dbm) * len(range(t, min(t + size,
+                                                            exp.n_trials)))
+                     for t in range(0, exp.n_trials, size)]
+    assert sorted(trials) == [(p, t) for p in range(len(exp.powers_dbm))
+                              for t in range(exp.n_trials)]
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text("n_trials: 5\npowers_dbm: [3.0]\nmaster_seed: 99\n"
@@ -583,6 +612,7 @@ def test_associate_paths_attains_min_cost(n_paths):
     the exhaustive minimum, also with tied and repeated sines."""
     rng = np.random.default_rng(n_paths)
     levels = np.arcsin([-0.5, 0.1, 0.6])
+    draws = []
     for draw in range(30):
         if draw % 3 == 0:
             est = rng.uniform(-np.pi / 2, np.pi / 2, n_paths)
@@ -597,6 +627,13 @@ def test_associate_paths_attains_min_cost(n_paths):
         assert sorted(perm) == list(range(n_paths))
         cost = np.sum(np.abs(np.sin(est[perm]) - np.sin(true)))
         assert abs(cost - min_association_cost(est, true)) <= 1e-12
+        draws.append((est, true, perm))
+    # the draws as a (30, Q+1) stack, ties included, against their stacked
+    # truths or one shared truth: each row is that row's lone association
+    ests, trues, perms = map(np.stack, zip(*draws))
+    assert np.array_equal(hn.associate_paths(ests, trues), perms)
+    for est, perm in zip(ests, hn.associate_paths(ests, trues[0])):
+        assert np.array_equal(perm, hn.associate_paths(est, trues[0]))
 
 
 def test_import_is_scipy_free():

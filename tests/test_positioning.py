@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import sample_layout
+from conftest import sample_layout, sample_layout_with
 from oracles import channel_params_from_vector, to_angles
 from rispos import bounds as bnd
 from rispos import geometry as gm
 from rispos import harness as hn
 from rispos import positioning as po
-from rispos.errors import InfeasibleGeometry, SingularDenominator
+from rispos.errors import (ArccosDomain, DegenerateGeometry,
+                           InfeasibleGeometry, SingularDenominator)
 from rispos.geometry import SPEED_OF_LIGHT, ScenarioGeometry
+from rispos.params import ChannelParams, PositionParams
 
 
 def _true_params(geom, gains=None):
@@ -20,12 +22,30 @@ def _true_params(geom, gains=None):
     return gm.true_channel_params(geom, gains)
 
 
+def _closed_form(params, geom):
+    """The closed form of the lone ``params`` as a stack of one: its pose,
+    as lone parameters, its flags and its error."""
+    poses, flags, (error,) = po.position_closed_form(params.take(None),
+                                                     geom.ris, geom.bs)
+    return (PositionParams.from_vector(poses.to_vector()[0]),
+            {name: value[0] for name, value in flags.items()}, error)
+
+
+def _lm(eta_hat, j_eta, pos0, geom):
+    """The LM fit from the lone pose ``pos0`` as a stack of one: its pose,
+    as lone parameters, and its diagnostics."""
+    poses, (diag,) = po.refine_position_lm(
+        eta_hat[None], j_eta[None], pos0.to_vector()[None], geom.ris,
+        geom.bs)
+    return PositionParams.from_vector(poses.to_vector()[0]), diag
+
+
 def test_closed_form_ms_exact(default_geom):
     params = _true_params(default_geom)
-    ms, alpha, flags = po.closed_form_ms(params, default_geom.ris,
-                                         default_geom.bs)
-    assert np.max(np.abs(ms - [22.0, 35.0, 1.5])) < 1e-9
-    assert abs(alpha - np.deg2rad(75.0)) < 1e-9
+    pos, flags, error = _closed_form(params, default_geom)
+    assert error is None
+    assert np.max(np.abs(pos.ms - [22.0, 35.0, 1.5])) < 1e-9
+    assert abs(pos.alpha - np.deg2rad(75.0)) < 1e-9
     assert not flags["zero_range"] and not flags["alpha_wrapped"]
 
 
@@ -35,30 +55,28 @@ def test_closed_form_ms_right_angle(default_geom):
     psi = to_angles(params).psi_in[0]
     params.c[0], params.s[0] = 0.0, np.sin(psi)
     params.u[0] = 0.0
-    _, alpha, _ = po.closed_form_ms(params, default_geom.ris, default_geom.bs)
+    pos, _, error = _closed_form(params, default_geom)
     expect = np.mod(2 * np.pi - psi - np.pi / 2, np.pi)
-    assert abs(alpha - expect) < 1e-12
+    assert error is None
+    assert abs(pos.alpha - expect) < 1e-12
 
 
 def test_closed_form_ms_zero_range(default_geom):
     params = _true_params(default_geom)
     d_rb = np.linalg.norm(default_geom.ris - default_geom.bs)
     params.tau[0] = d_rb / SPEED_OF_LIGHT
-    ms, _, flags = po.closed_form_ms(params, default_geom.ris, default_geom.bs)
-    assert flags["zero_range"]
-    assert_allclose(ms, default_geom.ris)
+    pos, flags, error = _closed_form(params, default_geom)
+    assert error is None and flags["zero_range"]
+    assert_allclose(pos.ms, default_geom.ris)
     params.tau[0] = 0.9 * d_rb / SPEED_OF_LIGHT
-    with pytest.raises(InfeasibleGeometry):
-        po.closed_form_ms(params, default_geom.ris, default_geom.bs)
+    assert type(_closed_form(params, default_geom)[2]) is InfeasibleGeometry
 
 
 def test_closed_form_scatterer_exact(default_geom):
     params = _true_params(default_geom)
-    s_hat = po.closed_form_scatterer(
-        params.tau[1], params.u[1], params.c[1], params.s[1],
-        default_geom.ms, default_geom.alpha, default_geom.ris,
-        default_geom.bs)
-    assert np.max(np.abs(s_hat - [6.0, 5.0, 3.0])) < 1e-8
+    pos, _, error = _closed_form(params, default_geom)
+    assert error is None
+    assert np.max(np.abs(pos.scatterers[0] - [6.0, 5.0, 3.0])) < 1e-8
 
 
 def _scatterer_residuals(s_hat, tau, theta, phi, psi, ms, alpha, ris, bs):
@@ -76,17 +94,17 @@ def _scatterer_residuals(s_hat, tau, theta, phi, psi, ms, alpha, ris, bs):
 
 
 def test_closed_form_scatterer_residual_oracle():
+    """The scatterer solves its three equations at the recovered pose."""
     rng = np.random.default_rng(7)
     for _ in range(50):
         geom = sample_layout(rng)
         params = _true_params(geom)
         ang = to_angles(params)
-        s_hat = po.closed_form_scatterer(
-            params.tau[1], params.u[1], params.c[1], params.s[1], geom.ms,
-            geom.alpha, geom.ris, geom.bs)
+        pos, _, error = _closed_form(params, geom)
+        assert error is None
         res = _scatterer_residuals(
-            s_hat, params.tau[1], ang.theta_t[1], ang.phi_in[1],
-            ang.psi_in[1], geom.ms, geom.alpha, geom.ris, geom.bs)
+            pos.scatterers[0], params.tau[1], ang.theta_t[1], ang.phi_in[1],
+            ang.psi_in[1], pos.ms, pos.alpha, geom.ris, geom.bs)
         assert max(res) < 1e-9
 
 
@@ -98,19 +116,77 @@ def test_closed_form_scatterer_zero_x_component(default_geom):
         wavelength=default_geom.wavelength)
     params = _true_params(geom)
     assert abs(np.cos(to_angles(params).psi_in[1])) < 1e-12     # A = 0 case
-    s_hat = po.closed_form_scatterer(
-        params.tau[1], params.u[1], params.c[1], params.s[1],
-        geom.ms, geom.alpha, geom.ris, geom.bs)
-    assert np.max(np.abs(s_hat - [-6.0, 2.0, 3.0])) < 1e-8
+    pos, _, error = _closed_form(params, geom)
+    assert error is None
+    assert np.max(np.abs(pos.scatterers[0] - [-6.0, 2.0, 3.0])) < 1e-8
 
 
 def test_closed_form_scatterer_singular_denominator(default_geom):
-    with pytest.raises(SingularDenominator):
-        # theta = 0 and a ray orthogonal to the rotated axis: phi = pi/2,
-        # psi = pi
-        po.closed_form_scatterer(2e-7, 0.0, 0.0, 0.0,
-                                 default_geom.ms, np.pi / 2,
-                                 default_geom.ris, default_geom.bs)
+    """A VLoS path with theta = 0 and phi = pi/2, psi = pi puts alpha at
+    pi/2; a scatterer ray along x is then orthogonal to the rotated
+    axis."""
+    params = ChannelParams(tau=[2e-7, 2e-7], gains=[1.0, 1.0], u=[0.0, 0.0],
+                           c=[0.0, 0.0], s=[0.0, 0.0])
+    assert type(_closed_form(params, default_geom)[2]) is SingularDenominator
+
+
+def _failing_closed_form_row(params, error, column):
+    """A copy of the lone ``params`` on which the closed form meets
+    ``error``; a ``SingularDenominator`` in the scatterer column
+    ``column``."""
+    bad = params.copy()
+    if error is InfeasibleGeometry:         # shorter than the RIS-BS leg
+        bad.tau[0] = 10.0 / SPEED_OF_LIGHT
+    elif error is DegenerateGeometry:       # a vertical VLoS arrival
+        bad.c[0], bad.s[0] = 1.0, 0.0
+    elif error is ArccosDomain:             # sin theta_t > sin phi_in
+        bad.u[0], bad.c[0], bad.s[0] = 0.99, 0.9, 0.0
+    else:
+        # theta = 0, phi = pi/2 and psi = pi put alpha at pi/2, where the
+        # denominator of path q is u + s: a ray along x makes it 0
+        bad.u[0] = bad.c[0] = bad.s[0] = 0.0
+        bad.u[column] = bad.c[column] = bad.s[column] = 0.0
+        for q in range(1, bad.n_paths):
+            assert bool(abs(bad.u[q] + bad.s[q]) < 1e-12) == (q == column)
+    return bad
+
+
+@pytest.mark.parametrize("n_scatterers,error,column", [
+    (1, InfeasibleGeometry, None), (1, DegenerateGeometry, None),
+    (1, ArccosDomain, None), (1, SingularDenominator, 1),
+    (2, InfeasibleGeometry, None), (2, DegenerateGeometry, None),
+    (2, ArccosDomain, None), (2, SingularDenominator, 1),
+    (2, SingularDenominator, 2),
+], ids=["infeasible", "degenerate", "arccos", "singular", "q2_infeasible",
+        "q2_degenerate", "q2_arccos", "q2_singular_1", "q2_singular_2"])
+def test_stacked_closed_form_keeps_a_failing_row_to_itself(n_scatterers,
+                                                           error, column):
+    """The closed form on a stack runs each row as on a stack of one: with
+    a failing row between two good ones, each good row's pose and flags
+    equal its stack of one's bit for bit, and the failing row carries the
+    typed error of its stack of one, class and message, and a NaN pose,
+    without stopping the others."""
+    rng = np.random.default_rng(n_scatterers)
+    rows = [_true_params(sample_layout_with(rng, n_scatterers))
+            for _ in range(3)]
+    rows[1] = _failing_closed_form_row(rows[1], error, column)
+    geom = sample_layout(rng)                   # the shared RIS and BS
+    poses, flags, errors = po.position_closed_form(
+        ChannelParams.stack(rows), geom.ris, geom.bs)
+    assert [e is None for e in errors] == [True, False, True]
+    for k, row in enumerate(rows):
+        alone, lone_flags, (lone_error,) = po.position_closed_form(
+            row.take(None), geom.ris, geom.bs)
+        if k == 1:
+            assert type(lone_error) is error and type(errors[k]) is error
+            assert str(errors[k]) == str(lone_error)
+            assert np.all(np.isnan(poses.ms[k])) and np.isnan(poses.alpha[k])
+            continue
+        assert lone_error is None
+        assert (poses.to_vector()[k].tobytes()
+                == alone.to_vector()[0].tobytes()), k
+        assert ({name: v[k] for name, v in flags.items()}
+                == {name: v[0] for name, v in lone_flags.items()})
 
 
 def test_round_trip_inverse_of_forward_map():
@@ -120,7 +196,8 @@ def test_round_trip_inverse_of_forward_map():
         geom = sample_layout(rng)
         gains = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * 1e-6
         params = _true_params(geom, gains)
-        pos, _ = po.position_closed_form(params, geom.ris, geom.bs)
+        pos, _, error = _closed_form(params, geom)
+        assert error is None
         assert np.max(np.abs(pos.ms - geom.ms)) < 1e-8
         assert po.wrapped_rotation_error(pos.alpha, geom.alpha) < 1e-8
         assert np.max(np.abs(pos.scatterers - geom.scatterers)) < 1e-7
@@ -132,12 +209,9 @@ def test_round_trip_inverse_of_forward_map():
 
 def test_lm_noiseless_fixed_point(default_geom):
     params = _true_params(default_geom)
-    pos0, _ = po.position_closed_form(params, default_geom.ris,
-                                      default_geom.bs)
+    pos0, _, _ = _closed_form(params, default_geom)
     j_eta = np.eye(params.to_vector().size)
-    (pos,), (diag,) = po.refine_position_lm(
-        params.to_vector()[None], j_eta[None], [pos0], default_geom.ris,
-        default_geom.bs)
+    pos, diag = _lm(params.to_vector(), j_eta, pos0, default_geom)
     assert diag.converged and diag.n_iter <= 2
     assert np.linalg.norm(pos.ms - pos0.ms) < 1e-8
 
@@ -150,11 +224,8 @@ def test_lm_descent_contract(default_geom, setup20):
     noisy_vec = params.to_vector() + np.tile(
         [1e-10, 1e-8, 1e-8, 1e-4, 1e-4, 1e-4], 2) * rng.standard_normal(12)
     eta_hat = channel_params_from_vector(noisy_vec)
-    pos0, _ = po.position_closed_form(eta_hat, default_geom.ris,
-                                      default_geom.bs)
-    (pos,), (diag,) = po.refine_position_lm(
-        noisy_vec[None], j_eta[None], [pos0], default_geom.ris,
-        default_geom.bs)
+    pos0, _, _ = _closed_form(eta_hat, default_geom)
+    pos, diag = _lm(noisy_vec, j_eta, pos0, default_geom)
     hist = np.asarray(diag.objective_history)
     assert np.all(np.diff(hist) <= 0.0)
     assert hist[-1] <= hist[0]
@@ -167,11 +238,8 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
     params = _true_params(default_geom)
     vec = params.to_vector()
     vec[3] += 1e-2                       # perturb one departure sine
-    pos0, _ = po.position_closed_form(params, default_geom.ris,
-                                      default_geom.bs)
-    (pos,), (diag,) = po.refine_position_lm(
-        vec[None], np.eye(vec.size)[None], [pos0], default_geom.ris,
-        default_geom.bs)
+    pos0, _, _ = _closed_form(params, default_geom)
+    pos, diag = _lm(vec, np.eye(vec.size), pos0, default_geom)
     eta_fit = gm.forward_map_G(pos, default_geom.ris,
                                default_geom.bs).to_vector()
     assert diag.converged and diag.n_iter >= 1
@@ -184,8 +252,7 @@ def test_lm_identity_weight_is_plain_nls(default_geom):
 def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     """A step that pushes alpha past pi is rejected like a degenerate one."""
     params = _true_params(default_geom)
-    pos0, _ = po.position_closed_form(params, default_geom.ris,
-                                      default_geom.bs)
+    pos0, _, _ = _closed_form(params, default_geom)
     pos0.alpha = np.pi - 1e-6
     eta0 = gm.forward_map_G(pos0, default_geom.ris, default_geom.bs).to_vector()
     jac = bnd.transformation_matrix(pos0, default_geom.ris, default_geom.bs).T
@@ -193,9 +260,7 @@ def test_lm_step_out_of_rotation_domain_rejected(default_geom):
     dx = np.zeros(jac.shape[1])
     dx[2 * params.n_paths + 3] = 1e-2
     eta_hat = eta0 + jac @ dx
-    (pos,), (diag,) = po.refine_position_lm(
-        eta_hat[None], np.eye(eta_hat.size)[None], [pos0], default_geom.ris,
-        default_geom.bs)
+    pos, diag = _lm(eta_hat, np.eye(eta_hat.size), pos0, default_geom)
     assert 0.0 <= pos.alpha < np.pi
     assert diag.n_iter >= 1
     assert diag.objective_history[-1] <= diag.objective_history[0]
