@@ -228,23 +228,28 @@ class Setup:
     derivatives in the delay.
 
     Of these only ``cfg`` (its ``p_tx``), ``pilots`` and ``aod_proj``
-    depend on the transmit power. ``at_power`` gives the setup at
-    another power, the same pilot signs at that power's amplitude, which
-    shares every other array; so the setup makes those arrays read-only.
-    It keeps its own copies of ``geom`` and ``sched`` to do so, and the
-    caller's stay writable.
+    depend on the transmit power, and only ``pilots``, ``aod_proj``,
+    ``sched``, ``block_sum`` and ``ris_eff`` with its powers on the
+    drawn pilots and schedule. ``at_power`` gives the setup at another
+    power, the same pilot signs at that power's amplitude, and
+    ``redrawn`` the setup of other pilots and another schedule; each
+    shares every other array, so the setup makes those arrays
+    read-only. It keeps its own copies of ``geom`` and ``sched`` to do
+    so, and the caller's stay writable.
 
-    ``stack`` joins such setups into one for a stack of records at
-    several powers: each of ``POWER_FIELDS`` gains a leading row axis,
-    pilots (K, N_m, T) and ``aod_proj`` (K, T1, G_ms), and ``row(k)`` is
+    ``stack`` joins setups ``at_power`` of one another into one for a
+    stack of records at several powers: each of ``POWER_FIELDS``, the
+    pilots, gains a leading row axis (K, N_m, T), and ``row(k)`` is
     record k's own setup, ``take(rows)`` the setup of some of its
     records. The stacked stages take it as they take a lone setup, whose
-    arrays every record shares.
+    arrays every record shares. A stacked setup holds no ``aod_proj``:
+    the DCS-SOMP picks, which alone read it, read each record's own
+    setup's, once for all the records that share it.
     """
 
-    # what depends on the transmit power besides ``cfg``: a stacked
-    # setup holds these with a leading row axis
-    POWER_FIELDS = ("pilots", "aod_proj")
+    # what depends on the transmit power besides ``cfg`` and
+    # ``aod_proj``: a stacked setup holds these with a leading row axis
+    POWER_FIELDS = ("pilots",)
 
     geom: ScenarioGeometry
     cfg: SystemConfig
@@ -267,19 +272,10 @@ class Setup:
     rows: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.sched.n_slots != self.cfg.t_total:
-            raise DimensionMismatch("schedule slot count must equal T")
-        self.geom, self.sched = copy.deepcopy((self.geom, self.sched))
+        self.geom = copy.deepcopy(self.geom)
         self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
         self.a_m_dict, self.ris_dict = build_dictionaries(self)
         self.n_paths = self.geom.n_scatterers + 1
-        sched = self.sched
-        self.block_sum = (sched.slot_block
-                          == np.arange(sched.n_blocks)[:, None]).astype(float)
-        self.ris_eff = sched.block_phases @ self.ris_dict.matrix
-        # unequal column norms (random phase profiles) must not bias a pick
-        self.ris_eff_power = np.maximum(
-            np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
         self.tril = np.tril_indices(self.cfg.t1, -1)
         n_sub, bw = self.cfg.n_subcarriers, self.cfg.bandwidth
         self.bin_ramp = subcarrier_ramp(-np.arange(n_sub) / bw, bw, n_sub)
@@ -294,10 +290,26 @@ class Setup:
                        self.ris_dict.matrix, self.ris_dict.azimuth.matrix,
                        self.ris_dict.azimuth.grid,
                        self.ris_dict.elevation.matrix,
-                       self.ris_dict.elevation.grid, sched.block_phases,
-                       sched.slot_block, self.block_sum, self.ris_eff,
-                       self.ris_eff_power, *self.tril, self.bin_ramp,
-                       self.grid_ramp, self.grid_offsets, self.ramp_weights):
+                       self.ris_dict.elevation.grid, *self.tril,
+                       self.bin_ramp, self.grid_ramp, self.grid_offsets,
+                       self.ramp_weights):
+            shared.flags.writeable = False
+        self._drawn_fields()
+
+    def _drawn_fields(self) -> None:
+        """Build what depends on the drawn schedule, read-only, then on the
+        pilots (``_power_fields``)."""
+        if self.sched.n_slots != self.cfg.t_total:
+            raise DimensionMismatch("schedule slot count must equal T")
+        self.sched = sched = copy.deepcopy(self.sched)
+        self.block_sum = (sched.slot_block
+                          == np.arange(sched.n_blocks)[:, None]).astype(float)
+        self.ris_eff = sched.block_phases @ self.ris_dict.matrix
+        # unequal column norms (random phase profiles) must not bias a pick
+        self.ris_eff_power = np.maximum(
+            np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
+        for shared in (sched.block_phases, sched.slot_block, self.block_sum,
+                       self.ris_eff, self.ris_eff_power):
             shared.flags.writeable = False
         self._power_fields()
 
@@ -308,18 +320,37 @@ class Setup:
         self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
                          @ self.a_m_dict.matrix)
 
+    def _at(self, cfg: SystemConfig) -> "Setup":
+        """A copy of this setup with the system ``cfg``, which may differ
+        from this setup's in ``p_tx`` alone."""
+        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
+            raise ValueError("at_power and redrawn change the system's "
+                             "transmit power alone")
+        other = copy.copy(self)
+        other.cfg = cfg
+        return other
+
     def at_power(self, cfg: SystemConfig) -> "Setup":
         """This setup at the transmit power of ``cfg``: ``cfg`` may differ
         from this setup's in ``p_tx`` alone, the pilots are this setup's
         signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), and every
         power-independent array is shared."""
-        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
-            raise ValueError("at_power changes the transmit power alone")
-        other = copy.copy(self)
-        other.cfg = cfg
+        other = self._at(cfg)
         other.pilots = np.sign(self.pilots) * np.sqrt(cfg.p_tx
                                                       / self.geom.n_ms)
         other._power_fields()
+        return other
+
+    def redrawn(self, cfg: SystemConfig, pilots: np.ndarray,
+                sched: PhaseSchedule) -> "Setup":
+        """The setup of the pilots ``pilots`` and the schedule ``sched`` at
+        the system ``cfg``, which may differ from this setup's in ``p_tx``
+        alone: it equals ``Setup(geom, cfg, pilots, sched)`` and shares
+        every array that follows from the geometry and the system alone,
+        the leg, the dictionaries, ``tril`` and the ramps."""
+        other = self._at(cfg)
+        other.pilots, other.sched = pilots, sched
+        other._drawn_fields()
         return other
 
     @staticmethod
@@ -327,14 +358,16 @@ class Setup:
         """One setup for a stack of records, record k at the power of the
         lone setup ``rows[k]``; every setup of ``rows`` must be ``at_power``
         of the others. Each of ``Setup.POWER_FIELDS`` is stacked along a
-        leading row axis and every other array is shared. Its ``cfg`` holds
-        no one power: ``p_tx`` is NaN, which no stacked stage reads."""
+        leading row axis, ``aod_proj`` is None and every other array is
+        shared. Its ``cfg`` holds no one power: ``p_tx`` is NaN, which no
+        stacked stage reads."""
         first = rows[0]
-        if any(r.rows is not None or r.a_m_dict is not first.a_m_dict
+        if any(r.rows is not None or r.sched is not first.sched
                for r in rows):
             raise ValueError("stack takes lone setups at_power of one another")
         out = copy.copy(first)
         out.cfg = dataclasses.replace(first.cfg, p_tx=np.nan)
+        out.aod_proj = None
         for name in Setup.POWER_FIELDS:
             setattr(out, name, np.stack([getattr(r, name) for r in rows]))
         out.rows = list(rows)

@@ -115,8 +115,7 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
 
     Each product runs once for the stack; a record whose picked columns
     are linearly dependent gets that error in its row of ``errors``. The
-    dictionary is shared by every record (M, G), or a stack (K, M, G) of
-    one per record.
+    dictionary (M, G) is shared by every record.
     """
     theta = np.asarray(dictionary, dtype=complex)
     n_meas = theta.shape[-2]
@@ -157,9 +156,21 @@ def estimate_aod_coarse(obs: Observation, setup: Setup):
     Returns (u_hat, picks) for a stack of K observations: u_hat (K, Q+1),
     row k the grid values of record k's selected columns, NaN in the rows
     that ``picks.errors`` names, and ``picks`` the supports and residual
-    norms.
+    norms. The picks run once per record's setup, on the stack of the
+    records that share it: once on a lone setup, once per power on a
+    stacked one, so each power's dictionary is read in place.
     """
-    res = pick_columns(obs.cov1, setup.aod_proj, setup.n_paths)
+    n_rec = len(obs.cov1)
+    res = SompResult([None] * n_rec, np.empty((n_rec, setup.n_paths + 1)),
+                     [None] * n_rec)
+    own = [setup.row(k) for k in range(n_rec)]
+    # each distinct row setup once, in the order of its first row
+    for lone in {id(s): s for s in own}.values():
+        rows = np.flatnonzero([s is lone for s in own])
+        part = pick_columns(obs.cov1[rows], lone.aod_proj, setup.n_paths)
+        res.residual_norms[rows] = part.residual_norms
+        for k, picked, error in zip(rows, part.support, part.errors):
+            res.support[k], res.errors[k] = picked, error
     u_hat = setup.a_m_dict.grid[res.support]
     u_hat[[e is not None for e in res.errors]] = np.nan
     return u_hat, res
@@ -285,21 +296,43 @@ class AoaEstimate:
     errors: list
 
 
+def _block_signals(obs: Observation, setup: Setup, proj: np.ndarray):
+    """The per-block path signals S (K, B, Q+1, N) of a stack of K
+    records whose slots have the pilot projections ``proj`` (K, T, Q+1),
+    and per record its error or None: every phase block de-mixed by one
+    batched solve. Its temporaries are freed when it returns, before the
+    grid correlation of ``estimate_ris_aoa``."""
+    block_sum = setup.block_sum                                 # (B, T)
+    n_blocks, n_slots = block_sum.shape
+    n_rows, _, n_paths = proj.shape
+    if np.any(block_sum.sum(axis=1) < n_paths):
+        raise RankDeficient("phase block shorter than the path count")
+    ycheck = obs.pa / setup.geom.n_bs                           # (K, T, N)
+    outer = proj.conj()[..., None] * proj[..., None, :]    # (K, T, Q+1, Q+1)
+    gram = (block_sum @ outer.reshape(n_rows, n_slots, -1)).reshape(
+        n_rows, n_blocks, n_paths, n_paths)
+    # the right-hand sides, as the correlation over the grid, are formed
+    # one path at a time, which keeps a stack's temporaries small
+    rhs = np.stack([block_sum @ (proj[..., q, None].conj() * ycheck)
+                    for q in range(n_paths)], axis=2)     # (K, B, Q+1, N)
+    return _solve_rows(gram, rhs, "block mixing matrix has no right inverse")
+
+
 def estimate_ris_aoa(obs: Observation, setup: Setup,
                      u_hat: np.ndarray) -> AoaEstimate:
     """Recover per-path RIS arrival coordinates (c, s) and hybrid gains.
 
     Scales the beamformed record pa by 1/N_B and de-mixes every phase
-    block at once: with p_t the slots' pilot projections (Q+1,), block b
-    has the Gram G_b = sum_{t in b} conj(p_t) p_t^T and the right-hand
-    side sum_{t in b} conj(p_t) pa_t^T, and one batched solve gives the
-    per-block path signals S (blocks, Q+1, N). Each path then makes a
-    1-sparse pick over the block-level dictionary D = ``setup.ris_eff``:
-    from Z = D^H S, path q takes the column g maximizing
-    ||Z[g, q]||^2 / ||d_g||^2, and its hybrid gain is Z[g, q] / ||d_g||^2.
-    The grids hold c and s in [-1, 1), so the picked point needs only its
-    s projected onto the disk, |s| <= sqrt(1 - c^2); ``clamped`` marks a
-    path whose s moved.
+    block at once (``_block_signals``): with p_t the slots' pilot
+    projections (Q+1,), block b has the Gram G_b = sum_{t in b} conj(p_t)
+    p_t^T and the right-hand side sum_{t in b} conj(p_t) pa_t^T, and one
+    batched solve gives the per-block path signals S (blocks, Q+1, N).
+    Each path then makes a 1-sparse pick over the block-level dictionary
+    D = ``setup.ris_eff``: from Z = D^H S, path q takes the column g
+    maximizing ||Z[g, q]||^2 / ||d_g||^2, and its hybrid gain is
+    Z[g, q] / ||d_g||^2. The grids hold c and s in [-1, 1), so the picked
+    point needs only its s projected onto the disk, |s| <= sqrt(1 - c^2);
+    ``clamped`` marks a path whose s moved.
 
     A stack of K observations with a (K, Q+1) stack of sines runs each
     step once for the stack; a record whose block Grams fail the
@@ -307,24 +340,10 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     gains. A stacked setup gives each record's pilot projections its own
     row's pilots.
     """
-    geom, cfg = setup.geom, setup.cfg
-    block_sum = setup.block_sum                                 # (B, T)
-    n_blocks, n_slots = block_sum.shape
-    proj = pilot_projection(geom, setup.pilots, u_hat)          # (K, T, Q+1)
-    n_rows, _, n_paths = proj.shape
-    if np.any(block_sum.sum(axis=1) < n_paths):
-        raise RankDeficient("phase block shorter than the path count")
-    ycheck = obs.pa / geom.n_bs                                 # (K, T, N)
-
-    outer = proj.conj()[..., None] * proj[..., None, :]    # (K, T, Q+1, Q+1)
-    gram = (block_sum @ outer.reshape(n_rows, n_slots, -1)).reshape(
-        n_rows, n_blocks, n_paths, n_paths)
-    # the right-hand sides and the correlation over the grid are formed
-    # one path at a time, which keeps a stack's temporaries small
-    rhs = np.stack([block_sum @ (proj[..., q, None].conj() * ycheck)
-                    for q in range(n_paths)], axis=2)     # (K, B, Q+1, N)
-    paths, errors = _solve_rows(
-        gram, rhs, "block mixing matrix has no right inverse")
+    cfg = setup.cfg
+    paths, errors = _block_signals(
+        obs, setup, pilot_projection(setup.geom, setup.pilots, u_hat))
+    n_rows, _, n_paths, _ = paths.shape
     eff_h, power = setup.ris_eff.conj().T, setup.ris_eff_power
     support = np.empty((n_rows, n_paths), dtype=int)
     delta_tilde = np.empty((n_rows, n_paths, paths.shape[-1]), dtype=complex)
@@ -418,18 +437,11 @@ class CoarseEstimate:
     """Full coarse-stage output of a stack of K records in delay order
     (the VLoS path first): the parameters are (K, Q+1) stacks, each flag
     holds one entry per record, and ``errors`` per record the first
-    error it met or None; ``row`` gives one record's estimate, which
-    carries no ``errors``."""
+    error it met or None."""
 
     params: ChannelParams
     flags: dict
-    errors: list | None = None
-
-    def row(self, k: int) -> "CoarseEstimate":
-        """Record k's estimate of a stack."""
-        return CoarseEstimate(
-            self.params.take(k),
-            {name: value[k] for name, value in self.flags.items()})
+    errors: list
 
 
 def run_coarse(obs: Observation, setup: Setup,

@@ -8,7 +8,11 @@ panel analogue). What the trials at one power share is a
 the bounds read of the truth: the true parameters at unit gains
 ``true_unit``, their FIM Gram ``true_gram`` and the parameter Jacobian
 at the true pose. ``power_setups`` builds a sweep's setups at once,
-the power-independent part a single time.
+the power-independent part a single time, and what follows from the
+scenario alone, not from the master seed or the powers (the geometry,
+dictionaries, ramps and truth), once per scenario: it keeps the last
+scenario's first setup and redraws it for the next sweep of that
+scenario.
 
 A sweep runs its trials in batches (``run_batch``): a batch is a block
 of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
@@ -24,7 +28,9 @@ trial keeping its own row or error (``draw_trials``). Then it calls
 ``run_trial`` on each trial, which copies the trial's outputs and scores
 into its record: the unit of work, called once per trial through this
 module, and alone a batch of one. The cap on a batch's rows bounds a
-sweep's peak memory, since a stack's temporaries grow with its rows.
+sweep's peak memory, since a stack's temporaries grow with its rows;
+what the trials at one power share, such as the projected AOD
+dictionary, a batch holds once per power, not once per row.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,7 +65,7 @@ _TAG_TRIAL = 3
 # the most trials a batch holds: a block of max(1, BATCH // powers)
 # consecutive trial indices at every power, the unit of ``draw_trials``
 # and of a pool task
-BATCH = 16
+BATCH = 64
 
 STAGES = ("coarse", "aod_mle", "sage", "lm")
 
@@ -340,15 +347,16 @@ class PowerSetup(ch.Setup):
     ``t_true`` at the true pose; ``truth`` swaps a trial's gains into
     the first two.
 
-    All of it is seeded by the master seed alone, and of it only
-    ``true_gram`` depends on the transmit power beside the channel
-    setup's ``cfg``, ``pilots`` and ``aod_proj``. So a sweep builds the
-    rest once and every power's ``true_gram`` in one stacked pass
-    (``power_setups``), and hands each power's setup to its trials, and
-    a stacked setup (``PowerSetup.stack``) holds ``true_gram`` one row
-    per trial too. ``truth`` takes a batch's stack of gains:
-    ``draw_trials`` forms a batch's truth and bounds in one stacked pass
-    over its powers, and ``reference_bounds`` the sweep's.
+    Of it only ``true_gram`` depends on the draws, and on the transmit
+    power beside the channel setup's ``cfg``, ``pilots`` and
+    ``aod_proj``; ``true_unit`` and ``t_true`` follow from the geometry
+    alone. So a sweep builds the rest once, or reuses the last
+    scenario's (``Setup.redrawn``), and every power's ``true_gram`` in
+    one stacked pass (``power_setups``), and hands each power's setup to
+    its trials, and a stacked setup (``PowerSetup.stack``) holds
+    ``true_gram`` one row per trial too. ``truth`` takes a batch's stack
+    of gains: ``draw_trials`` forms a batch's truth and bounds in one
+    stacked pass over its powers, and ``reference_bounds`` the sweep's.
     """
 
     POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
@@ -399,17 +407,42 @@ class PowerSetup(ch.Setup):
                 bnd.position_bounds(j_eta, self.t_true))
 
 
+# the config fields that a sweep's setups do not follow from, or follow
+# from only through the draws and powers that ``channel.Setup.redrawn``
+# and ``at_power`` replace; every other field is the scenario's
+_DRAW_FIELDS = ("master_seed", "powers_dbm", "n_trials", "workers", "stage",
+                "noiseless", "out_dir")
+
+# the first setup of the last scenario ``power_setups`` built, keyed on
+# ``_scenario_key``: one entry at most
+_SCENARIO = {}
+
+
+def _scenario_key(exp: ExperimentConfig) -> bytes:
+    """The pickle of ``exp``'s fields but ``_DRAW_FIELDS``: two configs
+    with one key hold values of one type and the same bits there, which
+    ``==`` does not tell (0.0 and -0.0, 1 and 1.0)."""
+    return pickle.dumps([getattr(exp, f.name)
+                         for f in dataclasses.fields(exp)
+                         if f.name not in _DRAW_FIELDS])
+
+
 def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     """The validated setups of ``exp`` at the powers ``powers``, in order.
 
-    The first is built in full, with the pilots ``channel.make_pilots``
-    draws; each later one is ``at_power`` of the one before, the same
+    The first holds the pilots ``channel.make_pilots`` draws. It is
+    built in full, or, where the last scenario built had the same fields
+    but ``_DRAW_FIELDS``, ``redrawn`` from that scenario's first setup,
+    whose geometry, dictionaries, ramps and truth do not depend on the
+    draws. Each later one is ``at_power`` of the one before, the same
     seeded signs at its amplitude, so all of them share one geometry,
     schedule, dictionary set and truth. The truth's Gram of every power
     comes from one ``bounds.derivative_factors`` pass over the setups'
     stacked pilots.
     """
-    geom = exp.geometry()
+    key = _scenario_key(exp)
+    known = _SCENARIO.get(key)
+    geom = exp.geometry() if known is None else known.geom
     first = exp.system(powers[0])
     first.validate(geom.n_scatterers + 1)
     sched = ch.make_phase_schedule(
@@ -418,7 +451,11 @@ def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     pilots = ch.make_pilots(
         first, geom.n_ms,
         np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-    setups = [PowerSetup(geom, first, pilots, sched)]
+    if known is None:
+        known = PowerSetup(geom, first, pilots, sched)
+        _SCENARIO.clear()
+        _SCENARIO[key] = known
+    setups = [known.redrawn(first, pilots, sched)]
     for power in powers[1:]:
         setups.append(setups[-1].at_power(exp.system(power)))
     a, b, _ = bnd.derivative_factors(setups[0].true_unit,
@@ -457,6 +494,16 @@ class TrialDraw:
 def _trial_entropy(exp: ExperimentConfig, power_idx: int,
                    trial_idx: int) -> tuple:
     return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
+
+
+def _trial_seeds(exp: ExperimentConfig, power_idx: int,
+                 trial_idx: int) -> list:
+    """The seeds of a trial's gain and noise streams: the two children
+    that ``SeedSequence(entropy).spawn(2)`` gives of its
+    ``_trial_entropy``, built without the parent."""
+    entropy = _trial_entropy(exp, power_idx, trial_idx)
+    return [np.random.SeedSequence(entropy, spawn_key=(child,))
+            for child in (0, 1)]
 
 
 def _keep(draws: list, live: np.ndarray, stage: str, outs: list,
@@ -502,8 +549,7 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     """
     setup = PowerSetup.stack([setups[p] for p, _ in rows])
     geom = setup.geom
-    seeds = [np.random.SeedSequence(_trial_entropy(exp, p, t)).spawn(2)
-             for p, t in rows]
+    seeds = [_trial_seeds(exp, p, t) for p, t in rows]
     gains = np.array([ch.draw_gains(setups[p].cfg, setups[p].geom,
                                     np.random.default_rng(gain_seed))
                       for (p, _), (gain_seed, _) in zip(rows, seeds)])
@@ -522,8 +568,8 @@ def draw_trials(exp: ExperimentConfig, rows: list,
         return draws
     true_angles = channel_angles(truth)
     live = _keep(draws, np.arange(len(draws)), "coarse", [
-        (row.params.to_vector(), row.flags)
-        for row in map(coarse.row, range(len(draws)))], coarse.errors)
+        (vec, {name: v[k] for name, v in coarse.flags.items()})
+        for k, vec in enumerate(coarse.params.to_vector())], coarse.errors)
     if not live.size:
         return draws
     est = coarse.params.take(live)
@@ -635,7 +681,8 @@ _WORKER = {}
 
 def _start_worker(exp: ExperimentConfig) -> None:
     """Pool initializer: build the sweep's setups once per worker, so that
-    a task carries its block of trial indices alone."""
+    a task carries its block of trial indices alone; the worker's own
+    ``power_setups`` keeps the scenario for it."""
     _WORKER["exp"], _WORKER["setups"] = exp, power_setups(exp, exp.powers_dbm)
 
 

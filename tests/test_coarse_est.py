@@ -1,5 +1,6 @@
 """Sparse recovery, AOD refinement, RIS AOA recovery, and delay estimation."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -692,13 +693,20 @@ def _per_row_setup_rows(stage):
     if stage == "picks":
         # a zero record over a dictionary whose columns 0 and 1 are one
         # column picks that column twice
-        dicts = [s.aod_proj for s in setups]
-        dicts[1] = dicts[1].copy()
-        dicts[1][:, 1] = dicts[1][:, 0]
-        covs = [obs[0].cov1[0], np.zeros_like(obs[1].cov1[0]), obs[2].cov1[0]]
-        rows = list(zip(covs, dicts))
-        return rows, lambda x: ce.pick_columns(
-            np.stack([c for c, _ in x]), np.stack([d for _, d in x]), 3)
+        doctored = copy.copy(setups[1])
+        doctored.aod_proj = setups[1].aod_proj.copy()
+        doctored.aod_proj[:, 1] = doctored.aod_proj[:, 0]
+        zero = ch.Observation(np.zeros_like(obs[1].pa),
+                              np.zeros_like(obs[1].cov1))
+        rows = list(zip([obs[0], zero, obs[2]],
+                        [setups[0], doctored, setups[2]]))
+
+        def picks(x):
+            stacked = ch.Observation(np.concatenate([o.pa for o, _ in x]),
+                                     np.concatenate([o.cov1 for o, _ in x]))
+            setup = ch.Setup.stack([s for _, s in x])
+            return ce.estimate_aod_coarse(stacked, setup)[1]
+        return rows, picks
     u_true = setups[0].true_unit.u
     sines = [u_true, np.array([0.3, 0.3]), u_true]     # one colliding pair
     rows = list(zip(obs, setups, sines))
@@ -715,12 +723,23 @@ def _per_row_setup_rows(stage):
 @pytest.mark.parametrize("stage", ["picks", "ris_aoa"])
 def test_per_row_setup_keeps_each_row_to_its_power(stage):
     """A stacked setup (``Setup.stack``) gives each row its own power's
-    pilots and projected AOD dictionary: the DCS-SOMP picks over a
-    (K, M, G) dictionary and the RIS arrival at per-row pilots give each
-    good row the bits of its stack of one on its own setup, and the
-    failing middle row the error of its stack of one, class and
+    pilots and projected AOD dictionary: the DCS-SOMP picks over each
+    row's own setup's dictionary and the RIS arrival at per-row pilots
+    give each good row the bits of its stack of one on its own setup,
+    and the failing middle row the error of its stack of one, class and
     message."""
     _assert_rows_equal_lone_calls(*_per_row_setup_rows(stage), RankDeficient)
+
+
+def _assert_row_equals_lone(stacked, k, alone):
+    """Row k of the coarse estimate ``stacked`` holds the bits and flags
+    of ``alone``, a stack of one."""
+    row = stacked.params.take(k)
+    for f in dataclasses.fields(row):
+        assert (getattr(row, f.name).tobytes()
+                == getattr(alone.params, f.name)[0].tobytes()), (k, f.name)
+    assert ({name: v[k] for name, v in stacked.flags.items()}
+            == {name: v[0] for name, v in alone.flags.items()})
 
 
 def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
@@ -737,11 +756,38 @@ def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
     for k, setup in enumerate(setups):
         alone = ce.run_coarse(obs[k], setup)
         assert alone.errors == [None]
-        alone, row = alone.row(0), stacked.row(k)
-        for f in dataclasses.fields(alone.params):
-            assert (getattr(row.params, f.name).tobytes()
-                    == getattr(alone.params, f.name).tobytes()), (k, f.name)
-        assert row.flags == alone.flags
+        _assert_row_equals_lone(stacked, k, alone)
+
+
+def test_picks_on_a_stacked_setup_run_once_per_power(monkeypatch):
+    """On a stacked setup whose rows interleave three powers, the DCS-SOMP
+    picks run once per power, on that power's rows, over its own setup's
+    projected dictionary, and give each row the sines, support and
+    residual norms of its stack of one on its own setup, bit for bit."""
+    setups, _, obs = _three_power_records()
+    order = [0, 1, 0, 2, 1, 0]
+    alone = [ce.estimate_aod_coarse(o, s) for o, s in zip(obs, setups)]
+    calls, picks = [], ce.pick_columns
+
+    def counted(cov, dictionary, sparsity):
+        calls.append((len(cov), dictionary))
+        return picks(cov, dictionary, sparsity)
+
+    monkeypatch.setattr(ce, "pick_columns", counted)
+    u_hat, res = ce.estimate_aod_coarse(ch.Observation(
+        np.concatenate([obs[p].pa for p in order]),
+        np.concatenate([obs[p].cov1 for p in order])),
+        ch.Setup.stack([setups[p] for p in order]))
+    assert [n for n, _ in calls] == [3, 2, 1]
+    assert all(d is setups[p].aod_proj for (_, d), p in zip(calls, range(3)))
+    assert res.errors == [None] * len(order)
+    for k, p in enumerate(order):
+        u_alone, res_alone = alone[p]
+        assert res_alone.errors == [None]
+        assert u_hat[k].tobytes() == u_alone[0].tobytes(), k
+        assert res.support[k] == res_alone.support[0], k
+        assert (res.residual_norms[k].tobytes()
+                == res_alone.residual_norms[0].tobytes()), k
 
 
 def test_stack_takes_setups_of_one_sweep_alone():
@@ -783,12 +829,8 @@ def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
     for k in (0, 2):
         alone = ce.run_coarse(rows[k], s.setup)
         assert alone.errors == [None]
-        alone, row = alone.row(0), stacked.row(k)
-        for f in dataclasses.fields(alone.params):
-            assert (getattr(row.params, f.name).tobytes()
-                    == getattr(alone.params, f.name).tobytes()), (k, f.name)
-        assert row.flags == alone.flags
-        assert type(row.flags["aod_steps"]) is int
+        _assert_row_equals_lone(stacked, k, alone)
+        assert type(stacked.flags["aod_steps"][k]) is int
 
 
 def test_run_coarse_returns_a_failing_records_error(setup20):
@@ -887,7 +929,7 @@ def test_run_coarse_ongrid_end_to_end(ongrid):
     true, setup, rx = _ongrid_setup(ongrid)
     out = ce.run_coarse(rx, setup)
     assert out.errors == [None]
-    est = out.row(0).params
+    est = out.params.take(0)
     assert_allclose(est.u, true.u, atol=1e-9)
     assert_allclose(to_angles(est).phi_in, to_angles(true).phi_in, atol=1e-12)
     assert_allclose(to_angles(est).psi_in, to_angles(true).psi_in, atol=1e-12)

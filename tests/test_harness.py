@@ -126,6 +126,107 @@ def test_setup_leaves_the_callers_arrays_writable():
     assert exp.scatterers.flags.writeable
 
 
+# a valid other value of each config field that a setup follows from
+# beside its draws and powers, with the fields that keep the slot
+# schedule feasible where it needs them
+_SCENARIO_CHANGES = {
+    "bs": {"bs": [0.0, 0.0, 30.0]}, "ris": {"ris": [-6.0, 8.0, 21.0]},
+    "ms": {"ms": [22.0, 35.0, 2.0]}, "alpha_deg": {"alpha_deg": 70.0},
+    "scatterers": {"scatterers": [[6.0, 5.0, 4.0]]}, "n_bs": {"n_bs": 32},
+    "n_ms": {"n_ms": 8}, "n_ris_az": {"n_ris_az": 8},
+    "n_ris_el": {"n_ris_el": 8}, "bs_spacing_wl": {"bs_spacing_wl": 0.4},
+    "ms_spacing_wl": {"ms_spacing_wl": 0.4},
+    "ris_spacing_wl": {"ris_spacing_wl": 0.25}, "fc_hz": {"fc_hz": 5e9},
+    "bandwidth_hz": {"bandwidth_hz": 10e6},
+    "n_subcarriers": {"n_subcarriers": 16},
+    "t_total": {"t_total": 40, "n_blocks": 8},
+    "t1": {"t1": 19, "t_total": 40},
+    "n_blocks": {"n_blocks": 8, "t_total": 40},
+    "v_slots": {"v_slots": 4, "t_total": 44},
+    "noise_density_dbm_hz": {"noise_density_dbm_hz": -170.0},
+    "g_ms": {"g_ms": 64}, "g_ris_az": {"g_ris_az": 8},
+    "g_ris_el": {"g_ris_el": 8},
+    "path_loss_exponent": {"path_loss_exponent": 2.0},
+    "shadow_std_db": {"shadow_std_db": 3.0},
+}
+
+
+def _records_bits(report):
+    return [[{f.name: _bits(getattr(rec, f.name))
+              for f in dataclasses.fields(rec)} for rec in recs]
+            for recs in report.records]
+
+
+def test_sweeps_reuse_the_last_scenarios_setup(monkeypatch):
+    """``power_setups`` keeps the first setup of the last scenario it
+    built and redraws it for a sweep of that scenario: sweeps of seed 3,
+    then of another layout, then of seed 4 at other powers, then of seed
+    3 again, give every record and the summary the bits of the same sweep
+    run with the cache emptied first. The cache holds one scenario, the
+    last built, and a sweep of that scenario reuses it; every array that
+    a redrawn setup shares with it is read-only, and the setup's own
+    arrays are those of its draws and power."""
+    configs = [hn.ExperimentConfig(master_seed=seed, n_trials=1, **extra)
+               for seed, extra in ((3, {}), (5, {"ms": [20.0, 30.0, 2.0]}),
+                                   (4, {"powers_dbm": [0.0, 20.0]}), (3, {}))]
+    monkeypatch.setattr(hn, "_SCENARIO", {})
+    reused, entries = [], []
+    for exp in configs:
+        reused.append(hn.run_sweep(exp))
+        assert len(hn._SCENARIO) == 1
+        entries.append(next(iter(hn._SCENARIO.values())))
+    assert entries[0] is not entries[1] is not entries[2] is entries[3]
+    known = dict(_leaves(entries[3]))
+    own = set()
+    for name, value in _leaves(hn.power_setups(configs[3], [10.0])[0]):
+        if not isinstance(value, np.ndarray):
+            continue
+        if value is not known[name]:
+            own.add(name)
+            continue
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = value
+    assert own == {".pilots", ".sched.block_phases", ".sched.slot_block",
+                   ".block_sum", ".aod_proj", ".ris_eff", ".ris_eff_power",
+                   ".true_gram"}
+    for exp, report in zip(configs, reused):
+        monkeypatch.setattr(hn, "_SCENARIO", {})
+        fresh = hn.run_sweep(exp)
+        assert _records_bits(report) == _records_bits(fresh)
+        for name in ("rmse", "bounds_ref", "bounds_trial"):
+            assert _bits(getattr(report, name)) == _bits(getattr(fresh, name))
+
+
+def test_a_changed_scenario_field_misses(monkeypatch):
+    """Every config field but the draws' and the powers' is in the
+    scenario's key, and a change of any of them, or of a zero's sign,
+    misses: the sweep's setups equal those built with the cache emptied,
+    leaf for leaf."""
+    assert (set(_SCENARIO_CHANGES) | set(hn._DRAW_FIELDS)
+            == {f.name for f in dataclasses.fields(hn.ExperimentConfig)})
+    ref = hn.ExperimentConfig(master_seed=3)
+    key = hn._scenario_key(ref)
+    assert hn._scenario_key(hn.ExperimentConfig(
+        master_seed=4, n_trials=7, powers_dbm=[1.0], stage="coarse",
+        noiseless=True, out_dir="x", workers=2)) == key
+    assert hn._scenario_key(hn.ExperimentConfig(bs=[-0.0, 0.0, 28.0])) != key
+    for name, change in _SCENARIO_CHANGES.items():
+        assert hn._scenario_key(hn.ExperimentConfig(
+            master_seed=3, **{name: change[name]})) != key, name
+        exp = hn.ExperimentConfig(master_seed=3, **change)
+        monkeypatch.setattr(hn, "_SCENARIO", {})
+        fresh = hn.power_setups(exp, exp.powers_dbm)
+        hn.power_setups(ref, ref.powers_dbm)
+        for setup, alone in zip(hn.power_setups(exp, exp.powers_dbm), fresh):
+            alone = dict(_leaves(alone))
+            for leaf, value in _leaves(setup):
+                if isinstance(value, np.ndarray):
+                    assert value.dtype == alone[leaf].dtype, (name, leaf)
+                    assert np.array_equal(value, alone[leaf]), (name, leaf)
+                else:
+                    assert value == alone[leaf], (name, leaf)
+
+
 @pytest.mark.parametrize("stage,present,absent", [
     ("coarse", ["coarse", "closed_form"], ["sage", "lm"]),
     ("aod_mle", ["coarse", "closed_form"], ["sage", "lm"]),
@@ -220,6 +321,26 @@ def test_sweep_determinism_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 20260809, 2**64 + 3])
+def test_trial_seeds_are_the_spawned_children(seed):
+    """A trial's gain and noise seeds are the children that
+    ``SeedSequence.spawn(2)`` gives of its entropy, over a spread of
+    master seeds, powers and trials: the same state and the same first
+    draws."""
+    exp = hn.ExperimentConfig(master_seed=seed)
+    for p_idx, t_idx in [(0, 0), (3, 199), (1, 12345), (9, 2**40)]:
+        spawned = np.random.SeedSequence(
+            hn._trial_entropy(exp, p_idx, t_idx)).spawn(2)
+        built = hn._trial_seeds(exp, p_idx, t_idx)
+        assert len(built) == 2
+        for new, old in zip(built, spawned):
+            assert np.array_equal(new.generate_state(8),
+                                  old.generate_state(8))
+            assert np.array_equal(
+                np.random.default_rng(new).standard_normal(4),
+                np.random.default_rng(old).standard_normal(4))
+
+
 def test_sweep_worker_count_invariant(tmp_path):
     """Parallel scheduling cannot perturb the results."""
     exp1 = hn.ExperimentConfig(n_trials=2, powers_dbm=[20.0], workers=1)
@@ -235,18 +356,21 @@ def test_sweep_worker_count_invariant_over_batches(tmp_path):
     serial one."""
     csvs = []
     for workers in (1, 2):
-        exp = hn.ExperimentConfig(n_trials=40, powers_dbm=[20.0],
-                                  stage="coarse", workers=workers)
+        exp = hn.ExperimentConfig(n_trials=2 * hn.BATCH + 12,
+                                  powers_dbm=[20.0], stage="coarse",
+                                  workers=workers)
         assert exp.n_trials > 2 * hn.BATCH
         csvs.append(hn.write_summary_csv(
             hn.run_sweep(exp), tmp_path / f"w{workers}.csv").read_bytes())
     assert csvs[0] == csvs[1]
 
 
-def test_sweep_worker_count_invariant_over_powers(tmp_path):
-    """Four powers and 9 trials of stage lm are blocks of 4, 4 and 1 trial
-    indices, the last partial; each worker builds the setups of every
-    power once, and the summary is the serial one."""
+def test_sweep_worker_count_invariant_over_powers(tmp_path, monkeypatch):
+    """At a batch cap of ``CAP``, four powers and 9 trials of stage lm are
+    blocks of 4, 4 and 1 trial indices, the last partial; each worker
+    builds the setups of every power once, and the summary is the serial
+    one."""
+    monkeypatch.setattr(hn, "BATCH", CAP)
     csvs = []
     for workers in (1, 2):
         exp = hn.ExperimentConfig(master_seed=7, n_trials=9, workers=workers)
@@ -254,6 +378,12 @@ def test_sweep_worker_count_invariant_over_powers(tmp_path):
         csvs.append(hn.write_summary_csv(
             hn.run_sweep(exp), tmp_path / f"w{workers}.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+# the batch cap that the batch invariance tests run at: their trial counts
+# give full blocks and a partial one at it, in few trials; the sweeps at
+# the package's ``BATCH`` are cheap ones
+CAP = 16
 
 
 def _bits(value):
@@ -266,14 +396,10 @@ def _bits(value):
     return value
 
 
-def test_batched_sweep_equals_lone_trials():
-    """A sweep draws each batch, a block of trial indices at every power,
-    at once, and a lone trial a batch of one: every sweep record equals
-    its trial run alone, bit for bit, in every field, over full blocks
-    and a partial one. The setup's truth at a stack of one trial's gains
-    is its row of the truth at a larger stack of gains, and of the truth
-    of a stacked setup, whose rows hold the Grams of several powers."""
-    exp = hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse")
+def _assert_sweep_equals_lone_trials(exp) -> list:
+    """The sweep of ``exp``, whose trials end in a partial block, gives
+    every record, in trial order, its lone trial's bits in every field;
+    returns the sweep's setups."""
     assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
     setups = hn.power_setups(exp, exp.powers_dbm)
@@ -286,6 +412,20 @@ def test_batched_sweep_equals_lone_trials():
                 assert (_bits(getattr(rec, f.name))
                         == _bits(getattr(alone, f.name))), (rec.trial_index,
                                                             f.name)
+    return setups
+
+
+def test_batched_sweep_equals_lone_trials(monkeypatch):
+    """A sweep draws each batch, a block of trial indices at every power,
+    at once, and a lone trial a batch of one: every sweep record equals
+    its trial run alone, bit for bit, in every field, over full blocks
+    and a partial one at the cap ``CAP``. The setup's truth at a stack of
+    one trial's gains is its row of the truth at a larger stack of gains,
+    and of the truth of a stacked setup, whose rows hold the Grams of
+    several powers."""
+    monkeypatch.setattr(hn, "BATCH", CAP)
+    setups = _assert_sweep_equals_lone_trials(
+        hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse"))
     setup = setups[0]
     gains = np.stack([ch.draw_gains(setup.cfg, setup.geom, seed)
                       for seed in range(2 * hn.BATCH)])
@@ -293,6 +433,14 @@ def test_batched_sweep_equals_lone_trials():
     for stack, row_setups in ((setup, [setup] * len(gains)),
                               (hn.PowerSetup.stack(mixed), mixed)):
         _assert_truth_rows_equal_lone_truth(stack, row_setups, gains)
+
+
+def test_batched_sweep_at_the_package_cap_equals_lone_trials():
+    """At the package's ``BATCH``, a stage-``coarse`` sweep at four powers
+    over a full block and a partial one gives every record its lone
+    trial's bits."""
+    _assert_sweep_equals_lone_trials(hn.ExperimentConfig(
+        master_seed=77, n_trials=hn.BATCH // 4 + 2, stage="coarse"))
 
 
 def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
@@ -316,27 +464,17 @@ def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
     dict(stage="lm"),
     # two scatterers: fits that run long, so blocks of 4, 4 and 1 trials
     dict(stage="lm", scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], t1=22,
-         t_total=43, n_trials=hn.BATCH // 4 * 2 + 1),
+         t_total=43, n_trials=CAP // 4 * 2 + 1),
 ], ids=["noiseless", "aod_mle", "lm", "q2_lm"])
-def test_batched_stages_equal_lone_trials(overrides):
+def test_batched_stages_equal_lone_trials(overrides, monkeypatch):
     """Noiseless observations, and at stages ``aod_mle`` and ``lm``, with
     one scatterer or two, the stacked coarse stage and the AOD refinement,
     SAGE and the LM fit in lockstep over the batch, each trial on its own
     power's setup, give every sweep record at four powers its lone
-    trial's bits, over full blocks and a partial one."""
-    exp = hn.ExperimentConfig(**{"master_seed": 77,
-                                 "n_trials": hn.BATCH + 5, **overrides})
-    assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
-    report = hn.run_sweep(exp)
-    for p_idx, (power, setup, recs) in enumerate(zip(
-            exp.powers_dbm, hn.power_setups(exp, exp.powers_dbm),
-            report.records)):
-        for rec in recs:
-            alone = hn.run_trial(exp, power, p_idx, rec.trial_index, setup)
-            for f in dataclasses.fields(rec):
-                assert (_bits(getattr(rec, f.name))
-                        == _bits(getattr(alone, f.name))), (rec.trial_index,
-                                                            f.name)
+    trial's bits, over full blocks and a partial one at the cap ``CAP``."""
+    monkeypatch.setattr(hn, "BATCH", CAP)
+    _assert_sweep_equals_lone_trials(hn.ExperimentConfig(
+        **{"master_seed": 77, "n_trials": CAP + 5, **overrides}))
 
 
 @pytest.mark.parametrize("fit", ["sage", "lm"])

@@ -9,7 +9,9 @@ expected to be missing, and only they. A trial calls ``fim_channel`` only
 when SAGE does not converge (the bounds at the truth read the setup's
 unit-gain Gram), so the traced sweep runs with the step cap that SAGE
 shares with the AOD refinement and the LM fit cut to one, on the -10 dBm
-trials of master seed 5 up to trial 2.
+trials of master seed 5 up to trial 2. A sweep builds its dictionaries
+only where no earlier sweep built its scenario's, so the traced sweep
+starts from an empty scenario cache.
 """
 
 import importlib
@@ -33,6 +35,7 @@ UNCOUNTED = {"search.maximize_1d.calls", "search.maximize_1d.batch_evals",
 def test_traced_sweep_reaches_every_span_and_counter(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(dm, "MAX_STEPS", 1)
+    monkeypatch.setattr(hn, "_SCENARIO", {})
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     tracer.install()
