@@ -320,7 +320,7 @@ class Setup:
         self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
                          @ self.a_m_dict.matrix)
 
-    def _at(self, cfg: SystemConfig) -> "Setup":
+    def _with_system(self, cfg: SystemConfig) -> "Setup":
         """A copy of this setup with the system ``cfg``, which may differ
         from this setup's in ``p_tx`` alone."""
         if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
@@ -335,7 +335,7 @@ class Setup:
         from this setup's in ``p_tx`` alone, the pilots are this setup's
         signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), and every
         power-independent array is shared."""
-        other = self._at(cfg)
+        other = self._with_system(cfg)
         other.pilots = np.sign(self.pilots) * np.sqrt(cfg.p_tx
                                                       / self.geom.n_ms)
         other._power_fields()
@@ -348,7 +348,7 @@ class Setup:
         alone: it equals ``Setup(geom, cfg, pilots, sched)`` and shares
         every array that follows from the geometry and the system alone,
         the leg, the dictionaries, ``tril`` and the ramps."""
-        other = self._at(cfg)
+        other = self._with_system(cfg)
         other.pilots, other.sched = pilots, sched
         other._drawn_fields()
         return other
