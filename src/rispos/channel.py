@@ -216,9 +216,9 @@ class Setup:
     Q+1 follow from them once. So do the products the estimators would
     otherwise form on every trial: the (blocks, T) indicator
     ``block_sum`` whose row b sums the slots of phase block b, the
-    projected AOD dictionary ``aod_proj`` = X1^H A_M over the first T1
-    slots, the block-level RIS dictionary ``ris_eff`` =
-    block_phases @ A_R with its column powers, the strictly lower
+    projected AOD dictionary ``aod_proj`` over the first T1 slots, the
+    block-level RIS dictionary ``ris_eff`` = block_phases @ A_R with its
+    column powers, the strictly lower
     triangle ``tril`` of a T1 x T1 matrix, where synthesis puts its
     Bartlett normals, and the delay step's ramps: ``bin_ramp`` (N, N),
     column m subcarrier_ramp(-m / B) at DFT bin m; ``grid_ramp`` (N, 41),
@@ -227,28 +227,27 @@ class Setup:
     (j beta n)^2, beta = 2 pi B / N, of the ramp's sum and its first two
     derivatives in the delay.
 
-    Of these only ``cfg`` (its ``p_tx``), ``pilots`` and ``aod_proj``
-    depend on the transmit power, and only ``pilots``, ``aod_proj``,
-    ``sched``, ``block_sum`` and ``ris_eff`` with its powers on the
-    drawn pilots and schedule. ``at_power`` gives the setup at another
-    power, the same pilot signs at that power's amplitude, and
-    ``redrawn`` the setup of other pilots and another schedule; each
-    shares every other array, so the setup makes those arrays
-    read-only. It keeps its own copies of ``geom`` and ``sched`` to do
-    so, and the caller's stay writable.
+    Of these only ``cfg`` (its ``p_tx``) and ``pilots`` depend on the
+    transmit power. ``aod_proj`` is formed at unit pilot amplitude,
+    sign(X1)^H A_M: the pilots are seeded signs times one amplitude, and
+    neither DCS-SOMP's pick score nor its projector changes when the
+    dictionary is scaled, so one dictionary serves every power.
+    ``at_power`` gives the setup at another power, the same pilot signs
+    at that power's amplitude, and shares every other array, so the
+    setup makes those arrays read-only. It keeps its own copies of
+    ``geom`` and ``sched`` to do so, and the caller's stay writable.
 
     ``stack`` joins setups ``at_power`` of one another into one for a
     stack of records at several powers: each of ``POWER_FIELDS``, the
     pilots, gains a leading row axis (K, N_m, T), and ``row(k)`` is
     record k's own setup, ``take(rows)`` the setup of some of its
     records. The stacked stages take it as they take a lone setup, whose
-    arrays every record shares. A stacked setup holds no ``aod_proj``:
-    the DCS-SOMP picks, which alone read it, read each record's own
-    setup's, once for all the records that share it.
+    arrays every record shares, ``aod_proj`` included.
     """
 
-    # what depends on the transmit power besides ``cfg`` and
-    # ``aod_proj``: a stacked setup holds these with a leading row axis
+    # what depends on the transmit power besides ``cfg``: a stacked setup
+    # holds these with a leading row axis, and ``at_power`` carries none
+    # of them over
     POWER_FIELDS = ("pilots",)
 
     geom: ScenarioGeometry
@@ -272,10 +271,23 @@ class Setup:
     rows: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.geom = copy.deepcopy(self.geom)
-        self.leg = geometry.unit_vector(self.geom.bs, self.geom.ris, "RIS-BS")[0]
+        if self.sched.n_slots != self.cfg.t_total:
+            raise DimensionMismatch("schedule slot count must equal T")
+        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
+            raise DimensionMismatch("pilot matrix must be (N_m, T)")
+        self.geom = geom = copy.deepcopy(self.geom)
+        self.sched = sched = copy.deepcopy(self.sched)
+        self.leg = geometry.unit_vector(geom.bs, geom.ris, "RIS-BS")[0]
         self.a_m_dict, self.ris_dict = build_dictionaries(self)
-        self.n_paths = self.geom.n_scatterers + 1
+        self.n_paths = geom.n_scatterers + 1
+        self.block_sum = (sched.slot_block
+                          == np.arange(sched.n_blocks)[:, None]).astype(float)
+        self.aod_proj = (np.sign(self.pilots[:, :self.cfg.t1]).conj().T
+                         @ self.a_m_dict.matrix)
+        self.ris_eff = sched.block_phases @ self.ris_dict.matrix
+        # unequal column norms (random phase profiles) must not bias a pick
+        self.ris_eff_power = np.maximum(
+            np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
         self.tril = np.tril_indices(self.cfg.t1, -1)
         n_sub, bw = self.cfg.n_subcarriers, self.cfg.bandwidth
         self.bin_ramp = subcarrier_ramp(-np.arange(n_sub) / bw, bw, n_sub)
@@ -284,73 +296,33 @@ class Setup:
         rate = 2j * np.pi * bw / n_sub * np.arange(n_sub)
         self.ramp_weights = np.stack([np.ones(n_sub), rate, rate * rate],
                                      axis=1)
-        geom = self.geom
         for shared in (geom.bs, geom.ris, geom.ms, geom.scatterers, self.leg,
+                       sched.block_phases, sched.slot_block,
                        self.a_m_dict.matrix, self.a_m_dict.grid,
                        self.ris_dict.matrix, self.ris_dict.azimuth.matrix,
                        self.ris_dict.azimuth.grid,
                        self.ris_dict.elevation.matrix,
-                       self.ris_dict.elevation.grid, *self.tril,
-                       self.bin_ramp, self.grid_ramp, self.grid_offsets,
-                       self.ramp_weights):
+                       self.ris_dict.elevation.grid, self.block_sum,
+                       self.aod_proj, self.ris_eff, self.ris_eff_power,
+                       *self.tril, self.bin_ramp, self.grid_ramp,
+                       self.grid_offsets, self.ramp_weights):
             shared.flags.writeable = False
-        self._drawn_fields()
-
-    def _drawn_fields(self) -> None:
-        """Build what depends on the drawn schedule, read-only, then on the
-        pilots (``_power_fields``)."""
-        if self.sched.n_slots != self.cfg.t_total:
-            raise DimensionMismatch("schedule slot count must equal T")
-        self.sched = sched = copy.deepcopy(self.sched)
-        self.block_sum = (sched.slot_block
-                          == np.arange(sched.n_blocks)[:, None]).astype(float)
-        self.ris_eff = sched.block_phases @ self.ris_dict.matrix
-        # unequal column norms (random phase profiles) must not bias a pick
-        self.ris_eff_power = np.maximum(
-            np.sum(np.abs(self.ris_eff) ** 2, axis=0), 1e-300)
-        for shared in (sched.block_phases, sched.slot_block, self.block_sum,
-                       self.ris_eff, self.ris_eff_power):
-            shared.flags.writeable = False
-        self._power_fields()
-
-    def _power_fields(self) -> None:
-        """Build what depends on the transmit power: ``aod_proj``."""
-        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
-            raise DimensionMismatch("pilot matrix must be (N_m, T)")
-        self.aod_proj = (self.pilots[:, :self.cfg.t1].conj().T
-                         @ self.a_m_dict.matrix)
-
-    def _with_system(self, cfg: SystemConfig) -> "Setup":
-        """A copy of this setup with the system ``cfg``, which may differ
-        from this setup's in ``p_tx`` alone."""
-        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
-            raise ValueError("at_power and redrawn change the system's "
-                             "transmit power alone")
-        other = copy.copy(self)
-        other.cfg = cfg
-        return other
 
     def at_power(self, cfg: SystemConfig) -> "Setup":
         """This setup at the transmit power of ``cfg``: ``cfg`` may differ
         from this setup's in ``p_tx`` alone, the pilots are this setup's
-        signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), and every
-        power-independent array is shared."""
-        other = self._with_system(cfg)
+        signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), every other
+        field of ``POWER_FIELDS`` is None, and every other array is
+        shared."""
+        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
+            raise ValueError("at_power changes the system's transmit power "
+                             "alone")
+        other = copy.copy(self)
+        other.cfg = cfg
+        for name in self.POWER_FIELDS:
+            setattr(other, name, None)
         other.pilots = np.sign(self.pilots) * np.sqrt(cfg.p_tx
                                                       / self.geom.n_ms)
-        other._power_fields()
-        return other
-
-    def redrawn(self, cfg: SystemConfig, pilots: np.ndarray,
-                sched: PhaseSchedule) -> "Setup":
-        """The setup of the pilots ``pilots`` and the schedule ``sched`` at
-        the system ``cfg``, which may differ from this setup's in ``p_tx``
-        alone: it equals ``Setup(geom, cfg, pilots, sched)`` and shares
-        every array that follows from the geometry and the system alone,
-        the leg, the dictionaries, ``tril`` and the ramps."""
-        other = self._with_system(cfg)
-        other.pilots, other.sched = pilots, sched
-        other._drawn_fields()
         return other
 
     @staticmethod
@@ -358,16 +330,15 @@ class Setup:
         """One setup for a stack of records, record k at the power of the
         lone setup ``rows[k]``; every setup of ``rows`` must be ``at_power``
         of the others. Each of ``Setup.POWER_FIELDS`` is stacked along a
-        leading row axis, ``aod_proj`` is None and every other array is
-        shared. Its ``cfg`` holds no one power: ``p_tx`` is NaN, which no
-        stacked stage reads."""
+        leading row axis and every other array is shared. Its ``cfg``
+        holds no one power: ``p_tx`` is NaN, which no stacked stage
+        reads."""
         first = rows[0]
         if any(r.rows is not None or r.sched is not first.sched
                for r in rows):
             raise ValueError("stack takes lone setups at_power of one another")
         out = copy.copy(first)
         out.cfg = dataclasses.replace(first.cfg, p_tx=np.nan)
-        out.aod_proj = None
         for name in Setup.POWER_FIELDS:
             setattr(out, name, np.stack([getattr(r, name) for r in rows]))
         out.rows = list(rows)

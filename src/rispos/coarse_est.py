@@ -12,7 +12,7 @@ arrival recovery de-mixes all phase blocks with one batched solve and
 makes every path's 1-sparse pick from one product with the block-level
 RIS dictionary. The products that depend on the setup alone (the
 projected AOD dictionary, the block indicator, the block-level RIS
-dictionary, the delay step's ramps) are built once per power by
+dictionary, the delay step's ramps) are built once per sweep by
 ``channel.Setup``. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
@@ -26,9 +26,9 @@ the RIS arrival and the delay step) run each product once for the
 stack, and a record that fails keeps its typed error in its row of the
 result's ``errors`` while the others go on. The records of a stack may
 be at different transmit powers: a stacked setup
-(``channel.Setup.stack``) holds the pilots and the projected AOD
-dictionary with a leading row axis, and each record's products then
-read its own row; a lone setup is shared by every record.
+(``channel.Setup.stack``) holds the pilots with a leading row axis, and
+each record's products then read its own row; a lone setup is shared by
+every record, and the projected AOD dictionary by every power.
 ``run_coarse`` runs all four sub-steps on a stack, the likelihood
 refinement in lockstep over its records (``_damping.ascend``), each
 with its own setup's pilots.
@@ -151,26 +151,16 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
 
 def estimate_aod_coarse(obs: Observation, setup: Setup):
     """Grid departure sines from the first T1 slots: DCS-SOMP's picks from
-    the observation's ``cov1`` over the projected dictionary X1^H A_M.
+    the observation's ``cov1`` over the projected dictionary X1^H A_M,
+    held at unit pilot amplitude (``Setup.aod_proj``).
 
     Returns (u_hat, picks) for a stack of K observations: u_hat (K, Q+1),
     row k the grid values of record k's selected columns, NaN in the rows
     that ``picks.errors`` names, and ``picks`` the supports and residual
-    norms. The picks run once per record's setup, on the stack of the
-    records that share it: once on a lone setup, once per power on a
-    stacked one, so each power's dictionary is read in place.
+    norms. The picks run once, on the whole stack: every power's setup
+    shares one dictionary, at unit pilot amplitude.
     """
-    n_rec = len(obs.cov1)
-    res = SompResult([None] * n_rec, np.empty((n_rec, setup.n_paths + 1)),
-                     [None] * n_rec)
-    own = [setup.row(k) for k in range(n_rec)]
-    # each distinct row setup once, in the order of its first row
-    for lone in {id(s): s for s in own}.values():
-        rows = np.flatnonzero([s is lone for s in own])
-        part = pick_columns(obs.cov1[rows], lone.aod_proj, setup.n_paths)
-        res.residual_norms[rows] = part.residual_norms
-        for k, picked, error in zip(rows, part.support, part.errors):
-            res.support[k], res.errors[k] = picked, error
+    res = pick_columns(obs.cov1, setup.aod_proj, setup.n_paths)
     u_hat = setup.a_m_dict.grid[res.support]
     u_hat[[e is not None for e in res.errors]] = np.nan
     return u_hat, res

@@ -8,11 +8,7 @@ panel analogue). What the trials at one power share is a
 the bounds read of the truth: the true parameters at unit gains
 ``true_unit``, their FIM Gram ``true_gram`` and the parameter Jacobian
 at the true pose. ``power_setups`` builds a sweep's setups at once,
-the power-independent part a single time, and what follows from the
-scenario alone, not from the master seed or the powers (the geometry,
-dictionaries, ramps and truth), once per scenario: it keeps the last
-scenario's first setup and redraws it for the next sweep of that
-scenario.
+everything but the pilots and the truth's Gram a single time.
 
 A sweep runs its trials in batches (``run_batch``): a batch is a block
 of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
@@ -29,8 +25,8 @@ trial keeping its own row or error (``draw_trials``). Then it calls
 into its record: the unit of work, called once per trial through this
 module, and alone a batch of one. The cap on a batch's rows bounds a
 sweep's peak memory, since a stack's temporaries grow with its rows;
-what the trials at one power share, such as the projected AOD
-dictionary, a batch holds once per power, not once per row.
+what every power shares, such as the projected AOD dictionary, a batch
+holds once, not once per row.
 
 This is the report edge of the channel coordinates: trial records keep
 the channel vectors in (tau, gain, u, c, s), as the pipeline does, and
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -348,21 +343,23 @@ class PowerSetup(ch.Setup):
     the first two.
 
     Of it only ``true_gram`` depends on the draws, and on the transmit
-    power beside the channel setup's ``cfg``, ``pilots`` and
-    ``aod_proj``; ``true_unit`` and ``t_true`` follow from the geometry
-    alone. So a sweep builds the rest once, or reuses the last
-    scenario's (``Setup.redrawn``), and every power's ``true_gram`` in
-    one stacked pass (``power_setups``), and hands each power's setup to
-    its trials, and a stacked setup (``PowerSetup.stack``) holds
-    ``true_gram`` one row per trial too. ``truth`` takes a batch's stack
-    of gains: ``draw_trials`` forms a batch's truth and bounds in one
-    stacked pass over its powers, and ``reference_bounds`` the sweep's.
+    power beside the channel setup's ``cfg`` and ``pilots``;
+    ``true_unit`` and ``t_true`` follow from the geometry alone. So a
+    sweep builds the rest once and every power's ``true_gram`` in one
+    stacked pass (``power_setups``), and hands each power's setup to its
+    trials; ``at_power`` leaves ``true_gram`` None, so a setup never
+    holds another power's Gram, and a stacked setup
+    (``PowerSetup.stack``) holds ``true_gram`` one row per trial too.
+    ``truth`` takes a batch's stack of gains: ``draw_trials`` forms a
+    batch's truth and bounds in one stacked pass over its powers, and
+    ``reference_bounds`` the sweep's.
     """
 
     POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
 
     true_unit: ChannelParams = field(init=False)
-    true_gram: np.ndarray = field(init=False)
+    # ``power_setups`` forms the Gram of every power at once
+    true_gram: np.ndarray = field(init=False, default=None)
     t_true: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -380,11 +377,6 @@ class PowerSetup(ch.Setup):
                        self.t_true):
             shared.flags.writeable = False
         super().__post_init__()
-
-    def _power_fields(self) -> None:
-        super()._power_fields()
-        # ``power_setups`` forms the Gram of every power at once
-        self.true_gram = None
 
     @staticmethod
     def stack(rows: list) -> "PowerSetup":
@@ -407,42 +399,17 @@ class PowerSetup(ch.Setup):
                 bnd.position_bounds(j_eta, self.t_true))
 
 
-# the config fields that a sweep's setups do not follow from, or follow
-# from only through the draws and powers that ``channel.Setup.redrawn``
-# and ``at_power`` replace; every other field is the scenario's
-_DRAW_FIELDS = ("master_seed", "powers_dbm", "n_trials", "workers", "stage",
-                "noiseless", "out_dir")
-
-# the first setup of the last scenario ``power_setups`` built, keyed on
-# ``_scenario_key``: one entry at most
-_SCENARIO = {}
-
-
-def _scenario_key(exp: ExperimentConfig) -> bytes:
-    """The pickle of ``exp``'s fields but ``_DRAW_FIELDS``: two configs
-    with one key hold values of one type and the same bits there, which
-    ``==`` does not tell (0.0 and -0.0, 1 and 1.0)."""
-    return pickle.dumps([getattr(exp, f.name)
-                         for f in dataclasses.fields(exp)
-                         if f.name not in _DRAW_FIELDS])
-
-
 def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     """The validated setups of ``exp`` at the powers ``powers``, in order.
 
-    The first holds the pilots ``channel.make_pilots`` draws. It is
-    built in full, or, where the last scenario built had the same fields
-    but ``_DRAW_FIELDS``, ``redrawn`` from that scenario's first setup,
-    whose geometry, dictionaries, ramps and truth do not depend on the
-    draws. Each later one is ``at_power`` of the one before, the same
-    seeded signs at its amplitude, so all of them share one geometry,
-    schedule, dictionary set and truth. The truth's Gram of every power
-    comes from one ``bounds.derivative_factors`` pass over the setups'
-    stacked pilots.
+    The first holds the pilots ``channel.make_pilots`` draws. Each later
+    one is ``at_power`` of the one before, the same seeded signs at its
+    amplitude, so all of them share one geometry, schedule, dictionary
+    set, projected AOD dictionary and truth. The truth's Gram of every
+    power comes from one ``bounds.derivative_factors`` pass over the
+    setups' stacked pilots.
     """
-    key = _scenario_key(exp)
-    known = _SCENARIO.get(key)
-    geom = exp.geometry() if known is None else known.geom
+    geom = exp.geometry()
     first = exp.system(powers[0])
     first.validate(geom.n_scatterers + 1)
     sched = ch.make_phase_schedule(
@@ -451,11 +418,7 @@ def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
     pilots = ch.make_pilots(
         first, geom.n_ms,
         np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-    if known is None:
-        known = PowerSetup(geom, first, pilots, sched)
-        _SCENARIO.clear()
-        _SCENARIO[key] = known
-    setups = [known.redrawn(first, pilots, sched)]
+    setups = [PowerSetup(geom, first, pilots, sched)]
     for power in powers[1:]:
         setups.append(setups[-1].at_power(exp.system(power)))
     a, b, _ = bnd.derivative_factors(setups[0].true_unit,
@@ -536,7 +499,7 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     draw does not depend on the trials drawn beside it. The trials differ
     only in these draws and in what depends on their power, which the
     stacked setup ``PowerSetup.stack`` of their setups holds one row per
-    trial: the pilots, the projected AOD dictionary and the truth's Gram.
+    trial: the pilots and the truth's Gram.
     So the truth, its bounds and the observations of all of them are
     formed at once, as stacks, and every stage of the stage setting runs
     once, on the stack of the trials that no stage failed, and is scored
@@ -681,8 +644,7 @@ _WORKER = {}
 
 def _start_worker(exp: ExperimentConfig) -> None:
     """Pool initializer: build the sweep's setups once per worker, so that
-    a task carries its block of trial indices alone; the worker's own
-    ``power_setups`` keeps the scenario for it."""
+    a task carries its block of trial indices alone."""
     _WORKER["exp"], _WORKER["setups"] = exp, power_setups(exp, exp.powers_dbm)
 
 

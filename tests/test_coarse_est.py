@@ -159,6 +159,37 @@ def test_covariance_picks_equal_dcs_somp_picks():
     assert n_draws >= 200
 
 
+@pytest.mark.parametrize("extra", [
+    {}, {"scatterers": [[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], "t1": 22,
+         "t_total": 43}], ids=["q1", "q2"])
+def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
+    """DCS-SOMP's pick score Re(theta^H R theta) / ||theta||^2 and its
+    projector do not change when the dictionary is scaled, so every power
+    shares one dictionary at unit pilot amplitude: over c D, for
+    amplitudes c of -30, -10, 10 and 30 dB and for each power's own
+    X1^H A_M, seeded noisy and noiseless records at every power get the
+    supports and errors that they get over the shared D."""
+    exp = hn.ExperimentConfig(master_seed=77, **extra)
+    setups = hn.power_setups(exp, exp.powers_dbm)
+    stack = hn.PowerSetup.stack(setups)
+    gains = np.array([ch.draw_gains(s.cfg, s.geom, 30 + k)
+                      for k, s in enumerate(setups)])
+    truth, _ = stack.truth(gains)
+    cov = np.concatenate([
+        ch.synthesize_rx(stack, truth, [40 + k for k in range(4)]).cov1,
+        ch.synthesize_rx(stack, truth, noiseless=True).cov1])
+    shared = ce.pick_columns(cov, stack.aod_proj, stack.n_paths)
+    assert shared.errors == [None] * 8
+    scaled = [10.0 ** (db / 20.0) * stack.aod_proj
+              for db in (-30.0, -10.0, 10.0, 30.0)]
+    scaled += [s.pilots[:, :s.cfg.t1].conj().T @ s.a_m_dict.matrix
+               for s in setups]
+    for dictionary in scaled:
+        res = ce.pick_columns(cov, dictionary, stack.n_paths)
+        assert res.support == shared.support
+        assert res.errors == shared.errors
+
+
 def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
     geom, cfg = ongrid.geom, ongrid.cfg
     cfg = ch.SystemConfig(**{**cfg.__dict__, "p_tx": ch.dbm_to_watt(p_dbm)})
@@ -685,28 +716,12 @@ def _three_power_records():
     return setups, ch.Setup.stack(setups), obs
 
 
-def _per_row_setup_rows(stage):
-    """Three one-record inputs of one stage, each at its own power, the
-    middle one failing, and the stage as a map from a list of them, on
-    per-row setup arrays, or from a list of one, on its own setup."""
+def _per_row_setup_rows():
+    """Three one-record inputs of the RIS arrival stage, each at its own
+    power, the middle one failing, and the stage as a map from a list of
+    them, on per-row setup arrays, or from a list of one, on its own
+    setup."""
     setups, stack, obs = _three_power_records()
-    if stage == "picks":
-        # a zero record over a dictionary whose columns 0 and 1 are one
-        # column picks that column twice
-        doctored = copy.copy(setups[1])
-        doctored.aod_proj = setups[1].aod_proj.copy()
-        doctored.aod_proj[:, 1] = doctored.aod_proj[:, 0]
-        zero = ch.Observation(np.zeros_like(obs[1].pa),
-                              np.zeros_like(obs[1].cov1))
-        rows = list(zip([obs[0], zero, obs[2]],
-                        [setups[0], doctored, setups[2]]))
-
-        def picks(x):
-            stacked = ch.Observation(np.concatenate([o.pa for o, _ in x]),
-                                     np.concatenate([o.cov1 for o, _ in x]))
-            setup = ch.Setup.stack([s for _, s in x])
-            return ce.estimate_aod_coarse(stacked, setup)[1]
-        return rows, picks
     u_true = setups[0].true_unit.u
     sines = [u_true, np.array([0.3, 0.3]), u_true]     # one colliding pair
     rows = list(zip(obs, setups, sines))
@@ -720,15 +735,15 @@ def _per_row_setup_rows(stage):
     return rows, run
 
 
-@pytest.mark.parametrize("stage", ["picks", "ris_aoa"])
+@pytest.mark.parametrize("stage", ["ris_aoa"])
 def test_per_row_setup_keeps_each_row_to_its_power(stage):
     """A stacked setup (``Setup.stack``) gives each row its own power's
-    pilots and projected AOD dictionary: the DCS-SOMP picks over each
-    row's own setup's dictionary and the RIS arrival at per-row pilots
-    give each good row the bits of its stack of one on its own setup,
-    and the failing middle row the error of its stack of one, class and
-    message."""
-    _assert_rows_equal_lone_calls(*_per_row_setup_rows(stage), RankDeficient)
+    pilots: the RIS arrival, the one grid stage that reads them, gives
+    each good row the bits of its stack of one on its own setup, and the
+    failing middle row the error of its stack of one, class and message.
+    The DCS-SOMP picks read no per-row array: every power shares their
+    dictionary (``test_picks_on_a_stacked_setup_run_once``)."""
+    _assert_rows_equal_lone_calls(*_per_row_setup_rows(), RankDeficient)
 
 
 def _assert_row_equals_lone(stacked, k, alone):
@@ -759,12 +774,13 @@ def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
         _assert_row_equals_lone(stacked, k, alone)
 
 
-def test_picks_on_a_stacked_setup_run_once_per_power(monkeypatch):
+def test_picks_on_a_stacked_setup_run_once(monkeypatch):
     """On a stacked setup whose rows interleave three powers, the DCS-SOMP
-    picks run once per power, on that power's rows, over its own setup's
-    projected dictionary, and give each row the sines, support and
+    picks run once, on every row, over the projected dictionary that every
+    power's setup shares, and give each row the sines, support and
     residual norms of its stack of one on its own setup, bit for bit."""
     setups, _, obs = _three_power_records()
+    assert all(s.aod_proj is setups[0].aod_proj for s in setups)
     order = [0, 1, 0, 2, 1, 0]
     alone = [ce.estimate_aod_coarse(o, s) for o, s in zip(obs, setups)]
     calls, picks = [], ce.pick_columns
@@ -778,8 +794,8 @@ def test_picks_on_a_stacked_setup_run_once_per_power(monkeypatch):
         np.concatenate([obs[p].pa for p in order]),
         np.concatenate([obs[p].cov1 for p in order])),
         ch.Setup.stack([setups[p] for p in order]))
-    assert [n for n, _ in calls] == [3, 2, 1]
-    assert all(d is setups[p].aod_proj for (_, d), p in zip(calls, range(3)))
+    assert [n for n, _ in calls] == [len(order)]
+    assert calls[0][1] is setups[0].aod_proj
     assert res.errors == [None] * len(order)
     for k, p in enumerate(order):
         u_alone, res_alone = alone[p]

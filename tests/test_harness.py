@@ -106,7 +106,21 @@ def test_sweep_setups_are_power_setups(overrides):
                 continue
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = value
-        assert own == {".pilots", ".aod_proj", ".true_gram"}
+        assert own == {".pilots", ".true_gram"}
+
+
+def test_at_power_carries_no_other_powers_gram():
+    """A setup ``at_power`` of another holds no ``true_gram`` until
+    ``power_setups`` forms its own: it never carries the source power's
+    Gram."""
+    exp = hn.ExperimentConfig()
+    source = hn.power_setup(exp, 20.0)
+    assert source.true_gram is not None
+    moved = source.at_power(exp.system(-10.0))
+    assert moved.true_gram is None
+    assert source.true_gram is not None
+    assert np.array_equal(moved.pilots,
+                          hn.power_setup(exp, -10.0).pilots)
 
 
 def test_setup_leaves_the_callers_arrays_writable():
@@ -124,107 +138,6 @@ def test_setup_leaves_the_callers_arrays_writable():
         assert mine.flags.writeable and not its.flags.writeable
         assert np.array_equal(mine, its)
     assert exp.scatterers.flags.writeable
-
-
-# a valid other value of each config field that a setup follows from
-# beside its draws and powers, with the fields that keep the slot
-# schedule feasible where it needs them
-_SCENARIO_CHANGES = {
-    "bs": {"bs": [0.0, 0.0, 30.0]}, "ris": {"ris": [-6.0, 8.0, 21.0]},
-    "ms": {"ms": [22.0, 35.0, 2.0]}, "alpha_deg": {"alpha_deg": 70.0},
-    "scatterers": {"scatterers": [[6.0, 5.0, 4.0]]}, "n_bs": {"n_bs": 32},
-    "n_ms": {"n_ms": 8}, "n_ris_az": {"n_ris_az": 8},
-    "n_ris_el": {"n_ris_el": 8}, "bs_spacing_wl": {"bs_spacing_wl": 0.4},
-    "ms_spacing_wl": {"ms_spacing_wl": 0.4},
-    "ris_spacing_wl": {"ris_spacing_wl": 0.25}, "fc_hz": {"fc_hz": 5e9},
-    "bandwidth_hz": {"bandwidth_hz": 10e6},
-    "n_subcarriers": {"n_subcarriers": 16},
-    "t_total": {"t_total": 40, "n_blocks": 8},
-    "t1": {"t1": 19, "t_total": 40},
-    "n_blocks": {"n_blocks": 8, "t_total": 40},
-    "v_slots": {"v_slots": 4, "t_total": 44},
-    "noise_density_dbm_hz": {"noise_density_dbm_hz": -170.0},
-    "g_ms": {"g_ms": 64}, "g_ris_az": {"g_ris_az": 8},
-    "g_ris_el": {"g_ris_el": 8},
-    "path_loss_exponent": {"path_loss_exponent": 2.0},
-    "shadow_std_db": {"shadow_std_db": 3.0},
-}
-
-
-def _records_bits(report):
-    return [[{f.name: _bits(getattr(rec, f.name))
-              for f in dataclasses.fields(rec)} for rec in recs]
-            for recs in report.records]
-
-
-def test_sweeps_reuse_the_last_scenarios_setup(monkeypatch):
-    """``power_setups`` keeps the first setup of the last scenario it
-    built and redraws it for a sweep of that scenario: sweeps of seed 3,
-    then of another layout, then of seed 4 at other powers, then of seed
-    3 again, give every record and the summary the bits of the same sweep
-    run with the cache emptied first. The cache holds one scenario, the
-    last built, and a sweep of that scenario reuses it; every array that
-    a redrawn setup shares with it is read-only, and the setup's own
-    arrays are those of its draws and power."""
-    configs = [hn.ExperimentConfig(master_seed=seed, n_trials=1, **extra)
-               for seed, extra in ((3, {}), (5, {"ms": [20.0, 30.0, 2.0]}),
-                                   (4, {"powers_dbm": [0.0, 20.0]}), (3, {}))]
-    monkeypatch.setattr(hn, "_SCENARIO", {})
-    reused, entries = [], []
-    for exp in configs:
-        reused.append(hn.run_sweep(exp))
-        assert len(hn._SCENARIO) == 1
-        entries.append(next(iter(hn._SCENARIO.values())))
-    assert entries[0] is not entries[1] is not entries[2] is entries[3]
-    known = dict(_leaves(entries[3]))
-    own = set()
-    for name, value in _leaves(hn.power_setups(configs[3], [10.0])[0]):
-        if not isinstance(value, np.ndarray):
-            continue
-        if value is not known[name]:
-            own.add(name)
-            continue
-        with pytest.raises(ValueError, match="read-only"):
-            value[...] = value
-    assert own == {".pilots", ".sched.block_phases", ".sched.slot_block",
-                   ".block_sum", ".aod_proj", ".ris_eff", ".ris_eff_power",
-                   ".true_gram"}
-    for exp, report in zip(configs, reused):
-        monkeypatch.setattr(hn, "_SCENARIO", {})
-        fresh = hn.run_sweep(exp)
-        assert _records_bits(report) == _records_bits(fresh)
-        for name in ("rmse", "bounds_ref", "bounds_trial"):
-            assert _bits(getattr(report, name)) == _bits(getattr(fresh, name))
-
-
-def test_a_changed_scenario_field_misses(monkeypatch):
-    """Every config field but the draws' and the powers' is in the
-    scenario's key, and a change of any of them, or of a zero's sign,
-    misses: the sweep's setups equal those built with the cache emptied,
-    leaf for leaf."""
-    assert (set(_SCENARIO_CHANGES) | set(hn._DRAW_FIELDS)
-            == {f.name for f in dataclasses.fields(hn.ExperimentConfig)})
-    ref = hn.ExperimentConfig(master_seed=3)
-    key = hn._scenario_key(ref)
-    assert hn._scenario_key(hn.ExperimentConfig(
-        master_seed=4, n_trials=7, powers_dbm=[1.0], stage="coarse",
-        noiseless=True, out_dir="x", workers=2)) == key
-    assert hn._scenario_key(hn.ExperimentConfig(bs=[-0.0, 0.0, 28.0])) != key
-    for name, change in _SCENARIO_CHANGES.items():
-        assert hn._scenario_key(hn.ExperimentConfig(
-            master_seed=3, **{name: change[name]})) != key, name
-        exp = hn.ExperimentConfig(master_seed=3, **change)
-        monkeypatch.setattr(hn, "_SCENARIO", {})
-        fresh = hn.power_setups(exp, exp.powers_dbm)
-        hn.power_setups(ref, ref.powers_dbm)
-        for setup, alone in zip(hn.power_setups(exp, exp.powers_dbm), fresh):
-            alone = dict(_leaves(alone))
-            for leaf, value in _leaves(setup):
-                if isinstance(value, np.ndarray):
-                    assert value.dtype == alone[leaf].dtype, (name, leaf)
-                    assert np.array_equal(value, alone[leaf]), (name, leaf)
-                else:
-                    assert value == alone[leaf], (name, leaf)
 
 
 @pytest.mark.parametrize("stage,present,absent", [

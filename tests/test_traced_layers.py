@@ -35,7 +35,6 @@ UNCOUNTED = {"search.maximize_1d.calls", "search.maximize_1d.batch_evals",
 def test_traced_sweep_reaches_every_span_and_counter(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(dm, "MAX_STEPS", 1)
-    monkeypatch.setattr(hn, "_SCENARIO", {})
     spans = importlib.import_module("spans")
     tracer = spans.Tracer()
     tracer.install()
