@@ -23,13 +23,16 @@ once the point is kept, its A and B give the next step.
 The loop is ``_damping.ascend`` with the curvature J and the gradient g
 the score, both in nats: the undamped step first, so a run whose every
 step is accepted is plain Fisher scoring, then Marquardt's damping. A
-candidate is projected onto the physical set: each u is clipped to
-[-1, 1] and each (c, s) outside the disk c^2 + s^2 <= 1 is scaled
-radially onto it. A coordinate on that boundary whose score points out
-of the set leaves the step space, a projected Newton step (Bertsekas,
-SIAM J. Control Optim. 1982): a sine at +-1 loses its direction, and a
-(c, s) on the rim loses its radial direction but keeps the tangential
-one. The pole c = +-1 needs no care of its own: it is a regular point of
+candidate is projected onto the physical set: each u outside [-1, 1]
+is clipped to it and each (c, s) outside the disk c^2 + s^2 <= 1 is
+scaled radially onto it. A coordinate on that boundary whose score
+points out of the set leaves the step space, a projected Newton step
+(Bertsekas, SIAM J. Control Optim. 1982): a sine at +-1 loses its
+direction, and a (c, s) on the rim loses its radial direction but keeps
+the tangential one. At half-wavelength MS spacing, d_ms = lambda/2, the
+sines have no boundary: u and u +- 2 give one steering vector, so a u
+outside [-1, 1] is folded into [-1, 1) (u <- mod(u + 1, 2) - 1) and a
+sine near end-fire can cross from -1 to +1. The pole c = +-1 needs no care of its own: it is a regular point of
 the rim.
 
 SAGE has converged when the undamped step's decrement g^T J^-1 g, which
@@ -77,30 +80,32 @@ def field_log_likelihood(mu: np.ndarray, obs: Observation,
                  - setup.geom.n_bs * np.vdot(mu, mu).real)
 
 
-def _boundary_rows(vec: np.ndarray, score: np.ndarray) -> np.ndarray:
+def _boundary_rows(vec: np.ndarray, score: np.ndarray,
+                   wraps: bool) -> np.ndarray:
     """Whether each row of the stacks of parameter vectors and scores
     (k, 6(Q+1)) has a boundary direction along which its score leaves the
     physical set: ``_step_basis``'s test on every path at once."""
     p, g = vec.reshape(len(vec), -1, 6), score.reshape(len(vec), -1, 6)
     u, c, s = p[..., 3], p[..., 4], p[..., 5]
-    out = (np.abs(u) >= 1.0) & (u * g[..., 3] > 0.0)
-    out |= ((c * c + s * s >= 1.0 - _RIM_TOL)
-            & (c * g[..., 4] + s * g[..., 5] > 0.0))
+    out = ((c * c + s * s >= 1.0 - _RIM_TOL)
+           & (c * g[..., 4] + s * g[..., 5] > 0.0))
+    if not wraps:
+        out |= (np.abs(u) >= 1.0) & (u * g[..., 3] > 0.0)
     return out.any(axis=1)
 
 
-def _step_basis(params: ChannelParams, score: np.ndarray):
+def _step_basis(params: ChannelParams, score: np.ndarray, wraps: bool):
     """Columns spanning the step space at ``params``: the identity, less
     each boundary direction along which the score leaves the physical
     set, or None when no such direction exists. A sine at +-1 loses its
-    column; a (c, s) on the rim keeps only its unit tangent
-    (-s, c) / |(c, s)|."""
+    column unless the sines wrap; a (c, s) on the rim keeps only its unit
+    tangent (-s, c) / |(c, s)|."""
     drop, tangents = [], []
     for q, (u, c, s) in enumerate(zip(params.u.tolist(), params.c.tolist(),
                                       params.s.tolist())):
         k = 6 * q
         g_u, g_c, g_s = score[k + 3:k + 6].tolist()
-        if abs(u) >= 1.0 and u * g_u > 0.0:
+        if not wraps and abs(u) >= 1.0 and u * g_u > 0.0:
             drop.append(k + 3)
         if c * c + s * s >= 1.0 - _RIM_TOL and c * g_c + s * g_s > 0.0:
             r = np.hypot(c, s)
@@ -114,14 +119,19 @@ def _step_basis(params: ChannelParams, score: np.ndarray):
     return np.delete(basis, drop, axis=1)
 
 
-def _projected(vec: np.ndarray) -> ChannelParams:
+def _projected(vec: np.ndarray, wraps: bool) -> ChannelParams:
     """The parameters of ``vec`` (6(Q+1),), or of each row of a stack
-    (k, 6(Q+1)), with each u clipped to [-1, 1] and each (c, s) outside
-    the disk scaled radially onto its rim."""
+    (k, 6(Q+1)), with each (c, s) outside the disk scaled radially onto
+    its rim and each u outside [-1, 1] clipped to it or, where the sines
+    wrap, folded into [-1, 1) (u <- mod(u + 1, 2) - 1), a sine of the
+    same steering vector."""
     params = ChannelParams.from_vector(vec)
     r2 = params.c ** 2 + params.s ** 2
-    if np.any(np.abs(params.u) > 1.0) or np.any(r2 > 1.0):
-        params.u = np.clip(params.u, -1.0, 1.0)
+    out = np.abs(params.u) > 1.0
+    if np.any(out) or np.any(r2 > 1.0):
+        params.u = (np.where(out, np.mod(params.u + 1.0, 2.0) - 1.0,
+                             params.u) if wraps
+                    else np.clip(params.u, -1.0, 1.0))
         r = np.sqrt(np.maximum(r2, 1.0))
         params.c, params.s = params.c / r, params.s / r
     return params
@@ -138,6 +148,8 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
     """
     n_bs = setup.geom.n_bs
     score_scale = 2.0 / setup.cfg.noise_power
+    # at half-wavelength spacing u and u +- 2 give one MS steering vector
+    wraps = setup.geom.d_ms / setup.geom.wavelength == 0.5
 
     def likelihoods(mu, rows):
         return np.array([field_log_likelihood(m, obs.row(k), setup)
@@ -151,17 +163,17 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
             (a_h @ (obs.pa[rows] - n_bs * mu)) * b.conj().swapaxes(1, 2),
             axis=2))
         fim = bnd.fim_from_factors(a, b, setup)
-        edge = _boundary_rows(vec, score)
+        edge = _boundary_rows(vec, score, wraps)
         bases = None
         if edge.any():
-            bases = [_step_basis(ChannelParams.from_vector(v), g) if e
+            bases = [_step_basis(ChannelParams.from_vector(v), g, wraps) if e
                      else None for v, g, e in zip(vec, score, edge)]
         return fim, score, bases
 
     def evaluate(state, rows, steps):
         """Keep each projected candidate whose likelihood does not fall
         and is not NaN, with its factors."""
-        cand = _projected(state[0][rows] + steps)
+        cand = _projected(state[0][rows] + steps, wraps)
         a, b, mu = bnd.derivative_factors(cand, setup.take(rows))
         lamb = likelihoods(mu, rows)
         keep = lamb >= state[1][rows]

@@ -3,6 +3,7 @@ oracle, and SAGE's damped Fisher scoring."""
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import oracles
 from conftest import spy_ascents
@@ -687,3 +688,31 @@ def test_sage_converges_from_a_clamped_rim_start(monkeypatch):
     assert np.any(np.isclose(init.c ** 2 + init.s ** 2, 1.0, rtol=0,
                              atol=1e-12))
     assert info.converged and info.fim is not None
+
+
+def test_sines_fold_at_half_wavelength_spacing(setup20):
+    """At d_ms = lambda/2 the sines u and u +- 2 give one MS steering
+    vector, so SAGE's projection folds a sine outside [-1, 1] into
+    [-1, 1) and its step space keeps a sine at +-1 whose score points
+    out; where the sines do not wrap it clips them and drops that
+    direction. A sine inside [-1, 1] keeps its bits either way."""
+    geom = setup20.geom
+    assert geom.d_ms / geom.wavelength == 0.5
+    vec = np.zeros(12)
+    vec[[3, 4, 5, 9, 10, 11]] = [1.25, 0.1, 0.2, 0.3, -0.4, 0.5]
+    folded = sg._projected(vec, True)
+    assert_allclose(folded.u, [-0.75, 0.3], rtol=0, atol=1e-15)
+    assert folded.u[1] == 0.3
+    assert_allclose(ch.ms_sine_steering(geom, folded.u),
+                    ch.ms_sine_steering(geom, vec[[3, 9]]), atol=1e-12)
+    assert_allclose(sg._projected(-vec, True).u, [0.75, -0.3], atol=1e-15)
+    assert np.array_equal(sg._projected(vec, False).u, [1.0, 0.3])
+    vec[3] = 1.0
+    score = np.zeros(12)
+    score[3] = 1.0                    # pointing out of [-1, 1]
+    on_bound = ChannelParams.from_vector(vec)
+    assert not sg._boundary_rows(vec[None], score[None], True)[0]
+    assert sg._step_basis(on_bound, score, True) is None
+    assert sg._boundary_rows(vec[None], score[None], False)[0]
+    assert np.array_equal(sg._step_basis(on_bound, score, False),
+                          np.delete(np.eye(12), 3, axis=1))
