@@ -218,14 +218,14 @@ class Setup:
     ``block_sum`` whose row b sums the slots of phase block b, the
     projected AOD dictionary ``aod_proj`` over the first T1 slots, the
     block-level RIS dictionary ``ris_eff`` = block_phases @ A_R with its
-    column powers, the strictly lower
-    triangle ``tril`` of a T1 x T1 matrix, where synthesis puts its
-    Bartlett normals, and the delay step's ramps: ``bin_ramp`` (N, N),
-    column m subcarrier_ramp(-m / B) at DFT bin m; ``grid_ramp`` (N, 41),
-    the same at the 41 ``grid_offsets`` (seconds) that span half a bin on
-    either side; ``ramp_weights`` (N, 3), the weights 1, j beta n and
-    (j beta n)^2, beta = 2 pi B / N, of the ramp's sum and its first two
-    derivatives in the delay.
+    column powers, the strictly lower triangle ``tril`` of a T1 x T1
+    matrix, where synthesis puts its Bartlett normals, and the delay
+    step's ramps: ``bin_ramp`` (N, N), column m subcarrier_ramp(-m / B)
+    at DFT bin m; ``grid_ramp`` (N, 41), the same at the 41
+    ``grid_offsets`` (seconds) that span half a bin on either side;
+    ``ramp_weights`` (N, 3), the weights 1, j beta n and (j beta n)^2,
+    beta = 2 pi B / N, of the ramp's sum and its first two derivatives
+    in the delay.
 
     Of these only ``cfg`` (its ``p_tx``) and ``pilots`` depend on the
     transmit power. ``aod_proj`` is formed at unit pilot amplitude,

@@ -32,8 +32,8 @@ direction, and a (c, s) on the rim loses its radial direction but keeps
 the tangential one. At half-wavelength MS spacing, d_ms = lambda/2, the
 sines have no boundary: u and u +- 2 give one steering vector, so a u
 outside [-1, 1] is folded into [-1, 1) (u <- mod(u + 1, 2) - 1) and a
-sine near end-fire can cross from -1 to +1. The pole c = +-1 needs no care of its own: it is a regular point of
-the rim.
+sine near end-fire can cross from -1 to +1. The pole c = +-1 needs no
+care of its own: it is a regular point of the rim.
 
 SAGE has converged when the undamped step's decrement g^T J^-1 g, which
 is step^T J step, is below 1e-6 nats. It then takes that last step and

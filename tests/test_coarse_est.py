@@ -1,6 +1,5 @@
 """Sparse recovery, AOD refinement, RIS AOA recovery, and delay estimation."""
 
-import copy
 import dataclasses
 
 import numpy as np
