@@ -45,8 +45,8 @@ def derivative_factors(params: ChannelParams, setup: Setup):
     weight the MS steering vector and the RIS response by the MS, RIS
     elevation and RIS azimuth index ramps.
 
-    Parameters stacked (K, Q+1), or a stacked setup (``Setup.stack``),
-    give the K passes (K, T, 6(Q+1)), (K, N, 6(Q+1)) and (K, T, N), each
+    Parameters stacked (K, Q+1), or a setup with pilots stacked
+    (K, N_m, T), give the K passes (K, T, 6(Q+1)), (K, N, 6(Q+1)) and (K, T, N), each
     product on its own row's operands, as on one; B and mu keep no row
     axis where neither has one.
     """

@@ -1,8 +1,8 @@
 """System configuration, pilots, schedule, the setup and the forward model.
 
 Draws the RIS phase-shift schedule, random binary pilots, path gains and
-the dictionaries. ``Setup`` is the per-power measurement setup every
-stage runs against: geometry, system, pilots and schedule, with the
+the dictionaries. ``Setup`` is the measurement setup every stage runs
+against: geometry, system, pilots and schedule, with the
 known RIS-BS leg (the unit vector of bs - ris), the dictionaries and
 the path count derived from them once. The setup is the only holder of
 the RIS-BS leg; a ``ChannelParams`` carries the estimated per-path
@@ -31,7 +31,6 @@ an ``Observation``.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ def dbm_to_watt(p_dbm: float) -> float:
 
 @dataclass
 class SystemConfig:
-    """Waveform, slot-schedule, power, and dictionary-grid settings."""
+    """Waveform, slot-schedule, noise, and dictionary-grid settings."""
 
     fc: float = 4.9e9                  # carrier, Hz
     bandwidth: float = 20e6            # Hz
@@ -57,7 +56,6 @@ class SystemConfig:
     t1: int = 16                       # slots of the first phase block
     n_blocks: int = 7                  # extra time blocks (Upsilon)
     v_slots: int = 3                   # slots per extra block
-    p_tx: float = dbm_to_watt(20.0)    # transmit power, watts
     noise_density: float = dbm_to_watt(-174.0)  # W/Hz
     g_ms: int = 128                    # AOD grid size
     g_ris_az: int = 10
@@ -118,16 +116,18 @@ def make_phase_schedule(cfg: SystemConfig, n_ris: int,
     return PhaseSchedule(np.exp(1j * phases), slot_block)
 
 
-def make_pilots(cfg: SystemConfig, n_ms: int,
+def make_pilots(cfg: SystemConfig, n_ms: int, p_tx: float | list,
                 seed: int | np.random.Generator = 0) -> np.ndarray:
     """Random +-1 pilots, one column per slot, shared by all subcarriers.
 
     Entries are scaled so that each slot's pilot vector carries the full
-    transmit power: ||x_t||^2 = P_tx.
+    transmit power ``p_tx`` (watts): ||x_t||^2 = P_tx. A scalar power
+    gives (N_m, T); P powers give (P, N_m, T), the same signs at each
+    power's amplitude.
     """
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(n_ms, cfg.t_total)) * 2 - 1
-    return signs * np.sqrt(cfg.p_tx / n_ms)
+    return signs * np.sqrt(np.asarray(p_tx)[..., None, None] / n_ms)
 
 
 def path_loss_db(cfg: SystemConfig, geom: ScenarioGeometry,
@@ -207,10 +207,10 @@ def subcarrier_ramp(tau, bandwidth: float, n_subcarriers: int) -> np.ndarray:
 
 @dataclass
 class Setup:
-    """The measurement setup shared by every stage at one transmit power.
+    """The measurement setup shared by every stage.
 
-    Built from the geometry, the system, the pilots (N_m, T) and the
-    phase schedule; the known RIS-BS leg ``leg`` (the unit vector of
+    Built from the geometry, the system, the pilots and the phase
+    schedule; the known RIS-BS leg ``leg`` (the unit vector of
     bs - ris: its x component is sin theta_r0, its z and y components the
     c and s of the outgoing leg), the dictionaries and the path count
     Q+1 follow from them once. So do the products the estimators would
@@ -227,27 +227,21 @@ class Setup:
     beta = 2 pi B / N, of the ramp's sum and its first two derivatives
     in the delay.
 
-    Of these only ``cfg`` (its ``p_tx``) and ``pilots`` depend on the
-    transmit power. ``aod_proj`` is formed at unit pilot amplitude,
-    sign(X1)^H A_M: the pilots are seeded signs times one amplitude, and
+    Of these only the pilots depend on the transmit power. A lone setup
+    holds pilots (N_m, T), which every record shares. A stacked setup
+    holds one row of ``POWER_FIELDS`` per record, pilots (K, N_m, T),
+    the same seeded signs at each row's amplitude (``make_pilots`` at K
+    powers), and ``take(rows)`` is the setup of some of its records.
+    ``aod_proj`` is formed at unit pilot amplitude, sign(X1)^H A_M:
     neither DCS-SOMP's pick score nor its projector changes when the
-    dictionary is scaled, so one dictionary serves every power.
-    ``at_power`` gives the setup at another power, the same pilot signs
-    at that power's amplitude, and shares every other array, so the
-    setup makes those arrays read-only. It keeps its own copies of
+    dictionary is scaled, so one dictionary serves every row. Every
+    other array is shared by the rows and by the setups ``take`` gives,
+    so the setup makes them read-only; it keeps its own copies of
     ``geom`` and ``sched`` to do so, and the caller's stay writable.
-
-    ``stack`` joins setups ``at_power`` of one another into one for a
-    stack of records at several powers: each of ``POWER_FIELDS``, the
-    pilots, gains a leading row axis (K, N_m, T), and ``row(k)`` is
-    record k's own setup, ``take(rows)`` the setup of some of its
-    records. The stacked stages take it as they take a lone setup, whose
-    arrays every record shares, ``aod_proj`` included.
     """
 
-    # what depends on the transmit power besides ``cfg``: a stacked setup
-    # holds these with a leading row axis, and ``at_power`` carries none
-    # of them over
+    # what depends on the transmit power: a stacked setup holds these
+    # with a leading row axis
     POWER_FIELDS = ("pilots",)
 
     geom: ScenarioGeometry
@@ -267,14 +261,15 @@ class Setup:
     grid_ramp: np.ndarray = field(init=False)        # (N, 41)
     grid_offsets: np.ndarray = field(init=False)     # (41,) seconds
     ramp_weights: np.ndarray = field(init=False)     # (N, 3)
-    # the lone setup of each row of a stacked setup, or None
-    rows: list | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.sched.n_slots != self.cfg.t_total:
             raise DimensionMismatch("schedule slot count must equal T")
-        if self.pilots.shape != (self.geom.n_ms, self.cfg.t_total):
-            raise DimensionMismatch("pilot matrix must be (N_m, T)")
+        if (self.pilots.ndim not in (2, 3)
+                or self.pilots.shape[-2:] != (self.geom.n_ms,
+                                              self.cfg.t_total)):
+            raise DimensionMismatch("pilot matrix must be (N_m, T) or "
+                                    "(K, N_m, T)")
         self.geom = geom = copy.deepcopy(self.geom)
         self.sched = sched = copy.deepcopy(self.sched)
         self.leg = geometry.unit_vector(geom.bs, geom.ris, "RIS-BS")[0]
@@ -282,7 +277,9 @@ class Setup:
         self.n_paths = geom.n_scatterers + 1
         self.block_sum = (sched.slot_block
                           == np.arange(sched.n_blocks)[:, None]).astype(float)
-        self.aod_proj = (np.sign(self.pilots[:, :self.cfg.t1]).conj().T
+        # every row holds the same signs
+        first = self.pilots if self.pilots.ndim == 2 else self.pilots[0]
+        self.aod_proj = (np.sign(first[:, :self.cfg.t1]).conj().T
                          @ self.a_m_dict.matrix)
         self.ris_eff = sched.block_phases @ self.ris_dict.matrix
         # unequal column norms (random phase profiles) must not bias a pick
@@ -308,58 +305,16 @@ class Setup:
                        self.grid_offsets, self.ramp_weights):
             shared.flags.writeable = False
 
-    def at_power(self, cfg: SystemConfig) -> "Setup":
-        """This setup at the transmit power of ``cfg``: ``cfg`` may differ
-        from this setup's in ``p_tx`` alone, the pilots are this setup's
-        signs at ``make_pilots``' amplitude sqrt(p_tx / N_m), every other
-        field of ``POWER_FIELDS`` is None, and every other array is
-        shared."""
-        if dataclasses.replace(cfg, p_tx=self.cfg.p_tx) != self.cfg:
-            raise ValueError("at_power changes the system's transmit power "
-                             "alone")
-        other = copy.copy(self)
-        other.cfg = cfg
-        for name in self.POWER_FIELDS:
-            setattr(other, name, None)
-        other.pilots = np.sign(self.pilots) * np.sqrt(cfg.p_tx
-                                                      / self.geom.n_ms)
-        return other
-
-    @staticmethod
-    def stack(rows: list) -> "Setup":
-        """One setup for a stack of records, record k at the power of the
-        lone setup ``rows[k]``; every setup of ``rows`` must be ``at_power``
-        of the others. Each of ``Setup.POWER_FIELDS`` is stacked along a
-        leading row axis and every other array is shared. Its ``cfg``
-        holds no one power: ``p_tx`` is NaN, which no stacked stage
-        reads."""
-        first = rows[0]
-        if any(r.rows is not None or r.sched is not first.sched
-               for r in rows):
-            raise ValueError("stack takes lone setups at_power of one another")
-        out = copy.copy(first)
-        out.cfg = dataclasses.replace(first.cfg, p_tx=np.nan)
-        for name in Setup.POWER_FIELDS:
-            setattr(out, name, np.stack([getattr(r, name) for r in rows]))
-        out.rows = list(rows)
-        return out
-
-    def row(self, k: int) -> "Setup":
-        """Record k's own setup: row k of a stacked setup, or this lone
-        setup, which every record shares."""
-        return self if self.rows is None else self.rows[k]
-
     def take(self, rows) -> "Setup":
-        """The setup of the records ``rows``, an index array: the stack of
-        those rows of a stacked setup, or this setup where it is lone or
-        ``rows`` are all its rows in order."""
-        if self.rows is None or np.array_equal(rows,
-                                               np.arange(len(self.rows))):
+        """The setup of the records ``rows``, an index array: those rows
+        of a stacked setup, or this setup where it is lone or ``rows`` are
+        all its rows in order."""
+        lone = self.pilots.ndim == 2
+        if lone or np.array_equal(rows, np.arange(len(self.pilots))):
             return self
         out = copy.copy(self)
         for name in self.POWER_FIELDS:
             setattr(out, name, getattr(self, name)[rows])
-        out.rows = [self.rows[k] for k in rows]
         return out
 
 
@@ -440,8 +395,8 @@ def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
     all its parameter derivatives share that rank-1 structure, and
     |a_B|^2 = N_b is all the estimators need of a_B. Parameters whose
     gains are a stack (K, Q+1) give the K fields (K, T, N) of those
-    gains, one product per field; a stacked setup (``Setup.stack``)
-    gives field k at the pilots of its row k.
+    gains, one product per field; a stacked setup gives field k at the
+    pilots of its row k.
     """
     sigma, proj, ramp = path_factors(params, setup)
     return (sigma * proj * params.gains[..., None, :]) @ ramp.T
@@ -488,9 +443,9 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     (K, T, N) and cov1 (K, T1, T1). ``noise_seed`` is a sequence of K
     seeds, unread when ``noiseless``; each observation draws its noise
     from its own seed in the order above, so it does not depend on the
-    rows drawn beside it. With a stacked setup (``Setup.stack``)
-    observation k is at its own row's pilots, as it would be drawn with
-    that row's lone setup.
+    rows drawn beside it. With a stacked setup observation k is at its
+    own row's pilots, as it would be drawn with a lone setup of that
+    row's pilots.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)

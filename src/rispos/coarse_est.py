@@ -19,16 +19,17 @@ converts to angles. Paths leave in delay order: the VLoS path, the
 shortest, comes first.
 
 Each stage takes a stack of K records, a stacked
-``channel.Observation``, as a sweep's batch runs it, and the per-power
+``channel.Observation``, as a sweep's batch runs it, and the
 ``channel.Setup``: the pilots, schedule, dictionaries, known RIS-BS leg
 and path count come from there. The grid stages (the departure picks,
 the RIS arrival and the delay step) run each product once for the
 stack, and a record that fails keeps its typed error in its row of the
 result's ``errors`` while the others go on. The records of a stack may
-be at different transmit powers: a stacked setup
-(``channel.Setup.stack``) holds the pilots with a leading row axis, and
-each record's products then read its own row; a lone setup is shared by
-every record, and the projected AOD dictionary by every power.
+be at different transmit powers: a stacked setup (a batch's
+``take`` of the sweep's setup) holds the pilots with a leading row
+axis, and each record's products then read its own row; a lone setup
+is shared by every record, and the projected AOD dictionary by every
+power.
 ``run_coarse`` runs all four sub-steps on a stack, the likelihood
 refinement in lockstep over its records (``_damping.ascend``), each
 with its own setup's pilots.

@@ -3,12 +3,12 @@
 Runs the synthesize -> coarse -> SAGE -> closed-form -> LM pipeline over
 a transmit-power sweep, aggregates per-parameter RMSE curves next to the
 corresponding bounds, and writes plot-ready CSV files (one per figure
-panel analogue). What the trials at one power share is a
-``PowerSetup``: a ``channel.Setup`` that every stage takes, plus what
-the bounds read of the truth: the true parameters at unit gains
-``true_unit``, their FIM Gram ``true_gram`` and the parameter Jacobian
-at the true pose. ``power_setups`` builds a sweep's setups at once,
-everything but the pilots and the truth's Gram a single time.
+panel analogue). What the trials of a sweep share is one
+``SweepSetup`` (``sweep_setup``): a stacked ``channel.Setup`` that
+every stage takes, one row per power, plus what the bounds read of the
+truth: the true parameters at unit gains ``true_unit``, their FIM Gram
+``true_gram`` (one row per power) and the parameter Jacobian at the
+true pose. Only the pilots and the Gram differ between its rows.
 
 A sweep runs its trials in batches (``run_batch``): a batch is a block
 of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
@@ -16,7 +16,7 @@ of them, so it holds at most ``BATCH`` trials (or one per power beyond
 ``BATCH`` powers). The block follows from the config alone, so the
 worker count cannot change it; a pool task is one block. The trials of
 a batch differ only in their drawn gains and noise and, across powers,
-in what a stacked setup (``PowerSetup.stack``) holds one row per trial.
+in the rows of the sweep's setup, which ``take`` gives one per trial.
 So a batch forms the truth, its bounds and the observations of all its
 trials at once, then runs every stage once on the stack, the three
 iterative fits in lockstep, and scores each stage's output there, each
@@ -221,12 +221,11 @@ class ExperimentConfig:
             d_ris_az=self.ris_spacing_wl * lam,
             d_ris_el=self.ris_spacing_wl * lam)
 
-    def system(self, power_dbm: float) -> ch.SystemConfig:
+    def system(self) -> ch.SystemConfig:
         return ch.SystemConfig(
             fc=self.fc_hz, bandwidth=self.bandwidth_hz,
             n_subcarriers=self.n_subcarriers, t_total=self.t_total,
             t1=self.t1, n_blocks=self.n_blocks, v_slots=self.v_slots,
-            p_tx=ch.dbm_to_watt(power_dbm),
             noise_density=ch.dbm_to_watt(self.noise_density_dbm_hz),
             g_ms=self.g_ms, g_ris_az=self.g_ris_az, g_ris_el=self.g_ris_el,
             path_loss_exponent=self.path_loss_exponent,
@@ -330,36 +329,27 @@ class TrialRecord:
 
 
 @dataclass
-class PowerSetup(ch.Setup):
-    """What every trial at one transmit power shares: the channel setup
-    and the truth's products that do not depend on the gains.
+class SweepSetup(ch.Setup):
+    """What every trial of a sweep shares: the channel setup, one row per
+    power of the sweep, and the truth's products that do not depend on
+    the gains.
 
-    Within one power point the trials differ only in their drawn path
-    gains. So the setup holds the true channel parameters ``true_unit``
-    at unit gains, whose delays and spatial frequencies every trial
-    shares, the complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of
+    The trials differ only in their drawn path gains and their power. So
+    the setup holds the true channel parameters ``true_unit`` at unit
+    gains, whose delays and spatial frequencies every trial shares, the
+    complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of
     ``bounds.derivative_factors`` at them, and the parameter Jacobian
     ``t_true`` at the true pose; ``truth`` swaps a trial's gains into
-    the first two.
-
-    Of it only ``true_gram`` depends on the draws, and on the transmit
-    power beside the channel setup's ``cfg`` and ``pilots``;
-    ``true_unit`` and ``t_true`` follow from the geometry alone. So a
-    sweep builds the rest once and every power's ``true_gram`` in one
-    stacked pass (``power_setups``), and hands each power's setup to its
-    trials; ``at_power`` leaves ``true_gram`` None, so a setup never
-    holds another power's Gram, and a stacked setup
-    (``PowerSetup.stack``) holds ``true_gram`` one row per trial too.
-    ``truth`` takes a batch's stack of gains: ``draw_trials`` forms a
-    batch's truth and bounds in one stacked pass over its powers, and
-    ``reference_bounds`` the sweep's.
+    the first two. ``true_unit`` and ``t_true`` follow from the geometry
+    alone; ``true_gram`` depends on the pilots, so it is one of
+    ``POWER_FIELDS``, formed for every row in one stacked pass, and
+    ``take`` gives each record its own power's row.
     """
 
     POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
 
     true_unit: ChannelParams = field(init=False)
-    # ``power_setups`` forms the Gram of every power at once
-    true_gram: np.ndarray = field(init=False, default=None)
+    true_gram: np.ndarray = field(init=False)
     t_true: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -377,14 +367,8 @@ class PowerSetup(ch.Setup):
                        self.t_true):
             shared.flags.writeable = False
         super().__post_init__()
-
-    @staticmethod
-    def stack(rows: list) -> "PowerSetup":
-        """``channel.Setup.stack`` of power setups, with ``true_gram``
-        stacked too."""
-        out = ch.Setup.stack(rows)
-        out.true_gram = np.stack([r.true_gram for r in rows])
-        return out
+        self.true_gram = bnd.gram_from_factors(
+            *bnd.derivative_factors(self.true_unit, self)[:2])
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with the path gains of K trials,
@@ -399,38 +383,20 @@ class PowerSetup(ch.Setup):
                 bnd.position_bounds(j_eta, self.t_true))
 
 
-def power_setups(exp: ExperimentConfig, powers: list) -> list[PowerSetup]:
-    """The validated setups of ``exp`` at the powers ``powers``, in order.
-
-    The first holds the pilots ``channel.make_pilots`` draws. Each later
-    one is ``at_power`` of the one before, the same seeded signs at its
-    amplitude, so all of them share one geometry, schedule, dictionary
-    set, projected AOD dictionary and truth. The truth's Gram of every
-    power comes from one ``bounds.derivative_factors`` pass over the
-    setups' stacked pilots.
+def sweep_setup(exp: ExperimentConfig) -> SweepSetup:
+    """The validated setup of the sweep ``exp``, row p at the power
+    ``exp.powers_dbm[p]``: the pilots ``channel.make_pilots`` draws, the
+    same seeded signs at each power's amplitude.
     """
-    geom = exp.geometry()
-    first = exp.system(powers[0])
-    first.validate(geom.n_scatterers + 1)
+    geom, cfg = exp.geometry(), exp.system()
+    cfg.validate(geom.n_scatterers + 1)
     sched = ch.make_phase_schedule(
-        first, geom.n_ris,
+        cfg, geom.n_ris,
         np.random.SeedSequence((exp.master_seed, _TAG_SCHEDULE)))
     pilots = ch.make_pilots(
-        first, geom.n_ms,
+        cfg, geom.n_ms, [ch.dbm_to_watt(p) for p in exp.powers_dbm],
         np.random.SeedSequence((exp.master_seed, _TAG_PILOTS)))
-    setups = [PowerSetup(geom, first, pilots, sched)]
-    for power in powers[1:]:
-        setups.append(setups[-1].at_power(exp.system(power)))
-    a, b, _ = bnd.derivative_factors(setups[0].true_unit,
-                                     ch.Setup.stack(setups))
-    for setup, gram in zip(setups, bnd.gram_from_factors(a, b)):
-        setup.true_gram = gram
-    return setups
-
-
-def power_setup(exp: ExperimentConfig, power_dbm: float) -> PowerSetup:
-    """The validated setup of one power point of ``exp``."""
-    return power_setups(exp, [power_dbm])[0]
+    return SweepSetup(geom, cfg, pilots, sched)
 
 
 @dataclass
@@ -490,16 +456,16 @@ def _score(draws: list, live: np.ndarray, stage: str, sq: dict) -> None:
 
 
 def draw_trials(exp: ExperimentConfig, rows: list,
-                setups) -> list[TrialDraw]:
+                sweep: SweepSetup) -> list[TrialDraw]:
     """The draws of the trials ``rows``, (power index, trial index) pairs,
-    in order; ``setups[p]`` is the ``PowerSetup`` of power index p.
+    in order; ``sweep`` is ``sweep_setup(exp)``.
 
     Each trial draws its gains and its noise from its own streams,
     spawned from (master seed, power index, trial index), so a trial's
     draw does not depend on the trials drawn beside it. The trials differ
     only in these draws and in what depends on their power, which the
-    stacked setup ``PowerSetup.stack`` of their setups holds one row per
-    trial: the pilots and the truth's Gram.
+    batch's setup, ``sweep.take`` of their power indices, holds one row
+    per trial: the pilots and the truth's Gram.
     So the truth, its bounds and the observations of all of them are
     formed at once, as stacks, and every stage of the stage setting runs
     once, on the stack of the trials that no stage failed, and is scored
@@ -510,12 +476,12 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     products, solves and ``eigh`` make the same BLAS and LAPACK call per
     trial as on a batch of one, so no number depends on the batch.
     """
-    setup = PowerSetup.stack([setups[p] for p, _ in rows])
+    setup = sweep.take([p for p, _ in rows])
     geom = setup.geom
     seeds = [_trial_seeds(exp, p, t) for p, t in rows]
-    gains = np.array([ch.draw_gains(setups[p].cfg, setups[p].geom,
+    gains = np.array([ch.draw_gains(setup.cfg, geom,
                                     np.random.default_rng(gain_seed))
-                      for (p, _), (gain_seed, _) in zip(rows, seeds)])
+                      for gain_seed, _ in seeds])
     truth, rep = setup.truth(gains)
     crlb = angle_crlb(rep.cov_channel, truth)
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
@@ -598,25 +564,30 @@ def draw_trials(exp: ExperimentConfig, rows: list,
 
 
 def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
-              trial_idx: int, setup: PowerSetup | None = None,
+              trial_idx: int, setup: SweepSetup | None = None,
               draw: TrialDraw | None = None) -> TrialRecord:
     """One seeded trial through the configured pipeline stages.
 
     Stage failures are captured in the record rather than aborting the
     sweep; every random draw derives from (master seed, power index,
-    trial index) so scheduling cannot perturb results. ``setup`` is
-    ``power_setup(exp, power_dbm)``, built here when not given, and
-    ``draw`` the trial's ``draw_trials``, drawn here as a batch of one
-    when not given. The draw holds each stage's output and scores; the
-    trial copies them into its record.
+    trial index) so scheduling cannot perturb results. ``power_idx`` is
+    the position of ``power_dbm`` in ``exp.powers_dbm``, which a trial
+    that draws its own batch checks (``ValueError``). ``setup`` is
+    ``sweep_setup(exp)``, built here when not given, and ``draw`` the
+    trial's ``draw_trials``, drawn here as a batch of one when not
+    given. The draw holds each stage's output and scores; the trial
+    copies them into its record.
     """
     rec = TrialRecord(power_dbm=power_dbm, trial_index=trial_idx,
                       seed_entropy=_trial_entropy(exp, power_idx, trial_idx))
-    if setup is None:
-        setup = power_setup(exp, power_dbm)
     if draw is None:
-        (draw,) = draw_trials(exp, [(power_idx, trial_idx)],
-                              {power_idx: setup})
+        if not (0 <= power_idx < len(exp.powers_dbm)
+                and exp.powers_dbm[power_idx] == power_dbm):
+            raise ValueError(f"power_idx {power_idx} is not the position of "
+                             f"{power_dbm} dBm in {exp.powers_dbm}")
+        if setup is None:
+            setup = sweep_setup(exp)
+        (draw,) = draw_trials(exp, [(power_idx, trial_idx)], setup)
     rec.eta_true = draw.true.to_vector()
     rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
     rec.stages, rec.flags, rec.sq_errors, rec.support_ok = (
@@ -627,29 +598,29 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
 
 
 def run_batch(exp: ExperimentConfig, trial_indices,
-              setups: list) -> list[TrialRecord]:
+              setup: SweepSetup) -> list[TrialRecord]:
     """The trials ``trial_indices`` at every power of ``exp``, power by
-    power, ``setups`` the powers' ``PowerSetup``s: one ``draw_trials`` for
+    power, ``setup`` the sweep's ``sweep_setup``: one ``draw_trials`` for
     all of them, then ``run_trial`` on each, called through this module
     so that a wrapper of ``run_trial`` sees every trial."""
-    rows = [(p, t) for p in range(len(setups)) for t in trial_indices]
-    draws = draw_trials(exp, rows, setups)
-    return [run_trial(exp, exp.powers_dbm[p], p, t, setups[p], draw)
+    rows = [(p, t) for p in range(len(exp.powers_dbm)) for t in trial_indices]
+    draws = draw_trials(exp, rows, setup)
+    return [run_trial(exp, exp.powers_dbm[p], p, t, setup, draw)
             for (p, t), draw in zip(rows, draws)]
 
 
-# a pool worker's config and setups, built once by ``_start_worker``
+# a pool worker's config and setup, built once by ``_start_worker``
 _WORKER = {}
 
 
 def _start_worker(exp: ExperimentConfig) -> None:
-    """Pool initializer: build the sweep's setups once per worker, so that
+    """Pool initializer: build the sweep's setup once per worker, so that
     a task carries its block of trial indices alone."""
-    _WORKER["exp"], _WORKER["setups"] = exp, power_setups(exp, exp.powers_dbm)
+    _WORKER["exp"], _WORKER["setup"] = exp, sweep_setup(exp)
 
 
 def _worker_batch(trial_indices) -> list[TrialRecord]:
-    return run_batch(_WORKER["exp"], trial_indices, _WORKER["setups"])
+    return run_batch(_WORKER["exp"], trial_indices, _WORKER["setup"])
 
 
 @dataclass
@@ -686,21 +657,21 @@ def _report_bounds(crlb: np.ndarray, peb: float, oeb: float) -> dict:
 
 
 def reference_bounds(exp: ExperimentConfig,
-                     setups: list | None = None) -> list[dict]:
+                     setup: SweepSetup | None = None) -> list[dict]:
     """Bound values at the nominal zero-shadowing gains (RNG-free), one
-    dict per setup, from one stacked pass over the setups' powers.
+    dict per power of ``exp``, from one stacked pass over the powers.
 
-    ``setups`` is ``power_setups(exp, exp.powers_dbm)``, built here when
-    not given. Each power's bounds equal those of its setup alone.
+    ``setup`` is ``sweep_setup(exp)``, built here when not given. Each
+    power's bounds equal those of a sweep of that power alone.
     """
-    if setups is None:
-        setups = power_setups(exp, exp.powers_dbm)
-    setup = PowerSetup.stack(setups)
+    if setup is None:
+        setup = sweep_setup(exp)
+    n_powers = len(exp.powers_dbm)
     gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
-    true, rep = setup.truth(np.tile(gains, (len(setups), 1)))
+    true, rep = setup.truth(np.tile(gains, (n_powers, 1)))
     crlb = angle_crlb(rep.cov_channel, true)
     return [_report_bounds(crlb[k].reshape(-1, 6), float(rep.peb[k]),
-                           float(rep.oeb[k])) for k in range(len(setups))]
+                           float(rep.oeb[k])) for k in range(n_powers)]
 
 
 def _aggregate_trial_bounds(records: list) -> dict:
@@ -746,11 +717,12 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
     if exp.stage == "lm":
         stage_list.append("lm")
 
-    # the parent builds the setups too: they check the config and give
+    # the parent builds the setup too: it checks the config and gives
     # the reference bounds
-    setups = power_setups(exp, exp.powers_dbm)
+    setup = sweep_setup(exp)
+    n_powers = len(exp.powers_dbm)
     trials = range(exp.n_trials)
-    size = max(1, BATCH // len(setups))
+    size = max(1, BATCH // n_powers)
     blocks = [trials[t:t + size] for t in range(0, exp.n_trials, size)]
     if exp.workers > 1:
         import concurrent.futures     # a serial sweep never loads it
@@ -760,12 +732,12 @@ def run_sweep(exp: ExperimentConfig) -> SweepReport:
                 initargs=(exp,)) as pool:
             batches = list(pool.map(_worker_batch, blocks))
     else:
-        batches = [run_batch(exp, b, setups) for b in blocks]
+        batches = [run_batch(exp, b, setup) for b in blocks]
     # a batch's records run power by power, len(block) of each
     all_records = [[rec for b, batch in zip(blocks, batches)
                     for rec in batch[p * len(b):(p + 1) * len(b)]]
-                   for p in range(len(setups))]
-    ref = reference_bounds(exp, setups)
+                   for p in range(n_powers)]
+    ref = reference_bounds(exp, setup)
 
     rmse = {}
     rmse_filtered = {}

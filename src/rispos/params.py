@@ -3,7 +3,7 @@
 Two vectors drive the pipeline: the per-path channel parameters and the
 position-level parameters (gains, MS coordinates, rotation angle,
 scatterer coordinates). Both hold only what is estimated: the RIS-BS
-leg is known and lives in the per-power ``channel.Setup``
+leg is known and lives in the ``channel.Setup``
 (``setup.leg``, the unit vector from the RIS toward the BS).
 
 Channel parameters are kept in the arrays' spatial frequencies, the

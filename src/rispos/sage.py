@@ -41,7 +41,7 @@ returns the point it reaches and J there (``SageInfo.fim``, which equals
 ``bounds.fim_channel`` at the estimate).
 A run that stalls or takes 100 steps returns its last point unconverged.
 Every function takes the ``channel.Observation`` and the
-per-power ``channel.Setup``.
+``channel.Setup``.
 """
 
 from __future__ import annotations

@@ -31,11 +31,11 @@ def setup20(default_exp, default_geom):
     """Reference scenario at 20 dBm with fixed draws, noiseless + noisy:
     the received tensors and their observations."""
     geom = default_geom
-    cfg = default_exp.system(20.0)
+    cfg = default_exp.system()
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-    pilots = ch.make_pilots(cfg, geom.n_ms, 8)
+    pilots = ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(20.0), 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
     rx_clean = synthesize_tensor(setup, true, noiseless=True)
     rx_noisy = synthesize_tensor(setup, true, noise_seed=3)
@@ -63,7 +63,7 @@ def build_ongrid_scenario(exp: hn.ExperimentConfig | None = None):
     """
     exp = exp or hn.ExperimentConfig()
     geom0 = exp.geometry()
-    cfg = exp.system(20.0)
+    cfg = exp.system()
     r, b = geom0.ris, geom0.bs
     theta_r0, phi_out0, psi_out0 = ris_bs_angles(r, b)
     grid_e = ch.grid_values(cfg.g_ris_el)

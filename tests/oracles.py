@@ -13,13 +13,15 @@ vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
 association, SAGE by full-search coordinate cycles alone, and the FIM
 derivative factors with the RIS phases contracted per slot, and the
-damped Newton loop of one fit at a time. The package keeps
+damped Newton loop of one fit at a time; and one row of a stacked
+setup as a lone setup (``row_setup``). The package keeps
 only the fast forms, in the arrays' spatial frequencies (u, c, s), and
 never forms the (N_b, T, N) received tensor; these reference
 implementations, most of them in angles, check them.
 The channel builders take the known RIS-BS leg from the geometry, as
 ``channel.Setup`` does."""
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -383,6 +385,19 @@ def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
     return y
 
 
+def row_setup(setup: ch.Setup, k: int) -> ch.Setup:
+    """Row k of a stacked setup, such as row k of ``harness.sweep_setup``,
+    as a lone setup: each field of its ``POWER_FIELDS`` is row k's, the
+    pilots (N_m, T) that every record shares, and every other array is
+    the stacked setup's own; a lone setup is its own row."""
+    if setup.pilots.ndim == 2:
+        return setup
+    lone = copy.copy(setup)
+    for name in setup.POWER_FIELDS:
+        setattr(lone, name, getattr(setup, name)[k])
+    return lone
+
+
 def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
     """The two statistics of a received tensor y (N_b, T, N), as a stack
     of one: the beamformed record a_B^H y and the first-T1-slot
@@ -397,11 +412,11 @@ def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
     """``channel.synthesize_rx`` by way of the received tensor: for a
     stack of gains the stack of the observations of ``synthesize_tensor``'s
     draws of its rows, each from its own seed on its own row's setup
-    (``Setup.row``)."""
+    (``row_setup``)."""
     rows = [observe(synthesize_tensor(
-        setup.row(k),
+        row_setup(setup, k),
         ChannelParams(params.tau, gains, params.u, params.c, params.s),
-        seed, noiseless), setup.row(k))
+        seed, noiseless), row_setup(setup, k))
         for k, (gains, seed) in enumerate(zip(params.gains, noise_seed))]
     return ch.Observation(np.concatenate([r.pa for r in rows]),
                           np.concatenate([r.cov1 for r in rows]))

@@ -42,7 +42,7 @@ def test_criterion_1_noiseless_roundtrip():
     """On-grid angles, no noise: position and rotation recovered exactly."""
     t0 = time.time()
     geom, cfg, _ = build_ongrid_scenario()
-    exp = hn.ExperimentConfig(noiseless=True)
+    exp = hn.ExperimentConfig(noiseless=True, powers_dbm=[20.0])
     exp.ms = geom.ms.tolist()
     exp.alpha_deg = float(np.rad2deg(geom.alpha))
     exp.scatterers = geom.scatterers.tolist()
@@ -191,9 +191,9 @@ def test_criterion_4_sage_monotonicity(default_exp):
     n_checked = 0
     all_ok = True
     for power in (0.0, 10.0, 20.0):
-        cfg = default_exp.system(power)
+        cfg = default_exp.system()
         sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-        pilots = ch.make_pilots(cfg, geom.n_ms, 8)
+        pilots = ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(power), 8)
         setup = ch.Setup(geom, cfg, pilots, sched)
         for i in range(17):
             gains = ch.draw_gains(cfg, geom, 1000 + i)
@@ -254,11 +254,10 @@ def test_criterion_6_position_trends(big_sweep):
                    f"x{ori_ratio:.2f} at 10 dBm")
 
 
-def test_criterion_7_scaling_laws(setup20, default_exp):
+def test_criterion_7_scaling_laws(setup20):
     s = setup20
-    cfg10 = default_exp.system(10.0)
-    pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    pil10 = ch.make_pilots(s.cfg, s.geom.n_ms, ch.dbm_to_watt(10.0), 8)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, s.cfg, pil10, s.sched))
     j20 = bnd.fim_channel(s.true, s.setup)
     fim_gap = np.max(np.abs(j20 - 10.0 * j10)) / np.max(np.abs(j20))
     t_mat = bnd.transformation_matrix(
@@ -285,16 +284,18 @@ def test_criterion_8_dcs_somp_support(default_exp):
     likelihood refinement bracket absorbs downstream.
     """
     geom = default_exp.geometry()
-    cfg = default_exp.system(20.0)
+    cfg = default_exp.system()
     cfg.g_ms = 32
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
     a_m_dict, _ = ch.build_dictionaries(
-        ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 3000), sched))
+        ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(20.0),
+                                          3000), sched))
     rng = np.random.default_rng(88)
     hits = 0
     monotone = True
     for i in range(100):
-        pilots = ch.make_pilots(cfg, geom.n_ms, 3000 + i)
+        pilots = ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(20.0),
+                                3000 + i)
         while True:
             support_true = sorted(rng.choice(cfg.g_ms, 2, replace=False))
             sep = support_true[1] - support_true[0]

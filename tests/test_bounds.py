@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import sample_layout, sample_layout_with
 from oracles import (angle_bounds, angles_from_geometry,
                      channel_params_from_vector, derivative_factors_slots,
-                     fim_channel_tensor, model_field_derivs)
+                     fim_channel_tensor, model_field_derivs, row_setup)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -56,12 +56,13 @@ def test_model_derivatives_match_finite_differences(setup20):
 def test_derivative_factors_match_the_per_slot_oracle(n_scat):
     """One factor pass gives the oracle's A and B and model_field's bits."""
     rng = np.random.default_rng(40 + n_scat)
-    cfg = hn.ExperimentConfig().system(10.0)
+    cfg = hn.ExperimentConfig().system()
     if n_scat == 2:
         cfg = dataclasses.replace(cfg, t1=22, t_total=43)
     for _ in range(20):
         geom = sample_layout_with(rng, n_scat)
-        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8),
+        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms,
+                                                   ch.dbm_to_watt(10.0), 8),
                          ch.make_phase_schedule(cfg, geom.n_ris, 7))
         gains = 1e-5 * (rng.standard_normal(n_scat + 1)
                         + 1j * rng.standard_normal(n_scat + 1))
@@ -83,11 +84,10 @@ def test_fim_symmetric_psd(setup20):
     assert eigs.min() >= -1e-10 * eigs.max()
 
 
-def test_fim_power_linearity(setup20, default_exp):
+def test_fim_power_linearity(setup20):
     s = setup20
-    cfg10 = default_exp.system(10.0)
-    pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    pil10 = ch.make_pilots(s.cfg, s.geom.n_ms, ch.dbm_to_watt(10.0), 8)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, s.cfg, pil10, s.sched))
     j20 = bnd.fim_channel(s.true, s.setup)
     assert np.max(np.abs(j20 - 10 * j10)) < 1e-9 * np.max(np.abs(j20))
 
@@ -178,7 +178,7 @@ def test_bounds_equal_the_angle_fim_oracle_over_layouts(power):
         exp = hn.ExperimentConfig(
             ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
             scatterers=geom.scatterers.tolist(), master_seed=i)
-        setup = hn.power_setup(exp, power)
+        setup = row_setup(hn.sweep_setup(exp), exp.powers_dbm.index(power))
         gains = ch.nominal_gain_amplitudes(setup.cfg, geom).astype(complex)
         true = gm.true_channel_params(geom, gains)
         rep = bnd.position_bounds(bnd.fim_channel(true, setup)[None],
@@ -206,7 +206,7 @@ def test_fim_equals_the_tensor_form(power):
         exp = hn.ExperimentConfig(
             ms=geom.ms.tolist(), alpha_deg=float(np.rad2deg(geom.alpha)),
             scatterers=geom.scatterers.tolist(), master_seed=i)
-        setup = hn.power_setup(exp, power)
+        setup = row_setup(hn.sweep_setup(exp), exp.powers_dbm.index(power))
         true = gm.true_channel_params(geom, ch.draw_gains(setup.cfg, geom, i))
         ref = fim_channel_tensor(true, setup)
         d = np.sqrt(np.diag(ref))
@@ -218,12 +218,13 @@ def test_fim_at_gains_matches_fim_channel():
     """On the 800 trials of master seed 77 (200 per power), the FIM at
     the truth from the setup's unit-gain Gram matches ``fim_channel`` at
     ``geometry.true_channel_params`` to 1e-13, entries scaled by
-    sqrt(J_uu J_vv), and ``PowerSetup.truth`` gives those parameters bit
+    sqrt(J_uu J_vv), and ``SweepSetup.truth`` gives those parameters bit
     for bit."""
     exp = hn.ExperimentConfig(master_seed=77)
+    sweep = hn.sweep_setup(exp)
     worst = 0.0
-    for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+    for p_idx in range(len(exp.powers_dbm)):
+        setup = row_setup(sweep, p_idx)
         for trial in range(exp.n_trials):
             gain_seed, _ = np.random.SeedSequence(
                 (exp.master_seed, hn._TAG_TRIAL, p_idx, trial)).spawn(2)
@@ -254,13 +255,12 @@ def test_position_bounds_finite_and_positive(setup20):
     assert not rep.singular
 
 
-def test_peb_power_scaling(setup20, default_exp):
+def test_peb_power_scaling(setup20):
     s = setup20
     t_mat = bnd.transformation_matrix(_true_pos(s.geom, s.gains), s.geom.ris,
                                       s.geom.bs)
-    cfg10 = default_exp.system(10.0)
-    pil10 = ch.make_pilots(cfg10, s.geom.n_ms, 8)
-    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, cfg10, pil10, s.sched))
+    pil10 = ch.make_pilots(s.cfg, s.geom.n_ms, ch.dbm_to_watt(10.0), 8)
+    j10 = bnd.fim_channel(s.true, ch.Setup(s.geom, s.cfg, pil10, s.sched))
     j20 = bnd.fim_channel(s.true, s.setup)
     r10 = bnd.position_bounds(j10[None], t_mat).row(0)
     r20 = bnd.position_bounds(j20[None], t_mat).row(0)
@@ -275,10 +275,10 @@ def test_scatterer_permutation_invariance(default_exp):
                 alpha=np.deg2rad(75), wavelength=lam)
     g1 = ScenarioGeometry(scatterers=[[6, 5, 3], [12, 4, 2]], **base)
     g2 = ScenarioGeometry(scatterers=[[12, 4, 2], [6, 5, 3]], **base)
-    cfg = default_exp.system(20.0)
+    cfg = default_exp.system()
     cfg.v_slots = 3
     sched = ch.make_phase_schedule(cfg, g1.n_ris, 7)
-    pilots = ch.make_pilots(cfg, g1.n_ms, 8)
+    pilots = ch.make_pilots(cfg, g1.n_ms, ch.dbm_to_watt(20.0), 8)
     gains = np.array([1e-6, 2e-6 * 1j, 1.5e-6])
     reps = []
     for geom, gorder in ((g1, gains), (g2, gains[[0, 2, 1]])):

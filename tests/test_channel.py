@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (block_slots, build_channel, build_channel_cascade,
-                     observe, slot_phases, synthesize_rx_draws,
+                     observe, row_setup, slot_phases, synthesize_rx_draws,
                      synthesize_rx_sum, synthesize_tensor)
 from rispos import harness as hn
 from rispos import channel as ch
@@ -145,7 +145,7 @@ def test_prebuilt_triangle_keeps_every_draw():
     equals, bit for bit, the one drawn in the documented order with
     ``np.tril_indices`` built per draw."""
     exp = hn.ExperimentConfig(master_seed=77)
-    setup = hn.power_setup(exp, 20.0)
+    setup = row_setup(hn.sweep_setup(exp), 3)
     for trial in range(50):
         gain_seed, noise_seed = np.random.SeedSequence(
             (exp.master_seed, hn._TAG_TRIAL, 3, trial)).spawn(2)
@@ -161,13 +161,13 @@ def test_prebuilt_triangle_keeps_every_draw():
 
 @pytest.mark.parametrize("noiseless", [False, True])
 def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
-    """Synthesis on a stacked setup (``Setup.stack``) at four powers of
-    one sweep gives each row the field and the observation of its gains
-    and noise seed drawn as a stack of one with its own power's setup, bit
-    for bit."""
+    """Synthesis on a stacked setup, the setup of a sweep at four powers,
+    gives each row the field and the observation of its gains and noise
+    seed drawn as a stack of one with its own power's lone setup, bit for
+    bit."""
     exp = hn.ExperimentConfig(master_seed=77)
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    stack = ch.Setup.stack(setups)
+    stack = hn.sweep_setup(exp)
+    setups = [row_setup(stack, k) for k in range(len(exp.powers_dbm))]
     assert stack.pilots.shape == (4,) + setups[0].pilots.shape
     gains = np.stack([ch.draw_gains(s.cfg, s.geom, k)
                       for k, s in enumerate(setups)])
@@ -212,8 +212,9 @@ def test_observation_moments_match_the_tensor_oracle(setup20, power):
     Wishart part enters) on its own. At -10 dBm the noise-by-noise terms
     carry most of cov1's variance, at 20 dBm the signal-by-noise ones."""
     s = setup20
-    cfg = hn.ExperimentConfig().system(power)
-    setup = ch.Setup(s.geom, cfg, ch.make_pilots(cfg, s.geom.n_ms, 8), s.sched)
+    cfg = hn.ExperimentConfig().system()
+    setup = ch.Setup(s.geom, cfg, ch.make_pilots(
+        cfg, s.geom.n_ms, ch.dbm_to_watt(power), 8), s.sched)
     n_draws, sigma2, n_bs = 1500, cfg.noise_power, s.geom.n_bs
     rng_new, rng_ref = np.random.default_rng(61), np.random.default_rng(62)
     true = replace(s.true, gains=s.true.gains[None])
@@ -244,14 +245,15 @@ def test_single_bs_antenna_trial_runs():
     """N_b = 1 leaves no noise orthogonal to a_B: m = 0 Wishart degrees of
     freedom, and the covariance is that of the beamformed record alone."""
     exp = hn.ExperimentConfig(n_bs=1, n_trials=1, powers_dbm=[20.0])
-    setup = hn.power_setup(exp, 20.0)
+    sweep = hn.sweep_setup(exp)
+    setup = row_setup(sweep, 0)
     true = gm.true_channel_params(setup.geom,
                                   ch.draw_gains(setup.cfg, setup.geom, 0))
     obs = ch.synthesize_rx(setup, replace(true, gains=true.gains[None]),
                            [5]).row(0)
     y1 = obs.pa[:setup.cfg.t1] / np.sqrt(setup.geom.n_bs)
     assert_allclose(obs.cov1, y1.conj() @ y1.T, rtol=1e-12)
-    rec = hn.run_trial(exp, 20.0, 0, 0, setup)
+    rec = hn.run_trial(exp, 20.0, 0, 0, sweep)
     assert rec.error is None
     assert np.all(np.isfinite(rec.stages["lm"]))
 
@@ -260,14 +262,15 @@ def test_synthesize_matches_cascade_off_reference_leg(default_exp):
     """Synthesis takes the RIS-BS leg from the setup's geometry, also when
     the BS (and, in the last case, the RIS) sit off the reference layout."""
     ref = default_exp.geometry()
-    cfg = default_exp.system(20.0)
+    cfg = default_exp.system()
     n_sub = cfg.n_subcarriers
     for bs, ris in (([4.0, -3.0, 25.0], ref.ris), ([-10.0, 2.0, 30.0], ref.ris),
                     ([0.0, 20.0, 15.0], [-4.0, 10.0, 18.0])):
         geom = ScenarioGeometry(bs=bs, ris=ris, ms=ref.ms, alpha=ref.alpha,
                                 scatterers=ref.scatterers,
                                 wavelength=ref.wavelength)
-        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8),
+        setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms,
+                                                   ch.dbm_to_watt(20.0), 8),
                          ch.make_phase_schedule(cfg, geom.n_ris, 7))
         params = gm.true_channel_params(geom, ch.draw_gains(cfg, geom, 42))
         rx = synthesize_tensor(setup, params, noiseless=True)
@@ -359,12 +362,11 @@ def test_phase_schedule_infeasible():
 def test_pilot_properties(setup20):
     s = setup20
     pilots = s.pilots
-    mag = np.sqrt(s.cfg.p_tx / s.geom.n_ms)
+    p_tx = ch.dbm_to_watt(20.0)
+    mag = np.sqrt(p_tx / s.geom.n_ms)
     assert_allclose(np.abs(pilots), mag, atol=1e-15)
-    assert_allclose(np.sum(np.abs(pilots) ** 2, axis=0), s.cfg.p_tx,
-                    atol=1e-15)
-    assert np.array_equal(pilots,
-                          ch.make_pilots(s.cfg, s.geom.n_ms, 8))
+    assert_allclose(np.sum(np.abs(pilots) ** 2, axis=0), p_tx, atol=1e-15)
+    assert np.array_equal(pilots, ch.make_pilots(s.cfg, s.geom.n_ms, p_tx, 8))
 
 
 def test_projected_dictionary_coherence(setup20):

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from conftest import lone_aod_objective, sample_layout, spy_ascents
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
                      dcs_somp_tensor, estimate_toa, ms_steering, observe,
-                     refine_aod_cyclic, ris_aoa_loop, synthesize_tensor,
-                     to_angles, trial_tensor)
+                     refine_aod_cyclic, ris_aoa_loop, row_setup,
+                     synthesize_tensor, to_angles, trial_tensor)
 from rispos import channel as ch
 from rispos import _damping as dm
 from rispos import coarse_est as ce
@@ -102,7 +102,8 @@ def test_coarse_stages_pick_the_oracle_columns():
     first T1 slots of the tensor, and ``estimate_ris_aoa`` as the
     per-block, per-path loop running ``dcs_somp_tensor``."""
     exp = hn.ExperimentConfig(n_trials=10, stage="aod_mle")
-    setups = [hn.power_setup(exp, p) for p in exp.powers_dbm]
+    sweep = hn.sweep_setup(exp)
+    setups = [row_setup(sweep, k) for k in range(len(exp.powers_dbm))]
 
     def picks(oracle):
         calls, gains = [], []
@@ -141,9 +142,10 @@ def test_covariance_picks_equal_dcs_somp_picks():
     observation's covariance equal ``dcs_somp``'s picks on the first T1
     slots of the received tensor, and the residual norms agree."""
     exp = hn.ExperimentConfig()
+    sweep = hn.sweep_setup(exp)
     n_draws = 0
     for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+        setup = row_setup(sweep, p_idx)
         t1 = setup.cfg.t1
         theta_m = setup.pilots[:, :t1].conj().T @ setup.a_m_dict.matrix
         for trial in range(50):
@@ -169,10 +171,9 @@ def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
     X1^H A_M, seeded noisy and noiseless records at every power get the
     supports and errors that they get over the shared D."""
     exp = hn.ExperimentConfig(master_seed=77, **extra)
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    stack = hn.PowerSetup.stack(setups)
-    gains = np.array([ch.draw_gains(s.cfg, s.geom, 30 + k)
-                      for k, s in enumerate(setups)])
+    stack = hn.sweep_setup(exp)
+    gains = np.array([ch.draw_gains(stack.cfg, stack.geom, 30 + k)
+                      for k in range(len(exp.powers_dbm))])
     truth, _ = stack.truth(gains)
     cov = np.concatenate([
         ch.synthesize_rx(stack, truth, [40 + k for k in range(4)]).cov1,
@@ -181,8 +182,8 @@ def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
     assert shared.errors == [None] * 8
     scaled = [10.0 ** (db / 20.0) * stack.aod_proj
               for db in (-30.0, -10.0, 10.0, 30.0)]
-    scaled += [s.pilots[:, :s.cfg.t1].conj().T @ s.a_m_dict.matrix
-               for s in setups]
+    scaled += [pilots[:, :stack.cfg.t1].conj().T @ stack.a_m_dict.matrix
+               for pilots in stack.pilots]
     for dictionary in scaled:
         res = ce.pick_columns(cov, dictionary, stack.n_paths)
         assert res.support == shared.support
@@ -191,11 +192,10 @@ def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
 
 def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
     geom, cfg = ongrid.geom, ongrid.cfg
-    cfg = ch.SystemConfig(**{**cfg.__dict__, "p_tx": ch.dbm_to_watt(p_dbm)})
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-    pilots = ch.make_pilots(cfg, geom.n_ms, 8)
+    pilots = ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(p_dbm), 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
     rx = synthesize_tensor(setup, true, noise_seed=seed, noiseless=noiseless)
     return true, setup, observe(rx, setup)
@@ -256,15 +256,15 @@ def _refinements_against_oracle(monkeypatch, exp, trials):
         sines, steps = refine(obs, setup, u_init)
         for k, (n_steps, _, candidates) in enumerate(ascents[-len(steps):]):
             calls.append((sines[k], steps[k], candidates == n_steps,
-                          refine_aod_cyclic(obs.row(k), setup.row(k),
+                          refine_aod_cyclic(obs.row(k), row_setup(setup, k),
                                             u_init[k])))
         return sines, steps
 
     with monkeypatch.context() as m:
         ascents = spy_ascents(m, ce)
         m.setattr(ce, "refine_aod_mle", recorded)
+        setup = hn.sweep_setup(exp)
         for p_idx, power in enumerate(exp.powers_dbm):
-            setup = hn.power_setup(exp, power)
             for trial in trials:
                 hn.run_trial(exp, power, p_idx, trial, setup)
     return calls
@@ -493,9 +493,10 @@ def test_batched_ris_aoa_matches_the_per_path_loop():
     one-product arrival step makes the per-block, per-path loop's picks
     and clamps, its hybrid gains within 1e-12 relative."""
     exp = hn.ExperimentConfig(master_seed=77)
+    sweep = hn.sweep_setup(exp)
     n_draws = 0
     for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+        setup = row_setup(sweep, p_idx)
         for trial, (obs, u_hat) in enumerate(
                 _sweep_observations(exp, setup, p_idx, 50)):
             _assert_same_aoa(ce.estimate_ris_aoa(obs, setup, u_hat),
@@ -510,7 +511,7 @@ def test_batched_ris_aoa_on_irregular_schedules(layout):
     schedule with its slots permuted, and on one with blocks of 2 to 10
     slots, the arrival step makes the loop's picks."""
     exp = hn.ExperimentConfig(master_seed=77)
-    base = hn.power_setup(exp, 20.0)
+    base = row_setup(hn.sweep_setup(exp), 3)
     rng = np.random.default_rng(5)
     if layout == "permuted":
         slot_block = rng.permutation(base.sched.slot_block)
@@ -703,16 +704,17 @@ def _assert_rows_equal_lone_calls(rows, run, error):
 
 
 def _three_power_records():
-    """The setups of -10, 0 and 20 dBm of one sweep, their stacked setup,
-    and one observation at each power, drawn as a stack of one on its own
-    setup."""
-    exp = hn.ExperimentConfig(master_seed=77)
-    setups = hn.power_setups(exp, [-10.0, 0.0, 20.0])
+    """The lone setups of the rows of a sweep at -10, 0 and 20 dBm, the
+    sweep's setup, and one observation at each power, drawn as a stack of
+    one on its own lone setup."""
+    exp = hn.ExperimentConfig(master_seed=77, powers_dbm=[-10.0, 0.0, 20.0])
+    stack = hn.sweep_setup(exp)
+    setups = [row_setup(stack, k) for k in range(3)]
     obs = []
     for k, setup in enumerate(setups):
         true, _ = setup.truth(ch.draw_gains(setup.cfg, setup.geom, k)[None])
         obs.append(ch.synthesize_rx(setup, true, [10 + k]))
-    return setups, ch.Setup.stack(setups), obs
+    return setups, stack, obs
 
 
 def _per_row_setup_rows():
@@ -736,7 +738,7 @@ def _per_row_setup_rows():
 
 @pytest.mark.parametrize("stage", ["ris_aoa"])
 def test_per_row_setup_keeps_each_row_to_its_power(stage):
-    """A stacked setup (``Setup.stack``) gives each row its own power's
+    """A stacked setup (a sweep's setup) gives each row its own power's
     pilots: the RIS arrival, the one grid stage that reads them, gives
     each good row the bits of its stack of one on its own setup, and the
     failing middle row the error of its stack of one, class and message.
@@ -761,8 +763,7 @@ def test_run_coarse_on_a_stacked_setup_equals_lone_calls():
     gives each record the estimate of its stack of one on its own setup,
     the AOD refinement included, which runs on the record's own setup."""
     setups, stack, obs = _three_power_records()
-    assert [stack.row(k) for k in range(3)] == setups
-    assert setups[0].row(2) is setups[0]
+    assert setups[0].take([2]) is setups[0]
     stacked = ce.run_coarse(ch.Observation(
         np.concatenate([o.pa for o in obs]),
         np.concatenate([o.cov1 for o in obs])), stack)
@@ -778,7 +779,7 @@ def test_picks_on_a_stacked_setup_run_once(monkeypatch):
     picks run once, on every row, over the projected dictionary that every
     power's setup shares, and give each row the sines, support and
     residual norms of its stack of one on its own setup, bit for bit."""
-    setups, _, obs = _three_power_records()
+    setups, stack, obs = _three_power_records()
     assert all(s.aod_proj is setups[0].aod_proj for s in setups)
     order = [0, 1, 0, 2, 1, 0]
     alone = [ce.estimate_aod_coarse(o, s) for o, s in zip(obs, setups)]
@@ -792,7 +793,7 @@ def test_picks_on_a_stacked_setup_run_once(monkeypatch):
     u_hat, res = ce.estimate_aod_coarse(ch.Observation(
         np.concatenate([obs[p].pa for p in order]),
         np.concatenate([obs[p].cov1 for p in order])),
-        ch.Setup.stack([setups[p] for p in order]))
+        stack.take(order))
     assert [n for n, _ in calls] == [len(order)]
     assert calls[0][1] is setups[0].aod_proj
     assert res.errors == [None] * len(order)
@@ -803,13 +804,6 @@ def test_picks_on_a_stacked_setup_run_once(monkeypatch):
         assert res.support[k] == res_alone.support[0], k
         assert (res.residual_norms[k].tobytes()
                 == res_alone.residual_norms[0].tobytes()), k
-
-
-def test_stack_takes_setups_of_one_sweep_alone():
-    """Setups built apart share no arrays, so they do not stack."""
-    exp = hn.ExperimentConfig()
-    with pytest.raises(ValueError):
-        ch.Setup.stack([hn.power_setup(exp, 0.0), hn.power_setup(exp, 20.0)])
 
 
 def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
@@ -889,9 +883,10 @@ def test_estimate_toa_matches_the_search_oracle():
     outcome. So it does on 200 single-path draws with delays within a
     bin of 0 or N / B, about a quarter of which the oracle rejects."""
     exp = hn.ExperimentConfig(master_seed=77)
+    sweep = hn.sweep_setup(exp)
     n_trials = 0
     for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+        setup = row_setup(sweep, p_idx)
         for trial, (obs, u_hat) in enumerate(
                 _sweep_observations(exp, setup, p_idx, exp.n_trials)):
             aoa = ce.estimate_ris_aoa(obs, setup, u_hat)

@@ -212,11 +212,10 @@ def test_the_aod_decrement_is_read_in_nats(monkeypatch):
         return ascend(state, model, evaluate, nats=nats)
     monkeypatch.setattr(ce, "ascend", recorded)
     exp = hn.ExperimentConfig(stage="aod_mle")
-    setup = hn.power_setup(exp, 20.0)
-    rec = hn.run_trial(exp, 20.0, exp.powers_dbm.index(20.0), 0, setup)
+    rec = hn.run_trial(exp, 20.0, exp.powers_dbm.index(20.0), 0)
     assert rec.flags["aod_steps"] >= 2
     [(state, model, evaluate, nats)] = calls
-    assert nats == 1.0 / setup.cfg.noise_power
+    assert nats == 1.0 / exp.system().noise_power
     row = np.arange(1)
     for k in range(3):
         curv, grad, bases = model(state, row)

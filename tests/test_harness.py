@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_layout, sample_layout_with
-from oracles import min_association_cost
+from oracles import min_association_cost, row_setup
 from rispos import _damping as dm
 from rispos import bounds as bnd
 from rispos import channel as ch
@@ -29,7 +29,7 @@ MICRO = dict(n_trials=3, powers_dbm=[0.0, 20.0])
 
 
 def test_run_trial_deterministic():
-    exp = hn.ExperimentConfig(**MICRO)
+    exp = hn.ExperimentConfig(**dict(MICRO, powers_dbm=[20.0]))
     r1 = hn.run_trial(exp, 20.0, 0, 1)
     r2 = hn.run_trial(exp, 20.0, 0, 1)
     assert r1.error is None and r2.error is None
@@ -39,7 +39,7 @@ def test_run_trial_deterministic():
 
 
 def test_run_trial_noiseless_ongrid(ongrid):
-    exp = hn.ExperimentConfig(noiseless=True)
+    exp = hn.ExperimentConfig(noiseless=True, powers_dbm=[20.0])
     exp.ms = ongrid.geom.ms.tolist()
     exp.alpha_deg = float(np.rad2deg(ongrid.geom.alpha))
     exp.scatterers = ongrid.geom.scatterers.tolist()
@@ -51,10 +51,11 @@ def test_run_trial_noiseless_ongrid(ongrid):
 
 
 def test_run_trial_prebuilt_setup_is_a_cache():
-    """Each power's sweep setup gives the trial that builds its own."""
+    """The sweep's setup gives each power's trial what it gives when it
+    builds its own."""
     exp = hn.ExperimentConfig(n_trials=3, powers_dbm=[-10.0, 0.0, 10.0, 20.0])
-    for p_idx, (power, setup) in enumerate(
-            zip(exp.powers_dbm, hn.power_setups(exp, exp.powers_dbm))):
+    setup = hn.sweep_setup(exp)
+    for p_idx, power in enumerate(exp.powers_dbm):
         built = hn.run_trial(exp, power, p_idx, 2)
         given = hn.run_trial(exp, power, p_idx, 2, setup)
         assert built.error == given.error
@@ -63,6 +64,18 @@ def test_run_trial_prebuilt_setup_is_a_cache():
             assert np.array_equal(built.stages[stage], given.stages[stage])
         assert np.array_equal(built.crlb, given.crlb)
         assert built.peb == given.peb
+
+
+@pytest.mark.parametrize("power,power_idx",
+                         [(20.0, 0), (20.0, 4), (20.0, -1), (15.0, 3)])
+def test_run_trial_rejects_a_power_index_off_its_power(power, power_idx):
+    """``power_idx`` is the position of ``power_dbm`` in
+    ``exp.powers_dbm`` (here -10, 0, 10 and 20 dBm): a trial that draws
+    its own batch raises ``ValueError`` rather than run at the power of
+    another index."""
+    exp = hn.ExperimentConfig()
+    with pytest.raises(ValueError, match="power_idx"):
+        hn.run_trial(exp, power, power_idx, 0)
 
 
 def _leaves(obj, name=""):
@@ -82,12 +95,16 @@ def _leaves(obj, name=""):
     {}, {"scatterers": [[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], "t1": 22,
          "t_total": 43}])
 def test_sweep_setups_are_power_setups(overrides):
-    """Sweep setups equal power_setup and share only read-only arrays."""
+    """Row k of a sweep's setup (``take([k])``) equals, leaf for leaf, the
+    setup of a sweep of power k alone, and shares every array but the
+    pilots and the truth's Gram with the sweep's setup, read-only."""
     exp = hn.ExperimentConfig(**overrides)
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    for power, setup in zip(exp.powers_dbm, setups):
-        alone = dict(_leaves(hn.power_setup(exp, power)))
-        leaves = dict(_leaves(setup))
+    sweep = hn.sweep_setup(exp)
+    rows = [sweep.take([k]) for k in range(len(exp.powers_dbm))]
+    for power, row in zip(exp.powers_dbm, rows):
+        alone = dict(_leaves(hn.sweep_setup(
+            dataclasses.replace(exp, powers_dbm=[power]))))
+        leaves = dict(_leaves(row))
         assert leaves.keys() == alone.keys()
         for name, value in leaves.items():
             if isinstance(value, np.ndarray):
@@ -95,10 +112,10 @@ def test_sweep_setups_are_power_setups(overrides):
                 assert np.array_equal(value, alone[name]), name
             else:
                 assert value == alone[name], name
-    first = dict(_leaves(setups[0]))
-    for setup in setups[1:]:
+    first = dict(_leaves(sweep))
+    for row in rows:
         own = set()
-        for name, value in _leaves(setup):
+        for name, value in _leaves(row):
             if not isinstance(value, np.ndarray):
                 continue
             if value is not first[name]:
@@ -109,27 +126,36 @@ def test_sweep_setups_are_power_setups(overrides):
         assert own == {".pilots", ".true_gram"}
 
 
-def test_at_power_carries_no_other_powers_gram():
-    """A setup ``at_power`` of another holds no ``true_gram`` until
-    ``power_setups`` forms its own: it never carries the source power's
-    Gram."""
+def test_take_holds_exactly_the_taken_rows():
+    """A batch's setup, ``take`` of the sweep's setup at the power index
+    of each of its rows, holds exactly those rows' pilots, at their
+    powers' amplitudes, and Grams, in order, and shares every other
+    array; ``take`` of all rows in order is the setup itself."""
     exp = hn.ExperimentConfig()
-    source = hn.power_setup(exp, 20.0)
-    assert source.true_gram is not None
-    moved = source.at_power(exp.system(-10.0))
-    assert moved.true_gram is None
-    assert source.true_gram is not None
-    assert np.array_equal(moved.pilots,
-                          hn.power_setup(exp, -10.0).pilots)
+    sweep = hn.sweep_setup(exp)
+    rows = [2, 0, 2, 1]
+    batch = sweep.take(rows)
+    assert batch.pilots.shape == (len(rows),) + sweep.pilots.shape[1:]
+    assert batch.true_gram.shape == (len(rows),) + sweep.true_gram.shape[1:]
+    for k, p in enumerate(rows):
+        assert np.array_equal(batch.pilots[k], sweep.pilots[p])
+        assert np.array_equal(batch.true_gram[k], sweep.true_gram[p])
+        amplitude = np.sqrt(ch.dbm_to_watt(exp.powers_dbm[p]) / exp.n_ms)
+        assert np.allclose(np.abs(batch.pilots[k]), amplitude, rtol=1e-15)
+    assert batch.aod_proj is sweep.aod_proj
+    assert batch.true_unit is sweep.true_unit
+    assert sweep.take(np.arange(len(exp.powers_dbm))) is sweep
+    assert batch.take(np.arange(len(rows))) is batch
 
 
 def test_setup_leaves_the_callers_arrays_writable():
     """A setup freezes its own copies of the geometry and schedule."""
     exp = hn.ExperimentConfig(scatterers=np.array([[6.0, 5.0, 3.0]]))
-    geom, cfg = exp.geometry(), exp.system(20.0)
+    geom, cfg = exp.geometry(), exp.system()
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-    setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms, 8), sched)
-    hn.power_setup(exp, 20.0)
+    setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms,
+                                               ch.dbm_to_watt(20.0), 8), sched)
+    hn.sweep_setup(exp)
     for mine, its in ((geom.bs, setup.geom.bs), (geom.ris, setup.geom.ris),
                       (geom.ms, setup.geom.ms),
                       (geom.scatterers, setup.geom.scatterers),
@@ -147,7 +173,7 @@ def test_setup_leaves_the_callers_arrays_writable():
     ("lm", ["coarse", "sage", "closed_form", "lm"], []),
 ])
 def test_stage_toggles(stage, present, absent):
-    exp = hn.ExperimentConfig(stage=stage, **MICRO)
+    exp = hn.ExperimentConfig(stage=stage, **dict(MICRO, powers_dbm=[20.0]))
     rec = hn.run_trial(exp, 20.0, 0, 0)
     assert rec.error is None
     for s in present:
@@ -281,8 +307,7 @@ def test_sweep_worker_count_invariant_over_batches(tmp_path):
 def test_sweep_worker_count_invariant_over_powers(tmp_path, monkeypatch):
     """At a batch cap of ``CAP``, four powers and 9 trials of stage lm are
     blocks of 4, 4 and 1 trial indices, the last partial; each worker
-    builds the setups of every power once, and the summary is the serial
-    one."""
+    builds the sweep's setup once, and the summary is the serial one."""
     monkeypatch.setattr(hn, "BATCH", CAP)
     csvs = []
     for workers in (1, 2):
@@ -312,12 +337,12 @@ def _bits(value):
 def _assert_sweep_equals_lone_trials(exp) -> list:
     """The sweep of ``exp``, whose trials end in a partial block, gives
     every record, in trial order, its lone trial's bits in every field;
-    returns the sweep's setups."""
+    returns the sweep's setup."""
     assert exp.n_trials % (hn.BATCH // len(exp.powers_dbm)) != 0
     report = hn.run_sweep(exp)
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    for p_idx, (power, setup, recs) in enumerate(
-            zip(exp.powers_dbm, setups, report.records)):
+    setup = hn.sweep_setup(exp)
+    for p_idx, (power, recs) in enumerate(zip(exp.powers_dbm,
+                                              report.records)):
         assert [r.trial_index for r in recs] == list(range(exp.n_trials))
         for rec in recs:
             alone = hn.run_trial(exp, power, p_idx, rec.trial_index, setup)
@@ -325,7 +350,7 @@ def _assert_sweep_equals_lone_trials(exp) -> list:
                 assert (_bits(getattr(rec, f.name))
                         == _bits(getattr(alone, f.name))), (rec.trial_index,
                                                             f.name)
-    return setups
+    return setup
 
 
 def test_batched_sweep_equals_lone_trials(monkeypatch):
@@ -337,14 +362,15 @@ def test_batched_sweep_equals_lone_trials(monkeypatch):
     and of the truth of a stacked setup, whose rows hold the Grams of
     several powers."""
     monkeypatch.setattr(hn, "BATCH", CAP)
-    setups = _assert_sweep_equals_lone_trials(
+    sweep = _assert_sweep_equals_lone_trials(
         hn.ExperimentConfig(master_seed=77, n_trials=50, stage="coarse"))
-    setup = setups[0]
+    setup = row_setup(sweep, 0)
     gains = np.stack([ch.draw_gains(setup.cfg, setup.geom, seed)
                       for seed in range(2 * hn.BATCH)])
-    mixed = [setups[k % len(setups)] for k in range(len(gains))]
+    mixed = [k % len(sweep.pilots) for k in range(len(gains))]
     for stack, row_setups in ((setup, [setup] * len(gains)),
-                              (hn.PowerSetup.stack(mixed), mixed)):
+                              (sweep.take(mixed),
+                               [row_setup(sweep, p) for p in mixed])):
         _assert_truth_rows_equal_lone_truth(stack, row_setups, gains)
 
 
@@ -399,8 +425,8 @@ def test_stacked_fits_keep_a_failing_rows_lone_error(fit, monkeypatch):
     equals its lone trial's bit for bit, and the middle one holds the
     error its lone trial records, class and message."""
     exp = hn.ExperimentConfig(master_seed=77, n_trials=3, powers_dbm=[20.0])
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    middle = hn.run_trial(exp, 20.0, 0, 1, setups[0])
+    setup = hn.sweep_setup(exp)
+    middle = hn.run_trial(exp, 20.0, 0, 1, setup)
     if fit == "sage":
         tau = middle.stages["coarse"].reshape(-1, 6)[:, 0]
         factors = bnd.derivative_factors
@@ -421,10 +447,10 @@ def test_stacked_fits_keep_a_failing_rows_lone_error(fit, monkeypatch):
             return t_mat(pos, ris, bs)
         monkeypatch.setattr(pos_mod, "transformation_matrix", stub)
         message = "DegenerateGeometry: stubbed"
-    records = hn.run_batch(exp, range(3), setups)
+    records = hn.run_batch(exp, range(3), setup)
     assert [r.error for r in records] == [None, message, None]
     for rec in records:
-        alone = hn.run_trial(exp, 20.0, 0, rec.trial_index, setups[0])
+        alone = hn.run_trial(exp, 20.0, 0, rec.trial_index, setup)
         for f in dataclasses.fields(rec):
             assert (_bits(getattr(rec, f.name))
                     == _bits(getattr(alone, f.name))), (rec.trial_index,
@@ -705,28 +731,31 @@ def test_reference_bounds_match_the_fim_channel_path(power):
     equals the one from ``fim_channel`` at ``true_channel_params`` of the
     nominal gains to 1e-10 relative."""
     exp = hn.ExperimentConfig()
-    setup = hn.power_setup(exp, power)
+    p_idx = exp.powers_dbm.index(power)
+    sweep = hn.sweep_setup(exp)
+    setup = row_setup(sweep, p_idx)
     gains = ch.nominal_gain_amplitudes(setup.cfg, setup.geom).astype(complex)
     true = gm.true_channel_params(setup.geom, gains)
     rep = bnd.position_bounds(bnd.fim_channel(true, setup)[None],
                               setup.t_true).row(0)
     ref = hn._report_bounds(
         hn.angle_crlb(rep.cov_channel, true).reshape(-1, 6), rep.peb, rep.oeb)
-    (got,) = hn.reference_bounds(exp, [setup])
+    got = hn.reference_bounds(exp, sweep)[p_idx]
     for cls in hn.REPORT_CLASSES:
         assert got[cls] == pytest.approx(ref[cls], rel=1e-10), cls
 
 
 def test_stacked_reference_bounds_equal_each_powers_lone_path():
     """The sweep's reference bounds come from one stacked pass over its
-    powers; each power's bounds equal, bit for bit, those of its setup
-    alone, ``PowerSetup.truth`` at a stack of one of the nominal gains,
-    and the bounds of a setup built for that power alone."""
+    powers; each power's bounds equal, bit for bit, those of its row
+    alone, ``SweepSetup.truth`` at a stack of one of the nominal gains,
+    and the bounds of a sweep of that power alone."""
     exp = hn.ExperimentConfig(master_seed=77)
-    setups = hn.power_setups(exp, exp.powers_dbm)
-    stacked = hn.reference_bounds(exp, setups)
+    sweep = hn.sweep_setup(exp)
+    stacked = hn.reference_bounds(exp, sweep)
     assert _bits(hn.reference_bounds(exp)) == _bits(stacked)
-    for power, setup, got in zip(exp.powers_dbm, setups, stacked):
+    for k, (power, got) in enumerate(zip(exp.powers_dbm, stacked)):
+        setup = row_setup(sweep, k)
         gains = ch.nominal_gain_amplitudes(setup.cfg,
                                            setup.geom).astype(complex)
         true, reps = setup.truth(gains[None])
@@ -735,8 +764,8 @@ def test_stacked_reference_bounds_equal_each_powers_lone_path():
             hn.angle_crlb(reps.cov_channel, true)[0].reshape(-1, 6),
             rep.peb, rep.oeb)
         assert _bits(got) == _bits(lone), power
-        assert _bits(got) == _bits(hn.reference_bounds(exp, [setup])[0])
-        built = hn.reference_bounds(exp, [hn.power_setup(exp, power)])[0]
+        built = hn.reference_bounds(
+            dataclasses.replace(exp, powers_dbm=[power]))[0]
         assert _bits(got) == _bits(built), power
 
 
@@ -789,7 +818,8 @@ def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
     if failed:
         monkeypatch.setattr(dm, "MAX_STEPS", 1)
     exp = hn.ExperimentConfig(master_seed=77)
-    setup = hn.power_setup(exp, power)
+    sweep = hn.sweep_setup(exp)
+    setup = row_setup(sweep, exp.powers_dbm.index(power))
     seen = {"fim_calls": 0}
     fim_channel, run_sage = bnd.fim_channel, sg.run_sage
     refine = pos_mod.refine_position_lm
@@ -809,7 +839,7 @@ def test_lm_weight_is_the_scoring_fim(power, trial, failed, monkeypatch):
     monkeypatch.setattr(bnd, "fim_channel", counted)
     monkeypatch.setattr(sg, "run_sage", sage)
     monkeypatch.setattr(pos_mod, "refine_position_lm", lm)
-    rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, setup)
+    rec = hn.run_trial(exp, power, exp.powers_dbm.index(power), trial, sweep)
     assert rec.error is None
     # the trial's batch of one runs both fits on stacks of one
     refined, (info,) = seen["sage"]

@@ -11,7 +11,7 @@ from oracles import (ZeroDenominator, beamform, bs_steering, build_channel,
                      channel_params_from_vector, coordinate_update_cycle,
                      factor_fit, factor_objective, factor_terms, from_angles,
                      gain_closed_form, global_log_likelihood, maximize_1d,
-                     ms_steering, observe, path_terms,
+                     ms_steering, observe, path_terms, row_setup,
                      reconstruct_complete_data, refine_aod_cyclic,
                      ris_diff_steering, sage_cycles, single_path_objective,
                      slot_phases, synthesize_tensor, synthesize_via_tensor,
@@ -434,7 +434,7 @@ def test_run_sage_noiseless_ongrid(ongrid):
     gains = ch.draw_gains(cfg, geom, 42)
     true = gm.true_channel_params(geom, gains)
     sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
-    pilots = ch.make_pilots(cfg, geom.n_ms, 8)
+    pilots = ch.make_pilots(cfg, geom.n_ms, ch.dbm_to_watt(20.0), 8)
     setup = ch.Setup(geom, cfg, pilots, sched)
     obs = observe(synthesize_tensor(setup, true, noiseless=True), setup)
     coarse = ce.run_coarse(obs, setup)
@@ -499,9 +499,10 @@ def test_default_tol_within_crlb_of_tight_search(default_exp, monkeypatch):
     and SAGE."""
     exp = default_exp
     geom = exp.geometry()
+    sweep = hn.sweep_setup(exp)
     worst = 0.0
-    for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+    for p_idx in range(len(exp.powers_dbm)):
+        setup = row_setup(sweep, p_idx)
         for trial in range(2):
             gain_seed, noise_seed = np.random.SeedSequence(
                 (p_idx, trial)).spawn(2)
@@ -533,8 +534,9 @@ def _sage_cases(setup20, exp):
     configured power, seeded as the sweep seeds trial 0."""
     geom = exp.geometry()
     yield setup20.setup, setup20.rx_noisy, setup20.true
-    for p_idx, power in enumerate(exp.powers_dbm):
-        setup = hn.power_setup(exp, power)
+    sweep = hn.sweep_setup(exp)
+    for p_idx in range(len(exp.powers_dbm)):
+        setup = row_setup(sweep, p_idx)
         gain_seed, noise_seed = np.random.SeedSequence((p_idx, 0)).spawn(2)
         true = gm.true_channel_params(
             geom, ch.draw_gains(setup.cfg, geom,
@@ -583,7 +585,7 @@ def test_sage_fixed_point_is_the_angle_ml_point(setup20, default_exp):
 def _cyclic_refinement(obs, setup, u_init):
     """``refine_aod_mle`` on a stack with its sines from the cyclic
     oracle, row by row."""
-    return (np.array([refine_aod_cyclic(obs.row(k), setup.row(k), u)
+    return (np.array([refine_aod_cyclic(obs.row(k), row_setup(setup, k), u)
                       for k, u in enumerate(u_init)]), [0] * len(u_init))
 
 
@@ -597,7 +599,7 @@ def test_sage_from_newton_aod_matches_the_cyclic_aod_oracle(power, trial,
     observed from the received tensors these cases were found on."""
     exp = hn.ExperimentConfig(master_seed=5, stage="sage", n_trials=30)
     p_idx = exp.powers_dbm.index(power)
-    setup = hn.power_setup(exp, power)
+    setup = hn.sweep_setup(exp)
     monkeypatch.setattr(ch, "synthesize_rx", synthesize_via_tensor)
     rec = hn.run_trial(exp, power, p_idx, trial, setup)
     with monkeypatch.context() as m:
@@ -652,7 +654,7 @@ def _recorded_sage(monkeypatch, seed, power, trial):
     assert ratio < 3.0
     # the trial's batch runs SAGE on a stack of one: its one row
     ((obs, setup, init, (refined, (info,))),) = calls
-    return (obs.row(0), setup.row(0), init.take(0),
+    return (obs.row(0), row_setup(setup, 0), init.take(0),
             (refined.take(0), info)), ratio
 
 
