@@ -141,7 +141,8 @@ def test_take_holds_exactly_the_taken_rows():
         assert np.array_equal(batch.pilots[k], sweep.pilots[p])
         assert np.array_equal(batch.true_gram[k], sweep.true_gram[p])
         amplitude = np.sqrt(ch.dbm_to_watt(exp.powers_dbm[p]) / exp.n_ms)
-        assert np.allclose(np.abs(batch.pilots[k]), amplitude, rtol=1e-15)
+        assert np.allclose(np.abs(batch.pilots[k]), amplitude, rtol=1e-15,
+                           atol=0.0)
     assert batch.aod_proj is sweep.aod_proj
     assert batch.true_unit is sweep.true_unit
     assert sweep.take(np.arange(len(exp.powers_dbm))) is sweep
