@@ -2,16 +2,16 @@
 
 Both work in the coordinates a ``ChannelParams`` holds: delay, gain,
 the departure sine u and the RIS arrival's c and s. The channel FIM
-uses the closed-form derivatives of the noiseless field
-``channel.model_field``, built from the same per-path factors
-(``channel.path_factors``): a spatial frequency enters one steering
-vector linearly, so its derivative weights that vector by its plain
-index ramp. The position-domain FIM follows by congruence with the
-geometric Jacobian, whose direction columns all come from the gradient
-(I - w w^T) / |w| of a unit vector. The known RIS-BS leg is a constant,
-not an information-bearing row; it comes from ``setup.leg``. PEB and
-OEB do not depend on how the channel vector is parameterized; angle-unit
-channel CRLBs are formed at the report edge (``harness``).
+uses the closed-form derivatives of the noiseless field from the one
+forward model, ``channel.derivative_factors``: a spatial frequency
+enters one steering vector linearly, so its derivative weights that
+vector by its plain index ramp. The position-domain FIM follows by
+congruence with the geometric Jacobian, whose direction columns all come
+from the gradient (I - w w^T) / |w| of a unit vector. The known RIS-BS
+leg is a constant, not an information-bearing row; it comes from
+``setup.leg``. PEB and OEB do not depend on how the channel vector is
+parameterized; angle-unit channel CRLBs are formed at the report edge
+(``harness``).
 """
 
 from __future__ import annotations
@@ -20,72 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (Setup, ms_sine_steering, ris_factors, slot_factors,
-                      subcarrier_ramp)
-from .geometry import (SPEED_OF_LIGHT, dot_rows, kron_columns, ms_axis,
-                       unit_vector)
+from .channel import Setup, derivative_factors
+from .geometry import SPEED_OF_LIGHT, dot_rows, ms_axis, unit_vector
 from .params import ChannelParams, PositionParams
 
 _COND_LIMIT = 1e12
-
-
-def derivative_factors(params: ChannelParams, setup: Setup):
-    """Slot and subcarrier factors of the derivatives of
-    ``channel.model_field``: A (T, 6(Q+1)) and B (N, 6(Q+1)), derivative
-    k the (T, N) outer product of A[:, k] and B[:, k]; and the field mu
-    (T, N) itself, so one pass over the factors gives all three.
-
-    The per-path factors are ``channel.path_factors``' own expressions
-    on steering vectors built once: sigma from ``channel.slot_factors``
-    of a_R, p = X^T conj(a_M) as ``channel.pilot_projection`` forms it,
-    and mu = (sigma p delta) @ ramp^T as ``model_field`` does.
-
-    Parameter order per path: [tau, delta_re, delta_im, u, c, s]. Each
-    derivative keeps the path's product form. The u, c and s derivatives
-    weight the MS steering vector and the RIS response by the MS, RIS
-    elevation and RIS azimuth index ramps.
-
-    Parameters stacked (K, Q+1), or a setup with pilots stacked
-    (K, N_m, T), give the K passes (K, T, 6(Q+1)), (K, N, 6(Q+1)) and (K, T, N), each
-    product on its own row's operands, as on one; B and mu keep no row
-    axis where neither has one.
-    """
-    geom, cfg = setup.geom, setup.cfg
-    lam = geom.wavelength
-    gains = params.gains[..., None, :]
-    n_paths = params.tau.shape[-1]
-    a_m = np.moveaxis(ms_sine_steering(geom, params.u).conj(), 0, -2)
-    a_r = np.moveaxis(kron_columns(*ris_factors(setup, params.c, params.s)),
-                      0, -2)
-    ramp = np.moveaxis(subcarrier_ramp(params.tau, cfg.bandwidth,
-                                       cfg.n_subcarriers), 0, -2)
-    k_r = np.arange(geom.n_ris)[:, None]
-    pilots_t = np.swapaxes(setup.pilots, -1, -2)
-    # the matrices of each product stacked along a new axis, so that each
-    # makes the gemm call of its own: a product's columns keep their bits
-    # only among products of as many columns
-    sigma, d_c, d_s = slot_factors(setup, np.stack([
-        a_r, k_r // geom.n_ris_az * a_r, k_r % geom.n_ris_az * a_r]))
-    prods = pilots_t[..., None, :, :] @ np.stack(
-        [a_m, np.arange(geom.n_ms)[:, None] * a_m], axis=-3)
-    proj = prods[..., 0, :, :]
-    dproj = 2j * np.pi * geom.d_ms / lam * prods[..., 1, :, :]
-    d_c = -2j * np.pi * geom.d_ris_el / lam * d_c
-    d_s = -2j * np.pi * geom.d_ris_az / lam * d_s
-    u = sigma * proj
-    slots = np.empty(u.shape + (6,), complex)
-    slots[..., 0] = -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u
-    slots[..., 1] = u
-    slots[..., 2] = 1j * u
-    slots[..., 3] = gains * sigma * dproj
-    slots[..., 4] = gains * d_c * proj
-    slots[..., 5] = gains * d_s * proj
-    subs = np.empty(ramp.shape + (6,), complex)
-    subs[..., 0] = np.arange(cfg.n_subcarriers)[:, None] * ramp
-    subs[..., 1:] = ramp[..., None]
-    return (slots.reshape(u.shape[:-1] + (6 * n_paths,)),
-            subs.reshape(ramp.shape[:-1] + (6 * n_paths,)),
-            (u * gains) @ np.swapaxes(ramp, -1, -2))
 
 
 def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
@@ -97,13 +36,6 @@ def fim_channel(params: ChannelParams, setup: Setup) -> np.ndarray:
     of its factors, the sum is Re{(A^H A) o (B^H B)}, o entrywise.
     """
     a, b, _ = derivative_factors(params, setup)
-    return fim_from_factors(a, b, setup)
-
-
-def fim_from_factors(a: np.ndarray, b: np.ndarray, setup: Setup) -> np.ndarray:
-    """The channel FIM from the ``derivative_factors`` A and B: what
-    ``fim_channel`` and the Fisher-scoring steps of ``sage.run_sage``
-    compute."""
     return fim_from_gram(gram_from_factors(a, b), setup)
 
 

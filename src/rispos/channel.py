@@ -19,13 +19,13 @@ which folds the RIS-BS steering into it. The dictionaries are built
 with these functions on grids of the same absolute coordinates: u, c
 and s each take G values of step 2/G in [-1, 1), the RIS grids placed
 to contain the leg's own c_out and s_out.
-``model_field`` is the only implementation of the noiseless field:
-synthesis, the likelihood and the Fisher information all build on it or
-on its per-path factors (``path_factors``: ``ris_slot_factors``,
-``pilot_projection`` and ``subcarrier_ramp``), and the coarse delay
-step scores the same ``subcarrier_ramp``. ``synthesize_rx`` draws the
-received tensor only through the two statistics the estimators read, as
-an ``Observation``.
+``derivative_factors`` is the one forward model: it forms the per-path
+factors (``slot_factors`` of the RIS response, the pilot projection and
+``subcarrier_ramp``) once, and from them the noiseless field and the
+factors of its derivatives. Synthesis, the likelihood and the Fisher
+information all read it, and the coarse delay step scores the same
+``subcarrier_ramp``. ``synthesize_rx`` draws the received tensor only
+through the two statistics the estimators read, as an ``Observation``.
 """
 
 from __future__ import annotations
@@ -180,10 +180,6 @@ class RisDictionary:
     matrix: np.ndarray      # (N_r, G_e*G_a)
     azimuth: Dictionary
     elevation: Dictionary
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[1]
 
 
 def grid_values(g: int) -> np.ndarray:
@@ -367,39 +363,72 @@ def slot_factors(setup: Setup, cols: np.ndarray) -> np.ndarray:
     return (sched.block_phases @ cols)[..., sched.slot_block, :]
 
 
-def ris_slot_factors(setup: Setup, c, s) -> np.ndarray:
-    """sigma_t = g_t^T a_R(c, s) per slot, (T, n), at (n,) arrays c and s,
-    either of which may hold one value shared by all n."""
-    return slot_factors(setup, kron_columns(*ris_factors(setup, c, s)))
+def derivative_factors(params: ChannelParams, setup: Setup):
+    """The noiseless field mu (T, N) of all paths and the slot and
+    subcarrier factors of its derivatives, A (T, 6(Q+1)) and B
+    (N, 6(Q+1)), derivative k the (T, N) outer product of A[:, k] and
+    B[:, k]; returns (A, B, mu). This is the package's one forward
+    model: synthesis, the likelihood, the Fisher information and the
+    truth's Gram all take their field or its derivatives from this pass.
 
+    Path q contributes delta_q sigma_t p_t ramp[n] to slot t and
+    subcarrier n of the field: sigma_t = g_t^T a_R(c, s) per slot
+    (``slot_factors`` of the RIS response), p_t = a_M(u)^H x_t (as
+    ``pilot_projection`` forms it) and the delay's ``subcarrier_ramp``.
+    The noiseless received tensor is a_B (x) mu: every path arrives at
+    the BS along the known RIS-BS direction, so the field and all its
+    derivatives share that rank-1 structure, and |a_B|^2 = N_b is all
+    the estimators need of a_B.
 
-def path_factors(params: ChannelParams, setup: Setup):
-    """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
+    Parameter order per path: [tau, delta_re, delta_im, u, c, s]. Each
+    derivative keeps the path's product form. The u, c and s derivatives
+    weight the MS steering vector and the RIS response by the MS, RIS
+    elevation and RIS azimuth index ramps.
 
-    Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
-    subcarrier n of the field: sigma_t = g_t^T a_R(c, s)
-    (``ris_slot_factors``), p_t = a_M(u)^H x_t (``pilot_projection``).
+    Gains stacked (K, Q+1), parameters stacked (K, Q+1) in every field,
+    or a setup with pilots stacked (K, N_m, T) give the K passes
+    (K, T, 6(Q+1)), (K, N, 6(Q+1)) and (K, T, N), each product on its
+    own row's operands, as on one: row k at the gains of row k and the
+    pilots of the setup's row k. B keeps no row axis where the delays
+    have none.
     """
-    cfg = setup.cfg
-    sigma = ris_slot_factors(setup, params.c, params.s)
-    proj = pilot_projection(setup.geom, setup.pilots, params.u)
-    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
-    return sigma, proj, ramp
-
-
-def model_field(params: ChannelParams, setup: Setup) -> np.ndarray:
-    """Noiseless per-slot/per-subcarrier scalar field (T, N) of all paths.
-
-    The noiseless received tensor is a_B (x) this field: every path
-    arrives at the BS along the known RIS-BS direction, so the field and
-    all its parameter derivatives share that rank-1 structure, and
-    |a_B|^2 = N_b is all the estimators need of a_B. Parameters whose
-    gains are a stack (K, Q+1) give the K fields (K, T, N) of those
-    gains, one product per field; a stacked setup gives field k at the
-    pilots of its row k.
-    """
-    sigma, proj, ramp = path_factors(params, setup)
-    return (sigma * proj * params.gains[..., None, :]) @ ramp.T
+    geom, cfg = setup.geom, setup.cfg
+    lam = geom.wavelength
+    gains = params.gains[..., None, :]
+    n_paths = params.tau.shape[-1]
+    a_m = np.moveaxis(ms_sine_steering(geom, params.u).conj(), 0, -2)
+    a_r = np.moveaxis(kron_columns(*ris_factors(setup, params.c, params.s)),
+                      0, -2)
+    ramp = np.moveaxis(subcarrier_ramp(params.tau, cfg.bandwidth,
+                                       cfg.n_subcarriers), 0, -2)
+    k_r = np.arange(geom.n_ris)[:, None]
+    pilots_t = np.swapaxes(setup.pilots, -1, -2)
+    # the matrices of each product stacked along a new axis, so that each
+    # makes the gemm call of its own: a product's columns keep their bits
+    # only among products of as many columns
+    sigma, d_c, d_s = slot_factors(setup, np.stack([
+        a_r, k_r // geom.n_ris_az * a_r, k_r % geom.n_ris_az * a_r]))
+    prods = pilots_t[..., None, :, :] @ np.stack(
+        [a_m, np.arange(geom.n_ms)[:, None] * a_m], axis=-3)
+    proj = prods[..., 0, :, :]
+    dproj = 2j * np.pi * geom.d_ms / lam * prods[..., 1, :, :]
+    d_c = -2j * np.pi * geom.d_ris_el / lam * d_c
+    d_s = -2j * np.pi * geom.d_ris_az / lam * d_s
+    u = sigma * proj
+    shape = np.broadcast_shapes(u.shape, gains.shape)
+    slots = np.empty(shape + (6,), complex)
+    slots[..., 0] = -2j * np.pi * cfg.bandwidth / cfg.n_subcarriers * gains * u
+    slots[..., 1] = u
+    slots[..., 2] = 1j * u
+    slots[..., 3] = gains * sigma * dproj
+    slots[..., 4] = gains * d_c * proj
+    slots[..., 5] = gains * d_s * proj
+    subs = np.empty(ramp.shape + (6,), complex)
+    subs[..., 0] = np.arange(cfg.n_subcarriers)[:, None] * ramp
+    subs[..., 1:] = ramp[..., None]
+    return (slots.reshape(shape[:-1] + (6 * n_paths,)),
+            subs.reshape(ramp.shape[:-1] + (6 * n_paths,)),
+            (u * gains) @ np.swapaxes(ramp, -1, -2))
 
 
 @dataclass
@@ -428,7 +457,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     """Draw the observations of y = a_B (x) field + z, z iid CN(0,
     sigma^2), exactly in distribution and without forming y, at
     parameters whose gains are a stack (K, Q+1); the fields are
-    ``model_field(params, setup)``.
+    ``derivative_factors(params, setup)[2]``.
 
     With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
     + z_par, z_par iid CN(0, sigma^2), and pa = |a_B| ypar. The noise
@@ -449,7 +478,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
-    ypar = norm_b * model_field(params, setup)
+    ypar = norm_b * derivative_factors(params, setup)[2]
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
     low = np.zeros((len(ypar), t1, 0 if noiseless else min(m, t1)),
                    dtype=complex)

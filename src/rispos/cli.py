@@ -70,8 +70,7 @@ def _cmd_trial(args) -> int:
         "seed_entropy": list(rec.seed_entropy),
         "error": rec.error,
         "support_ok": rec.support_ok,
-        "flags": {k: (v if isinstance(v, (bool, str, int, float)) else str(v))
-                  for k, v in rec.flags.items()},
+        "flags": {k: np.asarray(v).tolist() for k, v in rec.flags.items()},
         "peb_m": rec.peb,
         "oeb_deg": float(np.rad2deg(rec.oeb)),
         "stages": {k: np.asarray(v).tolist() for k, v in rec.stages.items()},

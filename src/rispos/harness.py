@@ -337,13 +337,14 @@ class SweepSetup(ch.Setup):
     The trials differ only in their drawn path gains and their power. So
     the setup holds the true channel parameters ``true_unit`` at unit
     gains, whose delays and spatial frequencies every trial shares, the
-    complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of
-    ``bounds.derivative_factors`` at them, and the parameter Jacobian
-    ``t_true`` at the true pose; ``truth`` swaps a trial's gains into
-    the first two. ``true_unit`` and ``t_true`` follow from the geometry
-    alone; ``true_gram`` depends on the pilots, so it is one of
-    ``POWER_FIELDS``, formed for every row in one stacked pass, and
-    ``take`` gives each record its own power's row.
+    complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of the forward
+    model's derivative factors (``channel.derivative_factors``) at them,
+    and the parameter Jacobian ``t_true`` at the true pose; ``truth``
+    swaps a trial's gains into the first two. ``true_unit`` and
+    ``t_true`` follow from the geometry alone; ``true_gram`` depends on
+    the pilots, so it is one of ``POWER_FIELDS``, formed for every row in
+    one stacked pass, and ``take`` gives each record its own power's
+    row.
     """
 
     POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
@@ -368,7 +369,7 @@ class SweepSetup(ch.Setup):
             shared.flags.writeable = False
         super().__post_init__()
         self.true_gram = bnd.gram_from_factors(
-            *bnd.derivative_factors(self.true_unit, self)[:2])
+            *ch.derivative_factors(self.true_unit, self)[:2])
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with the path gains of K trials,

@@ -6,9 +6,9 @@ parameters at once, and a step is kept only where the global
 log-likelihood does not fall, so the ascent stays monotone. The
 likelihood of a parameter vector is 2 Re<mu, pa> - N_B ||mu||^2
 (``field_log_likelihood``), with pa the observation's beamformed record
-a_B^H y (T, N) and mu the noiseless field ``channel.model_field``; it
-equals ||y||^2 - ||y - a_B (x) mu||^2 exactly. Nothing else of the
-received tensor enters SAGE.
+a_B^H y (T, N) and mu the noiseless field of the forward model
+``channel.derivative_factors``; it equals ||y||^2 - ||y - a_B (x) mu||^2
+exactly. Nothing else of the received tensor enters SAGE.
 
 A step is Fisher scoring (Kay, Estimation Theory, 1993, sec. 7.7) in the
 coordinates a ``ChannelParams`` holds: the delay, the gain, the
@@ -16,7 +16,7 @@ departure sine u = sin theta_t, the elevation cosine c = cos phi_in and
 the azimuth product s = sin psi_in sin phi_in. The score is
 (2/sigma^2) Re diag(A^H E conj(B)) with E = pa - N_B mu, the FIM J is
 (2 N_B/sigma^2) Re{(A^H A) o (B^H B)}, and all three come from one pass
-of ``bounds.derivative_factors``, which returns A, B and the field mu.
+of ``channel.derivative_factors``, which returns A, B and the field mu.
 A point costs that one pass: its mu gives the point's likelihood and,
 once the point is kept, its A and B give the next step.
 
@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
+from . import channel as ch
 from ._damping import ascend
 from .channel import Observation, Setup
 from .params import ChannelParams
@@ -80,43 +81,34 @@ def field_log_likelihood(mu: np.ndarray, obs: Observation,
                  - setup.geom.n_bs * np.vdot(mu, mu).real)
 
 
-def _boundary_rows(vec: np.ndarray, score: np.ndarray,
-                   wraps: bool) -> np.ndarray:
-    """Whether each row of the stacks of parameter vectors and scores
-    (k, 6(Q+1)) has a boundary direction along which its score leaves the
-    physical set: ``_step_basis``'s test on every path at once."""
+def _boundary_rows(vec: np.ndarray, score: np.ndarray, wraps: bool):
+    """The boundary directions along which the score leaves the physical
+    set, of stacks of parameter vectors and scores (k, 6(Q+1)): per path
+    (k, Q+1), whether its sine sits at +-1 with the score pointing out
+    (never where the sines wrap), and whether its (c, s) sits on the rim
+    with the score pointing out."""
     p, g = vec.reshape(len(vec), -1, 6), score.reshape(len(vec), -1, 6)
     u, c, s = p[..., 3], p[..., 4], p[..., 5]
-    out = ((c * c + s * s >= 1.0 - _RIM_TOL)
+    sine = (not wraps) & (np.abs(u) >= 1.0) & (u * g[..., 3] > 0.0)
+    rim = ((c * c + s * s >= 1.0 - _RIM_TOL)
            & (c * g[..., 4] + s * g[..., 5] > 0.0))
-    if not wraps:
-        out |= (np.abs(u) >= 1.0) & (u * g[..., 3] > 0.0)
-    return out.any(axis=1)
+    return sine, rim
 
 
-def _step_basis(params: ChannelParams, score: np.ndarray, wraps: bool):
-    """Columns spanning the step space at ``params``: the identity, less
-    each boundary direction along which the score leaves the physical
-    set, or None when no such direction exists. A sine at +-1 loses its
-    column unless the sines wrap; a (c, s) on the rim keeps only its unit
-    tangent (-s, c) / |(c, s)|."""
-    drop, tangents = [], []
-    for q, (u, c, s) in enumerate(zip(params.u.tolist(), params.c.tolist(),
-                                      params.s.tolist())):
-        k = 6 * q
-        g_u, g_c, g_s = score[k + 3:k + 6].tolist()
-        if not wraps and abs(u) >= 1.0 and u * g_u > 0.0:
-            drop.append(k + 3)
-        if c * c + s * s >= 1.0 - _RIM_TOL and c * g_c + s * g_s > 0.0:
-            r = np.hypot(c, s)
-            tangents.append((k + 4, -s / r, c / r))
-            drop.append(k + 5)
-    if not drop:
-        return None
-    basis = np.eye(score.size)
-    for k, t_c, t_s in tangents:
-        basis[k:k + 2, k] = t_c, t_s
-    return np.delete(basis, drop, axis=1)
+def _step_basis(vec: np.ndarray, sine: np.ndarray, rim: np.ndarray):
+    """Columns spanning the step space at the parameter vector ``vec``
+    (6(Q+1),) with the boundary masks ``sine`` and ``rim`` (Q+1,) of
+    ``_boundary_rows``: the identity, less each flagged sine's column
+    and, for each flagged (c, s), less its radial direction, keeping
+    only its unit tangent (-s, c) / |(c, s)|."""
+    basis = np.eye(vec.size)
+    for k in (6 * np.flatnonzero(rim)).tolist():
+        c, s = vec[k + 4], vec[k + 5]
+        r = np.hypot(c, s)
+        basis[k + 4:k + 6, k + 4] = -s / r, c / r
+    return np.delete(basis, np.concatenate([6 * np.flatnonzero(sine) + 3,
+                                            6 * np.flatnonzero(rim) + 5]),
+                     axis=1)
 
 
 def _projected(vec: np.ndarray, wraps: bool) -> ChannelParams:
@@ -162,19 +154,20 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
         score = score_scale * np.real(np.sum(
             (a_h @ (obs.pa[rows] - n_bs * mu)) * b.conj().swapaxes(1, 2),
             axis=2))
-        fim = bnd.fim_from_factors(a, b, setup)
-        edge = _boundary_rows(vec, score, wraps)
+        fim = bnd.fim_from_gram(bnd.gram_from_factors(a, b), setup)
+        sine, rim = _boundary_rows(vec, score, wraps)
+        edge = (sine | rim).any(axis=1)
         bases = None
         if edge.any():
-            bases = [_step_basis(ChannelParams.from_vector(v), g, wraps) if e
-                     else None for v, g, e in zip(vec, score, edge)]
+            bases = [_step_basis(v, i, r) if e else None
+                     for v, i, r, e in zip(vec, sine, rim, edge)]
         return fim, score, bases
 
     def evaluate(state, rows, steps):
         """Keep each projected candidate whose likelihood does not fall
         and is not NaN, with its factors."""
         cand = _projected(state[0][rows] + steps, wraps)
-        a, b, mu = bnd.derivative_factors(cand, setup.take(rows))
+        a, b, mu = ch.derivative_factors(cand, setup.take(rows))
         lamb = likelihoods(mu, rows)
         keep = lamb >= state[1][rows]
         kept = rows[keep]
@@ -184,12 +177,12 @@ def run_sage(obs: Observation, setup: Setup, init: ChannelParams):
             infos[k].loglik_history.append(value)
         return keep
 
-    a, b, mu = bnd.derivative_factors(init, setup)
+    a, b, mu = ch.derivative_factors(init, setup)
     lamb = likelihoods(mu, np.arange(len(mu)))
     infos = [SageInfo(loglik_history=[value]) for value in lamb.tolist()]
     (vec, _, a, b, _), steps, converged = ascend(
         (init.to_vector(), lamb, a, b, mu), model, evaluate)
-    fims = bnd.fim_from_factors(a, b, setup)
+    fims = bnd.fim_from_gram(bnd.gram_from_factors(a, b), setup)
     for k, info in enumerate(infos):
         info.scoring_steps, info.converged = int(steps[k]), bool(converged[k])
         if info.converged:

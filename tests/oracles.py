@@ -1,5 +1,7 @@
 """Test oracles: the node angles and the angle-domain channel model, the
-long-way channel builders, the per-slot RIS phases, the received tensor
+long-way channel builders, the noiseless field built the long way
+(``model_field`` from the per-path factors ``path_factors`` and
+``ris_slot_factors``), the per-slot RIS phases, the received tensor
 and its two statistics, the out-of-place noisy synthesis, the
 observation drawn with a fresh lower-triangle index, the 1-D
 grid-and-zoom search ``maximize_1d``, the global log-likelihood from
@@ -363,6 +365,43 @@ def beamform(a_b: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (a_b.conj() @ y.reshape(a_b.size, -1)).reshape(y.shape[1:])
 
 
+def ris_slot_factors(setup: ch.Setup, c, s) -> np.ndarray:
+    """sigma_t = g_t^T a_R(c, s) per slot, (T, n), at (n,) arrays c and s,
+    either of which may hold one value shared by all n."""
+    return ch.slot_factors(setup,
+                           gm.kron_columns(*ch.ris_factors(setup, c, s)))
+
+
+def path_factors(params: ChannelParams, setup: ch.Setup):
+    """Per-path factors of the field: sigma (T, Q+1), p (T, Q+1), ramp (N, Q+1).
+
+    Path q contributes delta_q * sigma_t p_t * ramp[n] to slot t and
+    subcarrier n of the field: sigma_t = g_t^T a_R(c, s)
+    (``ris_slot_factors``), p_t = a_M(u)^H x_t (``pilot_projection``).
+    """
+    cfg = setup.cfg
+    sigma = ris_slot_factors(setup, params.c, params.s)
+    proj = ch.pilot_projection(setup.geom, setup.pilots, params.u)
+    ramp = subcarrier_ramp(params.tau, cfg.bandwidth, cfg.n_subcarriers)
+    return sigma, proj, ramp
+
+
+def model_field(params: ChannelParams, setup: ch.Setup) -> np.ndarray:
+    """Noiseless per-slot/per-subcarrier scalar field (T, N) of all paths,
+    the long way round ``channel.derivative_factors``' mu.
+
+    The noiseless received tensor is a_B (x) this field: every path
+    arrives at the BS along the known RIS-BS direction, so the field and
+    all its parameter derivatives share that rank-1 structure, and
+    |a_B|^2 = N_b is all the estimators need of a_B. Parameters whose
+    gains are a stack (K, Q+1) give the K fields (K, T, N) of those
+    gains, one product per field; a stacked setup gives field k at the
+    pilots of its row k.
+    """
+    sigma, proj, ramp = path_factors(params, setup)
+    return (sigma * proj * params.gains[..., None, :]) @ ramp.T
+
+
 def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
                       noise_seed: int | np.random.Generator | None = 0,
                       noiseless: bool = False) -> np.ndarray:
@@ -375,7 +414,7 @@ def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
     is scaled in place and added into y's parts, with no complex
     temporaries.
     """
-    y = bs_steering(setup.geom)[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    y = bs_steering(setup.geom)[:, None, None] * model_field(params, setup)[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
         noise = rng.standard_normal((2,) + y.shape)
@@ -430,7 +469,7 @@ def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
     rng = np.random.default_rng(noise_seed)
-    ypar = norm_b * ch.model_field(params, setup)
+    ypar = norm_b * model_field(params, setup)
     noise = rng.standard_normal((2,) + ypar.shape)
     ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
@@ -455,10 +494,10 @@ def trial_tensor(exp, setup: ch.Setup, power_idx: int, trial_idx: int):
 
 
 def model_field_derivs(params: ChannelParams, setup: ch.Setup) -> np.ndarray:
-    """Derivatives of ``channel.model_field``, (6(Q+1), T, N): the outer
+    """Derivatives of ``model_field``, (6(Q+1), T, N): the outer
     products of the slot and subcarrier factors of
-    ``bounds.derivative_factors``."""
-    a, b, _ = bnd.derivative_factors(params, setup)
+    ``channel.derivative_factors``."""
+    a, b, _ = ch.derivative_factors(params, setup)
     return a.T[:, :, None] * b.T[:, None, :]
 
 
@@ -476,7 +515,7 @@ def synthesize_rx_sum(setup: ch.Setup, params: ChannelParams,
     """The received tensor as the out-of-place sum a_B (x) field +
     sqrt(sigma^2 / 2) (z_re + 1j z_im), the two halves drawn one after
     the other."""
-    y = bs_steering(setup.geom)[:, None, None] * ch.model_field(params, setup)[None, :, :]
+    y = bs_steering(setup.geom)[:, None, None] * model_field(params, setup)[None, :, :]
     rng = np.random.default_rng(noise_seed)
     scale = np.sqrt(setup.cfg.noise_power / 2.0)
     return y + scale * (rng.standard_normal(y.shape)
@@ -489,7 +528,7 @@ def reconstruct_complete_data(y: np.ndarray, params: ChannelParams, q: int,
     observation minus a_B (x) the other paths' field."""
     others = params.copy()
     others.gains[q] = 0.0
-    return y - bs_steering(setup.geom)[:, None, None] * ch.model_field(others, setup)[None]
+    return y - bs_steering(setup.geom)[:, None, None] * model_field(others, setup)[None]
 
 
 def path_terms(y_q: np.ndarray, tau: float, theta_t: float, phi_in: float,
@@ -891,9 +930,9 @@ def angle_bounds(geom: ScenarioGeometry, gains: np.ndarray,
 
 def global_log_likelihood(params: ChannelParams, obs: ch.Observation,
                           setup: ch.Setup) -> float:
-    """2 Re<mu, pa> - N_B ||mu||^2 with mu = ``channel.model_field``,
+    """2 Re<mu, pa> - N_B ||mu||^2 with mu = ``model_field``,
     which equals ||y||^2 - ||y - a_B (x) mu||^2 exactly."""
-    return sg.field_log_likelihood(ch.model_field(params, setup), obs, setup)
+    return sg.field_log_likelihood(model_field(params, setup), obs, setup)
 
 
 def factor_terms(pa: np.ndarray, setup: ch.Setup, sigma: np.ndarray,
@@ -932,7 +971,7 @@ def coordinate_update_cycle(obs: ch.Observation, setup: ch.Setup,
     the gain (Fessler and Hero's generalized EM step).
 
     Path q's complete data is pa minus N_B times the other paths' field.
-    Each coordinate enters one of the path's ``channel.path_factors``, so
+    Each coordinate enters one of the path's ``path_factors``, so
     a ``maximize_1d`` search rebuilds that factor for its candidates and
     reuses the other two; its bracket spans half a DFT bin for the delay
     and ``ANGLE_CELLS`` coarse grid cells for u, c and s, clipped to
@@ -942,8 +981,8 @@ def coordinate_update_cycle(obs: ch.Observation, setup: ch.Setup,
     geom, cfg = setup.geom, setup.cfg
     others = params.copy()
     others.gains[q] = 0.0
-    pa = obs.pa - geom.n_bs * ch.model_field(others, setup)
-    sigma, proj, ramp = (f[:, q:q + 1] for f in ch.path_factors(params, setup))
+    pa = obs.pa - geom.n_bs * model_field(others, setup)
+    sigma, proj, ramp = (f[:, q:q + 1] for f in path_factors(params, setup))
 
     def search(factors, x0, half, lim=np.inf):
         """Search one coordinate; ``factors`` maps its candidates to the
@@ -971,14 +1010,14 @@ def coordinate_update_cycle(obs: ch.Observation, setup: ch.Setup,
         u, ANGLE_CELLS * (2.0 / cfg.g_ms), 1.0)
     proj = ch.pilot_projection(geom, setup.pilots, np.array([u]))
     c, trace["c"] = search(
-        lambda cs: (ch.ris_slot_factors(setup, cs, np.array([s])), proj,
+        lambda cs: (ris_slot_factors(setup, cs, np.array([s])), proj,
                     ramp),
         c, ANGLE_CELLS * (2.0 / cfg.g_ris_el), np.sqrt(max(1.0 - s * s, 0.0)))
     s, trace["s"] = search(
-        lambda ss: (ch.ris_slot_factors(setup, np.array([c]), ss), proj,
+        lambda ss: (ris_slot_factors(setup, np.array([c]), ss), proj,
                     ramp),
         s, ANGLE_CELLS * (2.0 / cfg.g_ris_az), np.sqrt(max(1.0 - c * c, 0.0)))
-    sigma = ch.ris_slot_factors(setup, np.array([c]), np.array([s]))
+    sigma = ris_slot_factors(setup, np.array([c]), np.array([s]))
     params.tau[q], params.u[q], params.c[q], params.s[q] = tau, u, c, s
     params.gains[q] = fit(sigma, proj, ramp)[1]
     return trace
@@ -1020,13 +1059,13 @@ def block_slots(sched: ch.PhaseSchedule, i: int) -> np.ndarray:
 
 
 def derivative_factors_slots(params: ChannelParams, setup: ch.Setup):
-    """``bounds.derivative_factors`` without the field, its RIS
+    """``channel.derivative_factors`` without the field, its RIS
     derivatives contracted with every slot's phases: A (T, 6(Q+1)) and
     B (N, 6(Q+1))."""
     geom, cfg, phases = setup.geom, setup.cfg, slot_phases(setup.sched)
     lam = geom.wavelength
     gains = params.gains
-    sigma, proj, ramp = ch.path_factors(params, setup)
+    sigma, proj, ramp = path_factors(params, setup)
     a_m = ch.ms_sine_steering(geom, params.u)
     a_r = gm.kron_columns(*ch.ris_factors(setup, params.c, params.s))
     k_el = np.repeat(np.arange(geom.n_ris_el), geom.n_ris_az)[:, None]

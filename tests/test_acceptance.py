@@ -12,7 +12,7 @@ import pytest
 from conftest import build_ongrid_scenario, lone_aod_objective
 from oracles import (bs_steering, build_channel, channel_params_from_vector,
                      from_angles, gain_closed_form, global_log_likelihood,
-                     model_field_derivs, ms_steering, observe,
+                     model_field, model_field_derivs, ms_steering, observe,
                      ris_diff_steering, single_path_objective, slot_phases,
                      synthesize_tensor, to_angles)
 from rispos import bounds as bnd
@@ -71,8 +71,8 @@ def test_criterion_2_derivative_oracle(setup20):
         vp, vm = vec0.copy(), vec0.copy()
         vp[u] += h
         vm[u] -= h
-        fp = ch.model_field(channel_params_from_vector(vp), s.setup)
-        fm = ch.model_field(channel_params_from_vector(vm), s.setup)
+        fp = model_field(channel_params_from_vector(vp), s.setup)
+        fm = model_field(channel_params_from_vector(vm), s.setup)
         fd = (fp - fm) / (2 * h)
         rel = np.linalg.norm(analytic[u] - fd) / np.linalg.norm(analytic[u])
         worst_h = max(worst_h, rel)

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from conftest import sample_layout, sample_layout_with
 from oracles import (angle_bounds, angles_from_geometry,
                      channel_params_from_vector, derivative_factors_slots,
-                     fim_channel_tensor, model_field_derivs, row_setup)
+                     fim_channel_tensor, model_field, model_field_derivs,
+                     row_setup)
 from rispos import bounds as bnd
 from rispos import channel as ch
 from rispos import geometry as gm
@@ -35,8 +36,8 @@ def _fd_field_derivs(params, setup):
         vm[u] -= h
         pp = channel_params_from_vector(vp)
         pm = channel_params_from_vector(vm)
-        fp = ch.model_field(pp, setup)
-        fm = ch.model_field(pm, setup)
+        fp = model_field(pp, setup)
+        fm = model_field(pm, setup)
         out.append((fp - fm) / (2 * h))
     return np.stack(out)
 
@@ -54,25 +55,42 @@ def test_model_derivatives_match_finite_differences(setup20):
 
 @pytest.mark.parametrize("n_scat", [1, 2])
 def test_derivative_factors_match_the_per_slot_oracle(n_scat):
-    """One factor pass gives the oracle's A and B and model_field's bits."""
+    """One factor pass gives the oracle's A and B and model_field's bits,
+    on a lone setup and on a setup stacked at three powers; gains stacked
+    (3, Q+1) give each row's A, B and mu, as on that row's gains alone."""
     rng = np.random.default_rng(40 + n_scat)
     cfg = hn.ExperimentConfig().system()
     if n_scat == 2:
         cfg = dataclasses.replace(cfg, t1=22, t_total=43)
     for _ in range(20):
         geom = sample_layout_with(rng, n_scat)
+        sched = ch.make_phase_schedule(cfg, geom.n_ris, 7)
         setup = ch.Setup(geom, cfg, ch.make_pilots(cfg, geom.n_ms,
                                                    ch.dbm_to_watt(10.0), 8),
-                         ch.make_phase_schedule(cfg, geom.n_ris, 7))
-        gains = 1e-5 * (rng.standard_normal(n_scat + 1)
-                        + 1j * rng.standard_normal(n_scat + 1))
-        params = gm.true_channel_params(geom, gains)
-        a, b, mu = bnd.derivative_factors(params, setup)
+                         sched)
+        gains = 1e-5 * (rng.standard_normal((3, n_scat + 1))
+                        + 1j * rng.standard_normal((3, n_scat + 1)))
+        params = gm.true_channel_params(geom, gains[0])
+        a, b, mu = ch.derivative_factors(params, setup)
         for new, old in zip((a, b), derivative_factors_slots(params, setup)):
             assert new.shape == old.shape
             assert np.all(np.max(np.abs(new - old), axis=0)
                           <= 1e-12 * np.max(np.abs(old), axis=0))
-        assert np.array_equal(mu, ch.model_field(params, setup))
+        assert np.array_equal(mu, model_field(params, setup))
+        stacked = dataclasses.replace(params, gains=gains)
+        stack = ch.Setup(geom, cfg, ch.make_pilots(
+            cfg, geom.n_ms, [ch.dbm_to_watt(p) for p in (-10.0, 10.0, 20.0)],
+            8), sched)
+        for on in (setup, stack):
+            a3, b3, mu3 = ch.derivative_factors(stacked, on)
+            assert np.array_equal(mu3, model_field(stacked, on))
+            for k in range(3):
+                row = ch.derivative_factors(
+                    dataclasses.replace(params, gains=gains[k]),
+                    row_setup(on, k))
+                assert np.array_equal(a3[k], row[0])
+                assert np.array_equal(b3, row[1])
+                assert np.array_equal(mu3[k], row[2])
 
 
 def test_fim_symmetric_psd(setup20):

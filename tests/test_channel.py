@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import (block_slots, build_channel, build_channel_cascade,
-                     observe, row_setup, slot_phases, synthesize_rx_draws,
+                     model_field, observe, row_setup, slot_phases,
+                     synthesize_rx_draws,
                      synthesize_rx_sum, synthesize_tensor)
 from rispos import harness as hn
 from rispos import channel as ch
@@ -121,7 +122,7 @@ def test_synthesize_is_bs_steering_times_model_field(setup20):
     """The noiseless tensor is exactly a_B (x) the one forward model."""
     s = setup20
     rx = synthesize_tensor(s.setup, s.true, noiseless=True)
-    field = ch.model_field(s.true, s.setup)
+    field = model_field(s.true, s.setup)
     a_b = gm.steer_ula(s.geom.d_bs / s.geom.wavelength * s.setup.leg[0],
                        s.geom.n_bs)
     assert np.array_equal(a_b[:, None, None] * field[None, :, :], rx)
@@ -173,13 +174,13 @@ def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
                       for k, s in enumerate(setups)])
     true, _ = setups[0].truth(gains)
     seeds = [20 + k for k in range(len(setups))]
-    fields = ch.model_field(true, stack)
+    fields = model_field(true, stack)
     obs = ch.synthesize_rx(stack, true, seeds, noiseless=noiseless)
     for k, setup in enumerate(setups):
         alone_true, _ = setup.truth(gains[k:k + 1])
         alone = ch.synthesize_rx(setup, alone_true, seeds[k:k + 1],
                                  noiseless=noiseless)
-        assert fields[k].tobytes() == ch.model_field(alone_true,
+        assert fields[k].tobytes() == model_field(alone_true,
                                                      setup).tobytes(), k
         assert obs.row(k).pa.tobytes() == alone.pa.tobytes(), k
         assert obs.row(k).cov1.tobytes() == alone.cov1.tobytes(), k
@@ -222,7 +223,7 @@ def test_observation_moments_match_the_tensor_oracle(setup20, power):
            for _ in range(n_draws)]
     ref = [observe(synthesize_tensor(setup, s.true, rng_ref), setup).row(0)
            for _ in range(n_draws)]
-    field = ch.model_field(s.true, setup)
+    field = model_field(s.true, setup)
     f1 = field[:cfg.t1]
     exact = {"pa": n_bs * field,
              "cov1": n_bs * (f1.conj() @ f1.T + cfg.n_subcarriers * sigma2
@@ -437,7 +438,7 @@ def test_dictionary_grids(setup20):
         assert np.min(np.abs(grid - own)) < 1e-15
     assert ris.matrix.shape == (s.geom.n_ris, cfg.g_ris_el * cfg.g_ris_az)
     rng = np.random.default_rng(5)
-    for k in rng.choice(ris.size, 12, replace=False):
+    for k in rng.choice(ris.matrix.shape[1], 12, replace=False):
         c_k = ris.elevation.grid[k // cfg.g_ris_az]
         s_k = ris.azimuth.grid[k % cfg.g_ris_az]
         assert_allclose(ris.matrix[:, k],

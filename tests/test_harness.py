@@ -430,13 +430,13 @@ def test_stacked_fits_keep_a_failing_rows_lone_error(fit, monkeypatch):
     middle = hn.run_trial(exp, 20.0, 0, 1, setup)
     if fit == "sage":
         tau = middle.stages["coarse"].reshape(-1, 6)[:, 0]
-        factors = bnd.derivative_factors
+        factors = ch.derivative_factors
 
         def stub(params, setup):
             if np.all(np.atleast_2d(params.tau) == tau, axis=1).any():
                 raise errors.SingularConcentration("stubbed")
             return factors(params, setup)
-        monkeypatch.setattr(bnd, "derivative_factors", stub)
+        monkeypatch.setattr(ch, "derivative_factors", stub)
         message = "SingularConcentration: stubbed"
     else:
         ms = PositionParams.from_vector(middle.stages["closed_form"]).ms
@@ -865,6 +865,20 @@ def test_cli_trial_prints_scoring_flags(capsys):
     assert flags["lm_converged"] is True and flags["lm_steps"] > 0
     assert not {"sage_cycles", "sage_monotone", "aod_passes",
                 "lm_stalled"} & set(flags)
+
+
+def test_cli_trial_prints_flags_as_json_values(capsys):
+    """``rispos trial`` prints each flag as its JSON value, not as the
+    string of a Python repr: ``aoa_clamped`` loads as a list of one bool
+    per path, the record's own."""
+    exp = hn.ExperimentConfig()
+    rec = hn.run_trial(exp, 20.0, exp.powers_dbm.index(20.0), 0)
+    assert cli.main(["trial", "--power", "20"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    clamped = flags["aoa_clamped"]
+    assert isinstance(clamped, list) and len(clamped) == rec.eta_true.size // 6
+    assert all(isinstance(v, bool) for v in clamped)
+    assert clamped == list(rec.flags["aoa_clamped"])
 
 
 def test_cli_trial_unknown_power(capsys):

@@ -11,9 +11,10 @@ from oracles import (ZeroDenominator, beamform, bs_steering, build_channel,
                      channel_params_from_vector, coordinate_update_cycle,
                      factor_fit, factor_objective, factor_terms, from_angles,
                      gain_closed_form, global_log_likelihood, maximize_1d,
-                     ms_steering, observe, path_terms, row_setup,
-                     reconstruct_complete_data, refine_aod_cyclic,
-                     ris_diff_steering, sage_cycles, single_path_objective,
+                     model_field, ms_steering, observe, path_factors,
+                     path_terms, row_setup, reconstruct_complete_data,
+                     refine_aod_cyclic, ris_diff_steering, ris_slot_factors,
+                     sage_cycles, single_path_objective,
                      slot_phases, synthesize_tensor, synthesize_via_tensor,
                      to_angles)
 from rispos import _damping as dm
@@ -112,7 +113,7 @@ def test_reconstruct_sum_identity(setup20):
     others = s.true.copy()
     others.gains[0] = 0.0
     interference = (bs_steering(s.geom)[:, None, None]
-                    * ch.model_field(others, s.setup))
+                    * model_field(others, s.setup))
     scale = np.max(np.abs(s.rx_noisy))
     assert np.max(np.abs(y_0 + interference - s.rx_noisy)) < 1e-15 * scale
 
@@ -120,7 +121,7 @@ def test_reconstruct_sum_identity(setup20):
 def test_complete_data_beamforms_the_full_tensor(setup20, monkeypatch):
     """The record the coordinate-cycle oracle scores, a_B^H y - (a_B^H a_B)
     field, equals a_B^H applied to the per-path tensor; the factors it
-    starts from are path q's ``channel.path_factors`` columns."""
+    starts from are path q's ``path_factors`` columns."""
     s = setup20
     calls = []
     terms = oracles.factor_terms
@@ -129,7 +130,7 @@ def test_complete_data_beamforms_the_full_tensor(setup20, monkeypatch):
         calls.append((pa, sigma, proj, ramp))
         return terms(pa, setup, sigma, proj, ramp)
     monkeypatch.setattr(oracles, "factor_terms", recorded)
-    factors = ch.path_factors(s.true, s.setup)
+    factors = path_factors(s.true, s.setup)
     for q in range(2):
         full = reconstruct_complete_data(s.rx_noisy, s.true, q, s.setup)
         ref = beamform(bs_steering(s.geom), full)
@@ -280,7 +281,7 @@ def _search_factors(s, params, sigma=None, proj=None):
     factor and path 0's other two, ``sigma`` or ``proj`` in place of
     path 0's when given."""
     tau, u, c, sa = _coords(params)
-    cols = [f[:, :1] for f in ch.path_factors(params, s.setup)]
+    cols = [f[:, :1] for f in path_factors(params, s.setup)]
     if sigma is not None:
         cols[0] = sigma
     if proj is not None:
@@ -291,9 +292,9 @@ def _search_factors(s, params, sigma=None, proj=None):
                                                      s.cfg.n_subcarriers)),
         "theta_t": lambda x: (sig, ch.pilot_projection(s.geom, s.pilots, x),
                               ramp),
-        "phi_in": lambda x: (ch.ris_slot_factors(s.setup, x, np.array([sa])),
+        "phi_in": lambda x: (ris_slot_factors(s.setup, x, np.array([sa])),
                              p, ramp),
-        "psi_in": lambda x: (ch.ris_slot_factors(s.setup, np.array([c]), x),
+        "psi_in": lambda x: (ris_slot_factors(s.setup, np.array([c]), x),
                              p, ramp),
     }
 
@@ -367,13 +368,13 @@ def test_ris_candidates_are_physical(setup20, monkeypatch):
     would leave the disk at once."""
     s = setup20
     points = []
-    derivative_factors = bnd.derivative_factors
+    derivative_factors = ch.derivative_factors
 
     def recorded(params, setup):
         points.append(params)
         return derivative_factors(params, setup)
 
-    monkeypatch.setattr(bnd, "derivative_factors", recorded)
+    monkeypatch.setattr(ch, "derivative_factors", recorded)
     coarse = ce.run_coarse(s.obs_noisy, s.setup)
     sg.run_sage(s.obs_noisy, s.setup, coarse.params)
     for psi in (0.5 * np.pi, 1.5 * np.pi):
@@ -712,9 +713,9 @@ def test_sines_fold_at_half_wavelength_spacing(setup20):
     vec[3] = 1.0
     score = np.zeros(12)
     score[3] = 1.0                    # pointing out of [-1, 1]
-    on_bound = ChannelParams.from_vector(vec)
-    assert not sg._boundary_rows(vec[None], score[None], True)[0]
-    assert sg._step_basis(on_bound, score, True) is None
-    assert sg._boundary_rows(vec[None], score[None], False)[0]
-    assert np.array_equal(sg._step_basis(on_bound, score, False),
+    for wraps in (True, False):
+        sine, rim = sg._boundary_rows(vec[None], score[None], wraps)
+        assert np.array_equal(sine, [[not wraps, False]])
+        assert not rim.any()
+    assert np.array_equal(sg._step_basis(vec, sine[0], rim[0]),
                           np.delete(np.eye(12), 3, axis=1))
