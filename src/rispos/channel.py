@@ -131,30 +131,44 @@ def make_pilots(cfg: SystemConfig, n_ms: int, p_tx: float | list,
 
 
 def path_loss_db(cfg: SystemConfig, geom: ScenarioGeometry,
-                 shadowing_db: float = 0.0) -> np.ndarray:
+                 shadowing_db: float | np.ndarray = 0.0) -> np.ndarray:
     """Large-scale loss of each cascaded path (dB), NLoS = VLoS + 3 dB.
 
     Uses the UMa-style reflection-link model with the carrier expressed
-    in GHz and 3-D link distances in meters.
+    in GHz and 3-D link distances in meters. A scalar shadowing gives
+    (Q+1,); shadowings (K,) give (K, Q+1), row k at shadowing k, each
+    entry summed as ((28 + 40 log f) + 10 n log d) + shadowing.
     """
     d_mr = np.linalg.norm(geom.ms - geom.ris)
     d_rb = np.linalg.norm(geom.ris - geom.bs)
     pl0 = (28.0 + 40.0 * np.log10(cfg.fc / 1e9)
            + 10.0 * cfg.path_loss_exponent * np.log10(d_mr * d_rb)
-           + shadowing_db)
-    pl = np.full(geom.n_scatterers + 1, pl0)
-    pl[1:] += 3.0
+           + np.asarray(shadowing_db)[..., None])
+    pl = np.repeat(pl0, geom.n_scatterers + 1, axis=-1)
+    pl[..., 1:] += 3.0
     return pl
 
 
 def draw_gains(cfg: SystemConfig, geom: ScenarioGeometry,
-               seed: int | np.random.Generator = 0) -> np.ndarray:
-    """Draw complex path gains: CN(0, 10^(-PL/10)) with shared shadowing."""
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(0.0, cfg.shadow_std_db)
+               seed: int | np.random.Generator | list | tuple = 0
+               ) -> np.ndarray:
+    """Draw complex path gains: CN(0, 10^(-PL/10)) with shared shadowing.
+
+    One seed (an int, a ``SeedSequence`` or a ``Generator``) gives (Q+1,)
+    gains: the shadowing first, then the real and the imaginary parts. A
+    list or tuple of K seeds gives (K, Q+1), row k drawn from seed k in
+    that order, bit for bit the gains of seed k alone; the path loss is
+    formed once for the K rows.
+    """
+    lone = not isinstance(seed, (list, tuple))
+    rngs = [np.random.default_rng(s) for s in ([seed] if lone else seed)]
+    xi = np.array([rng.normal(0.0, cfg.shadow_std_db) for rng in rngs])
     var = 10.0 ** (-path_loss_db(cfg, geom, xi) / 10.0)
-    raw = rng.standard_normal(var.size) + 1j * rng.standard_normal(var.size)
-    return np.sqrt(var / 2.0) * raw
+    n_paths = var.shape[-1]
+    raw = np.array([rng.standard_normal(n_paths)
+                    + 1j * rng.standard_normal(n_paths) for rng in rngs])
+    gains = np.sqrt(var / 2.0) * raw
+    return gains[0] if lone else gains
 
 
 def nominal_gain_amplitudes(cfg: SystemConfig, geom: ScenarioGeometry) -> np.ndarray:
@@ -470,31 +484,46 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
 
     Returns the K observations as one stacked ``Observation``, pa
     (K, T, N) and cov1 (K, T1, T1). ``noise_seed`` is a sequence of K
-    seeds, unread when ``noiseless``; each observation draws its noise
-    from its own seed in the order above, so it does not depend on the
-    rows drawn beside it. With a stacked setup observation k is at its
-    own row's pilots, as it would be drawn with a lone setup of that
-    row's pilots.
+    seeds, unread when ``noiseless``; any other count raises
+    ``ValueError``. Each observation draws its noise from its own
+    ``Generator`` in the order above, into its row of stacked buffers, so
+    it does not depend on the rows drawn beside it; the noise sum and
+    the Bartlett placement then run once on the stack. With a stacked
+    setup observation k is at its own row's pilots, as it would be drawn
+    with a lone setup of that row's pilots.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
     ypar = norm_b * derivative_factors(params, setup)[2]
+    n_rows = len(ypar)
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
-    low = np.zeros((len(ypar), t1, 0 if noiseless else min(m, t1)),
-                   dtype=complex)
-    diag = np.arange(t1)
-    for row, low_row, seed in zip(ypar, low, () if noiseless else noise_seed,
-                                  strict=not noiseless):
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((2,) + row.shape)
-        row += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
-        if m >= t1:
-            low_row[diag, diag] = np.sqrt(rng.standard_gamma(m - diag))
-            low_row[setup.tril] = rng.standard_normal(
-                (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
+    if noiseless:
+        low = np.zeros((n_rows, t1, 0), dtype=complex)
+    else:
+        if len(noise_seed) != n_rows:
+            raise ValueError(f"{len(noise_seed)} noise seeds for "
+                             f"{n_rows} observations")
+        diag = np.arange(t1)
+        full = m >= t1
+        noise = np.empty((n_rows, 2) + ypar.shape[1:])
+        gammas = np.empty((n_rows, t1 if full else 0))
+        normals = np.empty((n_rows,) + ((t1 * (t1 - 1) // 2, 2) if full
+                                        else (t1, m, 2)))
+        for k, seed in enumerate(noise_seed):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=noise[k])
+            if full:
+                rng.standard_gamma(m - diag, out=gammas[k])
+            rng.standard_normal(out=normals[k])
+        ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[:, 0]
+                                                  + 1j * noise[:, 1])
+        normals = normals.view(complex)[..., 0] * np.sqrt(0.5)
+        if full:
+            low = np.zeros((n_rows, t1, t1), dtype=complex)
+            low[:, diag, diag] = np.sqrt(gammas)
+            low[:, setup.tril[0], setup.tril[1]] = normals
         else:
-            low_row[:] = rng.standard_normal((t1, m, 2)).view(
-                complex)[..., 0] * np.sqrt(0.5)
+            low = normals
     y1 = ypar[:, :t1]
     return Observation(norm_b * ypar, y1.conj() @ y1.swapaxes(1, 2)
                        + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))

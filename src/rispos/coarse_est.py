@@ -9,11 +9,15 @@ Newton steps on closed-form derivatives within half a bin of it, with
 no search. The departure recovery is DCS-SOMP, its picks made by
 ``pick_columns`` from the observation's T1 x T1 covariance cov1. The
 arrival recovery de-mixes all phase blocks with one batched solve and
-makes every path's 1-sparse pick from one product with the block-level
-RIS dictionary. The products that depend on the setup alone (the
-projected AOD dictionary, the block indicator, the block-level RIS
-dictionary, the delay step's ramps) are built once per sweep by
-``channel.Setup``. The dictionaries are grids of these absolute
+makes every path's 1-sparse pick over the block-level RIS dictionary.
+Both grid picks score every column of their dictionary from a Hermitian
+second moment, DCS-SOMP's residual covariance or a path's blocks x
+blocks moment, through one real table per dictionary (``_score_table``,
+``_grid_scores``): no grid-by-data product is formed, and the arrival's
+hybrid gains are formed at the picked column alone. The products that
+depend on the setup alone (the projected AOD dictionary, the block
+indicator, the block-level RIS dictionary, the delay step's ramps) are
+built once per sweep by ``channel.Setup``. The dictionaries are grids of these absolute
 coordinates, so an estimate is read straight off its grid and no stage
 converts to angles. Paths leave in delay order: the VLoS path, the
 shortest, comes first.
@@ -37,6 +41,7 @@ with its own setup's pilots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +111,47 @@ class SompResult:
     errors: list
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_entries(m: int):
+    """The index pairs (m1, m2), m1 < m2, of an M x M matrix's strict
+    upper triangle in ``np.triu_indices`` order, and the places, in the
+    float view of a C-contiguous complex M x M matrix, of the real parts
+    of its diagonal, then of the real and then of the imaginary parts of
+    that triangle: the M^2 real entries that determine a Hermitian
+    matrix. Read-only; computed once per M."""
+    first, second = np.triu_indices(m, 1)
+    re_upper = 2 * (first * m + second)
+    places = np.concatenate([2 * (m + 1) * np.arange(m), re_upper,
+                             re_upper + 1])
+    for index in (first, second, places):
+        index.flags.writeable = False
+    return first, second, places
+
+
+def _score_table(dictionary: np.ndarray) -> np.ndarray:
+    """The real (M^2, G) table W of a dictionary Theta (M, G) that scores
+    every column from a Hermitian M x M second moment R:
+    Re(theta_g^H R theta_g) = x(R) . W[:, g], x(R) R's M^2 real entries
+    in the order of ``_moment_entries`` (``_grid_scores``). Its rows are
+    |theta_mg|^2, then the real parts of 2 conj(theta_mg) theta_m'g, then
+    minus their imaginary parts, over the pairs m < m'."""
+    theta = np.asarray(dictionary, dtype=complex)
+    first, second, _ = _moment_entries(theta.shape[-2])
+    cross = 2.0 * theta[first].conj() * theta[second]
+    return np.concatenate([np.abs(theta) ** 2, cross.real, -cross.imag])
+
+
+def _grid_scores(moment: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Re(theta_g^H R theta_g) at every column g of the dictionary whose
+    ``_score_table`` is ``table`` (M^2, G), for each Hermitian R of the
+    stack ``moment`` (..., M, M); (..., G). Each R is scored by its own
+    (1, M^2) @ (M^2, G) product, the BLAS call of a lone R."""
+    m = moment.shape[-1]
+    flat = np.ascontiguousarray(moment).reshape(moment.shape[:-2] + (m * m,))
+    parts = flat.view(float)[..., _moment_entries(m)[2]]
+    return (parts[..., None, :] @ table)[..., 0, :]
+
+
 def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
                  sparsity: int) -> SompResult:
     """DCS-SOMP's greedy picks from the covariances C = Y Y^H of a stack
@@ -114,9 +160,13 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
     Re(theta_g^H R theta_g) / ||theta_g||^2. Returns each record's
     support and residual norms sqrt(tr R), initial first.
 
-    Each product runs once for the stack; a record whose picked columns
-    are linearly dependent gets that error in its row of ``errors``. The
-    dictionary (M, G) is shared by every record.
+    The scores are read off R's second moment: the dictionary (M, G),
+    shared by every record, gives one real table (``_score_table``),
+    and each record's scores are the product of R's M^2 real entries with
+    it, one product per record (``_grid_scores``), so a record's picks
+    do not depend on the records beside it. The projectors run once for
+    the stack; a record whose picked columns are linearly dependent gets
+    that error in its row of ``errors``.
     """
     theta = np.asarray(dictionary, dtype=complex)
     n_meas = theta.shape[-2]
@@ -124,17 +174,16 @@ def pick_columns(cov: np.ndarray, dictionary: np.ndarray,
         raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
                                  f"covariance and {n_meas} dictionary rows")
     rows = np.arange(len(cov))[:, None]
+    table = _score_table(theta)
     # unequal column norms (random phase profiles) must not bias the pick
-    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=-2), 1e-300)
-    theta_h = theta.conj()
+    col_power = np.maximum(np.sum(table[:n_meas], axis=-2), 1e-300)
     columns = np.broadcast_to(theta, cov.shape[:1] + theta.shape[-2:])
     support = np.zeros((len(cov), 0), dtype=int)
     errors = [None] * len(cov)
     resid = cov
     norms = [np.trace(cov, axis1=1, axis2=2).real]
     for _ in range(sparsity):
-        corr = np.einsum("...mg,...mg->...g", theta_h,
-                         resid @ theta).real / col_power
+        corr = _grid_scores(resid, table) / col_power
         corr[rows, support] = -np.inf    # residual is orthogonal to these
         support = np.hstack([support, np.argmax(corr, axis=1)[:, None]])
         sel = columns.swapaxes(1, 2)[rows, support].transpose(0, 2, 1)
@@ -291,8 +340,8 @@ def _block_signals(obs: Observation, setup: Setup, proj: np.ndarray):
     """The per-block path signals S (K, B, Q+1, N) of a stack of K
     records whose slots have the pilot projections ``proj`` (K, T, Q+1),
     and per record its error or None: every phase block de-mixed by one
-    batched solve. Its temporaries are freed when it returns, before the
-    grid correlation of ``estimate_ris_aoa``."""
+    batched solve. Its temporaries are freed when it returns, before
+    ``estimate_ris_aoa`` scores the grid."""
     block_sum = setup.block_sum                                 # (B, T)
     n_blocks, n_slots = block_sum.shape
     n_rows, _, n_paths = proj.shape
@@ -302,8 +351,8 @@ def _block_signals(obs: Observation, setup: Setup, proj: np.ndarray):
     outer = proj.conj()[..., None] * proj[..., None, :]    # (K, T, Q+1, Q+1)
     gram = (block_sum @ outer.reshape(n_rows, n_slots, -1)).reshape(
         n_rows, n_blocks, n_paths, n_paths)
-    # the right-hand sides, as the correlation over the grid, are formed
-    # one path at a time, which keeps a stack's temporaries small
+    # the right-hand sides are formed one path at a time, which keeps a
+    # stack's temporaries small
     rhs = np.stack([block_sum @ (proj[..., q, None].conj() * ycheck)
                     for q in range(n_paths)], axis=2)     # (K, B, Q+1, N)
     return _solve_rows(gram, rhs, "block mixing matrix has no right inverse")
@@ -319,33 +368,33 @@ def estimate_ris_aoa(obs: Observation, setup: Setup,
     p_t^T and the right-hand side sum_{t in b} conj(p_t) pa_t^T, and one
     batched solve gives the per-block path signals S (blocks, Q+1, N).
     Each path then makes a 1-sparse pick over the block-level dictionary
-    D = ``setup.ris_eff``: from Z = D^H S, path q takes the column g
-    maximizing ||Z[g, q]||^2 / ||d_g||^2, and its hybrid gain is
-    Z[g, q] / ||d_g||^2. The grids hold c and s in [-1, 1), so the picked
+    D = ``setup.ris_eff``: path q, with signals S_q (blocks, N), takes
+    the column g maximizing ||d_g^H S_q||^2 / ||d_g||^2, scored as
+    d_g^H (S_q S_q^H) d_g / ||d_g||^2 from its blocks x blocks second
+    moment through D's real table (``_score_table``, ``_grid_scores``),
+    and its hybrid gains are Z = d_g^H S_q / ||d_g||^2, formed at the
+    picked column alone. The grids hold c and s in [-1, 1), so the picked
     point needs only its s projected onto the disk, |s| <= sqrt(1 - c^2);
     ``clamped`` marks a path whose s moved.
 
     A stack of K observations with a (K, Q+1) stack of sines runs each
-    step once for the stack; a record whose block Grams fail the
-    condition check gets its error in its row of ``errors`` and NaN
+    step once for the stack, each record's and path's products on its
+    own operands, as on a stack of one; a record whose block Grams fail
+    the condition check gets its error in its row of ``errors`` and NaN
     gains. A stacked setup gives each record's pilot projections its own
     row's pilots.
     """
     cfg = setup.cfg
     paths, errors = _block_signals(
         obs, setup, pilot_projection(setup.geom, setup.pilots, u_hat))
-    n_rows, _, n_paths, _ = paths.shape
-    eff_h, power = setup.ris_eff.conj().T, setup.ris_eff_power
-    support = np.empty((n_rows, n_paths), dtype=int)
-    delta_tilde = np.empty((n_rows, n_paths, paths.shape[-1]), dtype=complex)
-    corr = np.empty((n_rows, len(power), paths.shape[-1]), dtype=complex)
-    mag = np.empty(corr.shape)
-    for q in range(n_paths):
-        np.matmul(eff_h, paths[:, :, q], out=corr)              # (K, G_r, N)
-        np.square(np.abs(corr, out=mag), out=mag)
-        support[:, q] = np.argmax(np.sum(mag, axis=2) / power, axis=1)
-        delta_tilde[:, q] = (corr[np.arange(n_rows), support[:, q]]
-                             / power[support[:, q], None])
+    signals = paths.swapaxes(1, 2)                        # (K, Q+1, B, N)
+    moment = signals @ signals.conj().swapaxes(-1, -2)    # (K, Q+1, B, B)
+    power = setup.ris_eff_power
+    support = np.argmax(
+        _grid_scores(moment, _score_table(setup.ris_eff)) / power, axis=-1)
+    picked = setup.ris_eff.T.conj()[support]              # (K, Q+1, B)
+    delta_tilde = ((picked[..., None, :] @ signals)[..., 0, :]
+                   / power[support, None])
     k_el, k_az = divmod(support, cfg.g_ris_az)
     c = setup.ris_dict.elevation.grid[k_el]
     s_grid = setup.ris_dict.azimuth.grid[k_az]

@@ -480,9 +480,7 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     setup = sweep.take([p for p, _ in rows])
     geom = setup.geom
     seeds = [_trial_seeds(exp, p, t) for p, t in rows]
-    gains = np.array([ch.draw_gains(setup.cfg, geom,
-                                    np.random.default_rng(gain_seed))
-                      for gain_seed, _ in seeds])
+    gains = ch.draw_gains(setup.cfg, geom, [gain for gain, _ in seeds])
     truth, rep = setup.truth(gains)
     crlb = angle_crlb(rep.cov_channel, truth)
     obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],

@@ -3,13 +3,15 @@ long-way channel builders, the noiseless field built the long way
 (``model_field`` from the per-path factors ``path_factors`` and
 ``ris_slot_factors``), the per-slot RIS phases, the received tensor
 and its two statistics, the out-of-place noisy synthesis, the
-observation drawn with a fresh lower-triangle index, the 1-D
+observation drawn in the documented order with a fresh lower-triangle
+index (or L's m columns when m < T1), the 1-D
 grid-and-zoom search ``maximize_1d``, the global log-likelihood from
 ``model_field``, the full-tensor SAGE path objective and its
 factor-column form, the full-stack concentrated AOD objective and the
 AOD refinement by cyclic passes on it, DCS-SOMP on a record (its
-covariance form and the correlation-tensor form), the RIS arrival step
-one phase block and one path at a time, the delay step one path at a
+covariance form and the correlation-tensor form), the DCS-SOMP picks
+and the RIS arrival picks scored from their grid correlations, the RIS
+arrival step one phase block and one path at a time, the delay step one path at a
 time by a half-bin ``maximize_1d`` search, the UPA steering vector, the
 vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
@@ -463,9 +465,10 @@ def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
 
 def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
                         noise_seed) -> ch.Observation:
-    """``channel.synthesize_rx``'s noisy observation for N_b - 1 >= T1 / N,
-    drawn in its documented order: z_par, the Bartlett gammas, then the
-    normals below the diagonal, placed by a fresh ``np.tril_indices``."""
+    """``channel.synthesize_rx``'s noisy observation of one record, drawn
+    in its documented order: z_par, the Bartlett gammas, then the normals
+    below the diagonal, placed by a fresh ``np.tril_indices``; or, when
+    m = (N_b - 1) N < T1, z_par and then the normals of L's m columns."""
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
     rng = np.random.default_rng(noise_seed)
@@ -473,9 +476,13 @@ def synthesize_rx_draws(setup: ch.Setup, params: ChannelParams,
     noise = rng.standard_normal((2,) + ypar.shape)
     ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[0] + 1j * noise[1])
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
-    low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
-    low[np.tril_indices(t1, -1)] = rng.standard_normal(
-        (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
+    if m >= t1:
+        low = np.diag(np.sqrt(rng.standard_gamma(m - np.arange(t1)))) + 0j
+        low[np.tril_indices(t1, -1)] = rng.standard_normal(
+            (t1 * (t1 - 1) // 2, 2)).view(complex)[:, 0] * np.sqrt(0.5)
+    else:
+        low = (rng.standard_normal((t1, m, 2)).view(complex)[..., 0]
+               * np.sqrt(0.5))
     y1 = ypar[:t1]
     return ch.Observation(norm_b * ypar, y1.conj() @ y1.T
                           + cfg.noise_power * (low.conj() @ low.T))
@@ -713,6 +720,71 @@ def dcs_somp(measurements: np.ndarray, dictionary: np.ndarray,
         support=support,
         coeffs=coef.reshape(-1, n_sub, n_col).transpose(1, 0, 2),
         residual_norms=np.asarray(norms))
+
+
+def pick_columns_correlation(cov: np.ndarray, dictionary: np.ndarray,
+                             sparsity: int) -> ce.SompResult:
+    """``coarse_est.pick_columns`` with each pick scored from the grid
+    correlation: Re(sum_m conj(theta_mg) (R Theta)_mg) / ||theta_g||^2,
+    from the (K, M, G) product R Theta, instead of from R's real
+    second-moment table."""
+    theta = np.asarray(dictionary, dtype=complex)
+    n_meas = theta.shape[-2]
+    if cov.shape[1:] != (n_meas, n_meas) or not 1 <= sparsity <= n_meas:
+        raise SparsityInfeasible(f"sparsity {sparsity} with a {cov.shape} "
+                                 f"covariance and {n_meas} dictionary rows")
+    rows = np.arange(len(cov))[:, None]
+    col_power = np.maximum(np.sum(np.abs(theta) ** 2, axis=-2), 1e-300)
+    theta_h = theta.conj()
+    columns = np.broadcast_to(theta, cov.shape[:1] + theta.shape[-2:])
+    support = np.zeros((len(cov), 0), dtype=int)
+    errors = [None] * len(cov)
+    resid = cov
+    norms = [np.trace(cov, axis1=1, axis2=2).real]
+    for _ in range(sparsity):
+        corr = np.einsum("...mg,...mg->...g", theta_h,
+                         resid @ theta).real / col_power
+        corr[rows, support] = -np.inf
+        support = np.hstack([support, np.argmax(corr, axis=1)[:, None]])
+        sel = columns.swapaxes(1, 2)[rows, support].transpose(0, 2, 1)
+        sel_h = sel.conj().transpose(0, 2, 1)
+        proj, failed = ce._solve_rows(
+            sel_h @ sel, sel_h,
+            "selected dictionary columns are linearly dependent")
+        errors = [old or new for old, new in zip(errors, failed)]
+        comp = np.eye(n_meas) - sel @ proj
+        resid = comp @ cov @ comp
+        norms.append(np.trace(resid, axis1=1, axis2=2).real)
+    norms = np.sqrt(np.maximum(np.stack(norms, axis=1), 0.0))
+    return ce.SompResult(support.tolist(), norms, errors)
+
+
+def ris_aoa_correlation(obs: ch.Observation, setup: ch.Setup,
+                        u_hat: np.ndarray) -> ce.AoaEstimate:
+    """``coarse_est.estimate_ris_aoa`` with each path's pick made from the
+    (K, G_r, N) grid correlation Z = D^H S_q over the whole block-level
+    dictionary D = ``setup.ris_eff``: the column g maximizing
+    sum_n |Z[g, n]|^2 / ||d_g||^2, its hybrid gains Z[g] / ||d_g||^2 read
+    off the same product."""
+    cfg = setup.cfg
+    paths, errors = ce._block_signals(
+        obs, setup, ch.pilot_projection(setup.geom, setup.pilots, u_hat))
+    n_rows, _, n_paths, _ = paths.shape
+    eff_h, power = setup.ris_eff.conj().T, setup.ris_eff_power
+    support = np.empty((n_rows, n_paths), dtype=int)
+    delta_tilde = np.empty((n_rows, n_paths, paths.shape[-1]), dtype=complex)
+    for q in range(n_paths):
+        corr = eff_h @ paths[:, :, q]                           # (K, G_r, N)
+        support[:, q] = np.argmax(np.sum(np.abs(corr) ** 2, axis=2) / power,
+                                  axis=1)
+        delta_tilde[:, q] = (corr[np.arange(n_rows), support[:, q]]
+                             / power[support[:, q], None])
+    k_el, k_az = divmod(support, cfg.g_ris_az)
+    c = setup.ris_dict.elevation.grid[k_el]
+    s_grid = setup.ris_dict.azimuth.grid[k_az]
+    rim = np.sqrt(1.0 - c * c)
+    s = np.clip(s_grid, -rim, rim)
+    return ce.AoaEstimate(c, s, delta_tilde, s != s_grid, errors)
 
 
 def _right_inverse(mat: np.ndarray) -> np.ndarray:

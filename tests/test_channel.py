@@ -140,24 +140,85 @@ def test_noiseless_observation_is_the_tensor_observation(setup20):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _stacked_sweep_draws(exp, power_idx, n_trials):
+    """The lone setup of power ``power_idx`` of ``exp``'s sweep, and the
+    gains (n_trials, Q+1), stacked truth and noise generators of its
+    first ``n_trials`` trials, from the seeds ``harness`` uses."""
+    setup = row_setup(hn.sweep_setup(exp), power_idx)
+    seeds = [np.random.SeedSequence(
+        (exp.master_seed, hn._TAG_TRIAL, power_idx, trial)).spawn(2)
+        for trial in range(n_trials)]
+    gains = np.stack([ch.draw_gains(setup.cfg, setup.geom,
+                                    np.random.default_rng(gain_seed))
+                      for gain_seed, _ in seeds])
+    true, _ = setup.truth(gains)
+    return setup, gains, true, [noise_seed for _, noise_seed in seeds]
+
+
+def _assert_rows_are_the_documented_draws(setup, gains, true, noise_seeds):
+    """One stacked ``synthesize_rx`` call gives each row, bit for bit,
+    the observation ``synthesize_rx_draws`` draws alone from its seed."""
+    obs = ch.synthesize_rx(setup, true, [np.random.default_rng(seed)
+                                         for seed in noise_seeds])
+    assert obs.pa.shape[0] == obs.cov1.shape[0] == len(gains)
+    for k, (row_gains, seed) in enumerate(zip(gains, noise_seeds)):
+        ref = synthesize_rx_draws(setup, replace(true, gains=row_gains),
+                                  np.random.default_rng(seed))
+        assert np.array_equal(obs.pa[k], ref.pa), k
+        assert np.array_equal(obs.cov1[k], ref.cov1), k
+
+
 def test_prebuilt_triangle_keeps_every_draw():
-    """Building the Bartlett triangle's indices once per setup changes no
-    draw: on 50 sweep trials (master seed 77, 20 dBm) the observation
-    equals, bit for bit, the one drawn in the documented order with
-    ``np.tril_indices`` built per draw."""
+    """Drawing a stack's noise into stacked buffers, with the Bartlett
+    triangle's indices built once per setup, changes no draw: 50 sweep
+    trials (master seed 77, 20 dBm), drawn as one stack, give each row,
+    bit for bit, the observation drawn alone in the documented order
+    with ``np.tril_indices`` built per draw."""
     exp = hn.ExperimentConfig(master_seed=77)
-    setup = row_setup(hn.sweep_setup(exp), 3)
-    for trial in range(50):
-        gain_seed, noise_seed = np.random.SeedSequence(
-            (exp.master_seed, hn._TAG_TRIAL, 3, trial)).spawn(2)
-        gains = ch.draw_gains(setup.cfg, setup.geom,
-                              np.random.default_rng(gain_seed))
-        true, _ = setup.truth(gains[None])
-        obs = ch.synthesize_rx(setup, true, [np.random.default_rng(noise_seed)])
-        ref = synthesize_rx_draws(setup, replace(true, gains=gains),
-                                  np.random.default_rng(noise_seed))
-        assert np.array_equal(obs.pa, ref.pa[None]), trial
-        assert np.array_equal(obs.cov1, ref.cov1[None]), trial
+    _assert_rows_are_the_documented_draws(*_stacked_sweep_draws(exp, 3, 50))
+
+
+def test_few_degrees_of_freedom_draw_the_wishart_columns():
+    """With N_b = 2 and N = 4 subcarriers the Wishart part has m = 4 < T1
+    degrees of freedom and synthesis draws L's m columns, not Bartlett's
+    triangle: 20 sweep trials (master seed 77, -10 dBm), drawn as one
+    stack, give each row, bit for bit, the observation drawn alone in
+    that branch's documented order."""
+    exp = hn.ExperimentConfig(master_seed=77, n_bs=2, n_subcarriers=4)
+    setup, gains, true, seeds = _stacked_sweep_draws(exp, 0, 20)
+    assert (setup.geom.n_bs - 1) * setup.cfg.n_subcarriers < setup.cfg.t1
+    _assert_rows_are_the_documented_draws(setup, gains, true, seeds)
+
+
+def test_synthesis_needs_one_noise_seed_per_row(setup20):
+    """A noisy stack of K rows takes exactly K noise seeds; a noiseless
+    one reads none."""
+    s = setup20
+    true = replace(s.true, gains=np.stack([s.true.gains] * 3))
+    for seeds in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError):
+            ch.synthesize_rx(s.setup, true, seeds)
+    assert ch.synthesize_rx(s.setup, true, [1, 2, 3]).pa.shape[0] == 3
+    assert ch.synthesize_rx(s.setup, true, noiseless=True).pa.shape[0] == 3
+
+
+def test_draw_gains_over_a_list_of_seeds_is_each_seeds_draw(setup20):
+    """A list or tuple of K seeds gives (K, Q+1) gains, row k bit for bit
+    the draw of seed k alone, for int, ``SeedSequence`` and
+    ``Generator`` seeds; one seed still gives (Q+1,)."""
+    s = setup20
+    q2 = replace(s.geom, scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]])
+    for geom in (s.geom, q2):
+        seeds = [np.random.SeedSequence((77, k)) for k in range(40)]
+        for make in (lambda x: x, np.random.default_rng):
+            stacked = ch.draw_gains(s.cfg, geom, [make(x) for x in seeds])
+            alone = [ch.draw_gains(s.cfg, geom, make(x)) for x in seeds]
+            assert stacked.shape == (40, geom.n_scatterers + 1)
+            assert stacked.tobytes() == np.stack(alone).tobytes()
+        assert (ch.draw_gains(s.cfg, geom, (3, 4)).tobytes()
+                == np.stack([ch.draw_gains(s.cfg, geom, 3),
+                             ch.draw_gains(s.cfg, geom, 4)]).tobytes())
+        assert ch.draw_gains(s.cfg, geom, 3).shape == (geom.n_scatterers + 1,)
 
 
 @pytest.mark.parametrize("noiseless", [False, True])

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from conftest import lone_aod_objective, sample_layout, spy_ascents
 from oracles import (bs_steering, concentrated_aod_objective, dcs_somp,
                      dcs_somp_tensor, estimate_toa, ms_steering, observe,
-                     refine_aod_cyclic, ris_aoa_loop, row_setup,
+                     pick_columns_correlation, refine_aod_cyclic,
+                     ris_aoa_correlation, ris_aoa_loop, row_setup,
                      synthesize_tensor, to_angles, trial_tensor)
 from rispos import channel as ch
 from rispos import _damping as dm
@@ -188,6 +189,136 @@ def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
         res = ce.pick_columns(cov, dictionary, stack.n_paths)
         assert res.support == shared.support
         assert res.errors == shared.errors
+
+
+def test_score_table_gives_the_quadratic_forms():
+    """The real table of ``_score_table`` reproduces Re diag(Theta^H R
+    Theta) within 1e-12 of its largest entry, for random Hermitian R
+    (indefinite, and positive semidefinite) over random dictionaries and
+    over the setup's projected AOD and block-level RIS dictionaries."""
+    setup = row_setup(hn.sweep_setup(hn.ExperimentConfig(master_seed=77)), 0)
+    rng = np.random.default_rng(46)
+    dictionaries = [setup.aod_proj, setup.ris_eff,
+                    _complex_normal(rng, 5, 30), _complex_normal(rng, 1, 4)]
+    for theta in dictionaries:
+        m = theta.shape[0]
+        table = ce._score_table(theta)
+        assert table.shape == (m * m, theta.shape[1])
+        assert table.dtype == float
+        for _ in range(5):
+            a = _complex_normal(rng, m, m)
+            b = _complex_normal(rng, m, 2 * m)
+            moments = np.stack([a + a.conj().T, b @ b.conj().T])
+            want = np.einsum("mg,kmn,ng->kg", theta.conj(), moments,
+                             theta).real
+            got = ce._grid_scores(moments, table)
+            assert got.shape == want.shape
+            for k in range(2):
+                assert (np.max(np.abs(got[k] - want[k]))
+                        <= 1e-12 * np.max(np.abs(want[k])))
+
+
+def test_grid_scores_of_a_row_do_not_depend_on_the_stack():
+    """Each row of a stack of 2 to 64 moments is scored bit for bit as a
+    stack of one, over the projected AOD and the block-level RIS tables:
+    one product per row, never one product over the rows, whose bits
+    depend on their count."""
+    setup = row_setup(hn.sweep_setup(hn.ExperimentConfig(master_seed=77)), 0)
+    rng = np.random.default_rng(3)
+    for theta in (setup.aod_proj, setup.ris_eff):
+        m = theta.shape[0]
+        table = ce._score_table(theta)
+        y = _complex_normal(rng, 64, m, 3 * m)
+        moments = y @ y.conj().swapaxes(1, 2)
+        lone = [ce._grid_scores(moments[k:k + 1], table)[0].tobytes()
+                for k in range(64)]
+        for n_rows in range(2, 65):
+            got = ce._grid_scores(moments[:n_rows], table)
+            assert [row.tobytes() for row in got] == lone[:n_rows], (m, n_rows)
+
+
+def _forty_records(extra, close_row=5, colliding_row=17):
+    """A 40-row stack of sweep records (master seed 77, ten trials at each
+    of four powers, interleaved) on the sweep's stacked setup: the
+    observations, the setup, their DCS-SOMP sines, and the lone setup of
+    each row. Row ``close_row``'s sines are moved within 0.02 of each
+    other and row ``colliding_row``'s collide, so that its phase blocks
+    cannot be de-mixed."""
+    exp = hn.ExperimentConfig(master_seed=77, **extra)
+    sweep = hn.sweep_setup(exp)
+    rows = [(p, t) for t in range(10) for p in range(len(exp.powers_dbm))]
+    setup = sweep.take([p for p, _ in rows])
+    seeds = [hn._trial_seeds(exp, p, t) for p, t in rows]
+    gains = ch.draw_gains(setup.cfg, setup.geom, [g for g, _ in seeds])
+    truth, _ = setup.truth(gains)
+    obs = ch.synthesize_rx(setup, truth, [n for _, n in seeds])
+    u_hat, picks = ce.estimate_aod_coarse(obs, setup)
+    assert picks.errors == [None] * len(rows)
+    u_hat[close_row] = u_hat[close_row, 0] + 0.01 * np.arange(
+        u_hat.shape[1])
+    u_hat[colliding_row] = 0.3
+    return obs, setup, u_hat, [row_setup(sweep, p) for p, _ in rows]
+
+
+_Q2 = {"scatterers": [[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], "t1": 22,
+       "t_total": 43}
+
+
+@pytest.mark.parametrize("extra", [{}, _Q2], ids=["q1", "q2"])
+def test_picks_match_the_correlation_oracle(extra):
+    """On 40 stacked records (Q = 1, and Q = 2 with two departure sines
+    0.085 apart) and a zero record, over the projected AOD dictionary
+    with its column 1 a copy of column 0 (so the zero record's picks,
+    columns 0 and 1, are dependent), the picks scored from the second
+    moment make the correlation oracle's supports and errors, their
+    residual norms equal bit for bit; and each row is its stack of
+    one's, bit for bit."""
+    obs, setup, _, _ = _forty_records(extra)
+    theta = np.array(setup.aod_proj)
+    theta[:, 1] = theta[:, 0]
+    cov = np.concatenate([obs.cov1[:20], np.zeros_like(obs.cov1[:1]),
+                          obs.cov1[20:]])
+    res = ce.pick_columns(cov, theta, setup.n_paths)
+    ref = pick_columns_correlation(cov, theta, setup.n_paths)
+    assert [e is None for e in res.errors] == [k != 20 for k in range(41)]
+    assert type(res.errors[20]) is RankDeficient
+    assert str(res.errors[20]) == str(ref.errors[20])
+    assert [e is None for e in ref.errors] == [e is None for e in res.errors]
+    assert res.support == ref.support
+    assert res.residual_norms.tobytes() == ref.residual_norms.tobytes()
+    for k in range(len(cov)):
+        alone = ce.pick_columns(cov[k:k + 1], theta, setup.n_paths)
+        assert alone.support == [res.support[k]], k
+        assert (alone.residual_norms[0].tobytes()
+                == res.residual_norms[k].tobytes()), k
+
+
+@pytest.mark.parametrize("extra", [{}, _Q2], ids=["q1", "q2"])
+def test_ris_aoa_matches_the_correlation_oracle(extra):
+    """On 40 stacked records at four powers (Q = 1, and Q = 2 with two
+    departure sines 0.085 apart), one row's sines 0.01 apart and one
+    row's colliding, the picks scored from each path's second moment make
+    the (K, G_r, N) correlation oracle's picks, clamps and errors, the
+    hybrid gains within 1e-12 relative; the colliding row is
+    ``RankDeficient`` with NaN gains, and each row is its stack of one's
+    on its own power's lone setup, bit for bit."""
+    obs, setup, u_hat, lone = _forty_records(extra)
+    aoa = ce.estimate_ris_aoa(obs, setup, u_hat)
+    ref = ris_aoa_correlation(obs, setup, u_hat)
+    assert [e is None for e in aoa.errors] == [k != 17 for k in range(40)]
+    assert type(aoa.errors[17]) is type(ref.errors[17]) is RankDeficient
+    assert np.isnan(aoa.delta_tilde[17]).all()
+    good = [k for k in range(40) if k != 17]
+    _assert_same_aoa(ce.AoaEstimate(*(getattr(aoa, f)[good] for f in (
+        "c", "s", "delta_tilde", "clamped")), None),
+        ce.AoaEstimate(*(getattr(ref, f)[good] for f in (
+            "c", "s", "delta_tilde", "clamped")), None), extra)
+    for k in range(40):
+        alone = ce.estimate_ris_aoa(obs.take([k]), lone[k], u_hat[k:k + 1])
+        for f in ("c", "s", "delta_tilde", "clamped"):
+            assert (getattr(alone, f)[0].tobytes()
+                    == getattr(aoa, f)[k].tobytes()), (k, f)
+        assert type(alone.errors[0]) is type(aoa.errors[k])
 
 
 def _ongrid_setup(ongrid, noiseless=True, seed=0, p_dbm=20.0):
