@@ -22,10 +22,11 @@ to contain the leg's own c_out and s_out.
 ``derivative_factors`` is the one forward model: it forms the per-path
 factors (``slot_factors`` of the RIS response, the pilot projection and
 ``subcarrier_ramp``) once, and from them the noiseless field and the
-factors of its derivatives. Synthesis, the likelihood and the Fisher
-information all read it, and the coarse delay step scores the same
-``subcarrier_ramp``. ``synthesize_rx`` draws the received tensor only
-through the two statistics the estimators read, as an ``Observation``.
+factors of its derivatives. The likelihood, the Fisher information and
+the truth's fields all read it, and the coarse delay step scores the
+same ``subcarrier_ramp``. ``synthesize_rx`` draws the received tensor
+at given noiseless fields only through the two statistics the
+estimators read, as an ``Observation``.
 """
 
 from __future__ import annotations
@@ -382,8 +383,11 @@ def derivative_factors(params: ChannelParams, setup: Setup):
     subcarrier factors of its derivatives, A (T, 6(Q+1)) and B
     (N, 6(Q+1)), derivative k the (T, N) outer product of A[:, k] and
     B[:, k]; returns (A, B, mu). This is the package's one forward
-    model: synthesis, the likelihood, the Fisher information and the
-    truth's Gram all take their field or its derivatives from this pass.
+    model: the likelihood, the Fisher information and the truth's Gram
+    and fields all take their field or its derivatives from this pass.
+    The field is linear in the gains, and the delta_re factors A[:, 6q+1]
+    and B[:, 6q+1] do not depend on them, so mu is
+    (A[:, 1::6] * gains) @ B[:, 1::6]^T, its last product.
 
     Path q contributes delta_q sigma_t p_t ramp[n] to slot t and
     subcarrier n of the field: sigma_t = g_t^T a_R(c, s) per slot
@@ -465,13 +469,13 @@ class Observation:
         return Observation(self.pa[rows], self.cov1[rows])
 
 
-def synthesize_rx(setup: Setup, params: ChannelParams,
+def synthesize_rx(setup: Setup, field: np.ndarray,
                   noise_seed: list | None = None,
                   noiseless: bool = False) -> Observation:
     """Draw the observations of y = a_B (x) field + z, z iid CN(0,
-    sigma^2), exactly in distribution and without forming y, at
-    parameters whose gains are a stack (K, Q+1); the fields are
-    ``derivative_factors(params, setup)[2]``.
+    sigma^2), exactly in distribution and without forming y, at a stack
+    of K noiseless fields (K, T, N), such as
+    ``derivative_factors(params, setup)[2]`` at gains stacked (K, Q+1).
 
     With e = a_B / |a_B|, |a_B| = sqrt(N_b), ypar = e^H y = |a_B| field
     + z_par, z_par iid CN(0, sigma^2), and pa = |a_B| ypar. The noise
@@ -487,14 +491,15 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
     seeds, unread when ``noiseless``; any other count raises
     ``ValueError``. Each observation draws its noise from its own
     ``Generator`` in the order above, into its row of stacked buffers, so
-    it does not depend on the rows drawn beside it; the noise sum and
-    the Bartlett placement then run once on the stack. With a stacked
-    setup observation k is at its own row's pilots, as it would be drawn
-    with a lone setup of that row's pilots.
+    it does not depend on the rows drawn beside it; the noise sum, added
+    into the real and imaginary parts of ypar in place, and the Bartlett
+    placement then run once on the stack. The setup gives the noise
+    power, the array sizes and, for the placement, ``tril``; the field
+    row k carries whatever pilots it was formed at.
     """
     cfg, t1 = setup.cfg, setup.cfg.t1
     norm_b = np.sqrt(setup.geom.n_bs)
-    ypar = norm_b * derivative_factors(params, setup)[2]
+    ypar = norm_b * field
     n_rows = len(ypar)
     m = (setup.geom.n_bs - 1) * cfg.n_subcarriers
     if noiseless:
@@ -504,6 +509,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
             raise ValueError(f"{len(noise_seed)} noise seeds for "
                              f"{n_rows} observations")
         diag = np.arange(t1)
+        shape = m - diag
         full = m >= t1
         noise = np.empty((n_rows, 2) + ypar.shape[1:])
         gammas = np.empty((n_rows, t1 if full else 0))
@@ -513,10 +519,12 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
             rng = np.random.default_rng(seed)
             rng.standard_normal(out=noise[k])
             if full:
-                rng.standard_gamma(m - diag, out=gammas[k])
+                rng.standard_gamma(shape, out=gammas[k])
             rng.standard_normal(out=normals[k])
-        ypar += np.sqrt(cfg.noise_power / 2.0) * (noise[:, 0]
-                                                  + 1j * noise[:, 1])
+        # the bits of adding s (z_re + 1j z_im): its cross terms are zeros
+        noise *= np.sqrt(cfg.noise_power / 2.0)
+        ypar.real += noise[:, 0]
+        ypar.imag += noise[:, 1]
         normals = normals.view(complex)[..., 0] * np.sqrt(0.5)
         if full:
             low = np.zeros((n_rows, t1, t1), dtype=complex)
@@ -525,5 +533,7 @@ def synthesize_rx(setup: Setup, params: ChannelParams,
         else:
             low = normals
     y1 = ypar[:, :t1]
-    return Observation(norm_b * ypar, y1.conj() @ y1.swapaxes(1, 2)
-                       + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))
+    cov1 = (y1.conj() @ y1.swapaxes(1, 2)
+            + cfg.noise_power * (low.conj() @ low.swapaxes(1, 2)))
+    ypar *= norm_b
+    return Observation(ypar, cov1)

@@ -6,9 +6,12 @@ corresponding bounds, and writes plot-ready CSV files (one per figure
 panel analogue). What the trials of a sweep share is one
 ``SweepSetup`` (``sweep_setup``): a stacked ``channel.Setup`` that
 every stage takes, one row per power, plus what the bounds read of the
-truth: the true parameters at unit gains ``true_unit``, their FIM Gram
-``true_gram`` (one row per power) and the parameter Jacobian at the
-true pose. Only the pilots and the Gram differ between its rows.
+truth: the true parameters at unit gains ``true_unit``, and of the one
+forward-model pass at them their FIM Gram ``true_gram`` and the gain
+columns ``true_slots`` (one row per power each) and ``true_ramp`` of
+its factors, which give a trial's field at its gains, and the parameter
+Jacobian at the true pose. Only the pilots, the Gram and the slot
+columns differ between its rows.
 
 A sweep runs its trials in batches (``run_batch``): a batch is a block
 of consecutive trial indices at every power, max(1, ``BATCH`` // powers)
@@ -17,10 +20,11 @@ of them, so it holds at most ``BATCH`` trials (or one per power beyond
 worker count cannot change it; a pool task is one block. The trials of
 a batch differ only in their drawn gains and noise and, across powers,
 in the rows of the sweep's setup, which ``take`` gives one per trial.
-So a batch forms the truth, its bounds and the observations of all its
-trials at once, then runs every stage once on the stack, the three
-iterative fits in lockstep, and scores each stage's output there, each
-trial keeping its own row or error (``draw_trials``). Then it calls
+So a batch forms the seeds, the truth, its vectors, bounds and fields
+and the observations of all its trials at once, as stacks, with no
+forward-model pass of its own, then runs every stage once on the stack,
+the three iterative fits in lockstep, and scores each stage's output
+there, each trial keeping its own row or error (``draw_trials``). Then it calls
 ``run_trial`` on each trial, which copies the trial's outputs and scores
 into its record: the unit of work, called once per trial through this
 module, and alone a batch of one. The cap on a batch's rows bounds a
@@ -266,7 +270,8 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
     d theta/du = 1/sqrt(1 - u^2), d phi/dc = -1/sqrt(1 - c^2),
     d psi/dc = -s c / (r (1 - c^2)) and d psi/ds = -1/r,
     r = sqrt(1 - c^2 - s^2). A stack of bounds (K, 6(Q+1), 6(Q+1)) at
-    parameters that differ only in their gains gives (K, 6(Q+1))."""
+    parameters that differ only in their gains gives (K, 6(Q+1)), from
+    one contraction over the stack, row k the bits of bound k alone."""
     u, c, s = params.u, params.c, params.s
     n = params.n_paths
     r = np.sqrt(1.0 - c * c - s * s)
@@ -277,13 +282,12 @@ def angle_crlb(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
     jac[:, 5, 4] = -s * c / (r * (1.0 - c * c))
     jac[:, 5, 5] = -1.0 / r
     idx = np.arange(n)
-    # one einsum per bound, as on one: over a stack its sums could round
-    # otherwise
-    return np.array([
-        np.einsum("qij,qjk,qik->qi", jac,
-                  one.reshape(n, 6, n, 6)[idx, :, idx, :], jac).ravel()
-        for one in cov.reshape((-1,) + cov.shape[-2:])]).reshape(
-            cov.shape[:-1])
+    # one contraction over the stack's diagonal blocks (Q+1, K, 6, 6):
+    # each entry sums its j, k products in the order a lone bound's
+    # einsum does, so every row keeps that bound's bits
+    blocks = cov.reshape((-1, n, 6, n, 6))[:, idx, :, idx, :]
+    return np.einsum("qij,qajk,qik->aqi", jac, blocks, jac).reshape(
+        cov.shape[:-1])
 
 
 def channel_sq_errors(est: ChannelParams, true: ChannelParams,
@@ -336,21 +340,26 @@ class SweepSetup(ch.Setup):
 
     The trials differ only in their drawn path gains and their power. So
     the setup holds the true channel parameters ``true_unit`` at unit
-    gains, whose delays and spatial frequencies every trial shares, the
-    complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0) of the forward
-    model's derivative factors (``channel.derivative_factors``) at them,
-    and the parameter Jacobian ``t_true`` at the true pose; ``truth``
-    swaps a trial's gains into the first two. ``true_unit`` and
-    ``t_true`` follow from the geometry alone; ``true_gram`` depends on
-    the pilots, so it is one of ``POWER_FIELDS``, formed for every row in
-    one stacked pass, and ``take`` gives each record its own power's
-    row.
+    gains, whose delays and spatial frequencies every trial shares, and
+    what one pass of the forward model (``channel.derivative_factors``)
+    at them gives: the complex Gram ``true_gram`` = (A0^H A0) o (B0^H B0)
+    of its derivative factors, and the gain columns of both factors,
+    ``true_slots`` = A0[..., 1::6] (T, Q+1) and ``true_ramp`` =
+    B0[..., 1::6] (N, Q+1), whose product ``fields`` forms a trial's
+    field at its gains. It holds the parameter Jacobian ``t_true`` at the
+    true pose too; ``truth`` swaps a trial's gains into the parameters
+    and the Gram. ``true_unit``, ``true_ramp`` and ``t_true`` follow from
+    the geometry alone; ``true_gram`` and ``true_slots`` depend on the
+    pilots, so they are ``POWER_FIELDS``, formed for every row in the one
+    stacked pass, and ``take`` gives each record its own power's rows.
     """
 
-    POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram",)
+    POWER_FIELDS = ch.Setup.POWER_FIELDS + ("true_gram", "true_slots")
 
     true_unit: ChannelParams = field(init=False)
     true_gram: np.ndarray = field(init=False)
+    true_slots: np.ndarray = field(init=False)
+    true_ramp: np.ndarray = field(init=False)
     t_true: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -362,14 +371,16 @@ class SweepSetup(ch.Setup):
                            ms=geom.ms, alpha=geom.alpha,
                            scatterers=geom.scatterers),
             geom.ris, geom.bs)
-        # every trial's true parameters share these arrays
+        super().__post_init__()
+        a0, b0, _ = ch.derivative_factors(self.true_unit, self)
+        self.true_gram = bnd.gram_from_factors(a0, b0)
+        self.true_slots = np.ascontiguousarray(a0[..., 1::6])
+        self.true_ramp = np.ascontiguousarray(b0[..., 1::6])
+        # every trial's true parameters and fields share these arrays
         for shared in (self.true_unit.tau, self.true_unit.gains,
                        self.true_unit.u, self.true_unit.c, self.true_unit.s,
-                       self.t_true):
+                       self.t_true, self.true_ramp):
             shared.flags.writeable = False
-        super().__post_init__()
-        self.true_gram = bnd.gram_from_factors(
-            *ch.derivative_factors(self.true_unit, self)[:2])
 
     def truth(self, gains: np.ndarray):
         """The true channel parameters with the path gains of K trials,
@@ -382,6 +393,13 @@ class SweepSetup(ch.Setup):
         j_eta = bnd.fim_at_gains(self.true_gram, gains, self)
         return (ChannelParams(unit.tau, gains, unit.u, unit.c, unit.s),
                 bnd.position_bounds(j_eta, self.t_true))
+
+    def fields(self, gains: np.ndarray) -> np.ndarray:
+        """The noiseless fields (K, T, N) of the truth at the gains
+        ``gains`` (K, Q+1), row k at this setup's row k: the last product
+        of ``channel.derivative_factors`` at them, so their bits, from the
+        gain columns of the pass at unit gains."""
+        return (self.true_slots * gains[:, None, :]) @ self.true_ramp.T
 
 
 def sweep_setup(exp: ExperimentConfig) -> SweepSetup:
@@ -402,18 +420,20 @@ def sweep_setup(exp: ExperimentConfig) -> SweepSetup:
 
 @dataclass
 class TrialDraw:
-    """What a trial's batch draws, estimates and scores for it: the truth
-    ``true`` at its drawn gains, the angle CRLBs ``crlb`` and the bounds
-    ``bounds`` there, and of each stage it ran, in stage order, its
-    parameter vector ``stages``, flags ``flags`` and squared errors
-    ``sq_errors`` (class -> errors), as the trial's record holds them;
-    ``support_ok``, whether the coarse departure sines lie within 1.5
-    grid cells of the true ones they are associated with; and the error
-    of the stage that failed on the trial, or None."""
+    """What a trial's batch draws, estimates and scores for it, as its
+    record holds them: the truth's parameter vector ``eta_true`` at its
+    drawn gains, the angle CRLBs ``crlb`` and the PEB and OEB there, rows
+    and floats of the batch's stacks; of each stage it ran, in stage
+    order, its parameter vector ``stages``, flags ``flags`` and squared
+    errors ``sq_errors`` (class -> errors); ``support_ok``, whether the
+    coarse departure sines lie within 1.5 grid cells of the true ones
+    they are associated with; and the error of the stage that failed on
+    the trial, or None."""
 
-    true: ChannelParams
+    eta_true: np.ndarray
     crlb: np.ndarray
-    bounds: bnd.BoundReport
+    peb: float
+    oeb: float
     stages: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     sq_errors: dict = field(default_factory=dict)
@@ -426,13 +446,27 @@ def _trial_entropy(exp: ExperimentConfig, power_idx: int,
     return (exp.master_seed, _TAG_TRIAL, power_idx, trial_idx)
 
 
+def _entropy_words(value: int) -> list:
+    """The uint32 words ``SeedSequence`` makes of an integer >= 0:
+    little-endian 32-bit words, [0] for zero."""
+    value, words = int(value), []
+    while True:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        if not value:
+            return words
+
+
 def _trial_seeds(exp: ExperimentConfig, power_idx: int,
                  trial_idx: int) -> list:
     """The seeds of a trial's gain and noise streams: the two children
     that ``SeedSequence(entropy).spawn(2)`` gives of its
-    ``_trial_entropy``, built without the parent."""
-    entropy = _trial_entropy(exp, power_idx, trial_idx)
-    return [np.random.SeedSequence(entropy, spawn_key=(child,))
+    ``_trial_entropy``, built without the parent, from the entropy's
+    uint32 words, so that ``SeedSequence`` need not convert the tuple;
+    the pools are the same."""
+    words = np.array([w for value in _trial_entropy(exp, power_idx, trial_idx)
+                      for w in _entropy_words(value)], dtype=np.uint32)
+    return [np.random.SeedSequence(words, spawn_key=(child,))
             for child in (0, 1)]
 
 
@@ -466,9 +500,12 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     draw does not depend on the trials drawn beside it. The trials differ
     only in these draws and in what depends on their power, which the
     batch's setup, ``sweep.take`` of their power indices, holds one row
-    per trial: the pilots and the truth's Gram.
-    So the truth, its bounds and the observations of all of them are
-    formed at once, as stacks, and every stage of the stage setting runs
+    per trial: the pilots and the truth's Gram and gain columns.
+    So the seeds, the truth, its vectors, bounds and fields and the
+    observations of all of them are formed at once, as stacks: the
+    fields come from the sweep's one forward-model pass
+    (``SweepSetup.fields``), and ``channel.synthesize_rx`` adds every
+    trial's noise to them. Then every stage of the stage setting runs
     once, on the stack of the trials that no stage failed, and is scored
     there: ``coarse_est.run_coarse``, its AOD refinement on at every
     stage but ``coarse``; SAGE, in lockstep; the closed form; and the LM
@@ -483,11 +520,11 @@ def draw_trials(exp: ExperimentConfig, rows: list,
     gains = ch.draw_gains(setup.cfg, geom, [gain for gain, _ in seeds])
     truth, rep = setup.truth(gains)
     crlb = angle_crlb(rep.cov_channel, truth)
-    obs = ch.synthesize_rx(setup, truth, [noise for _, noise in seeds],
+    obs = ch.synthesize_rx(setup, setup.fields(gains),
+                           [noise for _, noise in seeds],
                            noiseless=exp.noiseless)
-    draws = [TrialDraw(ChannelParams(truth.tau, gains[k], truth.u, truth.c,
-                                     truth.s), crlb[k], rep.row(k))
-             for k in range(len(rows))]
+    draws = [TrialDraw(*row) for row in zip(
+        truth.to_vector(), crlb, rep.peb.tolist(), rep.oeb.tolist())]
     try:
         coarse = ce.run_coarse(obs, setup, refine_aod=exp.stage != "coarse")
     except (RisposError, np.linalg.LinAlgError) as exc:
@@ -587,8 +624,8 @@ def run_trial(exp: ExperimentConfig, power_dbm: float, power_idx: int,
         if setup is None:
             setup = sweep_setup(exp)
         (draw,) = draw_trials(exp, [(power_idx, trial_idx)], setup)
-    rec.eta_true = draw.true.to_vector()
-    rec.crlb, rec.peb, rec.oeb = draw.crlb, draw.bounds.peb, draw.bounds.oeb
+    rec.eta_true, rec.crlb, rec.peb, rec.oeb = (
+        draw.eta_true, draw.crlb, draw.peb, draw.oeb)
     rec.stages, rec.flags, rec.sq_errors, rec.support_ok = (
         draw.stages, draw.flags, draw.sq_errors, draw.support_ok)
     if draw.error is not None:
@@ -689,22 +726,22 @@ def _stage_rmse(records: list, stage: str, classes) -> tuple[dict, dict]:
     records that reached ``stage``, and the same over those of them whose
     coarse support matched; NaN where no record counts.
 
-    Each class's squared errors are gathered once, in record order, into
-    one row per class (``_row_means``).
+    The squared errors are gathered once, in record order, into one
+    (classes, records, paths) array, one row per class (``_row_means``).
     """
     done = [r for r in records if r.error is None and stage in r.sq_errors]
     if not done:
         return ({c: np.nan for c in classes},) * 2
-    sq = np.array([[np.atleast_1d(r.sq_errors[stage][c]) for c in classes]
-                   for r in done])                  # (records, classes, paths)
+    sq = np.array([[r.sq_errors[stage][c] for r in done]
+                   for c in classes])               # (classes, records, paths)
     support_ok = np.array([r.support_ok for r in done], dtype=bool)
 
     def rmse(rows):
-        if not len(rows):
+        if not rows.shape[1]:
             return {c: np.nan for c in classes}
-        means = np.sqrt(_row_means(rows.swapaxes(0, 1))).tolist()
+        means = np.sqrt(_row_means(rows)).tolist()
         return {c: m * _CLASSES[c][1] for c, m in zip(classes, means)}
-    return rmse(sq), rmse(sq[support_ok])
+    return rmse(sq), rmse(sq[:, support_ok])
 
 
 def run_sweep(exp: ExperimentConfig) -> SweepReport:

@@ -63,12 +63,16 @@ class ChannelParams:
 
     def to_vector(self) -> np.ndarray:
         """Flatten to the length-6(Q+1) real parameter vector; parameters
-        stacked (K, Q+1) give the (K, 6(Q+1)) vectors."""
-        rows = np.empty(self.tau.shape + (6,))
+        stacked (K, Q+1), in any of their fields, give the (K, 6(Q+1))
+        vectors, as a truth's gains stacked over shared delays and
+        frequencies do."""
+        rows = np.empty(np.broadcast_shapes(
+            self.tau.shape, self.gains.shape, self.u.shape, self.c.shape,
+            self.s.shape) + (6,))
         rows[..., 0], rows[..., 3], rows[..., 4], rows[..., 5] = (
             self.tau, self.u, self.c, self.s)
         rows[..., 1], rows[..., 2] = self.gains.real, self.gains.imag
-        return rows.reshape(self.tau.shape[:-1] + (-1,))
+        return rows.reshape(rows.shape[:-2] + (-1,))
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "ChannelParams":

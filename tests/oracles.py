@@ -17,8 +17,9 @@ vector-to-params map, the field derivatives as a tensor, the
 angle-domain Fisher information and Jacobian, the exhaustive path
 association, SAGE by full-search coordinate cycles alone, and the FIM
 derivative factors with the RIS phases contracted per slot, and the
-damped Newton loop of one fit at a time; and one row of a stacked
-setup as a lone setup (``row_setup``). The package keeps
+damped Newton loop of one fit at a time, the angle CRLBs one bound at
+a time (``angle_crlb_per_bound``); and one row of a stacked setup as a
+lone setup (``row_setup``). The package keeps
 only the fast forms, in the arrays' spatial frequencies (u, c, s), and
 never forms the (N_b, T, N) received tensor; these reference
 implementations, most of them in angles, check them.
@@ -416,7 +417,16 @@ def synthesize_tensor(setup: ch.Setup, params: ChannelParams,
     is scaled in place and added into y's parts, with no complex
     temporaries.
     """
-    y = bs_steering(setup.geom)[:, None, None] * model_field(params, setup)[None, :, :]
+    return field_tensor(setup, model_field(params, setup), noise_seed,
+                        noiseless)
+
+
+def field_tensor(setup: ch.Setup, field: np.ndarray,
+                 noise_seed: int | np.random.Generator | None = 0,
+                 noiseless: bool = False) -> np.ndarray:
+    """The received tensor a_B (x) field + z (N_b, T, N) of one noiseless
+    field (T, N), its noise drawn as ``synthesize_tensor`` draws it."""
+    y = bs_steering(setup.geom)[:, None, None] * field[None, :, :]
     if not noiseless:
         rng = np.random.default_rng(noise_seed)
         noise = rng.standard_normal((2,) + y.shape)
@@ -448,17 +458,16 @@ def observe(y: np.ndarray, setup: ch.Setup) -> ch.Observation:
                           np.einsum("btn,bsn->ts", y1.conj(), y1)[None])
 
 
-def synthesize_via_tensor(setup: ch.Setup, params: ChannelParams,
+def synthesize_via_tensor(setup: ch.Setup, field: np.ndarray,
                           noise_seed=None, noiseless: bool = False):
     """``channel.synthesize_rx`` by way of the received tensor: for a
-    stack of gains the stack of the observations of ``synthesize_tensor``'s
-    draws of its rows, each from its own seed on its own row's setup
-    (``row_setup``)."""
-    rows = [observe(synthesize_tensor(
-        row_setup(setup, k),
-        ChannelParams(params.tau, gains, params.u, params.c, params.s),
-        seed, noiseless), row_setup(setup, k))
-        for k, (gains, seed) in enumerate(zip(params.gains, noise_seed))]
+    stack of fields (K, T, N) the stack of the observations of
+    ``field_tensor``'s draws of its rows, each from its own seed on its
+    own row's setup (``row_setup``)."""
+    seeds = [None] * len(field) if noise_seed is None else noise_seed
+    rows = [observe(field_tensor(row_setup(setup, k), row, seed, noiseless),
+                    row_setup(setup, k))
+            for k, (row, seed) in enumerate(zip(field, seeds))]
     return ch.Observation(np.concatenate([r.pa for r in rows]),
                           np.concatenate([r.cov1 for r in rows]))
 
@@ -1184,3 +1193,23 @@ def lone_ascend(state, model, evaluate, nats: float = 1.0):
                 (new, steps + 1, True)
         state, lam = new, dm.DAMPING_DOWN * lam
     return state, dm.MAX_STEPS, False
+
+
+def angle_crlb_per_bound(cov: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """``harness.angle_crlb`` with one einsum per bound of the stack
+    ``cov`` (K, 6(Q+1), 6(Q+1)): the diagonal of each D C D^T over its
+    diagonal blocks, (K, 6(Q+1))."""
+    u, c, s = params.u, params.c, params.s
+    n = params.n_paths
+    r = np.sqrt(1.0 - c * c - s * s)
+    jac = np.zeros((n, 6, 6))
+    jac[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    jac[:, 3, 3] = 1.0 / np.sqrt(1.0 - u * u)
+    jac[:, 4, 4] = -1.0 / np.sqrt(1.0 - c * c)
+    jac[:, 5, 4] = -s * c / (r * (1.0 - c * c))
+    jac[:, 5, 5] = -1.0 / r
+    idx = np.arange(n)
+    return np.array([
+        np.einsum("qij,qjk,qik->qi", jac,
+                  one.reshape(n, 6, n, 6)[idx, :, idx, :], jac).ravel()
+        for one in cov])

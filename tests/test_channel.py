@@ -80,7 +80,8 @@ def test_build_channel_dimension_checks(setup20):
 def test_synthesize_zero_gain_zero_noise(setup20):
     s = setup20
     silent = replace(s.true, gains=np.zeros((1, s.true.n_paths)))
-    obs = ch.synthesize_rx(s.setup, silent, noiseless=True)
+    obs = ch.synthesize_rx(s.setup, ch.derivative_factors(silent, s.setup)[2],
+                           noiseless=True)
     assert np.all(obs.pa == 0.0) and np.all(obs.cov1 == 0.0)
 
 
@@ -132,8 +133,8 @@ def test_noiseless_observation_is_the_tensor_observation(setup20):
     """Without noise, the observation equals the oracle tensor's
     statistics: a_B^H y and the first-T1-slot covariance."""
     s = setup20
-    obs = ch.synthesize_rx(s.setup, replace(s.true, gains=s.true.gains[None]),
-                           noiseless=True)
+    obs = ch.synthesize_rx(s.setup, ch.derivative_factors(
+        replace(s.true, gains=s.true.gains[None]), s.setup)[2], noiseless=True)
     ref = observe(synthesize_tensor(s.setup, s.true, noiseless=True), s.setup)
     for got, want in ((obs.pa, ref.pa), (obs.cov1, ref.cov1)):
         assert got.shape == want.shape
@@ -158,8 +159,8 @@ def _stacked_sweep_draws(exp, power_idx, n_trials):
 def _assert_rows_are_the_documented_draws(setup, gains, true, noise_seeds):
     """One stacked ``synthesize_rx`` call gives each row, bit for bit,
     the observation ``synthesize_rx_draws`` draws alone from its seed."""
-    obs = ch.synthesize_rx(setup, true, [np.random.default_rng(seed)
-                                         for seed in noise_seeds])
+    obs = ch.synthesize_rx(setup, ch.derivative_factors(true, setup)[2],
+                           [np.random.default_rng(seed) for seed in noise_seeds])
     assert obs.pa.shape[0] == obs.cov1.shape[0] == len(gains)
     for k, (row_gains, seed) in enumerate(zip(gains, noise_seeds)):
         ref = synthesize_rx_draws(setup, replace(true, gains=row_gains),
@@ -194,12 +195,13 @@ def test_synthesis_needs_one_noise_seed_per_row(setup20):
     """A noisy stack of K rows takes exactly K noise seeds; a noiseless
     one reads none."""
     s = setup20
-    true = replace(s.true, gains=np.stack([s.true.gains] * 3))
+    field = ch.derivative_factors(
+        replace(s.true, gains=np.stack([s.true.gains] * 3)), s.setup)[2]
     for seeds in ([1, 2], [1, 2, 3, 4], []):
         with pytest.raises(ValueError):
-            ch.synthesize_rx(s.setup, true, seeds)
-    assert ch.synthesize_rx(s.setup, true, [1, 2, 3]).pa.shape[0] == 3
-    assert ch.synthesize_rx(s.setup, true, noiseless=True).pa.shape[0] == 3
+            ch.synthesize_rx(s.setup, field, seeds)
+    assert ch.synthesize_rx(s.setup, field, [1, 2, 3]).pa.shape[0] == 3
+    assert ch.synthesize_rx(s.setup, field, noiseless=True).pa.shape[0] == 3
 
 
 def test_draw_gains_over_a_list_of_seeds_is_each_seeds_draw(setup20):
@@ -236,11 +238,13 @@ def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
     true, _ = setups[0].truth(gains)
     seeds = [20 + k for k in range(len(setups))]
     fields = model_field(true, stack)
-    obs = ch.synthesize_rx(stack, true, seeds, noiseless=noiseless)
+    obs = ch.synthesize_rx(stack, ch.derivative_factors(true, stack)[2],
+                           seeds, noiseless=noiseless)
     for k, setup in enumerate(setups):
         alone_true, _ = setup.truth(gains[k:k + 1])
-        alone = ch.synthesize_rx(setup, alone_true, seeds[k:k + 1],
-                                 noiseless=noiseless)
+        alone = ch.synthesize_rx(
+            setup, ch.derivative_factors(alone_true, setup)[2],
+            seeds[k:k + 1], noiseless=noiseless)
         assert fields[k].tobytes() == model_field(alone_true,
                                                      setup).tobytes(), k
         assert obs.row(k).pa.tobytes() == alone.pa.tobytes(), k
@@ -249,14 +253,15 @@ def test_per_row_pilots_give_each_row_its_lone_observation(noiseless):
 
 def test_observation_same_seed_same_bytes(setup20):
     s = setup20
-    true = replace(s.true, gains=s.true.gains[None])
+    field = ch.derivative_factors(replace(s.true, gains=s.true.gains[None]),
+                                  s.setup)[2]
     for seed in (11, 2**40 + 5):
         for make in (lambda: seed, lambda: np.random.default_rng(seed)):
-            a = ch.synthesize_rx(s.setup, true, [make()])
-            b = ch.synthesize_rx(s.setup, true, [make()])
+            a = ch.synthesize_rx(s.setup, field, [make()])
+            b = ch.synthesize_rx(s.setup, field, [make()])
             assert a.pa.tobytes() == b.pa.tobytes()
             assert a.cov1.tobytes() == b.cov1.tobytes()
-    other = ch.synthesize_rx(s.setup, true, [12])
+    other = ch.synthesize_rx(s.setup, field, [12])
     assert not np.array_equal(other.cov1, a.cov1)
 
 
@@ -279,8 +284,9 @@ def test_observation_moments_match_the_tensor_oracle(setup20, power):
         cfg, s.geom.n_ms, ch.dbm_to_watt(power), 8), s.sched)
     n_draws, sigma2, n_bs = 1500, cfg.noise_power, s.geom.n_bs
     rng_new, rng_ref = np.random.default_rng(61), np.random.default_rng(62)
-    true = replace(s.true, gains=s.true.gains[None])
-    new = [ch.synthesize_rx(setup, true, [rng_new]).row(0)
+    field = ch.derivative_factors(replace(s.true, gains=s.true.gains[None]),
+                                  setup)[2]
+    new = [ch.synthesize_rx(setup, field, [rng_new]).row(0)
            for _ in range(n_draws)]
     ref = [observe(synthesize_tensor(setup, s.true, rng_ref), setup).row(0)
            for _ in range(n_draws)]
@@ -311,8 +317,8 @@ def test_single_bs_antenna_trial_runs():
     setup = row_setup(sweep, 0)
     true = gm.true_channel_params(setup.geom,
                                   ch.draw_gains(setup.cfg, setup.geom, 0))
-    obs = ch.synthesize_rx(setup, replace(true, gains=true.gains[None]),
-                           [5]).row(0)
+    obs = ch.synthesize_rx(setup, ch.derivative_factors(
+        replace(true, gains=true.gains[None]), setup)[2], [5]).row(0)
     y1 = obs.pa[:setup.cfg.t1] / np.sqrt(setup.geom.n_bs)
     assert_allclose(obs.cov1, y1.conj() @ y1.T, rtol=1e-12)
     rec = hn.run_trial(exp, 20.0, 0, 0, sweep)
@@ -377,8 +383,9 @@ def test_narrowband_single_steering_eval(setup20, monkeypatch):
         cfg = ch.SystemConfig(n_subcarriers=n_sub)
         setup = ch.Setup(s.geom, cfg, s.pilots, s.sched)
         calls["n"] = 0
-        ch.synthesize_rx(setup, replace(s.true, gains=s.true.gains[None]),
-                         noiseless=True)
+        ch.synthesize_rx(setup, ch.derivative_factors(
+            replace(s.true, gains=s.true.gains[None]), setup)[2],
+            noiseless=True)
         counts.append(calls["n"])
     assert counts[0] == counts[1]
 

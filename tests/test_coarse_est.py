@@ -176,9 +176,10 @@ def test_picks_do_not_depend_on_the_dictionarys_scale(extra):
     gains = np.array([ch.draw_gains(stack.cfg, stack.geom, 30 + k)
                       for k in range(len(exp.powers_dbm))])
     truth, _ = stack.truth(gains)
+    field = ch.derivative_factors(truth, stack)[2]
     cov = np.concatenate([
-        ch.synthesize_rx(stack, truth, [40 + k for k in range(4)]).cov1,
-        ch.synthesize_rx(stack, truth, noiseless=True).cov1])
+        ch.synthesize_rx(stack, field, [40 + k for k in range(4)]).cov1,
+        ch.synthesize_rx(stack, field, noiseless=True).cov1])
     shared = ce.pick_columns(cov, stack.aod_proj, stack.n_paths)
     assert shared.errors == [None] * 8
     scaled = [10.0 ** (db / 20.0) * stack.aod_proj
@@ -251,7 +252,8 @@ def _forty_records(extra, close_row=5, colliding_row=17):
     seeds = [hn._trial_seeds(exp, p, t) for p, t in rows]
     gains = ch.draw_gains(setup.cfg, setup.geom, [g for g, _ in seeds])
     truth, _ = setup.truth(gains)
-    obs = ch.synthesize_rx(setup, truth, [n for _, n in seeds])
+    obs = ch.synthesize_rx(setup, ch.derivative_factors(truth, setup)[2],
+                           [n for _, n in seeds])
     u_hat, picks = ce.estimate_aod_coarse(obs, setup)
     assert picks.errors == [None] * len(rows)
     u_hat[close_row] = u_hat[close_row, 0] + 0.01 * np.arange(
@@ -605,8 +607,8 @@ def _sweep_observations(exp, setup, p_idx, n_trials):
             (exp.master_seed, hn._TAG_TRIAL, p_idx, trial)).spawn(2)
         true = gm.true_channel_params(setup.geom, ch.draw_gains(
             setup.cfg, setup.geom, np.random.default_rng(gain_seed)))
-        obs = ch.synthesize_rx(
-            setup, dataclasses.replace(true, gains=true.gains[None]),
+        obs = ch.synthesize_rx(setup, ch.derivative_factors(
+            dataclasses.replace(true, gains=true.gains[None]), setup)[2],
             [np.random.default_rng(noise_seed)])
         yield obs, ce.estimate_aod_coarse(obs, setup)[0]
 
@@ -844,7 +846,8 @@ def _three_power_records():
     obs = []
     for k, setup in enumerate(setups):
         true, _ = setup.truth(ch.draw_gains(setup.cfg, setup.geom, k)[None])
-        obs.append(ch.synthesize_rx(setup, true, [10 + k]))
+        obs.append(ch.synthesize_rx(
+            setup, ch.derivative_factors(true, setup)[2], [10 + k]))
     return setups, stack, obs
 
 
@@ -947,7 +950,8 @@ def test_run_coarse_keeps_a_refinement_error_to_its_row(monkeypatch,
     one returns in ``errors[0]``, class and message."""
     s = setup20
     rows = [s.obs_noisy, s.obs_clean, ch.synthesize_rx(
-        s.setup, dataclasses.replace(s.true, gains=s.true.gains[None]), [4])]
+        s.setup, ch.derivative_factors(dataclasses.replace(
+            s.true, gains=s.true.gains[None]), s.setup)[2], [4])]
     picks = ce.estimate_aod_coarse
 
     def colliding(obs, setup):

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import sample_layout, sample_layout_with
-from oracles import min_association_cost, row_setup
+from oracles import angle_crlb_per_bound, min_association_cost, row_setup
 from rispos import _damping as dm
 from rispos import bounds as bnd
 from rispos import channel as ch
@@ -97,7 +98,8 @@ def _leaves(obj, name=""):
 def test_sweep_setups_are_power_setups(overrides):
     """Row k of a sweep's setup (``take([k])``) equals, leaf for leaf, the
     setup of a sweep of power k alone, and shares every array but the
-    pilots and the truth's Gram with the sweep's setup, read-only."""
+    pilots and the truth's Gram and slot columns with the sweep's setup,
+    read-only."""
     exp = hn.ExperimentConfig(**overrides)
     sweep = hn.sweep_setup(exp)
     rows = [sweep.take([k]) for k in range(len(exp.powers_dbm))]
@@ -123,7 +125,7 @@ def test_sweep_setups_are_power_setups(overrides):
                 continue
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = value
-        assert own == {".pilots", ".true_gram"}
+        assert own == {".pilots", ".true_gram", ".true_slots"}
 
 
 def test_take_holds_exactly_the_taken_rows():
@@ -281,6 +283,23 @@ def test_trial_seeds_are_the_spawned_children(seed):
                 np.random.default_rng(old).standard_normal(4))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                  np.uint64(2**63 + 11)])
+def test_trial_seeds_are_seeded_by_the_entropy_words(seed):
+    """A trial's seeds, built from the uint32 words of its entropy, hold
+    the pools of ``SeedSequence`` seeded by the entropy tuple itself, for
+    master seeds on either side of 2^32 and 2^64, a NumPy integer among
+    them, and trial indices 0 and 2^32."""
+    exp = hn.ExperimentConfig(master_seed=seed)
+    for p_idx, t_idx in [(0, 0), (2, 0), (0, 2**32), (3, 2**32)]:
+        built = hn._trial_seeds(exp, p_idx, t_idx)
+        for child, new in enumerate(built):
+            old = np.random.SeedSequence((seed, 3, p_idx, t_idx),
+                                         spawn_key=(child,))
+            assert np.array_equal(new.pool, old.pool), (p_idx, t_idx, child)
+            assert new.spawn_key == (child,)
+
+
 def test_sweep_worker_count_invariant(tmp_path):
     """Parallel scheduling cannot perturb the results."""
     exp1 = hn.ExperimentConfig(n_trials=2, powers_dbm=[20.0], workers=1)
@@ -381,6 +400,73 @@ def test_batched_sweep_at_the_package_cap_equals_lone_trials():
     trial's bits."""
     _assert_sweep_equals_lone_trials(hn.ExperimentConfig(
         master_seed=77, n_trials=hn.BATCH // 4 + 2, stage="coarse"))
+
+
+Q2 = dict(scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0]], t1=22, t_total=43)
+Q3 = dict(scatterers=[[6.0, 5.0, 3.0], [0.0, 3.0, 6.0], [10.0, 15.0, 4.0]],
+          t1=30, v_slots=4, t_total=58)
+
+
+def _mixed_batch(exp, n_rows):
+    """The setup of a batch of ``n_rows`` trials of ``exp``'s sweep whose
+    rows cycle through the powers, and their gains drawn from seeds."""
+    sweep = hn.sweep_setup(exp)
+    setup = sweep.take([k % len(exp.powers_dbm) for k in range(n_rows)])
+    gains = ch.draw_gains(setup.cfg, setup.geom,
+                          [np.random.SeedSequence((11, k))
+                           for k in range(n_rows)])
+    return setup, gains
+
+
+@pytest.mark.parametrize("n_rows", [1, 4, 40, 64])
+@pytest.mark.parametrize("overrides", [{}, Q2], ids=["q1", "q2"])
+def test_batch_fields_are_the_forward_models(overrides, n_rows):
+    """A batch's fields from the sweep's gain columns (``fields``) are,
+    bit for bit, the field that ``channel.derivative_factors`` forms at
+    the batch's truth, on rows that mix the four powers."""
+    setup, gains = _mixed_batch(hn.ExperimentConfig(**overrides), n_rows)
+    truth, _ = setup.truth(gains)
+    fields = setup.fields(gains)
+    assert fields.shape == (n_rows, setup.cfg.t_total,
+                            setup.cfg.n_subcarriers)
+    assert (fields.tobytes()
+            == ch.derivative_factors(truth, setup)[2].tobytes())
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 40, 64])
+@pytest.mark.parametrize("overrides", [{}, Q2, Q3], ids=["q1", "q2", "q3"])
+def test_stacked_angle_crlb_is_the_per_bound_oracle(overrides, n_rows):
+    """The angle CRLBs of a stack of bounds, one contraction over the
+    stack, hold the bits of one einsum per bound, with one, two and three
+    scatterers, on rows that mix the four powers; a lone bound gives its
+    row of the stack."""
+    setup, gains = _mixed_batch(hn.ExperimentConfig(**overrides), n_rows)
+    truth, rep = setup.truth(gains)
+    crlb = hn.angle_crlb(rep.cov_channel, truth)
+    assert crlb.shape == (n_rows, 6 * setup.n_paths)
+    assert crlb.tobytes() == angle_crlb_per_bound(rep.cov_channel,
+                                                  truth).tobytes()
+    assert (hn.angle_crlb(rep.cov_channel[-1], truth).tobytes()
+            == crlb[-1].tobytes())
+
+
+def test_coarse_sweep_makes_one_forward_pass(monkeypatch):
+    """A stage-``coarse`` sweep of two batches (40 trials at two powers)
+    calls ``channel.derivative_factors`` once, in ``sweep_setup``: its
+    batches read their fields off that pass."""
+    factors = ch.derivative_factors
+    callers = []
+
+    def spy(params, setup):
+        callers.append([frame.name for frame in traceback.extract_stack()])
+        return factors(params, setup)
+    monkeypatch.setattr(ch, "derivative_factors", spy)
+    report = hn.run_sweep(hn.ExperimentConfig(
+        master_seed=7, n_trials=40, powers_dbm=[-10.0, 20.0],
+        stage="coarse"))
+    assert sum(len(recs) for recs in report.records) == 80
+    assert len(callers) == 1
+    assert "sweep_setup" in callers[0]
 
 
 def _assert_truth_rows_equal_lone_truth(stack, row_setups, gains):
